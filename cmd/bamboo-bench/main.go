@@ -7,6 +7,7 @@
 //	bamboo-bench -exp all -threads 1,2,4,8,16,32 -duration 1s
 //	bamboo-bench -exp fig6 -quick -json -out BENCH_fig6.json
 //	bamboo-bench -exp all -csv -out results.csv
+//	bamboo-bench -exp fig6 -quick -cpuprofile cpu.prof   (also -mutexprofile, -blockprofile)
 //
 // By default each experiment prints one block per x-axis value with one
 // line per protocol: throughput, abort rate, the amortized per-
@@ -55,6 +56,9 @@ func main() {
 		csvOut   = flag.Bool("csv", false, "emit results as one flat CSV table")
 		out      = flag.String("out", "", "write -json/-csv output to this file instead of stdout")
 		metrics  = flag.String("metrics-addr", "", "serve live telemetry (/metrics, /debug/vars, /healthz) on this address for the whole run; \":0\" picks a free port (printed to stderr)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
+		mutProf  = flag.String("mutexprofile", "", "write a mutex-contention profile of the experiments to this file (every contended unlock is recorded: slows the run)")
+		blkProf  = flag.String("blockprofile", "", "write a goroutine-blocking profile of the experiments to this file (every blocking event is recorded: slows the run)")
 	)
 	flag.Parse()
 
@@ -159,6 +163,11 @@ func main() {
 		table = os.Stderr
 	}
 
+	stopProfiles, err := startProfiles(*cpuProf, *mutProf, *blkProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "start profiles: %v\n", err)
+		os.Exit(1)
+	}
 	doc := report.NewFile(s.ReportScale())
 	for _, e := range run {
 		start := time.Now()
@@ -168,11 +177,14 @@ func main() {
 		bench.Print(table, fmt.Sprintf("%s (%s, took %v)", e.ID, e.Title, took.Round(time.Millisecond)), rows)
 		fmt.Fprintln(table)
 	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "write profiles: %v\n", err)
+		os.Exit(1)
+	}
 
 	if !*jsonOut && !*csvOut {
 		return
 	}
-	var err error
 	switch {
 	case *out != "" && *jsonOut:
 		err = report.Save(*out, doc)

@@ -451,7 +451,9 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, write bool) (*access, error
 	}
 	mine := &access{t: tx.t, owner: tx, mask: mask, write: write, row: row, rs: rs}
 
-	deadline := time.Now().Add(tx.e.WaitTimeout)
+	// The attach deadline runs from the first moment the attach blocks:
+	// an access that finds no blocker reads no clock.
+	var deadline time.Time
 	// One escalating backoff counter for the whole attach: resetting it
 	// per blocker keeps the loop in the busy-yield phase forever when
 	// blockers keep trading places, which on a 1-CPU host (worse under
@@ -480,6 +482,9 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, write bool) (*access, error
 		}
 		rs.unlock()
 		waitStart := time.Now()
+		if deadline.IsZero() {
+			deadline = waitStart.Add(tx.e.WaitTimeout)
+		}
 		for ; ; spin++ {
 			if tx.t.Aborting() {
 				tx.waited += time.Since(waitStart)
@@ -533,7 +538,7 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, write bool) (*access, error
 // same resolution the lock engine reaches by wounding.
 func (tx *Tx) promote(a *access) (*access, error) {
 	rs := a.rs
-	deadline := time.Now().Add(tx.e.WaitTimeout)
+	var deadline time.Time // set when the promotion first blocks, as in attach
 	spin := 0
 	rs.lock()
 	for {
@@ -556,6 +561,9 @@ func (tx *Tx) promote(a *access) (*access, error) {
 		}
 		rs.unlock()
 		waitStart := time.Now()
+		if deadline.IsZero() {
+			deadline = waitStart.Add(tx.e.WaitTimeout)
+		}
 		for ; ; spin++ {
 			if tx.t.Aborting() {
 				tx.waited += time.Since(waitStart)
@@ -778,32 +786,39 @@ func (tx *Tx) enforcePieceOrder(p *Piece) error {
 	if len(tx.deps) == 0 {
 		return nil
 	}
-	deadline := time.Now().Add(tx.e.WaitTimeout)
-	// As in attach: one escalating counter across all dependencies, so a
-	// transaction polling several slow dependencies reaches the sleeping
+	// As in attach: the deadline runs from the first dependency that makes
+	// the piece wait (a piece whose dependencies are all far enough along
+	// reads no clock), and one escalating counter spans all dependencies,
+	// so a transaction polling several slow ones reaches the sleeping
 	// phase instead of busy-yielding against them round-robin.
+	var waitStart, deadline time.Time
 	spin := 0
 	for d := range tx.deps {
 		need, ok := p.lastConflict[d.tmpl]
 		if !ok || need < 0 {
 			continue
 		}
-		start := time.Now()
 		for ; int(d.progress.Load()) <= need; spin++ {
 			if s := d.t.State(); s == txn.StateCommitted || s == txn.StateAborted {
 				break
 			}
+			if waitStart.IsZero() {
+				waitStart = time.Now()
+				deadline = waitStart.Add(tx.e.WaitTimeout)
+			}
 			if tx.t.Aborting() {
-				tx.waited += time.Since(start)
+				tx.waited += time.Since(waitStart)
 				return lock.ErrAborting
 			}
 			if time.Now().After(deadline) {
-				tx.waited += time.Since(start)
+				tx.waited += time.Since(waitStart)
 				return errTimeout
 			}
 			lock.Backoff(spin)
 		}
-		tx.waited += time.Since(start)
+	}
+	if !waitStart.IsZero() {
+		tx.waited += time.Since(waitStart)
 	}
 	return nil
 }

@@ -12,6 +12,14 @@ import (
 	"bamboo/internal/wal"
 )
 
+// now is the executor's clock: monotonic time since clockEpoch. Run reads
+// it twice per attempt and semWait only once a commit actually waits; no
+// per-operation path reads it. A variable so tests can count the reads.
+var now = func() time.Duration { return time.Since(clockEpoch) }
+
+// clockEpoch anchors now; only differences are used.
+var clockEpoch = time.Now()
+
 // LockEngine is the executor for the lock-based protocols (Bamboo and the
 // three 2PL baselines). It implements Engine.
 type LockEngine struct{ db *DB }
@@ -219,14 +227,15 @@ func (tx *lockTx) endSnapshot() {
 	}
 }
 
-// acquire obtains a lock with wait-time accounting, drawing the request
-// from the session freelist. On failure the request is quiescent (the
-// manager guarantees it is detached) and goes straight back to the pool.
+// acquire obtains a lock, drawing the request from the session freelist.
+// Lock wait is whatever time the manager saw the request blocked; an
+// acquire granted on the spot reads no clock and adds nothing. On failure
+// the request is quiescent (the manager guarantees it is detached) and
+// goes straight back to the pool.
 func (tx *lockTx) acquire(row *storage.Row, mode lock.Mode) (*lock.Request, error) {
 	req := tx.s.pool.Get()
-	start := time.Now()
 	err := tx.db.Lock.AcquireInto(req, tx.t, mode, &row.Entry)
-	tx.lockWait += time.Since(start)
+	tx.lockWait += req.TakeWait()
 	tx.db.Global.RecordPartAccess(row.PartitionID)
 	if ad := tx.db.adapt; ad != nil {
 		if row.Entry.RecordAccess() == 1 && row.Entry.MarkSeen() {
@@ -333,9 +342,8 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 				}
 				img := a.req.CloneImage()
 				mutate(img)
-				start := time.Now()
 				err := tx.db.Lock.UpgradeRetire(a.req, img)
-				tx.lockWait += time.Since(start)
+				tx.lockWait += a.req.TakeWait()
 				if err != nil {
 					// The after-image was never installed and nobody else
 					// saw it; donate its storage back as the spare.
@@ -352,9 +360,8 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 				tx.s.col.RecordRetire()
 				return nil
 			}
-			start := time.Now()
 			err := tx.db.Lock.Upgrade(a.req)
-			tx.lockWait += time.Since(start)
+			tx.lockWait += a.req.TakeWait()
 			if err != nil {
 				tx.db.Global.RecordPartConflict(row.PartitionID)
 				if tx.db.adapt != nil {
@@ -586,11 +593,15 @@ func (s *lockSession) Run(fn TxnFunc) error {
 			s.db.Lock.AssignTS(t)
 		}
 		tx.reset()
-		attemptStart := time.Now()
+		attemptStart := now()
 
 		err := fn(tx)
 
-		execTime := time.Since(attemptStart) - tx.lockWait
+		// Two clock reads per attempt, however many operations fn made:
+		// the time blocked on locks comes back from the lock manager, and
+		// everything else the body did — acquire and release CPU included
+		// — is execution time.
+		execTime := now() - attemptStart - tx.lockWait
 		switch {
 		case err == nil && !t.Aborting():
 			// Proceed to commit below.
@@ -721,18 +732,18 @@ func (s *lockSession) semWait(tx *lockTx, execTime time.Duration) (time.Duration
 	if t.Sem() == 0 && !t.Aborting() {
 		return 0, !t.Aborting()
 	}
-	start := time.Now()
+	start := now()
 	delta := s.db.cfg.Delta
 	adaptiveDone := delta <= 0
 	threshold := time.Duration(float64(execTime) * delta)
 	for i := 0; ; i++ {
 		if t.Aborting() {
-			return time.Since(start), false
+			return now() - start, false
 		}
 		if t.Sem() == 0 {
-			return time.Since(start), true
+			return now() - start, true
 		}
-		if !adaptiveDone && time.Since(start) > threshold {
+		if !adaptiveDone && now()-start > threshold {
 			tx.retireRemaining()
 			adaptiveDone = true
 		}

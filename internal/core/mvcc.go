@@ -82,9 +82,9 @@ func (p *pruner) run() {
 }
 
 // sweep prunes every row's chain against watermark w and records the
-// telemetry. Row visits take only the index shards' read locks; chain
-// pruning itself is latch-free and arbitration with concurrent installs
-// is a CAS on the detach link.
+// telemetry. The walk is latch-free end to end: the index is ranged
+// without locks, chain pruning takes none either, and arbitration with
+// concurrent installs is a CAS on the detach link.
 func (p *pruner) sweep(w uint64) {
 	var pruned, maxLen uint64
 	for _, tbl := range p.db.Catalog.AllTables() {

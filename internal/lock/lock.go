@@ -29,6 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bamboo/internal/txn"
 )
@@ -180,6 +181,11 @@ type Request struct {
 	imgCopies uint32
 	imgReuses uint32
 
+	// wait accumulates the time this request spent blocked — queued in
+	// waitGranted or polling in an upgrade — until the holder collects it
+	// (TakeWait). An uncontended request never adds to it.
+	wait time.Duration
+
 	entry      *Entry
 	state      atomic.Int32
 	semHeld    bool   // this request holds one commit_semaphore increment
@@ -227,6 +233,7 @@ func (r *Request) reset() {
 	r.prevImg = nil
 	r.imgCopies = 0
 	r.imgReuses = 0
+	r.wait = 0
 	r.state.Store(int32(reqWaiting))
 }
 
@@ -278,6 +285,17 @@ func (r *Request) StashBuf(b []byte) {
 	if len(b) > 0 {
 		r.buf = b[:len(b):len(b)]
 	}
+}
+
+// TakeWait returns and resets the time the request has spent blocked
+// since the last call: the lock-wait share of the paper's runtime
+// breakdown. It is written by the goroutine that called AcquireInto or
+// Upgrade, before that call returned, so the same goroutine may read it
+// right after — on success or on error.
+func (r *Request) TakeWait() time.Duration {
+	w := r.wait
+	r.wait = 0
+	return w
 }
 
 // ImageStats returns and resets the request's image-copy counters: fresh

@@ -300,47 +300,47 @@ func (m *Manager) upgrade(r *Request, retire bool, img []byte) error {
 	if r.Mode == EX {
 		return nil
 	}
-	t := r.Txn
-	e := r.entry
-	if t.Aborting() {
+	if r.Txn.Aborting() {
 		return ErrAborting
 	}
-	complete := func() {
-		if retire {
-			m.completeUpgradeRetireLocked(e, r, img)
-			// The pending-upgrade marker must drop before promoting:
-			// promoteWaiters holds back every waiter younger than a
-			// marked upgrade, and the readers the fresh dirty install can
-			// serve are exactly such waiters.
-			dropUpgradeLocked(e, r)
-			m.promoteWaiters(e)
-		} else {
-			m.completeUpgradeLocked(e, r)
-			dropUpgradeLocked(e, r)
-		}
+	done, err := m.tryUpgrade(r, retire, img)
+	if done {
+		return err
 	}
-	for i := 0; ; i++ {
-		e.latch.Lock()
-		if h := testHookLatchPass; h != nil {
-			h()
-		}
-		if t.Aborting() {
-			dropUpgradeLocked(e, r)
-			e.latch.Unlock()
-			return ErrWound
-		}
-		// Fast path: the upgrader is the entry's only holder and nobody is
-		// queued — the common uncontended read-modify-write. Every variant
-		// agrees on the outcome (no conflict to abort on, wound, or wait
-		// for), DynamicTS would assign nothing (no other request exists),
-		// and the pending-upgrade slot never needs claiming because there
-		// is no grant race to fence off. Complete in place and return.
-		if e.waiters.head == nil && (e.upgrading == nil || e.upgrading == r) &&
-			!otherHolder(e, r) {
-			complete()
-			e.latch.Unlock()
-			return nil
-		}
+	// Blocked behind other holders: from here to the outcome is lock wait,
+	// handed back on the request like an acquire's (waitGranted).
+	start := now()
+	for i := 0; !done; i++ {
+		Backoff(i)
+		done, err = m.tryUpgrade(r, retire, img)
+	}
+	r.wait += now() - start
+	return err
+}
+
+// tryUpgrade is one entry-latch pass of an upgrade: it applies the
+// variant's deadlock rule and completes the promotion if the entry has
+// quiesced around r. done is false when the upgrader has to keep waiting.
+func (m *Manager) tryUpgrade(r *Request, retire bool, img []byte) (done bool, err error) {
+	t := r.Txn
+	e := r.entry
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	if h := testHookLatchPass; h != nil {
+		h()
+	}
+	if t.Aborting() {
+		dropUpgradeLocked(e, r)
+		return true, ErrWound
+	}
+	// The deadlock rule applies only when somebody else is on the entry.
+	// With the upgrader its only holder and nobody queued — the common
+	// uncontended read-modify-write — every variant agrees on the outcome
+	// (no conflict to abort on, wound, or wait for), DynamicTS would
+	// assign nothing (no other request exists), and the pending-upgrade
+	// slot never needs claiming because there is no grant race to fence
+	// off: the promotion completes in place.
+	if e.waiters.head != nil || (e.upgrading != nil && e.upgrading != r) || otherHolder(e, r) {
 		if m.cfg.DynamicTS {
 			m.assignOnUpgradeLocked(t, e, r)
 		}
@@ -349,26 +349,33 @@ func (m *Manager) upgrade(r *Request, retire bool, img []byte) error {
 		case NoWait:
 			if otherHolder(e, r) {
 				dropUpgradeLocked(e, r)
-				e.latch.Unlock()
-				return ErrNoWait
+				return true, ErrNoWait
 			}
 		case WaitDie:
 			if olderOtherHolder(e, r) {
 				dropUpgradeLocked(e, r)
-				e.latch.Unlock()
-				return ErrDie
+				return true, ErrDie
 			}
 		case WoundWait, Bamboo:
 			m.woundForUpgradeLocked(e, r)
 		}
-		if !upgradeBlockedLocked(e, r) {
-			complete()
-			e.latch.Unlock()
-			return nil
+		if upgradeBlockedLocked(e, r) {
+			return false, nil
 		}
-		e.latch.Unlock()
-		Backoff(i)
 	}
+	if retire {
+		m.completeUpgradeRetireLocked(e, r, img)
+		// The pending-upgrade marker must drop before promoting:
+		// promoteWaiters holds back every waiter younger than a
+		// marked upgrade, and the readers the fresh dirty install can
+		// serve are exactly such waiters.
+		dropUpgradeLocked(e, r)
+		m.promoteWaiters(e)
+	} else {
+		m.completeUpgradeLocked(e, r)
+		dropUpgradeLocked(e, r)
+	}
+	return true, nil
 }
 
 // testHookLatchPass, when non-nil, is invoked once per entry-latch
@@ -1175,7 +1182,14 @@ func (m *Manager) assignOnConflictLocked(t *txn.Txn, mode Mode, e *Entry) {
 // or the transaction is marked aborting. It mirrors DBx1000's pause loop:
 // a short Gosched phase followed by escalating sleeps so oversubscribed
 // hosts do not burn cores.
+//
+// This is where an acquire blocks, so this is where lock wait is measured:
+// the time from entry to return is added to the request (TakeWait). An
+// acquire granted inside its own latch section never gets here and reads
+// no clock.
 func (m *Manager) waitGranted(r *Request) error {
+	start := now()
+	defer func() { r.wait += now() - start }()
 	for i := 0; ; i++ {
 		switch r.stateLoad() {
 		case reqOwner, reqRetired:
@@ -1201,6 +1215,13 @@ func (m *Manager) waitGranted(r *Request) error {
 		Backoff(i)
 	}
 }
+
+// now is the manager's clock, read only where a request blocks
+// (waitGranted, upgrade). A variable so tests can count the reads.
+var now = func() time.Duration { return time.Since(clockEpoch) }
+
+// clockEpoch anchors now; only differences are used.
+var clockEpoch = time.Now()
 
 // Backoff yields the processor, escalating from busy yields to short
 // sleeps. Exported for use by the executor's commit-semaphore wait loop.

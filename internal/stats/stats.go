@@ -3,6 +3,22 @@
 // "runtime analysis" figures (lock wait / abort / commit wait / useful
 // work), and abort-chain lengths (§4.2).
 //
+// The breakdown's four shares, as the executors feed them:
+//
+//   - lock wait: time a request spent blocked — queued behind a
+//     conflicting holder, or polling for an upgrade to clear. It is
+//     measured where the request blocks (lock.Manager hands it back on
+//     the Request; IC3 times its own wait loops), so a transaction that
+//     meets nobody reports exactly zero. The CPU an uncontended acquire
+//     or release costs is not waiting; it is part of the execution time
+//     below.
+//   - commit wait: time between the end of the body and the commit point
+//     spent waiting for dependencies (Bamboo's commit semaphore, IC3's
+//     dependency drain) or validating (Silo).
+//   - abort: execution time of attempts that aborted.
+//   - useful: execution time of attempts that committed — everything the
+//     body did that was not blocked, lock-table work included.
+//
 // Collection is per-worker and contention-free; Merge folds workers
 // together at the end of a run. Counters recorded where no worker
 // collector is in scope (the lock manager's wounds and cascades, the
@@ -29,7 +45,7 @@ type Collector struct {
 	AbortsBy [6]uint64
 
 	// Time breakdown, summed over all attempts (committed and aborted).
-	LockWait   time.Duration // waiting inside lock acquisition
+	LockWait   time.Duration // blocked on locks (see the package comment)
 	CommitWait time.Duration // waiting on the commit semaphore / validation
 	AbortTime  time.Duration // execution time of attempts that aborted
 	UsefulTime time.Duration // execution time of attempts that committed

@@ -94,38 +94,17 @@ func (t *Table) PartitionFor(key uint64) int { return t.part.Partition(key) }
 // InsertRow creates a row with the given key and image and registers it in
 // its partition's primary index. It returns an error if the key already
 // exists. Inserts into distinct partitions share no mutable state, which
-// is what makes partition-parallel loading embarrassingly parallel.
+// is what makes partition-parallel loading embarrassingly parallel. On a
+// versioned table the row's version chain is seeded at timestamp 0: a
+// loaded row is visible to every snapshot.
 func (t *Table) InsertRow(key uint64, image []byte) (*Row, error) {
-	if image == nil {
-		image = t.Schema.NewRowImage()
-	}
-	if len(image) != t.Schema.RowSize() {
-		return nil, fmt.Errorf("storage: image size %d != schema size %d for table %s",
-			len(image), t.Schema.RowSize(), t.Schema.Name)
-	}
-	pid := t.part.Partition(key)
-	if pid < 0 || pid >= len(t.parts) {
-		return nil, fmt.Errorf("storage: key %d routed to partition %d of %d in table %s",
-			key, pid, len(t.parts), t.Schema.Name)
-	}
-	p := t.parts[pid]
-	r := &Row{Key: key, PartitionID: pid, Table: t}
-	r.Entry.Init(image)
-	if t.mvcc {
-		// Seeded at ts 0: a loaded row is visible to every snapshot.
-		r.Versions.Seed(0, image)
-	}
-	if !p.index.Insert(key, r) {
-		return nil, fmt.Errorf("storage: duplicate key %d in table %s", key, t.Schema.Name)
-	}
-	p.count.Add(1)
-	return r, nil
+	return t.InsertRowAt(key, image, 0)
 }
 
 // InsertRowAt is InsertRow for commit-time inserts on a versioned table:
 // the new row's version chain is seeded at commit timestamp ts, so
 // snapshots older than the inserting transaction do not see it. On a
-// non-versioned table it behaves exactly like InsertRow.
+// non-versioned table ts is ignored.
 func (t *Table) InsertRowAt(key uint64, image []byte, ts uint64) (*Row, error) {
 	if image == nil {
 		image = t.Schema.NewRowImage()
@@ -140,12 +119,15 @@ func (t *Table) InsertRowAt(key uint64, image []byte, ts uint64) (*Row, error) {
 			key, pid, len(t.parts), t.Schema.Name)
 	}
 	p := t.parts[pid]
-	r := &Row{Key: key, PartitionID: pid, Table: t}
+	r := p.newRow()
+	r.Key, r.PartitionID, r.Table = key, pid, t
 	r.Entry.Init(image)
 	if t.mvcc {
 		r.Versions.Seed(ts, image)
 	}
 	if !p.index.Insert(key, r) {
+		// The refused row stays carved out of its slab, unreachable: a
+		// duplicate key is an error path, not worth a give-back protocol.
 		return nil, fmt.Errorf("storage: duplicate key %d in table %s", key, t.Schema.Name)
 	}
 	p.count.Add(1)
@@ -211,96 +193,6 @@ func (t *Table) PartitionRows() []int64 {
 		counts[i] = p.count.Load()
 	}
 	return counts
-}
-
-// HashIndex is a sharded hash index mapping uint64 keys to rows. Shards
-// bound latch contention during TPC-C inserts while keeping reads cheap.
-type HashIndex struct {
-	shards [indexShards]indexShard
-}
-
-const indexShards = 64
-
-type indexShard struct {
-	mu sync.RWMutex
-	m  map[uint64]*Row
-}
-
-// NewHashIndex creates an index sized for the expected number of keys.
-func NewHashIndex(expect int) *HashIndex {
-	idx := &HashIndex{}
-	per := expect/indexShards + 1
-	for i := range idx.shards {
-		idx.shards[i].m = make(map[uint64]*Row, per)
-	}
-	return idx
-}
-
-func (idx *HashIndex) shard(key uint64) *indexShard {
-	// Fibonacci hashing spreads sequential keys across shards.
-	return &idx.shards[(key*0x9E3779B97F4A7C15)>>58&(indexShards-1)]
-}
-
-// Get returns the row for key, or nil.
-func (idx *HashIndex) Get(key uint64) *Row {
-	s := idx.shard(key)
-	s.mu.RLock()
-	r := s.m[key]
-	s.mu.RUnlock()
-	return r
-}
-
-// Insert adds key→row, returning false if the key already exists.
-func (idx *HashIndex) Insert(key uint64, r *Row) bool {
-	s := idx.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.m[key]; dup {
-		return false
-	}
-	s.m[key] = r
-	return true
-}
-
-// Delete removes key, reporting whether it was present.
-func (idx *HashIndex) Delete(key uint64) bool {
-	s := idx.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; !ok {
-		return false
-	}
-	delete(s.m, key)
-	return true
-}
-
-// Range calls fn for every (key, row) pair until fn returns false. The
-// iteration order is unspecified. Concurrent inserts may or may not be
-// observed; intended for loaders, checkers and statistics.
-func (idx *HashIndex) Range(fn func(key uint64, r *Row) bool) {
-	for i := range idx.shards {
-		s := &idx.shards[i]
-		s.mu.RLock()
-		for k, r := range s.m {
-			if !fn(k, r) {
-				s.mu.RUnlock()
-				return
-			}
-		}
-		s.mu.RUnlock()
-	}
-}
-
-// Len returns the number of indexed keys.
-func (idx *HashIndex) Len() int {
-	n := 0
-	for i := range idx.shards {
-		s := &idx.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
 }
 
 // Catalog is a named collection of tables.
