@@ -17,7 +17,9 @@
 // experiment id or x-label format, wrong file) and bench-diff fails:
 // a gate that silently compares zero points is exactly the self-diff
 // failure mode the committed baselines exist to prevent. Baseline
-// points below -min-commits are skipped as noise.
+// points below -min-commits are skipped as noise. When the two documents
+// were recorded with different num_cpu or gomaxprocs, a warning goes to
+// stderr: the comparison still runs, but its verdict may be the host's.
 //
 // Exit status: 0 = no regressions, 1 = regressions found, 2 = usage or
 // I/O error.
@@ -71,6 +73,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if old.NumCPU != cur.NumCPU || old.GOMAXPROCS != cur.GOMAXPROCS {
+		fmt.Fprintf(stderr, "WARNING: HOST MISMATCH: baseline recorded with num_cpu=%d gomaxprocs=%d, "+
+			"new run with num_cpu=%d gomaxprocs=%d.\n"+
+			"WARNING: throughput and latency do not compare across core counts; "+
+			"the verdict below may be the host's, not the code's.\n",
+			old.NumCPU, old.GOMAXPROCS, cur.NumCPU, cur.GOMAXPROCS)
+	}
 	fmt.Fprintf(stdout, "baseline %s (%s)  vs  new %s (%s)\n",
 		fs.Arg(0), shortSHA(old.GitSHA), fs.Arg(1), shortSHA(cur.GitSHA))
 	d := report.Compare(old, cur, report.Thresholds{

@@ -28,6 +28,14 @@ func doc(tps float64, p99NS int64, commits uint64) *report.File {
 	}
 }
 
+// onHost returns a copy of f recorded on a host with the given CPU count
+// and GOMAXPROCS.
+func onHost(f *report.File, numCPU, gomaxprocs int) *report.File {
+	g := *f
+	g.NumCPU, g.GOMAXPROCS = numCPU, gomaxprocs
+	return &g
+}
+
 func save(t *testing.T, name string, f *report.File) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
@@ -47,6 +55,7 @@ func TestExitCodeMatrix(t *testing.T) {
 		args []string
 		exit int
 		want string // substring of stdout
+		warn string // substring of stderr; empty = stderr must be empty
 	}{
 		{
 			name: "identical passes",
@@ -110,6 +119,16 @@ func TestExitCodeMatrix(t *testing.T) {
 			args: []string{"-min-commits", "10"},
 			exit: 1, want: "throughput",
 		},
+		{
+			name: "num_cpu mismatch warns without changing the verdict",
+			old:  onHost(base, 1, 1), new: onHost(base, 2, 1),
+			exit: 0, want: "no regressions", warn: "HOST MISMATCH",
+		},
+		{
+			name: "gomaxprocs mismatch warns on a failing diff too",
+			old:  onHost(base, 2, 1), new: onHost(doc(8000, 1_000_000, 5000), 2, 2),
+			exit: 1, want: "throughput", warn: "gomaxprocs=1, new run with num_cpu=2 gomaxprocs=2",
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -123,6 +142,12 @@ func TestExitCodeMatrix(t *testing.T) {
 			}
 			if !strings.Contains(stdout.String(), c.want) {
 				t.Fatalf("stdout missing %q:\n%s", c.want, stdout.String())
+			}
+			if c.warn == "" && stderr.Len() != 0 {
+				t.Fatalf("unexpected stderr: %s", stderr.String())
+			}
+			if !strings.Contains(stderr.String(), c.warn) {
+				t.Fatalf("stderr missing %q:\n%s", c.warn, stderr.String())
 			}
 		})
 	}

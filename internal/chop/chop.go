@@ -716,14 +716,22 @@ func (s *Session) Run(t *Template, env any) error {
 		case err == nil && !tt.Aborting():
 			commitWait, ok := s.commitWait(tx)
 			if ok && tt.BeginCommit() {
+				// An error return must leave nothing of the attempt in the
+				// access lists, or every transaction ordered behind it
+				// times out and retries without end: a failed append made
+				// nothing durable and rolls back; a failed insert follows
+				// a durable record and detaches as committed.
 				if rec := tx.commitRecord(id); rec != nil {
 					if _, err := s.e.db.Log.Commit(rec); err != nil {
+						tx.rollback()
 						return fmt.Errorf("chop: wal: %w", err)
 					}
 				}
 				for _, ins := range tx.inserts {
 					row, err := ins.tbl.InsertRow(ins.key, ins.img)
 					if err != nil {
+						tx.detach()
+						tt.FinishCommit()
 						return fmt.Errorf("chop: insert: %w", err)
 					}
 					img := ins.img

@@ -117,11 +117,20 @@ func TestAnalyzeUnannotatedConservative(t *testing.T) {
 // its read access SH→EX in place — one access per row, counted as an
 // upgrade, and the concurrent increments it performs conserve.
 func TestInPlacePromotion(t *testing.T) {
-	db := core.NewDB(core.Config{})
+	var maxAccs atomic.Int64
+	db := core.NewDB(core.Config{OnCommit: func(_ int, _, _ uint64, accesses []core.AccessInfo, _ int) {
+		if n := int64(len(accesses)); n > maxAccs.Load() {
+			maxAccs.Store(n)
+		}
+		for _, a := range accesses {
+			if a.Mode != lock.EX {
+				panic("promoted access committed as SH")
+			}
+		}
+	}})
 	tbl := buildKV(db, 4)
 	valCol := tbl.Schema.ColIndex("val")
 
-	var maxAccs atomic.Int64
 	tmpl := &chop.Template{Name: "rmw", Pieces: []*chop.Piece{{
 		Accesses: []chop.AccessDecl{{Table: "kv", Cols: []int{valCol}}}, // no mode declared
 		Body: func(pt *chop.PieceTx) error {
@@ -138,17 +147,6 @@ func TestInPlacePromotion(t *testing.T) {
 	var reg chop.Registry
 	reg.Register(tmpl)
 	e := chop.New(db, &reg)
-
-	db.SetOnCommit(func(_ int, _, _ uint64, accesses []core.AccessInfo, _ int) {
-		if n := int64(len(accesses)); n > maxAccs.Load() {
-			maxAccs.Store(n)
-		}
-		for _, a := range accesses {
-			if a.Mode != lock.EX {
-				panic("promoted access committed as SH")
-			}
-		}
-	})
 
 	const workers, per = 8, 150
 	cols := make([]*stats.Collector, workers)
@@ -241,12 +239,11 @@ func TestIC3CounterConservation(t *testing.T) {
 }
 
 func TestIC3Serializability(t *testing.T) {
-	db := core.NewDB(core.Config{})
-	tbl := buildKV(db, 6)
-	stampCol := tbl.Schema.ColIndex("stamp")
+	schema := kvSchema()
+	stampCol := schema.ColIndex("stamp")
 
 	hist := verify.New()
-	db.SetOnCommit(func(worker int, txnID, ts uint64, accesses []core.AccessInfo, inserts int) {
+	db := core.NewDB(core.Config{OnCommit: func(worker int, txnID, ts uint64, accesses []core.AccessInfo, inserts int) {
 		var reads []verify.Read
 		var wrote []string
 		var myStamp uint64
@@ -254,10 +251,10 @@ func TestIC3Serializability(t *testing.T) {
 			rowKey := a.Table + "/" + string(rune('0'+a.Key))
 			if a.Mode == lock.EX {
 				wrote = append(wrote, rowKey)
-				myStamp = uint64(tbl.Schema.GetInt64(a.Wrote, stampCol))
+				myStamp = uint64(schema.GetInt64(a.Wrote, stampCol))
 			} else {
 				reads = append(reads, verify.Read{
-					Row: rowKey, Stamp: uint64(tbl.Schema.GetInt64(a.Read, stampCol)),
+					Row: rowKey, Stamp: uint64(schema.GetInt64(a.Read, stampCol)),
 				})
 			}
 		}
@@ -266,7 +263,8 @@ func TestIC3Serializability(t *testing.T) {
 			id = myStamp
 		}
 		hist.RecordCommit(id, reads, wrote)
-	})
+	}})
+	tbl := buildKV(db, 6)
 
 	var stampCtr atomic.Uint64
 	stampCtr.Store(1 << 32)

@@ -32,9 +32,10 @@ func TestSerializabilityAllProtocols(t *testing.T) {
 	for name, cfg := range protocolConfigs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg.CaptureReads = true
+			h := verifytest.NewHistory()
+			cfg.CaptureReads, cfg.OnCommit = true, h.Hook
 			db := core.NewDB(cfg)
-			verifytest.RunSerializability(t, core.NewLockEngine(db), verifytest.DefaultOptions())
+			verifytest.RunSerializability(t, core.NewLockEngine(db), h, verifytest.DefaultOptions())
 		})
 	}
 }
@@ -45,7 +46,8 @@ func TestSerializabilityHighContention(t *testing.T) {
 		cfg := protocolConfigs()[name]
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg.CaptureReads = true
+			h := verifytest.NewHistory()
+			cfg.CaptureReads, cfg.OnCommit = true, h.Hook
 			db := core.NewDB(cfg)
 			opts := verifytest.DefaultOptions()
 			opts.Rows = 2
@@ -53,7 +55,7 @@ func TestSerializabilityHighContention(t *testing.T) {
 			opts.WriteRatio = 0.8
 			opts.Workers = 12
 			opts.PerWorker = 200
-			verifytest.RunSerializability(t, core.NewLockEngine(db), opts)
+			verifytest.RunSerializability(t, core.NewLockEngine(db), h, opts)
 		})
 	}
 }
@@ -213,11 +215,12 @@ func TestUpgradeSerializability(t *testing.T) {
 	for name, cfg := range protocolConfigs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg.CaptureReads = true
+			h := verifytest.NewHistory()
+			cfg.CaptureReads, cfg.OnCommit = true, h.Hook
 			db := core.NewDB(cfg)
 			opts := verifytest.DefaultOptions()
 			opts.RMWRatio = 0.5
-			verifytest.RunSerializability(t, core.NewLockEngine(db), opts)
+			verifytest.RunSerializability(t, core.NewLockEngine(db), h, opts)
 		})
 	}
 }

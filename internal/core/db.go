@@ -53,8 +53,8 @@ type Config struct {
 	// Partitions is the storage partition count workload loaders create
 	// their tables with (TPC-C ranges by warehouse, YCSB hashes by key)
 	// and the size of the per-partition access/conflict counters the
-	// executor feeds. 0 or 1 keeps the flat single-partition layout — the
-	// pre-partitioning behavior, bit for bit.
+	// executor feeds. 0 or 1 is the single-partition layout: one storage
+	// partition, one log.
 	Partitions int
 
 	// AbortBackoffMax bounds the randomized retry backoff after an abort
@@ -74,6 +74,14 @@ type Config struct {
 	// serializability verifier can extract read observations. Off for
 	// benchmarks.
 	CaptureReads bool
+
+	// OnCommit, if non-nil, receives every committed transaction
+	// (testing/verification only; it runs inside the commit critical
+	// path, under the transaction's locks). Together with CaptureReads it
+	// decides, once, at NewDB, who owns superseded row images: a hook may
+	// retain the images its AccessInfo references, so with either set no
+	// image is ever recycled (see DB.recycle).
+	OnCommit OnCommitHook
 
 	// LogDevice overrides the WAL device (nil = in-memory, not recording).
 	// It only applies to the single-partition, in-memory layout: a
@@ -110,7 +118,7 @@ type Config struct {
 	// Checkpoint configures the storage lifecycle — fuzzy checkpoints
 	// and WAL truncation (see CheckpointConfig). Requires WALDir and
 	// switches the log files to the segmented layout; the zero value
-	// (disabled) keeps the single-file layout bit for bit.
+	// (disabled) keeps one file per partition log.
 	Checkpoint CheckpointConfig
 
 	// MVCC enables the multi-version read path: commits install their
@@ -119,8 +127,8 @@ type Config struct {
 	// zero lock acquisitions, zero aborts and zero steady-state
 	// allocations. Versions are volatile — only the newest committed
 	// image is logged and checkpointed, so recovery is unchanged. Off
-	// (the default) keeps the locking path statement-identical to the
-	// pre-MVCC engine.
+	// (the default), rows carry no version chain and commits install
+	// nothing.
 	MVCC bool
 	// MVCCPruneInterval is the background version-pruner tick: each tick
 	// advances the reclaim watermark (what install-time node reuse keys
@@ -133,8 +141,7 @@ type Config struct {
 	// and per-partition conflict rates and switches the retire policy per
 	// entry — early release on entries classified hot, wound-wait-style
 	// plain grants on cold ones — plus batched reader grants on hot
-	// entries. Off (the default) keeps the locking path statement-
-	// identical to the static engine: the policy word is never read.
+	// entries. Off (the default), the policy word is never read.
 	Adaptive bool
 	// AdaptiveInterval is the feedback engine's sampling tick; zero
 	// defaults to adaptive.DefaultInterval. Only meaningful with Adaptive.
@@ -193,10 +200,9 @@ func NoWait() Config { return Config{Variant: lock.NoWait} }
 type DB struct {
 	Catalog *storage.Catalog
 	Lock    *lock.Manager
-	// Log is partition 0's log — the full shared-log API, and the only
-	// log of the single-partition layout (bit for bit the
-	// pre-partitioning commit path). Engines that are not
-	// partition-aware (Silo, IC3) append their whole records here.
+	// Log is partition 0's log — the only log of the single-partition
+	// layout. Engines that are not partition-aware (Silo, IC3) append
+	// their whole records here.
 	Log *wal.Log
 	// PLog is the partition-routed durability pipeline: one group
 	// committer + device per storage partition. The lock engine routes
@@ -209,10 +215,19 @@ type DB struct {
 	// pointer test on the commit path — when MVCC is off.
 	Snap *txn.SnapshotTable
 
-	cfg      Config
-	txnIDs   atomic.Uint64
-	onCommit OnCommitHook
-	pruner   *pruner
+	cfg    Config
+	txnIDs atomic.Uint64
+	pruner *pruner
+
+	// recycle is the image-ownership rule, decided once in NewDB: the
+	// storage of a superseded committed image may be reused for a later
+	// write copy only when nothing outside the engine can hold a reference
+	// to it — no commit hook, which may retain the images of its
+	// AccessInfo, and no CaptureReads, which exists to feed one. It gates
+	// both harvests: the lock table's capture at release (which MVCC
+	// additionally forfeits, because version chains adopt every committed
+	// image) and the version chain's detached tails in installVersions.
+	recycle bool
 
 	// adapt is the contention-control feedback engine; nil when adaptive
 	// mode is off, which is also the executor's hot-path gate (a single
@@ -244,12 +259,12 @@ func NewDB(cfg Config) *DB {
 		Catalog: storage.NewCatalog(),
 		Global:  &stats.Global{},
 		cfg:     cfg,
+		recycle: !cfg.CaptureReads && cfg.OnCommit == nil,
 	}
 	// Partition telemetry only for actually-partitioned runs: with the
-	// flat layout every worker would hammer one shared counter cacheline
-	// per row access, perturbing exactly the single-partition baselines
-	// that must stay bit-for-bit comparable. RecordPartAccess no-ops on
-	// the empty slice. Adaptive mode opts in even on the flat layout
+	// single-partition layout every worker would hammer one shared counter
+	// cacheline per row access. RecordPartAccess no-ops on the empty
+	// slice. Adaptive mode opts in even on the single-partition layout
 	// (like EnableMetrics): without the counters the feedback engine's
 	// partition classifier is blind on unpartitioned tables.
 	adaptiveOn := cfg.Adaptive && cfg.Variant == lock.Bamboo
@@ -263,14 +278,10 @@ func NewDB(cfg Config) *DB {
 		DynamicTS:   cfg.DynamicTS,
 		OnWound:     db.Global.RecordWound,
 		OnCascade:   db.Global.RecordCascade,
-		// Superseded committed images are recycled into the write path's
-		// buffer pool only when nothing outside the lock entry can still
-		// reference them: MVCC version chains adopt every committed image
-		// (their own displaced nodes are harvested separately in
-		// installVersions), and CaptureReads hands read images to the
-		// verifier, which retains them past release. SetOnCommit also
-		// disables recycling at runtime for the same reason.
-		RecycleImages: !cfg.MVCC && !cfg.CaptureReads,
+		// MVCC version chains adopt every committed image, so there the
+		// lock table never recycles one; installVersions harvests the
+		// chains' own displaced nodes under the same db.recycle rule.
+		RecycleImages: db.recycle && !cfg.MVCC,
 	}
 	if adaptiveOn {
 		lockCfg.Adaptive = true
@@ -362,13 +373,12 @@ func (db *DB) Metrics() *telemetry.Registry { return db.metrics }
 // enabled on a shared registry, whose address the caller already knows).
 func (db *DB) MetricsAddr() string { return db.metricsAddr }
 
-// walDevices builds one log device per storage partition. The
-// single-partition layout keeps the original semantics exactly: the
-// caller's LogDevice, or a recording in-memory device. Partitioned
-// layouts get file devices under WALDir, or non-recording in-memory
-// devices (the benchmark configuration — serialization cost without
-// unbounded history). NewDB panics on device-open failure: a DB that
-// silently lost its durability directory must not come up.
+// walDevices builds one log device per storage partition: file devices
+// under WALDir, the caller's LogDevice (single-partition only), or
+// non-recording in-memory devices — serialization cost without unbounded
+// history; a test that reads records back passes a recording LogDevice.
+// NewDB panics on device-open failure: a DB that silently lost its
+// durability directory must not come up.
 func (db *DB) walDevices() []wal.Device {
 	n := db.Partitions()
 	if db.cfg.WALDir != "" && db.cfg.LogDevice != nil {
@@ -397,11 +407,11 @@ func (db *DB) walDevices() []wal.Device {
 		}
 		return devs
 	}
-	if n == 1 {
-		return []wal.Device{db.cfg.LogDevice}
-	}
 	if db.cfg.LogDevice != nil {
-		panic("core: Config.LogDevice is single-partition only; use WALDir for partitioned logs")
+		if n > 1 {
+			panic("core: Config.LogDevice is single-partition only; use WALDir for partitioned logs")
+		}
+		return []wal.Device{db.cfg.LogDevice}
 	}
 	devs := make([]wal.Device, n)
 	for i := range devs {

@@ -36,9 +36,9 @@ func (e *LockEngine) Database() *DB { return e.db }
 // NewSession implements Engine. A session owns every piece of per-worker
 // state the transaction hot path needs — request freelist, timestamp
 // block allocator, reusable transaction/access/commit-record storage and
-// the WAL appender(s) — so steady-state execution does not allocate. On a
-// partitioned DB the session holds one appender and one record scratch
-// per partition log, created once here.
+// the WAL appenders — so steady-state execution does not allocate. The
+// session holds one appender and one record scratch per partition log
+// (one of each on the single-log layout), created once here.
 func (e *LockEngine) NewSession(worker int, col *stats.Collector) Session {
 	col.AttachLive(e.db.live)
 	s := &lockSession{
@@ -48,15 +48,11 @@ func (e *LockEngine) NewSession(worker int, col *stats.Collector) Session {
 		rng:    rand.New(rand.NewSource(int64(worker)*7919 + 1)),
 		t:      txn.New(0),
 	}
-	if n := e.db.PLog.Partitions(); n > 1 {
-		s.apps = make([]*wal.Appender, n)
-		for p := range s.apps {
-			s.apps[p] = e.db.PLog.Log(p).NewAppender()
-		}
-		s.precs = make([]wal.Record, n)
-	} else {
-		s.wal = e.db.Log.NewAppender()
+	s.apps = make([]*wal.Appender, e.db.PLog.Partitions())
+	for p := range s.apps {
+		s.apps[p] = e.db.PLog.Log(p).NewAppender()
 	}
+	s.precs = make([]wal.Record, len(s.apps))
 	s.alloc = e.db.Lock.NewTSAlloc(worker)
 	s.t.SetTSAlloc(s.alloc)
 	if e.db.Snap != nil {
@@ -78,14 +74,11 @@ type lockSession struct {
 	pool  lock.Pool
 	t     *txn.Txn
 	tx    lockTx
-	wal   *wal.Appender
-	rec   wal.Record
 	alloc *txn.TSAlloc
 
-	// Partition-routed commit scratch, nil on the single-log layout: one
-	// appender and one record per partition log, plus the touched-
-	// partition and ticket lists of the current commit. All reused — the
-	// partitioned commit path allocates nothing in steady state.
+	// Commit-log scratch: one appender and one record per partition log,
+	// plus the touched-partition and ticket lists of the current commit.
+	// All reused — the commit path allocates nothing in steady state.
 	apps    []*wal.Appender
 	precs   []wal.Record
 	touched []int
@@ -544,36 +537,15 @@ func (tx *lockTx) Accesses() []AccessInfo {
 	return out
 }
 
-// OnCommitHook receives every committed lock-engine transaction when
-// installed on the DB via SetOnCommit; the verifier uses it. ts is the
-// transaction's priority timestamp at commit.
+// OnCommitHook receives every committed transaction of a DB built with
+// Config.OnCommit set; the verifier uses it. ts is the transaction's
+// priority timestamp at commit. The AccessInfo slices reference installed
+// images and the hook may retain them past lock release.
 type OnCommitHook func(worker int, txnID, ts uint64, accesses []AccessInfo, inserts int)
 
-// SetOnCommit installs a commit hook (testing/verification only; it runs
-// inside the commit critical path). Hooks receive AccessInfo slices that
-// reference installed images and may retain them past lock release (the
-// verifier stores whole access lists), so installing a hook disables
-// superseded-image recycling on both the lock side (SetImageRecycling)
-// and the MVCC install path (installVersions checks db.onCommit before
-// harvesting detached version images).
-//
-// Neither store is synchronized with concurrent releases: a transaction
-// already past its hook check may still capture a spare while the flag
-// flips. SetOnCommit must therefore be called before any transactions
-// run (or with all workers quiesced); mid-run installs are not supported.
-// The recycle flag is stored before the hook pointer so a transaction
-// that observes the hook never races a stale recycle==true on its own
-// release path.
-func (db *DB) SetOnCommit(h OnCommitHook) {
-	if h != nil {
-		db.Lock.SetImageRecycling(false)
-	}
-	db.onCommit = h
-}
-
-// OnCommit returns the installed commit hook (nil if none). Alternate
-// engines (Silo, IC3) call it at their own commit points.
-func (db *DB) OnCommit() OnCommitHook { return db.onCommit }
+// OnCommit returns the DB's commit hook (nil if none). Alternate engines
+// (Silo, IC3) call it at their own commit points.
+func (db *DB) OnCommit() OnCommitHook { return db.cfg.OnCommit }
 
 // Run implements Session: the transaction lifecycle of Algorithm 1.
 //
@@ -676,48 +648,21 @@ func (s *lockSession) Run(fn TxnFunc) error {
 			continue
 		}
 
-		// Commit point: log, apply inserts, release. With an active
-		// checkpointer the whole window holds the checkpoint gate in
-		// shared mode, so a checkpoint LSN is never captured between
-		// "the record is durable at seq" and "its effects are
-		// installed" — the gap in which a fuzzy snapshot stamped ≥ seq
-		// could miss the transaction entirely. The gate-less path keeps
-		// the commit statements inline rather than calling commitPoint:
-		// the extra call in this lock-holding window is measurably above
-		// the wait-die livelock threshold on small hosts (0% → 99%
-		// abort storms at 4 oversubscribed workers).
-		if g := s.db.ckptGate; g != nil {
+		// Commit point. With an active checkpointer the whole window holds
+		// the checkpoint gate in shared mode, so a checkpoint LSN is never
+		// captured between "the record is durable at seq" and "its effects
+		// are installed" — the gap in which a fuzzy snapshot stamped ≥ seq
+		// could miss the transaction entirely.
+		g := s.db.ckptGate
+		if g != nil {
 			g.RLock()
-			err = s.commitPoint(tx)
+		}
+		err = s.commitPoint(tx)
+		if g != nil {
 			g.RUnlock()
-			if err != nil {
-				return err
-			}
-		} else {
-			if s.apps == nil {
-				if rec := tx.commitRecord(); rec != nil {
-					if _, err := s.wal.Commit(rec); err != nil {
-						return fatalf("wal append: %v", err)
-					}
-				}
-			} else if err := s.commitPartitioned(tx); err != nil {
-				return err
-			}
-			if s.db.Snap != nil {
-				if err := s.installVersions(tx); err != nil {
-					return err
-				}
-			} else {
-				for _, ins := range tx.inserts {
-					if _, err := ins.tbl.InsertRow(ins.key, ins.img); err != nil {
-						return fatalf("apply insert: %v", err)
-					}
-				}
-			}
-			if h := s.db.onCommit; h != nil {
-				h(s.worker, t.ID, t.TS(), tx.Accesses(), len(tx.inserts))
-			}
-			tx.releaseCommitted()
+		}
+		if err != nil {
+			return err
 		}
 		t.FinishCommit()
 		s.col.RecordCommit(execTime, tx.lockWait, commitWait)
@@ -751,62 +696,53 @@ func (s *lockSession) semWait(tx *lockTx, execTime time.Duration) (time.Duration
 	}
 }
 
-// commitPoint runs the post-decision commit work: append the commit
-// record(s) to the durable log, apply buffered inserts, fire the commit
-// hook and release every lock. It mirrors the inline gate-less block in
-// Run statement for statement and is called only on the checkpointed
-// path, with the checkpoint gate held in shared mode across the call.
+// commitPoint is the commit path of every layout — Algorithm 1 past the
+// semaphore: append the commit record(s), publish versions, apply the
+// buffered inserts, fire the commit hook, release every lock. It leaves
+// the attempt holding nothing on every return. A failed append rolls the
+// attempt back: the transaction reverts its own commit decision, as the
+// Sem recheck in Run does, and its dependents cascade. (A record that
+// reached one partition log of several stays there — the cross-partition
+// tear the logCommit comment describes.) A failure after the append
+// releases as committed, because the record is durable.
 func (s *lockSession) commitPoint(tx *lockTx) error {
-	t := s.t
-	if s.apps == nil {
-		if rec := tx.commitRecord(); rec != nil {
-			if _, err := s.wal.Commit(rec); err != nil {
-				return fatalf("wal append: %v", err)
-			}
-		}
-	} else if err := s.commitPartitioned(tx); err != nil {
+	wrote, err := s.logCommit(tx)
+	if err != nil {
+		tx.rollback()
 		return err
 	}
-	if s.db.Snap != nil {
-		if err := s.installVersions(tx); err != nil {
-			return err
-		}
-	} else {
-		for _, ins := range tx.inserts {
-			if _, err := ins.tbl.InsertRow(ins.key, ins.img); err != nil {
-				return fatalf("apply insert: %v", err)
-			}
+	// Inserts are stamped with the commit timestamp of the version install
+	// on an MVCC DB and seeded at 0, visible to all, otherwise. Read-only
+	// locking-path attempts skip the snapshot table's window entirely.
+	var cts uint64
+	mvcc := wrote && s.db.Snap != nil
+	if mvcc {
+		cts = s.installVersions(tx)
+	}
+	for _, ins := range tx.inserts {
+		if _, err = ins.tbl.InsertRowAt(ins.key, ins.img, cts); err != nil {
+			err = fatalf("apply insert: %w", err)
+			break
 		}
 	}
-	if h := s.db.onCommit; h != nil {
-		h(s.worker, t.ID, t.TS(), tx.Accesses(), len(tx.inserts))
+	if mvcc {
+		s.db.Snap.EndCommit(s.worker)
+	}
+	if h := s.db.cfg.OnCommit; h != nil && err == nil {
+		h(s.worker, s.t.ID, s.t.TS(), tx.Accesses(), len(tx.inserts))
 	}
 	tx.releaseCommitted()
-	return nil
+	return err
 }
 
-// installVersions publishes the attempt's after-images into the row
-// version chains and applies buffered inserts (MVCC path of the commit
-// point; the non-MVCC insert loop stays inline for statement identity).
-// Everything is stamped with one commit timestamp drawn inside the
-// snapshot table's in-flight window, so snapshot readers observe the
-// whole commit or none of it. Version tails superseded below the reclaim
-// watermark are detached with one node reused — steady-state version
-// turnover on hot rows allocates nothing. Read-only locking-path attempts
-// skip the window entirely.
-func (s *lockSession) installVersions(tx *lockTx) error {
-	wrote := len(tx.inserts) > 0
-	if !wrote {
-		for i := range tx.accesses {
-			if tx.accesses[i].mode == lock.EX {
-				wrote = true
-				break
-			}
-		}
-	}
-	if !wrote {
-		return nil
-	}
+// installVersions opens the snapshot table's in-flight commit window and
+// publishes the attempt's after-images into the row version chains,
+// returning the window's commit timestamp; the caller stamps the inserts
+// with it and closes the window (EndCommit), so snapshot readers observe
+// the whole commit or none of it. Version tails superseded below the
+// reclaim watermark are detached with one node reused — steady-state
+// version turnover on hot rows allocates nothing.
+func (s *lockSession) installVersions(tx *lockTx) uint64 {
 	st := s.db.Snap
 	cts := st.BeginCommit(s.worker, s.alloc)
 	rts := st.Reclaim()
@@ -818,41 +754,31 @@ func (s *lockSession) installVersions(tx *lockTx) error {
 			// and the lock entry share one buffer per committed version.
 			_, rec, freed := a.row.Versions.Install(a.req.Data, cts, rts)
 			reclaimed += rec
-			if freed != nil && s.db.onCommit == nil {
+			if freed != nil && s.db.recycle {
 				// Harvest: the detached version's image is unreachable by
 				// any snapshot reader (it is below the reclaim watermark)
 				// and by the lock side (only the newest committed image can
 				// still be referenced there; this one was superseded at
 				// least one committed generation ago). Reuse its storage as
 				// the request's spare so the next write copy allocates
-				// nothing even with MVCC on. A commit hook forfeits this:
-				// hooks retain AccessInfo that references installed images
-				// indefinitely (SetOnCommit), so no image may ever be
-				// recycled while one is installed — the lock-side flag only
-				// covers releaseLocked's capture, not this harvest.
+				// nothing even with MVCC on.
 				a.req.StashBuf(freed)
 			}
 		}
 	}
-	for _, ins := range tx.inserts {
-		if _, err := ins.tbl.InsertRowAt(ins.key, ins.img, cts); err != nil {
-			st.EndCommit(s.worker)
-			return fatalf("apply insert: %v", err)
-		}
-	}
-	st.EndCommit(s.worker)
 	s.col.RecordVersionsPruned(uint64(reclaimed))
-	return nil
+	return cts
 }
 
-// commitPartitioned is the commit-point logging of a partitioned DB: the
-// attempt's writes are split by owning partition — updates carry their
-// partition on the row, inserts route through DB.PartitionOf — and one
-// commit record per touched partition is appended to that partition's
-// log. Records are submitted to every touched log before waiting on any,
-// so the partition group commits (and their fsyncs) overlap instead of
-// stacking. All scratch (per-partition records, touched list, tickets)
-// is session-owned and reused: zero steady-state allocations.
+// logCommit is the commit-point logging: the attempt's writes are split by
+// owning partition — updates carry their partition on the row, inserts
+// route through DB.PartitionOf — and one commit record per touched
+// partition is appended to that partition's log; a single-log DB is the
+// case where every write routes to log 0. Records are submitted to every
+// touched log before waiting on any, so the partition group commits (and
+// their fsyncs) overlap instead of stacking. All scratch (per-partition
+// records, touched list, tickets) is session-owned and reused: zero
+// steady-state allocations. It reports whether the attempt wrote anything.
 //
 // A transaction whose writes span partitions commits one record per
 // partition with the same TxnID; each partition's log remains a
@@ -860,20 +786,11 @@ func (s *lockSession) installVersions(tx *lockTx) error {
 // which is what makes partition-parallel replay race-free. Cross-
 // partition atomicity at the log level is the distributed follow-on's
 // problem (path-sensitive atomic commit), not this layer's.
-func (s *lockSession) commitPartitioned(tx *lockTx) error {
-	touched := s.touched[:0]
-	put := func(pid int, w wal.Write) {
-		rec := &s.precs[pid]
-		if len(rec.Writes) == 0 {
-			touched = append(touched, pid)
-			rec.TxnID = tx.t.ID
-		}
-		rec.Writes = append(rec.Writes, w)
-	}
+func (s *lockSession) logCommit(tx *lockTx) (wrote bool, err error) {
 	for i := range tx.accesses {
 		a := &tx.accesses[i]
 		if a.mode == lock.EX {
-			put(a.row.PartitionID, wal.Write{
+			s.route(a.row.PartitionID, wal.Write{
 				Table: a.row.Table.Schema.Name,
 				Key:   a.row.Key,
 				Image: a.req.Data,
@@ -881,57 +798,38 @@ func (s *lockSession) commitPartitioned(tx *lockTx) error {
 		}
 	}
 	for _, ins := range tx.inserts {
-		put(s.db.PartitionOf(ins.tbl, ins.key),
+		s.route(s.db.PartitionOf(ins.tbl, ins.key),
 			wal.Write{Table: ins.tbl.Schema.Name, Key: ins.key, Image: ins.img})
 	}
-	s.touched = touched
-	if len(touched) == 0 {
-		return nil
+	if len(s.touched) == 0 {
+		return false, nil
 	}
 	tickets := s.tickets[:0]
-	for _, pid := range touched {
+	for _, pid := range s.touched {
+		s.precs[pid].TxnID = tx.t.ID
 		tickets = append(tickets, s.apps[pid].Submit(&s.precs[pid]))
 	}
 	s.tickets = tickets
-	var firstErr error
 	for _, tk := range tickets {
-		if _, err := tk.Wait(); err != nil && firstErr == nil {
-			firstErr = err
+		if _, werr := tk.Wait(); werr != nil && err == nil {
+			err = fatalf("wal append: %w", werr)
 		}
 	}
-	for _, pid := range touched {
+	for _, pid := range s.touched {
 		s.precs[pid].Writes = s.precs[pid].Writes[:0]
 	}
-	s.touched = touched[:0]
-	if firstErr != nil {
-		return fatalf("wal append: %v", firstErr)
-	}
-	return nil
+	s.touched = s.touched[:0]
+	return true, err
 }
 
-// commitRecord builds the WAL record for the attempt in the session's
-// reusable record (nil if read-only).
-func (tx *lockTx) commitRecord() *wal.Record {
-	rec := &tx.s.rec
-	rec.Writes = rec.Writes[:0]
-	for i := range tx.accesses {
-		a := &tx.accesses[i]
-		if a.mode == lock.EX {
-			rec.Writes = append(rec.Writes, wal.Write{
-				Table: a.row.Table.Schema.Name,
-				Key:   a.row.Key,
-				Image: a.req.Data,
-			})
-		}
-	}
-	for _, ins := range tx.inserts {
-		rec.Writes = append(rec.Writes, wal.Write{Table: ins.tbl.Schema.Name, Key: ins.key, Image: ins.img})
-	}
+// route adds w to partition pid's pending commit record, listing the
+// partition as touched on its first write.
+func (s *lockSession) route(pid int, w wal.Write) {
+	rec := &s.precs[pid]
 	if len(rec.Writes) == 0 {
-		return nil
+		s.touched = append(s.touched, pid)
 	}
-	rec.TxnID = tx.t.ID
-	return rec
+	rec.Writes = append(rec.Writes, w)
 }
 
 func (s *lockSession) backoff() {

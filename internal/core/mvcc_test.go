@@ -123,14 +123,13 @@ func TestMVCCReadOnlyFallback(t *testing.T) {
 	}
 }
 
-// TestMVCCCommitHookRetainedImages pins the recycling opt-out across the
-// MVCC install path: commit hooks retain AccessInfo whose Wrote/Read
-// slices reference installed images, so no superseded version-chain
-// image may be harvested into a request's spare buffer while a hook is
-// installed — the lock-side SetImageRecycling flag covers only the
-// release-time capture, not installVersions' harvest. Without the gate,
-// each update to one hot row recycles the image a hook retained two
-// commits earlier and the next write copy overwrites its bytes.
+// TestMVCCCommitHookRetainedImages pins the image-ownership rule across
+// the MVCC install path: commit hooks retain AccessInfo whose Wrote/Read
+// slices reference installed images, so on a DB built with Config.OnCommit
+// no superseded version-chain image may be harvested into a request's
+// spare buffer. Without the rule, each update to one hot row recycles the
+// image a hook retained two commits earlier and the next write copy
+// overwrites its bytes.
 //
 // The reclaim watermark is advanced by hand between commits (the
 // background pruner is parked on an hour-long tick) so the very next
@@ -140,29 +139,46 @@ func TestMVCCCommitHookRetainedImages(t *testing.T) {
 	cfg := core.Bamboo()
 	cfg.MVCC = true
 	cfg.MVCCPruneInterval = time.Hour // keep the sweep out of the race
-	db := core.NewDB(cfg)
-	defer db.Close()
-	schema := storage.NewSchema("kv", storage.Column{Name: "v", Type: storage.ColInt64})
-	tbl := db.Catalog.MustCreateTable(schema, 1)
-	tbl.MustInsertRow(0, schema.NewRowImage())
+	testHookRetainedImages(t, cfg)
+}
 
+// TestCommitHookRetainedImages is the lock-table side of the same rule: a
+// plain Bamboo DB (no MVCC, no CaptureReads) whose only reason not to
+// recycle is the hook. Without the rule the commit release captures the
+// superseded image — the one the hook kept one commit earlier — and the
+// next write grant builds its copy in it.
+func TestCommitHookRetainedImages(t *testing.T) {
+	testHookRetainedImages(t, core.Bamboo())
+}
+
+// testHookRetainedImages commits 64 updates to one row on a DB built from
+// cfg plus a hook that keeps every AccessInfo.Wrote by reference, and
+// checks that every kept image still holds the bytes it was handed with.
+func testHookRetainedImages(t *testing.T, cfg core.Config) {
+	schema := storage.NewSchema("kv", storage.Column{Name: "v", Type: storage.ColInt64})
 	type retained struct {
 		img  []byte // referenced, not copied — exactly what the verifier keeps
 		want int64
 	}
 	var kept []retained
-	db.SetOnCommit(func(_ int, _, _ uint64, accesses []core.AccessInfo, _ int) {
+	cfg.OnCommit = func(_ int, _, _ uint64, accesses []core.AccessInfo, _ int) {
 		for _, a := range accesses {
 			if a.Wrote != nil {
 				kept = append(kept, retained{img: a.Wrote, want: schema.GetInt64(a.Wrote, 0)})
 			}
 		}
-	})
+	}
+	db := core.NewDB(cfg)
+	defer db.Close()
+	tbl := db.Catalog.MustCreateTable(schema, 1)
+	tbl.MustInsertRow(0, schema.NewRowImage())
 
 	// Watermark-advance allocator on its own slot (the session runs on
 	// worker 0, the parked pruner on TSWorkerSlots-1).
 	alloc := txn.NewTSAlloc(1)
-	db.Snap.Register(1)
+	if db.Snap != nil {
+		db.Snap.Register(1)
+	}
 
 	const commits = 64
 	eng := core.NewLockEngine(db)
@@ -177,7 +193,9 @@ func TestMVCCCommitHookRetainedImages(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		db.Snap.AdvanceReclaim(alloc)
+		if db.Snap != nil {
+			db.Snap.AdvanceReclaim(alloc)
+		}
 	}
 	if len(kept) != commits {
 		t.Fatalf("hook saw %d writes, want %d", len(kept), commits)
@@ -185,7 +203,7 @@ func TestMVCCCommitHookRetainedImages(t *testing.T) {
 	for i, r := range kept {
 		if got := schema.GetInt64(r.img, 0); got != r.want {
 			t.Fatalf("retained image from commit %d corrupted: v=%d, want %d "+
-				"(a superseded version image was recycled while a commit hook held it)",
+				"(a superseded image was recycled while a commit hook held it)",
 				i, got, r.want)
 		}
 	}

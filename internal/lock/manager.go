@@ -39,8 +39,7 @@ type Config struct {
 	// table retains references to installed images past release:
 	// core.NewDB enables it exactly when MVCC version chains, CaptureReads
 	// and commit hooks are all off. Off (the zero value), images are
-	// never overwritten after publication and behavior is identical to
-	// previous releases.
+	// never overwritten after publication.
 	RecycleImages bool
 
 	// Adaptive makes the grant paths consult each entry's policy word
@@ -73,10 +72,6 @@ type Config struct {
 type Manager struct {
 	cfg       Config
 	tsCounter atomic.Uint64
-	// recycle gates superseded-image capture at release (Config.
-	// RecycleImages). Atomic so SetImageRecycling can revoke it race-free
-	// when a commit hook is installed after construction.
-	recycle atomic.Bool
 }
 
 // NewManager returns a manager with the given configuration.
@@ -86,20 +81,8 @@ func NewManager(cfg Config) *Manager {
 	if cfg.NoWoundRead {
 		cfg.RetireReads = true
 	}
-	m := &Manager{cfg: cfg}
-	m.recycle.Store(cfg.RecycleImages)
-	return m
+	return &Manager{cfg: cfg}
 }
-
-// ImageRecycling reports whether superseded-image recycling is enabled.
-func (m *Manager) ImageRecycling() bool { return m.recycle.Load() }
-
-// SetImageRecycling toggles superseded-image recycling at runtime.
-// Turning it off is immediate and permanent in practice — core.DB.
-// SetOnCommit forces it off because hooks retain image references past
-// release; images already captured into spares before the flip were
-// provably unreferenced at capture time, so they stay valid.
-func (m *Manager) SetImageRecycling(on bool) { m.recycle.Store(on) }
 
 // Variant returns the configured protocol variant.
 func (m *Manager) Variant() Variant { return m.cfg.Variant }
@@ -684,8 +667,8 @@ func (m *Manager) releaseLocked(e *Entry, r *Request, isAbort bool) {
 	//   - Abort of an installed write captures nothing: cascaded readers
 	//     may still hold r.Data, and the restored pre-image is live again.
 	//
-	// Capture is gated on the manager flag because components outside the
-	// lock table (MVCC chains, CaptureReads, commit hooks) may retain
+	// Capture is gated on Config.RecycleImages because components outside
+	// the lock table (MVCC chains, CaptureReads, commit hooks) may retain
 	// image references past release; core.NewDB enables recycling only
 	// when none of them are active.
 	if r.Mode == EX {
@@ -705,7 +688,7 @@ func (m *Manager) releaseLocked(e *Entry, r *Request, isAbort bool) {
 						x.unwound = true
 					}
 				}
-			} else if !r.installed && m.recycle.Load() {
+			} else if !r.installed && m.cfg.RecycleImages {
 				r.captureSpare(r.Data)
 			}
 		} else if !r.installed {
@@ -714,10 +697,10 @@ func (m *Manager) releaseLocked(e *Entry, r *Request, isAbort bool) {
 			e.seq++
 			e.cur = e.seq
 			e.Data = r.Data
-			if m.recycle.Load() {
+			if m.cfg.RecycleImages {
 				r.captureSpare(old)
 			}
-		} else if !r.unwound && m.recycle.Load() {
+		} else if !r.unwound && m.cfg.RecycleImages {
 			r.captureSpare(r.prevImg)
 		}
 	}

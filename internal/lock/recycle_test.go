@@ -52,7 +52,7 @@ func TestImageCaptureRecycle(t *testing.T) {
 		m.Release(r, false)
 		tx.FinishCommit()
 
-		if m.recycle.Load() {
+		if m.cfg.RecycleImages {
 			if r.buf == nil || &r.buf[0] != &orig[0] {
 				t.Fatal("commit release did not capture the superseded image into the spare buffer")
 			}
@@ -77,7 +77,7 @@ func TestImageCaptureRecycle(t *testing.T) {
 		if got := binary.LittleEndian.Uint64(r2.Data); got != 7 {
 			t.Fatalf("second grant sees image %d, want 7", got)
 		}
-		if m.recycle.Load() {
+		if m.cfg.RecycleImages {
 			if &r2.Data[0] != &orig[0] {
 				t.Fatal("second grant allocated instead of consuming the recycled spare")
 			}
@@ -103,17 +103,6 @@ func TestImageCaptureRecycle(t *testing.T) {
 	})
 	t.Run("gated-off", func(t *testing.T) {
 		run(t, Config{Variant: WoundWait}, false)
-	})
-	t.Run("runtime-disable", func(t *testing.T) {
-		cfg := Config{Variant: WoundWait, RecycleImages: true}
-		m := NewManager(cfg)
-		if !m.ImageRecycling() {
-			t.Fatal("RecycleImages config did not arm the manager")
-		}
-		m.SetImageRecycling(false)
-		if m.ImageRecycling() {
-			t.Fatal("SetImageRecycling(false) did not stick")
-		}
 	})
 }
 

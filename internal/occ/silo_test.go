@@ -9,16 +9,23 @@ import (
 	"bamboo/internal/verify/verifytest"
 )
 
-func newEngine(t *testing.T, captureReads bool) *occ.Engine {
+func newEngine(t *testing.T, cfg core.Config) *occ.Engine {
 	t.Helper()
-	db := core.NewDB(core.Config{CaptureReads: captureReads})
-	e := occ.New(db)
+	e := occ.New(core.NewDB(cfg))
 	t.Cleanup(e.Close)
 	return e
 }
 
+// newVerifiedEngine is an engine whose commits, reads captured, are
+// recorded in the returned history.
+func newVerifiedEngine(t *testing.T) (*occ.Engine, *verifytest.History) {
+	h := verifytest.NewHistory()
+	return newEngine(t, core.Config{CaptureReads: true, OnCommit: h.Hook}), h
+}
+
 func TestSiloSerializability(t *testing.T) {
-	verifytest.RunSerializability(t, newEngine(t, true), verifytest.DefaultOptions())
+	e, h := newVerifiedEngine(t)
+	verifytest.RunSerializability(t, e, h, verifytest.DefaultOptions())
 }
 
 func TestSiloSerializabilityHighContention(t *testing.T) {
@@ -28,15 +35,16 @@ func TestSiloSerializabilityHighContention(t *testing.T) {
 	opts.WriteRatio = 0.8
 	opts.Workers = 12
 	opts.PerWorker = 200
-	verifytest.RunSerializability(t, newEngine(t, true), opts)
+	e, h := newVerifiedEngine(t)
+	verifytest.RunSerializability(t, e, h, opts)
 }
 
 func TestSiloBankConservation(t *testing.T) {
-	verifytest.RunBankConservation(t, newEngine(t, false), 10, 8, 200)
+	verifytest.RunBankConservation(t, newEngine(t, core.Config{}), 10, 8, 200)
 }
 
 func TestSiloReadOnlyNeedsNoValidationRetry(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t, core.Config{})
 	tbl := verifytest.BuildDB(e.Database(), 4)
 	res := core.RunN(e, 4, 100, func(worker, seq int) core.TxnFunc {
 		return func(tx core.Tx) error {
@@ -57,7 +65,7 @@ func TestSiloReadOnlyNeedsNoValidationRetry(t *testing.T) {
 }
 
 func TestSiloUserAbort(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t, core.Config{})
 	tbl := verifytest.BuildDB(e.Database(), 1)
 	res := core.RunN(e, 1, 1, func(_, _ int) core.TxnFunc {
 		return func(tx core.Tx) error {
@@ -81,7 +89,7 @@ func TestSiloUserAbort(t *testing.T) {
 }
 
 func TestSiloInsert(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t, core.Config{})
 	tbl := verifytest.BuildDB(e.Database(), 1)
 	sess := e.NewSession(0, newCollector())
 	img := tbl.Schema.NewRowImage()
@@ -111,7 +119,7 @@ func TestSiloInsert(t *testing.T) {
 func TestSiloUpgradeReadToWrite(t *testing.T) {
 	// Unlike the lock engine, Silo supports read-then-update of the same
 	// row: the read stays in the read set and is validated.
-	e := newEngine(t, false)
+	e := newEngine(t, core.Config{})
 	tbl := verifytest.BuildDB(e.Database(), 1)
 	sess := e.NewSession(0, newCollector())
 	if err := sess.Run(func(tx core.Tx) error {

@@ -10,13 +10,14 @@ import (
 )
 
 func TestInteractiveSerializability(t *testing.T) {
+	h := verifytest.NewHistory()
 	cfg := core.Bamboo()
-	cfg.CaptureReads = true
+	cfg.CaptureReads, cfg.OnCommit = true, h.Hook
 	db := core.NewDB(cfg)
 	e := rpcsim.New(core.NewLockEngine(db), rpcsim.Config{RTT: time.Microsecond})
 	opts := verifytest.DefaultOptions()
 	opts.PerWorker = 60
-	verifytest.RunSerializability(t, e, opts)
+	verifytest.RunSerializability(t, e, h, opts)
 }
 
 func TestInteractiveBankConservation(t *testing.T) {

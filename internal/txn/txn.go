@@ -211,6 +211,14 @@ type Txn struct {
 	sem   atomic.Int64  // Bamboo commit_semaphore
 	state atomic.Int32  // State
 	cause atomic.Int32  // AbortCause of the current attempt
+
+	// Pads the struct to one 64-byte cache line. A Txn is the one object
+	// other workers poll (sem and state in the commit-wait spin, ts at
+	// every conflict); at 48 bytes it shares its allocator size class,
+	// and so its cache lines, with whatever else sessions allocate at that
+	// size — the next session's Txn, a one-ticket commit scratch written
+	// at every commit — and every such write stalls the pollers.
+	_ [16]byte
 }
 
 // New returns a transaction with the given ID in StateRunning and an

@@ -57,11 +57,100 @@ func BuildDB(db *core.DB, rows int) *storage.Table {
 	return tbl
 }
 
+// History records the committed transactions of one RunSerializability
+// run. Its Hook is the DB's commit hook and must be in place when the DB
+// is built:
+//
+//	h := verifytest.NewHistory()
+//	cfg.CaptureReads, cfg.OnCommit = true, h.Hook
+//	db := core.NewDB(cfg)
+type History struct {
+	hist   *verify.History
+	schema *storage.Schema // layout of the images the hook decodes
+
+	mu        sync.Mutex
+	commitLog map[uint64]commitInfo
+}
+
+type commitInfo struct {
+	ts       uint64
+	worker   int
+	accesses []core.AccessInfo
+}
+
+// Column indexes of stampSchema.
+const (
+	stampCol = 0
+	valCol   = 1
+)
+
+// NewHistory returns an empty history.
+func NewHistory() *History {
+	return &History{hist: verify.New(), schema: stampSchema(), commitLog: make(map[uint64]commitInfo)}
+}
+
+// Hook is the core.OnCommitHook that feeds the history. It retains the
+// access list, images included, for the failure dump.
+func (h *History) Hook(worker int, txnID, ts uint64, accesses []core.AccessInfo, inserts int) {
+	schema := h.schema
+	var reads []verify.Read
+	var wrote []string
+	var myStamp uint64
+	for _, a := range accesses {
+		if a.Mode == lock.EX {
+			wrote = append(wrote, a.Table+"/"+itoa(a.Key))
+			myStamp = uint64(schema.GetInt64(a.Wrote, stampCol))
+			if a.Read != nil {
+				reads = append(reads, verify.Read{
+					Row:   a.Table + "/" + itoa(a.Key),
+					Stamp: uint64(schema.GetInt64(a.Read, stampCol)),
+				})
+			}
+		} else {
+			reads = append(reads, verify.Read{
+				Row:   a.Table + "/" + itoa(a.Key),
+				Stamp: uint64(schema.GetInt64(a.Read, stampCol)),
+			})
+		}
+	}
+	id := txnID
+	if myStamp != 0 {
+		id = myStamp
+	}
+	h.mu.Lock()
+	h.commitLog[id] = commitInfo{ts: ts, worker: worker, accesses: accesses}
+	h.mu.Unlock()
+	h.hist.RecordCommit(id, reads, wrote)
+}
+
+func (h *History) dumpTxn(t *testing.T, id uint64) {
+	schema := h.schema
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	ci, ok := h.commitLog[id]
+	if !ok {
+		t.Logf("  txn %d: not in commit log", id)
+		return
+	}
+	t.Logf("  txn %d: ts=%d worker=%d", id, ci.ts, ci.worker)
+	for _, a := range ci.accesses {
+		var rd, wr int64 = -1, -1
+		if a.Read != nil {
+			rd = schema.GetInt64(a.Read, stampCol)
+		}
+		if a.Wrote != nil {
+			wr = schema.GetInt64(a.Wrote, stampCol)
+		}
+		t.Logf("    %s key=%d mode=%v dirty=%v readStamp=%d wroteStamp=%d",
+			a.Table, a.Key, a.Mode, a.Dirty, rd, wr)
+	}
+}
+
 // RunSerializability drives a random contentious workload through the
 // engine and checks the committed history for serializability. The engine
-// must have been created over a DB configured with CaptureReads and must
-// expose SetOnCommit (i.e. a core.DB-backed engine).
-func RunSerializability(t *testing.T, e core.Engine, opts Options) {
+// must run over a core.DB built with CaptureReads set and h.Hook as its
+// Config.OnCommit.
+func RunSerializability(t *testing.T, e core.Engine, h *History, opts Options) {
 	t.Helper()
 	db := e.Database()
 	tbl := db.Catalog.Table("vrows")
@@ -69,75 +158,12 @@ func RunSerializability(t *testing.T, e core.Engine, opts Options) {
 		tbl = BuildDB(db, opts.Rows)
 	}
 	schema := tbl.Schema
-	stampCol := schema.ColIndex("stamp")
-	valCol := schema.ColIndex("val")
-
-	hist := verify.New()
-	var stampCtr atomic.Uint64
-	stampCtr.Store(1 << 32) // keep stamps disjoint from txn ids
 
 	// Per-attempt stamps: fn bodies draw a fresh stamp every invocation,
 	// so an aborted attempt's dirty writes can never be confused with the
 	// committed retry's.
-	type commitInfo struct {
-		ts       uint64
-		worker   int
-		accesses []core.AccessInfo
-	}
-	var mu sync.Mutex
-	commitLog := make(map[uint64]commitInfo)
-
-	db.SetOnCommit(func(worker int, txnID, ts uint64, accesses []core.AccessInfo, inserts int) {
-		var reads []verify.Read
-		var wrote []string
-		var myStamp uint64
-		for _, a := range accesses {
-			if a.Mode == lock.EX {
-				wrote = append(wrote, a.Table+"/"+itoa(a.Key))
-				myStamp = uint64(schema.GetInt64(a.Wrote, stampCol))
-				if a.Read != nil {
-					reads = append(reads, verify.Read{
-						Row:   a.Table + "/" + itoa(a.Key),
-						Stamp: uint64(schema.GetInt64(a.Read, stampCol)),
-					})
-				}
-			} else {
-				reads = append(reads, verify.Read{
-					Row:   a.Table + "/" + itoa(a.Key),
-					Stamp: uint64(schema.GetInt64(a.Read, stampCol)),
-				})
-			}
-		}
-		id := txnID
-		if myStamp != 0 {
-			id = myStamp
-		}
-		mu.Lock()
-		commitLog[id] = commitInfo{ts: ts, worker: worker, accesses: accesses}
-		mu.Unlock()
-		hist.RecordCommit(id, reads, wrote)
-	})
-	dumpTxn := func(t *testing.T, id uint64) {
-		mu.Lock()
-		defer mu.Unlock()
-		ci, ok := commitLog[id]
-		if !ok {
-			t.Logf("  txn %d: not in commit log", id)
-			return
-		}
-		t.Logf("  txn %d: ts=%d worker=%d", id, ci.ts, ci.worker)
-		for _, a := range ci.accesses {
-			var rd, wr int64 = -1, -1
-			if a.Read != nil {
-				rd = schema.GetInt64(a.Read, stampCol)
-			}
-			if a.Wrote != nil {
-				wr = schema.GetInt64(a.Wrote, stampCol)
-			}
-			t.Logf("    %s key=%d mode=%v dirty=%v readStamp=%d wroteStamp=%d",
-				a.Table, a.Key, a.Mode, a.Dirty, rd, wr)
-		}
-	}
+	var stampCtr atomic.Uint64
+	stampCtr.Store(1 << 32) // keep stamps disjoint from txn ids
 
 	gen := func(worker, seq int) core.TxnFunc {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(worker)*1e6 + int64(seq)))
@@ -186,12 +212,13 @@ func RunSerializability(t *testing.T, e core.Engine, opts Options) {
 	if res.Report.Commits != want {
 		t.Fatalf("%s: commits = %d, want %d", e.Name(), res.Report.Commits, want)
 	}
-	if hist.Commits() != int(want) {
-		t.Fatalf("%s: history has %d commits, want %d", e.Name(), hist.Commits(), want)
+	if h.hist.Commits() != int(want) {
+		t.Fatalf("%s: history has %d commits, want %d (is h.Hook the DB's Config.OnCommit?)",
+			e.Name(), h.hist.Commits(), want)
 	}
-	if err := hist.Check(); err != nil {
+	if err := h.hist.Check(); err != nil {
 		for _, id := range extractIDs(err.Error()) {
-			dumpTxn(t, id)
+			h.dumpTxn(t, id)
 		}
 		t.Fatalf("%s: %v", e.Name(), err)
 	}
