@@ -148,14 +148,6 @@ type Options struct {
 	WALDir           string
 	WALFsync         FsyncPolicy
 	WALFsyncInterval time.Duration
-	// Adaptive enables runtime contention control on the Bamboo protocols
-	// (ignored otherwise): a background feedback engine classifies
-	// entries hot or cold from their observed conflict rates and applies
-	// early lock release only where contention pays for it, plus batched
-	// reader grants on hot entries. AdaptiveInterval is the sampling tick
-	// (0 = 10ms).
-	Adaptive         bool
-	AdaptiveInterval time.Duration
 	// MetricsAddr, when set, serves live observability endpoints
 	// (/metrics Prometheus text exposition, /debug/vars JSON, /healthz)
 	// on this address for the DB's lifetime; ":0" binds a free port —
@@ -223,8 +215,6 @@ func Open(opts Options) *DB {
 	cfg.WALDir = opts.WALDir
 	cfg.WALFsync = opts.WALFsync
 	cfg.WALFsyncInterval = opts.WALFsyncInterval
-	cfg.Adaptive = opts.Adaptive
-	cfg.AdaptiveInterval = opts.AdaptiveInterval
 	cfg.MetricsAddr = opts.MetricsAddr
 	cfg.MetricsInterval = opts.MetricsInterval
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -181,5 +183,33 @@ func TestUsageAndIOErrors(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{good, badPath}, &stdout, &stderr); code != 2 {
 		t.Fatalf("schema mismatch: exit = %d, want 2\nstderr: %s", code, stderr.String())
+	}
+}
+
+// TestRetiredFieldsStillParse: stored trajectories carry per-point fields
+// of series the engine no longer has. They must keep loading — a decoder
+// switched to DisallowUnknownFields would turn every old document into an
+// exit 2.
+func TestRetiredFieldsStillParse(t *testing.T) {
+	path := save(t, "old.json", doc(10000, 1_000_000, 5000))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	point := m["experiments"].([]any)[0].(map[string]any)["points"].([]any)[0].(map[string]any)
+	point["retired_series_total"] = 42
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{path, path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 }

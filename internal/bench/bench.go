@@ -67,8 +67,8 @@ type Scale struct {
 	ReadOnlyFrac float64
 	// Seed, when nonzero, fixes the workload RNG seed every point's
 	// loader and generators derive their per-worker streams from, so A/B
-	// comparisons (adaptive vs static, before vs after) see identical
-	// Zipfian key sequences. 0 keeps the workloads' built-in seeding.
+	// comparisons (before vs after) see identical Zipfian key sequences.
+	// 0 keeps the workloads' built-in seeding.
 	Seed int64
 	// Metrics, when non-nil, is a live telemetry registry every point's
 	// DB attaches to for the duration of its run (the bamboo-bench
@@ -142,7 +142,6 @@ func All() []Experiment {
 		{"partition", "Partition: YCSB throughput and load time vs partition count (theta=0.9)", PartitionSweep},
 		{"durability", "Durability: fsync policy × partitions on file-backed partition WALs (theta=0.6)", DurabilitySweep},
 		{"readmvcc", "MVCC: lock-free snapshot reads vs shared-lock baseline, read-only fraction × theta (YCSB)", ReadMVCCSweep},
-		{"adaptive", "Adaptive: runtime contention control vs static BAMBOO and WOUND_WAIT across Zipfian theta (YCSB)", AdaptiveSweep},
 	}
 }
 
@@ -240,76 +239,6 @@ func runPoint(s Scale, b engineBuilder, interactive bool,
 	return medianReport(reports)
 }
 
-// runPointSteady runs one x-axis point for several builders on live,
-// reused DBs: each builder gets one engine and one load up front, then
-// the repeats run round-robin across the builders (A,B,C, A,B,C, …)
-// against those same DBs. This differs from runPoint in two deliberate
-// ways. First, interleaving: on shared hosts noise arrives in bursts
-// longer than a single sample, and consecutive repeats let one burst
-// poison an entire builder's median while its competitors run clean —
-// rotating through the builders every round spreads a burst across all
-// series, which is what a within-point A/B comparison needs. Second,
-// reuse: a feedback engine pays a classification warm-up on every fresh
-// DB, so fresh-per-repeat sampling would re-measure convergence five
-// times instead of the converged steady state; the statics run on
-// reused DBs too, keeping the comparison symmetric. Returns one median
-// report per builder, in builder order.
-func runPointSteady(s Scale, builders []engineBuilder,
-	load func(db *core.DB) (core.Generator, error), threads int) []stats.Report {
-
-	n := s.Repeat
-	if n < 1 {
-		n = 1
-	}
-	type liveDB struct {
-		eng      core.Engine
-		gen      core.Generator
-		closer   func()
-		loadTime time.Duration
-	}
-	live := make([]liveDB, len(builders))
-	parts := s.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	for i, b := range builders {
-		e, db, closer := b.make(parts)
-		db.EnableMetrics(s.Metrics)
-		loadStart := time.Now()
-		gen, err := load(db)
-		if err != nil {
-			panic(fmt.Sprintf("bench: load: %v", err))
-		}
-		live[i] = liveDB{eng: e, gen: gen, closer: closer, loadTime: time.Since(loadStart)}
-	}
-	samples := make([][]stats.Report, len(builders))
-	for r := 0; r < n; r++ {
-		for i := range builders {
-			runtime.GC()
-			var res core.RunResult
-			if s.Duration > 0 {
-				res = core.RunFor(live[i].eng, threads, s.Duration, live[i].gen)
-			} else {
-				res = core.RunN(live[i].eng, threads, s.TxnsPerWorker, live[i].gen)
-			}
-			if res.Err != nil {
-				panic(fmt.Sprintf("bench: run: %v", res.Err))
-			}
-			res.Report.Protocol = builders[i].name
-			res.Report.LoadTime = live[i].loadTime
-			samples[i] = append(samples[i], res.Report)
-		}
-	}
-	for i := range live {
-		live[i].closer()
-	}
-	out := make([]stats.Report, len(builders))
-	for i := range builders {
-		out[i] = medianReport(samples[i])
-	}
-	return out
-}
-
 // medianReport reduces repeated samples of one point to the
 // throughput-median sample, with per-metric medians for the gated
 // latency figures.
@@ -338,25 +267,6 @@ func medianReport(reports []stats.Report) stats.Report {
 	rep.LatencyP99 = medianDur(func(r *stats.Report) time.Duration { return r.LatencyP99 })
 	rep.LatencyP999 = medianDur(func(r *stats.Report) time.Duration { return r.LatencyP999 })
 	rep.LatencyMax = medianDur(func(r *stats.Report) time.Duration { return r.LatencyMax })
-	// The adaptive telemetry is cumulative per DB (policy flips, batched
-	// grants) or a point-in-time gauge (hot entries), and on a reused DB
-	// the throughput-median sample can be the warm-up repeat from before
-	// the engine's first classification pass — which would report zero
-	// flips on a point that demonstrably classified. The point reports
-	// the maximum observed across the samples instead: the final
-	// cumulative count for the counters, the peak for the gauge.
-	maxU64 := func(get func(*stats.Report) uint64) uint64 {
-		var m uint64
-		for i := range reports {
-			if v := get(&reports[i]); v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	rep.PolicyFlips = maxU64(func(r *stats.Report) uint64 { return r.PolicyFlips })
-	rep.HotEntries = maxU64(func(r *stats.Report) uint64 { return r.HotEntries })
-	rep.BatchedGrants = maxU64(func(r *stats.Report) uint64 { return r.BatchedGrants })
 	return rep
 }
 
@@ -1029,48 +939,6 @@ func ReadMVCCSweep(s Scale) []Row {
 				rep := runPoint(s, b, false, ycsbLoader(s, cfg), threads)
 				rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
 			}
-		}
-	}
-	return rows
-}
-
-// AdaptiveSweep measures what runtime contention control buys across the
-// skew spectrum: YCSB at theta 0.0 (uniform — retiring is pure overhead,
-// Wound-Wait territory) through 0.99 (a handful of keys absorb most
-// accesses — Bamboo's early release pays), comparing the adaptive engine
-// against both static extremes. The adaptive series starts every entry on
-// the static default and lets the feedback engine reclassify from live
-// conflict rates, so the claim under test is "adaptive ≈ best static
-// variant at every theta" — no manual protocol choice required. Each
-// point's hot_entries / policy_flips / batched_grants land in the JSON
-// document; the theta-0.9 point must show policy_flips > 0 (CI greps for
-// it — a silent detector means the experiment measured nothing).
-//
-// The sweep runs at the default 10ms tick: each tick costs ~6ns/row
-// (two atomic loads on idle entries — see BenchmarkTickSweep20k), so a
-// faster tick buys convergence latency at a per-core cost that matters
-// on the 1-CPU CI container; at 10ms even the first tick of a quick-
-// scale point sees thousands of accesses, which is all the classifier
-// needs.
-func AdaptiveSweep(s Scale) []Row {
-	threads := maxThreads(s)
-	adaptiveCfg := core.Bamboo()
-	adaptiveCfg.Adaptive = true
-	adaptiveBuilder := lockBuilder(adaptiveCfg)
-	adaptiveBuilder.name = "BAMBOO-adaptive"
-	builders := []engineBuilder{
-		adaptiveBuilder,
-		lockBuilder(core.Bamboo()),
-		lockBuilder(core.WoundWait()),
-	}
-	var rows []Row
-	for _, theta := range []float64{0.0, 0.6, 0.8, 0.9, 0.99} {
-		cfg := ycsb.DefaultConfig()
-		cfg.Rows = s.Rows
-		cfg.Theta = theta
-		x := fmt.Sprintf("theta=%.2f threads=%d", theta, threads)
-		for i, rep := range runPointSteady(s, builders, ycsbLoader(s, cfg), threads) {
-			rows = append(rows, Row{X: x, Protocol: builders[i].name, Report: rep})
 		}
 	}
 	return rows

@@ -145,14 +145,6 @@ type Point struct {
 	ImageCopies       uint64 `json:"image_copies,omitempty"`
 	ImagePoolRecycled uint64 `json:"image_pool_recycled,omitempty"`
 
-	// Adaptive contention-control telemetry (additive + omitempty, absent
-	// on non-adaptive runs): entries classified hot at the end of the
-	// run, per-entry policy changes the feedback engine made, and readers
-	// granted by hot-entry batched grant passes.
-	HotEntries    uint64 `json:"hot_entries,omitempty"`
-	PolicyFlips   uint64 `json:"policy_flips,omitempty"`
-	BatchedGrants uint64 `json:"batched_grants,omitempty"`
-
 	ElapsedNS int64 `json:"elapsed_ns"`
 }
 
@@ -257,9 +249,6 @@ func PointFrom(x string, r stats.Report) Point {
 		VersionChainMax:    r.VersionChainMax,
 		ImageCopies:        r.ImageCopies,
 		ImagePoolRecycled:  r.ImagePoolRecycled,
-		HotEntries:         r.HotEntries,
-		PolicyFlips:        r.PolicyFlips,
-		BatchedGrants:      r.BatchedGrants,
 		ElapsedNS:          int64(r.Elapsed),
 	}
 }

@@ -211,26 +211,6 @@ func TestAllocBudgetGroupCommit(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetAdaptive asserts adaptive contention control adds zero
-// steady-state allocations to the transaction path: the per-entry
-// access/conflict recording is atomic adds on the entry's own cacheline,
-// the policy consult is one atomic load, and the feedback engine's sweep
-// runs on its own goroutine (excluded from AllocsPerRun by definition —
-// what is measured here is the executor).
-func TestAllocBudgetAdaptive(t *testing.T) {
-	flat := measureAllocsPerTxn(t, core.Bamboo())
-	cfg := core.Bamboo()
-	cfg.Adaptive = true
-	adaptiveAllocs := measureAllocsPerTxn(t, cfg)
-	t.Logf("static %.1f, adaptive %.1f allocs/txn (budget %.0f)", flat, adaptiveAllocs, allocBudget)
-	if adaptiveAllocs > allocBudget {
-		t.Fatalf("adaptive allocs/txn = %.1f exceeds budget %.1f", adaptiveAllocs, allocBudget)
-	}
-	if adaptiveAllocs > flat+0.5 {
-		t.Fatalf("adaptive mode allocates: %.1f vs %.1f allocs/txn static", adaptiveAllocs, flat)
-	}
-}
-
 // TestAllocBudgetUpgradePath asserts the SH→EX upgrade path adds zero
 // steady-state allocations: with every update issued as an un-annotated
 // read-modify-write, the only allocation the upgrade performs is the

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bamboo/internal/adaptive"
 	"bamboo/internal/lock"
 	"bamboo/internal/stats"
 	"bamboo/internal/storage"
@@ -136,17 +135,6 @@ type Config struct {
 	// to 2ms. Only meaningful with MVCC.
 	MVCCPruneInterval time.Duration
 
-	// Adaptive enables runtime contention control (Bamboo variants only;
-	// ignored otherwise): a background feedback engine samples per-entry
-	// and per-partition conflict rates and switches the retire policy per
-	// entry — early release on entries classified hot, wound-wait-style
-	// plain grants on cold ones — plus batched reader grants on hot
-	// entries. Off (the default), the policy word is never read.
-	Adaptive bool
-	// AdaptiveInterval is the feedback engine's sampling tick; zero
-	// defaults to adaptive.DefaultInterval. Only meaningful with Adaptive.
-	AdaptiveInterval time.Duration
-
 	// MetricsAddr, when non-empty, serves the live telemetry endpoints
 	// (/metrics Prometheus text exposition, /debug/vars JSON, /healthz)
 	// on this address for the DB's lifetime; ":0" binds a free port
@@ -229,11 +217,6 @@ type DB struct {
 	// image) and the version chain's detached tails in installVersions.
 	recycle bool
 
-	// adapt is the contention-control feedback engine; nil when adaptive
-	// mode is off, which is also the executor's hot-path gate (a single
-	// pointer test) for the per-entry access/conflict recording.
-	adapt *adaptive.Engine
-
 	// live is the atomic telemetry mirror every session's collector
 	// writes through when metrics are enabled (nil otherwise — the
 	// collectors then pay one nil check per record and nothing else).
@@ -263,12 +246,8 @@ func NewDB(cfg Config) *DB {
 	}
 	// Partition telemetry only for actually-partitioned runs: with the
 	// single-partition layout every worker would hammer one shared counter
-	// cacheline per row access. RecordPartAccess no-ops on the empty
-	// slice. Adaptive mode opts in even on the single-partition layout
-	// (like EnableMetrics): without the counters the feedback engine's
-	// partition classifier is blind on unpartitioned tables.
-	adaptiveOn := cfg.Adaptive && cfg.Variant == lock.Bamboo
-	if cfg.Partitions > 1 || adaptiveOn {
+	// cacheline per row access. RecordPartAccess no-ops on the empty slice.
+	if cfg.Partitions > 1 {
 		db.Global.InitPartitions(db.Partitions())
 	}
 	lockCfg := lock.Config{
@@ -283,18 +262,7 @@ func NewDB(cfg Config) *DB {
 		// chains' own displaced nodes under the same db.recycle rule.
 		RecycleImages: db.recycle && !cfg.MVCC,
 	}
-	if adaptiveOn {
-		lockCfg.Adaptive = true
-		lockCfg.OnBatchedGrant = db.Global.RecordBatchedGrant
-	}
 	db.Lock = lock.NewManager(lockCfg)
-	if adaptiveOn {
-		db.adapt = adaptive.New(
-			adaptive.Config{Interval: cfg.AdaptiveInterval},
-			adaptive.Source{Global: db.Global},
-		)
-		db.adapt.Start()
-	}
 	db.PLog = wal.NewPartitioned(db.walDevices(), cfg.GroupCommit, cfg.GroupCommitInterval)
 	db.Log = db.PLog.Log(0)
 	if cfg.Checkpoint.Enabled() {
@@ -355,10 +323,6 @@ func (db *DB) EnableMetrics(reg *telemetry.Registry) {
 	}
 	reg.Attach(db.metricsSrc)
 }
-
-// AdaptiveEngine returns the contention-control feedback engine, or nil
-// when adaptive mode is off (tests and the bench harness inspect it).
-func (db *DB) AdaptiveEngine() *adaptive.Engine { return db.adapt }
 
 // LiveStats returns the atomic telemetry mirror sessions record into, or
 // nil when metrics are disabled. Engines outside this package pass it to
@@ -425,9 +389,6 @@ func (db *DB) walDevices() []wal.Device {
 // devices. Safe to call on any DB; required when GroupCommit, WALDir or
 // checkpointing is enabled.
 func (db *DB) Close() error {
-	if db.adapt != nil {
-		db.adapt.Stop()
-	}
 	if db.ckpt != nil {
 		db.ckpt.stop()
 	}

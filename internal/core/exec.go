@@ -230,16 +230,8 @@ func (tx *lockTx) acquire(row *storage.Row, mode lock.Mode) (*lock.Request, erro
 	err := tx.db.Lock.AcquireInto(req, tx.t, mode, &row.Entry)
 	tx.lockWait += req.TakeWait()
 	tx.db.Global.RecordPartAccess(row.PartitionID)
-	if ad := tx.db.adapt; ad != nil {
-		if row.Entry.RecordAccess() == 1 && row.Entry.MarkSeen() {
-			ad.Register(&row.Entry, row.PartitionID)
-		}
-	}
 	if err != nil {
 		tx.db.Global.RecordPartConflict(row.PartitionID)
-		if tx.db.adapt != nil {
-			row.Entry.RecordConflict()
-		}
 		tx.recycleReq(req)
 		return nil, err
 	}
@@ -326,7 +318,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 			// cloned, and no user callback ever runs under an entry
 			// latch. The retire decision (shouldRetire) depends only on
 			// declared-ops bookkeeping, so it can be taken up front.
-			if tx.shouldRetire(&row.Entry) {
+			if tx.shouldRetire() {
 				if tx.db.cfg.CaptureReads && a.readImage == nil {
 					// One reference, not a clone: the shared grant's image
 					// is installed and immutable, and CaptureReads forces
@@ -342,9 +334,6 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 					// saw it; donate its storage back as the spare.
 					a.req.StashBuf(img)
 					tx.db.Global.RecordPartConflict(row.PartitionID)
-					if tx.db.adapt != nil {
-						row.Entry.RecordConflict()
-					}
 					return err
 				}
 				a.mode = lock.EX
@@ -357,9 +346,6 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 			tx.lockWait += a.req.TakeWait()
 			if err != nil {
 				tx.db.Global.RecordPartConflict(row.PartitionID)
-				if tx.db.adapt != nil {
-					row.Entry.RecordConflict()
-				}
 				return err
 			}
 			a.mode = lock.EX
@@ -395,7 +381,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 		tx.accesses[i].readImage = req.Read
 	}
 	mutate(req.Data)
-	if tx.shouldRetire(&row.Entry) {
+	if tx.shouldRetire() {
 		tx.db.Lock.Retire(req)
 		tx.accesses[i].retired = true
 		tx.s.col.RecordRetire()
@@ -407,16 +393,9 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 // write falls in the last δ fraction of the transaction's declared
 // accesses. With no declaration every write retires — the paper's
 // interactive-mode behavior where each write is treated as the last.
-// With adaptive contention control, entries the feedback engine
-// classified cold never retire — on an uncontended entry the early
-// release buys nothing and the retired-list bookkeeping (and the
-// cascade exposure) is pure cost.
-func (tx *lockTx) shouldRetire(e *lock.Entry) bool {
+func (tx *lockTx) shouldRetire() bool {
 	cfg := &tx.db.cfg
 	if cfg.Variant != lock.Bamboo || !cfg.RetireWrites || cfg.ManualRetire {
-		return false
-	}
-	if tx.db.adapt != nil && e.Policy() == lock.PolicyNoRetire {
 		return false
 	}
 	if cfg.Delta <= 0 || tx.declaredOps == 0 {

@@ -130,6 +130,22 @@ func TestMetricsScrapeDuringRun(t *testing.T) {
 	}
 }
 
+// TestFlatLayoutHasNoPartitionCounters pins a hot-path property: on the
+// flat layout nothing allocates the per-partition counters until metrics
+// are enabled, so RecordPartAccess stays a no-op instead of every worker
+// adding to one shared cache line per row access.
+func TestFlatLayoutHasNoPartitionCounters(t *testing.T) {
+	db := core.NewDB(core.Bamboo())
+	defer db.Close()
+	if n := db.Global.NumPartitions(); n != 0 {
+		t.Fatalf("flat layout has %d partition counters before EnableMetrics, want 0", n)
+	}
+	db.EnableMetrics(telemetry.NewRegistry())
+	if n := db.Global.NumPartitions(); n != 1 {
+		t.Fatalf("flat layout has %d partition counters after EnableMetrics, want 1", n)
+	}
+}
+
 // TestMetricsSharedRegistry covers the bench-harness lifecycle: a
 // process-level registry, EnableMetrics on a flat-layout DB (which must
 // still initialize per-partition series — the scrape contract does not

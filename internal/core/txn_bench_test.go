@@ -8,8 +8,8 @@ import (
 	"bamboo/internal/workload/ycsb"
 )
 
-func benchTxn(b *testing.B, cfg core.Config) {
-	db := core.NewDB(cfg)
+func BenchmarkTxnStatic(b *testing.B) {
+	db := core.NewDB(core.Bamboo())
 	defer db.Close()
 	w, err := ycsb.Load(db, ycsb.Config{
 		Rows: 20000, OpsPerTxn: 16, Theta: 0.0, ReadRatio: 0.5,
@@ -32,11 +32,4 @@ func benchTxn(b *testing.B, cfg core.Config) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkTxnStatic(b *testing.B) { benchTxn(b, core.Bamboo()) }
-func BenchmarkTxnAdaptive(b *testing.B) {
-	cfg := core.Bamboo()
-	cfg.Adaptive = true
-	benchTxn(b, cfg)
 }

@@ -25,7 +25,6 @@ package lock
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,23 +98,6 @@ var (
 	// ErrAborting means the transaction was already marked aborting when it
 	// requested the lock (e.g. a cascading abort landed between operations).
 	ErrAborting = errors.New("lock: transaction already aborting")
-)
-
-// Per-entry adaptive contention-control policies. The policy word is
-// written only by the feedback engine (internal/adaptive) and read
-// lock-free by the executor's retire decision and the Manager's grant
-// paths; PolicyDefault means "follow the static configuration".
-const (
-	// PolicyDefault follows the manager's static configuration.
-	PolicyDefault uint32 = iota
-	// PolicyRetire marks a hot entry: Bamboo retires early here and
-	// exclusive releases grant all compatible queued readers in one
-	// latch pass (batched grant).
-	PolicyRetire
-	// PolicyNoRetire marks a cold entry: retiring is suppressed and
-	// grants behave like plain Wound-Wait, skipping the retired-list
-	// bookkeeping that only pays for itself under contention.
-	PolicyNoRetire
 )
 
 // reqState is the lifecycle of a single lock request.
@@ -257,6 +239,15 @@ func (r *Request) takeBuf(src []byte) []byte {
 	}
 	copy(b, src)
 	return b
+}
+
+// writeCopy gives the request a private mutable copy of the installed
+// image img as Data and keeps img itself as Read: what every path to an
+// exclusive hold (fresh grant, upgrade, fused upgrade-retire) does with
+// the image the writer observed.
+func (r *Request) writeCopy(img []byte) {
+	r.Read = img
+	r.Data = r.takeBuf(img)
 }
 
 // captureSpare stashes img as the request's spare buffer. Callers must
@@ -451,73 +442,10 @@ type Entry struct {
 	// scratch is reused by orderSuccessorsLocked to track applied
 	// semaphore increments without allocating. Guarded by latch.
 	scratch []*Request
-
-	// Adaptive contention-control state. policy is the per-entry override
-	// (PolicyDefault/PolicyRetire/PolicyNoRetire), written only by the
-	// adaptive engine and read lock-free on grant and retire paths. ewma
-	// is the engine's per-entry conflicts-per-access EWMA (float32 bits),
-	// engine-owned so classification state needs no side table. window
-	// packs the engine's sampling window — accesses in the low half,
-	// conflicts in the high half — so the executor feeds it with a single
-	// atomic add (only when adaptive mode is on) and each engine tick
-	// swaps it back to zero in one operation. seen marks the entry as
-	// registered with the engine's sweep list; it latches to 1 on the
-	// entry's first recorded access and is never reset.
-	policy atomic.Uint32
-	ewma   atomic.Uint32
-	seen   atomic.Uint32
-	window atomic.Uint64
 }
 
 // Init sets the initial committed image.
 func (e *Entry) Init(data []byte) { e.Data = data }
-
-// Policy returns the entry's adaptive policy word (PolicyDefault when no
-// adaptive engine has classified it).
-func (e *Entry) Policy() uint32 { return e.policy.Load() }
-
-// SetPolicy installs a policy word. Only the adaptive engine calls this;
-// it returns true when the word actually changed (a policy flip).
-func (e *Entry) SetPolicy(p uint32) bool { return e.policy.Swap(p) != p }
-
-// RecordAccess counts one access in the adaptive sampling window and
-// returns the window's new access count. Callers gate this on adaptive
-// mode being enabled so the default hot path pays nothing; a return of 1
-// (the window's first access — once per tick) is the cue to check
-// MarkSeen, keeping first-access registration off the per-access path.
-func (e *Entry) RecordAccess() uint32 { return uint32(e.window.Add(1)) }
-
-// RecordConflict counts one conflicted access (the requester waited, was
-// wounded, or aborted) in the adaptive sampling window.
-func (e *Entry) RecordConflict() { e.window.Add(1 << 32) }
-
-// MarkSeen latches the entry's registration flag, returning true exactly
-// once — on the entry's first recorded access — so the caller can hand it
-// to the adaptive engine's sweep list. The fast path after that is a
-// single mostly-cached atomic load.
-func (e *Entry) MarkSeen() bool {
-	if e.seen.Load() != 0 {
-		return false
-	}
-	return e.seen.CompareAndSwap(0, 1)
-}
-
-// TakeWindow returns and resets the sampling window. Only the adaptive
-// engine calls this, once per tick. The cheap Load-first check keeps idle
-// entries' cachelines clean during scans.
-func (e *Entry) TakeWindow() (accesses, conflicts uint32) {
-	if e.window.Load() == 0 {
-		return 0, 0
-	}
-	w := e.window.Swap(0)
-	return uint32(w), uint32(w >> 32)
-}
-
-// EWMA returns the engine-maintained conflicts-per-access EWMA.
-func (e *Entry) EWMA() float32 { return math.Float32frombits(e.ewma.Load()) }
-
-// SetEWMA stores the engine-maintained EWMA.
-func (e *Entry) SetEWMA(v float32) { e.ewma.Store(math.Float32bits(v)) }
 
 // Snapshot returns the sizes of the three lists; used by tests and stats.
 func (e *Entry) Snapshot() (retired, owners, waiters int) {

@@ -42,20 +42,6 @@ type Config struct {
 	// never overwritten after publication.
 	RecycleImages bool
 
-	// Adaptive makes the grant paths consult each entry's policy word
-	// (written at runtime by the adaptive contention engine,
-	// internal/adaptive): entries classified PolicyNoRetire skip the
-	// positioned retire-read bookkeeping and grant like plain Wound-Wait,
-	// while PolicyRetire entries additionally batch-grant compatible
-	// queued readers past blocked writers on release. Off (the default),
-	// no policy word is ever read and behavior is statement-identical to
-	// the static configuration.
-	Adaptive bool
-
-	// OnBatchedGrant, if non-nil, is called with the number of readers
-	// granted by one batched-grant pass on a hot entry.
-	OnBatchedGrant func(n int)
-
 	// OnWound, if non-nil, is called once per transaction newly wounded by
 	// an Acquire on this manager.
 	OnWound func()
@@ -182,7 +168,7 @@ func (m *Manager) AcquireInto(r *Request, t *txn.Txn, mode Mode, e *Entry) error
 	case WoundWait:
 		m.woundLocked(t, mode, e)
 	case Bamboo:
-		if mode == SH && m.cfg.NoWoundRead && m.retireReadsOn(e) {
+		if mode == SH && m.cfg.NoWoundRead {
 			// Optimization 3: reads never wound. If no conflicting *older*
 			// owner or waiter exists, try to grant immediately into the
 			// retired list at the reader's timestamp position; younger
@@ -479,8 +465,7 @@ func (m *Manager) completeUpgradeLocked(e *Entry, r *Request) {
 		r.state.Store(int32(reqOwner))
 	}
 	r.Mode = EX
-	r.Read = r.Data
-	r.Data = r.takeBuf(r.Data)
+	r.writeCopy(r.Data)
 	if m.cfg.Variant == Bamboo && !r.semHeld && e.retired.len() > 0 {
 		// Every remaining retiree is older and live (upgradeBlockedLocked),
 		// conflicts with the now-exclusive hold, and must commit first.
@@ -499,11 +484,11 @@ func (m *Manager) completeUpgradeLocked(e *Entry, r *Request) {
 // overhead.
 func (m *Manager) completeUpgradeRetireLocked(e *Entry, r *Request, img []byte) {
 	r.Mode = EX
-	r.Read = r.Data
 	if img == nil {
-		img = r.takeBuf(r.Data)
+		r.writeCopy(r.Data)
+	} else {
+		r.Read, r.Data = r.Data, img
 	}
-	r.Data = img
 	if m.cfg.DynamicTS {
 		// Retired entries must carry a timestamp so future conflicts can
 		// be ordered against them (as in Retire).
@@ -809,7 +794,6 @@ func (m *Manager) promoteWaiters(e *Entry) {
 			continue
 		}
 		if conflictsWithOwners(e, w.Mode) {
-			m.batchGrantReadersLocked(e)
 			return
 		}
 		// A pending upgrade blocks every younger waiter: granting one
@@ -828,9 +812,8 @@ func (m *Manager) promoteWaiters(e *Entry) {
 		// ("abort everything after me") and the sequence-guarded restore.
 		// Positioned shared grants (Optimization 1) are exempt: they read
 		// the version belonging to their timestamp slot.
-		positioned := m.cfg.Variant == Bamboo && w.Mode == SH && m.retireReadsOn(e)
+		positioned := m.cfg.Variant == Bamboo && w.Mode == SH && m.cfg.RetireReads
 		if !positioned && m.cfg.Variant == Bamboo && youngerConflictingRetired(e, w) {
-			m.batchGrantReadersLocked(e)
 			return
 		}
 		// grantLocked moves the request onto owners or retired, so it
@@ -839,59 +822,8 @@ func (m *Manager) promoteWaiters(e *Entry) {
 		e.waiters.remove(w)
 		if !m.grantLocked(e, w, positioned) {
 			e.waiters.pushFront(w)
-			m.batchGrantReadersLocked(e)
 			return
 		}
-	}
-}
-
-// retireReadsOn reports whether positioned retire-reads apply on e: the
-// static RetireReads toggle, minus entries the adaptive engine classified
-// cold — on a PolicyNoRetire entry the retired-list bookkeeping costs
-// more than the contention it avoids, so shared grants fall back to plain
-// Wound-Wait owner grants.
-func (m *Manager) retireReadsOn(e *Entry) bool {
-	return m.cfg.RetireReads && !(m.cfg.Adaptive && e.policy.Load() == PolicyNoRetire)
-}
-
-// batchGrantReadersLocked is the hot-entry batched grant: when the
-// head-first promote loop stops (a blocked writer at the head, or a
-// mid-commit drain), scan the remaining waiters once and grant — in this
-// same latch pass — every shared request that has no conflicting *older*
-// owner or waiter. That is exactly the Optimization-3 fast-path admission
-// rule, so every bypass edge still points from a younger writer to an
-// older reader and the variant's deadlock-freedom argument is unchanged;
-// the readers are granted positioned (into retired at their timestamp
-// slot) and any writer they bypass is retroactively commit-ordered after
-// them by grantLocked. Applied only on entries the adaptive engine
-// classified hot: on cold entries the scan is pure overhead.
-func (m *Manager) batchGrantReadersLocked(e *Entry) {
-	if !m.cfg.Adaptive || m.cfg.Variant != Bamboo || !m.cfg.RetireReads {
-		return
-	}
-	if e.upgrading != nil || e.policy.Load() != PolicyRetire {
-		return
-	}
-	granted := 0
-	w := e.waiters.head
-	for w != nil {
-		next := w.next
-		if w.Mode == SH && !w.Txn.Aborting() && !m.olderConflicting(e, w.Txn, SH) {
-			e.waiters.remove(w)
-			if m.grantLocked(e, w, true) {
-				granted++
-			} else {
-				// A bypassed writer is mid-commit: requeue at the
-				// timestamp position and stop — every later reader would
-				// trip over the same drain.
-				e.waiters.insertByTS(w)
-				break
-			}
-		}
-		w = next
-	}
-	if granted > 0 && m.cfg.OnBatchedGrant != nil {
-		m.cfg.OnBatchedGrant(granted)
 	}
 }
 
@@ -916,14 +848,12 @@ func youngerConflictingRetired(e *Entry, w *Request) bool {
 
 // grantLocked makes r a lock holder, returning false if the grant must be
 // retried later. r must be detached from the waiters list. With
-// positioned set (Bamboo shared requests with RetireReads, on entries
-// not classified PolicyNoRetire — callers compute this once per latch
-// section so a concurrent policy flip cannot split the decision) the
-// request goes straight into the retired list at its timestamp position
-// and reads the version belonging to that position; otherwise the
-// request joins owners with the newest image (a private mutable copy for
-// EX). Bamboo increments the commit semaphore when the new holder
-// conflicts with a retired transaction (Algorithm 2, lines 29–30).
+// positioned set (Bamboo shared requests with RetireReads) the request
+// goes straight into the retired list at its timestamp position and reads
+// the version belonging to that position; otherwise the request joins
+// owners with the newest image (a private mutable copy for EX). Bamboo
+// increments the commit semaphore when the new holder conflicts with a
+// retired transaction (Algorithm 2, lines 29–30).
 func (m *Manager) grantLocked(e *Entry, r *Request, positioned bool) bool {
 	if positioned {
 		if m.cfg.DynamicTS {
@@ -964,8 +894,7 @@ func (m *Manager) grantLocked(e *Entry, r *Request, positioned bool) bool {
 	}
 	r.Dirty = dirty
 	if r.Mode == EX {
-		r.Read = e.Data
-		r.Data = r.takeBuf(e.Data)
+		r.writeCopy(e.Data)
 	} else {
 		r.Data = e.Data
 	}

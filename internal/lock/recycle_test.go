@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"sync"
@@ -268,5 +269,99 @@ func TestImageRecycleStress(t *testing.T) {
 				t.Fatal("no write copies served from recycled buffers — the property run was vacuous")
 			}
 		})
+	}
+}
+
+// TestPrivateCopyPaths pins what every path to an exclusive hold leaves on
+// the request: Read is the installed image the writer observed, Data is a
+// private buffer holding the same bytes, and building it cost exactly one
+// copy — a fresh allocation, or a reuse when the request carried a spare.
+func TestPrivateCopyPaths(t *testing.T) {
+	cases := []struct {
+		name string
+		// upgrade takes a granted SH request to an exclusive hold; nil
+		// means the path under test is the exclusive grant itself.
+		upgrade func(m *Manager, r *Request) error
+		retired bool // the path also installs Data as the entry's newest image
+	}{
+		{name: "grant"},
+		{name: "upgrade", upgrade: (*Manager).Upgrade},
+		{name: "upgrade-retire", retired: true, upgrade: func(m *Manager, r *Request) error {
+			return m.UpgradeRetire(r, nil)
+		}},
+		// The caller's image is the one copy; UpgradeRetire must not make
+		// a second.
+		{name: "upgrade-retire-caller-image", retired: true, upgrade: func(m *Manager, r *Request) error {
+			return m.UpgradeRetire(r, r.CloneImage())
+		}},
+	}
+	for _, tc := range cases {
+		for _, spare := range []bool{false, true} {
+			name := tc.name + "/alloc"
+			if spare {
+				name = tc.name + "/reuse"
+			}
+			t.Run(name, func(t *testing.T) {
+				m := NewManager(Config{Variant: Bamboo, RetireReads: true, NoWoundRead: true, RecycleImages: true})
+				installed := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+				e := &Entry{}
+				e.Init(installed)
+				r := &Request{}
+				var buf []byte
+				if spare {
+					buf = make([]byte, len(installed))
+					r.StashBuf(buf)
+				}
+				mode := EX
+				if tc.upgrade != nil {
+					mode = SH
+				}
+				if err := m.AcquireInto(r, newTxnTS(1, 1), mode, e); err != nil {
+					t.Fatalf("acquire %s: %v", mode, err)
+				}
+				if tc.upgrade != nil {
+					if c, u := r.ImageStats(); c+u != 0 {
+						t.Fatalf("shared grant copied an image: copies=%d reuses=%d", c, u)
+					}
+					if err := tc.upgrade(m, r); err != nil {
+						t.Fatalf("%s: %v", tc.name, err)
+					}
+				}
+
+				if r.Mode != EX || r.Retired() != tc.retired {
+					t.Fatalf("mode=%s retired=%v, want EX retired=%v", r.Mode, r.Retired(), tc.retired)
+				}
+				if &r.Read[0] != &installed[0] {
+					t.Fatal("Read is not the previously installed image")
+				}
+				if &r.Data[0] == &installed[0] {
+					t.Fatal("Data aliases the installed image")
+				}
+				if !bytes.Equal(r.Data, installed) {
+					t.Fatalf("Data = %v, want a copy of %v", r.Data, installed)
+				}
+				if spare && &r.Data[0] != &buf[0] {
+					t.Fatal("Data was not built in the spare buffer")
+				}
+				wantC, wantU := uint32(1), uint32(0)
+				if spare {
+					wantC, wantU = 0, 1
+				}
+				if c, u := r.ImageStats(); c != wantC || u != wantU {
+					t.Fatalf("copies=%d reuses=%d, want %d/%d", c, u, wantC, wantU)
+				}
+				cur := e.CurrentData()
+				if installedNow := &cur[0] == &r.Data[0]; installedNow != tc.retired {
+					t.Fatalf("Data installed as the entry's image: %v, want %v", installedNow, tc.retired)
+				}
+				if err := e.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				m.Release(r, true)
+				if cur = e.CurrentData(); &cur[0] != &installed[0] {
+					t.Fatal("abort did not restore the installed image")
+				}
+			})
+		}
 	}
 }

@@ -99,16 +99,6 @@ type Global struct {
 	VersionsPruned  atomic.Uint64
 	VersionChainMax atomic.Uint64
 
-	// Adaptive contention-control telemetry: HotEntries is a gauge of
-	// entries currently classified hot (PolicyRetire), PolicyFlips counts
-	// per-entry policy-word changes, and BatchedGrants counts readers
-	// granted by hot-entry batched grant passes. The first two are
-	// written by the feedback engine's tick, the last by the lock
-	// manager's OnBatchedGrant hook.
-	HotEntries    atomic.Uint64
-	PolicyFlips   atomic.Uint64
-	BatchedGrants atomic.Uint64
-
 	// parts is sized once at DB construction (InitPartitions) and never
 	// resized, so the hot-path Record calls are a bounds check and an
 	// atomic add — zero allocations.
@@ -191,25 +181,6 @@ func snapshotParts(parts []PartitionCounter, get func(*PartitionCounter) uint64)
 	}
 	return out
 }
-
-// RecordBatchedGrant adds n readers granted in one hot-entry batched
-// grant pass (the lock.Config.OnBatchedGrant hook).
-func (g *Global) RecordBatchedGrant(n int) {
-	if n > 0 {
-		g.BatchedGrants.Add(uint64(n))
-	}
-}
-
-// RecordPolicyFlips adds n per-entry policy changes from one engine tick.
-func (g *Global) RecordPolicyFlips(n uint64) {
-	if n > 0 {
-		g.PolicyFlips.Add(n)
-	}
-}
-
-// SetHotEntries publishes the current hot-entry count (a gauge, stored by
-// each engine tick).
-func (g *Global) SetHotEntries(n uint64) { g.HotEntries.Store(n) }
 
 // RecordVersionsPruned adds n reclaimed version nodes.
 func (g *Global) RecordVersionsPruned(n uint64) {
@@ -342,13 +313,6 @@ type Report struct {
 	ImageCopies       uint64
 	ImagePoolRecycled uint64
 
-	// Adaptive contention-control telemetry (adaptive runs only): entries
-	// classified hot at the end of the run, per-entry policy changes, and
-	// readers granted by hot-entry batched grant passes.
-	HotEntries    uint64
-	PolicyFlips   uint64
-	BatchedGrants uint64
-
 	// Per-partition telemetry (partition-aware runs only): accesses and
 	// conflicts per partition id, and the access skew — the hottest
 	// partition's share of accesses relative to a perfectly balanced
@@ -423,12 +387,9 @@ func Summarize(protocol string, elapsed time.Duration, workers []*Collector, g *
 		r.MaxChain = g.ChainMax.Load()
 		r.VersionsPruned += g.VersionsPruned.Load()
 		r.VersionChainMax = g.VersionChainMax.Load()
-		r.HotEntries = g.HotEntries.Load()
-		r.PolicyFlips = g.PolicyFlips.Load()
-		r.BatchedGrants = g.BatchedGrants.Load()
 		r.PartitionAccesses = g.PartitionAccesses()
 		r.PartitionConflicts = g.PartitionConflicts()
-		r.PartitionSkew = skewOf(r.PartitionAccesses)
+		r.PartitionSkew = Skew(r.PartitionAccesses)
 	}
 	for cause, n := range all.AbortsBy {
 		if n > 0 {
@@ -463,10 +424,11 @@ func Summarize(protocol string, elapsed time.Duration, workers []*Collector, g *
 	return r
 }
 
-// skewOf returns max/mean of the access counts: 1.0 for a perfectly
+// Skew returns max/mean of the access counts: 1.0 for a perfectly
 // balanced spread, NumPartitions when one partition takes every access, 0
-// when there is nothing to measure.
-func skewOf(accesses []uint64) float64 {
+// when there is nothing to measure. The bench report, /debug/vars and
+// /metrics all print this one value.
+func Skew(accesses []uint64) float64 {
 	if len(accesses) == 0 {
 		return 0
 	}

@@ -72,7 +72,7 @@ type Partition struct {
 	slab   []Row
 }
 
-// slabRows is the number of rows per slab (~60 KB).
+// slabRows is the number of rows per slab (~54 KB).
 const slabRows = 256
 
 // newRow returns a zeroed row from the partition's current slab.

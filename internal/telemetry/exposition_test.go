@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -47,9 +48,6 @@ func fixedRegistry() *Registry {
 	g.ChainMax.Store(3)
 	g.VersionsPruned.Store(8)
 	g.VersionChainMax.Store(4)
-	g.SetHotEntries(12)
-	g.RecordPolicyFlips(31)
-	g.RecordBatchedGrant(64)
 	g.InitPartitions(2)
 	for i := 0; i < 30; i++ {
 		g.RecordPartAccess(0)
@@ -270,4 +268,68 @@ func snapshotRates(r *Registry) (Rates, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.rates, r.hasRates
+}
+
+// TestMetricSetMatchesDocs fails when the exposition and its reference
+// drift apart: every series in the golden file must be named in
+// docs/METRICS.md, and every bamboo_* name there must be a series in the
+// golden file.
+func TestMetricSetMatchesDocs(t *testing.T) {
+	golden, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposed := map[string]bool{}
+	for _, line := range strings.Split(string(golden), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		exposed[line[:strings.IndexAny(line, "{ ")]] = true
+	}
+	doc, err := os.ReadFile("../../docs/METRICS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, name := range regexp.MustCompile(`bamboo_[a-z0-9_]+`).FindAllString(string(doc), -1) {
+		documented[name] = true
+	}
+	for name := range exposed {
+		if !documented[name] {
+			t.Errorf("%s is exposed (metrics.golden) but not in docs/METRICS.md", name)
+		}
+	}
+	for name := range documented {
+		if !exposed[name] {
+			t.Errorf("%s is in docs/METRICS.md but not exposed (metrics.golden)", name)
+		}
+	}
+}
+
+// TestPartitionSkewAgrees pins one skew value across the three surfaces
+// that print it: the bench report (stats.Summarize), /debug/vars
+// (Snapshot) and /metrics. The counts are not a power of two apart — at
+// 3/3/1, max*n/sum and max/(sum/n) differ in the last bits, which is how
+// two copies of the formula once disagreed.
+func TestPartitionSkewAgrees(t *testing.T) {
+	g := &stats.Global{}
+	g.InitPartitions(3)
+	for p, n := range []int{3, 3, 1} {
+		for i := 0; i < n; i++ {
+			g.RecordPartAccess(p)
+		}
+	}
+	r := NewRegistry()
+	r.Attach(&Sources{Protocol: "BAMBOO", Live: &stats.Live{}, Global: g})
+
+	want := stats.Summarize("BAMBOO", time.Second, nil, g).PartitionSkew
+	if got := r.Snapshot().PartitionSkew; got != want {
+		t.Errorf("/debug/vars partition_skew = %v, report says %v", got, want)
+	}
+	var buf bytes.Buffer
+	r.WriteMetrics(&buf)
+	line := "bamboo_partition_skew " + fmtFloat(want) + "\n"
+	if !strings.Contains(buf.String(), line) {
+		t.Errorf("/metrics does not print %q", line)
+	}
 }

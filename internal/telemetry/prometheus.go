@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"bamboo/internal/stats"
 	"bamboo/internal/txn"
 )
 
@@ -58,13 +59,10 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 				fmt.Fprintf(w, "bamboo_partition_conflicts_total{partition=\"%d\"} %d\n", p, c)
 			}
 			gauge(w, "bamboo_partition_skew", "Hottest partition's access share relative to a balanced spread (1 = balanced).",
-				skewOf(accTotals))
+				stats.Skew(accTotals))
 		}
 		versionsPruned += g.VersionsPruned.Load()
 		counter(w, "bamboo_version_chain_max", "Longest MVCC version chain observed.", "gauge", g.VersionChainMax.Load())
-		counter(w, "bamboo_adaptive_hot_entries", "Entries currently classified hot by the adaptive engine.", "gauge", g.HotEntries.Load())
-		counter(w, "bamboo_adaptive_policy_flips_total", "Per-entry retire-policy changes made by the adaptive engine.", "counter", g.PolicyFlips.Load())
-		counter(w, "bamboo_adaptive_batched_grants_total", "Readers granted by hot-entry batched grant passes.", "counter", g.BatchedGrants.Load())
 	}
 
 	if src.WAL != nil {

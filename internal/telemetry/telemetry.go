@@ -109,10 +109,6 @@ type Snapshot struct {
 	ImageCopies       uint64 `json:"image_copies"`
 	ImagePoolRecycled uint64 `json:"image_pool_recycled"`
 
-	HotEntries    uint64 `json:"hot_entries"`
-	PolicyFlips   uint64 `json:"policy_flips"`
-	BatchedGrants uint64 `json:"batched_grants"`
-
 	LatencyCount            uint64             `json:"latency_count"`
 	LatencySumSeconds       float64            `json:"latency_sum_seconds"`
 	LatencyQuantilesSeconds map[string]float64 `json:"latency_quantiles_seconds,omitempty"`
@@ -153,12 +149,9 @@ func (r *Registry) Snapshot() Snapshot {
 		s.CascadeChainMax = g.ChainMax.Load()
 		s.VersionsPruned += g.VersionsPruned.Load()
 		s.VersionChainMax = g.VersionChainMax.Load()
-		s.HotEntries = g.HotEntries.Load()
-		s.PolicyFlips = g.PolicyFlips.Load()
-		s.BatchedGrants = g.BatchedGrants.Load()
 		s.PartitionAccesses = g.PartitionAccesses()
 		s.PartitionConflicts = g.PartitionConflicts()
-		s.PartitionSkew = skewOf(s.PartitionAccesses)
+		s.PartitionSkew = stats.Skew(s.PartitionAccesses)
 	}
 	if src.WAL != nil {
 		ws := src.WAL()
@@ -194,24 +187,4 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 	return s
-}
-
-// skewOf is max/mean of the per-partition access counts: 1.0 when
-// balanced, NumPartitions when one partition takes everything, 0 when
-// there is nothing to measure (same definition as the bench report).
-func skewOf(accesses []uint64) float64 {
-	if len(accesses) == 0 {
-		return 0
-	}
-	var sum, max uint64
-	for _, a := range accesses {
-		sum += a
-		if a > max {
-			max = a
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) * float64(len(accesses)) / float64(sum)
 }
