@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"bamboo/internal/core"
 	"bamboo/internal/stats"
+	"bamboo/internal/storage"
 	"bamboo/internal/workload/ycsb"
 )
 
@@ -151,6 +154,81 @@ func TestAllocBudgetReadOnly(t *testing.T) {
 	}
 	if col.SnapshotReads == 0 {
 		t.Fatal("no snapshot reads recorded — the transactions did not run on the MVCC path")
+	}
+}
+
+// TestAllocBudgetMVCCWrites is the write half of the MVCC allocation gate:
+// a skewed read/write YCSB mix (theta 0.9) on an MVCC DB with its pruner
+// running must stay inside the same budget as the non-MVCC engine. Every
+// committed write adds a version — a node and the 1 KB image the chain
+// adopts — and the writer needs a fresh private copy for the next one;
+// both come back from the tails the session's installs detach once the
+// watermark has passed them (the session's versionFree lists). The warm-up
+// spans several pruner ticks so the free lists reach their steady
+// inventory; one session, so there are no aborts.
+//
+// Mallocs are read from the runtime instead of testing.AllocsPerRun,
+// which pins GOMAXPROCS to 1: the pruner then runs only when the session
+// is preempted, every 10 ms, and five ticks' worth of versions pile up
+// behind a watermark that does not move — more than the free lists are
+// sized to hold. For the same reason the test needs a second CPU, and is
+// skipped under the race detector: the loop runs against the pruner's
+// wall clock, and a session slowed tenfold rewrites too few rows per
+// sweep period (50 ms) for their tails to still be there.
+func TestAllocBudgetMVCCWrites(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs a second CPU for the pruner to tick while the session runs")
+	}
+	if raceEnabled {
+		t.Skip("timing-dependent: the race detector slows the session against the pruner's wall clock")
+	}
+	cfg := core.Bamboo()
+	cfg.MVCC = true
+	db := core.NewDB(cfg)
+	defer db.Close()
+	w, err := ycsb.Load(db, ycsb.Config{
+		Rows: 20000, OpsPerTxn: 16, Theta: 0.9, ReadRatio: 0.5,
+		Columns: 10, ColumnBytes: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := &stats.Collector{}
+	sess := core.NewLockEngine(db).NewSession(0, col)
+	gen := w.Generator()
+	const txns = 2000
+	fns := make([]core.TxnFunc, txns)
+	for i := range fns {
+		fns[i] = gen(0, i)
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := sess.Run(fns[i%txns]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(4 * txns)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(4 * txns)
+	runtime.ReadMemStats(&after)
+	got := float64(after.Mallocs-before.Mallocs) / (4 * txns)
+	t.Logf("MVCC writes: %.2f allocs/txn (budget %.0f); %d write copies in recycled buffers, %d fresh",
+		got, allocBudget, col.ImagePoolRecycled, col.ImageCopies)
+	if got > allocBudget {
+		t.Fatalf("MVCC write path allocs/txn = %.2f exceeds budget %.1f "+
+			"(version nodes or write-copy images are not coming back from the detached tails)",
+			got, allocBudget)
+	}
+}
+
+// TestRowSizePinned makes the row's size a decision: rows live in
+// page-aligned slabs, and what shares a cache line with a polled row moves
+// the hotspot workloads by ~10 % on layout alone.
+func TestRowSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(storage.Row{}); got != 216 {
+		t.Fatalf("storage.Row is %d bytes, want 216", got)
 	}
 }
 

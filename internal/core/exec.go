@@ -57,6 +57,7 @@ func (e *LockEngine) NewSession(worker int, col *stats.Collector) Session {
 	s.t.SetTSAlloc(s.alloc)
 	if e.db.Snap != nil {
 		e.db.Snap.Register(worker)
+		s.free = &versionFree{}
 	}
 	s.tx.s = s
 	s.tx.t = s.t
@@ -76,6 +77,11 @@ type lockSession struct {
 	tx    lockTx
 	alloc *txn.TSAlloc
 
+	// free is the session's MVCC recycling state, nil on a DB without
+	// version chains (one pointer, so that a session's size — and with it
+	// where the allocator puts it — is what it is without MVCC).
+	free *versionFree
+
 	// Commit-log scratch: one appender and one record per partition log,
 	// plus the touched-partition and ticket lists of the current commit.
 	// All reused — the commit path allocates nothing in steady state.
@@ -83,6 +89,15 @@ type lockSession struct {
 	precs   []wal.Record
 	touched []int
 	tickets []wal.Ticket
+}
+
+// versionFree holds what a session harvested from the version tails its
+// installs detached: nodes feed its next installs, images become the
+// spare of a write grant whose pooled request carries none. See
+// installVersions.
+type versionFree struct {
+	nodes []*storage.Version
+	imgs  [][]byte
 }
 
 // access is one row access of the running attempt.
@@ -227,6 +242,9 @@ func (tx *lockTx) endSnapshot() {
 // goes straight back to the pool.
 func (tx *lockTx) acquire(row *storage.Row, mode lock.Mode) (*lock.Request, error) {
 	req := tx.s.pool.Get()
+	if mode == lock.EX {
+		tx.s.giveSpare(req)
+	}
 	err := tx.db.Lock.AcquireInto(req, tx.t, mode, &row.Entry)
 	tx.lockWait += req.TakeWait()
 	tx.db.Global.RecordPartAccess(row.PartitionID)
@@ -325,6 +343,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 					// image recycling off, so it stays valid past release.
 					a.readImage = a.req.Data
 				}
+				tx.s.giveSpare(a.req)
 				img := a.req.CloneImage()
 				mutate(img)
 				err := tx.db.Lock.UpgradeRetire(a.req, img)
@@ -342,6 +361,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 				tx.s.col.RecordRetire()
 				return nil
 			}
+			tx.s.giveSpare(a.req)
 			err := tx.db.Lock.Upgrade(a.req)
 			tx.lockWait += a.req.TakeWait()
 			if err != nil {
@@ -714,35 +734,84 @@ func (s *lockSession) commitPoint(tx *lockTx) error {
 	return err
 }
 
+// Capacities of a session's MVCC free lists. Harvest comes in bursts —
+// the first install on each hot row after a watermark tick takes that
+// row's whole tail — and drains one write at a time until the next tick,
+// so a list is useful up to what one session installs per tick and no
+// further. A session flat out commits a write every ~1.25 µs, 1 600 per
+// default 2 ms tick: at 1 024 slots its bursts overflowed (1.4–4
+// allocs/txn in TestAllocBudgetMVCCWrites), at 2 048 they fit (≤ 0.1).
+// On ycsb_snapshot's two workers (~1 100 installs a tick each) the share
+// of write copies built in a recycled buffer was 0.74 at 64 slots, 0.87
+// at 256 and flat from 1 024 up. 2 048 of that workload's 1 KB images
+// bound a session's idle inventory at 2 MB; nodes are 48 bytes. With a
+// longer MVCCPruneInterval the bursts outgrow the lists and the surplus
+// goes to the collector.
+const (
+	maxFreeNodes = 2048
+	maxFreeImgs  = 2048
+)
+
+// giveSpare hands req an image buffer from the session's harvest if it
+// carries no spare of its own, so the private write copy the grant (or
+// CloneImage) is about to build allocates nothing. On a DB without
+// version chains the list is always empty: one predictable branch.
+func (s *lockSession) giveSpare(req *lock.Request) {
+	f := s.free
+	if f == nil {
+		return
+	}
+	if n := len(f.imgs); n > 0 && !req.HasSpare() {
+		req.StashBuf(f.imgs[n-1])
+		f.imgs[n-1] = nil
+		f.imgs = f.imgs[:n-1]
+	}
+}
+
 // installVersions opens the snapshot table's in-flight commit window and
 // publishes the attempt's after-images into the row version chains,
 // returning the window's commit timestamp; the caller stamps the inserts
 // with it and closes the window (EndCommit), so snapshot readers observe
-// the whole commit or none of it. Version tails superseded below the
-// reclaim watermark are detached with one node reused — steady-state
-// version turnover on hot rows allocates nothing.
+// the whole commit or none of it.
+//
+// It is also where versions are recycled. Each install takes its node
+// from the session's free list and gets back the whole tail it detached,
+// if the watermark has passed one since the chain was last scanned. The
+// tail's nodes are unreachable by any snapshot reader (they are below the
+// reclaim watermark) and its images by the lock side too (only the newest
+// committed image can still be referenced there; these were superseded at
+// least one committed generation ago), so the nodes go back on the free
+// list and — under db.recycle, the one ownership rule — so do the images.
 func (s *lockSession) installVersions(tx *lockTx) uint64 {
 	st := s.db.Snap
 	cts := st.BeginCommit(s.worker, s.alloc)
 	rts := st.Reclaim()
+	f := s.free
 	reclaimed := 0
 	for i := range tx.accesses {
 		a := &tx.accesses[i]
-		if a.mode == lock.EX {
-			// Install adopts the committed image by reference — the chain
-			// and the lock entry share one buffer per committed version.
-			_, rec, freed := a.row.Versions.Install(a.req.Data, cts, rts)
-			reclaimed += rec
-			if freed != nil && s.db.recycle {
-				// Harvest: the detached version's image is unreachable by
-				// any snapshot reader (it is below the reclaim watermark)
-				// and by the lock side (only the newest committed image can
-				// still be referenced there; this one was superseded at
-				// least one committed generation ago). Reuse its storage as
-				// the request's spare so the next write copy allocates
-				// nothing even with MVCC on.
-				a.req.StashBuf(freed)
+		if a.mode != lock.EX {
+			continue
+		}
+		var node *storage.Version
+		if n := len(f.nodes); n > 0 {
+			node = f.nodes[n-1]
+			f.nodes[n-1] = nil
+			f.nodes = f.nodes[:n-1]
+		}
+		// The chain adopts the committed image by reference — chain and
+		// lock entry share one buffer per committed version.
+		tail := a.row.Versions.InstallNode(node, a.req.Data, cts, rts)
+		for tail != nil {
+			next, img := tail.Recycle()
+			reclaimed++
+			if len(f.nodes) < maxFreeNodes {
+				f.nodes = append(f.nodes, tail)
 			}
+			if s.db.recycle && len(img) > 0 && len(f.imgs) < maxFreeImgs {
+				f.imgs = append(f.imgs, img)
+			}
+			tail = next
 		}
 	}
 	s.col.RecordVersionsPruned(uint64(reclaimed))

@@ -296,3 +296,21 @@ func TestMVCCRecoveryReseed(t *testing.T) {
 		t.Fatal("post-recovery read did not use the snapshot path")
 	}
 }
+
+// TestSnapshotScanBoundedByWorkers: every snapshot acquisition and every
+// watermark advance scans the snapshot table up to its highest registered
+// slot, so what registers decides what a read-only transaction costs. An
+// MVCC DB with two sessions must scan two slots — the pruner draws its
+// timestamps from the last allocator id of 1 024 but publishes nothing,
+// and registering that slot made every scan walk all of them.
+func TestSnapshotScanBoundedByWorkers(t *testing.T) {
+	db := core.NewDB(mvccConfig(core.Bamboo()))
+	defer db.Close()
+	eng := core.NewLockEngine(db)
+	for w := 0; w < 2; w++ {
+		eng.NewSession(w, &stats.Collector{})
+	}
+	if got := db.Snap.ScanBound(); got != 2 {
+		t.Fatalf("snapshot table scans %d slots with two sessions, want 2", got)
+	}
+}

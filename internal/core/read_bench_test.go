@@ -5,6 +5,7 @@ import (
 
 	"bamboo/internal/core"
 	"bamboo/internal/storage"
+	"bamboo/internal/txn"
 )
 
 // BenchmarkUncontendedRead16 is the per-operation fast path in isolation:
@@ -38,5 +39,31 @@ func BenchmarkUncontendedRead16(b *testing.B) {
 		if err := sess.Run(fn); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAcquireSnapshotWithPruner is what a read-only transaction pays
+// the snapshot table on a live MVCC DB: two sessions registered, the
+// pruner running at its default tick, one acquire/end pair per op. The
+// benchmark/ probe txn.snapshot_begin_end_ns measures the same pair on a
+// bare table, where no pruner can widen the scan.
+func BenchmarkAcquireSnapshotWithPruner(b *testing.B) {
+	cfg := core.Bamboo()
+	cfg.MVCC = true
+	db := core.NewDB(cfg)
+	defer db.Close()
+	eng := core.NewLockEngine(db)
+	eng.NewSession(0, newCollector())
+	db.Snap.Register(1)
+	alloc := txn.NewTSAlloc(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += db.Snap.AcquireSnapshot(1, alloc)
+		db.Snap.EndSnapshot(1)
+	}
+	if sum == 0 {
+		b.Fatal("no snapshot drawn")
 	}
 }

@@ -149,11 +149,11 @@ type Request struct {
 	gen uint64
 
 	// buf is the request's spare image buffer: storage captured from a
-	// provably unreferenced superseded image at commit release (or donated
-	// by the MVCC version-chain harvest), consumed by the next private
-	// write copy (takeBuf). Like gen it survives reset()/Pool.Put, so the
-	// spare rides the freelist and steady-state write grants stop
-	// allocating.
+	// provably unreferenced superseded image at commit release (or handed
+	// over by the executor from its version-chain harvest, StashBuf),
+	// consumed by the next private write copy (takeBuf). Like gen it
+	// survives reset()/Pool.Put, so the spare rides the freelist and
+	// steady-state write grants stop allocating.
 	buf []byte
 
 	// imgCopies/imgReuses count private image copies built for this
@@ -277,6 +277,11 @@ func (r *Request) StashBuf(b []byte) {
 		r.buf = b[:len(b):len(b)]
 	}
 }
+
+// HasSpare reports whether the request carries a spare image buffer. An
+// executor with image buffers of its own checks it before a write grant
+// so that it hands one over (StashBuf) only where the copy would allocate.
+func (r *Request) HasSpare() bool { return r.buf != nil }
 
 // TakeWait returns and resets the time the request has spent blocked
 // since the last call: the lock-wait share of the paper's runtime

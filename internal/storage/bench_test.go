@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -73,5 +74,48 @@ func BenchmarkInsertRow(b *testing.B) {
 		if _, err := tbl.InsertRow(uint64(i), img); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkVersionInstallHot: installs on one chain whose reclaim
+// watermark stands still while depth versions pile up above it — a hot
+// row between two pruner ticks. Every depth installs the watermark steps
+// to the version installed depth ago, the next install detaches the tail
+// that passes and the loop installs from those nodes, as a session's free
+// list does. ns/op must not grow with depth (one walk per watermark, not
+// one per install) and allocs/op must be 0 (run with -benchmem).
+func BenchmarkVersionInstallHot(b *testing.B) {
+	for _, depth := range []int{1, 16, 128} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			var c VersionChain
+			img := make([]byte, 8)
+			c.Seed(0, img)
+			free := make([]*Version, 0, 2*depth+2)
+			ts, water := uint64(0), uint64(0)
+			install := func() {
+				ts++
+				if ts%uint64(depth) == 0 && ts > uint64(depth) {
+					water = ts - uint64(depth)
+				}
+				var node *Version
+				if n := len(free); n > 0 {
+					node, free = free[n-1], free[:n-1]
+				}
+				for v := c.InstallNode(node, img, ts, water); v != nil; {
+					next, _ := v.Recycle()
+					free = append(free, v)
+					v = next
+				}
+			}
+			for i := 0; i < 4*depth+4; i++ { // fill the chain and the free list
+				install()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				install()
+			}
+			benchSink += uint64(len(free))
+		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bamboo/internal/txn"
 )
@@ -65,10 +66,22 @@ func TestVersionChainUnseeded(t *testing.T) {
 	}
 }
 
-// TestVersionChainInstallReclaims: with the watermark caught up, every
-// install detaches the superseded tail and the chain stays at two
-// versions (the new one plus the newest at-or-below-watermark one).
+// TestVersionChainInstallReclaims covers both ways an install reclaims.
+// Install: with the watermark caught up, every install detaches the
+// superseded tail and the chain stays at two versions (the new one plus
+// the newest at-or-below-watermark one). InstallNode: the loop a caller
+// with a free list sees — the watermark moves once per burst of installs,
+// the install that follows gets the whole superseded tail back, and the
+// caller installs from what it was handed. Every detached node must come
+// back exactly once (never while it is still free, never while it is
+// reachable from the head), and no node may be lost: reachable plus free
+// is every node ever made.
 func TestVersionChainInstallReclaims(t *testing.T) {
+	t.Run("Install", testInstallReclaims)
+	t.Run("InstallNode", testInstallNodeHandsBackWholeTail)
+}
+
+func testInstallReclaims(t *testing.T) {
 	var c VersionChain
 	c.Seed(0, img64(0))
 	totalReclaimed := 0
@@ -90,6 +103,87 @@ func TestVersionChainInstallReclaims(t *testing.T) {
 	img, ok := c.ReadAt(1000)
 	if !ok || binary.LittleEndian.Uint64(img) != 100 {
 		t.Fatalf("newest version lost: ok=%v img=%v", ok, img)
+	}
+}
+
+func testInstallNodeHandsBackWholeTail(t *testing.T) {
+	var c VersionChain
+	c.Seed(0, img64(0))
+	const burst = 7
+	var (
+		free   []*Version
+		made   = 1 // the seed
+		isFree = map[*Version]bool{}
+		ts     = uint64(0)
+		water  = uint64(0)
+	)
+	reachable := func() map[*Version]bool {
+		m := map[*Version]bool{}
+		for v := c.Head(); v != nil; v = v.Next() {
+			m[v] = true
+		}
+		return m
+	}
+	for round := 0; round < 20; round++ {
+		for i := 0; i < burst; i++ {
+			ts += 10
+			var node *Version
+			if n := len(free); n > 0 {
+				node, free = free[n-1], free[:n-1]
+				delete(isFree, node)
+			} else {
+				node = &Version{}
+				made++
+			}
+			tail := c.InstallNode(node, img64(ts), ts, water)
+			if i > 0 && tail != nil {
+				t.Fatalf("round %d install %d: a tail came back at an unchanged watermark", round, i)
+			}
+			if i == 0 && round > 0 && tail == nil {
+				t.Fatalf("round %d: the watermark passed %d versions and the install detached nothing", round, burst)
+			}
+			live := reachable()
+			got := 0
+			for v := tail; v != nil; {
+				if isFree[v] {
+					t.Fatalf("round %d: node handed back twice", round)
+				}
+				if live[v] {
+					t.Fatalf("round %d: a handed-back node is still reachable from the head", round)
+				}
+				next, img := v.Recycle()
+				if want := binary.LittleEndian.Uint64(img); want > water {
+					t.Fatalf("round %d: version %d handed back above the watermark %d", round, want, water)
+				}
+				isFree[v] = true
+				free = append(free, v)
+				got++
+				v = next
+			}
+			if i == 0 && round > 0 && got != burst {
+				t.Fatalf("round %d: %d nodes handed back, want the whole tail of %d", round, got, burst)
+			}
+			if len(live)+len(free) != made {
+				t.Fatalf("round %d: %d reachable + %d free != %d nodes made", round, len(live), len(free), made)
+			}
+		}
+		// Everything installed so far is now below the watermark; the
+		// newest of it stays (a snapshot at the watermark reads it).
+		water = ts
+	}
+	if img, ok := c.ReadAt(ts); !ok || binary.LittleEndian.Uint64(img) != ts {
+		t.Fatalf("newest version lost: ok=%v img=%v", ok, img)
+	}
+	if made > 2*burst+1 {
+		t.Fatalf("%d nodes made for a chain that never holds more than %d: the tail is not being reused", made, 2*burst+1)
+	}
+}
+
+// TestVersionSizeClass pins the node at the 48-byte allocation size class
+// the scan memo was fitted into.
+func TestVersionSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Version{}); got != 48 {
+		t.Fatalf("Version is %d bytes, want 48", got)
 	}
 }
 
@@ -135,6 +229,32 @@ func TestVersionChainPrune(t *testing.T) {
 	// Idempotent at the same watermark.
 	if _, rec := c.Prune(25); rec != 0 {
 		t.Fatalf("second prune at the same watermark reclaimed %d", rec)
+	}
+}
+
+// TestVersionChainPruneSettled: the sweep's variant leaves a tail alone
+// until it has been dead since the earlier watermark — the version that
+// supersedes it must itself be at or below settledTS — and does not walk
+// (or count) a tail it leaves in place.
+func TestVersionChainPruneSettled(t *testing.T) {
+	var c VersionChain
+	c.Seed(0, img64(0))
+	c.Install(img64(10), 10, 0)
+	c.Install(img64(20), 20, 0)
+	// Watermark 25: version 20 supersedes 10 and 0, but it was installed
+	// after the earlier watermark 15, so the tail is its writer's to take.
+	if n, rec := c.PruneSettled(25, 15); n != 1 || rec != 0 {
+		t.Fatalf("PruneSettled(25, 15) = (%d, %d), want one version walked and nothing reclaimed", n, rec)
+	}
+	if n := c.Len(); n != 3 {
+		t.Fatalf("chain length %d after a refused prune, want 3", n)
+	}
+	// No install came; one sweep later the earlier watermark covers it.
+	if n, rec := c.PruneSettled(35, 25); n != 3 || rec != 2 {
+		t.Fatalf("PruneSettled(35, 25) = (%d, %d), want (3, 2)", n, rec)
+	}
+	if msg := checkReadAt(&c, 25, []uint64{10, 20}); msg != "" {
+		t.Fatal(msg)
 	}
 }
 

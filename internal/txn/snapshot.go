@@ -88,6 +88,10 @@ func (st *SnapshotTable) Register(worker int) {
 	}
 }
 
+// ScanBound returns how many slots AcquireSnapshot and AdvanceReclaim scan:
+// the highest registered slot index plus one.
+func (st *SnapshotTable) ScanBound() int { return int(st.maxSlot.Load()) }
+
 // BeginCommit opens worker's in-flight commit window and returns the
 // commit timestamp for the whole transaction. The caller must install
 // every version it commits before calling EndCommit.
@@ -145,6 +149,15 @@ func (st *SnapshotTable) Reclaim() uint64 { return st.reclaim.Load() }
 // a fresh upper-bound candidate from alloc (which must own a slot no
 // concurrently allocating session uses). It returns the watermark in
 // effect after the call. Monotone: the watermark never moves backward.
+//
+// The caller needs an allocator id, not a registered slot. Registration
+// bounds the scans to the slots that can hold a published commit or
+// snapshot; a caller that publishes neither (the engine's pruner) has
+// nothing in its slot for anyone to read, and what it draws from alloc
+// is used only as the upper bound below — the argument needs that draw
+// to be a fresh clock reading, which every TSAlloc gives, and needs the
+// scan to cover every slot a session writes, which Register (called by
+// every session before its first transaction) gives.
 //
 // Safety argument, sketched: the candidate is rounded down to a whole
 // clock tick minus one, so every timestamp anyone draws after the
