@@ -126,7 +126,9 @@ type Options struct {
 	// InteractiveRTT, when positive, wraps the engine in the
 	// interactive-mode transport charging this round trip per operation.
 	InteractiveRTT time.Duration
-	// AbortBackoffMax bounds the randomized retry backoff after aborts.
+	// AbortBackoffMax bounds the randomized retry backoff after aborts
+	// (0 = none for Bamboo and Wound-Wait, a 200µs default for NoWait
+	// and WaitDie, which would otherwise spin on the conflict).
 	AbortBackoffMax time.Duration
 	// MVCC keeps a small bounded version chain per row so transactions
 	// marked read-only (core.MarkReadOnly) execute at a snapshot
@@ -155,10 +157,6 @@ type Options struct {
 	// exported series. Empty (the default) disables the endpoint at zero
 	// hot-path cost.
 	MetricsAddr string
-	// MetricsInterval is the rate-collector tick deriving per-second
-	// gauges (commits/sec, aborts/sec, ...) from successive counter
-	// samples; 0 = 1s. Only meaningful with MetricsAddr.
-	MetricsInterval time.Duration
 }
 
 // FsyncPolicy re-exports the WAL fsync policies for Options.WALFsync.
@@ -216,7 +214,6 @@ func Open(opts Options) *DB {
 	cfg.WALFsync = opts.WALFsync
 	cfg.WALFsyncInterval = opts.WALFsyncInterval
 	cfg.MetricsAddr = opts.MetricsAddr
-	cfg.MetricsInterval = opts.MetricsInterval
 
 	db := &DB{inner: core.NewDB(cfg)}
 	if opts.Protocol == Silo {

@@ -16,9 +16,8 @@
 // EXPERIMENTS.md records the measured shapes against the paper's.
 //
 // With -json the run is emitted as a schema-versioned document
-// (internal/bench/report) carrying the full latency distribution
-// (p50/p90/p95/p99/p99.9) per point — the BENCH_*.json trajectory
-// artifact that cmd/bench-diff consumes as a CI regression gate. -csv
+// (internal/bench/report) carrying every field of the run summary
+// (stats.Report) per point — the BENCH_*.json artifact CI uploads. -csv
 // emits the same points as one flat table. -out directs either format to
 // a file; without it the document goes to stdout and the human-readable
 // table moves to stderr so piping stays clean.
@@ -113,8 +112,8 @@ func main() {
 	}
 	// -partitions, -readonly-frac and -seed compose with -quick: the CI
 	// routing-path smoke run is "quick scale, 2 partitions", the MVCC
-	// gate pins a single read-heavy point the same way, and a pinned seed
-	// makes quick-scale A/B comparisons key-stream-identical.
+	// smoke run pins a single read-heavy point the same way, and a pinned
+	// seed makes quick-scale A/B comparisons key-stream-identical.
 	s.Partitions = *parts
 	s.ReadOnlyFrac = *roFrac
 	s.Seed = *seed

@@ -49,8 +49,7 @@ type Scale struct {
 	// RTT is the interactive-mode round trip.
 	RTT time.Duration
 	// Repeat runs every point this many times and reports the
-	// median-throughput sample (<=1 means once). Medians make the
-	// bench-diff regression gate usable on noisy shared runners, where
+	// median-throughput sample (<=1 means once): on noisy shared hosts
 	// single samples of contended points can swing ±25%.
 	Repeat int
 	// Partitions is the storage partition count every point's tables are
@@ -74,14 +73,13 @@ type Scale struct {
 	// DB attaches to for the duration of its run (the bamboo-bench
 	// -metrics-addr flag serves one process-wide registry): a scraper
 	// sees whichever point is currently executing, and bamboo_up 0
-	// between points. Nil keeps benchmark DBs metrics-free — the
-	// baseline-comparable default.
+	// between points. Nil keeps benchmark DBs metrics-free.
 	Metrics *telemetry.Registry
 }
 
-// Quick is the configuration used by tests: small but contentious.
-// Points are repeated (median-of-5) because quick runs feed the CI
-// regression gate.
+// Quick is the configuration used by tests and CI's smoke runs: small
+// but contentious. Points are repeated (median-of-5) because a quick
+// point lasts only tens of milliseconds.
 func Quick() Scale {
 	return Scale{Threads: []int{4}, TxnsPerWorker: 300, Rows: 20000, RTT: 20 * time.Microsecond, Repeat: 5}
 }
@@ -170,11 +168,11 @@ func (s Scale) ReportScale() report.Scale {
 	}
 }
 
-// ToExperiment flattens run rows into the report schema.
+// ToExperiment wraps run rows as the points of a report experiment.
 func ToExperiment(id, title string, elapsed time.Duration, rows []Row) report.Experiment {
 	e := report.Experiment{ID: id, Title: title, ElapsedNS: int64(elapsed)}
 	for _, r := range rows {
-		e.Points = append(e.Points, report.PointFrom(r.X, r.Report))
+		e.Points = append(e.Points, report.Point{X: r.X, Report: r.Report})
 	}
 	return e
 }
@@ -240,17 +238,16 @@ func runPoint(s Scale, b engineBuilder, interactive bool,
 }
 
 // medianReport reduces repeated samples of one point to the
-// throughput-median sample, with per-metric medians for the gated
-// latency figures.
+// throughput-median sample, with per-metric medians for the load time
+// and the latency figures.
 func medianReport(reports []stats.Report) stats.Report {
 	sort.Slice(reports, func(i, j int) bool {
 		return reports[i].ThroughputTPS < reports[j].ThroughputTPS
 	})
 	rep := reports[len(reports)/2]
-	// Each gated metric gets its own median: the throughput-median sample
-	// can carry an arbitrarily lucky or unlucky tail (p99 is ~the 12th
-	// worst of 1200 samples at quick scale), and a gate comparing one
-	// run's lucky tail against another's median fails on pure noise.
+	// Each of them gets its own median: the throughput-median sample can
+	// carry an arbitrarily lucky or unlucky tail (p99 is ~the 12th worst
+	// of 1200 samples at quick scale).
 	medianDur := func(get func(*stats.Report) time.Duration) time.Duration {
 		ds := make([]time.Duration, len(reports))
 		for i := range reports {

@@ -76,9 +76,9 @@ func TestQuickSmoke(t *testing.T) {
 		if p.ThroughputTPS <= 0 {
 			t.Errorf("%s at %s has no throughput", p.Protocol, p.X)
 		}
-		l := p.Latency
-		if l.P50 <= 0 || l.P90 < l.P50 || l.P95 < l.P90 || l.P99 < l.P95 || l.P999 < l.P99 || l.Max < l.P999 {
-			t.Errorf("%s at %s latency distribution broken: %+v", p.Protocol, p.X, l)
+		if p.LatencyP50 <= 0 || p.LatencyP90 < p.LatencyP50 || p.LatencyP95 < p.LatencyP90 ||
+			p.LatencyP99 < p.LatencyP95 || p.LatencyP999 < p.LatencyP99 || p.LatencyMax < p.LatencyP999 {
+			t.Errorf("%s at %s latency distribution broken: %+v", p.Protocol, p.X, p.Report)
 		}
 	}
 }

@@ -18,34 +18,6 @@ func WriteJSON(w io.Writer, f *File) error {
 	return enc.Encode(f)
 }
 
-// ReadJSON parses a document and rejects unknown schema versions.
-func ReadJSON(r io.Reader) (*File, error) {
-	var f File
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("report: parse: %w", err)
-	}
-	if f.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("report: schema version %d, this build reads %d",
-			f.SchemaVersion, SchemaVersion)
-	}
-	return &f, nil
-}
-
-// Load reads a document from a file path.
-func Load(path string) (*File, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	f, err := ReadJSON(fh)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return f, nil
-}
-
 // Save writes the document to path atomically enough for CI use.
 func Save(path string, f *File) error {
 	fh, err := os.Create(path)
@@ -83,22 +55,14 @@ func WriteCSV(w io.Writer, f *File) error {
 				strconv.FormatUint(p.Commits, 10),
 				strconv.FormatUint(p.Aborts, 10),
 				strconv.FormatFloat(p.AbortRate, 'f', 4, 64),
-				strconv.FormatInt(p.Latency.Mean, 10),
-				strconv.FormatInt(p.Latency.P50, 10),
-				strconv.FormatInt(p.Latency.P90, 10),
-				strconv.FormatInt(p.Latency.P95, 10),
-				strconv.FormatInt(p.Latency.P99, 10),
-				strconv.FormatInt(p.Latency.P999, 10),
-				strconv.FormatInt(p.Latency.Max, 10),
-				strconv.FormatInt(p.Breakdown.LockWait, 10),
-				strconv.FormatInt(p.Breakdown.Abort, 10),
-				strconv.FormatInt(p.Breakdown.CommitWait, 10),
-				strconv.FormatInt(p.Breakdown.Useful, 10),
+				ns(p.LatencyMean), ns(p.LatencyP50), ns(p.LatencyP90), ns(p.LatencyP95),
+				ns(p.LatencyP99), ns(p.LatencyP999), ns(p.LatencyMax),
+				ns(p.PerTxnLockWait), ns(p.PerTxnAbort), ns(p.PerTxnCommitWait), ns(p.PerTxnUseful),
 				strconv.FormatUint(p.Wounds, 10),
 				strconv.FormatUint(p.Cascades, 10),
 				strconv.FormatFloat(p.AvgChain, 'f', 2, 64),
 				strconv.FormatUint(p.MaxChain, 10),
-				strconv.FormatInt(p.LoadNS, 10),
+				ns(p.LoadTime),
 				strconv.FormatFloat(p.PartitionSkew, 'f', 3, 64),
 			}
 			if err := cw.Write(rec); err != nil {
@@ -110,18 +74,21 @@ func WriteCSV(w io.Writer, f *File) error {
 	return cw.Error()
 }
 
+// ns renders a duration as integer nanoseconds, the CSV's unit.
+func ns(d time.Duration) string { return strconv.FormatInt(int64(d), 10) }
+
 // String renders a point in the classic one-line table format.
 func (p Point) String() string {
 	line := fmt.Sprintf("%-12s %8.0f txn/s  aborts=%5.1f%%  wait=%s commitWait=%s abortTime=%s useful=%s",
 		p.Protocol, p.ThroughputTPS, p.AbortRate*100,
-		time.Duration(p.Breakdown.LockWait).Round(time.Microsecond),
-		time.Duration(p.Breakdown.CommitWait).Round(time.Microsecond),
-		time.Duration(p.Breakdown.Abort).Round(time.Microsecond),
-		time.Duration(p.Breakdown.Useful).Round(time.Microsecond))
-	if p.Latency.P50 > 0 {
+		p.PerTxnLockWait.Round(time.Microsecond),
+		p.PerTxnCommitWait.Round(time.Microsecond),
+		p.PerTxnAbort.Round(time.Microsecond),
+		p.PerTxnUseful.Round(time.Microsecond))
+	if p.LatencyP50 > 0 {
 		line += fmt.Sprintf("  p50=%s p99=%s",
-			time.Duration(p.Latency.P50).Round(time.Microsecond),
-			time.Duration(p.Latency.P99).Round(time.Microsecond))
+			p.LatencyP50.Round(time.Microsecond),
+			p.LatencyP99.Round(time.Microsecond))
 	}
 	if p.Cascades > 0 {
 		line += fmt.Sprintf("  chains(avg=%.1f max=%d)", p.AvgChain, p.MaxChain)

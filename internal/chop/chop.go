@@ -335,14 +335,15 @@ func (e *Engine) NewSession(worker int, col *stats.Collector) *Session {
 // jitter breaks the symmetry, and the escalation yields the CPU to
 // whichever transaction can actually finish. The cap is the same knob
 // the lock engine's retry path uses (core.Config.AbortBackoffMax,
-// DBx1000's ABORT_PENALTY); unlike there, an unset knob falls back to a
-// small default rather than no backoff, because for IC3 the jitter is a
-// liveness requirement, not a tuning option.
+// DBx1000's ABORT_PENALTY); as for that engine's abort-only variants, an
+// unset knob falls back to core.DefaultAbortBackoff rather than no
+// backoff, because for IC3 the jitter is a liveness requirement, not a
+// tuning option.
 func (s *Session) retryBackoff(attempt int) {
 	runtime.Gosched()
 	max := s.e.db.Config().AbortBackoffMax
 	if max <= 0 {
-		max = 200 * time.Microsecond
+		max = core.DefaultAbortBackoff
 	}
 	scale := attempt
 	if scale > 8 {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"bamboo/internal/storage"
 	"bamboo/internal/verify/verifytest"
 	"bamboo/internal/wal"
+	"bamboo/internal/workload/ycsb"
 )
 
 func newCollector() *stats.Collector { return &stats.Collector{} }
@@ -33,7 +35,7 @@ func TestSerializabilityAllProtocols(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			h := verifytest.NewHistory()
-			cfg.CaptureReads, cfg.OnCommit = true, h.Hook
+			cfg.OnCommit = h.Hook
 			db := core.NewDB(cfg)
 			verifytest.RunSerializability(t, core.NewLockEngine(db), h, verifytest.DefaultOptions())
 		})
@@ -47,7 +49,7 @@ func TestSerializabilityHighContention(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			h := verifytest.NewHistory()
-			cfg.CaptureReads, cfg.OnCommit = true, h.Hook
+			cfg.OnCommit = h.Hook
 			db := core.NewDB(cfg)
 			opts := verifytest.DefaultOptions()
 			opts.Rows = 2
@@ -66,6 +68,41 @@ func TestBankConservationAllProtocols(t *testing.T) {
 			t.Parallel()
 			db := core.NewDB(cfg)
 			verifytest.RunBankConservation(t, core.NewLockEngine(db), 10, 8, 150)
+		})
+	}
+}
+
+// TestAbortOnlyVariantsMakeProgress pins the default retry backoff of the
+// two variants whose only answer to a conflict is to abort. A retry with
+// no backoff is a spin on the conflicting lock, and on two cores a
+// fig6-shaped run (YCSB theta 0.9, 4 workers) then aborts ≈ 100 % of its
+// attempts; with the default jitter the abort rate is a few percent.
+func TestAbortOnlyVariantsMakeProgress(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("the retry spin needs a second core to starve the lock holder")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for name, cfg := range map[string]core.Config{
+		"WAIT_DIE": core.WaitDie(),
+		"NO_WAIT":  core.NoWait(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := core.NewDB(cfg)
+			defer db.Close()
+			wcfg := ycsb.DefaultConfig()
+			wcfg.Rows = 20000
+			w, err := ycsb.Load(db, wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := core.RunN(core.NewLockEngine(db), 4, 300, w.Generator())
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			t.Logf("abort rate %.3f, %.0f txn/s", res.Report.AbortRate, res.Report.ThroughputTPS)
+			if res.Report.AbortRate >= 0.5 {
+				t.Errorf("abort rate %.3f: aborted attempts retry without backing off", res.Report.AbortRate)
+			}
 		})
 	}
 }
@@ -216,7 +253,7 @@ func TestUpgradeSerializability(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			h := verifytest.NewHistory()
-			cfg.CaptureReads, cfg.OnCommit = true, h.Hook
+			cfg.OnCommit = h.Hook
 			db := core.NewDB(cfg)
 			opts := verifytest.DefaultOptions()
 			opts.RMWRatio = 0.5

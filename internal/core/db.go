@@ -57,10 +57,12 @@ type Config struct {
 	Partitions int
 
 	// AbortBackoffMax bounds the randomized retry backoff after an abort
-	// (DBx1000's ABORT_PENALTY). Zero disables backoff on the lock-engine
-	// path; the IC3/chop executor instead falls back to a small default
-	// (see chop.Session.retryBackoff), where the jitter is a liveness
-	// requirement rather than a tuning option.
+	// (DBx1000's ABORT_PENALTY). Zero means no backoff for Bamboo and
+	// Wound-Wait, whose requesters wait in the lock table, and
+	// DefaultAbortBackoff wherever the jitter is a liveness requirement
+	// rather than a tuning option: No-Wait and Wait-Die, whose only
+	// answer to a conflict is to abort (lockSession.backoff), and the
+	// IC3/chop executor (chop.Session.retryBackoff).
 	AbortBackoffMax time.Duration
 
 	// ManualRetire disables the executor's automatic write retiring;
@@ -69,17 +71,12 @@ type Config struct {
 	// synthesizes retire conditions.
 	ManualRetire bool
 
-	// CaptureReads makes Update record the pre-mutation image so the
-	// serializability verifier can extract read observations. Off for
-	// benchmarks.
-	CaptureReads bool
-
 	// OnCommit, if non-nil, receives every committed transaction
 	// (testing/verification only; it runs inside the commit critical
-	// path, under the transaction's locks). Together with CaptureReads it
-	// decides, once, at NewDB, who owns superseded row images: a hook may
-	// retain the images its AccessInfo references, so with either set no
-	// image is ever recycled (see DB.recycle).
+	// path, under the transaction's locks). It also decides, once, at
+	// NewDB, who owns superseded row images: a hook may retain the images
+	// its AccessInfo references, so with one set no image is ever
+	// recycled (see DB.recycle).
 	OnCommit OnCommitHook
 
 	// LogDevice overrides the WAL device (nil = in-memory, not recording).
@@ -146,12 +143,14 @@ type Config struct {
 	// atomic mirror writes; to share one registry (and port) across
 	// several DBs, leave this empty and call DB.EnableMetrics instead.
 	MetricsAddr string
-	// MetricsInterval is the periodic rate-collector tick (aborts/sec
-	// etc. are derived from successive counter samples outside the hot
-	// path); zero defaults to telemetry.DefaultCollectInterval. Only
-	// meaningful with MetricsAddr.
-	MetricsInterval time.Duration
 }
+
+// DefaultAbortBackoff is the jittered retry-backoff bound used when
+// Config.AbortBackoffMax is unset by the executors that cannot do
+// without one: an abort-only lock variant or an IC3 piece that retries
+// at once spins on the conflict it just lost, and on more than one core
+// the holder it is waiting out may never get to finish.
+const DefaultAbortBackoff = 200 * time.Microsecond
 
 // Bamboo returns the paper's full configuration: all four optimizations
 // with δ = 0.15.
@@ -211,10 +210,10 @@ type DB struct {
 	// storage of a superseded committed image may be reused for a later
 	// write copy only when nothing outside the engine can hold a reference
 	// to it — no commit hook, which may retain the images of its
-	// AccessInfo, and no CaptureReads, which exists to feed one. It gates
-	// both harvests: the lock table's capture at release (which MVCC
-	// additionally forfeits, because version chains adopt every committed
-	// image) and the version chain's detached tails in installVersions.
+	// AccessInfo. It gates both harvests: the lock table's capture at
+	// release (which MVCC additionally forfeits, because version chains
+	// adopt every committed image) and the version chain's detached tails
+	// in installVersions.
 	recycle bool
 
 	// live is the atomic telemetry mirror every session's collector
@@ -242,7 +241,7 @@ func NewDB(cfg Config) *DB {
 		Catalog: storage.NewCatalog(),
 		Global:  &stats.Global{},
 		cfg:     cfg,
-		recycle: !cfg.CaptureReads && cfg.OnCommit == nil,
+		recycle: cfg.OnCommit == nil,
 	}
 	// Partition telemetry only for actually-partitioned runs: with the
 	// single-partition layout every worker would hammer one shared counter
@@ -276,7 +275,6 @@ func NewDB(cfg Config) *DB {
 	}
 	if cfg.MetricsAddr != "" {
 		reg := telemetry.NewRegistry()
-		reg.StartCollector(cfg.MetricsInterval)
 		addr, err := reg.Serve(cfg.MetricsAddr)
 		if err != nil {
 			panic(fmt.Sprintf("core: serve metrics on %s: %v", cfg.MetricsAddr, err))

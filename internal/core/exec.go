@@ -106,8 +106,6 @@ type access struct {
 	req     *lock.Request
 	mode    lock.Mode
 	retired bool
-	// readImage is the pre-mutation image captured for the verifier.
-	readImage []byte
 }
 
 // AccessInfo is the verifier-visible view of one access of a committed
@@ -116,8 +114,8 @@ type AccessInfo struct {
 	Table string
 	Key   uint64
 	Mode  lock.Mode
-	// Read is the image observed (for EX: the pre-mutation image if
-	// CaptureReads was set, else nil).
+	// Read is the image observed (for EX: the installed pre-mutation
+	// image the private write copy was built from, lock.Request.Read).
 	Read []byte
 	// Wrote is the installed after-image (EX only).
 	Wrote []byte
@@ -337,12 +335,6 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 			// latch. The retire decision (shouldRetire) depends only on
 			// declared-ops bookkeeping, so it can be taken up front.
 			if tx.shouldRetire() {
-				if tx.db.cfg.CaptureReads && a.readImage == nil {
-					// One reference, not a clone: the shared grant's image
-					// is installed and immutable, and CaptureReads forces
-					// image recycling off, so it stays valid past release.
-					a.readImage = a.req.Data
-				}
 				tx.s.giveSpare(a.req)
 				img := a.req.CloneImage()
 				mutate(img)
@@ -373,11 +365,6 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 			// No opIndex increment: the row was already counted at its
 			// Read, and workloads declare an RMW row as one access — a
 			// second count would skew the δ-retire cutoff.
-			if tx.db.cfg.CaptureReads && a.readImage == nil {
-				// Upgrade saved the observed installed image in req.Read;
-				// reference it (immutable, recycling off under CaptureReads).
-				a.readImage = a.req.Read
-			}
 			mutate(a.req.Data)
 			return nil
 		}
@@ -395,11 +382,6 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 	}
 	tx.opIndex++
 	i := tx.record(row, req, lock.EX)
-	if tx.db.cfg.CaptureReads {
-		// The grant saved the observed installed image in req.Read;
-		// reference it (immutable, recycling off under CaptureReads).
-		tx.accesses[i].readImage = req.Read
-	}
 	mutate(req.Data)
 	if tx.shouldRetire() {
 		tx.db.Lock.Retire(req)
@@ -527,7 +509,7 @@ func (tx *lockTx) Accesses() []AccessInfo {
 		}
 		if a.mode == lock.EX {
 			info.Wrote = a.req.Data
-			info.Read = a.readImage
+			info.Read = a.req.Read
 		} else {
 			info.Read = a.req.Data
 		}
@@ -880,10 +862,15 @@ func (s *lockSession) route(pid int, w wal.Write) {
 	rec.Writes = append(rec.Writes, w)
 }
 
+// backoff sleeps a jittered interval before an aborted attempt retries
+// (see Config.AbortBackoffMax for who sleeps when the knob is unset).
 func (s *lockSession) backoff() {
 	max := s.db.cfg.AbortBackoffMax
 	if max <= 0 {
-		return
+		if v := s.db.cfg.Variant; v != lock.NoWait && v != lock.WaitDie {
+			return
+		}
+		max = DefaultAbortBackoff
 	}
 	time.Sleep(time.Duration(s.rng.Int63n(int64(max))))
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"bamboo/internal/core"
 	"bamboo/internal/stats"
@@ -26,7 +25,6 @@ func TestMetricsScrapeDuringRun(t *testing.T) {
 	cfg := core.Bamboo()
 	cfg.Partitions = 4
 	cfg.MetricsAddr = "127.0.0.1:0"
-	cfg.MetricsInterval = time.Millisecond
 	db := core.NewDB(cfg)
 	defer db.Close()
 
@@ -199,11 +197,9 @@ func TestMetricsSharedRegistry(t *testing.T) {
 }
 
 // TestAllocBudgetMetricsEnabled is the observability alloc gate: with the
-// endpoint serving, the rate collector ticking and the Live mirror
-// attached, the hot path must allocate exactly what it does with metrics
-// off — the mirror is plain atomic adds into preallocated memory.
-// testing.AllocsPerRun counts allocations from ALL goroutines, so this
-// also proves the background collector's sampling loop is alloc-free.
+// endpoint serving and the Live mirror attached, the hot path must
+// allocate exactly what it does with metrics off — the mirror is plain
+// atomic adds into preallocated memory.
 func TestAllocBudgetMetricsEnabled(t *testing.T) {
 	plain := measureAllocsPerTxn(t, core.Bamboo())
 

@@ -143,10 +143,10 @@ func TestMVCCCommitHookRetainedImages(t *testing.T) {
 }
 
 // TestCommitHookRetainedImages is the lock-table side of the same rule: a
-// plain Bamboo DB (no MVCC, no CaptureReads) whose only reason not to
-// recycle is the hook. Without the rule the commit release captures the
-// superseded image — the one the hook kept one commit earlier — and the
-// next write grant builds its copy in it.
+// plain Bamboo DB (no MVCC) whose only reason not to recycle is the
+// hook. Without the rule the commit release captures the superseded
+// image — the one the hook kept one commit earlier — and the next write
+// grant builds its copy in it.
 func TestCommitHookRetainedImages(t *testing.T) {
 	testHookRetainedImages(t, core.Bamboo())
 }

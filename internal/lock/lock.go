@@ -137,10 +137,10 @@ type Request struct {
 
 	// Read is the installed image an exclusive grant or upgrade observed
 	// — the immutable pre-image its private copy (Data) was built from.
-	// Executors that capture read images use it as a reference instead of
-	// cloning; it is meaningful only while the request is held, and only
-	// safe to retain past release when image recycling is off (installed
-	// images are then never overwritten).
+	// The executor reports it to a commit hook (core.AccessInfo.Read) as a
+	// reference instead of cloning; it is meaningful only while the
+	// request is held, and only safe to retain past release when image
+	// recycling is off (installed images are then never overwritten).
 	Read []byte
 
 	// gen counts recycles through a Pool; tests use it to detect

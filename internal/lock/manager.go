@@ -37,9 +37,9 @@ type Config struct {
 	// and the next exclusive grant builds its private copy in that storage
 	// instead of allocating. Safe only while nothing outside the lock
 	// table retains references to installed images past release:
-	// core.NewDB enables it exactly when MVCC version chains, CaptureReads
-	// and commit hooks are all off. Off (the zero value), images are
-	// never overwritten after publication.
+	// core.NewDB enables it exactly when MVCC version chains and commit
+	// hooks are both off. Off (the zero value), images are never
+	// overwritten after publication.
 	RecycleImages bool
 
 	// OnWound, if non-nil, is called once per transaction newly wounded by
@@ -653,9 +653,9 @@ func (m *Manager) releaseLocked(e *Entry, r *Request, isAbort bool) {
 	//     may still hold r.Data, and the restored pre-image is live again.
 	//
 	// Capture is gated on Config.RecycleImages because components outside
-	// the lock table (MVCC chains, CaptureReads, commit hooks) may retain
-	// image references past release; core.NewDB enables recycling only
-	// when none of them are active.
+	// the lock table (MVCC chains, commit hooks) may retain image
+	// references past release; core.NewDB enables recycling only when
+	// neither is active.
 	if r.Mode == EX {
 		if isAbort {
 			// Sequence-guarded restore: cascaded aborts arrive in

@@ -20,7 +20,7 @@ func newEngine(t *testing.T, cfg core.Config) *occ.Engine {
 // recorded in the returned history.
 func newVerifiedEngine(t *testing.T) (*occ.Engine, *verifytest.History) {
 	h := verifytest.NewHistory()
-	return newEngine(t, core.Config{CaptureReads: true, OnCommit: h.Hook}), h
+	return newEngine(t, core.Config{OnCommit: h.Hook}), h
 }
 
 func TestSiloSerializability(t *testing.T) {

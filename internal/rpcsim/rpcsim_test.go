@@ -12,7 +12,7 @@ import (
 func TestInteractiveSerializability(t *testing.T) {
 	h := verifytest.NewHistory()
 	cfg := core.Bamboo()
-	cfg.CaptureReads, cfg.OnCommit = true, h.Hook
+	cfg.OnCommit = h.Hook
 	db := core.NewDB(cfg)
 	e := rpcsim.New(core.NewLockEngine(db), rpcsim.Config{RTT: time.Microsecond})
 	opts := verifytest.DefaultOptions()

@@ -158,16 +158,6 @@ func (g *Global) PartitionAt(pid int) (accesses, conflicts uint64) {
 	return g.parts[pid].Accesses.Load(), g.parts[pid].Conflicts.Load()
 }
 
-// PartitionTotals sums accesses and conflicts over all partitions with no
-// allocation (the periodic telemetry collector's rate path).
-func (g *Global) PartitionTotals() (accesses, conflicts uint64) {
-	for i := range g.parts {
-		accesses += g.parts[i].Accesses.Load()
-		conflicts += g.parts[i].Conflicts.Load()
-	}
-	return
-}
-
 func accessOf(c *PartitionCounter) uint64   { return c.Accesses.Load() }
 func conflictOf(c *PartitionCounter) uint64 { return c.Conflicts.Load() }
 
@@ -268,93 +258,95 @@ func (c *Collector) Merge(other *Collector) {
 	c.Lat.Merge(&other.Lat)
 }
 
-// Report is an immutable summary of a run.
+// Report is an immutable summary of a run, and — through its JSON tags —
+// the per-point record of the bench result document
+// (internal/bench/report embeds it). Durations marshal as integer
+// nanoseconds, hence the _ns key suffixes.
 type Report struct {
-	Protocol string
-	Workers  int
+	Protocol string `json:"protocol"`
+	Workers  int    `json:"workers"`
 
-	Commits uint64
-	Aborts  uint64
+	Commits uint64 `json:"commits"`
+	Aborts  uint64 `json:"aborts"`
 	// AbortRate is aborted attempts / total attempts.
-	AbortRate float64
+	AbortRate float64 `json:"abort_rate"`
 	// AbortsBy maps cause name → count.
-	AbortsBy map[string]uint64
+	AbortsBy map[string]uint64 `json:"aborts_by,omitempty"`
 
 	// ThroughputTPS is committed transactions per second of wall time.
-	ThroughputTPS float64
+	ThroughputTPS float64 `json:"throughput_tps"`
 
 	// Amortized per-committed-transaction runtime breakdown (the paper's
 	// "amortized runtime per txn" figures).
-	PerTxnLockWait   time.Duration
-	PerTxnCommitWait time.Duration
-	PerTxnAbort      time.Duration
-	PerTxnUseful     time.Duration
+	PerTxnLockWait   time.Duration `json:"lock_wait_ns"`
+	PerTxnCommitWait time.Duration `json:"commit_wait_ns"`
+	PerTxnAbort      time.Duration `json:"abort_ns"`
+	PerTxnUseful     time.Duration `json:"useful_ns"`
 
-	Wounds   uint64
-	Cascades uint64
-	AvgChain float64
-	MaxChain uint64
+	Wounds   uint64  `json:"wounds,omitempty"`
+	Cascades uint64  `json:"cascades,omitempty"`
+	AvgChain float64 `json:"avg_chain,omitempty"`
+	MaxChain uint64  `json:"max_chain,omitempty"`
 
 	// Lock-upgrade and early-release telemetry: successful SH→EX
 	// promotions and retires (writes made visible before commit).
-	Upgrades uint64
-	Retires  uint64
+	Upgrades uint64 `json:"upgrades,omitempty"`
+	Retires  uint64 `json:"retires,omitempty"`
 
 	// MVCC snapshot-read telemetry (zero on non-MVCC runs): reads served
 	// lock-free at a snapshot, version nodes reclaimed (install-time
 	// reuse plus background sweeps), and the longest version chain the
 	// pruner observed.
-	SnapshotReads   uint64
-	VersionsPruned  uint64
-	VersionChainMax uint64
+	SnapshotReads   uint64 `json:"snapshot_reads,omitempty"`
+	VersionsPruned  uint64 `json:"versions_pruned,omitempty"`
+	VersionChainMax uint64 `json:"version_chain_max,omitempty"`
 
 	// Row-image buffer telemetry: fresh image allocations on the write
 	// path and copies served from recycled spare buffers instead.
-	ImageCopies       uint64
-	ImagePoolRecycled uint64
+	ImageCopies       uint64 `json:"image_copies,omitempty"`
+	ImagePoolRecycled uint64 `json:"image_pool_recycled,omitempty"`
 
 	// Per-partition telemetry (partition-aware runs only): accesses and
 	// conflicts per partition id, and the access skew — the hottest
 	// partition's share of accesses relative to a perfectly balanced
 	// spread (1.0 = balanced, NumPartitions = everything on one).
-	PartitionAccesses  []uint64
-	PartitionConflicts []uint64
-	PartitionSkew      float64
+	PartitionAccesses  []uint64 `json:"partition_accesses,omitempty"`
+	PartitionConflicts []uint64 `json:"partition_conflicts,omitempty"`
+	PartitionSkew      float64  `json:"partition_skew,omitempty"`
 
 	// LoadTime is the workload load wall time; set by the bench harness
 	// (zero when not measured).
-	LoadTime time.Duration
+	LoadTime time.Duration `json:"load_ns,omitempty"`
 
 	// WAL durability telemetry for the run's DB, set by the bench
 	// harness from the log devices (zero when not measured): records and
 	// device write operations (what group commit amortizes), payload
 	// bytes, and fsync count/time (what a real device charges).
-	WALAppends  uint64
-	WALBatches  uint64
-	WALBytes    uint64
-	WALSyncs    uint64
-	WALSyncTime time.Duration
+	WALAppends  uint64        `json:"wal_appends,omitempty"`
+	WALBatches  uint64        `json:"wal_batches,omitempty"`
+	WALBytes    uint64        `json:"wal_bytes,omitempty"`
+	WALSyncs    uint64        `json:"wal_syncs,omitempty"`
+	WALSyncTime time.Duration `json:"fsync_ns,omitempty"`
 
 	// Storage-lifecycle telemetry (checkpoint-enabled runs only): fuzzy
 	// snapshots written and their cumulative capture+write time, and the
 	// live (not yet truncated) WAL bytes at the end of the run — the
 	// quantity log truncation bounds.
-	CheckpointCount uint64
-	CheckpointTime  time.Duration
-	LogBytesLive    int64
+	CheckpointCount uint64        `json:"checkpoints,omitempty"`
+	CheckpointTime  time.Duration `json:"checkpoint_ns,omitempty"`
+	LogBytesLive    int64         `json:"log_bytes_live,omitempty"`
 
 	// Commit-latency distribution (lock wait + execution + commit wait),
 	// from the merged worker histograms.
-	LatencyMean time.Duration
-	LatencyP50  time.Duration
-	LatencyP90  time.Duration
-	LatencyP95  time.Duration
-	LatencyP99  time.Duration
-	LatencyP999 time.Duration
-	LatencyMax  time.Duration
+	LatencyMean time.Duration `json:"latency_mean_ns"`
+	LatencyP50  time.Duration `json:"latency_p50_ns"`
+	LatencyP90  time.Duration `json:"latency_p90_ns"`
+	LatencyP95  time.Duration `json:"latency_p95_ns"`
+	LatencyP99  time.Duration `json:"latency_p99_ns"`
+	LatencyP999 time.Duration `json:"latency_p999_ns"`
+	LatencyMax  time.Duration `json:"latency_max_ns"`
 
-	Elapsed      time.Duration
-	TotalWorkers int
+	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
 // Summarize merges the worker collectors and derives a report. g carries
@@ -445,10 +437,6 @@ func Skew(accesses []uint64) float64 {
 	mean := float64(sum) / float64(len(accesses))
 	return float64(max) / mean
 }
-
-// The one-line table rendering of a report lives in
-// bench/report.Point.String, the single formatter on the reporting
-// path; convert with report.PointFrom.
 
 // BreakdownRow returns the four per-transaction time components in the
 // order the paper's stacked bars use: lock wait, abort, commit wait,

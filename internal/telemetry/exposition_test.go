@@ -79,11 +79,6 @@ func fixedRegistry() *Registry {
 			}
 		},
 	})
-	r.mu.Lock()
-	r.rates = Rates{IntervalSeconds: 1, CommitsPerSec: 600, AbortsPerSec: 17,
-		ConflictsPerSec: 3.5, WALSyncsPerSec: 59, SnapshotReadsPerSec: 2500}
-	r.hasRates = true
-	r.mu.Unlock()
 	return r
 }
 
@@ -186,9 +181,6 @@ func TestEndpoints(t *testing.T) {
 	if len(snap.PartitionConflicts) != 2 || snap.PartitionConflicts[0] != 7 {
 		t.Fatalf("partition conflicts = %v", snap.PartitionConflicts)
 	}
-	if snap.Rates == nil || snap.Rates.CommitsPerSec != 600 {
-		t.Fatalf("rates = %+v", snap.Rates)
-	}
 
 	_, body = get("/healthz")
 	if string(body) != "ok\n" {
@@ -221,53 +213,6 @@ func TestServeBindsAndCloses(t *testing.T) {
 	if r.Addr() != "" {
 		t.Fatal("Addr() nonempty after Close")
 	}
-}
-
-// TestCollectorRates drives collect() with an injected clock and checks
-// the derived rates, including the reset on source change.
-func TestCollectorRates(t *testing.T) {
-	r := NewRegistry()
-	now := time.Unix(1700000000, 0)
-	r.now = func() time.Time { return now }
-
-	live := &stats.Live{}
-	g := &stats.Global{}
-	g.InitPartitions(1)
-	src := &Sources{Protocol: "BAMBOO", Live: live, Global: g}
-	r.Attach(src)
-
-	live.Commits.Store(100)
-	r.collect() // baseline sample: no rates yet
-	if _, ok := snapshotRates(r); ok {
-		t.Fatal("rates present after a single sample")
-	}
-
-	now = now.Add(2 * time.Second)
-	live.Commits.Store(300)
-	live.Aborts.Store(10)
-	r.collect()
-	rates, ok := snapshotRates(r)
-	if !ok {
-		t.Fatal("no rates after two samples")
-	}
-	if rates.CommitsPerSec != 100 || rates.AbortsPerSec != 5 {
-		t.Fatalf("rates = %+v, want 100 commits/s, 5 aborts/s", rates)
-	}
-
-	// A new source resets the baseline: no rates from mixed samples.
-	next := &Sources{Protocol: "BAMBOO", Live: &stats.Live{}}
-	r.Attach(next)
-	now = now.Add(time.Second)
-	r.collect()
-	if _, ok := snapshotRates(r); ok {
-		t.Fatal("rates survived a source change")
-	}
-}
-
-func snapshotRates(r *Registry) (Rates, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rates, r.hasRates
 }
 
 // TestMetricSetMatchesDocs fails when the exposition and its reference

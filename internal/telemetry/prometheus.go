@@ -96,17 +96,6 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 	}
 	fmt.Fprintf(w, "bamboo_txn_latency_seconds_sum %s\n", fmtFloat(time.Duration(live.Lat.Sum()).Seconds()))
 	fmt.Fprintf(w, "bamboo_txn_latency_seconds_count %d\n", n)
-
-	r.mu.Lock()
-	rates, ok := r.rates, r.hasRates
-	r.mu.Unlock()
-	if ok {
-		gauge(w, "bamboo_txn_commits_per_second", "Commit rate over the last collector interval.", rates.CommitsPerSec)
-		gauge(w, "bamboo_txn_aborts_per_second", "Abort rate over the last collector interval.", rates.AbortsPerSec)
-		gauge(w, "bamboo_partition_conflicts_per_second", "Conflict rate over the last collector interval.", rates.ConflictsPerSec)
-		gauge(w, "bamboo_wal_syncs_per_second", "WAL fsync rate over the last collector interval.", rates.WALSyncsPerSec)
-		gauge(w, "bamboo_snapshot_reads_per_second", "Snapshot-read rate over the last collector interval.", rates.SnapshotReadsPerSec)
-	}
 }
 
 func header(w io.Writer, name, help, typ string) {

@@ -7,24 +7,17 @@ import (
 )
 
 // Registry is the scrape target: it holds at most one attached Sources
-// (the current run's counters), the derived per-second rates, and the
-// optional HTTP server and collector goroutine. All methods are safe for
-// concurrent use. The zero value is not usable; call NewRegistry.
+// (the current run's counters) and the optional HTTP server. All methods
+// are safe for concurrent use. The zero value is not usable; call
+// NewRegistry.
 type Registry struct {
 	start time.Time
 	now   func() time.Time // injectable clock for tests
 
 	src atomic.Pointer[Sources]
 
-	mu       sync.Mutex // guards rates, prev, collector/server state below
-	rates    Rates
-	hasRates bool
-	prev     rateSample
-	prevSrc  *Sources
-	interval time.Duration
-	stopC    chan struct{}
-	doneC    chan struct{}
-	server   *metricsServer
+	mu     sync.Mutex // guards server
+	server *metricsServer
 }
 
 // NewRegistry creates an empty registry. Until Attach it reports
@@ -34,16 +27,8 @@ func NewRegistry() *Registry {
 }
 
 // Attach points the registry at src's counters; subsequent scrapes read
-// them. Attaching replaces any previous source and resets the rate
-// baseline. Call it before the run's workers start so no sample mixes two
-// runs' counters.
-func (r *Registry) Attach(src *Sources) {
-	r.src.Store(src)
-	r.mu.Lock()
-	r.prevSrc = nil
-	r.hasRates = false
-	r.mu.Unlock()
-}
+// them. Attaching replaces any previous source.
+func (r *Registry) Attach(src *Sources) { r.src.Store(src) }
 
 // Detach clears the source, but only if src is still the attached one —
 // so a finishing run cannot detach its successor's counters when runs
@@ -56,132 +41,15 @@ func (r *Registry) Detach(src *Sources) {
 	r.src.CompareAndSwap(src, nil)
 }
 
-// Close stops the collector goroutine and the HTTP server (if running).
-// The registry remains scrapeable via Handler afterwards.
+// Close stops the HTTP server (if running). The registry remains
+// scrapeable via Handler afterwards.
 func (r *Registry) Close() error {
 	r.mu.Lock()
-	stop, done := r.stopC, r.doneC
-	r.stopC, r.doneC = nil, nil
 	srv := r.server
 	r.server = nil
 	r.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 	if srv != nil {
 		return srv.close()
 	}
 	return nil
-}
-
-// DefaultCollectInterval is the collector tick used when StartCollector
-// (or Serve) is given a non-positive interval.
-const DefaultCollectInterval = time.Second
-
-// Rates are the most recent collector-derived per-second deltas —
-// computed outside the hot path from two successive counter samples.
-type Rates struct {
-	// IntervalSeconds is the measured wall time between the two samples.
-	IntervalSeconds     float64 `json:"interval_seconds"`
-	CommitsPerSec       float64 `json:"commits_per_sec"`
-	AbortsPerSec        float64 `json:"aborts_per_sec"`
-	ConflictsPerSec     float64 `json:"conflicts_per_sec"`
-	WALSyncsPerSec      float64 `json:"wal_syncs_per_sec"`
-	SnapshotReadsPerSec float64 `json:"snapshot_reads_per_sec"`
-}
-
-// rateSample is one counter reading; the collector keeps the previous one
-// to difference against. Plain values, touched only by the collector
-// goroutine (prev/prevSrc are additionally guarded by mu because Attach
-// resets them).
-type rateSample struct {
-	at        time.Time
-	commits   uint64
-	aborts    uint64
-	conflicts uint64
-	walSyncs  uint64
-	snapReads uint64
-}
-
-// StartCollector starts the periodic sampler deriving Rates every d
-// (non-positive means DefaultCollectInterval). Idempotent; the first call
-// wins. The sampling loop performs only atomic loads and mutex-guarded
-// stat reads — no allocation — so it may run during alloc-budget
-// measurements without skewing them.
-func (r *Registry) StartCollector(d time.Duration) {
-	if d <= 0 {
-		d = DefaultCollectInterval
-	}
-	r.mu.Lock()
-	if r.stopC != nil {
-		r.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	r.stopC, r.doneC, r.interval = stop, done, d
-	r.mu.Unlock()
-
-	go func() {
-		defer close(done)
-		t := time.NewTicker(d)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				r.collect()
-			}
-		}
-	}()
-}
-
-// collect takes one counter sample and folds it into Rates. A source
-// change or a counter going backwards (a new run re-attached the same
-// Live) resets the baseline instead of reporting a negative rate.
-func (r *Registry) collect() {
-	src := r.src.Load()
-	if src == nil || src.Live == nil {
-		r.mu.Lock()
-		r.prevSrc = nil
-		r.hasRates = false
-		r.mu.Unlock()
-		return
-	}
-	cur := rateSample{
-		at:      r.now(),
-		commits: src.Live.Commits.Load(),
-		aborts:  src.Live.Aborts.Load(),
-	}
-	if src.Global != nil {
-		_, cur.conflicts = src.Global.PartitionTotals()
-	}
-	if src.WAL != nil {
-		cur.walSyncs = src.WAL().Syncs
-	}
-	cur.snapReads = src.Live.SnapshotReads.Load()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	prev, ok := r.prev, r.prevSrc == src
-	r.prev, r.prevSrc = cur, src
-	if !ok || cur.commits < prev.commits || cur.aborts < prev.aborts {
-		r.hasRates = false
-		return
-	}
-	dt := cur.at.Sub(prev.at).Seconds()
-	if dt <= 0 {
-		return
-	}
-	r.rates = Rates{
-		IntervalSeconds:     dt,
-		CommitsPerSec:       float64(cur.commits-prev.commits) / dt,
-		AbortsPerSec:        float64(cur.aborts-prev.aborts) / dt,
-		ConflictsPerSec:     float64(cur.conflicts-prev.conflicts) / dt,
-		WALSyncsPerSec:      float64(cur.walSyncs-prev.walSyncs) / dt,
-		SnapshotReadsPerSec: float64(cur.snapReads-prev.snapReads) / dt,
-	}
-	r.hasRates = true
 }

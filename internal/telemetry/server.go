@@ -45,9 +45,8 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // Serve starts the HTTP endpoint on addr (":0" binds a free port) and
-// returns the bound address. It also starts the rate collector at the
-// default interval if none is running — a served registry should always
-// have fresh rates. Serving twice is an error; Close stops the server.
+// returns the bound address. Serving twice is an error; Close stops the
+// server.
 func (r *Registry) Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -64,7 +63,6 @@ func (r *Registry) Serve(addr string) (string, error) {
 	r.server = s
 	r.mu.Unlock()
 	go srv.Serve(ln)
-	r.StartCollector(0)
 	return s.addr, nil
 }
 

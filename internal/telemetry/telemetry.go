@@ -13,10 +13,9 @@
 // The collection path is read-only atomic loads against stats.Live /
 // stats.Global mirrors plus the already-synchronized WAL and checkpoint
 // accessors, so a scrape never takes a lock a worker holds and never
-// perturbs the zero-allocation hot path. The optional periodic collector
-// (StartCollector) samples the counters on a ticker and derives
-// per-second rates outside the hot path; its sampling loop does not
-// allocate, so it can run during alloc-budget measurements.
+// perturbs the zero-allocation hot path. Every series is a cumulative
+// counter or a gauge; per-second rates are the scraper's to derive
+// (docs/METRICS.md gives the PromQL).
 //
 // A Registry outlives any one DB: Attach points it at a run's counters,
 // Detach (or attaching the next run's sources) ends that; scrapes between
@@ -112,8 +111,6 @@ type Snapshot struct {
 	LatencyCount            uint64             `json:"latency_count"`
 	LatencySumSeconds       float64            `json:"latency_sum_seconds"`
 	LatencyQuantilesSeconds map[string]float64 `json:"latency_quantiles_seconds,omitempty"`
-
-	Rates *Rates `json:"rates,omitempty"`
 }
 
 // Snapshot reads every attached counter once. Allocates (maps, slices);
@@ -179,12 +176,5 @@ func (r *Registry) Snapshot() Snapshot {
 			s.LatencyQuantilesSeconds[lbl] = qv[i].Seconds()
 		}
 	}
-
-	r.mu.Lock()
-	if r.hasRates {
-		rates := r.rates
-		s.Rates = &rates
-	}
-	r.mu.Unlock()
 	return s
 }

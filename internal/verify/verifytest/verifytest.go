@@ -62,7 +62,7 @@ func BuildDB(db *core.DB, rows int) *storage.Table {
 // is built:
 //
 //	h := verifytest.NewHistory()
-//	cfg.CaptureReads, cfg.OnCommit = true, h.Hook
+//	cfg.OnCommit = h.Hook
 //	db := core.NewDB(cfg)
 type History struct {
 	hist   *verify.History
@@ -148,8 +148,7 @@ func (h *History) dumpTxn(t *testing.T, id uint64) {
 
 // RunSerializability drives a random contentious workload through the
 // engine and checks the committed history for serializability. The engine
-// must run over a core.DB built with CaptureReads set and h.Hook as its
-// Config.OnCommit.
+// must run over a core.DB built with h.Hook as its Config.OnCommit.
 func RunSerializability(t *testing.T, e core.Engine, h *History, opts Options) {
 	t.Helper()
 	db := e.Database()
