@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Vacuous-exporter guard: run a real benchmark with the live metrics
-# endpoint enabled and scrape /metrics mid-run. The endpoint must show the
-# counters actually moving — per-partition conflicts, WAL fsyncs, latency
-# quantiles — not just render valid exposition over zeros. A refactor that
-# detaches the Live mirror, drops the partition counters, or stops wiring
-# WAL stats keeps every unit test green; this catches it.
+# endpoint enabled and scrape /metrics and /debug/vars mid-run. The
+# endpoints must show the counters actually moving — per-partition
+# conflicts, WAL fsyncs, latency quantiles, the useful-time breakdown —
+# not just render valid exposition over zeros. A refactor that detaches
+# the Live mirror, drops the partition counters, or stops wiring WAL stats
+# keeps every unit test green; this catches it.
 #
 # The workload is the durability sweep at quick scale: file-backed WALs
 # (so bamboo_wal_syncs_total must advance) under zipfian contention (so
@@ -45,6 +46,8 @@ saw_conflicts=0
 saw_syncs=0
 saw_quantile=0
 saw_recycled=0
+saw_useful=0
+saw_vars=0
 scrapes=0
 while kill -0 "$pid" 2>/dev/null; do
   if curl -sf "http://$addr/metrics" > "$BASE/scrape.txt" 2>/dev/null; then
@@ -66,12 +69,24 @@ while kill -0 "$pid" 2>/dev/null; do
     if grep -Eq '^bamboo_image_pool_recycled_total [1-9]' "$BASE/scrape.txt"; then
       saw_recycled=1
     fi
+    # The four-way time breakdown is mirrored live; useful time is nonzero
+    # on every run that commits anything.
+    if grep -Eq '^bamboo_txn_useful_seconds_total (0\.0*)?[1-9]' "$BASE/scrape.txt"; then
+      saw_useful=1
+    fi
+  fi
+  # /debug/vars is the same report as JSON: commits and the mirrored
+  # breakdown must move there too, in one and the same document.
+  if curl -sf "http://$addr/debug/vars" > "$BASE/vars.json" 2>/dev/null &&
+    grep -Eq '"commits": [1-9]' "$BASE/vars.json" &&
+    grep -Eq '"useful_ns": [1-9]' "$BASE/vars.json"; then
+    saw_vars=1
   fi
   sleep 0.2
 done
 wait "$pid" || { echo "bench run failed"; cat "$BASE/bench.log"; exit 1; }
 
-echo "scrapes: $scrapes (conflicts=$saw_conflicts syncs=$saw_syncs quantile=$saw_quantile recycled=$saw_recycled)"
+echo "scrapes: $scrapes (conflicts=$saw_conflicts syncs=$saw_syncs quantile=$saw_quantile recycled=$saw_recycled useful=$saw_useful vars=$saw_vars)"
 fail=0
 if [ "$saw_conflicts" != 1 ]; then
   echo "FAIL: no scrape showed a nonzero bamboo_partition_conflicts_total"
@@ -89,9 +104,19 @@ if [ "$saw_recycled" != 1 ]; then
   echo "FAIL: no scrape showed a nonzero bamboo_image_pool_recycled_total"
   fail=1
 fi
+if [ "$saw_useful" != 1 ]; then
+  echo "FAIL: no scrape showed a nonzero bamboo_txn_useful_seconds_total"
+  fail=1
+fi
+if [ "$saw_vars" != 1 ]; then
+  echo "FAIL: no /debug/vars showed nonzero commits and useful_ns"
+  fail=1
+fi
 if [ "$fail" != 0 ]; then
   echo "== last scrape =="
   cat "$BASE/scrape.txt" 2>/dev/null || echo "(no successful scrape)"
+  echo "== last /debug/vars =="
+  cat "$BASE/vars.json" 2>/dev/null || echo "(no successful fetch)"
   exit 1
 fi
 

@@ -311,18 +311,7 @@ func runPointOnce(s Scale, b engineBuilder, interactive bool,
 	res.Report.LoadTime = loadTime
 	// Durability telemetry from the DB's log devices, read before Close so
 	// the numbers are the steady-state run's (no shutdown sync).
-	ws := db.WALStats()
-	res.Report.WALAppends = ws.Appends
-	res.Report.WALBatches = ws.Batches
-	res.Report.WALBytes = ws.Bytes
-	res.Report.WALSyncs = ws.Syncs
-	res.Report.WALSyncTime = ws.SyncTime
-	cs := db.CheckpointStats()
-	res.Report.CheckpointCount = cs.Checkpoints
-	res.Report.CheckpointTime = cs.Time
-	if cs.Checkpoints > 0 {
-		res.Report.LogBytesLive = db.LogLiveBytes()
-	}
+	db.FillStorage(&res.Report)
 	return res.Report
 }
 

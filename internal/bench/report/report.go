@@ -18,8 +18,9 @@ import (
 // SchemaVersion identifies the JSON layout. Bump it on any
 // backwards-incompatible change to the structs below or to the tags of
 // stats.Report (TestReportDocumentKeys pins the key set). Version 2
-// flattened version 1's nested latency_ns / breakdown_ns objects.
-const SchemaVersion = 2
+// flattened version 1's nested latency_ns / breakdown_ns objects; version
+// 3 added truncations and truncated_bytes.
+const SchemaVersion = 3
 
 // File is the top-level result document: one benchmark invocation,
 // covering one or more experiments at a single scale, annotated with

@@ -45,7 +45,7 @@ func sample() *File {
 	return f
 }
 
-// documentKeys is the key set of a schema-version-2 document, as dotted
+// documentKeys is the key set of a schema-version-3 document, as dotted
 // paths (array elements share their parent's path). CI's smoke-bench
 // greps and the tables of EXPERIMENTS.md name these keys: renaming a tag
 // on stats.Report or a struct here must show up as a diff of this list
@@ -89,6 +89,8 @@ var documentKeys = []string{
 	"experiments.points.retires",
 	"experiments.points.snapshot_reads",
 	"experiments.points.throughput_tps",
+	"experiments.points.truncated_bytes",
+	"experiments.points.truncations",
 	"experiments.points.upgrades",
 	"experiments.points.useful_ns",
 	"experiments.points.version_chain_max",
@@ -201,8 +203,8 @@ func TestReportDocumentKeys(t *testing.T) {
 		t.Errorf("document key set changed (bump SchemaVersion and update documentKeys):\n got %q\nwant %q",
 			got, documentKeys)
 	}
-	if v := doc["schema_version"]; v != float64(2) {
-		t.Errorf("schema_version = %v, want 2", v)
+	if v := doc["schema_version"]; v != float64(3) {
+		t.Errorf("schema_version = %v, want 3", v)
 	}
 	for _, k := range []string{"created_at", "git_sha", "go_version", "goos", "goarch"} {
 		if s, _ := doc[k].(string); s == "" {

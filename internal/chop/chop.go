@@ -594,7 +594,7 @@ func (tx *Tx) promote(a *access) (*access, error) {
 	a.local = bytes.Clone(*a.row.OCCImage.Load())
 	rs.unlock()
 	if tx.col != nil {
-		tx.col.RecordUpgrade()
+		tx.col.Add(stats.Upgrades, 1)
 	}
 	return a, nil
 }

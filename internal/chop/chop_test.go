@@ -180,7 +180,7 @@ func TestInPlacePromotion(t *testing.T) {
 	}
 	var upgrades uint64
 	for _, c := range cols {
-		upgrades += c.Upgrades
+		upgrades += c.Counts[stats.Upgrades]
 	}
 	if upgrades == 0 {
 		t.Fatal("no upgrades recorded; promotion path not taken")

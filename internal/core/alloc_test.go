@@ -152,7 +152,7 @@ func TestAllocBudgetReadOnly(t *testing.T) {
 	if got > 0.5 {
 		t.Fatalf("read-only snapshot path allocates %.2f allocs/txn, want 0", got)
 	}
-	if col.SnapshotReads == 0 {
+	if col.Counts[stats.SnapshotReads] == 0 {
 		t.Fatal("no snapshot reads recorded — the transactions did not run on the MVCC path")
 	}
 }
@@ -215,7 +215,7 @@ func TestAllocBudgetMVCCWrites(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / (4 * txns)
 	t.Logf("MVCC writes: %.2f allocs/txn (budget %.0f); %d write copies in recycled buffers, %d fresh",
-		got, allocBudget, col.ImagePoolRecycled, col.ImageCopies)
+		got, allocBudget, col.Counts[stats.ImagePoolRecycled], col.Counts[stats.ImageCopies])
 	if got > allocBudget {
 		t.Fatalf("MVCC write path allocs/txn = %.2f exceeds budget %.1f "+
 			"(version nodes or write-copy images are not coming back from the detached tails)",

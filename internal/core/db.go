@@ -220,6 +220,7 @@ type DB struct {
 	// writes through when metrics are enabled (nil otherwise — the
 	// collectors then pay one nil check per record and nothing else).
 	live        *stats.Live
+	liveSince   time.Time // when EnableMetrics attached live
 	metrics     *telemetry.Registry
 	metricsSrc  *telemetry.Sources
 	ownMetrics  bool
@@ -302,24 +303,41 @@ func (db *DB) EnableMetrics(reg *telemetry.Registry) {
 		db.Global.InitPartitions(db.Partitions())
 	}
 	db.live = &stats.Live{}
+	db.liveSince = time.Now()
 	db.metrics = reg
-	db.metricsSrc = &telemetry.Sources{
-		Protocol: db.ProtocolName(),
-		Live:     db.live,
-		Global:   db.Global,
-		WAL:      db.WALStats,
-		Lifecycle: func() telemetry.LifecycleStats {
-			cs := db.CheckpointStats()
-			return telemetry.LifecycleStats{
-				Checkpoints:    cs.Checkpoints,
-				CheckpointTime: cs.Time,
-				Truncations:    cs.Truncations,
-				TruncatedBytes: cs.TruncatedBytes,
-				LogLiveBytes:   db.LogLiveBytes(),
-			}
-		},
-	}
+	db.metricsSrc = &telemetry.Sources{Report: db.LiveReport}
 	reg.Attach(db.metricsSrc)
+}
+
+// LiveReport summarizes the DB's counters so far, the way an end-of-run
+// report summarizes a run: the sessions' live mirror stands in for the
+// worker collectors and elapsed time starts at EnableMetrics. It is what
+// /metrics and /debug/vars render; with metrics disabled it carries the
+// manager-level and storage counters only. Safe to call concurrently with
+// running transactions.
+func (db *DB) LiveReport() stats.Report {
+	var c stats.Collector
+	var elapsed time.Duration
+	if db.live != nil {
+		db.live.Load(&c)
+		elapsed = time.Since(db.liveSince)
+	}
+	r := stats.Summarize(db.ProtocolName(), elapsed, []*stats.Collector{&c}, db.Global)
+	r.Workers = 0 // one merged mirror, not a worker count
+	db.FillStorage(&r)
+	return r
+}
+
+// FillStorage sets r's WAL, checkpoint, truncation and live-log-bytes
+// fields from the DB's log devices and checkpointer.
+func (db *DB) FillStorage(r *stats.Report) {
+	ws := db.WALStats()
+	r.WALAppends, r.WALBatches, r.WALBytes = ws.Appends, ws.Batches, ws.Bytes
+	r.WALSyncs, r.WALSyncTime = ws.Syncs, ws.SyncTime
+	cs := db.CheckpointStats()
+	r.CheckpointCount, r.CheckpointTime = cs.Checkpoints, cs.Time
+	r.Truncations, r.TruncatedBytes = cs.Truncations, cs.TruncatedBytes
+	r.LogBytesLive = db.LogLiveBytes()
 }
 
 // LiveStats returns the atomic telemetry mirror sessions record into, or

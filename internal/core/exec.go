@@ -268,11 +268,11 @@ func (tx *lockTx) recycleReq(req *lock.Request) {
 // flushImageStats records the attempt's accumulated image-copy counters.
 func (tx *lockTx) flushImageStats() {
 	if tx.imgCopies > 0 {
-		tx.s.col.RecordImageCopies(tx.imgCopies)
+		tx.s.col.Add(stats.ImageCopies, tx.imgCopies)
 		tx.imgCopies = 0
 	}
 	if tx.imgReuses > 0 {
-		tx.s.col.RecordImagesRecycled(tx.imgReuses)
+		tx.s.col.Add(stats.ImagePoolRecycled, tx.imgReuses)
 		tx.imgReuses = 0
 	}
 }
@@ -349,8 +349,8 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 				}
 				a.mode = lock.EX
 				a.retired = true
-				tx.s.col.RecordUpgrade()
-				tx.s.col.RecordRetire()
+				tx.s.col.Add(stats.Upgrades, 1)
+				tx.s.col.Add(stats.Retires, 1)
 				return nil
 			}
 			tx.s.giveSpare(a.req)
@@ -361,7 +361,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 				return err
 			}
 			a.mode = lock.EX
-			tx.s.col.RecordUpgrade()
+			tx.s.col.Add(stats.Upgrades, 1)
 			// No opIndex increment: the row was already counted at its
 			// Read, and workloads declare an RMW row as one access — a
 			// second count would skew the δ-retire cutoff.
@@ -386,7 +386,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 	if tx.shouldRetire() {
 		tx.db.Lock.Retire(req)
 		tx.accesses[i].retired = true
-		tx.s.col.RecordRetire()
+		tx.s.col.Add(stats.Retires, 1)
 	}
 	return nil
 }
@@ -427,7 +427,7 @@ func (tx *lockTx) RetireRow(row *storage.Row) {
 		if a.mode == lock.EX && !a.retired {
 			tx.db.Lock.Retire(a.req)
 			a.retired = true
-			tx.s.col.RecordRetire()
+			tx.s.col.Add(stats.Retires, 1)
 		}
 	}
 }
@@ -440,7 +440,7 @@ func (tx *lockTx) retireRemaining() {
 		if a.mode == lock.EX && !a.retired {
 			tx.db.Lock.Retire(a.req)
 			a.retired = true
-			tx.s.col.RecordRetire()
+			tx.s.col.Add(stats.Retires, 1)
 		}
 	}
 }
@@ -592,7 +592,7 @@ func (s *lockSession) Run(fn TxnFunc) error {
 		if tx.snap != 0 {
 			tx.endSnapshot()
 			t.FinishCommit()
-			s.col.RecordSnapshotReads(tx.snapReads)
+			s.col.Add(stats.SnapshotReads, tx.snapReads)
 			s.col.RecordCommit(execTime, 0, 0)
 			return nil
 		}
@@ -796,7 +796,7 @@ func (s *lockSession) installVersions(tx *lockTx) uint64 {
 			tail = next
 		}
 	}
-	s.col.RecordVersionsPruned(uint64(reclaimed))
+	s.col.Add(stats.VersionsPruned, uint64(reclaimed))
 	return cts
 }
 

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"io"
 	"net/http"
-	"strconv"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bamboo/internal/core"
 	"bamboo/internal/stats"
@@ -17,10 +18,10 @@ import (
 
 // TestMetricsScrapeDuringRun is the concurrency proof for the live
 // observability layer: scrapers hammer the registry — both the direct
-// WriteMetrics/Snapshot path and real HTTP GETs — while workers run a
+// WriteMetrics/LiveReport path and real HTTP GETs — while workers run a
 // contended workload. Under -race this asserts the whole collection path
-// is data-race-free; the final scrape asserts it is not vacuous and that
-// the endpoint's commit count agrees with the run's merged report.
+// is data-race-free; the final scrape asserts it is not vacuous, and the
+// endpoint's report must equal the run's merged report on every counter.
 func TestMetricsScrapeDuringRun(t *testing.T) {
 	cfg := core.Bamboo()
 	cfg.Partitions = 4
@@ -54,7 +55,7 @@ func TestMetricsScrapeDuringRun(t *testing.T) {
 					return
 				default:
 					db.Metrics().WriteMetrics(io.Discard)
-					db.Metrics().Snapshot()
+					db.LiveReport()
 				}
 			}
 		}()
@@ -68,10 +69,12 @@ func TestMetricsScrapeDuringRun(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				resp, err := http.Get("http://" + addr + "/metrics")
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
+				for _, path := range []string{"/metrics", "/debug/vars"} {
+					resp, err := http.Get("http://" + addr + path)
+					if err == nil {
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+					}
 				}
 			}
 		}
@@ -102,29 +105,58 @@ func TestMetricsScrapeDuringRun(t *testing.T) {
 		`bamboo_partition_conflicts_total{partition="0"}`,
 		`bamboo_txn_latency_seconds{quantile="0.99"}`,
 		"bamboo_txn_upgrades_total",
+		"bamboo_txn_useful_seconds_total",
 	} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("final scrape missing %q", want)
 		}
 	}
-	// Every committed transaction went through the Live mirror, so the
-	// endpoint's counter must equal the merged report exactly.
-	var commits uint64
-	found := false
-	for _, line := range strings.Split(string(body), "\n") {
-		if v, ok := strings.CutPrefix(line, "bamboo_txn_commits_total "); ok {
-			commits, err = strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				t.Fatalf("parse %q: %v", line, err)
-			}
-			found = true
+	// Every attempt went through the Live mirror and both reports read the
+	// same Global, so the counters must agree exactly; the latency
+	// quantiles come from a loaded copy of the histogram, whose extreme
+	// buckets report bucket values instead of the exact min and max.
+	live, run := db.LiveReport(), res.Report
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"commits", live.Commits, run.Commits},
+		{"aborts", live.Aborts, run.Aborts},
+		{"aborts_by", live.AbortsBy, run.AbortsBy},
+		{"upgrades", live.Upgrades, run.Upgrades},
+		{"retires", live.Retires, run.Retires},
+		{"wounds", live.Wounds, run.Wounds},
+		{"cascades", live.Cascades, run.Cascades},
+		{"max_chain", live.MaxChain, run.MaxChain},
+		{"snapshot_reads", live.SnapshotReads, run.SnapshotReads},
+		{"versions_pruned", live.VersionsPruned, run.VersionsPruned},
+		{"image_copies", live.ImageCopies, run.ImageCopies},
+		{"image_pool_recycled", live.ImagePoolRecycled, run.ImagePoolRecycled},
+		{"partition_accesses", live.PartitionAccesses, run.PartitionAccesses},
+		{"partition_conflicts", live.PartitionConflicts, run.PartitionConflicts},
+		{"partition_skew", live.PartitionSkew, run.PartitionSkew},
+		{"lock_wait_ns", live.PerTxnLockWait, run.PerTxnLockWait},
+		{"commit_wait_ns", live.PerTxnCommitWait, run.PerTxnCommitWait},
+		{"abort_ns", live.PerTxnAbort, run.PerTxnAbort},
+		{"useful_ns", live.PerTxnUseful, run.PerTxnUseful},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: endpoint %v, run report %v", c.name, c.got, c.want)
 		}
 	}
-	if !found {
-		t.Fatal("final scrape missing bamboo_txn_commits_total")
-	}
-	if commits != res.Report.Commits {
-		t.Errorf("endpoint commits = %d, run report = %d", commits, res.Report.Commits)
+	for _, q := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"latency_p50_ns", live.LatencyP50, run.LatencyP50},
+		{"latency_p90_ns", live.LatencyP90, run.LatencyP90},
+		{"latency_p95_ns", live.LatencyP95, run.LatencyP95},
+		{"latency_p99_ns", live.LatencyP99, run.LatencyP99},
+		{"latency_p999_ns", live.LatencyP999, run.LatencyP999},
+	} {
+		if d := q.got - q.want; d > q.want/64 || d < -q.want/64 {
+			t.Errorf("%s: endpoint %v, run report %v (more than one sub-bucket apart)", q.name, q.got, q.want)
+		}
 	}
 }
 

@@ -214,8 +214,8 @@ func TestMVCCRecycledImagesStayImmutable(t *testing.T) {
 	var reused, pruned uint64
 	most := 0
 	for w := range cols {
-		reused += cols[w].ImagePoolRecycled
-		pruned += cols[w].VersionsPruned
+		reused += cols[w].Counts[stats.ImagePoolRecycled]
+		pruned += cols[w].Counts[stats.VersionsPruned]
 		most = max(most, maxFree[w])
 	}
 	t.Logf("%d images verified twice; %d nodes harvested by installs, free list peaked at %d nodes, %d write copies built in harvested buffers",

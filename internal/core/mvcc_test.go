@@ -118,7 +118,7 @@ func TestMVCCReadOnlyFallback(t *testing.T) {
 	if seen != 42 {
 		t.Fatalf("snapshot read saw %d, want 42", seen)
 	}
-	if col.SnapshotReads == 0 {
+	if col.Counts[stats.SnapshotReads] == 0 {
 		t.Fatal("no snapshot reads recorded")
 	}
 }
@@ -229,8 +229,8 @@ func TestMVCCMarkReadOnlyOff(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if col.Commits != 1 || col.SnapshotReads != 0 {
-		t.Fatalf("commits=%d snapshotReads=%d, want 1 and 0", col.Commits, col.SnapshotReads)
+	if col.Commits != 1 || col.Counts[stats.SnapshotReads] != 0 {
+		t.Fatalf("commits=%d snapshotReads=%d, want 1 and 0", col.Commits, col.Counts[stats.SnapshotReads])
 	}
 }
 
@@ -292,7 +292,7 @@ func TestMVCCRecoveryReseed(t *testing.T) {
 	if got != want {
 		t.Fatalf("post-recovery snapshot read saw %d, want %d (stale version chain)", got, want)
 	}
-	if col.SnapshotReads == 0 {
+	if col.Counts[stats.SnapshotReads] == 0 {
 		t.Fatal("post-recovery read did not use the snapshot path")
 	}
 }

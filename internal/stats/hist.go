@@ -18,7 +18,7 @@ import (
 // The zero value is an empty histogram ready for use. Hist is not safe
 // for concurrent use; give each worker its own and Merge at the end.
 type Hist struct {
-	counts [histBuckets]uint32
+	counts [histBuckets]uint64
 	// overflow counts values above histMaxValue (kept out of the bucket
 	// array so quantiles stay well defined; reported as max).
 	overflow uint64
@@ -141,7 +141,7 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	}
 	var seen uint64
 	for i, n := range h.counts {
-		seen += uint64(n)
+		seen += n
 		if seen > rank {
 			v := histValue(i)
 			// Clamp to the exactly-tracked extremes so tiny samples

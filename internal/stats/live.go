@@ -6,17 +6,18 @@ import (
 )
 
 // Live is the telemetry mirror of the per-worker collectors: a set of
-// atomic counters shared by every worker of one DB that a scraper (the
-// internal/telemetry registry) may read at any moment during a run.
+// atomic counters shared by every worker of one DB that a scraper may read
+// at any moment during a run.
 //
 // The per-worker Collector remains the source of truth for end-of-run
 // reports — it is plain-field and contention-free — but it cannot be read
 // while workers are running. Attaching a Live (Collector.AttachLive)
-// makes every RecordCommit / RecordAbort / RecordUpgrade / RecordRetire /
-// RecordSnapshotReads / RecordVersionsPruned additionally issue one
-// atomic add per counter touched, which a concurrent reader can load
-// without synchronization. With no Live attached the hot path pays one
-// predictable nil check and nothing else.
+// makes RecordCommit, RecordAbort and Add additionally issue one atomic
+// add per value touched, which a concurrent reader can load without
+// synchronization; Load copies the mirror into a Collector, so a live
+// report is the same Summarize over the same fields as an end-of-run one.
+// With no Live attached the hot path pays one predictable nil check and
+// nothing else.
 //
 // All fields are monotonically increasing over the lifetime of the runs
 // that share them; readers must tolerate counters advancing between
@@ -25,41 +26,44 @@ type Live struct {
 	Commits  atomic.Uint64
 	Aborts   atomic.Uint64
 	AbortsBy [6]atomic.Uint64 // indexed by txn.AbortCause
+	Counts   [numCounters]atomic.Uint64
 
-	// Upgrades counts successful SH→EX lock promotions (including the
-	// fused upgrade+retire path); Retires counts lock retires — writes
-	// made visible before commit (Bamboo's early release).
-	Upgrades atomic.Uint64
-	Retires  atomic.Uint64
-
-	// MVCC telemetry: reads served by the lock-free snapshot path and
-	// version nodes reclaimed at install time (the background pruner's
-	// reclaims live in Global.VersionsPruned).
-	SnapshotReads  atomic.Uint64
-	VersionsPruned atomic.Uint64
-
-	// Row-image buffer telemetry: fresh image allocations on the write
-	// path vs. copies served from recycled spare buffers.
-	ImageCopies       atomic.Uint64
-	ImagePoolRecycled atomic.Uint64
+	// The breakdown totals, in nanoseconds (Collector's four durations).
+	LockWait   atomic.Int64
+	CommitWait atomic.Int64
+	AbortTime  atomic.Int64
+	UsefulTime atomic.Int64
 
 	// Lat accumulates the commit-latency distribution of every worker in
 	// one concurrently-readable histogram.
 	Lat AtomicHist
 }
 
-// AtomicHist is the concurrently-recordable, concurrently-readable
-// counterpart of Hist: same log-linear bucket geometry (histIndex /
-// histValue), atomic counters instead of plain ones. Record is a few
-// atomic adds — safe on the commit path of every worker at once — and
-// quantile reads are pure atomic loads, so a scraper never blocks a
-// worker. Reads that race with writes see each bucket at some moment;
-// quantiles are therefore approximate to the in-flight record count on
-// top of the usual ~1.6% bucketing error.
+// Load copies the mirror into c, replacing the fields the mirror carries.
+func (l *Live) Load(c *Collector) {
+	c.Commits = l.Commits.Load()
+	c.Aborts = l.Aborts.Load()
+	for i := range l.AbortsBy {
+		c.AbortsBy[i] = l.AbortsBy[i].Load()
+	}
+	for k := range l.Counts {
+		c.Counts[k] = l.Counts[k].Load()
+	}
+	c.LockWait = time.Duration(l.LockWait.Load())
+	c.CommitWait = time.Duration(l.CommitWait.Load())
+	c.AbortTime = time.Duration(l.AbortTime.Load())
+	c.UsefulTime = time.Duration(l.UsefulTime.Load())
+	l.Lat.Load(&c.Lat)
+}
+
+// AtomicHist is the concurrently-recordable counterpart of Hist: same
+// log-linear bucket geometry (histIndex / histValue), atomic counters
+// instead of plain ones. Record is a few atomic adds — safe on the commit
+// path of every worker at once — and Load is pure atomic loads, so a
+// scraper never blocks a worker.
 type AtomicHist struct {
 	counts   [histBuckets]atomic.Uint64
 	overflow atomic.Uint64
-	total    atomic.Uint64
 	sum      atomic.Int64
 }
 
@@ -69,7 +73,6 @@ func (h *AtomicHist) Record(d time.Duration) {
 	if v < 0 {
 		v = 0
 	}
-	h.total.Add(1)
 	h.sum.Add(v)
 	if v >= histMaxValue {
 		h.overflow.Add(1)
@@ -78,103 +81,43 @@ func (h *AtomicHist) Record(d time.Duration) {
 	h.counts[histIndex(v)].Add(1)
 }
 
-// Count returns the number of recorded observations.
-func (h *AtomicHist) Count() uint64 { return h.total.Load() }
-
-// Sum returns the exact sum of all observations in nanoseconds.
-func (h *AtomicHist) Sum() int64 { return h.sum.Load() }
-
-// QuantilesInto fills out[i] with the value at quantile qs[i]. qs must be
-// sorted ascending and len(out) must be at least len(qs); nothing
-// allocates. It returns the observation count the quantiles were computed
-// against (zero leaves out untouched beyond zeroing). Because records may
-// race with the bucket walk, any quantile the walk cannot resolve — the
-// racing tail, or ranks covered only by overflow observations — reports
-// the highest bucket value seen.
-func (h *AtomicHist) QuantilesInto(qs []float64, out []time.Duration) uint64 {
-	total := h.total.Load()
-	if total == 0 {
-		for i := range qs {
-			out[i] = 0
-		}
-		return 0
-	}
-	j := 0
-	var seen uint64
-	var last int64
-	for i := 0; i < histBuckets && j < len(qs); i++ {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		seen += n
-		last = histValue(i)
-		for j < len(qs) {
-			rank := uint64(qs[j] * float64(total))
-			if rank >= total {
-				rank = total - 1
+// Load copies the histogram into dst. The count is the sum of the buckets
+// loaded, so a walk over dst is consistent however many records race the
+// load. Min and max are not tracked atomically: dst reports the lowest and
+// highest non-empty buckets' values instead (histMaxValue for overflow),
+// so only quantiles that land in those two buckets differ from a Hist fed
+// the same observations.
+func (h *AtomicHist) Load(dst *Hist) {
+	*dst = Hist{overflow: h.overflow.Load(), sum: h.sum.Load()}
+	dst.total = dst.overflow
+	lo := -1
+	for i := range h.counts {
+		if n := h.counts[i].Load(); n > 0 {
+			dst.counts[i] = n
+			dst.total += n
+			if lo < 0 {
+				lo = i
 			}
-			if seen <= rank {
-				break
-			}
-			out[j] = time.Duration(last)
-			j++
+			dst.max = histValue(i)
 		}
 	}
-	for ; j < len(qs); j++ {
-		out[j] = time.Duration(last)
+	if dst.overflow > 0 {
+		dst.max = histMaxValue
 	}
-	return total
+	dst.min = dst.max
+	if lo >= 0 {
+		dst.min = histValue(lo)
+	}
 }
 
 // AttachLive points the collector's telemetry mirror at l (nil detaches).
 // Call before the worker starts recording.
 func (c *Collector) AttachLive(l *Live) { c.Live = l }
 
-// RecordUpgrade counts one successful SH→EX lock promotion.
-func (c *Collector) RecordUpgrade() {
-	c.Upgrades++
-	if c.Live != nil {
-		c.Live.Upgrades.Add(1)
-	}
-}
-
-// RecordRetire counts one lock retire (a write made visible pre-commit).
-func (c *Collector) RecordRetire() {
-	c.Retires++
-	if c.Live != nil {
-		c.Live.Retires.Add(1)
-	}
-}
-
-// RecordSnapshotReads adds n reads served by the MVCC snapshot path.
-func (c *Collector) RecordSnapshotReads(n uint64) {
-	c.SnapshotReads += n
+// Add counts n events of kind k.
+func (c *Collector) Add(k Counter, n uint64) {
+	c.Counts[k] += n
 	if c.Live != nil && n > 0 {
-		c.Live.SnapshotReads.Add(n)
-	}
-}
-
-// RecordVersionsPruned adds n version nodes reclaimed at install time.
-func (c *Collector) RecordVersionsPruned(n uint64) {
-	c.VersionsPruned += n
-	if c.Live != nil && n > 0 {
-		c.Live.VersionsPruned.Add(n)
-	}
-}
-
-// RecordImageCopies adds n fresh row-image buffer allocations.
-func (c *Collector) RecordImageCopies(n uint64) {
-	c.ImageCopies += n
-	if c.Live != nil && n > 0 {
-		c.Live.ImageCopies.Add(n)
-	}
-}
-
-// RecordImagesRecycled adds n write copies served from recycled spares.
-func (c *Collector) RecordImagesRecycled(n uint64) {
-	c.ImagePoolRecycled += n
-	if c.Live != nil && n > 0 {
-		c.Live.ImagePoolRecycled.Add(n)
+		c.Live.Counts[k].Add(n)
 	}
 }

@@ -24,9 +24,9 @@
 // collector is in scope (the lock manager's wounds and cascades, the
 // per-partition access/conflict counters, the background pruner) live in
 // Global and are atomic. For live scraping during a run, AttachLive gives
-// a collector an atomic mirror (Live, read by internal/telemetry) so the
-// end-of-run path stays plain-field and a scraper never reads a
-// non-atomic counter.
+// a collector an atomic mirror (Live, loaded back into a Collector per
+// scrape) so the end-of-run path stays plain-field and a scraper never
+// reads a non-atomic counter.
 package stats
 
 import (
@@ -55,32 +55,41 @@ type Collector struct {
 	// fixed-bucket log-linear histogram (bounded memory, no sampling).
 	Lat Hist
 
-	// SnapshotReads counts row reads served by the MVCC snapshot path
-	// (zero lock acquisitions); VersionsPruned counts version nodes this
-	// worker reclaimed at install time. Both zero on non-MVCC runs.
-	SnapshotReads  uint64
-	VersionsPruned uint64
+	// Counts holds the per-worker event counters, indexed by Counter.
+	Counts [numCounters]uint64
 
+	// Live, when non-nil (AttachLive), receives an atomic mirror of
+	// every record so a telemetry scraper can read the counters mid-run.
+	// Nil on plain bench runs: the hot path then pays only a predictable
+	// nil check per record.
+	Live *Live
+}
+
+// Counter names a per-worker event counter: a slot of Collector.Counts and
+// Live.Counts, summarized into the Report field of the same name.
+type Counter int
+
+const (
+	// Upgrades counts successful SH→EX promotions (including the fused
+	// upgrade+retire path).
+	Upgrades Counter = iota
+	// Retires counts lock retires (writes made visible before commit).
+	Retires
+	// SnapshotReads counts row reads served by the MVCC snapshot path
+	// (zero lock acquisitions).
+	SnapshotReads
+	// VersionsPruned counts version nodes this worker reclaimed at install
+	// time (the background pruner's reclaims live in Global).
+	VersionsPruned
 	// ImageCopies counts fresh row-image buffer allocations on the write
-	// path (the GC-visible quantity the shared-image protocol eliminates);
+	// path (the GC-visible quantity the shared-image protocol eliminates).
+	ImageCopies
 	// ImagePoolRecycled counts write copies served from a recycled spare
 	// buffer instead (a superseded committed image captured at release, or
 	// a version-chain node displaced at install).
-	ImageCopies       uint64
-	ImagePoolRecycled uint64
-
-	// Upgrades counts successful SH→EX promotions (including the fused
-	// upgrade+retire path); Retires counts lock retires (writes made
-	// visible before commit).
-	Upgrades uint64
-	Retires  uint64
-
-	// Live, when non-nil (AttachLive), receives an atomic mirror of
-	// every Record* call so a telemetry scraper can read the counters
-	// mid-run. Nil on plain bench runs: the hot path then pays only a
-	// predictable nil check per record.
-	Live *Live
-}
+	ImagePoolRecycled
+	numCounters
+)
 
 // Global holds the counters that are recorded from inside the shared lock
 // manager — wounds, cascading-abort events and chain lengths — where no
@@ -214,6 +223,9 @@ func (c *Collector) RecordCommit(exec, lockWait, commitWait time.Duration) {
 	c.Lat.Record(exec + lockWait + commitWait)
 	if c.Live != nil {
 		c.Live.Commits.Add(1)
+		c.Live.UsefulTime.Add(int64(exec))
+		c.Live.LockWait.Add(int64(lockWait))
+		c.Live.CommitWait.Add(int64(commitWait))
 		c.Live.Lat.Record(exec + lockWait + commitWait)
 	}
 }
@@ -232,6 +244,9 @@ func (c *Collector) RecordAbort(cause txn.AbortCause, exec, lockWait, commitWait
 		if int(cause) < len(c.Live.AbortsBy) {
 			c.Live.AbortsBy[cause].Add(1)
 		}
+		c.Live.AbortTime.Add(int64(exec))
+		c.Live.LockWait.Add(int64(lockWait))
+		c.Live.CommitWait.Add(int64(commitWait))
 	}
 }
 
@@ -249,12 +264,9 @@ func (c *Collector) Merge(other *Collector) {
 	if other.Elapsed > c.Elapsed {
 		c.Elapsed = other.Elapsed
 	}
-	c.SnapshotReads += other.SnapshotReads
-	c.VersionsPruned += other.VersionsPruned
-	c.ImageCopies += other.ImageCopies
-	c.ImagePoolRecycled += other.ImagePoolRecycled
-	c.Upgrades += other.Upgrades
-	c.Retires += other.Retires
+	for k := range c.Counts {
+		c.Counts[k] += other.Counts[k]
+	}
 	c.Lat.Merge(&other.Lat)
 }
 
@@ -328,12 +340,15 @@ type Report struct {
 	WALSyncs    uint64        `json:"wal_syncs,omitempty"`
 	WALSyncTime time.Duration `json:"fsync_ns,omitempty"`
 
-	// Storage-lifecycle telemetry (checkpoint-enabled runs only): fuzzy
-	// snapshots written and their cumulative capture+write time, and the
-	// live (not yet truncated) WAL bytes at the end of the run — the
-	// quantity log truncation bounds.
+	// Storage-lifecycle telemetry: fuzzy snapshots written and their
+	// cumulative capture+write time, truncation passes that unlinked log
+	// segments and the bytes they reclaimed (checkpoint-enabled runs
+	// only), and the live (not yet truncated) bytes of file-backed logs —
+	// the quantity truncation bounds.
 	CheckpointCount uint64        `json:"checkpoints,omitempty"`
 	CheckpointTime  time.Duration `json:"checkpoint_ns,omitempty"`
+	Truncations     uint64        `json:"truncations,omitempty"`
+	TruncatedBytes  int64         `json:"truncated_bytes,omitempty"`
 	LogBytesLive    int64         `json:"log_bytes_live,omitempty"`
 
 	// Commit-latency distribution (lock wait + execution + commit wait),
@@ -364,12 +379,12 @@ func Summarize(protocol string, elapsed time.Duration, workers []*Collector, g *
 		AbortsBy: make(map[string]uint64),
 		Elapsed:  elapsed,
 	}
-	r.SnapshotReads = all.SnapshotReads
-	r.VersionsPruned = all.VersionsPruned
-	r.ImageCopies = all.ImageCopies
-	r.ImagePoolRecycled = all.ImagePoolRecycled
-	r.Upgrades = all.Upgrades
-	r.Retires = all.Retires
+	r.Upgrades = all.Counts[Upgrades]
+	r.Retires = all.Counts[Retires]
+	r.SnapshotReads = all.Counts[SnapshotReads]
+	r.VersionsPruned = all.Counts[VersionsPruned]
+	r.ImageCopies = all.Counts[ImageCopies]
+	r.ImagePoolRecycled = all.Counts[ImagePoolRecycled]
 	var cascades, chainSum uint64
 	if g != nil {
 		r.Wounds = g.Wounds.Load()

@@ -7,78 +7,48 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"bamboo/internal/stats"
-	"bamboo/internal/wal"
 )
 
 var update = flag.Bool("update", false, "rewrite the exposition golden file")
 
-// fixedRegistry builds a registry over hand-set counters so the rendered
-// exposition is byte-for-byte deterministic: the clock is pinned, and the
-// latency observations (50ns) land in an identity bucket of the histogram
-// (values below 64ns map to themselves), so quantiles are exact.
+// fixture is a report with every field set, so no omitempty tag hides a
+// key of /debug/vars. The latency and breakdown values are whole
+// nanoseconds per transaction, so the rendered seconds are exact.
+var fixture = stats.Report{
+	Protocol: "BAMBOO", Workers: 4,
+	Commits: 1200, Aborts: 34, AbortRate: 34.0 / 1234,
+	AbortsBy:       map[string]uint64{"wound": 20, "cascade": 10, "die": 4},
+	ThroughputTPS:  1200.0 / 90,
+	PerTxnLockWait: 1500, PerTxnCommitWait: 500, PerTxnAbort: 250, PerTxnUseful: 6000,
+	Wounds: 20, Cascades: 10, AvgChain: 2.5, MaxChain: 3,
+	Upgrades: 77, Retires: 410,
+	SnapshotReads: 5000, VersionsPruned: 50, VersionChainMax: 4,
+	ImageCopies: 12, ImagePoolRecycled: 880,
+	PartitionAccesses: []uint64{30, 10}, PartitionConflicts: []uint64{7, 0}, PartitionSkew: 1.5,
+	LoadTime:   2 * time.Second,
+	WALAppends: 900, WALBatches: 120, WALBytes: 65536, WALSyncs: 118, WALSyncTime: 250 * time.Millisecond,
+	CheckpointCount: 6, CheckpointTime: 30 * time.Millisecond, Truncations: 2, TruncatedBytes: 4096, LogBytesLive: 1024,
+	LatencyMean: 8000, LatencyP50: 7000, LatencyP90: 9000, LatencyP95: 11000, LatencyP99: 20000, LatencyP999: 50000,
+	LatencyMax: 120000,
+	Elapsed:    90 * time.Second,
+}
+
+// fixedRegistry serves the fixture with a pinned clock, so the rendered
+// exposition is byte-for-byte deterministic.
 func fixedRegistry() *Registry {
 	r := NewRegistry()
 	at := time.Unix(1700000000, 0)
 	r.start = at
 	r.now = func() time.Time { return at.Add(90 * time.Second) }
-
-	live := &stats.Live{}
-	live.Commits.Store(1200)
-	live.Aborts.Store(34)
-	live.AbortsBy[1].Store(20) // wound
-	live.AbortsBy[2].Store(10) // cascade
-	live.AbortsBy[3].Store(4)  // die
-	live.Upgrades.Store(77)
-	live.Retires.Store(410)
-	live.SnapshotReads.Store(5000)
-	live.VersionsPruned.Store(42)
-	for i := 0; i < 10; i++ {
-		live.Lat.Record(50 * time.Nanosecond)
-	}
-
-	g := &stats.Global{}
-	g.Wounds.Store(20)
-	g.Cascades.Store(10)
-	g.ChainMax.Store(3)
-	g.VersionsPruned.Store(8)
-	g.VersionChainMax.Store(4)
-	g.InitPartitions(2)
-	for i := 0; i < 30; i++ {
-		g.RecordPartAccess(0)
-	}
-	for i := 0; i < 10; i++ {
-		g.RecordPartAccess(1)
-	}
-	for i := 0; i < 7; i++ {
-		g.RecordPartConflict(0)
-	}
-
-	r.Attach(&Sources{
-		Protocol: "BAMBOO",
-		Live:     live,
-		Global:   g,
-		WAL: func() wal.DeviceStats {
-			return wal.DeviceStats{
-				Appends: 900, Batches: 120, Bytes: 65536, Syncs: 118,
-				SyncTime: 250 * time.Millisecond,
-			}
-		},
-		Lifecycle: func() LifecycleStats {
-			return LifecycleStats{
-				Checkpoints:    6,
-				CheckpointTime: 30 * time.Millisecond,
-				Truncations:    2,
-				TruncatedBytes: 4096,
-				LogLiveBytes:   1024,
-			}
-		},
-	})
+	r.Attach(&Sources{Report: func() stats.Report { return fixture }})
 	return r
 }
 
@@ -127,8 +97,7 @@ func TestExpositionDetached(t *testing.T) {
 // attached).
 func TestDetachIsConditional(t *testing.T) {
 	r := NewRegistry()
-	old := &Sources{Live: &stats.Live{}}
-	next := &Sources{Live: &stats.Live{}}
+	old, next := &Sources{}, &Sources{}
 	r.Attach(old)
 	r.Attach(next)
 	r.Detach(old)
@@ -167,19 +136,34 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("/metrics missing commit counter:\n%s", body)
 	}
 
+	// /debug/vars is the report under its own JSON tags (the keys of a
+	// bamboo-bench -json point), plus up and uptime_seconds.
 	_, body = get("/debug/vars")
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
+	var rep stats.Report
+	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatalf("/debug/vars is not valid JSON: %v\n%s", err, body)
 	}
-	if !snap.Up || snap.Commits != 1200 || snap.Protocol != "BAMBOO" {
-		t.Fatalf("/debug/vars snapshot mismatch: %+v", snap)
+	if !reflect.DeepEqual(rep, fixture) {
+		t.Fatalf("/debug/vars report mismatch:\n got %+v\nwant %+v", rep, fixture)
 	}
-	if snap.AbortsBy["wound"] != 20 {
-		t.Fatalf("aborts_by[wound] = %d, want 20", snap.AbortsBy["wound"])
+	var doc map[string]any
+	json.Unmarshal(body, &doc)
+	want := []string{"up", "uptime_seconds"}
+	rt := reflect.TypeOf(stats.Report{})
+	for i := 0; i < rt.NumField(); i++ {
+		want = append(want, strings.Split(rt.Field(i).Tag.Get("json"), ",")[0])
 	}
-	if len(snap.PartitionConflicts) != 2 || snap.PartitionConflicts[0] != 7 {
-		t.Fatalf("partition conflicts = %v", snap.PartitionConflicts)
+	var got []string
+	for k := range doc {
+		got = append(got, k)
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/debug/vars keys:\n got %q\nwant %q", got, want)
+	}
+	if doc["up"] != true || doc["uptime_seconds"] != float64(90) {
+		t.Errorf("/debug/vars up = %v, uptime_seconds = %v", doc["up"], doc["uptime_seconds"])
 	}
 
 	_, body = get("/healthz")
@@ -252,10 +236,10 @@ func TestMetricSetMatchesDocs(t *testing.T) {
 }
 
 // TestPartitionSkewAgrees pins one skew value across the three surfaces
-// that print it: the bench report (stats.Summarize), /debug/vars
-// (Snapshot) and /metrics. The counts are not a power of two apart — at
-// 3/3/1, max*n/sum and max/(sum/n) differ in the last bits, which is how
-// two copies of the formula once disagreed.
+// that print it: the bench report (stats.Summarize), /debug/vars and
+// /metrics. The counts are not a power of two apart — at 3/3/1, max*n/sum
+// and max/(sum/n) differ in the last bits, which is how two copies of the
+// formula once disagreed.
 func TestPartitionSkewAgrees(t *testing.T) {
 	g := &stats.Global{}
 	g.InitPartitions(3)
@@ -265,10 +249,10 @@ func TestPartitionSkewAgrees(t *testing.T) {
 		}
 	}
 	r := NewRegistry()
-	r.Attach(&Sources{Protocol: "BAMBOO", Live: &stats.Live{}, Global: g})
+	r.Attach(&Sources{Report: func() stats.Report { return stats.Summarize("BAMBOO", time.Second, nil, g) }})
 
 	want := stats.Summarize("BAMBOO", time.Second, nil, g).PartitionSkew
-	if got := r.Snapshot().PartitionSkew; got != want {
+	if got := r.vars().PartitionSkew; got != want {
 		t.Errorf("/debug/vars partition_skew = %v, report says %v", got, want)
 	}
 	var buf bytes.Buffer
@@ -276,5 +260,46 @@ func TestPartitionSkewAgrees(t *testing.T) {
 	line := "bamboo_partition_skew " + fmtFloat(want) + "\n"
 	if !strings.Contains(buf.String(), line) {
 		t.Errorf("/metrics does not print %q", line)
+	}
+}
+
+// TestExpositionWellFormed checks the rendered fixture against the text
+// format's structural rules: each family is one # HELP line, then one
+// # TYPE line, then its samples; family names are unique; every sample
+// belongs to the family above it (a summary's also as _sum and _count);
+// and a name ends in _total exactly when the family is a counter.
+func TestExpositionWellFormed(t *testing.T) {
+	var buf bytes.Buffer
+	fixedRegistry().WriteMetrics(&buf)
+	seen := map[string]bool{}
+	var fam, typ string
+	helped := false
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) >= 3 && f[0] == "#" && f[1] == "HELP":
+			if helped {
+				t.Errorf("%s: # HELP without a # TYPE", fam)
+			}
+			if seen[f[2]] {
+				t.Errorf("%s: family declared twice", f[2])
+			}
+			fam, typ, helped = f[2], "", true
+			seen[fam] = true
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			if !helped || f[2] != fam {
+				t.Errorf("%s: # TYPE not directly after its # HELP", f[2])
+			}
+			typ, helped = f[3], false
+			if strings.HasSuffix(fam, "_total") != (typ == "counter") {
+				t.Errorf("%s: type %s (a name ends in _total exactly when it is a counter)", fam, typ)
+			}
+		default:
+			name := line[:strings.IndexAny(line, "{ ")]
+			ok := typ != "" && (name == fam || typ == "summary" && (name == fam+"_sum" || name == fam+"_count"))
+			if !ok {
+				t.Errorf("sample %q outside its family (current family %s)", line, fam)
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ func (s *metricsServer) close() error { return s.srv.Close() }
 // Handler returns the endpoint mux:
 //
 //	/metrics     Prometheus text exposition
-//	/debug/vars  the Snapshot as JSON
+//	/debug/vars  the report as JSON, plus up and uptime_seconds
 //	/healthz     "ok"
 //
 // Usable directly (httptest, embedding in an existing server) without
@@ -35,7 +35,7 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(r.Snapshot())
+		enc.Encode(r.vars())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -330,7 +330,7 @@ func TestTPCCConsistencyIC3Unannotated(t *testing.T) {
 	}
 	var upgrades uint64
 	for _, c := range cols {
-		upgrades += c.Upgrades
+		upgrades += c.Counts[stats.Upgrades]
 	}
 	if upgrades == 0 {
 		t.Fatal("no in-place promotions recorded; un-annotated bodies did not drive the upgrade path")
