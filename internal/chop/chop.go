@@ -40,7 +40,6 @@ import (
 	"bamboo/internal/stats"
 	"bamboo/internal/storage"
 	"bamboo/internal/txn"
-	"bamboo/internal/wal"
 )
 
 // AccessDecl declares one table/column-set access of a piece.
@@ -319,13 +318,15 @@ type Session struct {
 	worker int
 	col    *stats.Collector
 	rng    *rand.Rand
+	log    core.CommitLog
 }
 
 // NewSession creates a session.
 func (e *Engine) NewSession(worker int, col *stats.Collector) *Session {
 	col.AttachLive(e.db.LiveStats())
 	return &Session{e: e, worker: worker, col: col,
-		rng: rand.New(rand.NewSource(int64(worker)*6553 + 17))}
+		rng: rand.New(rand.NewSource(int64(worker)*6553 + 17)),
+		log: e.db.NewCommitLog()}
 }
 
 // retryBackoff sleeps a jittered, attempt-scaled amount before retrying
@@ -719,14 +720,22 @@ func (s *Session) Run(t *Template, env any) error {
 			if ok && tt.BeginCommit() {
 				// An error return must leave nothing of the attempt in the
 				// access lists, or every transaction ordered behind it
-				// times out and retries without end: a failed append made
-				// nothing durable and rolls back; a failed insert follows
-				// a durable record and detaches as committed.
-				if rec := tx.commitRecord(id); rec != nil {
-					if _, err := s.e.db.Log.Commit(rec); err != nil {
-						tx.rollback()
-						return fmt.Errorf("chop: wal: %w", err)
+				// times out and retries without end: a failed append rolls
+				// back (a record that reached one partition log of several
+				// stays there, as core.CommitLog describes); a failed
+				// insert follows a durable record and detaches as
+				// committed.
+				for _, a := range tx.accs {
+					if a.write {
+						s.log.Update(a.row, a.local)
 					}
+				}
+				for _, ins := range tx.inserts {
+					s.log.Insert(ins.tbl, ins.key, ins.img)
+				}
+				if _, err := s.log.Commit(id); err != nil {
+					tx.rollback()
+					return err
 				}
 				for _, ins := range tx.inserts {
 					row, err := ins.tbl.InsertRow(ins.key, ins.img)
@@ -864,24 +873,6 @@ func (s *Session) commitWait(tx *Tx) (time.Duration, bool) {
 		}
 	}
 	return time.Since(start), !tx.t.Aborting()
-}
-
-func (tx *Tx) commitRecord(id uint64) *wal.Record {
-	var writes []wal.Write
-	for _, a := range tx.accs {
-		if a.write {
-			writes = append(writes, wal.Write{
-				Table: a.row.Table.Schema.Name, Key: a.row.Key, Image: a.local,
-			})
-		}
-	}
-	for _, ins := range tx.inserts {
-		writes = append(writes, wal.Write{Table: ins.tbl.Schema.Name, Key: ins.key, Image: ins.img})
-	}
-	if len(writes) == 0 {
-		return nil
-	}
-	return &wal.Record{TxnID: id, Writes: writes}
 }
 
 func (tx *Tx) accessInfo() []core.AccessInfo {

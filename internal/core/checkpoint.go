@@ -18,8 +18,9 @@ import (
 // durable LSN to stamp, without file-backed logs) and switch the WAL to
 // the segmented file layout. They cover the lock-engine commit path
 // (Bamboo and the 2PL baselines), whose commit window coordinates with
-// the checkpointer through the DB's checkpoint gate; the OCC and IC3
-// engines log through DB.Log directly and are not checkpoint-safe.
+// the checkpointer through the DB's checkpoint gate. The Silo and IC3
+// engines log through the same partition logs but their commit windows
+// do not take the gate, so they are still not checkpoint-safe.
 type CheckpointConfig struct {
 	// Dir is where snapshot files live; non-empty enables checkpointing.
 	Dir string

@@ -381,8 +381,8 @@ func TestWALRecordsCommittedWrites(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if dev.Len() != 1 {
-		t.Fatalf("wal grew on read-only commit: %d records", dev.Len())
+	if n := dev.Stats().Appends; n != 1 {
+		t.Fatalf("wal grew on read-only commit: %d records", n)
 	}
 }
 

@@ -35,7 +35,10 @@ type Config struct {
 	Variant lock.Variant
 
 	// RetireWrites enables early lock retiring for writes (Bamboo's core
-	// mechanism). Disabled it degenerates Bamboo to Wound-Wait (§3.4).
+	// mechanism). Disabled, the executor retires nothing on its own:
+	// Bamboo degenerates to Wound-Wait (§3.4) unless the caller places
+	// retire points itself through the Retirer interface, as the §3.3
+	// program-analysis package does.
 	RetireWrites bool
 	// RetireReads is Optimization 1 (reads retire at grant).
 	RetireReads bool
@@ -64,12 +67,6 @@ type Config struct {
 	// answer to a conflict is to abort (lockSession.backoff), and the
 	// IC3/chop executor (chop.Session.retryBackoff).
 	AbortBackoffMax time.Duration
-
-	// ManualRetire disables the executor's automatic write retiring;
-	// retire points are then chosen by the caller through the Retirer
-	// interface. Used by the §3.3 program-analysis package, which
-	// synthesizes retire conditions.
-	ManualRetire bool
 
 	// OnCommit, if non-nil, receives every committed transaction
 	// (testing/verification only; it runs inside the commit critical
@@ -187,13 +184,9 @@ func NoWait() Config { return Config{Variant: lock.NoWait} }
 type DB struct {
 	Catalog *storage.Catalog
 	Lock    *lock.Manager
-	// Log is partition 0's log — the only log of the single-partition
-	// layout. Engines that are not partition-aware (Silo, IC3) append
-	// their whole records here.
-	Log *wal.Log
 	// PLog is the partition-routed durability pipeline: one group
-	// committer + device per storage partition. The lock engine routes
-	// each commit record's writes to their owning partition's log.
+	// committer + device per storage partition. Every engine logs through
+	// a CommitLog, which routes each write to its owning partition's log.
 	PLog   *wal.PartitionedLog
 	Global *stats.Global
 
@@ -264,7 +257,6 @@ func NewDB(cfg Config) *DB {
 	}
 	db.Lock = lock.NewManager(lockCfg)
 	db.PLog = wal.NewPartitioned(db.walDevices(), cfg.GroupCommit, cfg.GroupCommitInterval)
-	db.Log = db.PLog.Log(0)
 	if cfg.Checkpoint.Enabled() {
 		db.ckptGate = &sync.RWMutex{}
 		db.ckpt = newCheckpointer(db)

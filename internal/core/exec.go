@@ -9,7 +9,6 @@ import (
 	"bamboo/internal/stats"
 	"bamboo/internal/storage"
 	"bamboo/internal/txn"
-	"bamboo/internal/wal"
 )
 
 // now is the executor's clock: monotonic time since clockEpoch. Run reads
@@ -35,10 +34,8 @@ func (e *LockEngine) Database() *DB { return e.db }
 
 // NewSession implements Engine. A session owns every piece of per-worker
 // state the transaction hot path needs — request freelist, timestamp
-// block allocator, reusable transaction/access/commit-record storage and
-// the WAL appenders — so steady-state execution does not allocate. The
-// session holds one appender and one record scratch per partition log
-// (one of each on the single-log layout), created once here.
+// block allocator, reusable transaction/access storage and the commit
+// log — so steady-state execution does not allocate.
 func (e *LockEngine) NewSession(worker int, col *stats.Collector) Session {
 	col.AttachLive(e.db.live)
 	s := &lockSession{
@@ -47,12 +44,8 @@ func (e *LockEngine) NewSession(worker int, col *stats.Collector) Session {
 		col:    col,
 		rng:    rand.New(rand.NewSource(int64(worker)*7919 + 1)),
 		t:      txn.New(0),
+		log:    e.db.NewCommitLog(),
 	}
-	s.apps = make([]*wal.Appender, e.db.PLog.Partitions())
-	for p := range s.apps {
-		s.apps[p] = e.db.PLog.Log(p).NewAppender()
-	}
-	s.precs = make([]wal.Record, len(s.apps))
 	s.alloc = e.db.Lock.NewTSAlloc(worker)
 	s.t.SetTSAlloc(s.alloc)
 	if e.db.Snap != nil {
@@ -82,13 +75,7 @@ type lockSession struct {
 	// where the allocator puts it — is what it is without MVCC).
 	free *versionFree
 
-	// Commit-log scratch: one appender and one record per partition log,
-	// plus the touched-partition and ticket lists of the current commit.
-	// All reused — the commit path allocates nothing in steady state.
-	apps    []*wal.Appender
-	precs   []wal.Record
-	touched []int
-	tickets []wal.Ticket
+	log CommitLog
 }
 
 // versionFree holds what a session harvested from the version tails its
@@ -314,81 +301,57 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 		// A write inside a read-only attempt: restart on the locking path.
 		return errSnapshotFallback
 	}
-	if i, ok := tx.byRow[row]; ok {
-		a := &tx.accesses[i]
-		if a.mode != lock.EX {
-			// SH→EX upgrade: promote the existing request in place. The
-			// access entry, byRow index and (for Bamboo) any dirty-read
-			// dependency the shared grant took all carry over; only the
-			// mode and the retire decision are new. On error the request
-			// is still a granted shared lock and the normal rollback
-			// releases it.
-			//
-			// A write the executor would retire anyway takes the fused
-			// UpgradeRetire path: promotion and retire-install happen in
-			// one entry-latch pass, and readers queued behind the upgrade
-			// are granted in that same critical section. The after-image
-			// is built latch-free here — the shared grant's image is an
-			// installed, immutable version, so cloning and mutating it
-			// before the call reads the same bytes the upgrade would have
-			// cloned, and no user callback ever runs under an entry
-			// latch. The retire decision (shouldRetire) depends only on
-			// declared-ops bookkeeping, so it can be taken up front.
-			if tx.shouldRetire() {
-				tx.s.giveSpare(a.req)
-				img := a.req.CloneImage()
-				mutate(img)
-				err := tx.db.Lock.UpgradeRetire(a.req, img)
-				tx.lockWait += a.req.TakeWait()
-				if err != nil {
-					// The after-image was never installed and nobody else
-					// saw it; donate its storage back as the spare.
-					a.req.StashBuf(img)
-					tx.db.Global.RecordPartConflict(row.PartitionID)
-					return err
-				}
-				a.mode = lock.EX
-				a.retired = true
-				tx.s.col.Add(stats.Upgrades, 1)
-				tx.s.col.Add(stats.Retires, 1)
-				return nil
-			}
-			tx.s.giveSpare(a.req)
-			err := tx.db.Lock.Upgrade(a.req)
-			tx.lockWait += a.req.TakeWait()
-			if err != nil {
-				tx.db.Global.RecordPartConflict(row.PartitionID)
-				return err
-			}
-			a.mode = lock.EX
-			tx.s.col.Add(stats.Upgrades, 1)
-			// No opIndex increment: the row was already counted at its
-			// Read, and workloads declare an RMW row as one access — a
-			// second count would skew the δ-retire cutoff.
-			mutate(a.req.Data)
-			return nil
-		}
-		if a.retired {
+	i, ok := tx.byRow[row]
+	if ok && tx.accesses[i].mode == lock.EX {
+		if tx.accesses[i].retired {
 			return fatalf("second write to a retired row (table %s key %d); "+
 				"declare accesses so the last write is known (§3.3)",
 				row.Table.Schema.Name, row.Key)
 		}
-		mutate(a.req.Data)
+		mutate(tx.accesses[i].req.Data)
 		return nil
 	}
-	req, err := tx.acquire(row, lock.EX)
-	if err != nil {
-		return err
+	var req *lock.Request
+	if ok {
+		// SH→EX upgrade: promote the existing request in place. The access
+		// entry, byRow index and (for Bamboo) any dirty-read dependency the
+		// shared grant took all carry over; only the mode is new, and the
+		// write then retires like a freshly acquired one. On error the
+		// request is still a granted shared lock and the normal rollback
+		// releases it.
+		req = tx.accesses[i].req
+		tx.s.giveSpare(req)
+		err := tx.db.Lock.Upgrade(req)
+		tx.lockWait += req.TakeWait()
+		if err != nil {
+			tx.db.Global.RecordPartConflict(row.PartitionID)
+			return err
+		}
+		tx.accesses[i].mode = lock.EX
+		tx.s.col.Add(stats.Upgrades, 1)
+		// No opIndex increment: the row was already counted at its Read,
+		// and workloads declare an RMW row as one access — a second count
+		// would skew the δ-retire cutoff.
+	} else {
+		var err error
+		if req, err = tx.acquire(row, lock.EX); err != nil {
+			return err
+		}
+		tx.opIndex++
+		i = tx.record(row, req, lock.EX)
 	}
-	tx.opIndex++
-	i := tx.record(row, req, lock.EX)
 	mutate(req.Data)
 	if tx.shouldRetire() {
-		tx.db.Lock.Retire(req)
-		tx.accesses[i].retired = true
-		tx.s.col.Add(stats.Retires, 1)
+		tx.retire(&tx.accesses[i])
 	}
 	return nil
+}
+
+// retire retires a's exclusive lock, publishing its write (LockRetire).
+func (tx *lockTx) retire(a *access) {
+	tx.db.Lock.Retire(a.req)
+	a.retired = true
+	tx.s.col.Add(stats.Retires, 1)
 }
 
 // shouldRetire applies Optimization 2 (paper §3.5): retire unless the
@@ -397,7 +360,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 // interactive-mode behavior where each write is treated as the last.
 func (tx *lockTx) shouldRetire() bool {
 	cfg := &tx.db.cfg
-	if cfg.Variant != lock.Bamboo || !cfg.RetireWrites || cfg.ManualRetire {
+	if cfg.Variant != lock.Bamboo || !cfg.RetireWrites {
 		return false
 	}
 	if cfg.Delta <= 0 || tx.declaredOps == 0 {
@@ -423,11 +386,8 @@ func (tx *lockTx) RetireRow(row *storage.Row) {
 		return
 	}
 	if i, ok := tx.byRow[row]; ok {
-		a := &tx.accesses[i]
-		if a.mode == lock.EX && !a.retired {
-			tx.db.Lock.Retire(a.req)
-			a.retired = true
-			tx.s.col.Add(stats.Retires, 1)
+		if a := &tx.accesses[i]; a.mode == lock.EX && !a.retired {
+			tx.retire(a)
 		}
 	}
 }
@@ -436,11 +396,8 @@ func (tx *lockTx) RetireRow(row *storage.Row) {
 // Optimization 2 invokes it when commit-waiting exceeds δ of execution.
 func (tx *lockTx) retireRemaining() {
 	for i := range tx.accesses {
-		a := &tx.accesses[i]
-		if a.mode == lock.EX && !a.retired {
-			tx.db.Lock.Retire(a.req)
-			a.retired = true
-			tx.s.col.Add(stats.Retires, 1)
+		if a := &tx.accesses[i]; a.mode == lock.EX && !a.retired {
+			tx.retire(a)
 		}
 	}
 }
@@ -684,10 +641,18 @@ func (s *lockSession) semWait(tx *lockTx, execTime time.Duration) (time.Duration
 // attempt back: the transaction reverts its own commit decision, as the
 // Sem recheck in Run does, and its dependents cascade. (A record that
 // reached one partition log of several stays there — the cross-partition
-// tear the logCommit comment describes.) A failure after the append
+// tear the CommitLog comment describes.) A failure after the append
 // releases as committed, because the record is durable.
 func (s *lockSession) commitPoint(tx *lockTx) error {
-	wrote, err := s.logCommit(tx)
+	for i := range tx.accesses {
+		if a := &tx.accesses[i]; a.mode == lock.EX {
+			s.log.Update(a.row, a.req.Data)
+		}
+	}
+	for _, ins := range tx.inserts {
+		s.log.Insert(ins.tbl, ins.key, ins.img)
+	}
+	wrote, err := s.log.Commit(tx.t.ID)
 	if err != nil {
 		tx.rollback()
 		return err
@@ -736,7 +701,7 @@ const (
 
 // giveSpare hands req an image buffer from the session's harvest if it
 // carries no spare of its own, so the private write copy the grant (or
-// CloneImage) is about to build allocates nothing. On a DB without
+// upgrade) is about to build allocates nothing. On a DB without
 // version chains the list is always empty: one predictable branch.
 func (s *lockSession) giveSpare(req *lock.Request) {
 	f := s.free
@@ -798,68 +763,6 @@ func (s *lockSession) installVersions(tx *lockTx) uint64 {
 	}
 	s.col.Add(stats.VersionsPruned, uint64(reclaimed))
 	return cts
-}
-
-// logCommit is the commit-point logging: the attempt's writes are split by
-// owning partition — updates carry their partition on the row, inserts
-// route through DB.PartitionOf — and one commit record per touched
-// partition is appended to that partition's log; a single-log DB is the
-// case where every write routes to log 0. Records are submitted to every
-// touched log before waiting on any, so the partition group commits (and
-// their fsyncs) overlap instead of stacking. All scratch (per-partition
-// records, touched list, tickets) is session-owned and reused: zero
-// steady-state allocations. It reports whether the attempt wrote anything.
-//
-// A transaction whose writes span partitions commits one record per
-// partition with the same TxnID; each partition's log remains a
-// self-contained, prefix-consistent history of that partition's rows,
-// which is what makes partition-parallel replay race-free. Cross-
-// partition atomicity at the log level is the distributed follow-on's
-// problem (path-sensitive atomic commit), not this layer's.
-func (s *lockSession) logCommit(tx *lockTx) (wrote bool, err error) {
-	for i := range tx.accesses {
-		a := &tx.accesses[i]
-		if a.mode == lock.EX {
-			s.route(a.row.PartitionID, wal.Write{
-				Table: a.row.Table.Schema.Name,
-				Key:   a.row.Key,
-				Image: a.req.Data,
-			})
-		}
-	}
-	for _, ins := range tx.inserts {
-		s.route(s.db.PartitionOf(ins.tbl, ins.key),
-			wal.Write{Table: ins.tbl.Schema.Name, Key: ins.key, Image: ins.img})
-	}
-	if len(s.touched) == 0 {
-		return false, nil
-	}
-	tickets := s.tickets[:0]
-	for _, pid := range s.touched {
-		s.precs[pid].TxnID = tx.t.ID
-		tickets = append(tickets, s.apps[pid].Submit(&s.precs[pid]))
-	}
-	s.tickets = tickets
-	for _, tk := range tickets {
-		if _, werr := tk.Wait(); werr != nil && err == nil {
-			err = fatalf("wal append: %w", werr)
-		}
-	}
-	for _, pid := range s.touched {
-		s.precs[pid].Writes = s.precs[pid].Writes[:0]
-	}
-	s.touched = s.touched[:0]
-	return true, err
-}
-
-// route adds w to partition pid's pending commit record, listing the
-// partition as touched on its first write.
-func (s *lockSession) route(pid int, w wal.Write) {
-	rec := &s.precs[pid]
-	if len(rec.Writes) == 0 {
-		s.touched = append(s.touched, pid)
-	}
-	rec.Writes = append(rec.Writes, w)
 }
 
 // backoff sleeps a jittered interval before an aborted attempt retries

@@ -51,12 +51,9 @@ type ReplayStats struct {
 // the log holds only transactional writes.
 //
 // With parallel set, partition logs replay concurrently, one goroutine
-// per log. This is race-free for logs the lock engine wrote, because its
-// commit path splits every record by owning partition: log p only ever
-// touches partition p's rows. (Logs written by the non-partition-aware
-// engines — Silo, IC3 append whole records to log 0 — replay correctly
-// too, since rows still route to their owning partition, but must use
-// serial mode.)
+// per log. This is race-free because every engine logs through a
+// CommitLog, which splits each commit by owning partition: log p only
+// ever touches partition p's rows.
 //
 // A torn record at a log's tail is tolerated and counted; corruption
 // anywhere else fails the replay.

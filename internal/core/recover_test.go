@@ -221,7 +221,7 @@ func TestPartitionedCommitRouting(t *testing.T) {
 
 	txnLogs := map[uint64]int{} // TxnID → number of logs it appears in
 	for p := 0; p < parts; p++ {
-		_, err := wal.ReplayFile(wal.PartitionLogPath(dir, p), func(rec *wal.Record) error {
+		_, err := wal.ReplayPartition(dir, p, 0, func(rec *wal.Record) error {
 			txnLogs[rec.TxnID]++
 			for _, w := range rec.Writes {
 				if got := tbl.PartitionFor(w.Key); got != p {
@@ -244,7 +244,7 @@ func TestPartitionedCommitRouting(t *testing.T) {
 	}
 	// Logs for partitions 2 and 3 must be empty: nothing wrote there.
 	for p := 2; p < parts; p++ {
-		st, err := wal.ReplayFile(wal.PartitionLogPath(dir, p), func(*wal.Record) error { return nil })
+		st, err := wal.ReplayPartition(dir, p, 0, func(*wal.Record) error { return nil })
 		if err != nil || st.Records != 0 {
 			t.Errorf("untouched partition %d log: %d records, err %v", p, st.Records, err)
 		}

@@ -37,9 +37,10 @@ func TestClockReadOnlyWhenBlocked(t *testing.T) {
 		m.Retire(ex)
 		m.Release(ex, false)
 		sh = mustAcquire(t, m, tx, SH, e)
-		if err := m.UpgradeRetire(sh, nil); err != nil {
-			t.Fatalf("%s: uncontended upgrade-retire: %v", v, err)
+		if err := m.Upgrade(sh); err != nil {
+			t.Fatalf("%s: uncontended upgrade: %v", v, err)
 		}
+		m.Retire(sh)
 		m.Release(sh, false)
 		if n := reads.Load(); n != 0 {
 			t.Fatalf("%s: %d clock reads on uncontended requests, want 0", v, n)

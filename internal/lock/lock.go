@@ -242,9 +242,9 @@ func (r *Request) takeBuf(src []byte) []byte {
 }
 
 // writeCopy gives the request a private mutable copy of the installed
-// image img as Data and keeps img itself as Read: what every path to an
-// exclusive hold (fresh grant, upgrade, fused upgrade-retire) does with
-// the image the writer observed.
+// image img as Data and keeps img itself as Read: what both paths to an
+// exclusive hold (fresh grant, upgrade) do with the image the writer
+// observed.
 func (r *Request) writeCopy(img []byte) {
 	r.Read = img
 	r.Data = r.takeBuf(img)
@@ -261,17 +261,9 @@ func (r *Request) captureSpare(img []byte) {
 	}
 }
 
-// CloneImage returns a private mutable copy of the request's current
-// image, drawing storage from the request's spare buffer when possible.
-// The executor uses it to build the after-image for UpgradeRetire; a
-// caller whose copy ends up never installed may donate the storage back
-// with StashBuf.
-func (r *Request) CloneImage() []byte { return r.takeBuf(r.Data) }
-
 // StashBuf donates b as the request's spare image buffer. b must be
-// unreachable by any other component (a failed UpgradeRetire after-image
-// that was never installed, or a version-chain image detached below the
-// reclaim watermark). Only the holding session may call it.
+// unreachable by any other component (a version-chain image detached
+// below the reclaim watermark). Only the holding session may call it.
 func (r *Request) StashBuf(b []byte) {
 	if len(b) > 0 {
 		r.buf = b[:len(b):len(b)]

@@ -237,42 +237,20 @@ func (m *Manager) AcquireInto(r *Request, t *txn.Txn, mode Mode, e *Entry) error
 // the caller's normal rollback path releases it along with the rest of
 // the access list. This differs from AcquireInto's detached-on-error
 // contract and is what keeps the executor's bookkeeping trivial.
+//
+// A write the executor retires right away (Bamboo's un-annotated
+// read-modify-write) calls Retire after Upgrade, exactly as after an
+// exclusive grant: the retire is a second latch pass, which re-inserts r
+// into the retired list at its timestamp slot and grants the readers that
+// queued behind the upgrade.
 func (m *Manager) Upgrade(r *Request) error {
-	return m.upgrade(r, false, nil)
-}
-
-// UpgradeRetire is Upgrade fused with Retire for the Bamboo
-// upgrade-then-retire path (an un-annotated read-modify-write whose write
-// the executor would retire immediately): the promotion and the
-// retire-install happen inside the final critical section, so the
-// upgraded writer retires directly into its old retired slot — every
-// other retiree is older when the upgrade completes, making that slot its
-// timestamp slot — instead of taking the un-retire→owners→re-retire hop,
-// and readers queued behind the upgrade are granted in the same latch
-// pass (one entry-latch acquisition where Upgrade+Retire took two).
-//
-// img is the ready after-image to install: a fresh private buffer the
-// caller derived from the image the shared grant was reading (r.Data,
-// which is an installed — immutable — version, so it can be cloned and
-// mutated latch-free before calling; nil clones r.Data unmodified). No
-// caller code runs under the entry latch: a mutation callback here could
-// reach other entries and hand-craft an ABBA latch deadlock the
-// protocol's wound machinery cannot see.
-//
-// On error the contract matches Upgrade: img is not installed and r is
-// still a granted shared request, released by the caller's rollback.
-func (m *Manager) UpgradeRetire(r *Request, img []byte) error {
-	return m.upgrade(r, true, img)
-}
-
-func (m *Manager) upgrade(r *Request, retire bool, img []byte) error {
 	if r.Mode == EX {
 		return nil
 	}
 	if r.Txn.Aborting() {
 		return ErrAborting
 	}
-	done, err := m.tryUpgrade(r, retire, img)
+	done, err := m.tryUpgrade(r)
 	if done {
 		return err
 	}
@@ -281,7 +259,7 @@ func (m *Manager) upgrade(r *Request, retire bool, img []byte) error {
 	start := now()
 	for i := 0; !done; i++ {
 		Backoff(i)
-		done, err = m.tryUpgrade(r, retire, img)
+		done, err = m.tryUpgrade(r)
 	}
 	r.wait += now() - start
 	return err
@@ -290,14 +268,11 @@ func (m *Manager) upgrade(r *Request, retire bool, img []byte) error {
 // tryUpgrade is one entry-latch pass of an upgrade: it applies the
 // variant's deadlock rule and completes the promotion if the entry has
 // quiesced around r. done is false when the upgrader has to keep waiting.
-func (m *Manager) tryUpgrade(r *Request, retire bool, img []byte) (done bool, err error) {
+func (m *Manager) tryUpgrade(r *Request) (done bool, err error) {
 	t := r.Txn
 	e := r.entry
 	e.latch.Lock()
 	defer e.latch.Unlock()
-	if h := testHookLatchPass; h != nil {
-		h()
-	}
 	if t.Aborting() {
 		dropUpgradeLocked(e, r)
 		return true, ErrWound
@@ -332,26 +307,10 @@ func (m *Manager) tryUpgrade(r *Request, retire bool, img []byte) (done bool, er
 			return false, nil
 		}
 	}
-	if retire {
-		m.completeUpgradeRetireLocked(e, r, img)
-		// The pending-upgrade marker must drop before promoting:
-		// promoteWaiters holds back every waiter younger than a
-		// marked upgrade, and the readers the fresh dirty install can
-		// serve are exactly such waiters.
-		dropUpgradeLocked(e, r)
-		m.promoteWaiters(e)
-	} else {
-		m.completeUpgradeLocked(e, r)
-		dropUpgradeLocked(e, r)
-	}
+	m.completeUpgradeLocked(e, r)
+	dropUpgradeLocked(e, r)
 	return true, nil
 }
-
-// testHookLatchPass, when non-nil, is invoked once per entry-latch
-// critical section entered by the upgrade and retire paths; the
-// latch-pass gate test (TestUpgradeRetireLatchPasses) counts with it.
-// Always nil outside tests.
-var testHookLatchPass func()
 
 // claimUpgradeLocked registers r as the entry's pending upgrade unless an
 // older upgrade already holds the slot (in which case r is doomed anyway:
@@ -474,54 +433,6 @@ func (m *Manager) completeUpgradeLocked(e *Entry, r *Request) {
 	}
 }
 
-// completeUpgradeRetireLocked fuses completeUpgradeLocked with Retire for
-// the upgrade-then-retire path: promote in place and publish the caller's
-// pre-built after-image as the entry's newest (dirty) version — all in
-// one critical section. A positioned shared grant keeps its retired-list
-// slot: on upgrade completion every other retiree is older and live
-// (upgradeBlockedLocked), so the slot it read at IS its timestamp slot
-// and the un-retire→owners→re-retire hop of the two-step path is pure
-// overhead.
-func (m *Manager) completeUpgradeRetireLocked(e *Entry, r *Request, img []byte) {
-	r.Mode = EX
-	if img == nil {
-		r.writeCopy(r.Data)
-	} else {
-		r.Read, r.Data = r.Data, img
-	}
-	if m.cfg.DynamicTS {
-		// Retired entries must carry a timestamp so future conflicts can
-		// be ordered against them (as in Retire).
-		r.Txn.AssignTSIfUnassigned(&m.tsCounter)
-	}
-	// Commit-order behind the remaining older retirees exactly as the
-	// two-step path would: they all conflict with the now-exclusive hold.
-	others := e.retired.len()
-	wasRetired := r.stateLoad() == reqRetired
-	if wasRetired {
-		others--
-	}
-	if m.cfg.Variant == Bamboo && !r.semHeld && others > 0 {
-		r.semHeld = true
-		r.Txn.SemIncr()
-	}
-	// Retire's install: publish the mutated image as the newest version.
-	e.seq++
-	r.installSeq = e.seq
-	r.prevImg = e.Data
-	e.Data = r.Data
-	e.cur = r.installSeq
-	r.installed = true
-	if !wasRetired {
-		e.owners.remove(r)
-		e.retired.insertByTS(r)
-		r.state.Store(int32(reqRetired))
-	}
-	// The caller promotes waiters after dropping the pending-upgrade
-	// marker (a still-set marker would hold back the very readers the
-	// fresh dirty install can serve).
-}
-
 // assignOnUpgradeLocked is Algorithm 3's conflict-time assignment for the
 // upgrade path: the promotion to exclusive is a conflict with every other
 // request on the entry, so if any exists, all parties (r's transaction
@@ -559,9 +470,6 @@ func (m *Manager) Retire(r *Request) {
 	e := r.entry
 	e.latch.Lock()
 	defer e.latch.Unlock()
-	if h := testHookLatchPass; h != nil {
-		h()
-	}
 	if r.stateLoad() != reqOwner {
 		return // dropped, already retired, or released
 	}

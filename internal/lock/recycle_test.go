@@ -282,18 +282,9 @@ func TestPrivateCopyPaths(t *testing.T) {
 		// upgrade takes a granted SH request to an exclusive hold; nil
 		// means the path under test is the exclusive grant itself.
 		upgrade func(m *Manager, r *Request) error
-		retired bool // the path also installs Data as the entry's newest image
 	}{
 		{name: "grant"},
 		{name: "upgrade", upgrade: (*Manager).Upgrade},
-		{name: "upgrade-retire", retired: true, upgrade: func(m *Manager, r *Request) error {
-			return m.UpgradeRetire(r, nil)
-		}},
-		// The caller's image is the one copy; UpgradeRetire must not make
-		// a second.
-		{name: "upgrade-retire-caller-image", retired: true, upgrade: func(m *Manager, r *Request) error {
-			return m.UpgradeRetire(r, r.CloneImage())
-		}},
 	}
 	for _, tc := range cases {
 		for _, spare := range []bool{false, true} {
@@ -328,8 +319,8 @@ func TestPrivateCopyPaths(t *testing.T) {
 					}
 				}
 
-				if r.Mode != EX || r.Retired() != tc.retired {
-					t.Fatalf("mode=%s retired=%v, want EX retired=%v", r.Mode, r.Retired(), tc.retired)
+				if r.Mode != EX || r.Retired() {
+					t.Fatalf("mode=%s retired=%v, want EX owner", r.Mode, r.Retired())
 				}
 				if &r.Read[0] != &installed[0] {
 					t.Fatal("Read is not the previously installed image")
@@ -351,8 +342,8 @@ func TestPrivateCopyPaths(t *testing.T) {
 					t.Fatalf("copies=%d reuses=%d, want %d/%d", c, u, wantC, wantU)
 				}
 				cur := e.CurrentData()
-				if installedNow := &cur[0] == &r.Data[0]; installedNow != tc.retired {
-					t.Fatalf("Data installed as the entry's image: %v, want %v", installedNow, tc.retired)
+				if &cur[0] == &r.Data[0] {
+					t.Fatal("Data installed as the entry's image before any retire")
 				}
 				if err := e.CheckInvariants(); err != nil {
 					t.Fatal(err)

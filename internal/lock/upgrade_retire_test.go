@@ -1,25 +1,22 @@
 package lock
 
-import (
-	"bytes"
-	"testing"
+import "testing"
 
-	"bamboo/internal/txn"
-)
-
-// afterImage clones the installed image r is reading and sets its first
-// byte — the latch-free after-image construction UpgradeRetire expects.
-func afterImage(r *Request, b byte) []byte {
-	img := bytes.Clone(r.Data)
-	img[0] = b
-	return img
+// upgradeRetire is the executor's un-annotated read-modify-write: upgrade
+// the shared grant in place, set the first byte of the private copy, and
+// retire it.
+func upgradeRetire(m *Manager, r *Request, b byte) error {
+	if err := m.Upgrade(r); err != nil {
+		return err
+	}
+	r.Data[0] = b
+	m.Retire(r)
+	return nil
 }
 
-// TestUpgradeRetireSoleReader covers the fused upgrade+retire on the
-// sole-holder fast path: the promotion, mutation and retire-install all
-// land in one critical section, the dirty image is immediately the
-// entry's newest version, and commit/abort behave exactly as after the
-// two-step Upgrade+Retire.
+// TestUpgradeRetireSoleReader covers upgrade-then-retire on the
+// sole-holder fast path: the dirty image is the entry's newest version as
+// soon as Retire returns, and commit keeps it.
 func TestUpgradeRetireSoleReader(t *testing.T) {
 	for name, mk := range map[string]func() *Manager{
 		"bamboo": bambooMgr,
@@ -30,7 +27,7 @@ func TestUpgradeRetireSoleReader(t *testing.T) {
 			e := newEntry(7)
 			tx := newTxnTS(1, 1)
 			r := mustAcquire(t, m, tx, SH, e)
-			if err := m.UpgradeRetire(r, afterImage(r, 42)); err != nil {
+			if err := upgradeRetire(m, r, 42); err != nil {
 				t.Fatalf("upgrade-retire: %v", err)
 			}
 			if r.Mode != EX || !r.Retired() {
@@ -58,15 +55,15 @@ func TestUpgradeRetireSoleReader(t *testing.T) {
 	}
 }
 
-// TestUpgradeRetireAbortRestores pins the abort path: the fused install
-// participates in the sequence-guarded restore exactly like a Retire'd
-// write.
+// TestUpgradeRetireAbortRestores pins the abort path: the upgraded
+// write's install participates in the sequence-guarded restore exactly
+// like any retired write.
 func TestUpgradeRetireAbortRestores(t *testing.T) {
 	m := bambooMgr()
 	e := newEntry(7)
 	tx := newTxnTS(1, 1)
 	r := mustAcquire(t, m, tx, SH, e)
-	if err := m.UpgradeRetire(r, afterImage(r, 42)); err != nil {
+	if err := upgradeRetire(m, r, 42); err != nil {
 		t.Fatal(err)
 	}
 	m.Release(r, true)
@@ -78,15 +75,15 @@ func TestUpgradeRetireAbortRestores(t *testing.T) {
 	}
 }
 
-// TestUpgradeRetireDirtyReadable asserts the point of retiring in the
-// same critical section: a reader arriving after UpgradeRetire returns
-// observes the dirty image and commit-orders behind the writer.
+// TestUpgradeRetireDirtyReadable: a reader arriving after the upgraded
+// write retired observes the dirty image and commit-orders behind the
+// writer.
 func TestUpgradeRetireDirtyReadable(t *testing.T) {
 	m := bambooMgr()
 	e := newEntry(7)
 	writer := newTxnTS(1, 1)
 	r := mustAcquire(t, m, writer, SH, e)
-	if err := m.UpgradeRetire(r, afterImage(r, 42)); err != nil {
+	if err := upgradeRetire(m, r, 42); err != nil {
 		t.Fatal(err)
 	}
 	reader := newTxnTS(2, 2)
@@ -108,9 +105,8 @@ func TestUpgradeRetireDirtyReadable(t *testing.T) {
 }
 
 // TestUpgradeRetireBehindOlderRetiree: with an older retired reader
-// present, the fused path keeps the upgraded writer's retired-list slot
-// (it is the youngest, so its old slot is its timestamp slot) and takes
-// the same commit dependency the two-step path would.
+// present, the upgraded writer commit-orders behind it and retires back
+// into the retired list at its timestamp slot.
 func TestUpgradeRetireBehindOlderRetiree(t *testing.T) {
 	m := bambooMgr()
 	e := newEntry(7)
@@ -118,14 +114,14 @@ func TestUpgradeRetireBehindOlderRetiree(t *testing.T) {
 	or := mustAcquire(t, m, older, SH, e)
 	younger := newTxnTS(2, 2)
 	yr := mustAcquire(t, m, younger, SH, e)
-	if err := m.UpgradeRetire(yr, afterImage(yr, 9)); err != nil {
+	if err := upgradeRetire(m, yr, 9); err != nil {
 		t.Fatalf("upgrade-retire behind older retiree: %v", err)
 	}
 	if younger.Sem() != 1 {
 		t.Fatalf("upgraded writer must commit-order behind the older retiree: sem=%d", younger.Sem())
 	}
 	if ret, own, _ := e.Snapshot(); ret != 2 || own != 0 {
-		t.Fatalf("retired=%d owners=%d after fused retire, want 2/0", ret, own)
+		t.Fatalf("retired=%d owners=%d after the retire, want 2/0", ret, own)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -140,11 +136,11 @@ func TestUpgradeRetireBehindOlderRetiree(t *testing.T) {
 	}
 }
 
-// TestUpgradeRetireGrantsQueuedReader drives the contended fused path:
-// an upgrade blocked by a younger holder wounds it, and a reader that
-// queued behind the pending upgrade is granted by the same critical
-// section that installs the retired write — observing the dirty image
-// and commit-ordering behind the upgraded writer.
+// TestUpgradeRetireGrantsQueuedReader drives the contended path: an
+// upgrade blocked by a younger holder wounds it, and a reader that queued
+// behind the pending upgrade is granted by the retire that follows it —
+// observing the dirty image and commit-ordering behind the upgraded
+// writer.
 func TestUpgradeRetireGrantsQueuedReader(t *testing.T) {
 	m := bambooMgr()
 	e := newEntry(7)
@@ -154,7 +150,7 @@ func TestUpgradeRetireGrantsQueuedReader(t *testing.T) {
 	br := mustAcquire(t, m, blocker, SH, e)
 
 	upDone := make(chan error, 1)
-	go func() { upDone <- m.UpgradeRetire(ur, afterImage(ur, 42)) }()
+	go func() { upDone <- upgradeRetire(m, ur, 42) }()
 	// The upgrade wounds the younger holder and spins until it drains.
 	for i := 0; !blocker.Aborting(); i++ {
 		Backoff(i)
@@ -178,8 +174,8 @@ func TestUpgradeRetireGrantsQueuedReader(t *testing.T) {
 		Backoff(i)
 	}
 
-	// Draining the wounded holder unblocks the upgrade; its completion
-	// must install the write AND grant the queued reader.
+	// Draining the wounded holder unblocks the upgrade; the retire after
+	// it must install the write AND grant the queued reader.
 	m.Release(br, true)
 	if err := <-upDone; err != nil {
 		t.Fatalf("upgrade-retire: %v", err)
@@ -198,85 +194,5 @@ func TestUpgradeRetireGrantsQueuedReader(t *testing.T) {
 	m.Release(g.r, false)
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestUpgradeRetireLatchPasses is the latch-pass gate of the
-// upgrade-aware retire ordering: the two-step Upgrade+Retire costs two
-// entry-latch critical sections, the fused UpgradeRetire exactly one.
-func TestUpgradeRetireLatchPasses(t *testing.T) {
-	count := 0
-	testHookLatchPass = func() { count++ }
-	defer func() { testHookLatchPass = nil }()
-
-	m := bambooMgr()
-	e := newEntry(7)
-
-	tx1 := newTxnTS(1, 1)
-	r1 := mustAcquire(t, m, tx1, SH, e)
-	count = 0
-	if err := m.Upgrade(r1); err != nil {
-		t.Fatal(err)
-	}
-	m.Retire(r1)
-	twoStep := count
-	m.Release(r1, false)
-
-	tx2 := newTxnTS(2, 2)
-	r2 := mustAcquire(t, m, tx2, SH, e)
-	count = 0
-	if err := m.UpgradeRetire(r2, afterImage(r2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	fused := count
-	m.Release(r2, false)
-
-	if twoStep != 2 {
-		t.Fatalf("two-step upgrade+retire took %d latch passes, expected 2", twoStep)
-	}
-	if fused != 1 {
-		t.Fatalf("fused upgrade-retire took %d latch passes, want exactly 1", fused)
-	}
-}
-
-// TestUpgradeRetireAllocs asserts the fused path allocates exactly what
-// the declared-EX retire cycle does: the one private write-image clone.
-func TestUpgradeRetireAllocs(t *testing.T) {
-	m := bambooMgr()
-	e := newEntry(7)
-	tx := txn.New(1)
-	tx.SetTS(1)
-	var pool Pool
-	mutate := func(img []byte) { img[0]++ }
-
-	declared := testing.AllocsPerRun(200, func() {
-		r := pool.Get()
-		if err := m.AcquireInto(r, tx, EX, e); err != nil {
-			t.Fatal(err)
-		}
-		mutate(r.Data)
-		m.Retire(r)
-		m.Release(r, false)
-		pool.Put(r)
-	})
-	fused := testing.AllocsPerRun(200, func() {
-		r := pool.Get()
-		if err := m.AcquireInto(r, tx, SH, e); err != nil {
-			t.Fatal(err)
-		}
-		img := bytes.Clone(r.Data) // the caller-built after-image: the one allocation
-		mutate(img)
-		if err := m.UpgradeRetire(r, img); err != nil {
-			t.Fatal(err)
-		}
-		m.Release(r, false)
-		pool.Put(r)
-	})
-	t.Logf("declared EX+retire %.1f allocs, fused upgrade-retire %.1f allocs", declared, fused)
-	if fused > declared {
-		t.Fatalf("fused upgrade-retire allocates: %.1f vs %.1f declared", fused, declared)
-	}
-	if fused > 1 {
-		t.Fatalf("fused upgrade-retire cycle = %.1f allocs, want ≤1 (the image clone)", fused)
 	}
 }

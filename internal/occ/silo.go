@@ -24,7 +24,6 @@ import (
 	"bamboo/internal/stats"
 	"bamboo/internal/storage"
 	"bamboo/internal/txn"
-	"bamboo/internal/wal"
 )
 
 const (
@@ -72,7 +71,7 @@ func (e *Engine) Database() *core.DB { return e.db }
 // NewSession implements core.Engine.
 func (e *Engine) NewSession(worker int, col *stats.Collector) core.Session {
 	col.AttachLive(e.db.LiveStats())
-	return &session{e: e, worker: worker, col: col}
+	return &session{e: e, worker: worker, col: col, log: e.db.NewCommitLog()}
 }
 
 type session struct {
@@ -80,6 +79,7 @@ type session struct {
 	worker  int
 	col     *stats.Collector
 	lastTID uint64
+	log     core.CommitLog
 }
 
 type readEnt struct {
@@ -229,8 +229,11 @@ func (s *session) Run(fn core.TxnFunc) error {
 		}
 
 		vStart := time.Now()
-		ok := s.commit(tx)
+		ok, err := s.commit(tx)
 		vTime := time.Since(vStart)
+		if err != nil {
+			return err
+		}
 		if ok {
 			s.col.RecordCommit(exec, 0, vTime)
 			return nil
@@ -240,8 +243,10 @@ func (s *session) Run(fn core.TxnFunc) error {
 }
 
 // commit runs Silo's commit protocol, returning false on validation
-// failure (the attempt aborts and the caller retries).
-func (s *session) commit(tx *siloTx) bool {
+// failure (the attempt aborts and the caller retries). A failed log append
+// is not a validation failure — a retry cannot fix the device — and comes
+// back as the error, with the write set unlocked and nothing installed.
+func (s *session) commit(tx *siloTx) (bool, error) {
 	// Phase 1: lock the write set in a global order.
 	sort.Slice(tx.writes, func(i, j int) bool {
 		return rowAddr(tx.writes[i].row) < rowAddr(tx.writes[j].row)
@@ -251,13 +256,13 @@ func (s *session) commit(tx *siloTx) bool {
 		row := tx.writes[i].row
 		if !lockTID(row) {
 			unlockAll(tx.writes[:locked])
-			return false
+			return false, nil
 		}
 		locked++
 		// Write-write validation: the row changed since we took our base.
 		if row.TID.Load()&^lockBit != tx.writes[i].tid {
 			unlockAll(tx.writes[:locked])
-			return false
+			return false, nil
 		}
 	}
 
@@ -267,12 +272,12 @@ func (s *session) commit(tx *siloTx) bool {
 		cur := r.row.TID.Load()
 		if cur&^lockBit != r.tid {
 			unlockAll(tx.writes[:locked])
-			return false
+			return false, nil
 		}
 		if cur&lockBit != 0 {
 			if _, mine := tx.byRow[r.row]; !mine {
 				unlockAll(tx.writes[:locked])
-				return false
+				return false, nil
 			}
 		}
 	}
@@ -295,11 +300,15 @@ func (s *session) commit(tx *siloTx) bool {
 	}
 	s.lastTID = tid
 
-	if rec := tx.commitRecord(); rec != nil {
-		if _, err := s.e.db.Log.Commit(rec); err != nil {
-			unlockAll(tx.writes[:locked])
-			return false
-		}
+	for i := range tx.writes {
+		s.log.Update(tx.writes[i].row, tx.writes[i].img)
+	}
+	for _, ins := range tx.insrts {
+		s.log.Insert(ins.tbl, ins.key, ins.img)
+	}
+	if _, err := s.log.Commit(tx.id); err != nil {
+		unlockAll(tx.writes[:locked])
+		return false, err
 	}
 	for _, ins := range tx.insrts {
 		row, err := ins.tbl.InsertRow(ins.key, ins.img)
@@ -308,7 +317,7 @@ func (s *session) commit(tx *siloTx) bool {
 			// validation failure (the paper's workloads use unique keys
 			// drawn from locked counters, so this is defensive).
 			unlockAll(tx.writes[:locked])
-			return false
+			return false, nil
 		}
 		img := ins.img
 		row.OCCImage.Store(&img)
@@ -323,24 +332,7 @@ func (s *session) commit(tx *siloTx) bool {
 		w.row.OCCImage.Store(&img)
 		w.row.TID.Store(tid) // clears the lock bit
 	}
-	return true
-}
-
-func (tx *siloTx) commitRecord() *wal.Record {
-	var writes []wal.Write
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		writes = append(writes, wal.Write{
-			Table: w.row.Table.Schema.Name, Key: w.row.Key, Image: w.img,
-		})
-	}
-	for _, ins := range tx.insrts {
-		writes = append(writes, wal.Write{Table: ins.tbl.Schema.Name, Key: ins.key, Image: ins.img})
-	}
-	if len(writes) == 0 {
-		return nil
-	}
-	return &wal.Record{TxnID: tx.id, Writes: writes}
+	return true, nil
 }
 
 func (tx *siloTx) accessInfo() []core.AccessInfo {

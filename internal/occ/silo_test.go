@@ -1,7 +1,9 @@
 package occ_test
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"bamboo/internal/core"
 	"bamboo/internal/occ"
@@ -138,6 +140,43 @@ func TestSiloUpgradeReadToWrite(t *testing.T) {
 	}
 	if p := tbl.Get(0).OCCImage.Load(); p == nil || tbl.Schema.GetInt64(*p, 1) != 5 {
 		t.Fatal("OCC image not installed")
+	}
+}
+
+// failDevice is a log device whose every append fails.
+type failDevice struct{ err error }
+
+func (d failDevice) Append([]byte) (uint64, error) { return 0, d.err }
+
+// TestSiloLogFailureIsFatal: a failed log append is not a validation
+// failure to retry — on a device that keeps failing the retries would
+// never end — so Run returns the device's error, records no abort, and
+// leaves the row as it was.
+func TestSiloLogFailureIsFatal(t *testing.T) {
+	errDevice := errors.New("device full")
+	e := newEngine(t, core.Config{LogDevice: failDevice{errDevice}})
+	tbl := verifytest.BuildDB(e.Database(), 1)
+	col := newCollector()
+	sess := e.NewSession(0, col)
+	done := make(chan error, 1)
+	go func() {
+		done <- sess.Run(func(tx core.Tx) error {
+			return tx.Update(tbl.Get(0), func(img []byte) { tbl.Schema.AddInt64(img, 1, 1) })
+		})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errDevice) {
+			t.Fatalf("Run = %v, want an error wrapping the device's", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run still retrying 2s after its log device started failing")
+	}
+	if col.Aborts != 0 {
+		t.Fatalf("%d aborts recorded for a failed append, want 0", col.Aborts)
+	}
+	if got := tbl.Schema.GetInt64(verifytest.RowImage(tbl.Get(0)), 1); got != 0 {
+		t.Fatalf("unlogged write installed: val = %d", got)
 	}
 }
 

@@ -22,7 +22,7 @@ func buildTable(db *core.DB, name string, rows int) *storage.Table {
 
 func manualDB() *core.DB {
 	cfg := core.Bamboo()
-	cfg.ManualRetire = true
+	cfg.RetireWrites = false
 	return core.NewDB(cfg)
 }
 

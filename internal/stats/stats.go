@@ -70,8 +70,7 @@ type Collector struct {
 type Counter int
 
 const (
-	// Upgrades counts successful SH→EX promotions (including the fused
-	// upgrade+retire path).
+	// Upgrades counts successful SH→EX promotions.
 	Upgrades Counter = iota
 	// Retires counts lock retires (writes made visible before commit).
 	Retires

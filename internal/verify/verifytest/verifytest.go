@@ -1,11 +1,13 @@
 // Package verifytest provides reusable randomized correctness harnesses
 // run against every concurrency-control engine in the repository: a
-// serializability check built on internal/verify and a bank-transfer
-// conservation check. The engines under test only need to implement
-// core.Engine.
+// serializability check built on internal/verify, a bank-transfer
+// conservation check, a snapshot-consistency check and a partition-log
+// check. The engines under test only need to implement core.Engine.
 package verifytest
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 	"bamboo/internal/lock"
 	"bamboo/internal/storage"
 	"bamboo/internal/verify"
+	"bamboo/internal/wal"
 )
 
 // stampSchema is the row layout of the verification table: a writer stamp
@@ -377,6 +380,78 @@ func RowImage(row *storage.Row) []byte {
 		return *p
 	}
 	return row.Entry.CurrentData()
+}
+
+// RequirePartitionLocalLogs is the durability oracle of a partitioned
+// run whose DB, live, logged to the WALDir dir and has been closed. Every
+// write partition log p holds must belong to partition p, a transaction
+// has at most one record per log, and replaying dir into fresh — a DB
+// with live's partition count, loaded by the same deterministic loader
+// and never run — must reproduce every committed row image of live,
+// inserted rows included. The run must have filled every log and, with
+// more than one, committed at least one transaction across logs, or the
+// check ran vacuously.
+func RequirePartitionLocalLogs(t *testing.T, dir string, live, fresh *core.DB) {
+	t.Helper()
+	logsOf := make(map[uint64]int) // how many logs hold each transaction
+	for p := 0; p < live.Partitions(); p++ {
+		records, foreign := 0, 0
+		var first string
+		seen := make(map[uint64]bool)
+		_, err := wal.ReplayPartition(dir, p, 0, func(rec *wal.Record) error {
+			records++
+			if seen[rec.TxnID] {
+				t.Errorf("log %d holds two records of txn %d", p, rec.TxnID)
+			}
+			seen[rec.TxnID] = true
+			logsOf[rec.TxnID]++
+			for _, w := range rec.Writes {
+				if got := live.Catalog.Table(w.Table).PartitionFor(w.Key); got != p {
+					if foreign++; foreign == 1 {
+						first = fmt.Sprintf("txn %d's write of %s/%d, which routes to partition %d",
+							rec.TxnID, w.Table, w.Key, got)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("read log %d: %v", p, err)
+		}
+		if foreign > 0 {
+			t.Errorf("log %d holds %d writes of other partitions, the first %s", p, foreign, first)
+		}
+		if records == 0 {
+			t.Errorf("log %d is empty: the routing check ran vacuously", p)
+		}
+	}
+	crossing := 0
+	for _, n := range logsOf {
+		if n > 1 {
+			crossing++
+		}
+	}
+	if live.Partitions() > 1 && crossing == 0 {
+		t.Errorf("no transaction logged to more than one partition: the cross-partition case ran vacuously")
+	}
+	if _, err := fresh.ReplayDir(dir, true); err != nil {
+		t.Fatalf("replay %s: %v", dir, err)
+	}
+	for _, tbl := range live.Catalog.AllTables() {
+		name := tbl.Schema.Name
+		rtbl := fresh.Catalog.Table(name)
+		if got, want := rtbl.Rows(), tbl.Rows(); got != want {
+			t.Errorf("table %s: replay rebuilt %d rows, the run committed %d", name, got, want)
+		}
+		tbl.Range(func(k uint64, row *storage.Row) bool {
+			r := rtbl.Get(k)
+			if r == nil || !bytes.Equal(r.Entry.CurrentData(), RowImage(row)) {
+				t.Errorf("table %s key %d: replayed image differs from the committed one", name, k)
+				return false
+			}
+			return true
+		})
+	}
 }
 
 func checkEntriesDrained(t *testing.T, e core.Engine, tbl *storage.Table, rows int) {

@@ -55,10 +55,10 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	}
 }
 
-// FileDevice is a log device over append-only files, framing records
-// exactly like WriterDevice (see frame.go) so Replay reads both. Each
-// record (or batch) is written with a single Write call, which means a
-// crash leaves at most one torn frame — and only at the tail.
+// FileDevice is a log device over append-only files, framing records as
+// frame.go describes, which is what Replay reads. Each record (or batch)
+// is written with a single Write call, which means a crash leaves at most
+// one torn frame — and only at the tail.
 //
 // The device runs in one of two layouts:
 //
@@ -414,17 +414,6 @@ func (d *FileDevice) TruncateBelow(seq uint64) (int64, error) {
 		}
 	}
 	return dropped, nil
-}
-
-// Segments returns the number of live segment files (including the
-// active one); 0 for a legacy device.
-func (d *FileDevice) Segments() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.segMax == 0 {
-		return 0
-	}
-	return len(d.segs) + 1
 }
 
 // Stats implements StatsDevice.

@@ -15,7 +15,12 @@ import (
 func replayAll(t *testing.T, path string) ([]*Record, ReplayStats) {
 	t.Helper()
 	var recs []*Record
-	st, err := ReplayFile(path, func(r *Record) error {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := Replay(f, func(r *Record) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -31,10 +36,10 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := New(dev)
+	a := New(dev).NewAppender()
 	want := []*Record{sample(), {TxnID: 9}, sample()}
 	for i, r := range want {
-		lsn, err := l.Commit(r)
+		lsn, err := a.Commit(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +73,7 @@ func TestFileDeviceFsyncPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if _, err := dev.Append(Encode(sample())); err != nil {
+			if _, err := dev.Append(AppendRecord(nil, sample())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -83,7 +88,7 @@ func TestFileDeviceFsyncPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if _, err := dev.Append(Encode(sample())); err != nil {
+			if _, err := dev.Append(AppendRecord(nil, sample())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -100,7 +105,7 @@ func TestFileDeviceFsyncPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if _, err := dev.Append(Encode(sample())); err != nil {
+			if _, err := dev.Append(AppendRecord(nil, sample())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -114,7 +119,7 @@ func TestFileDeviceFsyncPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch := [][]byte{Encode(sample()), Encode(sample()), Encode(sample())}
+		batch := [][]byte{AppendRecord(nil, sample()), AppendRecord(nil, sample()), AppendRecord(nil, sample())}
 		if _, err := dev.AppendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
@@ -184,14 +189,14 @@ func TestReplayTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := New(dev)
+	a := New(dev).NewAppender()
 	want := []*Record{sample(), {TxnID: 7, Writes: []Write{{Table: "x", Key: 1, Image: bytes.Repeat([]byte{3}, 40)}}}, sample()}
 	var bounds []int64 // cumulative end offset of each frame
 	for _, r := range want {
-		if _, err := l.Commit(r); err != nil {
+		if _, err := a.Commit(r); err != nil {
 			t.Fatal(err)
 		}
-		bounds = append(bounds, frameSize(len(Encode(r)))+prevBound(bounds))
+		bounds = append(bounds, frameSize(len(AppendRecord(nil, r)))+prevBound(bounds))
 	}
 	dev.Close()
 	full, err := os.ReadFile(path)
@@ -258,19 +263,13 @@ func prefixBound(bounds []int64, cut int64) int64 {
 // complete frame whose content is garbage is corruption, not a tolerated
 // torn tail.
 func TestReplayRejectsCorruptMiddle(t *testing.T) {
-	var buf bytes.Buffer
-	d := NewWriterDevice(&buf)
-	if _, err := d.Append(Encode(sample())); err != nil {
-		t.Fatal(err)
-	}
-	// A complete, CRC-consistent 5-byte frame of garbage, followed by a
-	// valid frame: the checksums pass, the decode must not.
-	buf.Write(appendFrame(nil, []byte{1, 2, 3, 4, 5}))
-	if _, err := d.Append(Encode(sample())); err != nil {
-		t.Fatal(err)
-	}
+	// A complete, CRC-consistent 5-byte frame of garbage between two valid
+	// frames: the checksums pass, the decode must not.
+	log := appendFrame(nil, AppendRecord(nil, sample()))
+	log = appendFrame(log, []byte{1, 2, 3, 4, 5})
+	log = appendFrame(log, AppendRecord(nil, sample()))
 	n := 0
-	_, err := Replay(bytes.NewReader(buf.Bytes()), func(*Record) error { n++; return nil })
+	_, err := Replay(bytes.NewReader(log), func(*Record) error { n++; return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt middle frame: err=%v, want ErrCorrupt", err)
 	}
@@ -284,23 +283,16 @@ func TestReplayRejectsCorruptMiddle(t *testing.T) {
 // fail the replay as corruption — not read to EOF, report a benign torn
 // tail, and silently drop every committed record after it.
 func TestReplayRejectsOverflowingFramePrefix(t *testing.T) {
-	var buf bytes.Buffer
-	d := NewWriterDevice(&buf)
-	if _, err := d.Append(Encode(sample())); err != nil {
-		t.Fatal(err)
-	}
 	// A header whose length words agree (so the complement check passes)
 	// but claim a ~4 GiB frame: only the MaxFrameBytes cap stands between
 	// this and a huge allocation plus a bogus torn-tail verdict.
-	hdr := binary.LittleEndian.AppendUint32(nil, 0xFFFFFFF0)
-	hdr = binary.LittleEndian.AppendUint32(hdr, ^uint32(0xFFFFFFF0))
-	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
-	buf.Write(hdr)
-	if _, err := d.Append(Encode(sample())); err != nil {
-		t.Fatal(err)
-	}
+	log := appendFrame(nil, AppendRecord(nil, sample()))
+	log = binary.LittleEndian.AppendUint32(log, 0xFFFFFFF0)
+	log = binary.LittleEndian.AppendUint32(log, ^uint32(0xFFFFFFF0))
+	log = binary.LittleEndian.AppendUint32(log, 0)
+	log = appendFrame(log, AppendRecord(nil, sample()))
 	n := 0
-	st, err := Replay(bytes.NewReader(buf.Bytes()), func(*Record) error { n++; return nil })
+	st, err := Replay(bytes.NewReader(log), func(*Record) error { n++; return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("overflowing frame prefix: err=%v torn=%v, want ErrCorrupt", err, st.Torn)
 	}
@@ -319,7 +311,7 @@ func TestOpenPartitionDevices(t *testing.T) {
 		if d.Path() != PartitionLogPath(dir, p) {
 			t.Fatalf("device %d at %s", p, d.Path())
 		}
-		if _, err := d.Append(Encode(&Record{TxnID: uint64(p + 1)})); err != nil {
+		if _, err := d.Append(AppendRecord(nil, &Record{TxnID: uint64(p + 1)})); err != nil {
 			t.Fatal(err)
 		}
 		d.Close()
@@ -341,7 +333,7 @@ func TestFileDeviceAppendContinues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dev.Append(Encode(&Record{TxnID: uint64(i)})); err != nil {
+		if _, err := dev.Append(AppendRecord(nil, &Record{TxnID: uint64(i)})); err != nil {
 			t.Fatal(err)
 		}
 		dev.Close()

@@ -5,7 +5,7 @@ import (
 	"hash/crc32"
 )
 
-// Frame format of the file-backed logs (FileDevice, WriterDevice):
+// Frame format of the file-backed logs (FileDevice):
 //
 //	len u32 | ^len u32 | crc32c(payload) u32 | payload
 //

@@ -5,19 +5,6 @@ import (
 	"time"
 )
 
-// LSN identifies a record in a PartitionedLog. Partition logs are
-// independent sequence domains — there is no total order across
-// partitions, which is precisely what lets each partition flush (and
-// fsync) without coordinating with the others — so a log position is a
-// (partition, sequence) pair.
-type LSN struct {
-	Partition int
-	Seq       uint64
-}
-
-// String implements fmt.Stringer.
-func (l LSN) String() string { return fmt.Sprintf("%d:%d", l.Partition, l.Seq) }
-
 // PartitionedLog is the durability side of a partitioned store: one Log —
 // its own group committer and device — per storage partition. Commit
 // records are routed to the partition that owns their writes, so the
@@ -26,7 +13,6 @@ func (l LSN) String() string { return fmt.Sprintf("%d:%d", l.Partition, l.Seq) }
 // the shared Log it wraps (the pre-partitioning layout, bit for bit).
 type PartitionedLog struct {
 	logs []*Log
-	devs []Device
 }
 
 // NewPartitioned builds one log per device. With groupCommit set each
@@ -37,14 +23,13 @@ func NewPartitioned(devs []Device, groupCommit bool, interval time.Duration) *Pa
 	if len(devs) == 0 {
 		devs = []Device{nil}
 	}
-	pl := &PartitionedLog{logs: make([]*Log, len(devs)), devs: make([]Device, len(devs))}
+	pl := &PartitionedLog{logs: make([]*Log, len(devs))}
 	for i, d := range devs {
 		if groupCommit {
 			pl.logs[i] = NewGroupCommit(d, interval)
 		} else {
 			pl.logs[i] = New(d)
 		}
-		pl.devs[i] = pl.logs[i].dev
 	}
 	return pl
 }
@@ -54,16 +39,6 @@ func (pl *PartitionedLog) Partitions() int { return len(pl.logs) }
 
 // Log returns partition p's log; per-worker appenders are drawn from it.
 func (pl *PartitionedLog) Log(p int) *Log { return pl.logs[p] }
-
-// Device returns partition p's device (tests and telemetry).
-func (pl *PartitionedLog) Device(p int) Device { return pl.devs[p] }
-
-// Commit serializes and appends rec to partition p's log — the
-// convenience path for tests; hot paths use per-partition Appenders.
-func (pl *PartitionedLog) Commit(p int, rec *Record) (LSN, error) {
-	seq, err := pl.logs[p].Commit(rec)
-	return LSN{Partition: p, Seq: seq}, err
-}
 
 // Close drains and stops every partition's group committer and closes
 // every closable device. All partitions are closed even if one errors;
@@ -75,8 +50,8 @@ func (pl *PartitionedLog) Close() error {
 			first = err
 		}
 	}
-	for _, d := range pl.devs {
-		if c, ok := d.(interface{ Close() error }); ok {
+	for _, l := range pl.logs {
+		if c, ok := l.dev.(interface{ Close() error }); ok {
 			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}
@@ -99,7 +74,7 @@ type LifecycleDevice interface {
 // Seq returns partition p's last appended sequence number, or 0 if its
 // device does not track one.
 func (pl *PartitionedLog) Seq(p int) uint64 {
-	if ld, ok := pl.devs[p].(LifecycleDevice); ok {
+	if ld, ok := pl.logs[p].dev.(LifecycleDevice); ok {
 		return ld.Seq()
 	}
 	return 0
@@ -108,7 +83,7 @@ func (pl *PartitionedLog) Seq(p int) uint64 {
 // LiveBytes returns the live log footprint of partition p's device, or 0
 // if it does not report one.
 func (pl *PartitionedLog) LiveBytes(p int) int64 {
-	if ld, ok := pl.devs[p].(LifecycleDevice); ok {
+	if ld, ok := pl.logs[p].dev.(LifecycleDevice); ok {
 		return ld.LiveBytes()
 	}
 	return 0
@@ -118,7 +93,7 @@ func (pl *PartitionedLog) LiveBytes(p int) int64 {
 // whole-segment granularity), returning the bytes reclaimed. It errors
 // if the partition's device cannot truncate.
 func (pl *PartitionedLog) TruncateBelow(p int, seq uint64) (int64, error) {
-	ld, ok := pl.devs[p].(LifecycleDevice)
+	ld, ok := pl.logs[p].dev.(LifecycleDevice)
 	if !ok {
 		return 0, fmt.Errorf("wal: partition %d device cannot truncate", p)
 	}
@@ -128,8 +103,8 @@ func (pl *PartitionedLog) TruncateBelow(p int, seq uint64) (int64, error) {
 // Stats sums the DeviceStats of every partition device that reports them.
 func (pl *PartitionedLog) Stats() DeviceStats {
 	var s DeviceStats
-	for _, d := range pl.devs {
-		if sd, ok := d.(StatsDevice); ok {
+	for _, l := range pl.logs {
+		if sd, ok := l.dev.(StatsDevice); ok {
 			s = s.Add(sd.Stats())
 		}
 	}

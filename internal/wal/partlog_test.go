@@ -19,19 +19,20 @@ func TestPartitionedLogRoutesIndependently(t *testing.T) {
 		t.Fatalf("partitions = %d", pl.Partitions())
 	}
 	for p := 0; p < 3; p++ {
+		a := pl.Log(p).NewAppender()
 		for i := 0; i < p+1; i++ {
-			lsn, err := pl.Commit(p, &Record{TxnID: uint64(100*p + i)})
+			seq, err := a.Commit(&Record{TxnID: uint64(100*p + i)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if lsn.Partition != p || lsn.Seq != uint64(i+1) {
-				t.Fatalf("lsn = %v", lsn)
+			if seq != uint64(i+1) {
+				t.Fatalf("partition %d: seq = %d, want %d", p, seq, i+1)
 			}
 		}
 	}
 	for p, m := range mems {
-		if m.Len() != p+1 {
-			t.Fatalf("partition %d has %d records, want %d", p, m.Len(), p+1)
+		if got := m.Stats().Appends; got != uint64(p+1) {
+			t.Fatalf("partition %d has %d records, want %d", p, got, p+1)
 		}
 	}
 	st := pl.Stats()
@@ -69,7 +70,7 @@ func TestPartitionedLogGroupCommitCloseDrains(t *testing.T) {
 	}
 	// Every partition's committer must be stopped.
 	for p := 0; p < 2; p++ {
-		if _, err := pl.Log(p).Commit(sample()); !errors.Is(err, ErrClosed) {
+		if _, err := pl.Log(p).NewAppender().Commit(sample()); !errors.Is(err, ErrClosed) {
 			t.Fatalf("partition %d commit after close: %v", p, err)
 		}
 	}
@@ -100,7 +101,7 @@ func TestSubmitWaitOverlapsPartitions(t *testing.T) {
 		}
 	}
 	for p := 0; p < 2; p++ {
-		if got := devs[p].(*slowDevice).Len(); got != 20 {
+		if got := devs[p].(*slowDevice).Stats().Appends; got != 20 {
 			t.Fatalf("partition %d has %d records, want 20", p, got)
 		}
 	}
@@ -112,7 +113,7 @@ func TestTicketPerRecordLog(t *testing.T) {
 	a := l.NewAppender()
 	tk := a.Submit(sample())
 	// Per-record logs are durable at submit; Wait just reports.
-	if dev.Len() != 1 {
+	if dev.Stats().Appends != 1 {
 		t.Fatal("submit on a per-record log did not append")
 	}
 	lsn, err := tk.Wait()
@@ -126,7 +127,7 @@ func TestNewPartitionedNilDevices(t *testing.T) {
 	if pl.Partitions() != 1 {
 		t.Fatalf("partitions = %d", pl.Partitions())
 	}
-	if _, err := pl.Commit(0, sample()); err != nil {
+	if _, err := pl.Log(0).NewAppender().Commit(sample()); err != nil {
 		t.Fatal(err)
 	}
 	pl.Close()

@@ -64,8 +64,8 @@ func (st *ReplayStats) add(next ReplayStats) {
 // record after the corruption — and allocate up to 4 GiB first.
 const MaxFrameBytes = 1 << 28 // 256 MiB
 
-// Replay streams framed records (the WriterDevice/FileDevice framing,
-// see frame.go) from r, invoking fn on each in log order. Equivalent to
+// Replay streams framed records (the FileDevice framing, see frame.go)
+// from r, invoking fn on each in log order. Equivalent to
 // ReplayFrom(r, 1, 0, fn): frames are numbered from 1 and none are
 // skipped.
 func Replay(r io.Reader, fn func(*Record) error) (ReplayStats, error) {
@@ -155,17 +155,6 @@ func ReplayFrom(r io.Reader, firstSeq, fromSeq uint64, fn func(*Record) error) (
 	}
 }
 
-// ReplayFile replays one log file from its start; see Replay. The file
-// must exist — recovery decides how to treat missing partition logs.
-func ReplayFile(path string, fn func(*Record) error) (ReplayStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ReplayStats{}, err
-	}
-	defer f.Close()
-	return Replay(f, fn)
-}
-
 // ReplayPartition replays partition p's log in dir — the segment chain
 // if segment files exist, otherwise the legacy single file — invoking fn
 // on every record with sequence above fromSeq. Closed segments that a
@@ -176,7 +165,7 @@ func ReplayFile(path string, fn func(*Record) error) (ReplayStats, error) {
 // predecessor, or a replay start already truncated away) and torn
 // non-final segments are corruption: recovery must fail loudly rather
 // than resurrect a state missing committed records. A partition with no
-// log at all returns an fs.ErrNotExist error, as ReplayFile does.
+// log at all returns an fs.ErrNotExist error.
 func ReplayPartition(dir string, p int, fromSeq uint64, fn func(*Record) error) (ReplayStats, error) {
 	segs, err := ListSegments(dir, p)
 	if err != nil {

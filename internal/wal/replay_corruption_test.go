@@ -15,24 +15,18 @@ import (
 // torn, never corrupt; together the two classes pin the decision
 // boundary the frame format exists to draw.
 func TestCorruptionInjectionMatrix(t *testing.T) {
-	var log bytes.Buffer
-	dev := NewWriterDevice(&log)
 	recs := []*Record{
 		sample(),
 		{TxnID: 2, Writes: []Write{{Table: "acct", Key: 7, Image: bytes.Repeat([]byte{0xA5}, 48)}}},
 		{TxnID: 3, Writes: []Write{{Table: "acct", Key: 9, Image: bytes.Repeat([]byte{0x5A}, 16)}}},
 	}
+	var clean []byte
 	var bounds [][2]int64
-	off := int64(0)
 	for _, r := range recs {
-		if _, err := dev.Append(Encode(r)); err != nil {
-			t.Fatal(err)
-		}
-		end := off + frameSize(len(Encode(r)))
-		bounds = append(bounds, [2]int64{off, end})
-		off = end
+		off := int64(len(clean))
+		clean = appendFrame(clean, AppendRecord(nil, r))
+		bounds = append(bounds, [2]int64{off, int64(len(clean))})
 	}
-	clean := log.Bytes()
 
 	replayCount := func(data []byte) (int, ReplayStats, error) {
 		n := 0

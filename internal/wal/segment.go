@@ -3,7 +3,6 @@ package wal
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -76,12 +75,7 @@ func ListSegments(dir string, p int) ([]SegmentInfo, error) {
 // rot. Used by segmented-device open (torn-tail repair), crash-test
 // tooling and corruption-injection tests.
 func FrameBounds(path string) ([][2]int64, bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, err
 	}

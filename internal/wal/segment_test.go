@@ -18,18 +18,28 @@ func fillSegments(t *testing.T, dir string, n int, segMax int64) *FileDevice {
 	}
 	for i := 1; i <= n; i++ {
 		rec := &Record{TxnID: uint64(i), Writes: []Write{{Table: "t", Key: uint64(i), Image: make([]byte, 32)}}}
-		if seq, err := dev.Append(Encode(rec)); err != nil || seq != uint64(i) {
+		if seq, err := dev.Append(AppendRecord(nil, rec)); err != nil || seq != uint64(i) {
 			t.Fatalf("append %d: seq=%d err=%v", i, seq, err)
 		}
 	}
 	return dev
 }
 
+// segments counts partition 0's live segment files in dir.
+func segments(t *testing.T, dir string) int {
+	t.Helper()
+	segs, err := ListSegments(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(segs)
+}
+
 func TestSegmentedRoundTripAndRotation(t *testing.T) {
 	dir := t.TempDir()
 	dev := fillSegments(t, dir, 50, 256)
-	if dev.Segments() < 2 {
-		t.Fatalf("no rotation happened: %d segments", dev.Segments())
+	if n := segments(t, dir); n < 2 {
+		t.Fatalf("no rotation happened: %d segments", n)
 	}
 	if err := dev.Close(); err != nil {
 		t.Fatal(err)
@@ -68,7 +78,7 @@ func TestSegmentedReopenContinues(t *testing.T) {
 	if got := dev2.Seq(); got != 20 {
 		t.Fatalf("reopened Seq = %d, want 20", got)
 	}
-	if seq, err := dev2.Append(Encode(&Record{TxnID: 21})); err != nil || seq != 21 {
+	if seq, err := dev2.Append(AppendRecord(nil, &Record{TxnID: 21})); err != nil || seq != 21 {
 		t.Fatalf("append after reopen: seq=%d err=%v", seq, err)
 	}
 	dev2.Close()
@@ -101,7 +111,7 @@ func TestSegmentedTornTailRepair(t *testing.T) {
 	if got := dev2.Seq(); got != 9 {
 		t.Fatalf("Seq after torn-tail repair = %d, want 9", got)
 	}
-	if _, err := dev2.Append(Encode(&Record{TxnID: 100})); err != nil {
+	if _, err := dev2.Append(AppendRecord(nil, &Record{TxnID: 100})); err != nil {
 		t.Fatal(err)
 	}
 	dev2.Close()
@@ -149,7 +159,7 @@ func TestSegmentedRefusesLegacyMix(t *testing.T) {
 func TestTruncateBelow(t *testing.T) {
 	dir := t.TempDir()
 	dev := fillSegments(t, dir, 60, 256)
-	nSegs := dev.Segments()
+	nSegs := segments(t, dir)
 	if nSegs < 3 {
 		t.Fatalf("want ≥3 segments, got %d", nSegs)
 	}
@@ -278,7 +288,7 @@ func TestListSegmentsIgnoresOtherPartitions(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if _, err := dev.Append(Encode(&Record{TxnID: uint64(p*100 + i)})); err != nil {
+			if _, err := dev.Append(AppendRecord(nil, &Record{TxnID: uint64(p*100 + i)})); err != nil {
 				t.Fatal(err)
 			}
 		}

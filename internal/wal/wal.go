@@ -2,7 +2,7 @@
 // paper's experiments "log to main memory — modern non-volatile memory
 // would offer similar performance" (§5.1); the default device here is an
 // in-memory buffer with the same serialization cost a real device would
-// see, and an io.Writer-backed device is provided for durability tests.
+// see, and FileDevice puts the log on real files.
 //
 // Bamboo requires no special logging treatment (paper §3.4): a transaction
 // writes its commit record only after the concurrency-control protocol is
@@ -10,7 +10,7 @@
 //
 // Two commit disciplines are supported:
 //
-//   - per-record (New): every Commit appends straight to the device;
+//   - per-record (New): every commit appends straight to the device;
 //   - group commit (NewGroupCommit): committers hand their encoded record
 //     to a background flusher and block until the epoch containing it is
 //     durable, so one device write covers a whole batch of transactions.
@@ -24,8 +24,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"sync"
 	"time"
 )
@@ -60,7 +58,7 @@ type BatchDevice interface {
 	AppendBatch(recs [][]byte) (lastLSN uint64, err error)
 }
 
-// ErrClosed is returned by Commit after Close.
+// ErrClosed is returned by commits after Close.
 var ErrClosed = errors.New("wal: log closed")
 
 // DeviceStats is the durability telemetry a device accumulates: how many
@@ -123,16 +121,6 @@ func NewGroupCommit(dev Device, interval time.Duration) *Log {
 	return l
 }
 
-// GroupCommit reports whether the log batches commits.
-func (l *Log) GroupCommit() bool { return l.gc != nil }
-
-// Commit serializes and appends rec, returning its LSN (in group-commit
-// mode: the last LSN of the flushed batch). The convenience path for
-// tests; hot paths use an Appender to reuse the encode buffer.
-func (l *Log) Commit(rec *Record) (uint64, error) {
-	return l.append(Encode(rec))
-}
-
 // submit registers enc without waiting for durability; Ticket.Wait blocks
 // until the epoch containing it is flushed. Per-record logs append (and
 // are durable) inside submit itself, so Wait is immediate.
@@ -155,13 +143,6 @@ func (l *Log) Close() error {
 	return l.gc.close()
 }
 
-func (l *Log) append(enc []byte) (uint64, error) {
-	if l.gc != nil {
-		return l.gc.commit(enc)
-	}
-	return l.dev.Append(enc)
-}
-
 // Appender is a per-worker commit handle owning a reusable encode buffer,
 // so steady-state commits allocate nothing. Not safe for concurrent use;
 // each worker session owns one.
@@ -173,10 +154,11 @@ type Appender struct {
 // NewAppender returns a commit handle for one worker.
 func (l *Log) NewAppender() *Appender { return &Appender{l: l} }
 
-// Commit encodes rec into the appender's buffer and commits it. The
-// buffer is reused on the next call, which is safe under the Device
-// no-retention rule and because group commit blocks until the flush that
-// covers the record completes.
+// Commit encodes rec into the appender's buffer and commits it, returning
+// its LSN (in group-commit mode: the last LSN of the flushed batch) — a
+// Submit whose Ticket it waits on. The buffer is reused on the next call,
+// which is safe under the Device no-retention rule and because group
+// commit blocks until the flush that covers the record completes.
 //
 // The encode copies rec's payloads — including row images — into the
 // appender's own buffer before anything crosses the device boundary, so
@@ -186,8 +168,7 @@ func (l *Log) NewAppender() *Appender { return &Appender{l: l} }
 // the version chain and the WAL, and recycle it at release without
 // consulting the log.
 func (a *Appender) Commit(rec *Record) (uint64, error) {
-	a.buf = AppendRecord(a.buf[:0], rec)
-	return a.l.append(a.buf)
+	return a.Submit(rec).Wait()
 }
 
 // Submit encodes rec and registers it for commit without waiting for
@@ -250,16 +231,6 @@ func newGroupCommitter(dev Device, interval time.Duration) *groupCommitter {
 	g.work.L = &g.mu
 	g.flushed.L = &g.mu
 	return g
-}
-
-// commit registers enc in the open epoch and blocks until that epoch is
-// durable. enc must remain unmodified until commit returns.
-func (g *groupCommitter) commit(enc []byte) (uint64, error) {
-	e, err := g.submit(enc)
-	if err != nil {
-		return 0, err
-	}
-	return g.waitEpoch(e)
 }
 
 // submit registers enc in the open epoch and returns that epoch number;
@@ -367,20 +338,11 @@ func flushBatch(dev Device, batch [][]byte) (uint64, error) {
 	return lsn, nil
 }
 
-// Encode serializes a record:
+// AppendRecord serializes rec onto buf and returns the extended slice;
+// the zero-allocation path once buf's capacity has grown to the
+// workload's record size. The format:
 //
 //	txnID u64 | nWrites u32 | { tableLen u16 table | key u64 | imgLen u32 img }*
-func Encode(rec *Record) []byte {
-	n := 12
-	for _, w := range rec.Writes {
-		n += 2 + len(w.Table) + 8 + 4 + len(w.Image)
-	}
-	return AppendRecord(make([]byte, 0, n), rec)
-}
-
-// AppendRecord serializes rec onto buf (in the Encode format) and returns
-// the extended slice; the zero-allocation path once buf's capacity has
-// grown to the workload's record size.
 func AppendRecord(buf []byte, rec *Record) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, rec.TxnID)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Writes)))
@@ -509,28 +471,6 @@ func (d *MemDevice) appendLocked(rec []byte) uint64 {
 	return d.lsn
 }
 
-// Len returns the number of appended records.
-func (d *MemDevice) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int(d.lsn)
-}
-
-// Bytes returns the total bytes appended.
-func (d *MemDevice) Bytes() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.bytes
-}
-
-// Batches returns the number of device write operations (one per Append
-// or AppendBatch call) — the quantity group commit amortizes.
-func (d *MemDevice) Batches() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.batches
-}
-
 // Stats implements StatsDevice. A memory device never syncs.
 func (d *MemDevice) Stats() DeviceStats {
 	d.mu.Lock()
@@ -551,94 +491,4 @@ func (d *MemDevice) Records() ([]*Record, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// WriterDevice appends framed records (see frame.go) to an io.Writer.
-type WriterDevice struct {
-	mu      sync.Mutex
-	w       io.Writer
-	scratch []byte
-	lsn     uint64
-	bytes   uint64
-	batches uint64
-}
-
-// NewWriterDevice wraps w as a log device.
-func NewWriterDevice(w io.Writer) *WriterDevice { return &WriterDevice{w: w} }
-
-// Append implements Device.
-func (d *WriterDevice) Append(rec []byte) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.batches++
-	return d.appendLocked(rec)
-}
-
-// AppendBatch implements BatchDevice.
-func (d *WriterDevice) AppendBatch(recs [][]byte) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.batches++
-	var lsn uint64
-	for _, rec := range recs {
-		l, err := d.appendLocked(rec)
-		if err != nil {
-			return lsn, err
-		}
-		lsn = l
-	}
-	return lsn, nil
-}
-
-// Stats implements StatsDevice. An io.Writer cannot be synced.
-func (d *WriterDevice) Stats() DeviceStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return DeviceStats{Appends: d.lsn, Batches: d.batches, Bytes: d.bytes}
-}
-
-func (d *WriterDevice) appendLocked(rec []byte) (uint64, error) {
-	d.scratch = appendFrame(d.scratch[:0], rec)
-	if _, err := d.w.Write(d.scratch); err != nil {
-		return 0, err
-	}
-	d.lsn++
-	d.bytes += uint64(len(rec))
-	return d.lsn, nil
-}
-
-// ReadAll decodes every record from a stream produced by WriterDevice,
-// verifying each frame's header complement and payload CRC. Unlike
-// Replay it is strict: a torn tail is an error, not a tolerated crash
-// artifact — streams read here are expected to be complete.
-func ReadAll(r io.Reader) ([]*Record, error) {
-	var out []*Record
-	var hdr [frameHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			return nil, fmt.Errorf("wal: truncated record: %w", err)
-		}
-		frameLen, wantCRC, ok := parseFrameHeader(hdr[:])
-		if !ok {
-			return nil, fmt.Errorf("wal: %w: frame length %#x contradicts its complement", ErrCorrupt, frameLen)
-		}
-		if frameLen > MaxFrameBytes {
-			return nil, fmt.Errorf("wal: %w: frame length %d overflows the %d cap", ErrCorrupt, frameLen, MaxFrameBytes)
-		}
-		buf := make([]byte, frameLen)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("wal: truncated record: %w", err)
-		}
-		if crc32.Checksum(buf, castagnoli) != wantCRC {
-			return nil, fmt.Errorf("wal: %w: payload CRC mismatch", ErrCorrupt)
-		}
-		rec, err := Decode(buf)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
 }

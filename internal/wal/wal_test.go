@@ -22,7 +22,7 @@ func sample() *Record {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rec := sample()
-	got, err := Decode(Encode(rec))
+	got, err := Decode(AppendRecord(nil, rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
-	enc := Encode(sample())
+	enc := AppendRecord(nil, sample())
 	for _, cut := range []int{1, 11, len(enc) - 1} {
 		if _, err := Decode(enc[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
@@ -56,7 +56,7 @@ func TestRoundTripProperty(t *testing.T) {
 			table = table[:1000]
 		}
 		rec := &Record{TxnID: id, Writes: []Write{{Table: table, Key: key, Image: img}}}
-		got, err := Decode(Encode(rec))
+		got, err := Decode(AppendRecord(nil, rec))
 		if err != nil {
 			return false
 		}
@@ -70,9 +70,9 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestMemDevice(t *testing.T) {
 	dev := NewMemDevice(true)
-	l := New(dev)
+	a := New(dev).NewAppender()
 	for i := 0; i < 3; i++ {
-		lsn, err := l.Commit(sample())
+		lsn, err := a.Commit(sample())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +80,8 @@ func TestMemDevice(t *testing.T) {
 			t.Fatalf("lsn = %d", lsn)
 		}
 	}
-	if dev.Len() != 3 || dev.Bytes() == 0 {
-		t.Fatalf("len=%d bytes=%d", dev.Len(), dev.Bytes())
+	if st := dev.Stats(); st.Appends != 3 || st.Batches != 3 || st.Bytes == 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 	recs, err := dev.Records()
 	if err != nil {
@@ -93,8 +93,7 @@ func TestMemDevice(t *testing.T) {
 }
 
 func TestNilDeviceDefaults(t *testing.T) {
-	l := New(nil)
-	if _, err := l.Commit(sample()); err != nil {
+	if _, err := New(nil).NewAppender().Commit(sample()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -156,7 +155,7 @@ func TestGroupCommitDurability(t *testing.T) {
 						return
 					}
 					// Commit returning means the record is durable NOW.
-					if got := dev.Len(); got < 1 {
+					if got := dev.Stats().Appends; got < 1 {
 						t.Errorf("commit returned before anything was durable")
 						return
 					}
@@ -167,14 +166,14 @@ func TestGroupCommitDurability(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := dev.Len(); got != workers*perWorker {
+		if got := dev.Stats().Appends; got != workers*perWorker {
 			t.Fatalf("interval %v: %d records durable, want %d", interval, got, workers*perWorker)
 		}
 		// Group commit must have batched device writes: fewer flush
 		// operations than records proves multi-record epochs. The slow
 		// device guarantees records pile up during each flush, so a
 		// one-record-per-flush run means batching is broken.
-		if b := dev.Batches(); b >= uint64(workers*perWorker) {
+		if b := dev.Stats().Batches; b >= workers*perWorker {
 			t.Fatalf("interval %v: batches = %d for %d records: group commit degenerated to per-record writes",
 				interval, b, workers*perWorker)
 		}
@@ -195,45 +194,18 @@ func TestGroupCommitDurability(t *testing.T) {
 
 func TestGroupCommitClose(t *testing.T) {
 	l := NewGroupCommit(NewMemDevice(false), 0)
-	if _, err := l.Commit(sample()); err != nil {
+	a := l.NewAppender()
+	if _, err := a.Commit(sample()); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Commit(sample()); !errors.Is(err, ErrClosed) {
+	if _, err := a.Commit(sample()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after close: %v, want ErrClosed", err)
 	}
 	// Close is idempotent.
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriterDeviceAndReadAll(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(NewWriterDevice(&buf))
-	want := []*Record{sample(), {TxnID: 1}, sample()}
-	for _, r := range want {
-		if _, err := l.Commit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReadAll = %+v", got)
-	}
-	// Truncated stream errors.
-	var buf2 bytes.Buffer
-	l2 := New(NewWriterDevice(&buf2))
-	if _, err := l2.Commit(sample()); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf2.Bytes()[:buf2.Len()-2]
-	if _, err := ReadAll(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated stream accepted")
 	}
 }
