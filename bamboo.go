@@ -114,55 +114,30 @@ func NewSchema(name string, cols ...Column) *Schema { return storage.NewSchema(n
 // transaction body; the transaction is rolled back and not retried.
 var ErrUserAbort = core.ErrUserAbort
 
+// Config is the engine configuration Options embeds: storage partitions,
+// abort backoff, MVCC, group commit, the WAL directory and fsync policy,
+// checkpoints, the metrics endpoint. Its six protocol fields (Variant,
+// RetireWrites, RetireReads, NoWoundRead, DynamicTS, Delta) belong to
+// Options.Protocol and must stay unset.
+type Config = core.Config
+
 // Options configures Open.
 type Options struct {
 	// Protocol selects the concurrency control scheme (default Bamboo).
+	// Silo ignores Config.MVCC: only the lock engines keep version chains.
 	Protocol Protocol
-	// Delta overrides Bamboo's Optimization-2 δ (default 0.15; 0 retires
-	// every write eagerly).
-	Delta *float64
-	// DisableDynamicTS turns off timestamp-on-first-conflict.
-	DisableDynamicTS bool
 	// InteractiveRTT, when positive, wraps the engine in the
 	// interactive-mode transport charging this round trip per operation.
 	InteractiveRTT time.Duration
-	// AbortBackoffMax bounds the randomized retry backoff after aborts
-	// (0 = none for Bamboo and Wound-Wait, a 200µs default for NoWait
-	// and WaitDie, which would otherwise spin on the conflict).
-	AbortBackoffMax time.Duration
-	// MVCC keeps a small bounded version chain per row so transactions
-	// marked read-only (core.MarkReadOnly) execute at a snapshot
-	// timestamp with zero lock acquisitions and zero aborts. Only the
-	// lock engines support it; Silo ignores the flag.
-	MVCC bool
-	// MVCCPruneInterval is the background version-pruner tick
-	// (0 = default 2ms). Only meaningful with MVCC set.
-	MVCCPruneInterval time.Duration
-	// GroupCommit batches commit-record device writes through the WAL's
-	// epoch-based group committer; GroupCommitInterval is the epoch
-	// accumulation window (0 = flush as soon as records are pending).
-	GroupCommit         bool
-	GroupCommitInterval time.Duration
-	// WALDir, when set, puts the commit log on real files under this
-	// directory (one append-only log per storage partition) with the
-	// WALFsync policy; Close syncs and closes them. After a crash,
-	// Internal().ReplayDir rebuilds row state from such a directory.
-	WALDir           string
-	WALFsync         FsyncPolicy
-	WALFsyncInterval time.Duration
-	// MetricsAddr, when set, serves live observability endpoints
-	// (/metrics Prometheus text exposition, /debug/vars JSON, /healthz)
-	// on this address for the DB's lifetime; ":0" binds a free port —
-	// read it back with DB.MetricsAddr. See docs/METRICS.md for the
-	// exported series. Empty (the default) disables the endpoint at zero
-	// hot-path cost.
-	MetricsAddr string
+	// Config carries everything the protocol does not decide; set its
+	// fields through Options (opts.MetricsAddr = ":0", opts.WALDir = dir).
+	Config
 }
 
-// FsyncPolicy re-exports the WAL fsync policies for Options.WALFsync.
+// FsyncPolicy re-exports the WAL fsync policies for Config.WALFsync.
 type FsyncPolicy = wal.FsyncPolicy
 
-// Fsync policies for Options.WALFsync.
+// Fsync policies for Config.WALFsync.
 const (
 	// FsyncNone never syncs (page-cache durability only).
 	FsyncNone = wal.FsyncNone
@@ -180,40 +155,32 @@ type DB struct {
 	silo   *occ.Engine
 }
 
-// Open creates a database.
+// Open creates a database. It panics if opts.Config sets one of the
+// protocol fields Options.Protocol decides, as core.NewDB panics on other
+// illegal configurations: a preset silently overriding the caller's value
+// would run a protocol nobody asked for.
 func Open(opts Options) *DB {
-	var cfg core.Config
+	cfg := opts.Config
+	if cfg.Variant != 0 || cfg.RetireWrites || cfg.RetireReads || cfg.NoWoundRead || cfg.DynamicTS || cfg.Delta != 0 {
+		panic("bamboo: Options.Protocol selects Variant, RetireWrites, RetireReads, NoWoundRead, DynamicTS and Delta; leave them unset in Options.Config")
+	}
+	var p core.Config
 	switch opts.Protocol {
 	case Bamboo:
-		cfg = core.Bamboo()
+		p = core.Bamboo()
 	case BambooBase:
-		cfg = core.BambooBase()
+		p = core.BambooBase()
 	case WoundWait:
-		cfg = core.WoundWait()
+		p = core.WoundWait()
 	case WaitDie:
-		cfg = core.WaitDie()
+		p = core.WaitDie()
 	case NoWait:
-		cfg = core.NoWait()
+		p = core.NoWait()
 	case Silo:
-		cfg = core.Config{}
+		cfg.MVCC = false
 	}
-	if opts.Delta != nil {
-		cfg.Delta = *opts.Delta
-	}
-	if opts.DisableDynamicTS {
-		cfg.DynamicTS = false
-	}
-	cfg.AbortBackoffMax = opts.AbortBackoffMax
-	if opts.Protocol != Silo {
-		cfg.MVCC = opts.MVCC
-		cfg.MVCCPruneInterval = opts.MVCCPruneInterval
-	}
-	cfg.GroupCommit = opts.GroupCommit
-	cfg.GroupCommitInterval = opts.GroupCommitInterval
-	cfg.WALDir = opts.WALDir
-	cfg.WALFsync = opts.WALFsync
-	cfg.WALFsyncInterval = opts.WALFsyncInterval
-	cfg.MetricsAddr = opts.MetricsAddr
+	cfg.Variant, cfg.RetireWrites, cfg.RetireReads = p.Variant, p.RetireWrites, p.RetireReads
+	cfg.NoWoundRead, cfg.DynamicTS, cfg.Delta = p.NoWoundRead, p.DynamicTS, p.Delta
 
 	db := &DB{inner: core.NewDB(cfg)}
 	if opts.Protocol == Silo {

@@ -32,6 +32,9 @@ func TestOpenAllProtocols(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
 			db, tbl := openWithTable(t, bamboo.Options{Protocol: p})
+			if got := db.Protocol(); got != p.String() {
+				t.Fatalf("Protocol() = %q, want %q", got, p.String())
+			}
 			rep, err := db.Run(4, 100, func(worker, seq int) bamboo.TxnFunc {
 				return func(tx bamboo.Tx) error {
 					return tx.Update(tbl.Get(uint64(seq%8)), func(img []byte) {
@@ -125,11 +128,27 @@ func TestInteractiveOption(t *testing.T) {
 	}
 }
 
-func TestDeltaOverride(t *testing.T) {
-	zero := 0.0
-	db, tbl := openWithTable(t, bamboo.Options{Protocol: bamboo.Bamboo, Delta: &zero})
-	if got := db.Protocol(); got != "BAMBOO-base" {
-		t.Fatalf("protocol with delta=0 = %q", got)
+// TestOpenRejectsProtocolFields: the six fields Options.Protocol decides
+// cannot also be set through the embedded Config — Open panics rather
+// than let either value silently win.
+func TestOpenRejectsProtocolFields(t *testing.T) {
+	for name, set := range map[string]func(*bamboo.Options){
+		"Variant":      func(o *bamboo.Options) { o.Variant = bamboo.LockVariant(1) },
+		"RetireWrites": func(o *bamboo.Options) { o.RetireWrites = true },
+		"RetireReads":  func(o *bamboo.Options) { o.RetireReads = true },
+		"NoWoundRead":  func(o *bamboo.Options) { o.NoWoundRead = true },
+		"DynamicTS":    func(o *bamboo.Options) { o.DynamicTS = true },
+		"Delta":        func(o *bamboo.Options) { o.Delta = 0.3 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts := bamboo.Options{Protocol: bamboo.WoundWait}
+			set(&opts)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Open accepted Options with %s set", name)
+				}
+			}()
+			bamboo.Open(opts).Close()
+		})
 	}
-	_ = tbl
 }

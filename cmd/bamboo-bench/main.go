@@ -170,10 +170,11 @@ func main() {
 	doc := report.NewFile(s.ReportScale())
 	for _, e := range run {
 		start := time.Now()
-		rows := e.Run(s)
+		points := e.Run(s)
 		took := time.Since(start)
-		doc.Experiments = append(doc.Experiments, bench.ToExperiment(e.ID, e.Title, took, rows))
-		bench.Print(table, fmt.Sprintf("%s (%s, took %v)", e.ID, e.Title, took.Round(time.Millisecond)), rows)
+		doc.Experiments = append(doc.Experiments,
+			report.Experiment{ID: e.ID, Title: e.Title, ElapsedNS: int64(took), Points: points})
+		bench.Print(table, fmt.Sprintf("%s (%s, took %v)", e.ID, e.Title, took.Round(time.Millisecond)), points)
 		fmt.Fprintln(table)
 	}
 	if err := stopProfiles(); err != nil {

@@ -104,18 +104,11 @@ func (s Scale) threads() []int {
 	return []int{1, 4, 16}
 }
 
-// Row is one series point of an experiment.
-type Row struct {
-	X        string
-	Protocol string
-	Report   stats.Report
-}
-
 // Experiment names a runner.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(s Scale) []Row
+	Run   func(s Scale) []report.Point
 }
 
 // All returns every experiment keyed in DESIGN.md's experiment index.
@@ -168,34 +161,22 @@ func (s Scale) ReportScale() report.Scale {
 	}
 }
 
-// ToExperiment wraps run rows as the points of a report experiment.
-func ToExperiment(id, title string, elapsed time.Duration, rows []Row) report.Experiment {
-	e := report.Experiment{ID: id, Title: title, ElapsedNS: int64(elapsed)}
-	for _, r := range rows {
-		e.Points = append(e.Points, report.Point{X: r.X, Report: r.Report})
-	}
-	return e
+// Print renders points grouped by X in the table format.
+func Print(w io.Writer, title string, points []report.Point) {
+	report.WriteTable(w, report.Experiment{Title: title, Points: points})
 }
 
-// Print renders rows grouped by X in the table format.
-func Print(w io.Writer, title string, rows []Row) {
-	report.WriteTable(w, ToExperiment("", title, 0, rows))
-}
-
-// engineFor builds a fresh engine (and DB) for a protocol configuration.
-// siloCfg handles the OCC baseline, which is not lock-based. make receives
-// the point's partition count so one builder serves every point of a
-// partition sweep.
+// engineBuilder builds a fresh engine (and DB) for one point. make
+// receives the point's partition count so one builder serves every point
+// of a partition sweep. name, when set, labels the point's series instead
+// of the engine's protocol name.
 type engineBuilder struct {
 	name string
 	make func(partitions int) (core.Engine, *core.DB, func())
 }
 
 func lockBuilder(cfg core.Config) engineBuilder {
-	nameDB := core.NewDB(cfg)
-	name := nameDB.ProtocolName()
-	nameDB.Close() // a group-commit config would otherwise leak its flusher
-	return engineBuilder{name: name, make: func(partitions int) (core.Engine, *core.DB, func()) {
+	return engineBuilder{make: func(partitions int) (core.Engine, *core.DB, func()) {
 		c := cfg
 		c.Partitions = partitions
 		db := core.NewDB(c)
@@ -204,10 +185,17 @@ func lockBuilder(cfg core.Config) engineBuilder {
 }
 
 func siloBuilder() engineBuilder {
-	return engineBuilder{name: "SILO", make: func(partitions int) (core.Engine, *core.DB, func()) {
+	return engineBuilder{make: func(partitions int) (core.Engine, *core.DB, func()) {
 		db := core.NewDB(core.Config{Partitions: partitions})
 		e := occ.New(db)
 		return e, db, e.Close
+	}}
+}
+
+func ic3Builder() engineBuilder {
+	return engineBuilder{make: func(partitions int) (core.Engine, *core.DB, func()) {
+		db := core.NewDB(core.Config{Partitions: partitions})
+		return chop.New(db), db, func() { db.Close() }
 	}}
 }
 
@@ -219,6 +207,17 @@ func standardBuilders() []engineBuilder {
 		lockBuilder(core.NoWait()),
 		siloBuilder(),
 	}
+}
+
+// runSeries runs one point per builder, all labelled x.
+func runSeries(s Scale, x string, builders []engineBuilder, interactive bool,
+	load func(db *core.DB) (core.Generator, error), threads int) []report.Point {
+
+	points := make([]report.Point, 0, len(builders))
+	for _, b := range builders {
+		points = append(points, report.Point{X: x, Report: runPoint(s, b, interactive, load, threads)})
+	}
+	return points
 }
 
 // runPoint loads a workload into a fresh engine and drives it, repeating
@@ -304,10 +303,14 @@ func runPointOnce(s Scale, b engineBuilder, interactive bool,
 	if res.Err != nil {
 		panic(fmt.Sprintf("bench: run: %v", res.Err))
 	}
-	// The builder's display name wins over the engine's protocol name, so
-	// variant builders (BAMBOO d=0.15, -O1 reads, BAMBOO+gc, …) stay
-	// distinguishable in tables and in the JSON document.
-	res.Report.Protocol = b.name
+	// The series is the engine's protocol (not the interactive wrapper's
+	// "/interactive" name) unless the builder names a variant (BAMBOO
+	// d=0.15, -O1 reads, BAMBOO+gc, …), which must stay distinguishable in
+	// tables and in the JSON document.
+	res.Report.Protocol = e.Name()
+	if b.name != "" {
+		res.Report.Protocol = b.name
+	}
 	res.Report.LoadTime = loadTime
 	// Durability telemetry from the DB's log devices, read before Close so
 	// the numbers are the steady-state run's (no shutdown sync).
@@ -345,7 +348,9 @@ func ycsbLoader(s Scale, cfg ycsb.Config) func(db *core.DB) (core.Generator, err
 	}
 }
 
-func tpccLoader(s Scale, cfg tpcc.Config) func(db *core.DB) (core.Generator, error) {
+// tpccLoader's mix picks the transaction set: (*tpcc.Workload).Generator
+// for the row engines, IC3Generator for IC3's chopped templates.
+func tpccLoader(s Scale, cfg tpcc.Config, mix func(*tpcc.Workload) core.Generator) func(db *core.DB) (core.Generator, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = s.Seed
 	}
@@ -354,7 +359,7 @@ func tpccLoader(s Scale, cfg tpcc.Config) func(db *core.DB) (core.Generator, err
 		if err != nil {
 			return nil, err
 		}
-		return w.Generator(), nil
+		return mix(w), nil
 	}
 }
 
@@ -363,139 +368,113 @@ func tpccLoader(s Scale, cfg tpcc.Config) func(db *core.DB) (core.Generator, err
 // makespan is ~3 transaction lengths; under Bamboo the hotspot serializes
 // only for its own duration and the rest overlaps (the "ideal" schedule);
 // OCC (Silo) aborts and restarts the laggards.
-func Fig1Schedules(s Scale) []Row {
-	var rows []Row
+func Fig1Schedules(s Scale) []report.Point {
 	cfg := synth.Config{Rows: 4096, TxnLen: 16, HotspotPos: []float64{0}}
-	for _, b := range []engineBuilder{
+	sc := s
+	sc.Duration = 0
+	return runSeries(sc, "3 concurrent writers of hotspot A", []engineBuilder{
 		lockBuilder(core.WoundWait()),
 		siloBuilder(),
 		lockBuilder(core.Bamboo()),
-	} {
-		sc := s
-		sc.Duration = 0
-		sc.TxnsPerWorker = s.TxnsPerWorker
-		rep := runPoint(sc, b, false, synthLoader(s, cfg), 3)
-		rows = append(rows, Row{X: "3 concurrent writers of hotspot A", Protocol: b.name, Report: rep})
-	}
-	return rows
+	}, false, synthLoader(s, cfg), 3)
 }
 
 // Sec52SingleHotspot reproduces the §5.2 text numbers: one
 // read-modify-write hotspot at the beginning plus random reads.
-func Sec52SingleHotspot(s Scale) []Row {
+func Sec52SingleHotspot(s Scale) []report.Point {
 	cfg := synth.Config{Rows: s.Rows, TxnLen: 16, HotspotPos: []float64{0}}
 	threads := s.threads()
 	t := threads[len(threads)-1]
-	var rows []Row
-	for _, b := range standardBuilders() {
-		rep := runPoint(s, b, false, synthLoader(s, cfg), t)
-		rows = append(rows, Row{X: fmt.Sprintf("%d threads", t), Protocol: b.name, Report: rep})
-	}
-	return rows
+	return runSeries(s, fmt.Sprintf("%d threads", t), standardBuilders(), false, synthLoader(s, cfg), t)
 }
 
 // Fig3aSpeedup sweeps thread count and transaction length, reporting
 // Bamboo and Wound-Wait throughput (the paper plots their ratio).
-func Fig3aSpeedup(s Scale) []Row {
-	var rows []Row
+func Fig3aSpeedup(s Scale) []report.Point {
+	var points []report.Point
 	for _, txnLen := range []int{4, 16, 64} {
 		cfg := synth.Config{Rows: s.Rows, TxnLen: txnLen, HotspotPos: []float64{0}}
 		for _, t := range s.threads() {
 			x := fmt.Sprintf("len=%d threads=%d", txnLen, t)
-			for _, b := range []engineBuilder{lockBuilder(core.Bamboo()), lockBuilder(core.WoundWait())} {
-				rep := runPoint(s, b, false, synthLoader(s, cfg), t)
-				rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-			}
+			points = append(points, runSeries(s, x, []engineBuilder{lockBuilder(core.Bamboo()), lockBuilder(core.WoundWait())}, false, synthLoader(s, cfg), t)...)
 		}
 	}
-	return rows
+	return points
 }
 
 // Fig3bHotspotPosition sweeps the hotspot position within the
 // transaction.
-func Fig3bHotspotPosition(s Scale) []Row {
-	var rows []Row
+func Fig3bHotspotPosition(s Scale) []report.Point {
+	var points []report.Point
 	threads := maxThreads(s)
 	for _, pos := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		cfg := synth.Config{Rows: s.Rows, TxnLen: 16, HotspotPos: []float64{pos}}
 		x := fmt.Sprintf("position=%.2f", pos)
-		for _, b := range []engineBuilder{lockBuilder(core.Bamboo()), lockBuilder(core.WoundWait())} {
-			rep := runPoint(s, b, false, synthLoader(s, cfg), threads)
-			rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-		}
+		points = append(points, runSeries(s, x, []engineBuilder{lockBuilder(core.Bamboo()), lockBuilder(core.WoundWait())}, false, synthLoader(s, cfg), threads)...)
 	}
-	return rows
+	return points
 }
 
 // Fig4SecondHotspot fixes one hotspot at the beginning and sweeps the
 // second one's distance; BAMBOO-base (no Optimization 2) is included as
 // in the paper.
-func Fig4SecondHotspot(s Scale) []Row {
+func Fig4SecondHotspot(s Scale) []report.Point {
 	return twoHotspots(s, func(d float64) []float64 { return []float64{0, d} }, "distance")
 }
 
 // Fig5FirstHotspot fixes the second hotspot at the end and sweeps the
 // first one's distance from it.
-func Fig5FirstHotspot(s Scale) []Row {
+func Fig5FirstHotspot(s Scale) []report.Point {
 	return twoHotspots(s, func(d float64) []float64 { return []float64{1 - d, 1} }, "distance")
 }
 
-func twoHotspots(s Scale, pos func(float64) []float64, label string) []Row {
-	var rows []Row
+func twoHotspots(s Scale, pos func(float64) []float64, label string) []report.Point {
+	var points []report.Point
 	threads := maxThreads(s)
 	for _, d := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		cfg := synth.Config{Rows: s.Rows, TxnLen: 16, HotspotPos: pos(d)}
 		x := fmt.Sprintf("%s=%.2f", label, d)
-		for _, b := range []engineBuilder{
+		points = append(points, runSeries(s, x, []engineBuilder{
 			lockBuilder(core.BambooBase()),
 			lockBuilder(core.Bamboo()),
 			lockBuilder(core.WoundWait()),
-		} {
-			rep := runPoint(s, b, false, synthLoader(s, cfg), threads)
-			rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-		}
+		}, false, synthLoader(s, cfg), threads)...)
 	}
-	return rows
+	return points
 }
 
 // Fig6YCSBThreads sweeps threads on high-contention YCSB.
-func Fig6YCSBThreads(s Scale) []Row {
+func Fig6YCSBThreads(s Scale) []report.Point {
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
 	cfg.Theta = 0.9
-	var rows []Row
+	var points []report.Point
 	for _, t := range s.threads() {
 		x := fmt.Sprintf("threads=%d", t)
-		for _, b := range standardBuilders() {
-			rep := runPoint(s, b, false, ycsbLoader(s, cfg), t)
-			rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-		}
+		points = append(points, runSeries(s, x, standardBuilders(), false, ycsbLoader(s, cfg), t)...)
 	}
-	return rows
+	return points
 }
 
 // Fig7LongReadOnly adds 5% read-only transactions of 1000 tuples.
-func Fig7LongReadOnly(s Scale) []Row {
+func Fig7LongReadOnly(s Scale) []report.Point {
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
 	cfg.Theta = 0.9
 	cfg.LongReadFrac = 0.05
 	cfg.LongReadOps = min(1000, s.Rows/4)
-	var rows []Row
+	var points []report.Point
 	for _, t := range s.threads() {
 		x := fmt.Sprintf("threads=%d", t)
-		for _, b := range standardBuilders() {
-			rep := runPoint(s, b, false, ycsbLoader(s, cfg), t)
-			rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-		}
+		points = append(points, runSeries(s, x, standardBuilders(), false, ycsbLoader(s, cfg), t)...)
 	}
-	return rows
+	return points
 }
 
 // Fig8YCSBZipf sweeps the Zipfian theta in stored-procedure and
 // interactive modes.
-func Fig8YCSBZipf(s Scale) []Row {
-	var rows []Row
+func Fig8YCSBZipf(s Scale) []report.Point {
+	var points []report.Point
 	threads := maxThreads(s)
 	for _, mode := range []bool{false, true} {
 		for _, theta := range []float64{0.5, 0.7, 0.8, 0.9, 0.99} {
@@ -507,19 +486,16 @@ func Fig8YCSBZipf(s Scale) []Row {
 				label = "interactive"
 			}
 			x := fmt.Sprintf("%s theta=%.2f", label, theta)
-			for _, b := range standardBuilders() {
-				rep := runPoint(s, b, mode, ycsbLoader(s, cfg), threads)
-				rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-			}
+			points = append(points, runSeries(s, x, standardBuilders(), mode, ycsbLoader(s, cfg), threads)...)
 		}
 	}
-	return rows
+	return points
 }
 
 // Fig9TPCCThreads sweeps threads on 1-warehouse TPC-C in both modes.
-func Fig9TPCCThreads(s Scale) []Row {
+func Fig9TPCCThreads(s Scale) []report.Point {
 	cfg := tpcc.DefaultConfig()
-	var rows []Row
+	var points []report.Point
 	for _, mode := range []bool{false, true} {
 		label := "stored-proc"
 		if mode {
@@ -527,18 +503,15 @@ func Fig9TPCCThreads(s Scale) []Row {
 		}
 		for _, t := range s.threads() {
 			x := fmt.Sprintf("%s threads=%d", label, t)
-			for _, b := range standardBuilders() {
-				rep := runPoint(s, b, mode, tpccLoader(s, cfg), t)
-				rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-			}
+			points = append(points, runSeries(s, x, standardBuilders(), mode, tpccLoader(s, cfg, (*tpcc.Workload).Generator), t)...)
 		}
 	}
-	return rows
+	return points
 }
 
 // Fig10TPCCWarehouses sweeps the warehouse count at fixed threads.
-func Fig10TPCCWarehouses(s Scale) []Row {
-	var rows []Row
+func Fig10TPCCWarehouses(s Scale) []report.Point {
+	var points []report.Point
 	threads := maxThreads(s)
 	for _, mode := range []bool{false, true} {
 		label := "stored-proc"
@@ -549,19 +522,16 @@ func Fig10TPCCWarehouses(s Scale) []Row {
 			cfg := tpcc.DefaultConfig()
 			cfg.Warehouses = wh
 			x := fmt.Sprintf("%s warehouses=%d", label, wh)
-			for _, b := range standardBuilders() {
-				rep := runPoint(s, b, mode, tpccLoader(s, cfg), threads)
-				rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-			}
+			points = append(points, runSeries(s, x, standardBuilders(), mode, tpccLoader(s, cfg, (*tpcc.Workload).Generator), threads)...)
 		}
 	}
-	return rows
+	return points
 }
 
 // Fig11IC3 compares Bamboo, IC3, Wound-Wait and Silo on 1-warehouse TPC-C
 // with the original and the modified (W_YTD-reading) NewOrder.
-func Fig11IC3(s Scale) []Row {
-	var rows []Row
+func Fig11IC3(s Scale) []report.Point {
+	var points []report.Point
 	for _, modified := range []bool{false, true} {
 		variant := "original"
 		if modified {
@@ -571,67 +541,36 @@ func Fig11IC3(s Scale) []Row {
 			x := fmt.Sprintf("%s threads=%d", variant, t)
 			cfg := tpcc.DefaultConfig()
 			cfg.ModifiedNewOrder = modified
-			for _, b := range []engineBuilder{
+			points = append(points, runSeries(s, x, []engineBuilder{
 				lockBuilder(core.Bamboo()),
 				lockBuilder(core.WoundWait()),
 				siloBuilder(),
-			} {
-				rep := runPoint(s, b, false, tpccLoader(s, cfg), t)
-				rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-			}
-			rows = append(rows, Row{X: x, Protocol: "IC3", Report: runIC3Point(s, cfg, t)})
+			}, false, tpccLoader(s, cfg, (*tpcc.Workload).Generator), t)...)
+			points = append(points, runSeries(s, x, []engineBuilder{ic3Builder()},
+				false, tpccLoader(s, cfg, (*tpcc.Workload).IC3Generator), t)...)
 		}
 	}
-	return rows
-}
-
-func runIC3Point(s Scale, cfg tpcc.Config, threads int) stats.Report {
-	// Same storage layout as the row-engine points of the figure, so the
-	// document's scale block stays truthful for the IC3 series too.
-	db := core.NewDB(core.Config{Partitions: s.Partitions})
-	db.EnableMetrics(s.Metrics)
-	if cfg.Seed == 0 {
-		cfg.Seed = s.Seed
-	}
-	loadStart := time.Now()
-	w, err := tpcc.Load(db, cfg)
-	if err != nil {
-		panic(err)
-	}
-	loadTime := time.Since(loadStart)
-	reg, payment, neworder := w.ChopRegistry()
-	e := chop.New(db, reg)
-	per := s.TxnsPerWorker
-	start := time.Now()
-	cols, err := w.RunIC3(e, payment, neworder, threads, per)
-	if err != nil {
-		panic(err)
-	}
-	rep := stats.Summarize("IC3", time.Since(start), cols, db.Global)
-	rep.LoadTime = loadTime
-	return rep
+	return points
 }
 
 // DeltaSweep measures the effect of Optimization 2's delta parameter
 // (§5.1 reports <13% spread and settles on 0.15).
-func DeltaSweep(s Scale) []Row {
-	var rows []Row
-	threads := maxThreads(s)
+func DeltaSweep(s Scale) []report.Point {
 	cfg := synth.Config{Rows: s.Rows, TxnLen: 16, HotspotPos: []float64{0, 1}}
+	var builders []engineBuilder
 	for _, delta := range []float64{0, 0.05, 0.15, 0.3, 0.5, 1.0} {
 		c := core.Bamboo()
 		c.Delta = delta
 		b := lockBuilder(c)
 		b.name = fmt.Sprintf("BAMBOO d=%.2f", delta)
-		rep := runPoint(s, b, false, synthLoader(s, cfg), threads)
-		rows = append(rows, Row{X: "delta sweep", Protocol: b.name, Report: rep})
+		builders = append(builders, b)
 	}
-	return rows
+	return runSeries(s, "delta sweep", builders, false, synthLoader(s, cfg), maxThreads(s))
 }
 
 // Ablation toggles each Bamboo optimization off in turn on
 // high-contention YCSB, quantifying the design choices of §3.5.
-func Ablation(s Scale) []Row {
+func Ablation(s Scale) []report.Point {
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
 	cfg.Theta = 0.9
@@ -652,12 +591,7 @@ func Ablation(s Scale) []Row {
 		mk("-O4 dynts", func(c *core.Config) { c.DynamicTS = false }),
 		mk("-retire(=WW)", func(c *core.Config) { c.RetireWrites = false; c.RetireReads = false; c.NoWoundRead = false }),
 	}
-	var rows []Row
-	for _, b := range builders {
-		rep := runPoint(s, b, false, ycsbLoader(s, cfg), threads)
-		rows = append(rows, Row{X: fmt.Sprintf("ycsb theta=0.9 threads=%d", threads), Protocol: b.name, Report: rep})
-	}
-	return rows
+	return runSeries(s, fmt.Sprintf("ycsb theta=0.9 threads=%d", threads), builders, false, ycsbLoader(s, cfg), threads)
 }
 
 // ScalingSweep stresses the runtime under maximum hotspot contention: a
@@ -674,7 +608,7 @@ func Ablation(s Scale) []Row {
 // ladder while Wound-Wait flattens at ~1/(TxnLen×RTT); the group-commit
 // variant should track plain Bamboo (batching must not cost throughput
 // at this commit rate).
-func ScalingSweep(s Scale) []Row {
+func ScalingSweep(s Scale) []report.Point {
 	// Contention requires concurrency: fixed-count points degenerate on
 	// small hosts (a worker can finish its whole quota inside one
 	// scheduling quantum, so nothing ever conflicts). Force wall-clock
@@ -694,15 +628,12 @@ func ScalingSweep(s Scale) []Row {
 		gcBuilder,
 		lockBuilder(core.WoundWait()),
 	}
-	var rows []Row
+	var points []report.Point
 	for _, t := range scalingThreads(s) {
 		x := fmt.Sprintf("threads=%d", t)
-		for _, b := range builders {
-			rep := runPoint(s, b, true, synthLoader(s, cfg), t)
-			rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-		}
+		points = append(points, runSeries(s, x, builders, true, synthLoader(s, cfg), t)...)
 	}
-	return rows
+	return points
 }
 
 // UpgradeSweep measures the SH→EX upgrade path on the contended
@@ -717,7 +648,7 @@ func ScalingSweep(s Scale) []Row {
 // upgrade conflicts are symmetric — two readers of the same row both
 // fail their upgrade — and without jitter they can chase each other
 // unproductively.
-func UpgradeSweep(s Scale) []Row {
+func UpgradeSweep(s Scale) []report.Point {
 	threads := maxThreads(s)
 	mk := func(cfg core.Config) engineBuilder {
 		cfg.AbortBackoffMax = 100 * time.Microsecond
@@ -728,19 +659,16 @@ func UpgradeSweep(s Scale) []Row {
 		mk(core.WoundWait()),
 		mk(core.NoWait()),
 	}
-	var rows []Row
+	var points []report.Point
 	for _, rmw := range []float64{0, 0.5, 1.0} {
 		cfg := ycsb.DefaultConfig()
 		cfg.Rows = s.Rows
 		cfg.Theta = 0.9
 		cfg.RMWFrac = rmw
 		x := fmt.Sprintf("rmw=%.2f threads=%d", rmw, threads)
-		for _, b := range builders {
-			rep := runPoint(s, b, false, ycsbLoader(s, cfg), threads)
-			rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-		}
+		points = append(points, runSeries(s, x, builders, false, ycsbLoader(s, cfg), threads)...)
 	}
-	return rows
+	return points
 }
 
 // PartitionSweep measures throughput vs storage partition count on
@@ -757,7 +685,7 @@ func UpgradeSweep(s Scale) []Row {
 // (mirroring how an explicit -threads sweep replaces built-in ladders),
 // so the flag is never silently overridden and the document's scale
 // block stays truthful; the default is the 1→8 ladder.
-func PartitionSweep(s Scale) []Row {
+func PartitionSweep(s Scale) []report.Point {
 	threads := maxThreads(s)
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
@@ -770,17 +698,14 @@ func PartitionSweep(s Scale) []Row {
 	if s.Partitions > 0 {
 		ladder = []int{s.Partitions}
 	}
-	var rows []Row
+	var points []report.Point
 	for _, parts := range ladder {
 		sc := s
 		sc.Partitions = parts
 		x := fmt.Sprintf("partitions=%d threads=%d", parts, threads)
-		for _, b := range builders {
-			rep := runPoint(sc, b, false, ycsbLoader(s, cfg), threads)
-			rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-		}
+		points = append(points, runSeries(sc, x, builders, false, ycsbLoader(s, cfg), threads)...)
 	}
-	return rows
+	return points
 }
 
 // DurabilitySweep measures the durability pipeline on real file devices:
@@ -809,7 +734,7 @@ func PartitionSweep(s Scale) []Row {
 // SSD vs spinning disk — EXPERIMENTS.md records both ends); the shape to
 // reproduce is group commit holding throughput near fsync=none while
 // fsync=commit collapses with real fsync latency.
-func DurabilitySweep(s Scale) []Row {
+func DurabilitySweep(s Scale) []report.Point {
 	threads := maxThreads(s)
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
@@ -868,17 +793,14 @@ func DurabilitySweep(s Scale) []Row {
 	if s.Partitions > 0 {
 		ladder = []int{s.Partitions}
 	}
-	var rows []Row
+	var points []report.Point
 	for _, parts := range ladder {
 		sc := s
 		sc.Partitions = parts
 		x := fmt.Sprintf("partitions=%d threads=%d", parts, threads)
-		for _, b := range builders {
-			rep := runPoint(sc, b, false, ycsbLoader(s, cfg), threads)
-			rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-		}
+		points = append(points, runSeries(sc, x, builders, false, ycsbLoader(s, cfg), threads)...)
 	}
-	return rows
+	return points
 }
 
 // ReadMVCCSweep measures what the lock-free snapshot read path buys on
@@ -899,7 +821,7 @@ func DurabilitySweep(s Scale) []Row {
 // versions_pruned / version_chain_max fields in the document confirm
 // the path actually served reads and pruning kept chains bounded. An
 // explicit -readonly-frac pins the ladder to that single fraction.
-func ReadMVCCSweep(s Scale) []Row {
+func ReadMVCCSweep(s Scale) []report.Point {
 	threads := maxThreads(s)
 	mvccCfg := core.Bamboo()
 	mvccCfg.MVCC = true
@@ -913,7 +835,7 @@ func ReadMVCCSweep(s Scale) []Row {
 	if s.ReadOnlyFrac > 0 {
 		fracs = []float64{s.ReadOnlyFrac}
 	}
-	var rows []Row
+	var points []report.Point
 	for _, theta := range []float64{0.6, 0.9} {
 		for _, frac := range fracs {
 			cfg := ycsb.DefaultConfig()
@@ -921,13 +843,10 @@ func ReadMVCCSweep(s Scale) []Row {
 			cfg.Theta = theta
 			cfg.ReadOnlyFrac = frac
 			x := fmt.Sprintf("ro=%.2f theta=%.2f threads=%d", frac, theta, threads)
-			for _, b := range builders {
-				rep := runPoint(s, b, false, ycsbLoader(s, cfg), threads)
-				rows = append(rows, Row{X: x, Protocol: b.name, Report: rep})
-			}
+			points = append(points, runSeries(s, x, builders, false, ycsbLoader(s, cfg), threads)...)
 		}
 	}
-	return rows
+	return points
 }
 
 // scalingThreads is the ladder for ScalingSweep: an explicit -threads

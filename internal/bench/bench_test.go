@@ -54,22 +54,17 @@ func TestFind(t *testing.T) {
 }
 
 // TestQuickSmoke runs one real experiment end to end at micro scale and
-// checks the run → report conversion carries the full latency
-// distribution. It stays enabled under -short so the race job still
-// executes a genuine multi-worker benchmark run.
+// checks every point carries the full latency distribution. It stays
+// enabled under -short so the race job still executes a genuine
+// multi-worker benchmark run.
 func TestQuickSmoke(t *testing.T) {
 	s := tiny()
 	s.TxnsPerWorker = 30
-	e := bench.Find("fig6")
-	rows := e.Run(s)
-	if len(rows) == 0 {
-		t.Fatal("no rows produced")
+	points := bench.Find("fig6").Run(s)
+	if len(points) == 0 {
+		t.Fatal("no points produced")
 	}
-	rep := bench.ToExperiment(e.ID, e.Title, time.Second, rows)
-	if rep.ID != "fig6" || len(rep.Points) != len(rows) {
-		t.Fatalf("conversion lost points: %d != %d", len(rep.Points), len(rows))
-	}
-	for _, p := range rep.Points {
+	for _, p := range points {
 		if p.Commits == 0 {
 			t.Errorf("%s at %s committed nothing", p.Protocol, p.X)
 		}
@@ -80,6 +75,33 @@ func TestQuickSmoke(t *testing.T) {
 			p.LatencyP99 < p.LatencyP95 || p.LatencyP999 < p.LatencyP99 || p.LatencyMax < p.LatencyP999 {
 			t.Errorf("%s at %s latency distribution broken: %+v", p.Protocol, p.X, p.Report)
 		}
+	}
+}
+
+// TestFig11IC3PointsLikeTheOthers: the IC3 series goes through the same
+// point driver as the row engines — every IC3 point ran its whole
+// transaction quota and carries the log telemetry the driver fills in.
+func TestFig11IC3PointsLikeTheOthers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eight TPC-C loads skipped in -short mode")
+	}
+	s := tiny()
+	s.TxnsPerWorker = 20
+	ic3 := 0
+	for _, p := range bench.Fig11IC3(s) {
+		if p.Protocol != "IC3" {
+			continue
+		}
+		ic3++
+		if n := p.Commits + p.AbortsBy["user"]; n != 4*20 {
+			t.Errorf("IC3 at %s ended %d transactions, want %d", p.X, n, 4*20)
+		}
+		if p.WALAppends == 0 || p.LoadTime <= 0 {
+			t.Errorf("IC3 at %s lacks the point driver's telemetry: wal_appends=%d load=%v", p.X, p.WALAppends, p.LoadTime)
+		}
+	}
+	if ic3 != 2 {
+		t.Fatalf("%d IC3 points, want 2 (original and modified NewOrder)", ic3)
 	}
 }
 

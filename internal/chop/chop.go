@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -121,6 +122,8 @@ func (p *Piece) conflictsWith(q *Piece) bool {
 type Template struct {
 	Name   string
 	Pieces []*Piece
+
+	analyzed bool // set by Registry.Analyze
 }
 
 // Registry holds the workload's templates; IC3 requires the full workload
@@ -176,6 +179,7 @@ func (r *Registry) Analyze() {
 				p.lastConflict[u] = last
 			}
 		}
+		t.analyzed = true
 	}
 	r.analyzed = true
 }
@@ -270,36 +274,33 @@ func conflict(a, b *access) bool {
 // long (a liveness valve; chopping guarantees should prevent it).
 var errTimeout = errors.New("chop: piece wait timeout")
 
-// Engine executes chopped transactions. It is created over a core.DB for
-// the catalog, WAL and commit hooks.
+// name is the protocol display name, the paper's legend.
+const name = "IC3"
+
+// Engine executes chopped transactions over a core.DB's catalog, commit
+// log and commit hook. It implements core.Engine; its sessions run
+// transactions written as Call(tmpl, env).
 type Engine struct {
-	db  *core.DB
-	reg *Registry
+	db *core.DB
 	// WaitTimeout aborts a piece stuck waiting (defensive, default 50ms).
 	WaitTimeout time.Duration
+	prepare     sync.Once
 }
 
-// New creates an IC3 engine; reg must already be Analyzed. Prepare row
-// state for all existing tables before running.
-func New(db *core.DB, reg *Registry) *Engine {
-	if !reg.analyzed {
-		reg.Analyze()
-	}
-	e := &Engine{db: db, reg: reg, WaitTimeout: 50 * time.Millisecond}
-	for _, name := range db.Catalog.Tables() {
-		tbl := db.Catalog.Table(name)
-		tbl.Range(func(_ uint64, r *storage.Row) bool {
-			prepareRow(r)
-			return true
-		})
-	}
-	return e
+var _ core.Engine = (*Engine)(nil)
+
+// New wraps db in an IC3 engine. The tables may be loaded after New: the
+// rows present at the first NewSession get their IC3 state then, and rows
+// inserted by IC3 transactions get it at commit.
+func New(db *core.DB) *Engine {
+	db.SetProtocolName(name)
+	return &Engine{db: db, WaitTimeout: 50 * time.Millisecond}
 }
 
-// Name returns the protocol display name.
-func (e *Engine) Name() string { return "IC3" }
+// Name implements core.Engine.
+func (e *Engine) Name() string { return name }
 
-// Database returns the underlying DB.
+// Database implements core.Engine.
 func (e *Engine) Database() *core.DB { return e.db }
 
 func prepareRow(r *storage.Row) {
@@ -312,8 +313,8 @@ func prepareRow(r *storage.Row) {
 	}
 }
 
-// Session executes chopped transactions for one worker.
-type Session struct {
+// session executes chopped transactions for one worker.
+type session struct {
 	e      *Engine
 	worker int
 	col    *stats.Collector
@@ -321,12 +322,71 @@ type Session struct {
 	log    core.CommitLog
 }
 
-// NewSession creates a session.
-func (e *Engine) NewSession(worker int, col *stats.Collector) *Session {
+// NewSession implements core.Engine. The first call prepares every row
+// loaded so far.
+func (e *Engine) NewSession(worker int, col *stats.Collector) core.Session {
+	e.prepare.Do(func() {
+		for _, name := range e.db.Catalog.Tables() {
+			e.db.Catalog.Table(name).Range(func(_ uint64, r *storage.Row) bool {
+				prepareRow(r)
+				return true
+			})
+		}
+	})
 	col.AttachLive(e.db.LiveStats())
-	return &Session{e: e, worker: worker, col: col,
+	return &session{e: e, worker: worker, col: col,
 		rng: rand.New(rand.NewSource(int64(worker)*6553 + 17)),
 		log: e.db.NewCommitLog()}
+}
+
+// Call writes a chopped transaction as a core.TxnFunc: run by an IC3
+// session, tmpl's pieces execute with env as PieceTx.Env. tmpl must belong
+// to an analyzed Registry. On any other engine's session the body fails
+// with an error rather than committing nothing.
+func Call(tmpl *Template, env any) core.TxnFunc {
+	return func(tx core.Tx) error {
+		c, ok := tx.(*call)
+		if !ok {
+			return fmt.Errorf("chop: transaction %q runs only on an IC3 session", tmpl.Name)
+		}
+		c.tmpl, c.env = tmpl, env
+		return nil
+	}
+}
+
+// errNotCall rejects a TxnFunc that is not a Call on an IC3 session.
+var errNotCall = errors.New("chop: an IC3 session runs only chop.Call transactions")
+
+// call is the core.Tx an IC3 session hands a TxnFunc: Call records its
+// template and environment there. Its row operations fail, because an IC3
+// transaction touches rows only from its pieces.
+type call struct {
+	worker int
+	tmpl   *Template
+	env    any
+}
+
+func (*call) Read(*storage.Row) ([]byte, error)           { return nil, errNotCall }
+func (*call) Update(*storage.Row, func([]byte)) error     { return errNotCall }
+func (*call) Insert(*storage.Table, uint64, []byte) error { return errNotCall }
+func (*call) DeclareOps(int)                              {}
+func (c *call) Worker() int                               { return c.worker }
+func (*call) ID() uint64                                  { return 0 }
+
+// Run implements core.Session: fn must be a Call, whose chopped
+// transaction it executes.
+func (s *session) Run(fn core.TxnFunc) error {
+	c := call{worker: s.worker}
+	if err := fn(&c); err != nil {
+		return err
+	}
+	switch {
+	case c.tmpl == nil:
+		return errNotCall
+	case !c.tmpl.analyzed:
+		return fmt.Errorf("chop: template %q is not analyzed (Registry.Analyze)", c.tmpl.Name)
+	}
+	return s.run(c.tmpl, c.env)
 }
 
 // retryBackoff sleeps a jittered, attempt-scaled amount before retrying
@@ -340,7 +400,7 @@ func (e *Engine) NewSession(worker int, col *stats.Collector) *Session {
 // unset knob falls back to core.DefaultAbortBackoff rather than no
 // backoff, because for IC3 the jitter is a liveness requirement, not a
 // tuning option.
-func (s *Session) retryBackoff(attempt int) {
+func (s *session) retryBackoff(attempt int) {
 	runtime.Gosched()
 	max := s.e.db.Config().AbortBackoffMax
 	if max <= 0 {
@@ -700,9 +760,9 @@ func (tx *Tx) detach() {
 	}
 }
 
-// Run executes one logical chopped transaction, retrying protocol aborts
+// run executes one logical chopped transaction, retrying protocol aborts
 // with a jittered backoff between attempts.
-func (s *Session) Run(t *Template, env any) error {
+func (s *session) run(t *Template, env any) error {
 	id := s.e.db.NextTxnID()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -777,7 +837,7 @@ func (s *Session) Run(t *Template, env any) error {
 	}
 }
 
-func (s *Session) execute(tx *Tx, t *Template) error {
+func (s *session) execute(tx *Tx, t *Template) error {
 	for _, p := range t.Pieces {
 		// IC3's piece-order enforcement: inherit the dependency order
 		// established by earlier conflicts. Every transaction we depend
@@ -845,7 +905,7 @@ func (tx *Tx) enforcePieceOrder(p *Piece) error {
 // failing if any aborted (or this transaction was cascade-aborted). A
 // defensive timeout converts any residual ordering anomaly into an abort
 // and retry rather than a hang.
-func (s *Session) commitWait(tx *Tx) (time.Duration, bool) {
+func (s *session) commitWait(tx *Tx) (time.Duration, bool) {
 	if len(tx.deps) == 0 {
 		return 0, !tx.t.Aborting()
 	}

@@ -3,13 +3,13 @@ package chop_test
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"bamboo/internal/chop"
 	"bamboo/internal/core"
 	"bamboo/internal/lock"
+	"bamboo/internal/occ"
 	"bamboo/internal/stats"
 	"bamboo/internal/storage"
 	"bamboo/internal/verify"
@@ -29,6 +29,33 @@ func buildKV(db *core.DB, rows int) *storage.Table {
 		tbl.MustInsertRow(uint64(k), nil)
 	}
 	return tbl
+}
+
+// analyzed registers tmpl alone and analyzes it, as running it requires.
+func analyzed(tmpl *chop.Template) *chop.Template {
+	var reg chop.Registry
+	reg.Register(tmpl)
+	reg.Analyze()
+	return tmpl
+}
+
+// run drives tmpl through core.RunN on an IC3 engine over db: workers
+// sessions run per transactions each, env drawing each transaction's
+// environment from its worker's own random stream.
+func run(t *testing.T, db *core.DB, tmpl *chop.Template, workers, per int, env func(*rand.Rand) any) core.RunResult {
+	t.Helper()
+	analyzed(tmpl)
+	rngs := make([]*rand.Rand, workers)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(int64(w)*31 + 5))
+	}
+	res := core.RunN(chop.New(db), workers, per, func(w, _ int) core.TxnFunc {
+		return chop.Call(tmpl, env(rngs[w]))
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	return res
 }
 
 func TestAnalyzeMergesCrossingEdges(t *testing.T) {
@@ -144,29 +171,8 @@ func TestInPlacePromotion(t *testing.T) {
 			})
 		},
 	}}}
-	var reg chop.Registry
-	reg.Register(tmpl)
-	e := chop.New(db, &reg)
-
 	const workers, per = 8, 150
-	cols := make([]*stats.Collector, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		cols[w] = &stats.Collector{}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := e.NewSession(w, cols[w])
-			rng := rand.New(rand.NewSource(int64(w)*17 + 3))
-			for i := 0; i < per; i++ {
-				if err := sess.Run(tmpl, uint64(rng.Intn(4))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	res := run(t, db, tmpl, workers, per, func(rng *rand.Rand) any { return uint64(rng.Intn(4)) })
 
 	var total int64
 	for k := uint64(0); k < 4; k++ {
@@ -178,11 +184,7 @@ func TestInPlacePromotion(t *testing.T) {
 	if got := maxAccs.Load(); got != 1 {
 		t.Fatalf("%d accesses recorded for a single-row read-then-update, want 1 promoted access", got)
 	}
-	var upgrades uint64
-	for _, c := range cols {
-		upgrades += c.Counts[stats.Upgrades]
-	}
-	if upgrades == 0 {
+	if res.Report.Upgrades == 0 {
 		t.Fatal("no upgrades recorded; promotion path not taken")
 	}
 }
@@ -206,28 +208,8 @@ func TestIC3CounterConservation(t *testing.T) {
 			return nil
 		},
 	}}}
-	var reg chop.Registry
-	reg.Register(tmpl)
-	e := chop.New(db, &reg)
-
 	const workers, per = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := e.NewSession(w, &stats.Collector{})
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < per; i++ {
-				keys := []uint64{uint64(rng.Intn(4))}
-				if err := sess.Run(tmpl, keys); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	run(t, db, tmpl, workers, per, func(rng *rand.Rand) any { return []uint64{uint64(rng.Intn(4))} })
 
 	var total int64
 	for k := uint64(0); k < 4; k++ {
@@ -293,38 +275,21 @@ func TestIC3Serializability(t *testing.T) {
 			return nil
 		},
 	}}}
-	var reg chop.Registry
-	reg.Register(tmpl)
-	e := chop.New(db, &reg)
-
 	const workers, per = 8, 150
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := e.NewSession(w, &stats.Collector{})
-			rng := rand.New(rand.NewSource(int64(w)*31 + 5))
-			for i := 0; i < per; i++ {
-				ev := &env{}
-				perm := rng.Perm(6)[:3]
-				// Keys are accessed in sorted order: a valid chopping's
-				// pieces never self-deadlock (IC3 assumes the chopped
-				// program is deadlock-free; arbitrary in-piece orders are
-				// not valid choppings).
-				sort.Ints(perm)
-				for _, k := range perm {
-					ev.keys = append(ev.keys, uint64(k))
-					ev.writes = append(ev.writes, rng.Float64() < 0.5)
-				}
-				if err := sess.Run(tmpl, ev); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	run(t, db, tmpl, workers, per, func(rng *rand.Rand) any {
+		ev := &env{}
+		perm := rng.Perm(6)[:3]
+		// Keys are accessed in sorted order: a valid chopping's pieces
+		// never self-deadlock (IC3 assumes the chopped program is
+		// deadlock-free; arbitrary in-piece orders are not valid
+		// choppings).
+		sort.Ints(perm)
+		for _, k := range perm {
+			ev.keys = append(ev.keys, uint64(k))
+			ev.writes = append(ev.writes, rng.Float64() < 0.5)
+		}
+		return ev
+	})
 	if hist.Commits() != workers*per {
 		t.Fatalf("commits = %d, want %d", hist.Commits(), workers*per)
 	}
@@ -337,7 +302,7 @@ func TestIC3UserAbortRollsBack(t *testing.T) {
 	db := core.NewDB(core.Config{})
 	tbl := buildKV(db, 1)
 	valCol := tbl.Schema.ColIndex("val")
-	tmpl := &chop.Template{Name: "abort", Pieces: []*chop.Piece{{
+	tmpl := analyzed(&chop.Template{Name: "abort", Pieces: []*chop.Piece{{
 		Accesses: []chop.AccessDecl{{Table: "kv", Cols: []int{valCol}, Write: true}},
 		Body: func(pt *chop.PieceTx) error {
 			return pt.Update(tbl.Get(0), func(img []byte) {
@@ -347,12 +312,9 @@ func TestIC3UserAbortRollsBack(t *testing.T) {
 	}, {
 		Accesses: []chop.AccessDecl{{Table: "kv", Cols: []int{valCol}}},
 		Body:     func(pt *chop.PieceTx) error { return core.ErrUserAbort },
-	}}}
-	var reg chop.Registry
-	reg.Register(tmpl)
-	e := chop.New(db, &reg)
+	}}})
 	col := &stats.Collector{}
-	if err := e.NewSession(0, col).Run(tmpl, nil); err != nil {
+	if err := chop.New(db).NewSession(0, col).Run(chop.Call(tmpl, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if col.Commits != 0 || col.Aborts != 1 {
@@ -360,5 +322,60 @@ func TestIC3UserAbortRollsBack(t *testing.T) {
 	}
 	if got := tbl.Schema.GetInt64(*tbl.Get(0).OCCImage.Load(), valCol); got != 0 {
 		t.Fatalf("value = %d after user abort, want 0", got)
+	}
+}
+
+// TestCallRunsOnlyOnIC3: a Call on another engine's session, a plain
+// body on an IC3 session and a template nobody analyzed each fail with an
+// error instead of committing an empty transaction.
+func TestCallRunsOnlyOnIC3(t *testing.T) {
+	db := core.NewDB(core.Bamboo())
+	tbl := buildKV(db, 1)
+	valCol := tbl.Schema.ColIndex("val")
+	piece := &chop.Piece{
+		Accesses: []chop.AccessDecl{{Table: "kv", Cols: []int{valCol}, Write: true}},
+		Body: func(pt *chop.PieceTx) error {
+			return pt.Update(tbl.Get(0), func(img []byte) { tbl.Schema.AddInt64(img, valCol, 1) })
+		},
+	}
+	tmpl := analyzed(&chop.Template{Name: "incr", Pieces: []*chop.Piece{piece}})
+	raw := &chop.Template{Name: "raw", Pieces: []*chop.Piece{piece}}
+	plain := func(tx core.Tx) error {
+		return tx.Update(tbl.Get(0), func(img []byte) { tbl.Schema.AddInt64(img, valCol, 1) })
+	}
+
+	lockCol, ic3Col := &stats.Collector{}, &stats.Collector{}
+	if err := core.NewLockEngine(db).NewSession(0, lockCol).Run(chop.Call(tmpl, nil)); err == nil {
+		t.Error("chop.Call on a lock-engine session returned nil")
+	}
+	ic3 := chop.New(db).NewSession(0, ic3Col)
+	if err := ic3.Run(plain); err == nil {
+		t.Error("a non-Call body on an IC3 session returned nil")
+	}
+	if err := ic3.Run(chop.Call(raw, nil)); err == nil {
+		t.Error("an unanalyzed template ran")
+	}
+	if n := lockCol.Commits + ic3Col.Commits; n != 0 {
+		t.Errorf("%d commits from rejected transactions", n)
+	}
+	if err := ic3.Run(chop.Call(tmpl, nil)); err != nil || ic3Col.Commits != 1 {
+		t.Fatalf("Call on the IC3 session: err=%v commits=%d", err, ic3Col.Commits)
+	}
+}
+
+// TestEngineNamesItsDB: the engine that wraps a DB built from a zero
+// Config names its live report, /metrics and /debug/vars protocol — not
+// the zero Variant's NO_WAIT.
+func TestEngineNamesItsDB(t *testing.T) {
+	for want, wrap := range map[string]func(*core.DB) core.Engine{
+		"IC3":  func(db *core.DB) core.Engine { return chop.New(db) },
+		"SILO": func(db *core.DB) core.Engine { e := occ.New(db); e.Close(); return e },
+	} {
+		db := core.NewDB(core.Config{MetricsAddr: "127.0.0.1:0"})
+		e := wrap(db)
+		if got := db.LiveReport().Protocol; got != want || e.Name() != want {
+			t.Errorf("engine %s: live report protocol %q, want %q", e.Name(), got, want)
+		}
+		db.Close()
 	}
 }

@@ -65,7 +65,7 @@ type Config struct {
 	// DefaultAbortBackoff wherever the jitter is a liveness requirement
 	// rather than a tuning option: No-Wait and Wait-Die, whose only
 	// answer to a conflict is to abort (lockSession.backoff), and the
-	// IC3/chop executor (chop.Session.retryBackoff).
+	// IC3/chop executor (its session's retryBackoff).
 	AbortBackoffMax time.Duration
 
 	// OnCommit, if non-nil, receives every committed transaction
@@ -227,6 +227,12 @@ type DB struct {
 	// commit path) when checkpoints are disabled.
 	ckptGate *sync.RWMutex
 	ckpt     *checkpointer
+
+	// protocol is the display name an engine outside this package set
+	// (SetProtocolName); nil means the lock engine's, derived from cfg.
+	// Atomic because a metrics scrape may render it while occ.New or
+	// chop.New sets it.
+	protocol atomic.Pointer[string]
 }
 
 // NewDB creates a database with the given protocol configuration.
@@ -440,9 +446,14 @@ func (db *DB) PartitionOf(tbl *storage.Table, key uint64) int {
 	return tbl.PartitionFor(key)
 }
 
-// ProtocolName returns the display name used in reports, matching the
-// paper's legends.
+// ProtocolName returns the display name of the engine that runs on db,
+// matching the paper's legends: the lock configuration's name until an
+// engine outside this package claims the DB with SetProtocolName. It is
+// the protocol LiveReport, /metrics and /debug/vars report.
 func (db *DB) ProtocolName() string {
+	if p := db.protocol.Load(); p != nil {
+		return *p
+	}
 	if db.cfg.Variant == lock.Bamboo {
 		if db.cfg.Delta == 0 {
 			return "BAMBOO-base"
@@ -451,6 +462,11 @@ func (db *DB) ProtocolName() string {
 	}
 	return db.cfg.Variant.String()
 }
+
+// SetProtocolName records the name of the engine that wraps db; occ.New
+// and chop.New call it, so a Silo or IC3 DB built from a zero Config does
+// not report the zero Variant's NO_WAIT.
+func (db *DB) SetProtocolName(name string) { db.protocol.Store(&name) }
 
 // NextTxnID draws a fresh transaction id.
 func (db *DB) NextTxnID() uint64 { return db.txnIDs.Add(1) }

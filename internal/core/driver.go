@@ -32,17 +32,24 @@ func RunFor(e Engine, workers int, d time.Duration, gen Generator) RunResult {
 	return run(e, workers, gen, func(_ int, start time.Time) bool { return time.Since(start) < d })
 }
 
+// run creates every session before it starts the clock, so the elapsed
+// time covers transactions only — not session setup, which for IC3
+// includes preparing every loaded row.
 func run(e Engine, workers int, gen Generator, more func(seq int, start time.Time) bool) RunResult {
 	cols := make([]*stats.Collector, workers)
+	sessions := make([]Session, workers)
+	for w := range sessions {
+		cols[w] = &stats.Collector{}
+		sessions[w] = e.NewSession(w, cols[w])
+	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < workers; w++ {
-		cols[w] = &stats.Collector{}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := e.NewSession(w, cols[w])
+			sess := sessions[w]
 			for seq := 0; more(seq, start); seq++ {
 				if err := sess.Run(gen(w, seq)); err != nil {
 					errs[w] = err

@@ -29,6 +29,7 @@ import (
 const (
 	lockBit    = uint64(1) << 63
 	epochShift = 40
+	name       = "SILO"
 )
 
 // Engine is the Silo engine. It implements core.Engine.
@@ -42,6 +43,7 @@ type Engine struct {
 // when done (tests); leaking the goroutine for process-lifetime engines is
 // also fine.
 func New(db *core.DB) *Engine {
+	db.SetProtocolName(name)
 	e := &Engine{db: db, stop: make(chan struct{})}
 	e.epoch.Store(1)
 	go func() {
@@ -63,7 +65,7 @@ func New(db *core.DB) *Engine {
 func (e *Engine) Close() { close(e.stop) }
 
 // Name implements core.Engine.
-func (e *Engine) Name() string { return "SILO" }
+func (e *Engine) Name() string { return name }
 
 // Database implements core.Engine.
 func (e *Engine) Database() *core.DB { return e.db }

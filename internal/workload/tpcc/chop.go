@@ -2,11 +2,9 @@ package tpcc
 
 import (
 	"math/rand"
-	"sync"
 
 	"bamboo/internal/chop"
 	"bamboo/internal/core"
-	"bamboo/internal/stats"
 )
 
 // ChopRegistry builds the IC3 templates for the NewOrder + Payment mix
@@ -122,44 +120,19 @@ func (w *Workload) ChopRegistry() (*chop.Registry, *chop.Template, *chop.Templat
 	return reg, payment, neworder
 }
 
-// RunIC3 drives the NewOrder/Payment mix through an IC3 engine with the
-// given parallelism, mirroring core.RunN for the chopped execution model.
-func (w *Workload) RunIC3(e *chop.Engine, payment, neworder *chop.Template,
-	workers, perWorker int) ([]*stats.Collector, error) {
-
-	cols := make([]*stats.Collector, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		cols[wk] = &stats.Collector{}
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			sess := e.NewSession(wk, cols[wk])
-			rng := rand.New(rand.NewSource(w.cfg.Seed + int64(wk)*2862933555777941757 + 3037000493))
-			for i := 0; i < perWorker; i++ {
-				var err error
-				if rng.Float64() < w.cfg.PaymentFraction {
-					a := w.GenPayment(rng)
-					err = sess.Run(payment, &a)
-				} else {
-					st := &NewOrderState{Args: w.GenNewOrder(rng)}
-					err = sess.Run(neworder, st)
-				}
-				if err != nil {
-					errs[wk] = err
-					return
-				}
-			}
-		}(wk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return cols, err
+// IC3Generator returns the NewOrder/Payment mix as chopped transactions
+// for a chop.Engine: Payment with PaymentFraction, NewOrder with the
+// remainder (IC3 has no StockLevel template), drawn from the same
+// per-worker streams as Generator.
+func (w *Workload) IC3Generator() core.Generator {
+	_, payment, neworder := w.ChopRegistry()
+	return w.mix(func(rng *rand.Rand, draw float64) core.TxnFunc {
+		if draw < w.cfg.PaymentFraction {
+			a := w.GenPayment(rng)
+			return chop.Call(payment, &a)
 		}
-	}
-	return cols, nil
+		return chop.Call(neworder, &NewOrderState{Args: w.GenNewOrder(rng)})
+	})
 }
 
 var _ core.Tx = (*chop.PieceTx)(nil)

@@ -1,17 +1,16 @@
 package tpcc_test
 
 import (
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"bamboo/internal/chop"
 	"bamboo/internal/core"
-	"bamboo/internal/stats"
 	"bamboo/internal/workload/tpcc"
 )
 
+// TestIC3PaymentMoneyFlow runs Payments only: every committed amount
+// must land in W_YTD, a D_YTD, a history row and a customer's balance
+// alike (CheckConsistency's money-flow conditions).
 func TestIC3PaymentMoneyFlow(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.PaymentFraction = 1.0
@@ -20,30 +19,5 @@ func TestIC3PaymentMoneyFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, payment, _ := w.ChopRegistry()
-	e := chop.New(db, reg)
-
-	var expected atomic.Int64
-	var wg sync.WaitGroup
-	const workers, per = 8, 150
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			sess := e.NewSession(wk, &stats.Collector{})
-			rng := rand.New(rand.NewSource(int64(wk) * 97))
-			for i := 0; i < per; i++ {
-				a := w.GenPayment(rng)
-				if err := sess.Run(payment, &a); err != nil {
-					t.Error(err)
-					return
-				}
-				expected.Add(a.Amount)
-			}
-		}(wk)
-	}
-	wg.Wait()
-	if err := w.CheckConsistency(); err != nil {
-		t.Fatalf("%v (expected total %d)", err, expected.Load())
-	}
+	runMix(t, chop.New(db), w, w.IC3Generator(), 8, 150)
 }

@@ -24,9 +24,11 @@ func testConfig(warehouses int) tpcc.Config {
 	return cfg
 }
 
-func runMix(t *testing.T, e core.Engine, w *tpcc.Workload, workers, perWorker int) {
+// runMix runs gen, a mix of w, on e and checks every transaction ended
+// (commit or user abort) and the spec's consistency conditions hold.
+func runMix(t *testing.T, e core.Engine, w *tpcc.Workload, gen core.Generator, workers, perWorker int) core.RunResult {
 	t.Helper()
-	res := core.RunN(e, workers, perWorker, w.Generator())
+	res := core.RunN(e, workers, perWorker, gen)
 	if res.Err != nil {
 		t.Fatalf("%s: %v", e.Name(), res.Err)
 	}
@@ -38,6 +40,7 @@ func runMix(t *testing.T, e core.Engine, w *tpcc.Workload, workers, perWorker in
 	if err := w.CheckConsistency(); err != nil {
 		t.Fatalf("%s: %v", e.Name(), err)
 	}
+	return res
 }
 
 func TestTPCCConsistencyAllProtocols(t *testing.T) {
@@ -56,7 +59,7 @@ func TestTPCCConsistencyAllProtocols(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runMix(t, core.NewLockEngine(db), w, 8, 100)
+			runMix(t, core.NewLockEngine(db), w, w.Generator(), 8, 100)
 		})
 	}
 }
@@ -69,7 +72,7 @@ func TestTPCCConsistencySilo(t *testing.T) {
 	}
 	e := occ.New(db)
 	defer e.Close()
-	runMix(t, e, w, 8, 100)
+	runMix(t, e, w, w.Generator(), 8, 100)
 }
 
 func TestTPCCMultiWarehouse(t *testing.T) {
@@ -78,7 +81,7 @@ func TestTPCCMultiWarehouse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runMix(t, core.NewLockEngine(db), w, 8, 100)
+	runMix(t, core.NewLockEngine(db), w, w.Generator(), 8, 100)
 }
 
 // TestTPCCPartitionedMix runs the full mix over warehouse-range-
@@ -104,7 +107,7 @@ func TestTPCCPartitionedMix(t *testing.T) {
 			t.Fatalf("warehouse %d routed to partition %d, want %d", wid, got, wid)
 		}
 	}
-	runMix(t, core.NewLockEngine(db), w, 8, 100)
+	runMix(t, core.NewLockEngine(db), w, w.Generator(), 8, 100)
 	for pid, a := range db.Global.PartitionAccesses() {
 		if a == 0 {
 			t.Fatalf("partition %d saw no accesses: %v", pid, db.Global.PartitionAccesses())
@@ -131,7 +134,7 @@ func TestTPCCMorePartitionsThanWarehouses(t *testing.T) {
 	if counts[0]+counts[2] != 2 || counts[1] != 0 || counts[3] != 0 {
 		t.Fatalf("2 warehouses over 4 partitions laid out as %v", counts)
 	}
-	runMix(t, core.NewLockEngine(db), w, 4, 50)
+	runMix(t, core.NewLockEngine(db), w, w.Generator(), 4, 50)
 	accs := db.Global.PartitionAccesses()
 	if len(accs) != 4 {
 		t.Fatalf("partition counters = %v, want 4 entries", accs)
@@ -206,7 +209,7 @@ func TestTPCCModifiedNewOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runMix(t, core.NewLockEngine(db), w, 4, 100)
+	runMix(t, core.NewLockEngine(db), w, w.Generator(), 4, 100)
 }
 
 func TestTPCCUserAbortRate(t *testing.T) {
@@ -290,17 +293,10 @@ func TestTPCCConsistencyIC3(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg, payment, neworder := w.ChopRegistry()
-			if reg.Merges() != 0 {
+			if reg, _, _ := w.ChopRegistry(); reg.Merges() != 0 {
 				t.Fatalf("TPC-C templates merged %d times; table orders agree, expected none", reg.Merges())
 			}
-			e := chop.New(db, reg)
-			if _, err := w.RunIC3(e, payment, neworder, 8, 80); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.CheckConsistency(); err != nil {
-				t.Fatal(err)
-			}
+			runMix(t, chop.New(db), w, w.IC3Generator(), 8, 80)
 		})
 	}
 }
@@ -319,24 +315,11 @@ func TestTPCCConsistencyIC3Unannotated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, payment, neworder := w.ChopRegistry()
-	if reg.Merges() != 0 {
+	if reg, _, _ := w.ChopRegistry(); reg.Merges() != 0 {
 		t.Fatalf("un-annotated TPC-C templates merged %d times; conservative C-edge set should be unchanged", reg.Merges())
 	}
-	e := chop.New(db, reg)
-	cols, err := w.RunIC3(e, payment, neworder, 8, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var upgrades uint64
-	for _, c := range cols {
-		upgrades += c.Counts[stats.Upgrades]
-	}
-	if upgrades == 0 {
+	if res := runMix(t, chop.New(db), w, w.IC3Generator(), 8, 80); res.Report.Upgrades == 0 {
 		t.Fatal("no in-place promotions recorded; un-annotated bodies did not drive the upgrade path")
-	}
-	if err := w.CheckConsistency(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -359,14 +342,7 @@ func TestTPCCConsistencyIC3SingleProc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg, payment, neworder := w.ChopRegistry()
-		e := chop.New(db, reg)
-		if _, err := w.RunIC3(e, payment, neworder, 8, 40); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.CheckConsistency(); err != nil {
-			t.Fatal(err)
-		}
+		runMix(t, chop.New(db), w, w.IC3Generator(), 8, 40)
 	}
 }
 
@@ -395,7 +371,7 @@ func TestTPCCUnannotatedWithStockLevel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runMix(t, core.NewLockEngine(db), w, 8, 100)
+			runMix(t, core.NewLockEngine(db), w, w.Generator(), 8, 100)
 		})
 	}
 }

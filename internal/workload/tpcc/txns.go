@@ -426,6 +426,21 @@ func (w *Workload) StockLevel(a StockLevelArgs) core.TxnFunc {
 // with PaymentFraction, StockLevel with StockLevelFraction, NewOrder
 // with the remainder.
 func (w *Workload) Generator() core.Generator {
+	return w.mix(func(rng *rand.Rand, draw float64) core.TxnFunc {
+		if draw < w.cfg.PaymentFraction {
+			return w.Payment(w.GenPayment(rng))
+		}
+		if draw < w.cfg.PaymentFraction+w.cfg.StockLevelFraction {
+			return w.StockLevel(w.GenStockLevel(rng))
+		}
+		return w.NewOrder(w.GenNewOrder(rng))
+	})
+}
+
+// mix is the per-worker draw every generator shares: each worker owns a
+// random stream seeded from Config.Seed, and pick turns one uniform draw
+// from it (plus the stream, for the arguments) into a transaction.
+func (w *Workload) mix(pick func(rng *rand.Rand, draw float64) core.TxnFunc) core.Generator {
 	var mu sync.Mutex
 	rngs := map[int]*rand.Rand{}
 	return func(worker, seq int) core.TxnFunc {
@@ -436,13 +451,6 @@ func (w *Workload) Generator() core.Generator {
 			rngs[worker] = rng
 		}
 		mu.Unlock()
-		draw := rng.Float64()
-		if draw < w.cfg.PaymentFraction {
-			return w.Payment(w.GenPayment(rng))
-		}
-		if draw < w.cfg.PaymentFraction+w.cfg.StockLevelFraction {
-			return w.StockLevel(w.GenStockLevel(rng))
-		}
-		return w.NewOrder(w.GenNewOrder(rng))
+		return pick(rng, rng.Float64())
 	}
 }

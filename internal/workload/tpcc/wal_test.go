@@ -69,8 +69,6 @@ func TestLogPartitionLocalIC3(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.PaymentFraction = 1
 	runLogged(t, core.Config{}, cfg, func(db *core.DB, w *tpcc.Workload) error {
-		reg, payment, neworder := w.ChopRegistry()
-		_, err := w.RunIC3(chop.New(db, reg), payment, neworder, 4, 100)
-		return err
+		return core.RunN(chop.New(db), 4, 100, w.IC3Generator()).Err
 	})
 }
