@@ -144,7 +144,7 @@ const (
 	// FsyncBatch syncs once per device write (per record, or per group-
 	// commit epoch when GroupCommit is on).
 	FsyncBatch = wal.FsyncBatch
-	// FsyncInterval syncs at most once per WALFsyncInterval.
+	// FsyncInterval syncs at most once per wal.DefaultFsyncInterval (1 ms).
 	FsyncInterval = wal.FsyncInterval
 )
 

@@ -68,9 +68,7 @@ func main() {
 		ckptDir      = flag.String("checkpoint-dir", "", "snapshot directory; non-empty enables checkpoints + segmented WAL")
 		ckptInterval = flag.Duration("checkpoint-interval", 250*time.Millisecond, "background checkpoint interval (run mode)")
 		segBytes     = flag.Int64("segment-bytes", 256<<10, "WAL segment rotation threshold (run mode, checkpoints on)")
-		maxLogBytes  = flag.Int64("max-log-bytes", 0, "extra checkpoint trigger: live log bytes per partition (run mode)")
 		truncate     = flag.Bool("truncate", false, "unlink checkpoint-covered log segments (run mode)")
-		keep         = flag.Int("keep", 2, "snapshots to retain per partition (run mode)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve live telemetry (/metrics, /debug/vars, /healthz) on this address while running (run mode; \":0\" picks a free port, printed before READY)")
 
@@ -89,8 +87,7 @@ func main() {
 			dir: *walDir, parts: *partitions, rows: *rows, threads: *threads,
 			duration: *duration, gc: *groupC, fsync: *fsync,
 			ckptDir: *ckptDir, ckptInterval: *ckptInterval, segBytes: *segBytes,
-			maxLogBytes: *maxLogBytes, truncate: *truncate, keep: *keep,
-			metricsAddr: *metricsAddr,
+			truncate: *truncate, metricsAddr: *metricsAddr,
 		})
 	case "recover":
 		recoverMode(*walDir, *ckptDir, *partitions, *rows, *minRecords, *minCkpts,
@@ -155,9 +152,7 @@ type runConfig struct {
 	ckptDir      string
 	ckptInterval time.Duration
 	segBytes     int64
-	maxLogBytes  int64
 	truncate     bool
-	keep         int
 	metricsAddr  string
 }
 
@@ -171,18 +166,13 @@ func runMode(rc runConfig) {
 	cfg.WALDir = rc.dir
 	cfg.WALFsync = policy
 	cfg.GroupCommit = rc.gc
-	if rc.gc {
-		cfg.GroupCommitInterval = 200 * time.Microsecond
-	}
 	cfg.MetricsAddr = rc.metricsAddr
 	if rc.ckptDir != "" {
 		cfg.Checkpoint = core.CheckpointConfig{
 			Dir:          rc.ckptDir,
 			Interval:     rc.ckptInterval,
-			MaxLogBytes:  rc.maxLogBytes,
 			SegmentBytes: rc.segBytes,
 			Truncate:     rc.truncate,
-			Keep:         rc.keep,
 		}
 	}
 	db := core.NewDB(cfg)

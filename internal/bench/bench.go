@@ -717,8 +717,7 @@ func PartitionSweep(s Scale) []report.Point {
 //   - fsync=commit   one fsync per commit record — the naive durable
 //     baseline group commit exists to beat;
 //   - fsync=group    per-partition group commit, one fsync per epoch
-//     batch (200µs accumulation window): fsyncs/txn is WALSyncs/Commits
-//     and must drop well below 1;
+//     batch: fsyncs/txn is WALSyncs/Commits and must drop well below 1;
 //   - fsync=interval at most one fsync per millisecond (bounded loss at
 //     bounded sync rate), no batching of the writes themselves;
 //   - fsync=none     page-cache writes only — the write-path cost floor.
@@ -740,7 +739,7 @@ func DurabilitySweep(s Scale) []report.Point {
 	cfg.Rows = s.Rows
 	cfg.Theta = 0.6
 
-	mk := func(name string, gc bool, policy wal.FsyncPolicy, interval time.Duration, ckpt bool) engineBuilder {
+	mk := func(name string, gc bool, policy wal.FsyncPolicy, ckpt bool) engineBuilder {
 		return engineBuilder{name: name, make: func(partitions int) (core.Engine, *core.DB, func()) {
 			dir, err := os.MkdirTemp("", "bamboo-durability-")
 			if err != nil {
@@ -749,18 +748,8 @@ func DurabilitySweep(s Scale) []report.Point {
 			c := core.Bamboo()
 			c.Partitions = partitions
 			c.GroupCommit = gc
-			if gc {
-				// A real accumulation window, not pure piggyback: on
-				// few-core hosts the flusher goroutines starve behind the
-				// workers, so interval-0 epochs degenerate toward one
-				// record each (measured 0.53 syncs/txn piggyback vs 0.27
-				// with the window at one partition, and a 40ms p99 tail at
-				// four partitions on the 1-CPU container).
-				c.GroupCommitInterval = 200 * time.Microsecond
-			}
 			c.WALDir = dir
 			c.WALFsync = policy
-			c.WALFsyncInterval = interval
 			if ckpt {
 				// The full lifecycle: a tight interval so several fuzzy
 				// snapshots land inside even a quick-scale point, small
@@ -783,11 +772,11 @@ func DurabilitySweep(s Scale) []report.Point {
 		}}
 	}
 	builders := []engineBuilder{
-		mk("fsync=commit", false, wal.FsyncBatch, 0, false),
-		mk("fsync=group", true, wal.FsyncBatch, 0, false),
-		mk("fsync=group+ckpt", true, wal.FsyncBatch, 0, true),
-		mk("fsync=interval", false, wal.FsyncInterval, time.Millisecond, false),
-		mk("fsync=none", false, wal.FsyncNone, 0, false),
+		mk("fsync=commit", false, wal.FsyncBatch, false),
+		mk("fsync=group", true, wal.FsyncBatch, false),
+		mk("fsync=group+ckpt", true, wal.FsyncBatch, true),
+		mk("fsync=interval", false, wal.FsyncInterval, false),
+		mk("fsync=none", false, wal.FsyncNone, false),
 	}
 	ladder := []int{1, 2, 4}
 	if s.Partitions > 0 {

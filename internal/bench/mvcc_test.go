@@ -68,10 +68,7 @@ func TestStockLevelSnapshotInterference(t *testing.T) {
 
 	runOnce := func(mvcc bool) stats.Report {
 		cc := core.Bamboo()
-		if mvcc {
-			cc.MVCC = true
-			cc.MVCCPruneInterval = time.Millisecond
-		}
+		cc.MVCC = mvcc
 		db := core.NewDB(cc)
 		defer db.Close()
 		w, err := tpcc.Load(db, cfg)

@@ -274,6 +274,11 @@ func conflict(a, b *access) bool {
 // long (a liveness valve; chopping guarantees should prevent it).
 var errTimeout = errors.New("chop: piece wait timeout")
 
+// waitTimeout is how long a piece may wait for conflicting pieces or
+// dependencies before it aborts and retries; commitWait allows ten times
+// as long.
+const waitTimeout = 50 * time.Millisecond
+
 // name is the protocol display name, the paper's legend.
 const name = "IC3"
 
@@ -281,10 +286,8 @@ const name = "IC3"
 // log and commit hook. It implements core.Engine; its sessions run
 // transactions written as Call(tmpl, env).
 type Engine struct {
-	db *core.DB
-	// WaitTimeout aborts a piece stuck waiting (defensive, default 50ms).
-	WaitTimeout time.Duration
-	prepare     sync.Once
+	db      *core.DB
+	prepare sync.Once
 }
 
 var _ core.Engine = (*Engine)(nil)
@@ -294,7 +297,7 @@ var _ core.Engine = (*Engine)(nil)
 // inserted by IC3 transactions get it at commit.
 func New(db *core.DB) *Engine {
 	db.SetProtocolName(name)
-	return &Engine{db: db, WaitTimeout: 50 * time.Millisecond}
+	return &Engine{db: db}
 }
 
 // Name implements core.Engine.
@@ -512,67 +515,8 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, write bool) (*access, error
 		}
 	}
 	mine := &access{t: tx.t, owner: tx, mask: mask, write: write, row: row, rs: rs}
-
-	// The attach deadline runs from the first moment the attach blocks:
-	// an access that finds no blocker reads no clock.
-	var deadline time.Time
-	// One escalating backoff counter for the whole attach: resetting it
-	// per blocker keeps the loop in the busy-yield phase forever when
-	// blockers keep trading places, which on a 1-CPU host (worse under
-	// -race, which serializes goroutines further) can starve the very
-	// goroutine that would resolve the conflict. Carrying the counter
-	// across blockers escalates to real sleeps and lets it run.
-	spin := 0
-	rs.lock()
-	for {
-		if tx.t.Aborting() {
-			rs.unlock()
-			return nil, lock.ErrAborting
-		}
-		var blocker *access
-		for _, a := range rs.accs {
-			if a.t == tx.t || a.done || a.unwound {
-				continue
-			}
-			if conflict(a, mine) {
-				blocker = a
-				break
-			}
-		}
-		if blocker == nil {
-			break
-		}
-		rs.unlock()
-		waitStart := time.Now()
-		if deadline.IsZero() {
-			deadline = waitStart.Add(tx.e.WaitTimeout)
-		}
-		for ; ; spin++ {
-			if tx.t.Aborting() {
-				tx.waited += time.Since(waitStart)
-				return nil, lock.ErrAborting
-			}
-			if blockerResolved(rs, blocker) {
-				break
-			}
-			if time.Now().After(deadline) {
-				tx.waited += time.Since(waitStart)
-				return nil, errTimeout
-			}
-			lock.Backoff(spin)
-		}
-		tx.waited += time.Since(waitStart)
-		rs.lock()
-	}
-	// Record commit-order dependencies on every conflicting accessor
-	// still present (their pieces finished; they have not committed).
-	for _, a := range rs.accs {
-		if a.t != tx.t && !a.unwound && conflict(a, mine) {
-			if tx.deps == nil {
-				tx.deps = make(map[*Tx]struct{}, 8)
-			}
-			tx.deps[a.owner] = struct{}{}
-		}
+	if err := tx.waitConflicts(rs, func(a *access) bool { return conflict(a, mine) }); err != nil {
+		return nil, err
 	}
 	cur := *row.OCCImage.Load()
 	if write {
@@ -596,25 +540,49 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, write bool) (*access, error
 // and re-clones the row image — the read path aliases the published
 // image, which a writer must never mutate in place. Two running pieces
 // promoting against each other on the same row are a symmetric upgrade
-// deadlock; the attach deadline converts it into an abort-and-retry, the
+// deadlock; the wait deadline converts it into an abort-and-retry, the
 // same resolution the lock engine reaches by wounding.
 func (tx *Tx) promote(a *access) (*access, error) {
 	rs := a.rs
-	var deadline time.Time // set when the promotion first blocks, as in attach
+	if err := tx.waitConflicts(rs, func(b *access) bool { return b.mask&a.mask != 0 }); err != nil {
+		return nil, err
+	}
+	a.write = true
+	a.local = bytes.Clone(*a.row.OCCImage.Load())
+	rs.unlock()
+	if tx.col != nil {
+		tx.col.Add(stats.Upgrades, 1)
+	}
+	return a, nil
+}
+
+// waitConflicts waits until no unfinished access of another transaction
+// on rs conflicts (per conflicts) with the one being placed, then records
+// commit-order dependencies on every conflicting accessor still present
+// (their pieces finished; they have not committed). It returns with rs
+// latched, or unlatched with an error when the transaction is aborting
+// or the wait exceeds waitTimeout.
+func (tx *Tx) waitConflicts(rs *rowState, conflicts func(*access) bool) error {
+	// The deadline runs from the first moment the wait blocks: an access
+	// that finds no blocker reads no clock.
+	var deadline time.Time
+	// One escalating backoff counter for the whole wait: resetting it
+	// per blocker keeps the loop in the busy-yield phase forever when
+	// blockers keep trading places, which on a 1-CPU host (worse under
+	// -race, which serializes goroutines further) can starve the very
+	// goroutine that would resolve the conflict. Carrying the counter
+	// across blockers escalates to real sleeps and lets it run.
 	spin := 0
 	rs.lock()
 	for {
 		if tx.t.Aborting() {
 			rs.unlock()
-			return nil, lock.ErrAborting
+			return lock.ErrAborting
 		}
 		var blocker *access
-		for _, b := range rs.accs {
-			if b.t == tx.t || b.done || b.unwound {
-				continue
-			}
-			if b.mask&a.mask != 0 {
-				blocker = b
+		for _, a := range rs.accs {
+			if a.t != tx.t && !a.done && !a.unwound && conflicts(a) {
+				blocker = a
 				break
 			}
 		}
@@ -624,40 +592,34 @@ func (tx *Tx) promote(a *access) (*access, error) {
 		rs.unlock()
 		waitStart := time.Now()
 		if deadline.IsZero() {
-			deadline = waitStart.Add(tx.e.WaitTimeout)
+			deadline = waitStart.Add(waitTimeout)
 		}
 		for ; ; spin++ {
 			if tx.t.Aborting() {
 				tx.waited += time.Since(waitStart)
-				return nil, lock.ErrAborting
+				return lock.ErrAborting
 			}
 			if blockerResolved(rs, blocker) {
 				break
 			}
 			if time.Now().After(deadline) {
 				tx.waited += time.Since(waitStart)
-				return nil, errTimeout
+				return errTimeout
 			}
 			lock.Backoff(spin)
 		}
 		tx.waited += time.Since(waitStart)
 		rs.lock()
 	}
-	for _, b := range rs.accs {
-		if b.t != tx.t && !b.unwound && b.mask&a.mask != 0 {
+	for _, a := range rs.accs {
+		if a.t != tx.t && !a.unwound && conflicts(a) {
 			if tx.deps == nil {
 				tx.deps = make(map[*Tx]struct{}, 8)
 			}
-			tx.deps[b.owner] = struct{}{}
+			tx.deps[a.owner] = struct{}{}
 		}
 	}
-	a.write = true
-	a.local = bytes.Clone(*a.row.OCCImage.Load())
-	rs.unlock()
-	if tx.col != nil {
-		tx.col.Add(stats.Upgrades, 1)
-	}
-	return a, nil
+	return nil
 }
 
 // blockerResolved reports whether the blocking access finished or left.
@@ -864,11 +826,12 @@ func (tx *Tx) enforcePieceOrder(p *Piece) error {
 	if len(tx.deps) == 0 {
 		return nil
 	}
-	// As in attach: the deadline runs from the first dependency that makes
-	// the piece wait (a piece whose dependencies are all far enough along
-	// reads no clock), and one escalating counter spans all dependencies,
-	// so a transaction polling several slow ones reaches the sleeping
-	// phase instead of busy-yielding against them round-robin.
+	// As in waitConflicts: the deadline runs from the first dependency
+	// that makes the piece wait (a piece whose dependencies are all far
+	// enough along reads no clock), and one escalating counter spans all
+	// dependencies, so a transaction polling several slow ones reaches
+	// the sleeping phase instead of busy-yielding against them
+	// round-robin.
 	var waitStart, deadline time.Time
 	spin := 0
 	for d := range tx.deps {
@@ -882,7 +845,7 @@ func (tx *Tx) enforcePieceOrder(p *Piece) error {
 			}
 			if waitStart.IsZero() {
 				waitStart = time.Now()
-				deadline = waitStart.Add(tx.e.WaitTimeout)
+				deadline = waitStart.Add(waitTimeout)
 			}
 			if tx.t.Aborting() {
 				tx.waited += time.Since(waitStart)
@@ -910,7 +873,7 @@ func (s *session) commitWait(tx *Tx) (time.Duration, bool) {
 		return 0, !tx.t.Aborting()
 	}
 	start := time.Now()
-	deadline := start.Add(10 * tx.e.WaitTimeout)
+	deadline := start.Add(10 * waitTimeout)
 	for dep := range tx.deps {
 		for i := 0; ; i++ {
 			if tx.t.Aborting() {

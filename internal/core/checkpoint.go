@@ -26,9 +26,6 @@ type CheckpointConfig struct {
 	Dir string
 	// Interval is the per-partition time trigger (default 1s).
 	Interval time.Duration
-	// MaxLogBytes additionally triggers a checkpoint whenever a
-	// partition's live log exceeds it (0 = time trigger only).
-	MaxLogBytes int64
 	// SegmentBytes is the WAL segment rotation threshold (0 = the
 	// wal.DefaultSegmentBytes default). Truncation reclaims whole
 	// segments, so this bounds both truncation granularity and how much
@@ -39,8 +36,6 @@ type CheckpointConfig struct {
 	// so the newest checkpoint being corrupt still leaves a previous
 	// snapshot plus the full log suffix it needs.
 	Truncate bool
-	// Keep is how many snapshots per partition to retain (default 2).
-	Keep int
 }
 
 // Enabled reports whether checkpointing is configured.
@@ -48,6 +43,10 @@ func (c CheckpointConfig) Enabled() bool { return c.Dir != "" }
 
 // DefaultCheckpointInterval is used when CheckpointConfig.Interval ≤ 0.
 const DefaultCheckpointInterval = time.Second
+
+// keepSnapshots is how many snapshots per partition a checkpoint round
+// retains: the two that truncation's cut below the second-newest needs.
+const keepSnapshots = 2
 
 // CheckpointStats is the checkpointer's cumulative telemetry.
 type CheckpointStats struct {
@@ -132,18 +131,11 @@ func (c *checkpointer) stop() {
 
 func (c *checkpointer) loop(stopCh, doneCh chan struct{}) {
 	defer close(doneCh)
-	cfg := &c.db.cfg.Checkpoint
-	interval := cfg.Interval
+	interval := c.db.cfg.Checkpoint.Interval
 	if interval <= 0 {
 		interval = DefaultCheckpointInterval
 	}
-	// The size trigger needs to be noticed faster than the time trigger
-	// fires, so the loop polls at the smaller of the two scales.
-	poll := interval
-	if cfg.MaxLogBytes > 0 && poll > 100*time.Millisecond {
-		poll = 100 * time.Millisecond
-	}
-	tick := time.NewTicker(poll)
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -152,9 +144,7 @@ func (c *checkpointer) loop(stopCh, doneCh chan struct{}) {
 		case <-tick.C:
 			c.mu.Lock()
 			for p := 0; p < c.db.Partitions(); p++ {
-				due := time.Since(c.lastRun[p]) >= interval ||
-					(cfg.MaxLogBytes > 0 && c.db.PLog.LiveBytes(p) >= cfg.MaxLogBytes)
-				if !due {
+				if time.Since(c.lastRun[p]) < interval {
 					continue
 				}
 				if err := c.partitionRoundLocked(p); err != nil {
@@ -210,11 +200,7 @@ func (c *checkpointer) partitionRoundLocked(p int) error {
 	}
 	c.lastSeq[p] = seq
 	c.stats.Checkpoints++
-	keep := cfg.Keep
-	if keep < 2 {
-		keep = 2
-	}
-	if _, err := storage.PruneSnapshots(cfg.Dir, p, keep); err != nil {
+	if _, err := storage.PruneSnapshots(cfg.Dir, p, keepSnapshots); err != nil {
 		return fmt.Errorf("core: prune checkpoints partition %d: %w", p, err)
 	}
 	c.stats.Time += time.Since(start)
@@ -258,7 +244,7 @@ func (db *DB) StartCheckpointer() {
 }
 
 // CheckpointNow synchronously runs one checkpoint round over every
-// partition, regardless of the interval and size triggers, and returns
+// partition, regardless of the interval trigger, and returns
 // the first error (including any pending background-round error). Tools
 // and tests use it to force a recovery point.
 func (db *DB) CheckpointNow() error {

@@ -113,19 +113,42 @@ func TestSinglePartitionLogGolden(t *testing.T) {
 // TestCommitPathMatrix runs the one commit path in every configuration
 // that used to select a path of its own — single vs partitioned log, MVCC
 // install vs plain, checkpoint gate held vs not, per-record vs group
-// commit — under three oracles: transfers that cross partitions conserve
-// the total (and, with MVCC, every snapshot sums to it), every write in
-// partition log p belongs to partition p, and replaying the logs into a
-// fresh DB reproduces the survivor's rows, committed inserts included.
+// commit — for each lock variant, under three oracles: transfers that
+// cross partitions conserve the total (and, with MVCC, every snapshot
+// sums to it), every write in partition log p belongs to partition p,
+// and replaying the logs into a fresh DB reproduces the survivor's rows,
+// committed inserts included. The full run covers the whole product;
+// -short runs one variant per cell, chosen so that every variant still
+// meets both values of every other axis (pairwise coverage).
 func TestCommitPathMatrix(t *testing.T) {
-	for _, parts := range []int{1, 2} {
-		for _, mvcc := range []bool{false, true} {
-			for _, gate := range []bool{false, true} {
-				for _, gc := range []bool{false, true} {
+	variants := []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"BAMBOO", core.Bamboo()},
+		{"WOUND_WAIT", core.WoundWait()},
+		{"WAIT_DIE", core.WaitDie()},
+		{"NO_WAIT", core.NoWait()},
+	}
+	for pi, parts := range []int{1, 2} {
+		for mi, mvcc := range []bool{false, true} {
+			for gi, gate := range []bool{false, true} {
+				for ci, gc := range []bool{false, true} {
 					name := fmt.Sprintf("P%d/mvcc=%t/gate=%t/gc=%t", parts, mvcc, gate, gc)
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
-						testCommitPath(t, parts, mvcc, gate, gc)
+						for vi, v := range variants {
+							// Fixing any one axis leaves the other three free,
+							// so pi^gi and mi^ci take all four combinations:
+							// each variant meets every axis value.
+							if testing.Short() && vi != 2*(pi^gi)+(mi^ci) {
+								continue
+							}
+							t.Run(v.name, func(t *testing.T) {
+								t.Parallel()
+								testCommitPath(t, v.cfg, parts, mvcc, gate, gc)
+							})
+						}
 					})
 				}
 			}
@@ -133,10 +156,9 @@ func TestCommitPathMatrix(t *testing.T) {
 	}
 }
 
-func testCommitPath(t *testing.T, parts int, mvcc, gate, gc bool) {
+func testCommitPath(t *testing.T, cfg core.Config, parts int, mvcc, gate, gc bool) {
 	const workers, perWorker = 4, 60
 	walDir := filepath.Join(t.TempDir(), "wal")
-	cfg := core.Bamboo()
 	cfg.Partitions = parts
 	cfg.MVCC = mvcc
 	cfg.GroupCommit = gc

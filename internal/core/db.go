@@ -35,10 +35,8 @@ type Config struct {
 	Variant lock.Variant
 
 	// RetireWrites enables early lock retiring for writes (Bamboo's core
-	// mechanism). Disabled, the executor retires nothing on its own:
-	// Bamboo degenerates to Wound-Wait (§3.4) unless the caller places
-	// retire points itself through the Retirer interface, as the §3.3
-	// program-analysis package does.
+	// mechanism). Disabled, the executor retires no write and Bamboo
+	// degenerates to Wound-Wait (§3.4).
 	RetireWrites bool
 	// RetireReads is Optimization 1 (reads retire at grant).
 	RetireReads bool
@@ -90,10 +88,6 @@ type Config struct {
 	// per-transaction append. With Partitions > 1 every partition log
 	// gets its own flusher.
 	GroupCommit bool
-	// GroupCommitInterval is the epoch accumulation window; zero flushes
-	// as soon as the flusher sees pending records (piggyback batching).
-	// Only meaningful with GroupCommit set.
-	GroupCommitInterval time.Duration
 
 	// WALDir, when set, puts the commit log on real files: one
 	// append-only log per storage partition under this directory
@@ -102,11 +96,10 @@ type Config struct {
 	// closes the files; DB.ReplayDir rebuilds state from such a
 	// directory after a crash.
 	WALDir string
-	// WALFsync selects when the file devices fsync (per batch, per
-	// interval, or never); only meaningful with WALDir set.
+	// WALFsync selects when the file devices fsync (per batch, at most
+	// once per wal.DefaultFsyncInterval, or never); only meaningful with
+	// WALDir set.
 	WALFsync wal.FsyncPolicy
-	// WALFsyncInterval is the window for wal.FsyncInterval.
-	WALFsyncInterval time.Duration
 
 	// Checkpoint configures the storage lifecycle — fuzzy checkpoints
 	// and WAL truncation (see CheckpointConfig). Requires WALDir and
@@ -123,11 +116,6 @@ type Config struct {
 	// (the default), rows carry no version chain and commits install
 	// nothing.
 	MVCC bool
-	// MVCCPruneInterval is the background version-pruner tick: each tick
-	// advances the reclaim watermark (what install-time node reuse keys
-	// off), and every few ticks sweeps cold rows' chains. Zero defaults
-	// to 2ms. Only meaningful with MVCC.
-	MVCCPruneInterval time.Duration
 
 	// MetricsAddr, when non-empty, serves the live telemetry endpoints
 	// (/metrics Prometheus text exposition, /debug/vars JSON, /healthz)
@@ -262,7 +250,7 @@ func NewDB(cfg Config) *DB {
 		RecycleImages: db.recycle && !cfg.MVCC,
 	}
 	db.Lock = lock.NewManager(lockCfg)
-	db.PLog = wal.NewPartitioned(db.walDevices(), cfg.GroupCommit, cfg.GroupCommitInterval)
+	db.PLog = wal.NewPartitioned(db.walDevices(), cfg.GroupCommit)
 	if cfg.Checkpoint.Enabled() {
 		db.ckptGate = &sync.RWMutex{}
 		db.ckpt = newCheckpointer(db)
@@ -270,7 +258,7 @@ func NewDB(cfg Config) *DB {
 	if cfg.MVCC {
 		db.Catalog.SetMVCC(true)
 		db.Snap = txn.NewSnapshotTable()
-		db.pruner = startPruner(db)
+		db.pruner = startPruner(db, pruneInterval)
 	}
 	if cfg.MetricsAddr != "" {
 		reg := telemetry.NewRegistry()
@@ -372,9 +360,9 @@ func (db *DB) walDevices() []wal.Device {
 			// The lifecycle layout: segmented logs, so truncation can
 			// unlink whole prefix files.
 			files, err = wal.OpenPartitionSegmentedDevices(db.cfg.WALDir, n,
-				db.cfg.WALFsync, db.cfg.WALFsyncInterval, db.cfg.Checkpoint.SegmentBytes)
+				db.cfg.WALFsync, db.cfg.Checkpoint.SegmentBytes)
 		} else {
-			files, err = wal.OpenPartitionDevices(db.cfg.WALDir, n, db.cfg.WALFsync, db.cfg.WALFsyncInterval)
+			files, err = wal.OpenPartitionDevices(db.cfg.WALDir, n, db.cfg.WALFsync)
 		}
 		if err != nil {
 			panic(fmt.Sprintf("core: open WAL dir %s: %v", db.cfg.WALDir, err))

@@ -370,28 +370,6 @@ func (tx *lockTx) shouldRetire() bool {
 	return float64(tx.opIndex) <= cutoff
 }
 
-// Retirer is implemented by transactions that support explicit retire
-// points (the lock engine). The §3.3 analysis interpreter type-asserts it
-// to place synthesized LockRetire calls.
-type Retirer interface {
-	// RetireRow retires this transaction's exclusive lock on row, making
-	// its dirty write visible. A no-op if the row is not write-locked by
-	// the transaction or already retired.
-	RetireRow(row *storage.Row)
-}
-
-// RetireRow implements Retirer.
-func (tx *lockTx) RetireRow(row *storage.Row) {
-	if tx.db.cfg.Variant != lock.Bamboo {
-		return
-	}
-	if i, ok := tx.byRow[row]; ok {
-		if a := &tx.accesses[i]; a.mode == lock.EX && !a.retired {
-			tx.retire(a)
-		}
-	}
-}
-
 // retireRemaining retires every unretired write; the adaptive part of
 // Optimization 2 invokes it when commit-waiting exceeds δ of execution.
 func (tx *lockTx) retireRemaining() {
@@ -686,14 +664,14 @@ func (s *lockSession) commitPoint(tx *lockTx) error {
 // row's whole tail — and drains one write at a time until the next tick,
 // so a list is useful up to what one session installs per tick and no
 // further. A session flat out commits a write every ~1.25 µs, 1 600 per
-// default 2 ms tick: at 1 024 slots its bursts overflowed (1.4–4
+// 2 ms pruneInterval tick: at 1 024 slots its bursts overflowed (1.4–4
 // allocs/txn in TestAllocBudgetMVCCWrites), at 2 048 they fit (≤ 0.1).
 // On ycsb_snapshot's two workers (~1 100 installs a tick each) the share
 // of write copies built in a recycled buffer was 0.74 at 64 slots, 0.87
 // at 256 and flat from 1 024 up. 2 048 of that workload's 1 KB images
 // bound a session's idle inventory at 2 MB; nodes are 48 bytes. With a
-// longer MVCCPruneInterval the bursts outgrow the lists and the surplus
-// goes to the collector.
+// longer tick the bursts outgrow the lists and the surplus goes to the
+// collector.
 const (
 	maxFreeNodes = 2048
 	maxFreeImgs  = 2048

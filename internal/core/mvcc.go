@@ -21,9 +21,8 @@ import (
 // the catalog and prunes cold rows' chains, feeding the versions_pruned /
 // version_chain_max telemetry.
 
-// defaultPruneInterval is the watermark-advance tick when
-// Config.MVCCPruneInterval is zero.
-const defaultPruneInterval = 2 * time.Millisecond
+// pruneInterval is the watermark-advance tick.
+const pruneInterval = 2 * time.Millisecond
 
 // sweepEvery is the number of watermark ticks per full catalog sweep.
 // Watermark advance is cheap and keeps install-time reuse effective;
@@ -42,19 +41,21 @@ const sweepEvery = 25
 const prunerSlot = txn.TSWorkerSlots - 1
 
 type pruner struct {
-	db    *DB
-	alloc *txn.TSAlloc
-	quit  chan struct{}
-	done  chan struct{}
-	once  sync.Once
+	db       *DB
+	alloc    *txn.TSAlloc
+	interval time.Duration
+	quit     chan struct{}
+	done     chan struct{}
+	once     sync.Once
 }
 
-func startPruner(db *DB) *pruner {
+func startPruner(db *DB, interval time.Duration) *pruner {
 	p := &pruner{
-		db:    db,
-		alloc: txn.NewTSAlloc(prunerSlot),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
+		db:       db,
+		alloc:    txn.NewTSAlloc(prunerSlot),
+		interval: interval,
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go p.run()
 	return p
@@ -67,11 +68,7 @@ func (p *pruner) stop() {
 
 func (p *pruner) run() {
 	defer close(p.done)
-	interval := p.db.cfg.MVCCPruneInterval
-	if interval <= 0 {
-		interval = defaultPruneInterval
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(p.interval)
 	defer tick.Stop()
 	var swept uint64 // the watermark at the previous sweep
 	for n := 0; ; n++ {

@@ -89,9 +89,9 @@ func TestMVCCRecycledImagesStayImmutable(t *testing.T) {
 	)
 	cfg := Bamboo()
 	cfg.MVCC = true
-	cfg.MVCCPruneInterval = time.Millisecond
 	db := NewDB(cfg)
 	defer db.Close()
+	SetPruneInterval(db, time.Millisecond)
 	if !db.recycle {
 		t.Fatal("precondition: image recycling is off on a plain MVCC DB")
 	}

@@ -11,12 +11,14 @@ import (
 	"bamboo/internal/verify/verifytest"
 )
 
-func mvccConfig(base core.Config) core.Config {
+// newMVCCDB opens base with MVCC on and a tight pruner tick, so short
+// tests actually exercise watermark advance and background sweeps, not
+// just install-time reuse.
+func newMVCCDB(base core.Config) *core.DB {
 	base.MVCC = true
-	// A tight pruner tick so short tests actually exercise watermark
-	// advance and background sweeps, not just install-time reuse.
-	base.MVCCPruneInterval = 500 * time.Microsecond
-	return base
+	db := core.NewDB(base)
+	core.SetPruneInterval(db, 500*time.Microsecond)
+	return db
 }
 
 // TestMVCCSnapshotConsistency runs the snapshot oracle against every lock
@@ -34,7 +36,7 @@ func TestMVCCSnapshotConsistency(t *testing.T) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			db := core.NewDB(mvccConfig(cfg))
+			db := newMVCCDB(cfg)
 			defer db.Close()
 			verifytest.RunSnapshotConsistency(t, core.NewLockEngine(db), 16, 4, 200)
 		})
@@ -46,9 +48,9 @@ func TestMVCCSnapshotConsistency(t *testing.T) {
 // across partition boundaries (one commit timestamp covers a transfer
 // whose legs live in different partitions).
 func TestMVCCSnapshotConsistencyPartitioned(t *testing.T) {
-	cfg := mvccConfig(core.Bamboo())
+	cfg := core.Bamboo()
 	cfg.Partitions = 4
-	db := core.NewDB(cfg)
+	db := newMVCCDB(cfg)
 	defer db.Close()
 	verifytest.RunSnapshotConsistency(t, core.NewLockEngine(db), 16, 4, 200)
 }
@@ -58,7 +60,7 @@ func TestMVCCSnapshotConsistencyPartitioned(t *testing.T) {
 // transparently through the locking path, commits exactly once, and is
 // not counted as an abort.
 func TestMVCCReadOnlyFallback(t *testing.T) {
-	db := core.NewDB(mvccConfig(core.Bamboo()))
+	db := newMVCCDB(core.Bamboo())
 	defer db.Close()
 	schema := storage.NewSchema("kv", storage.Column{Name: "v", Type: storage.ColInt64})
 	tbl := db.Catalog.MustCreateTable(schema, 4)
@@ -138,7 +140,6 @@ func TestMVCCReadOnlyFallback(t *testing.T) {
 func TestMVCCCommitHookRetainedImages(t *testing.T) {
 	cfg := core.Bamboo()
 	cfg.MVCC = true
-	cfg.MVCCPruneInterval = time.Hour // keep the sweep out of the race
 	testHookRetainedImages(t, cfg)
 }
 
@@ -170,6 +171,9 @@ func testHookRetainedImages(t *testing.T, cfg core.Config) {
 	}
 	db := core.NewDB(cfg)
 	defer db.Close()
+	if cfg.MVCC {
+		core.SetPruneInterval(db, time.Hour) // keep the sweep out of the race
+	}
 	tbl := db.Catalog.MustCreateTable(schema, 1)
 	tbl.MustInsertRow(0, schema.NewRowImage())
 
@@ -240,10 +244,10 @@ func TestMVCCMarkReadOnlyOff(t *testing.T) {
 // pass is what re-anchors them.
 func TestMVCCRecoveryReseed(t *testing.T) {
 	dir := t.TempDir()
-	run := mvccConfig(core.Bamboo())
+	run := core.Bamboo()
 	run.WALDir = dir
 
-	db := core.NewDB(run)
+	db := newMVCCDB(run)
 	tbl := loadXfer(t, db)
 	schema := tbl.Schema
 	eng := core.NewLockEngine(db)
@@ -263,8 +267,7 @@ func TestMVCCRecoveryReseed(t *testing.T) {
 	// Recover into a fresh MVCC instance: same deterministic loader, then
 	// replay. (No WALDir on the recovering config — replay reads the files
 	// directly, as the recovery tooling does.)
-	rec := mvccConfig(core.Bamboo())
-	db2 := core.NewDB(rec)
+	db2 := newMVCCDB(core.Bamboo())
 	defer db2.Close()
 	tbl2 := loadXfer(t, db2)
 	if _, err := db2.ReplayDir(dir, false); err != nil {
@@ -304,7 +307,7 @@ func TestMVCCRecoveryReseed(t *testing.T) {
 // timestamps from the last allocator id of 1 024 but publishes nothing,
 // and registering that slot made every scan walk all of them.
 func TestSnapshotScanBoundedByWorkers(t *testing.T) {
-	db := core.NewDB(mvccConfig(core.Bamboo()))
+	db := newMVCCDB(core.Bamboo())
 	defer db.Close()
 	eng := core.NewLockEngine(db)
 	for w := 0; w < 2; w++ {

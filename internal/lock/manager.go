@@ -701,7 +701,16 @@ func (m *Manager) promoteWaiters(e *Entry) {
 			w.state.Store(int32(reqDropped))
 			continue
 		}
-		if conflictsWithOwners(e, w.Mode) {
+		// An Optimization-3 reader keeps its admission rule (AcquireInto)
+		// in the queue: it waits for older conflicting requests only, and
+		// its positioned grant commit-orders younger owners behind it.
+		// Waiting for a younger owner as well deadlocks once that owner
+		// is commit-ordered behind the reader on another entry.
+		if m.cfg.Variant == Bamboo && w.Mode == SH && m.cfg.NoWoundRead {
+			if m.olderConflicting(e, w.Txn, w.Mode) {
+				return
+			}
+		} else if conflictsWithOwners(e, w.Mode) {
 			return
 		}
 		// A pending upgrade blocks every younger waiter: granting one

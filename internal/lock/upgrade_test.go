@@ -614,3 +614,73 @@ func TestPropertyUpgradeNeverDeadlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueuedReaderPassesYoungerOwner: an Optimization-3 reader that had
+// to queue keeps its admission rule in the queue. The reader queues
+// behind a younger writer that is past its commit point (too late to be
+// commit-ordered behind the reader); a still younger transaction then
+// reads past both and upgrades to an exclusive owner. Once the committer
+// leaves, the reader must be granted at its position, reading the
+// committer's image, with the younger owner commit-ordered behind it —
+// not left waiting for that owner, which under Bamboo deadlocks as soon
+// as the owner is commit-ordered behind the reader on another entry.
+func TestQueuedReaderPassesYoungerOwner(t *testing.T) {
+	m := bambooMgr()
+	e := newEntry(0)
+	committer := newTxnTS(3, 3)
+	cr := mustAcquire(t, m, committer, EX, e)
+	cr.Data[0] = 1
+	m.Retire(cr)
+	if !committer.BeginCommit() {
+		t.Fatal("committer could not begin its commit")
+	}
+
+	older := newTxnTS(2, 2)
+	granted := make(chan *Request, 1)
+	go func() {
+		r, err := m.Acquire(older, SH, e)
+		if err != nil {
+			t.Errorf("older reader: %v", err)
+		}
+		granted <- r
+	}()
+	for i := 0; ; i++ {
+		if _, _, waiting := e.Snapshot(); waiting == 1 {
+			break
+		}
+		Backoff(i)
+	}
+
+	younger := newTxnTS(4, 4)
+	yr := mustAcquire(t, m, younger, SH, e)
+	if err := m.Upgrade(yr); err != nil {
+		t.Fatalf("upgrade: %v", err)
+	}
+	yr.Data[0] = 2
+
+	m.Release(cr, false)
+	committer.FinishCommit()
+	var or *Request
+	select {
+	case or = <-granted:
+	case <-time.After(2 * time.Second):
+		t.Fatal("queued older reader still waits for the younger exclusive owner")
+	}
+	if or == nil {
+		return
+	}
+	if or.Data[0] != 1 {
+		t.Fatalf("older reader read %d, want the committer's image 1", or.Data[0])
+	}
+	if younger.Sem() == 0 {
+		t.Fatal("the younger owner is not commit-ordered behind the older reader")
+	}
+	m.Release(or, false)
+	if younger.Sem() != 0 {
+		t.Fatalf("younger owner still waits after the reader left: sem=%d", younger.Sem())
+	}
+	m.Release(yr, false)
+	if ret, own, wait := e.Snapshot(); ret+own+wait != 0 {
+		t.Fatalf("entry not drained: %d/%d/%d", ret, own, wait)
+	}
+}

@@ -320,8 +320,11 @@ func (t *Txn) SetAbort(cause AbortCause) bool {
 		s := State(t.state.Load())
 		switch s {
 		case StateRunning:
+			// Cause first: whoever sees Aborting must also see why. If the
+			// commit CAS wins instead, the committed attempt keeps a cause
+			// nobody reads; Reset and Renew clear it.
+			t.cause.CompareAndSwap(int32(CauseNone), int32(cause))
 			if t.state.CompareAndSwap(int32(StateRunning), int32(StateAborting)) {
-				t.cause.CompareAndSwap(int32(CauseNone), int32(cause))
 				return true
 			}
 		case StateAborting, StateAborted, StateCommitting, StateCommitted:

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,6 +45,24 @@ func TestLifecycleWound(t *testing.T) {
 	tx.FinishAbort()
 	if tx.State() != StateAborted {
 		t.Fatal("not aborted")
+	}
+}
+
+// TestAbortCauseVisibleWithAborting: whoever sees a transaction aborting
+// must also see why. The executor records the cause the moment its commit
+// CAS fails, so a wound that published Aborting before its cause was
+// counted as an abort with no cause. The race window is a few
+// instructions wide; it shows only with two or more processors.
+func TestAbortCauseVisibleWithAborting(t *testing.T) {
+	for i := 0; i < 200000; i++ {
+		tx := New(uint64(i))
+		go tx.SetAbort(CauseWound)
+		for !tx.Aborting() {
+			runtime.Gosched()
+		}
+		if c := tx.Cause(); c != CauseWound {
+			t.Fatalf("round %d: aborting with cause %v", i, c)
+		}
 	}
 }
 

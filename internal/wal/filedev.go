@@ -104,10 +104,11 @@ type segmentRef struct {
 	bytes    int64
 }
 
-// DefaultFsyncInterval is the FsyncInterval window used when none is
-// configured: without it a zero interval would make every append sync —
-// silently measuring the per-batch (worst-case) policy under the
-// bounded-loss policy's name.
+// DefaultFsyncInterval is the FsyncInterval window of every device the
+// partition and segmented openers create, and OpenFileDevice's for an
+// interval ≤ 0: a zero window would make every append sync — silently
+// measuring the per-batch (worst-case) policy under the bounded-loss
+// policy's name.
 const DefaultFsyncInterval = time.Millisecond
 
 // DefaultSegmentBytes is the segment size threshold used when a
@@ -141,7 +142,7 @@ func OpenFileDevice(path string, policy FsyncPolicy, interval time.Duration) (*F
 // log in the same directory also fails the open: the two layouts do not
 // mix, and silently ignoring the old file would drop its records from
 // recovery.
-func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, interval time.Duration, segMax int64) (*FileDevice, error) {
+func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, segMax int64) (*FileDevice, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create log dir: %w", err)
 	}
@@ -151,10 +152,7 @@ func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, interval time.Du
 	if segMax <= 0 {
 		segMax = DefaultSegmentBytes
 	}
-	if policy == FsyncInterval && interval <= 0 {
-		interval = DefaultFsyncInterval
-	}
-	d := &FileDevice{policy: policy, interval: interval, dir: dir, part: p, segMax: segMax, lastSync: time.Now()}
+	d := &FileDevice{policy: policy, interval: DefaultFsyncInterval, dir: dir, part: p, segMax: segMax, lastSync: time.Now()}
 	segs, err := ListSegments(dir, p)
 	if err != nil {
 		return nil, err
@@ -211,13 +209,13 @@ func PartitionLogPath(dir string, p int) string {
 // OpenPartitionDevices creates dir if needed and opens one legacy
 // single-file FileDevice per partition at the canonical paths. On any
 // error the already-opened devices are closed.
-func OpenPartitionDevices(dir string, n int, policy FsyncPolicy, interval time.Duration) ([]*FileDevice, error) {
+func OpenPartitionDevices(dir string, n int, policy FsyncPolicy) ([]*FileDevice, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create log dir: %w", err)
 	}
 	devs := make([]*FileDevice, n)
 	for p := range devs {
-		d, err := OpenFileDevice(PartitionLogPath(dir, p), policy, interval)
+		d, err := OpenFileDevice(PartitionLogPath(dir, p), policy, 0)
 		if err != nil {
 			for _, o := range devs[:p] {
 				o.Close()
@@ -232,10 +230,10 @@ func OpenPartitionDevices(dir string, n int, policy FsyncPolicy, interval time.D
 // OpenPartitionSegmentedDevices opens one segmented FileDevice per
 // partition in dir; see OpenSegmentedDevice. On any error the
 // already-opened devices are closed.
-func OpenPartitionSegmentedDevices(dir string, n int, policy FsyncPolicy, interval time.Duration, segMax int64) ([]*FileDevice, error) {
+func OpenPartitionSegmentedDevices(dir string, n int, policy FsyncPolicy, segMax int64) ([]*FileDevice, error) {
 	devs := make([]*FileDevice, n)
 	for p := range devs {
-		d, err := OpenSegmentedDevice(dir, p, policy, interval, segMax)
+		d, err := OpenSegmentedDevice(dir, p, policy, segMax)
 		if err != nil {
 			for _, o := range devs[:p] {
 				o.Close()

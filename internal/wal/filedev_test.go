@@ -137,7 +137,7 @@ func TestFileDeviceGroupCommitConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewGroupCommit(dev, 0)
+	l := NewGroupCommit(dev)
 	const workers, perWorker = 4, 25
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -303,7 +303,7 @@ func TestReplayRejectsOverflowingFramePrefix(t *testing.T) {
 
 func TestOpenPartitionDevices(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	devs, err := OpenPartitionDevices(dir, 3, FsyncNone, 0)
+	devs, err := OpenPartitionDevices(dir, 3, FsyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package wal
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // PartitionedLog is the durability side of a partitioned store: one Log —
 // its own group committer and device — per storage partition. Commit
@@ -16,17 +13,17 @@ type PartitionedLog struct {
 }
 
 // NewPartitioned builds one log per device. With groupCommit set each
-// partition gets its own epoch-based flusher (interval as in
-// NewGroupCommit); Close must then be called to stop them. A nil device
-// becomes an in-memory device exactly as in New.
-func NewPartitioned(devs []Device, groupCommit bool, interval time.Duration) *PartitionedLog {
+// partition gets its own epoch-based flusher (see NewGroupCommit); Close
+// must then be called to stop them. A nil device becomes an in-memory
+// device exactly as in New.
+func NewPartitioned(devs []Device, groupCommit bool) *PartitionedLog {
 	if len(devs) == 0 {
 		devs = []Device{nil}
 	}
 	pl := &PartitionedLog{logs: make([]*Log, len(devs))}
 	for i, d := range devs {
 		if groupCommit {
-			pl.logs[i] = NewGroupCommit(d, interval)
+			pl.logs[i] = NewGroupCommit(d)
 		} else {
 			pl.logs[i] = New(d)
 		}

@@ -14,7 +14,7 @@ func TestPartitionedLogRoutesIndependently(t *testing.T) {
 		mems[i] = NewMemDevice(true)
 		devs[i] = mems[i]
 	}
-	pl := NewPartitioned(devs, false, 0)
+	pl := NewPartitioned(devs, false)
 	if pl.Partitions() != 3 {
 		t.Fatalf("partitions = %d", pl.Partitions())
 	}
@@ -46,7 +46,7 @@ func TestPartitionedLogRoutesIndependently(t *testing.T) {
 
 func TestPartitionedLogGroupCommitCloseDrains(t *testing.T) {
 	devs := []Device{NewMemDevice(false), NewMemDevice(false)}
-	pl := NewPartitioned(devs, true, 0)
+	pl := NewPartitioned(devs, true)
 	var wg sync.WaitGroup
 	for p := 0; p < 2; p++ {
 		wg.Add(1)
@@ -86,7 +86,7 @@ func TestSubmitWaitOverlapsPartitions(t *testing.T) {
 		&slowDevice{MemDevice: NewMemDevice(true), delay: time.Millisecond},
 		&slowDevice{MemDevice: NewMemDevice(true), delay: time.Millisecond},
 	}
-	pl := NewPartitioned(devs, true, 0)
+	pl := NewPartitioned(devs, true)
 	defer pl.Close()
 	apps := []*Appender{pl.Log(0).NewAppender(), pl.Log(1).NewAppender()}
 	var tickets [3]Ticket // one spare zero ticket: must be inert
@@ -123,7 +123,7 @@ func TestTicketPerRecordLog(t *testing.T) {
 }
 
 func TestNewPartitionedNilDevices(t *testing.T) {
-	pl := NewPartitioned(nil, false, 0)
+	pl := NewPartitioned(nil, false)
 	if pl.Partitions() != 1 {
 		t.Fatalf("partitions = %d", pl.Partitions())
 	}

@@ -12,7 +12,7 @@ import (
 // device (left open).
 func fillSegments(t *testing.T, dir string, n int, segMax int64) *FileDevice {
 	t.Helper()
-	dev, err := OpenSegmentedDevice(dir, 0, FsyncNone, 0, segMax)
+	dev, err := OpenSegmentedDevice(dir, 0, FsyncNone, segMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSegmentedReopenContinues(t *testing.T) {
 	if err := dev.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dev2, err := OpenSegmentedDevice(dir, 0, FsyncNone, 0, 256)
+	dev2, err := OpenSegmentedDevice(dir, 0, FsyncNone, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSegmentedTornTailRepair(t *testing.T) {
 	if err := os.Truncate(path, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	dev2, err := OpenSegmentedDevice(dir, 0, FsyncNone, 0, 1<<20)
+	dev2, err := OpenSegmentedDevice(dir, 0, FsyncNone, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSegmentedOpenRefusesCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSegmentedDevice(dir, 0, FsyncNone, 0, 1<<20); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenSegmentedDevice(dir, 0, FsyncNone, 1<<20); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over bit rot: %v, want ErrCorrupt", err)
 	}
 }
@@ -151,7 +151,7 @@ func TestSegmentedRefusesLegacyMix(t *testing.T) {
 	if err := os.WriteFile(PartitionLogPath(dir, 0), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSegmentedDevice(dir, 0, FsyncNone, 0, 0); err == nil {
+	if _, err := OpenSegmentedDevice(dir, 0, FsyncNone, 0); err == nil {
 		t.Fatal("segmented open over a legacy log must fail")
 	}
 }
@@ -283,7 +283,7 @@ func TestFrameBounds(t *testing.T) {
 func TestListSegmentsIgnoresOtherPartitions(t *testing.T) {
 	dir := t.TempDir()
 	for p := 0; p < 2; p++ {
-		dev, err := OpenSegmentedDevice(dir, p, FsyncNone, 0, 128)
+		dev, err := OpenSegmentedDevice(dir, p, FsyncNone, 128)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -107,16 +108,14 @@ func New(dev Device) *Log {
 }
 
 // NewGroupCommit returns a log whose commits are batched by a background
-// flusher. interval is the epoch accumulation window: 0 flushes as soon as
-// the flusher observes pending records (pure piggyback batching — records
-// arriving while a flush is in progress form the next batch), larger
-// values trade commit latency for bigger batches. Close must be called to
-// stop the flusher.
-func NewGroupCommit(dev Device, interval time.Duration) *Log {
+// flusher: an epoch closes once the flusher has seen pending records and
+// yielded the processor once, and records arriving while a flush is in
+// progress form the next batch. Close must be called to stop the flusher.
+func NewGroupCommit(dev Device) *Log {
 	if dev == nil {
 		dev = NewMemDevice(true)
 	}
-	l := &Log{dev: dev, gc: newGroupCommitter(dev, interval)}
+	l := &Log{dev: dev, gc: newGroupCommitter(dev)}
 	go l.gc.loop()
 	return l
 }
@@ -210,8 +209,7 @@ func (t Ticket) Wait() (uint64, error) {
 // epoch, writes its whole batch with one (batched, if supported) device
 // call, then wakes every committer that was in it.
 type groupCommitter struct {
-	dev      Device
-	interval time.Duration
+	dev Device
 
 	mu      sync.Mutex
 	work    sync.Cond // signaled when pending work or close arrives
@@ -226,8 +224,8 @@ type groupCommitter struct {
 	done    bool // flusher exited
 }
 
-func newGroupCommitter(dev Device, interval time.Duration) *groupCommitter {
-	g := &groupCommitter{dev: dev, interval: interval, epoch: 1}
+func newGroupCommitter(dev Device) *groupCommitter {
+	g := &groupCommitter{dev: dev, epoch: 1}
 	g.work.L = &g.mu
 	g.flushed.L = &g.mu
 	return g
@@ -293,12 +291,15 @@ func (g *groupCommitter) loop() {
 			g.mu.Unlock()
 			return
 		}
-		if g.interval > 0 && !g.closed {
-			// Epoch accumulation window: let more committers pile in.
-			g.mu.Unlock()
-			time.Sleep(g.interval)
-			g.mu.Lock()
-		}
+		// Yield once before closing the epoch. The first record's Signal
+		// makes the flusher runnable while the other committers are
+		// still encoding theirs; on few cores it would otherwise close
+		// every epoch with one record in it (one device write per
+		// commit). The yield lets every runnable committer join and,
+		// unlike a timed window, costs nothing when none is runnable.
+		g.mu.Unlock()
+		runtime.Gosched()
+		g.mu.Lock()
 		batch := g.pending
 		g.pending = g.spare[:0]
 		e := g.epoch
