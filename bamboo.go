@@ -115,8 +115,8 @@ func NewSchema(name string, cols ...Column) *Schema { return storage.NewSchema(n
 var ErrUserAbort = core.ErrUserAbort
 
 // Config is the engine configuration Options embeds: storage partitions,
-// abort backoff, MVCC, group commit, the WAL directory and fsync policy,
-// checkpoints, the metrics endpoint. Its six protocol fields (Variant,
+// MVCC, group commit, the WAL directory and fsync policy, checkpoints,
+// the metrics endpoint. Its six protocol fields (Variant,
 // RetireWrites, RetireReads, NoWoundRead, DynamicTS, Delta) belong to
 // Options.Protocol and must stay unset.
 type Config = core.Config

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Crash-recovery matrix cell: SIGKILL a checkpointing crashtest run at one
+# Crash-recovery matrix cell: SIGKILL a crashtest run at one
 # storage-lifecycle phase and verify replay. The CI matrix supplies PHASE
-# (before-checkpoint | during-checkpoint | after-checkpoint |
-# after-truncation) and FSYNC (batch | interval); run it locally the same
+# (no-checkpoint | before-checkpoint | during-checkpoint | after-checkpoint
+# | after-truncation) and FSYNC (batch | interval); run it locally the same
 # way:
 #
 #   go build -o crashtest ./cmd/crashtest
 #   PHASE=after-truncation FSYNC=batch ci/recovery-matrix.sh
 set -euo pipefail
 
-PHASE="${PHASE:?set PHASE: before-checkpoint|during-checkpoint|after-checkpoint|after-truncation}"
+PHASE="${PHASE:?set PHASE: no-checkpoint|before-checkpoint|during-checkpoint|after-checkpoint|after-truncation}"
 FSYNC="${FSYNC:-batch}"
 BASE="${TMPDIR_BASE:-${RUNNER_TEMP:-/tmp}}/recovery-$PHASE-$FSYNC"
 WAL="$BASE/wal"
@@ -41,6 +41,17 @@ applied_bytes() {
 }
 
 case "$PHASE" in
+no-checkpoint)
+  # Checkpoints off: the log is the same segment chain, rotated at
+  # -segment-bytes, and recovery is a full replay of it.
+  run_kill 2 -segment-bytes 65536
+  if compgen -G "$WAL/wal-*.log" > /dev/null; then
+    echo "a WAL directory without checkpoints holds a single-file log:"
+    ls "$WAL"
+    exit 1
+  fi
+  "$CT" -mode recover -wal "$WAL" -partitions 4 -min-records 100
+  ;;
 before-checkpoint)
   # Interval far beyond the run: the kill lands before any snapshot
   # exists, so recovery must fall back to a full replay of the logs.

@@ -24,12 +24,13 @@
 //     landed before any commit means the harness misfired);
 //   - every lock entry is drained (replay bypasses the lock table).
 //
-// Storage lifecycle: -checkpoint-dir enables fuzzy checkpoints (and the
-// segmented WAL layout); -truncate lets the checkpointer unlink log
+// Storage lifecycle: the WAL is a segment chain per partition, rotated at
+// -segment-bytes, with or without checkpoints; -checkpoint-dir enables
+// fuzzy checkpoints, and -truncate lets the checkpointer unlink log
 // segments a durable snapshot covers. run mode replays any existing state
 // before serving, so a kill→run→kill soak keeps the conservation oracle
 // valid across cycles. -mode flip corrupts one payload byte of the last
-// complete frame in partition 0's newest log file — the bit-rot probe —
+// complete frame in partition 0's newest segment — the bit-rot probe —
 // and recover -expect-corrupt then requires replay to fail with a
 // corruption error rather than silently truncate. recover's
 // -max-replay-bytes bounds the applied suffix (proof checkpoints bound
@@ -56,7 +57,7 @@ import (
 func main() {
 	var (
 		mode       = flag.String("mode", "", "run | recover | flip")
-		walDir     = flag.String("wal", "", "WAL directory (one log file per partition)")
+		walDir     = flag.String("wal", "", "WAL directory (one segment chain per partition)")
 		partitions = flag.Int("partitions", 4, "storage partition count")
 		rows       = flag.Int("rows", 1024, "accounts in the transfer table")
 		threads    = flag.Int("threads", 4, "workers (run mode)")
@@ -65,9 +66,9 @@ func main() {
 		fsync      = flag.String("fsync", "batch", "fsync policy: none | batch | interval (run mode)")
 		minRecords = flag.Int("min-records", 1, "fail recovery if fewer commit records replay")
 
-		ckptDir      = flag.String("checkpoint-dir", "", "snapshot directory; non-empty enables checkpoints + segmented WAL")
+		ckptDir      = flag.String("checkpoint-dir", "", "snapshot directory; non-empty enables checkpoints (the WAL layout is the same either way)")
 		ckptInterval = flag.Duration("checkpoint-interval", 250*time.Millisecond, "background checkpoint interval (run mode)")
-		segBytes     = flag.Int64("segment-bytes", 256<<10, "WAL segment rotation threshold (run mode, checkpoints on)")
+		segBytes     = flag.Int64("segment-bytes", 256<<10, "WAL segment rotation threshold (run mode, checkpoints on or off)")
 		truncate     = flag.Bool("truncate", false, "unlink checkpoint-covered log segments (run mode)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve live telemetry (/metrics, /debug/vars, /healthz) on this address while running (run mode; \":0\" picks a free port, printed before READY)")
@@ -167,13 +168,11 @@ func runMode(rc runConfig) {
 	cfg.WALFsync = policy
 	cfg.GroupCommit = rc.gc
 	cfg.MetricsAddr = rc.metricsAddr
+	cfg.Checkpoint.SegmentBytes = rc.segBytes
 	if rc.ckptDir != "" {
-		cfg.Checkpoint = core.CheckpointConfig{
-			Dir:          rc.ckptDir,
-			Interval:     rc.ckptInterval,
-			SegmentBytes: rc.segBytes,
-			Truncate:     rc.truncate,
-		}
+		cfg.Checkpoint.Dir = rc.ckptDir
+		cfg.Checkpoint.Interval = rc.ckptInterval
+		cfg.Checkpoint.Truncate = rc.truncate
 	}
 	db := core.NewDB(cfg)
 	tbl := load(db, rc.rows)
@@ -243,7 +242,7 @@ func runMode(rc runConfig) {
 }
 
 // flipMode corrupts one payload byte of the LAST complete frame in
-// partition 0's newest log file — a committed, CRC-covered record, not a
+// partition 0's newest segment — a committed, CRC-covered record, not a
 // torn tail. Replay must refuse the log with a corruption error; treating
 // it as a torn tail would silently drop a committed transaction.
 func flipMode(dir string) {
@@ -251,10 +250,10 @@ func flipMode(dir string) {
 	if err != nil {
 		fatal("list segments: %v", err)
 	}
-	path := wal.PartitionLogPath(dir, 0)
-	if len(segs) > 0 {
-		path = segs[len(segs)-1].Path
+	if len(segs) == 0 {
+		fatal("no log segment for partition 0 in %s", dir)
 	}
+	path := segs[len(segs)-1].Path
 	bounds, _, err := wal.FrameBounds(path)
 	if err != nil {
 		fatal("frame bounds: %v", err)

@@ -643,21 +643,16 @@ func ScalingSweep(s Scale) []report.Point {
 // executor must upgrade the shared lock in place. BAMBOO (retiring the
 // upgraded write early) is compared against WOUND_WAIT and NO_WAIT; at
 // rmw=0 the series coincides with the declared-write workload, so the
-// sweep isolates what upgrades themselves cost each protocol. All three
-// builders get a small abort backoff (DBx1000's ABORT_PENALTY): no-wait
-// upgrade conflicts are symmetric — two readers of the same row both
-// fail their upgrade — and without jitter they can chase each other
-// unproductively.
+// sweep isolates what upgrades themselves cost each protocol. No-wait
+// upgrade conflicts are symmetric — two readers of the same row both fail
+// their upgrade — and NO_WAIT's default abort backoff
+// (core.DefaultAbortBackoff) is what keeps them from chasing each other.
 func UpgradeSweep(s Scale) []report.Point {
 	threads := maxThreads(s)
-	mk := func(cfg core.Config) engineBuilder {
-		cfg.AbortBackoffMax = 100 * time.Microsecond
-		return lockBuilder(cfg)
-	}
 	builders := []engineBuilder{
-		mk(core.Bamboo()),
-		mk(core.WoundWait()),
-		mk(core.NoWait()),
+		lockBuilder(core.Bamboo()),
+		lockBuilder(core.WoundWait()),
+		lockBuilder(core.NoWait()),
 	}
 	var points []report.Point
 	for _, rmw := range []float64{0, 0.5, 1.0} {

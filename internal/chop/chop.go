@@ -397,23 +397,17 @@ func (s *session) Run(fn core.TxnFunc) error {
 // hosts: two transactions that cascade-abort (or timeout) each other
 // restart in lockstep and re-create the same conflict forever — the
 // jitter breaks the symmetry, and the escalation yields the CPU to
-// whichever transaction can actually finish. The cap is the same knob
-// the lock engine's retry path uses (core.Config.AbortBackoffMax,
-// DBx1000's ABORT_PENALTY); as for that engine's abort-only variants, an
-// unset knob falls back to core.DefaultAbortBackoff rather than no
-// backoff, because for IC3 the jitter is a liveness requirement, not a
+// whichever transaction can actually finish. The cap is the lock
+// engine's abort-only backoff, core.DefaultAbortBackoff (DBx1000's
+// ABORT_PENALTY): for IC3 the jitter is a liveness requirement, not a
 // tuning option.
 func (s *session) retryBackoff(attempt int) {
 	runtime.Gosched()
-	max := s.e.db.Config().AbortBackoffMax
-	if max <= 0 {
-		max = core.DefaultAbortBackoff
-	}
 	scale := attempt
 	if scale > 8 {
 		scale = 8
 	}
-	if d := max / 8 * time.Duration(scale); d > 0 {
+	if d := core.DefaultAbortBackoff / 8 * time.Duration(scale); d > 0 {
 		time.Sleep(time.Duration(s.rng.Int63n(int64(d))))
 	}
 }

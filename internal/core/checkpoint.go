@@ -15,8 +15,8 @@ import (
 // bounded once checkpoints make its prefix redundant.
 //
 // Checkpoints require WALDir (there is nothing to truncate, and no
-// durable LSN to stamp, without file-backed logs) and switch the WAL to
-// the segmented file layout. They cover the lock-engine commit path
+// durable LSN to stamp, without file-backed logs), whose logs are segment
+// chains with or without them. They cover the lock-engine commit path
 // (Bamboo and the 2PL baselines), whose commit window coordinates with
 // the checkpointer through the DB's checkpoint gate. The Silo and IC3
 // engines log through the same partition logs but their commit windows
@@ -26,10 +26,11 @@ type CheckpointConfig struct {
 	Dir string
 	// Interval is the per-partition time trigger (default 1s).
 	Interval time.Duration
-	// SegmentBytes is the WAL segment rotation threshold (0 = the
-	// wal.DefaultSegmentBytes default). Truncation reclaims whole
-	// segments, so this bounds both truncation granularity and how much
-	// already-checkpointed log can linger.
+	// SegmentBytes is the segment rotation threshold of every WALDir
+	// log, checkpoints on or off (0 = the wal.DefaultSegmentBytes
+	// default). Truncation reclaims whole segments, so this bounds both
+	// truncation granularity and how much already-checkpointed log can
+	// linger.
 	SegmentBytes int64
 	// Truncate unlinks log segments a durable checkpoint has made
 	// redundant. The cut is the second-newest retained snapshot's LSN,

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"bamboo/internal/core"
 	"bamboo/internal/stats"
@@ -190,10 +189,6 @@ func TestUpgradeConcurrentIncrements(t *testing.T) {
 	for name, cfg := range protocolConfigs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			// Jittered retry backoff: No-Wait upgrade conflicts are
-			// symmetric (both readers fail), and without it two workers
-			// can chase each other in lockstep.
-			cfg.AbortBackoffMax = 200 * time.Microsecond
 			db := core.NewDB(cfg)
 			tbl := testTable(db, 1)
 			e := core.NewLockEngine(db)

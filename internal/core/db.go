@@ -57,21 +57,12 @@ type Config struct {
 	// partition, one log.
 	Partitions int
 
-	// AbortBackoffMax bounds the randomized retry backoff after an abort
-	// (DBx1000's ABORT_PENALTY). Zero means no backoff for Bamboo and
-	// Wound-Wait, whose requesters wait in the lock table, and
-	// DefaultAbortBackoff wherever the jitter is a liveness requirement
-	// rather than a tuning option: No-Wait and Wait-Die, whose only
-	// answer to a conflict is to abort (lockSession.backoff), and the
-	// IC3/chop executor (its session's retryBackoff).
-	AbortBackoffMax time.Duration
-
 	// OnCommit, if non-nil, receives every committed transaction
 	// (testing/verification only; it runs inside the commit critical
-	// path, under the transaction's locks). It also decides, once, at
-	// NewDB, who owns superseded row images: a hook may retain the images
-	// its AccessInfo references, so with one set no image is ever
-	// recycled (see DB.recycle).
+	// path, under the transaction's locks). The images its AccessInfo
+	// references are valid only for the duration of the call: the engine
+	// recycles superseded images whether or not a hook is set, so a hook
+	// that keeps Read or Wrote must copy them.
 	OnCommit OnCommitHook
 
 	// LogDevice overrides the WAL device (nil = in-memory, not recording).
@@ -89,12 +80,13 @@ type Config struct {
 	// gets its own flusher.
 	GroupCommit bool
 
-	// WALDir, when set, puts the commit log on real files: one
-	// append-only log per storage partition under this directory
-	// (wal.FileDevice at wal.PartitionLogPath), opened without
-	// truncation. Empty keeps the in-memory devices. DB.Close syncs and
-	// closes the files; DB.ReplayDir rebuilds state from such a
-	// directory after a crash.
+	// WALDir, when set, puts the commit log on real files: one segment
+	// chain per storage partition under this directory
+	// (wal.OpenSegmentedDevice, wal-PPP-<seq>.seg, rotated at
+	// Checkpoint.SegmentBytes), continued where an earlier run left it.
+	// Empty keeps the in-memory devices. DB.Close syncs and closes the
+	// files; DB.ReplayDir rebuilds state from such a directory after a
+	// crash.
 	WALDir string
 	// WALFsync selects when the file devices fsync (per batch, at most
 	// once per wal.DefaultFsyncInterval, or never); only meaningful with
@@ -102,9 +94,9 @@ type Config struct {
 	WALFsync wal.FsyncPolicy
 
 	// Checkpoint configures the storage lifecycle — fuzzy checkpoints
-	// and WAL truncation (see CheckpointConfig). Requires WALDir and
-	// switches the log files to the segmented layout; the zero value
-	// (disabled) keeps one file per partition log.
+	// and WAL truncation (see CheckpointConfig). Requires WALDir; the
+	// log layout is the same with or without it. Its SegmentBytes sizes
+	// every WALDir log's segments, checkpoints on or off.
 	Checkpoint CheckpointConfig
 
 	// MVCC enables the multi-version read path: commits install their
@@ -130,11 +122,14 @@ type Config struct {
 	MetricsAddr string
 }
 
-// DefaultAbortBackoff is the jittered retry-backoff bound used when
-// Config.AbortBackoffMax is unset by the executors that cannot do
-// without one: an abort-only lock variant or an IC3 piece that retries
-// at once spins on the conflict it just lost, and on more than one core
-// the holder it is waiting out may never get to finish.
+// DefaultAbortBackoff bounds the jittered retry backoff after an abort
+// (DBx1000's ABORT_PENALTY) of the executors that cannot do without one:
+// No-Wait and Wait-Die, whose only answer to a conflict is to abort
+// (lockSession.backoff), and the IC3/chop executor (its session's
+// retryBackoff). One that retries at once spins on the conflict it just
+// lost, and on more than one core the holder it is waiting out may never
+// get to finish. Bamboo and Wound-Wait, whose requesters wait in the lock
+// table, retry without backoff.
 const DefaultAbortBackoff = 200 * time.Microsecond
 
 // Bamboo returns the paper's full configuration: all four optimizations
@@ -187,16 +182,6 @@ type DB struct {
 	txnIDs atomic.Uint64
 	pruner *pruner
 
-	// recycle is the image-ownership rule, decided once in NewDB: the
-	// storage of a superseded committed image may be reused for a later
-	// write copy only when nothing outside the engine can hold a reference
-	// to it — no commit hook, which may retain the images of its
-	// AccessInfo. It gates both harvests: the lock table's capture at
-	// release (which MVCC additionally forfeits, because version chains
-	// adopt every committed image) and the version chain's detached tails
-	// in installVersions.
-	recycle bool
-
 	// live is the atomic telemetry mirror every session's collector
 	// writes through when metrics are enabled (nil otherwise — the
 	// collectors then pay one nil check per record and nothing else).
@@ -229,7 +214,6 @@ func NewDB(cfg Config) *DB {
 		Catalog: storage.NewCatalog(),
 		Global:  &stats.Global{},
 		cfg:     cfg,
-		recycle: cfg.OnCommit == nil,
 	}
 	// Partition telemetry only for actually-partitioned runs: with the
 	// single-partition layout every worker would hammer one shared counter
@@ -246,8 +230,8 @@ func NewDB(cfg Config) *DB {
 		OnCascade:   db.Global.RecordCascade,
 		// MVCC version chains adopt every committed image, so there the
 		// lock table never recycles one; installVersions harvests the
-		// chains' own displaced nodes under the same db.recycle rule.
-		RecycleImages: db.recycle && !cfg.MVCC,
+		// images of the chains' detached tails instead.
+		RecycleImages: !cfg.MVCC,
 	}
 	db.Lock = lock.NewManager(lockCfg)
 	db.PLog = wal.NewPartitioned(db.walDevices(), cfg.GroupCommit)
@@ -354,16 +338,8 @@ func (db *DB) walDevices() []wal.Device {
 		panic("core: Config.Checkpoint requires Config.WALDir (checkpoints stamp and truncate file-backed logs)")
 	}
 	if db.cfg.WALDir != "" {
-		var files []*wal.FileDevice
-		var err error
-		if db.cfg.Checkpoint.Enabled() {
-			// The lifecycle layout: segmented logs, so truncation can
-			// unlink whole prefix files.
-			files, err = wal.OpenPartitionSegmentedDevices(db.cfg.WALDir, n,
-				db.cfg.WALFsync, db.cfg.Checkpoint.SegmentBytes)
-		} else {
-			files, err = wal.OpenPartitionDevices(db.cfg.WALDir, n, db.cfg.WALFsync)
-		}
+		files, err := wal.OpenPartitionSegmentedDevices(db.cfg.WALDir, n,
+			db.cfg.WALFsync, db.cfg.Checkpoint.SegmentBytes)
 		if err != nil {
 			panic(fmt.Sprintf("core: open WAL dir %s: %v", db.cfg.WALDir, err))
 		}

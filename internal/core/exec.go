@@ -455,8 +455,10 @@ func (tx *lockTx) Accesses() []AccessInfo {
 
 // OnCommitHook receives every committed transaction of a DB built with
 // Config.OnCommit set; the verifier uses it. ts is the transaction's
-// priority timestamp at commit. The AccessInfo slices reference installed
-// images and the hook may retain them past lock release.
+// priority timestamp at commit. The AccessInfo images (Read, Wrote) are
+// valid only for the duration of the call — after lock release the engine
+// may reuse their storage for a later write — so a hook that keeps them
+// must copy them.
 type OnCommitHook func(worker int, txnID, ts uint64, accesses []AccessInfo, inserts int)
 
 // OnCommit returns the DB's commit hook (nil if none). Alternate engines
@@ -706,7 +708,7 @@ func (s *lockSession) giveSpare(req *lock.Request) {
 // reclaim watermark) and its images by the lock side too (only the newest
 // committed image can still be referenced there; these were superseded at
 // least one committed generation ago), so the nodes go back on the free
-// list and — under db.recycle, the one ownership rule — so do the images.
+// list and so do the images.
 func (s *lockSession) installVersions(tx *lockTx) uint64 {
 	st := s.db.Snap
 	cts := st.BeginCommit(s.worker, s.alloc)
@@ -733,7 +735,7 @@ func (s *lockSession) installVersions(tx *lockTx) uint64 {
 			if len(f.nodes) < maxFreeNodes {
 				f.nodes = append(f.nodes, tail)
 			}
-			if s.db.recycle && len(img) > 0 && len(f.imgs) < maxFreeImgs {
+			if len(img) > 0 && len(f.imgs) < maxFreeImgs {
 				f.imgs = append(f.imgs, img)
 			}
 			tail = next
@@ -743,17 +745,13 @@ func (s *lockSession) installVersions(tx *lockTx) uint64 {
 	return cts
 }
 
-// backoff sleeps a jittered interval before an aborted attempt retries
-// (see Config.AbortBackoffMax for who sleeps when the knob is unset).
+// backoff sleeps a jittered interval of up to DefaultAbortBackoff before
+// an aborted No-Wait or Wait-Die attempt retries; the other variants
+// retry at once.
 func (s *lockSession) backoff() {
-	max := s.db.cfg.AbortBackoffMax
-	if max <= 0 {
-		if v := s.db.cfg.Variant; v != lock.NoWait && v != lock.WaitDie {
-			return
-		}
-		max = DefaultAbortBackoff
+	if v := s.db.cfg.Variant; v == lock.NoWait || v == lock.WaitDie {
+		time.Sleep(time.Duration(s.rng.Int63n(int64(DefaultAbortBackoff))))
 	}
-	time.Sleep(time.Duration(s.rng.Int63n(int64(max))))
 }
 
 // isProtocolAbort reports whether err is one of the lock manager's abort

@@ -92,9 +92,6 @@ func TestMVCCRecycledImagesStayImmutable(t *testing.T) {
 	db := NewDB(cfg)
 	defer db.Close()
 	SetPruneInterval(db, time.Millisecond)
-	if !db.recycle {
-		t.Fatal("precondition: image recycling is off on a plain MVCC DB")
-	}
 	schema := stampSchema()
 	tbl := db.Catalog.MustCreateTable(schema, hotRows)
 	rows := make([]*storage.Row, hotRows)

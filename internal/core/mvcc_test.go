@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -125,91 +126,80 @@ func TestMVCCReadOnlyFallback(t *testing.T) {
 	}
 }
 
-// TestMVCCCommitHookRetainedImages pins the image-ownership rule across
-// the MVCC install path: commit hooks retain AccessInfo whose Wrote/Read
-// slices reference installed images, so on a DB built with Config.OnCommit
-// no superseded version-chain image may be harvested into a request's
-// spare buffer. Without the rule, each update to one hot row recycles the
-// image a hook retained two commits earlier and the next write copy
-// overwrites its bytes.
+// TestCommitHookDoesNotStopRecycling pins the image-ownership rule: a
+// commit hook does not turn image recycling off — on the lock table (plain
+// Bamboo) or on the version chains (MVCC) — and a hook that copies the
+// images it keeps, as the OnCommit contract requires, still holds the
+// values it was handed. 64 updates to one row must serve some write copies
+// from recycled buffers.
 //
-// The reclaim watermark is advanced by hand between commits (the
-// background pruner is parked on an hour-long tick) so the very next
-// Install deterministically detaches the superseded version instead of
-// racing the pruner's sweep for it.
-func TestMVCCCommitHookRetainedImages(t *testing.T) {
-	cfg := core.Bamboo()
-	cfg.MVCC = true
-	testHookRetainedImages(t, cfg)
-}
-
-// TestCommitHookRetainedImages is the lock-table side of the same rule: a
-// plain Bamboo DB (no MVCC) whose only reason not to recycle is the
-// hook. Without the rule the commit release captures the superseded
-// image — the one the hook kept one commit earlier — and the next write
-// grant builds its copy in it.
-func TestCommitHookRetainedImages(t *testing.T) {
-	testHookRetainedImages(t, core.Bamboo())
-}
-
-// testHookRetainedImages commits 64 updates to one row on a DB built from
-// cfg plus a hook that keeps every AccessInfo.Wrote by reference, and
-// checks that every kept image still holds the bytes it was handed with.
-func testHookRetainedImages(t *testing.T, cfg core.Config) {
-	schema := storage.NewSchema("kv", storage.Column{Name: "v", Type: storage.ColInt64})
-	type retained struct {
-		img  []byte // referenced, not copied — exactly what the verifier keeps
-		want int64
-	}
-	var kept []retained
-	cfg.OnCommit = func(_ int, _, _ uint64, accesses []core.AccessInfo, _ int) {
-		for _, a := range accesses {
-			if a.Wrote != nil {
-				kept = append(kept, retained{img: a.Wrote, want: schema.GetInt64(a.Wrote, 0)})
+// Under MVCC the reclaim watermark is advanced by hand between commits
+// (the background pruner is parked on an hour-long tick) so the very next
+// install deterministically detaches the superseded version.
+func TestCommitHookDoesNotStopRecycling(t *testing.T) {
+	mvcc := core.Bamboo()
+	mvcc.MVCC = true
+	for name, cfg := range map[string]core.Config{"lock-table": core.Bamboo(), "mvcc": mvcc} {
+		t.Run(name, func(t *testing.T) {
+			schema := storage.NewSchema("kv", storage.Column{Name: "v", Type: storage.ColInt64})
+			type kept struct {
+				img  []byte // a copy, as the OnCommit contract requires
+				want int64
 			}
-		}
-	}
-	db := core.NewDB(cfg)
-	defer db.Close()
-	if cfg.MVCC {
-		core.SetPruneInterval(db, time.Hour) // keep the sweep out of the race
-	}
-	tbl := db.Catalog.MustCreateTable(schema, 1)
-	tbl.MustInsertRow(0, schema.NewRowImage())
+			var copies []kept
+			cfg.OnCommit = func(_ int, _, _ uint64, accesses []core.AccessInfo, _ int) {
+				for _, a := range accesses {
+					if a.Wrote != nil {
+						copies = append(copies, kept{img: bytes.Clone(a.Wrote), want: schema.GetInt64(a.Wrote, 0)})
+					}
+				}
+			}
+			db := core.NewDB(cfg)
+			defer db.Close()
+			if cfg.MVCC {
+				core.SetPruneInterval(db, time.Hour) // keep the sweep out of the race
+			}
+			tbl := db.Catalog.MustCreateTable(schema, 1)
+			tbl.MustInsertRow(0, schema.NewRowImage())
 
-	// Watermark-advance allocator on its own slot (the session runs on
-	// worker 0, the parked pruner on TSWorkerSlots-1).
-	alloc := txn.NewTSAlloc(1)
-	if db.Snap != nil {
-		db.Snap.Register(1)
-	}
+			// Watermark-advance allocator on its own slot (the session runs
+			// on worker 0, the parked pruner on TSWorkerSlots-1).
+			alloc := txn.NewTSAlloc(1)
+			if db.Snap != nil {
+				db.Snap.Register(1)
+			}
 
-	const commits = 64
-	eng := core.NewLockEngine(db)
-	sess := eng.NewSession(0, &stats.Collector{})
-	for i := 0; i < commits; i++ {
-		v := int64(i + 1)
-		if err := sess.Run(func(tx core.Tx) error {
-			tx.DeclareOps(1)
-			return tx.Update(tbl.Get(0), func(img []byte) {
-				schema.SetInt64(img, 0, v)
-			})
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if db.Snap != nil {
-			db.Snap.AdvanceReclaim(alloc)
-		}
-	}
-	if len(kept) != commits {
-		t.Fatalf("hook saw %d writes, want %d", len(kept), commits)
-	}
-	for i, r := range kept {
-		if got := schema.GetInt64(r.img, 0); got != r.want {
-			t.Fatalf("retained image from commit %d corrupted: v=%d, want %d "+
-				"(a superseded image was recycled while a commit hook held it)",
-				i, got, r.want)
-		}
+			const commits = 64
+			col := &stats.Collector{}
+			sess := core.NewLockEngine(db).NewSession(0, col)
+			for i := 0; i < commits; i++ {
+				v := int64(i + 1)
+				if err := sess.Run(func(tx core.Tx) error {
+					tx.DeclareOps(1)
+					return tx.Update(tbl.Get(0), func(img []byte) {
+						schema.SetInt64(img, 0, v)
+					})
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if db.Snap != nil {
+					db.Snap.AdvanceReclaim(alloc)
+				}
+			}
+			if len(copies) != commits {
+				t.Fatalf("hook saw %d writes, want %d", len(copies), commits)
+			}
+			for i, c := range copies {
+				if got := schema.GetInt64(c.img, 0); got != c.want {
+					t.Fatalf("copy from commit %d holds v=%d, want %d", i, got, c.want)
+				}
+			}
+			got := col.Counts[stats.ImagePoolRecycled]
+			if got == 0 {
+				t.Fatal("no write copy was served from a recycled image: a commit hook turned recycling off")
+			}
+			t.Logf("%d of %d write copies served from recycled images", got, commits)
+		})
 	}
 }
 

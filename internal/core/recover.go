@@ -12,8 +12,9 @@ import (
 
 // ReplayStats summarizes a WAL replay.
 type ReplayStats struct {
-	// Logs is the number of partition log files replayed (missing files —
-	// partitions that never committed — are skipped, not errors).
+	// Logs is the number of partition logs (segment chains) replayed; a
+	// partition with no segment in the directory is skipped, not an
+	// error.
 	Logs int
 	// Records is the number of commit records applied. A transaction
 	// whose writes spanned k partitions appears as k records (one per

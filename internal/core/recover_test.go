@@ -187,6 +187,62 @@ func TestReplayRebuildsState(t *testing.T) {
 	}
 }
 
+// TestWALDirWritesSegments pins the one log layout: a WALDir DB without
+// checkpoints writes per-partition segment chains, rotated at
+// Checkpoint.SegmentBytes, and ReplayDir restores every committed record
+// from them.
+func TestWALDirWritesSegments(t *testing.T) {
+	const parts = 2
+	dir := filepath.Join(t.TempDir(), "wal")
+	cfg := core.Bamboo()
+	cfg.Partitions = parts
+	cfg.WALDir = dir
+	cfg.Checkpoint.SegmentBytes = 4 << 10
+	db := core.NewDB(cfg)
+	tbl := loadXfer(t, db)
+	res := core.RunN(core.NewLockEngine(db), 2, 200, xferGen(tbl, partitionKeys(tbl, parts)))
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if filepath.Ext(e.Name()) != ".seg" {
+			t.Errorf("WAL directory holds %s, want segment files only", e.Name())
+		}
+	}
+	rotated := false
+	for p := 0; p < parts; p++ {
+		segs, err := wal.ListSegments(dir, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotated = rotated || len(segs) > 1
+	}
+	if !rotated {
+		t.Fatal("no partition log rotated past its 4 KiB segment")
+	}
+
+	// Every transfer is partition-local: one record per commit.
+	_, rtbl, st := replayFresh(t, dir, parts, true)
+	if uint64(st.Records) != res.Report.Commits {
+		t.Fatalf("replayed %d records, want %d commits", st.Records, res.Report.Commits)
+	}
+	tbl.Range(func(k uint64, r *storage.Row) bool {
+		want := tbl.Schema.GetInt64(r.Entry.CurrentData(), 0)
+		if got := rtbl.Schema.GetInt64(rtbl.Get(k).Entry.CurrentData(), 0); got != want {
+			t.Errorf("row %d: replayed balance %d, survivor %d", k, got, want)
+		}
+		return true
+	})
+}
+
 // TestPartitionedCommitRouting pins the split: every record in partition
 // p's log contains only writes whose keys route to p, and a transaction
 // spanning partitions appears in each touched log under the same TxnID.
@@ -251,10 +307,10 @@ func TestPartitionedCommitRouting(t *testing.T) {
 	}
 }
 
-// TestReplayCutAtEveryOffset is the crash-replay property test: the
-// partition-0 log is truncated at every byte offset (every possible crash
-// point) and replayed; every prefix must yield a prefix-consistent store
-// — partition sums conserved (transfers are partition-local and each
+// TestReplayCutAtEveryOffset is the crash-replay property test: partition
+// 0's newest log segment is truncated at every byte offset (every possible
+// crash point) and replayed; every prefix must yield a prefix-consistent
+// store — partition sums conserved (transfers are partition-local and each
 // record is applied atomically or not at all), row counts intact, and the
 // torn tail tolerated without error.
 func TestReplayCutAtEveryOffset(t *testing.T) {
@@ -262,27 +318,39 @@ func TestReplayCutAtEveryOffset(t *testing.T) {
 	srcDir := filepath.Join(t.TempDir(), "wal")
 	runXferToWAL(t, srcDir, parts, 2, 25)
 
-	log0, err := os.ReadFile(wal.PartitionLogPath(srcDir, 0))
+	segs, err := wal.ListSegments(srcDir, 0)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("partition 0 segments: %v, %v", segs, err)
+	}
+	newest := filepath.Base(segs[len(segs)-1].Path)
+	log0, err := os.ReadFile(segs[len(segs)-1].Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(log0) == 0 {
 		t.Fatal("partition 0 log is empty; workload did not touch it")
 	}
-	// The replay dir shares the untouched partition logs; only log 0 is
-	// rewritten per cut.
+	// The replay dir shares every other segment; only partition 0's
+	// newest is rewritten per cut.
 	cutDir := filepath.Join(t.TempDir(), "cut")
 	if err := os.MkdirAll(cutDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	ents, err := os.ReadDir(srcDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var otherBytes int64
-	for p := 1; p < parts; p++ {
-		b, err := os.ReadFile(wal.PartitionLogPath(srcDir, p))
+	for _, e := range ents {
+		if e.Name() == newest {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(srcDir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		otherBytes += int64(len(b))
-		if err := os.WriteFile(wal.PartitionLogPath(cutDir, p), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(cutDir, e.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +363,7 @@ func TestReplayCutAtEveryOffset(t *testing.T) {
 	}
 	wantTotal := int64(xferRows * xferInitial)
 	for cut := 0; cut <= len(log0); cut += step {
-		if err := os.WriteFile(wal.PartitionLogPath(cutDir, 0), log0[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(cutDir, newest), log0[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, tbl, st := replayFresh(t, cutDir, parts, cut%2 == 0) // alternate serial/parallel

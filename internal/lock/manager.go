@@ -37,8 +37,9 @@ type Config struct {
 	// and the next exclusive grant builds its private copy in that storage
 	// instead of allocating. Safe only while nothing outside the lock
 	// table retains references to installed images past release:
-	// core.NewDB enables it exactly when MVCC version chains and commit
-	// hooks are both off. Off (the zero value), images are never
+	// core.NewDB enables it exactly when MVCC is off (version chains
+	// adopt every committed image), and a commit hook must copy the
+	// images it keeps. Off (the zero value), images are never
 	// overwritten after publication.
 	RecycleImages bool
 
@@ -75,11 +76,6 @@ func (m *Manager) Variant() Variant { return m.cfg.Variant }
 
 // DynamicTS reports whether dynamic timestamp assignment is enabled.
 func (m *Manager) DynamicTS() bool { return m.cfg.DynamicTS }
-
-// NextTS draws the next timestamp directly from the manager's global
-// counter (a shared cacheline — executors on the hot path should draw from
-// a per-worker allocator instead, see NewTSAlloc).
-func (m *Manager) NextTS() uint64 { return m.tsCounter.Add(1) }
 
 // NewTSAlloc returns the sharded (worker-local, clock-based) timestamp
 // allocator for the given worker index; see txn.TSAlloc for the ordering
@@ -285,8 +281,13 @@ func (m *Manager) tryUpgrade(r *Request) (done bool, err error) {
 	// slot never needs claiming because there is no grant race to fence
 	// off: the promotion completes in place.
 	if e.waiters.head != nil || (e.upgrading != nil && e.upgrading != r) || otherHolder(e, r) {
+		// The promotion to exclusive conflicts with every other request
+		// on the entry, and one exists here: under DynamicTS all parties
+		// receive timestamps, and Wound-Wait/Bamboo wound every younger
+		// holder (r's own request carries t's timestamp, so it is never
+		// wounded).
 		if m.cfg.DynamicTS {
-			m.assignOnUpgradeLocked(t, e, r)
+			m.assignOnConflictLocked(t, EX, e)
 		}
 		claimUpgradeLocked(e, r)
 		switch m.cfg.Variant {
@@ -301,7 +302,7 @@ func (m *Manager) tryUpgrade(r *Request) (done bool, err error) {
 				return true, ErrDie
 			}
 		case WoundWait, Bamboo:
-			m.woundForUpgradeLocked(e, r)
+			m.woundLocked(t, EX, e)
 		}
 		if upgradeBlockedLocked(e, r) {
 			return false, nil
@@ -362,26 +363,6 @@ func olderOtherHolder(e *Entry, r *Request) bool {
 	return false
 }
 
-// woundForUpgradeLocked wounds every holder besides r with a larger
-// timestamp. Unlike woundLocked there is no conflict-point scan: the
-// upgrade is exclusive, so every other holder conflicts.
-func (m *Manager) woundForUpgradeLocked(e *Entry, r *Request) {
-	ts := r.Txn.TS()
-	wound := func(x *Request) {
-		if x != r && x.Txn.TS() > ts {
-			if x.Txn.SetAbort(txn.CauseWound) && m.cfg.OnWound != nil {
-				m.cfg.OnWound()
-			}
-		}
-	}
-	for x := e.retired.head; x != nil; x = x.next {
-		wound(x)
-	}
-	for x := e.owners.head; x != nil; x = x.next {
-		wound(x)
-	}
-}
-
 // upgradeBlockedLocked reports whether the upgrade must keep waiting:
 // any other owner (exclusive conflicts with everything), or a retiree
 // that is younger than r or doomed. Older live retirees do not block —
@@ -431,34 +412,6 @@ func (m *Manager) completeUpgradeLocked(e *Entry, r *Request) {
 		r.semHeld = true
 		r.Txn.SemIncr()
 	}
-}
-
-// assignOnUpgradeLocked is Algorithm 3's conflict-time assignment for the
-// upgrade path: the promotion to exclusive is a conflict with every other
-// request on the entry, so if any exists, all parties (r's transaction
-// included) receive timestamps.
-func (m *Manager) assignOnUpgradeLocked(t *txn.Txn, e *Entry, r *Request) {
-	other := false
-	for _, l := range []*reqList{&e.retired, &e.owners, &e.waiters} {
-		for x := l.head; x != nil; x = x.next {
-			if x != r {
-				other = true
-				break
-			}
-		}
-		if other {
-			break
-		}
-	}
-	if !other {
-		return
-	}
-	for _, l := range []*reqList{&e.retired, &e.owners, &e.waiters} {
-		for x := l.head; x != nil; x = x.next {
-			x.Txn.AssignTSIfUnassigned(&m.tsCounter)
-		}
-	}
-	t.AssignTSIfUnassigned(&m.tsCounter)
 }
 
 // Retire moves t's exclusive lock from owners to retired (LockRetire in
@@ -560,10 +513,9 @@ func (m *Manager) releaseLocked(e *Entry, r *Request, isAbort bool) {
 	//   - Abort of an installed write captures nothing: cascaded readers
 	//     may still hold r.Data, and the restored pre-image is live again.
 	//
-	// Capture is gated on Config.RecycleImages because components outside
-	// the lock table (MVCC chains, commit hooks) may retain image
-	// references past release; core.NewDB enables recycling only when
-	// neither is active.
+	// Capture is gated on Config.RecycleImages because MVCC version chains
+	// retain image references past release; core.NewDB enables recycling
+	// only when MVCC is off.
 	if r.Mode == EX {
 		if isAbort {
 			// Sequence-guarded restore: cascaded aborts arrive in

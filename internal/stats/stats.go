@@ -157,15 +157,6 @@ func (g *Global) PartitionConflicts() []uint64 { return snapshotParts(g.parts, c
 // (zero when partition telemetry is disabled).
 func (g *Global) NumPartitions() int { return len(g.parts) }
 
-// PartitionAt returns partition pid's access and conflict counts with no
-// allocation; the telemetry exposition path iterates partitions with it.
-func (g *Global) PartitionAt(pid int) (accesses, conflicts uint64) {
-	if pid < 0 || pid >= len(g.parts) {
-		return 0, 0
-	}
-	return g.parts[pid].Accesses.Load(), g.parts[pid].Conflicts.Load()
-}
-
 func accessOf(c *PartitionCounter) uint64   { return c.Accesses.Load() }
 func conflictOf(c *PartitionCounter) uint64 { return c.Conflicts.Load() }
 

@@ -36,9 +36,8 @@ import "sync/atomic"
 // reclaimable and a write costs O(1) chain work however deep the chain
 // is. When the watermark has moved, one walk finds the link and the whole
 // detached tail goes back to the installer (InstallNode), which owns its
-// nodes and — where the engine's image-ownership rule allows, i.e. only
-// when core's db.recycle is true — their images, and feeds them to later
-// installs and private write copies. Version turnover on a hot row
+// nodes and their images, and feeds them to later installs and private
+// write copies. Version turnover on a hot row
 // therefore allocates nothing in steady state.
 
 // Version is one committed row image in a row's version chain. Its five

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,14 +93,18 @@ func NewHistory() *History {
 	return &History{hist: verify.New(), schema: stampSchema(), commitLog: make(map[uint64]commitInfo)}
 }
 
-// Hook is the core.OnCommitHook that feeds the history. It retains the
-// access list, images included, for the failure dump.
+// Hook is the core.OnCommitHook that feeds the history. It keeps a copy
+// of the access list, images included, for the failure dump: the images
+// it is handed are valid only for the duration of the call.
 func (h *History) Hook(worker int, txnID, ts uint64, accesses []core.AccessInfo, inserts int) {
 	schema := h.schema
 	var reads []verify.Read
 	var wrote []string
 	var myStamp uint64
-	for _, a := range accesses {
+	accesses = slices.Clone(accesses)
+	for i := range accesses {
+		a := &accesses[i]
+		a.Read, a.Wrote = bytes.Clone(a.Read), bytes.Clone(a.Wrote)
 		if a.Mode == lock.EX {
 			wrote = append(wrote, a.Table+"/"+itoa(a.Key))
 			myStamp = uint64(schema.GetInt64(a.Wrote, stampCol))

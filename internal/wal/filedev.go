@@ -62,12 +62,11 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 //
 // The device runs in one of two layouts:
 //
-//   - Legacy single file (OpenFileDevice): one O_APPEND file, opened
-//     without truncation or scanning — a device pointed at an existing
-//     log continues it. A log that may end in a torn frame must be
-//     replayed (and truncated to the last complete frame) before reuse.
-//     This is the checkpoints-off layout; it is byte-compatible with
-//     what every prior benchmark baseline measured.
+//   - Single file (OpenFileDevice): one O_APPEND file, opened without
+//     truncation or scanning — a device pointed at an existing log
+//     continues it. A log that may end in a torn frame must be replayed
+//     (and truncated to the last complete frame) before reuse. Replay
+//     reads such a file; ReplayPartition does not.
 //
 //   - Segments (OpenSegmentedDevice): the log is a chain of files named
 //     by the sequence number of their first frame. Appends roll to a
@@ -80,7 +79,7 @@ type FileDevice struct {
 	policy   FsyncPolicy
 	interval time.Duration
 
-	// Segment layout state; zero/nil under the legacy single-file layout.
+	// Segment layout state; zero/nil under the single-file layout.
 	dir    string
 	part   int
 	segMax int64
@@ -118,7 +117,7 @@ const DefaultFsyncInterval = time.Millisecond
 const DefaultSegmentBytes = 4 << 20
 
 // OpenFileDevice opens (creating if needed, never truncating) path as a
-// legacy single-file log device with the given fsync policy. interval is
+// single-file log device with the given fsync policy. interval is
 // only meaningful for FsyncInterval (≤ 0 falls back to
 // DefaultFsyncInterval).
 func OpenFileDevice(path string, policy FsyncPolicy, interval time.Duration) (*FileDevice, error) {
@@ -138,16 +137,10 @@ func OpenFileDevice(path string, policy FsyncPolicy, interval time.Duration) (*F
 // in place by truncating to the last complete frame, and the device
 // resumes at the sequence after the last durable frame. A CRC-invalid
 // frame anywhere in the newest segment fails the open — that is bit rot,
-// and appending past it would bury the evidence. A legacy single-file
-// log in the same directory also fails the open: the two layouts do not
-// mix, and silently ignoring the old file would drop its records from
-// recovery.
+// and appending past it would bury the evidence.
 func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, segMax int64) (*FileDevice, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create log dir: %w", err)
-	}
-	if _, err := os.Stat(PartitionLogPath(dir, p)); err == nil {
-		return nil, fmt.Errorf("wal: partition %d has a legacy log in %s; segmented and single-file layouts do not mix", p, dir)
 	}
 	if segMax <= 0 {
 		segMax = DefaultSegmentBytes
@@ -199,32 +192,11 @@ func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, segMax int64) (*
 	return d, nil
 }
 
-// PartitionLogPath returns the canonical file name of partition p's log
-// inside dir under the legacy single-file layout; writers
-// (OpenPartitionDevices) and recovery agree on it.
+// PartitionLogPath returns a single-file name for partition p's log inside
+// dir, for callers that open one with OpenFileDevice. No partitioned
+// writer or ReplayPartition uses it: those read and write segment chains.
 func PartitionLogPath(dir string, p int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%03d.log", p))
-}
-
-// OpenPartitionDevices creates dir if needed and opens one legacy
-// single-file FileDevice per partition at the canonical paths. On any
-// error the already-opened devices are closed.
-func OpenPartitionDevices(dir string, n int, policy FsyncPolicy) ([]*FileDevice, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: create log dir: %w", err)
-	}
-	devs := make([]*FileDevice, n)
-	for p := range devs {
-		d, err := OpenFileDevice(PartitionLogPath(dir, p), policy, 0)
-		if err != nil {
-			for _, o := range devs[:p] {
-				o.Close()
-			}
-			return nil, err
-		}
-		devs[p] = d
-	}
-	return devs, nil
 }
 
 // OpenPartitionSegmentedDevices opens one segmented FileDevice per
@@ -372,7 +344,7 @@ func (d *FileDevice) Seq() uint64 {
 
 // LiveBytes returns the bytes held by all live (not yet truncated)
 // segments, the quantity a size-triggered checkpoint policy watches. On
-// a legacy device it counts only this process's appends.
+// a single-file device it counts only this process's appends.
 func (d *FileDevice) LiveBytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

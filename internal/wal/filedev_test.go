@@ -301,29 +301,6 @@ func TestReplayRejectsOverflowingFramePrefix(t *testing.T) {
 	}
 }
 
-func TestOpenPartitionDevices(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	devs, err := OpenPartitionDevices(dir, 3, FsyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, d := range devs {
-		if d.Path() != PartitionLogPath(dir, p) {
-			t.Fatalf("device %d at %s", p, d.Path())
-		}
-		if _, err := d.Append(AppendRecord(nil, &Record{TxnID: uint64(p + 1)})); err != nil {
-			t.Fatal(err)
-		}
-		d.Close()
-	}
-	for p := 0; p < 3; p++ {
-		recs, _ := replayAll(t, PartitionLogPath(dir, p))
-		if len(recs) != 1 || recs[0].TxnID != uint64(p+1) {
-			t.Fatalf("partition %d log: %+v", p, recs)
-		}
-	}
-}
-
 // TestFileDeviceAppendContinues pins the no-truncate contract: reopening
 // an existing log appends after its current contents.
 func TestFileDeviceAppendContinues(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 )
 
@@ -155,8 +156,7 @@ func ReplayFrom(r io.Reader, firstSeq, fromSeq uint64, fn func(*Record) error) (
 	}
 }
 
-// ReplayPartition replays partition p's log in dir — the segment chain
-// if segment files exist, otherwise the legacy single file — invoking fn
+// ReplayPartition replays partition p's segment chain in dir, invoking fn
 // on every record with sequence above fromSeq. Closed segments that a
 // checkpoint fully covers are skipped without being opened (their
 // first-frame sequence is in the file name); the partially covered
@@ -165,23 +165,14 @@ func ReplayFrom(r io.Reader, firstSeq, fromSeq uint64, fn func(*Record) error) (
 // predecessor, or a replay start already truncated away) and torn
 // non-final segments are corruption: recovery must fail loudly rather
 // than resurrect a state missing committed records. A partition with no
-// log at all returns an fs.ErrNotExist error.
+// segment at all returns an fs.ErrNotExist error.
 func ReplayPartition(dir string, p int, fromSeq uint64, fn func(*Record) error) (ReplayStats, error) {
 	segs, err := ListSegments(dir, p)
 	if err != nil {
 		return ReplayStats{}, err
 	}
-	legacy := PartitionLogPath(dir, p)
 	if len(segs) == 0 {
-		f, err := os.Open(legacy)
-		if err != nil {
-			return ReplayStats{}, err
-		}
-		defer f.Close()
-		return ReplayFrom(f, 1, fromSeq, fn)
-	}
-	if _, err := os.Stat(legacy); err == nil {
-		return ReplayStats{}, fmt.Errorf("wal: partition %d has both a legacy log and segments in %s", p, dir)
+		return ReplayStats{}, fmt.Errorf("wal: partition %d: no log segments in %s: %w", p, dir, fs.ErrNotExist)
 	}
 	if fromSeq+1 < segs[0].FirstSeq {
 		return ReplayStats{}, fmt.Errorf("wal: partition %d: %w: log starts at seq %d but replay needs seq %d — truncated past the checkpoint",

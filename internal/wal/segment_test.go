@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -143,16 +144,6 @@ func TestSegmentedOpenRefusesCorruption(t *testing.T) {
 	}
 	if _, err := OpenSegmentedDevice(dir, 0, FsyncNone, 1<<20); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over bit rot: %v, want ErrCorrupt", err)
-	}
-}
-
-func TestSegmentedRefusesLegacyMix(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(PartitionLogPath(dir, 0), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSegmentedDevice(dir, 0, FsyncNone, 0); err == nil {
-		t.Fatal("segmented open over a legacy log must fail")
 	}
 }
 
@@ -307,5 +298,10 @@ func TestListSegmentsIgnoresOtherPartitions(t *testing.T) {
 				t.Fatalf("partition %d listed %s", p, sg.Path)
 			}
 		}
+	}
+	// A partition with no segment has no log: recovery skips it on this
+	// error.
+	if _, err := ReplayPartition(dir, 2, 0, func(*Record) error { return nil }); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("replay of a partition without segments: %v, want fs.ErrNotExist", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"bamboo/internal/chop"
 	"bamboo/internal/core"
@@ -362,7 +361,6 @@ func TestTPCCUnannotatedWithStockLevel(t *testing.T) {
 	for name, cc := range configs {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cc.AbortBackoffMax = 200 * time.Microsecond
 			db := core.NewDB(cc)
 			cfg := testConfig(1)
 			cfg.Unannotated = true

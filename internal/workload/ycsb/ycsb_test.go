@@ -2,7 +2,6 @@ package ycsb_test
 
 import (
 	"testing"
-	"time"
 
 	"bamboo/internal/core"
 	"bamboo/internal/workload/ycsb"
@@ -152,7 +151,6 @@ func TestYCSBRMWMixRunsUnannotated(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cc.AbortBackoffMax = 200 * time.Microsecond // damp no-wait upgrade storms
 			db := core.NewDB(cc)
 			cfg := smallConfig()
 			cfg.Theta = 0.9
