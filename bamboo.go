@@ -116,15 +116,17 @@ var ErrUserAbort = core.ErrUserAbort
 
 // Config is the engine configuration Options embeds: storage partitions,
 // MVCC, group commit, the WAL directory and fsync policy, checkpoints,
-// the metrics endpoint. Its six protocol fields (Variant,
-// RetireWrites, RetireReads, NoWoundRead, DynamicTS, Delta) belong to
-// Options.Protocol and must stay unset.
+// the metrics endpoint. Its five protocol fields (Variant, RetireReads,
+// NoWoundRead, DynamicTS, Delta) belong to Options.Protocol and must stay
+// unset.
 type Config = core.Config
 
 // Options configures Open.
 type Options struct {
 	// Protocol selects the concurrency control scheme (default Bamboo).
 	// Silo ignores Config.MVCC: only the lock engines keep version chains.
+	// Silo refuses Config.Checkpoint (Open panics): its commits are not
+	// checkpoint-safe.
 	Protocol Protocol
 	// InteractiveRTT, when positive, wraps the engine in the
 	// interactive-mode transport charging this round trip per operation.
@@ -161,8 +163,8 @@ type DB struct {
 // would run a protocol nobody asked for.
 func Open(opts Options) *DB {
 	cfg := opts.Config
-	if cfg.Variant != 0 || cfg.RetireWrites || cfg.RetireReads || cfg.NoWoundRead || cfg.DynamicTS || cfg.Delta != 0 {
-		panic("bamboo: Options.Protocol selects Variant, RetireWrites, RetireReads, NoWoundRead, DynamicTS and Delta; leave them unset in Options.Config")
+	if cfg.Variant != 0 || cfg.RetireReads || cfg.NoWoundRead || cfg.DynamicTS || cfg.Delta != 0 {
+		panic("bamboo: Options.Protocol selects Variant, RetireReads, NoWoundRead, DynamicTS and Delta; leave them unset in Options.Config")
 	}
 	var p core.Config
 	switch opts.Protocol {
@@ -179,7 +181,7 @@ func Open(opts Options) *DB {
 	case Silo:
 		cfg.MVCC = false
 	}
-	cfg.Variant, cfg.RetireWrites, cfg.RetireReads = p.Variant, p.RetireWrites, p.RetireReads
+	cfg.Variant, cfg.RetireReads = p.Variant, p.RetireReads
 	cfg.NoWoundRead, cfg.DynamicTS, cfg.Delta = p.NoWoundRead, p.DynamicTS, p.Delta
 
 	db := &DB{inner: core.NewDB(cfg)}

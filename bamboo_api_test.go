@@ -50,11 +50,7 @@ func TestOpenAllProtocols(t *testing.T) {
 			}
 			var total int64
 			for k := uint64(0); k < 8; k++ {
-				img := tbl.Get(k).Entry.CurrentData()
-				if p := tbl.Get(k).OCCImage.Load(); p != nil {
-					img = *p
-				}
-				total += tbl.Schema.GetInt64(img, 0)
+				total += tbl.Schema.GetInt64(tbl.Get(k).CommittedImage(), 0)
 			}
 			if total != 400 {
 				t.Fatalf("total = %d (lost updates)", total)
@@ -128,17 +124,16 @@ func TestInteractiveOption(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsProtocolFields: the six fields Options.Protocol decides
+// TestOpenRejectsProtocolFields: the five fields Options.Protocol decides
 // cannot also be set through the embedded Config — Open panics rather
 // than let either value silently win.
 func TestOpenRejectsProtocolFields(t *testing.T) {
 	for name, set := range map[string]func(*bamboo.Options){
-		"Variant":      func(o *bamboo.Options) { o.Variant = bamboo.LockVariant(1) },
-		"RetireWrites": func(o *bamboo.Options) { o.RetireWrites = true },
-		"RetireReads":  func(o *bamboo.Options) { o.RetireReads = true },
-		"NoWoundRead":  func(o *bamboo.Options) { o.NoWoundRead = true },
-		"DynamicTS":    func(o *bamboo.Options) { o.DynamicTS = true },
-		"Delta":        func(o *bamboo.Options) { o.Delta = 0.3 },
+		"Variant":     func(o *bamboo.Options) { o.Variant = bamboo.LockVariant(1) },
+		"RetireReads": func(o *bamboo.Options) { o.RetireReads = true },
+		"NoWoundRead": func(o *bamboo.Options) { o.NoWoundRead = true },
+		"DynamicTS":   func(o *bamboo.Options) { o.DynamicTS = true },
+		"Delta":       func(o *bamboo.Options) { o.Delta = 0.3 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			opts := bamboo.Options{Protocol: bamboo.WoundWait}

@@ -6,7 +6,6 @@
 //	bamboo-bench -exp fig6
 //	bamboo-bench -exp all -threads 1,2,4,8,16,32 -duration 1s
 //	bamboo-bench -exp fig6 -quick -json -out BENCH_fig6.json
-//	bamboo-bench -exp all -csv -out results.csv
 //	bamboo-bench -exp fig6 -quick -cpuprofile cpu.prof   (also -mutexprofile, -blockprofile)
 //
 // By default each experiment prints one block per x-axis value with one
@@ -16,10 +15,9 @@
 // EXPERIMENTS.md records the measured shapes against the paper's.
 //
 // With -json the run is emitted as a schema-versioned document
-// (internal/bench/report) carrying every field of the run summary
-// (stats.Report) per point — the BENCH_*.json artifact CI uploads. -csv
-// emits the same points as one flat table. -out directs either format to
-// a file; without it the document goes to stdout and the human-readable
+// (bench.File) carrying every field of the run summary (stats.Report)
+// per point — the BENCH_*.json artifact CI uploads. -out directs it to a
+// file; without it the document goes to stdout and the human-readable
 // table moves to stderr so piping stays clean.
 package main
 
@@ -33,7 +31,6 @@ import (
 	"time"
 
 	"bamboo/internal/bench"
-	"bamboo/internal/bench/report"
 	"bamboo/internal/telemetry"
 )
 
@@ -52,8 +49,7 @@ func main() {
 		repeat   = flag.Int("repeat", 0, "run every point this many times and report the median sample (0 = once, or the quick scale's built-in 5)")
 		quick    = flag.Bool("quick", false, "use the small CI smoke scale (overrides -threads/-duration/-txns/-rows/-rtt)")
 		jsonOut  = flag.Bool("json", false, "emit the schema-versioned JSON result document")
-		csvOut   = flag.Bool("csv", false, "emit results as one flat CSV table")
-		out      = flag.String("out", "", "write -json/-csv output to this file instead of stdout")
+		out      = flag.String("out", "", "write the -json document to this file instead of stdout")
 		metrics  = flag.String("metrics-addr", "", "serve live telemetry (/metrics, /debug/vars, /healthz) on this address for the whole run; \":0\" picks a free port (printed to stderr)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
 		mutProf  = flag.String("mutexprofile", "", "write a mutex-contention profile of the experiments to this file (every contended unlock is recorded: slows the run)")
@@ -70,12 +66,8 @@ func main() {
 			os.Exit(0)
 		}
 	}
-	if *jsonOut && *csvOut {
-		fmt.Fprintln(os.Stderr, "-json and -csv are mutually exclusive")
-		os.Exit(2)
-	}
-	if *out != "" && !*jsonOut && !*csvOut {
-		fmt.Fprintln(os.Stderr, "-out requires -json or -csv")
+	if *out != "" && !*jsonOut {
+		fmt.Fprintln(os.Stderr, "-out requires -json")
 		os.Exit(2)
 	}
 
@@ -158,7 +150,7 @@ func main() {
 	// When machine-readable output shares stdout, the table moves to
 	// stderr so `bamboo-bench -json | jq` works.
 	table := io.Writer(os.Stdout)
-	if (*jsonOut || *csvOut) && *out == "" {
+	if *jsonOut && *out == "" {
 		table = os.Stderr
 	}
 
@@ -167,14 +159,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "start profiles: %v\n", err)
 		os.Exit(1)
 	}
-	doc := report.NewFile(s.ReportScale())
+	doc := bench.NewFile(s)
 	for _, e := range run {
 		start := time.Now()
-		points := e.Run(s)
+		e.Points = e.Run(s)
 		took := time.Since(start)
-		doc.Experiments = append(doc.Experiments,
-			report.Experiment{ID: e.ID, Title: e.Title, ElapsedNS: int64(took), Points: points})
-		bench.Print(table, fmt.Sprintf("%s (%s, took %v)", e.ID, e.Title, took.Round(time.Millisecond)), points)
+		e.ElapsedNS = int64(took)
+		doc.Experiments = append(doc.Experiments, e)
+		bench.WriteTable(table, bench.Experiment{
+			Title:  fmt.Sprintf("%s (%s, took %v)", e.ID, e.Title, took.Round(time.Millisecond)),
+			Points: e.Points,
+		})
 		fmt.Fprintln(table)
 	}
 	if err := stopProfiles(); err != nil {
@@ -182,18 +177,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	if !*jsonOut && !*csvOut {
+	if !*jsonOut {
 		return
 	}
-	switch {
-	case *out != "" && *jsonOut:
-		err = report.Save(*out, doc)
-	case *out != "" && *csvOut:
-		err = writeCSVFile(*out, doc)
-	case *jsonOut:
-		err = report.WriteJSON(os.Stdout, doc)
-	default:
-		err = report.WriteCSV(os.Stdout, doc)
+	if *out != "" {
+		err = bench.Save(*out, doc)
+	} else {
+		err = bench.WriteJSON(os.Stdout, doc)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "write results: %v\n", err)
@@ -202,18 +192,4 @@ func main() {
 	if *out != "" {
 		fmt.Fprintf(table, "wrote %s\n", *out)
 	}
-}
-
-// writeCSVFile writes the CSV to path, surfacing the Close error so a
-// short write cannot exit 0.
-func writeCSVFile(path string, doc *report.File) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteCSV(f, doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

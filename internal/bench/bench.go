@@ -9,19 +9,18 @@
 // root bench_test.go (go test -bench), and from cmd/bamboo-bench. Absolute
 // numbers depend on the host; the reproduction target is each figure's
 // shape (who wins, by what factor, where the crossover falls), recorded in
-// EXPERIMENTS.md.
+// EXPERIMENTS.md. What they measured is written as a versioned JSON
+// document (File) or as the human-readable table (WriteTable).
 package bench
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
 
-	"bamboo/internal/bench/report"
 	"bamboo/internal/chop"
 	"bamboo/internal/core"
 	"bamboo/internal/occ"
@@ -34,47 +33,50 @@ import (
 	"bamboo/internal/workload/ycsb"
 )
 
-// Scale bounds an experiment's cost.
+// Scale bounds an experiment's cost. It is also the result document's
+// scale block: durations marshal as integer nanoseconds, and the fields
+// that shape no measured point stay out of it.
 type Scale struct {
 	// Threads is the worker sweep; nil selects a default bounded by
 	// GOMAXPROCS.
-	Threads []int
+	Threads []int `json:"threads"`
 	// TxnsPerWorker is the per-point transaction count when Duration is
 	// zero.
-	TxnsPerWorker int
+	TxnsPerWorker int `json:"txns_per_worker"`
 	// Duration, when set, runs each point for a fixed wall-clock time.
-	Duration time.Duration
+	Duration time.Duration `json:"duration_ns"`
 	// Rows scales the workload tables.
-	Rows int
+	Rows int `json:"rows"`
 	// RTT is the interactive-mode round trip.
-	RTT time.Duration
+	RTT time.Duration `json:"rtt_ns"`
 	// Repeat runs every point this many times and reports the
 	// median-throughput sample (<=1 means once): on noisy shared hosts
 	// single samples of contended points can swing ±25%.
-	Repeat int
+	Repeat int `json:"-"`
 	// Partitions is the storage partition count every point's tables are
 	// created with (0/1 = the flat single-partition layout).
-	Partitions int
+	Partitions int `json:"partitions,omitempty"`
 	// ThreadsExplicit marks Threads as a user-requested sweep (the CLI
 	// -threads flag). Experiments with their own ladders (scaling) honor
 	// an explicit sweep verbatim but replace built-in defaults.
-	ThreadsExplicit bool
+	ThreadsExplicit bool `json:"-"`
 	// ReadOnlyFrac, when positive, pins the readmvcc experiment's
 	// read-only-fraction ladder to this single value (mirroring how
 	// -partitions pins the partition ladder); 0 keeps the built-in
 	// 0.5/0.9/0.95/1.0 sweep.
-	ReadOnlyFrac float64
+	ReadOnlyFrac float64 `json:"readonly_frac,omitempty"`
 	// Seed, when nonzero, fixes the workload RNG seed every point's
 	// loader and generators derive their per-worker streams from, so A/B
 	// comparisons (before vs after) see identical Zipfian key sequences.
-	// 0 keeps the workloads' built-in seeding.
-	Seed int64
+	// 0 keeps the workloads' built-in seeding. Recorded so A/B documents
+	// state whether their key streams were identical.
+	Seed int64 `json:"seed,omitempty"`
 	// Metrics, when non-nil, is a live telemetry registry every point's
 	// DB attaches to for the duration of its run (the bamboo-bench
 	// -metrics-addr flag serves one process-wide registry): a scraper
 	// sees whichever point is currently executing, and bamboo_up 0
 	// between points. Nil keeps benchmark DBs metrics-free.
-	Metrics *telemetry.Registry
+	Metrics *telemetry.Registry `json:"-"`
 }
 
 // Quick is the configuration used by tests and CI's smoke runs: small
@@ -104,35 +106,38 @@ func (s Scale) threads() []int {
 	return []int{1, 4, 16}
 }
 
-// Experiment names a runner.
+// Experiment is a runner and, once run, its series: All lists the
+// runners, and the result document carries each run one with its points.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(s Scale) []report.Point
+	ID        string                `json:"id"`
+	Title     string                `json:"title"`
+	Run       func(s Scale) []Point `json:"-"`
+	ElapsedNS int64                 `json:"elapsed_ns"` // wall time of the whole run
+	Points    []Point               `json:"points"`
 }
 
 // All returns every experiment keyed in DESIGN.md's experiment index.
 func All() []Experiment {
 	return []Experiment{
-		{"fig1", "Fig 1: schedule makespan with one hotspot (2PL vs OCC vs Bamboo)", Fig1Schedules},
-		{"sec5.2", "§5.2: single hotspot at the beginning, protocol comparison", Sec52SingleHotspot},
-		{"fig3a", "Fig 3a: Bamboo/Wound-Wait speedup vs threads × txn length", Fig3aSpeedup},
-		{"fig3b", "Fig 3b: throughput vs hotspot position", Fig3bHotspotPosition},
-		{"fig4", "Fig 4: two hotspots, first fixed at beginning", Fig4SecondHotspot},
-		{"fig5", "Fig 5: two hotspots, second fixed at end", Fig5FirstHotspot},
-		{"fig6", "Fig 6: YCSB vs threads (theta=0.9)", Fig6YCSBThreads},
-		{"fig7", "Fig 7: YCSB with 5% long read-only transactions", Fig7LongReadOnly},
-		{"fig8", "Fig 8: YCSB vs Zipfian theta, stored-procedure + interactive", Fig8YCSBZipf},
-		{"fig9", "Fig 9: TPC-C vs threads (1 warehouse), both modes", Fig9TPCCThreads},
-		{"fig10", "Fig 10: TPC-C vs warehouses, both modes", Fig10TPCCWarehouses},
-		{"fig11", "Fig 11: Bamboo vs IC3 on TPC-C (original and modified NewOrder)", Fig11IC3},
-		{"delta", "§5.1: delta sweep for Optimization 2", DeltaSweep},
-		{"ablation", "Ablation: Bamboo optimizations on/off", Ablation},
-		{"scaling", "Scaling: thread ladder on the interactive hotspot workload", ScalingSweep},
-		{"upgrade", "Upgrade: un-annotated RMW hotspot, SH→EX upgrade-rate sweep", UpgradeSweep},
-		{"partition", "Partition: YCSB throughput and load time vs partition count (theta=0.9)", PartitionSweep},
-		{"durability", "Durability: fsync policy × partitions on file-backed partition WALs (theta=0.6)", DurabilitySweep},
-		{"readmvcc", "MVCC: lock-free snapshot reads vs shared-lock baseline, read-only fraction × theta (YCSB)", ReadMVCCSweep},
+		{ID: "fig1", Title: "Fig 1: schedule makespan with one hotspot (2PL vs OCC vs Bamboo)", Run: Fig1Schedules},
+		{ID: "sec5.2", Title: "§5.2: single hotspot at the beginning, protocol comparison", Run: Sec52SingleHotspot},
+		{ID: "fig3a", Title: "Fig 3a: Bamboo/Wound-Wait speedup vs threads × txn length", Run: Fig3aSpeedup},
+		{ID: "fig3b", Title: "Fig 3b: throughput vs hotspot position", Run: Fig3bHotspotPosition},
+		{ID: "fig4", Title: "Fig 4: two hotspots, first fixed at beginning", Run: Fig4SecondHotspot},
+		{ID: "fig5", Title: "Fig 5: two hotspots, second fixed at end", Run: Fig5FirstHotspot},
+		{ID: "fig6", Title: "Fig 6: YCSB vs threads (theta=0.9)", Run: Fig6YCSBThreads},
+		{ID: "fig7", Title: "Fig 7: YCSB with 5% long read-only transactions", Run: Fig7LongReadOnly},
+		{ID: "fig8", Title: "Fig 8: YCSB vs Zipfian theta, stored-procedure + interactive", Run: Fig8YCSBZipf},
+		{ID: "fig9", Title: "Fig 9: TPC-C vs threads (1 warehouse), both modes", Run: Fig9TPCCThreads},
+		{ID: "fig10", Title: "Fig 10: TPC-C vs warehouses, both modes", Run: Fig10TPCCWarehouses},
+		{ID: "fig11", Title: "Fig 11: Bamboo vs IC3 on TPC-C (original and modified NewOrder)", Run: Fig11IC3},
+		{ID: "delta", Title: "§5.1: delta sweep for Optimization 2", Run: DeltaSweep},
+		{ID: "ablation", Title: "Ablation: Bamboo optimizations on/off", Run: Ablation},
+		{ID: "scaling", Title: "Scaling: thread ladder on the interactive hotspot workload", Run: ScalingSweep},
+		{ID: "upgrade", Title: "Upgrade: un-annotated RMW hotspot, SH→EX upgrade-rate sweep", Run: UpgradeSweep},
+		{ID: "partition", Title: "Partition: YCSB throughput and load time vs partition count (theta=0.9)", Run: PartitionSweep},
+		{ID: "durability", Title: "Durability: fsync policy × partitions on file-backed partition WALs (theta=0.6)", Run: DurabilitySweep},
+		{ID: "readmvcc", Title: "MVCC: lock-free snapshot reads vs shared-lock baseline, read-only fraction × theta (YCSB)", Run: ReadMVCCSweep},
 	}
 }
 
@@ -145,25 +150,6 @@ func Find(id string) *Experiment {
 		}
 	}
 	return nil
-}
-
-// ReportScale converts a Scale into the report schema's units.
-func (s Scale) ReportScale() report.Scale {
-	return report.Scale{
-		Threads:       s.threads(),
-		TxnsPerWorker: s.TxnsPerWorker,
-		DurationNS:    int64(s.Duration),
-		Rows:          s.Rows,
-		RTTNS:         int64(s.RTT),
-		Partitions:    s.Partitions,
-		ReadOnlyFrac:  s.ReadOnlyFrac,
-		Seed:          s.Seed,
-	}
-}
-
-// Print renders points grouped by X in the table format.
-func Print(w io.Writer, title string, points []report.Point) {
-	report.WriteTable(w, report.Experiment{Title: title, Points: points})
 }
 
 // engineBuilder builds a fresh engine (and DB) for one point. make
@@ -211,11 +197,11 @@ func standardBuilders() []engineBuilder {
 
 // runSeries runs one point per builder, all labelled x.
 func runSeries(s Scale, x string, builders []engineBuilder, interactive bool,
-	load func(db *core.DB) (core.Generator, error), threads int) []report.Point {
+	load func(db *core.DB) (core.Generator, error), threads int) []Point {
 
-	points := make([]report.Point, 0, len(builders))
+	points := make([]Point, 0, len(builders))
 	for _, b := range builders {
-		points = append(points, report.Point{X: x, Report: runPoint(s, b, interactive, load, threads)})
+		points = append(points, Point{X: x, Report: runPoint(s, b, interactive, load, threads)})
 	}
 	return points
 }
@@ -368,7 +354,7 @@ func tpccLoader(s Scale, cfg tpcc.Config, mix func(*tpcc.Workload) core.Generato
 // makespan is ~3 transaction lengths; under Bamboo the hotspot serializes
 // only for its own duration and the rest overlaps (the "ideal" schedule);
 // OCC (Silo) aborts and restarts the laggards.
-func Fig1Schedules(s Scale) []report.Point {
+func Fig1Schedules(s Scale) []Point {
 	cfg := synth.Config{Rows: 4096, TxnLen: 16, HotspotPos: []float64{0}}
 	sc := s
 	sc.Duration = 0
@@ -381,7 +367,7 @@ func Fig1Schedules(s Scale) []report.Point {
 
 // Sec52SingleHotspot reproduces the §5.2 text numbers: one
 // read-modify-write hotspot at the beginning plus random reads.
-func Sec52SingleHotspot(s Scale) []report.Point {
+func Sec52SingleHotspot(s Scale) []Point {
 	cfg := synth.Config{Rows: s.Rows, TxnLen: 16, HotspotPos: []float64{0}}
 	threads := s.threads()
 	t := threads[len(threads)-1]
@@ -390,8 +376,8 @@ func Sec52SingleHotspot(s Scale) []report.Point {
 
 // Fig3aSpeedup sweeps thread count and transaction length, reporting
 // Bamboo and Wound-Wait throughput (the paper plots their ratio).
-func Fig3aSpeedup(s Scale) []report.Point {
-	var points []report.Point
+func Fig3aSpeedup(s Scale) []Point {
+	var points []Point
 	for _, txnLen := range []int{4, 16, 64} {
 		cfg := synth.Config{Rows: s.Rows, TxnLen: txnLen, HotspotPos: []float64{0}}
 		for _, t := range s.threads() {
@@ -404,8 +390,8 @@ func Fig3aSpeedup(s Scale) []report.Point {
 
 // Fig3bHotspotPosition sweeps the hotspot position within the
 // transaction.
-func Fig3bHotspotPosition(s Scale) []report.Point {
-	var points []report.Point
+func Fig3bHotspotPosition(s Scale) []Point {
+	var points []Point
 	threads := maxThreads(s)
 	for _, pos := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		cfg := synth.Config{Rows: s.Rows, TxnLen: 16, HotspotPos: []float64{pos}}
@@ -418,18 +404,18 @@ func Fig3bHotspotPosition(s Scale) []report.Point {
 // Fig4SecondHotspot fixes one hotspot at the beginning and sweeps the
 // second one's distance; BAMBOO-base (no Optimization 2) is included as
 // in the paper.
-func Fig4SecondHotspot(s Scale) []report.Point {
+func Fig4SecondHotspot(s Scale) []Point {
 	return twoHotspots(s, func(d float64) []float64 { return []float64{0, d} }, "distance")
 }
 
 // Fig5FirstHotspot fixes the second hotspot at the end and sweeps the
 // first one's distance from it.
-func Fig5FirstHotspot(s Scale) []report.Point {
+func Fig5FirstHotspot(s Scale) []Point {
 	return twoHotspots(s, func(d float64) []float64 { return []float64{1 - d, 1} }, "distance")
 }
 
-func twoHotspots(s Scale, pos func(float64) []float64, label string) []report.Point {
-	var points []report.Point
+func twoHotspots(s Scale, pos func(float64) []float64, label string) []Point {
+	var points []Point
 	threads := maxThreads(s)
 	for _, d := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		cfg := synth.Config{Rows: s.Rows, TxnLen: 16, HotspotPos: pos(d)}
@@ -444,11 +430,11 @@ func twoHotspots(s Scale, pos func(float64) []float64, label string) []report.Po
 }
 
 // Fig6YCSBThreads sweeps threads on high-contention YCSB.
-func Fig6YCSBThreads(s Scale) []report.Point {
+func Fig6YCSBThreads(s Scale) []Point {
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
 	cfg.Theta = 0.9
-	var points []report.Point
+	var points []Point
 	for _, t := range s.threads() {
 		x := fmt.Sprintf("threads=%d", t)
 		points = append(points, runSeries(s, x, standardBuilders(), false, ycsbLoader(s, cfg), t)...)
@@ -457,13 +443,13 @@ func Fig6YCSBThreads(s Scale) []report.Point {
 }
 
 // Fig7LongReadOnly adds 5% read-only transactions of 1000 tuples.
-func Fig7LongReadOnly(s Scale) []report.Point {
+func Fig7LongReadOnly(s Scale) []Point {
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
 	cfg.Theta = 0.9
 	cfg.LongReadFrac = 0.05
 	cfg.LongReadOps = min(1000, s.Rows/4)
-	var points []report.Point
+	var points []Point
 	for _, t := range s.threads() {
 		x := fmt.Sprintf("threads=%d", t)
 		points = append(points, runSeries(s, x, standardBuilders(), false, ycsbLoader(s, cfg), t)...)
@@ -473,8 +459,8 @@ func Fig7LongReadOnly(s Scale) []report.Point {
 
 // Fig8YCSBZipf sweeps the Zipfian theta in stored-procedure and
 // interactive modes.
-func Fig8YCSBZipf(s Scale) []report.Point {
-	var points []report.Point
+func Fig8YCSBZipf(s Scale) []Point {
+	var points []Point
 	threads := maxThreads(s)
 	for _, mode := range []bool{false, true} {
 		for _, theta := range []float64{0.5, 0.7, 0.8, 0.9, 0.99} {
@@ -493,9 +479,9 @@ func Fig8YCSBZipf(s Scale) []report.Point {
 }
 
 // Fig9TPCCThreads sweeps threads on 1-warehouse TPC-C in both modes.
-func Fig9TPCCThreads(s Scale) []report.Point {
+func Fig9TPCCThreads(s Scale) []Point {
 	cfg := tpcc.DefaultConfig()
-	var points []report.Point
+	var points []Point
 	for _, mode := range []bool{false, true} {
 		label := "stored-proc"
 		if mode {
@@ -510,8 +496,8 @@ func Fig9TPCCThreads(s Scale) []report.Point {
 }
 
 // Fig10TPCCWarehouses sweeps the warehouse count at fixed threads.
-func Fig10TPCCWarehouses(s Scale) []report.Point {
-	var points []report.Point
+func Fig10TPCCWarehouses(s Scale) []Point {
+	var points []Point
 	threads := maxThreads(s)
 	for _, mode := range []bool{false, true} {
 		label := "stored-proc"
@@ -530,8 +516,8 @@ func Fig10TPCCWarehouses(s Scale) []report.Point {
 
 // Fig11IC3 compares Bamboo, IC3, Wound-Wait and Silo on 1-warehouse TPC-C
 // with the original and the modified (W_YTD-reading) NewOrder.
-func Fig11IC3(s Scale) []report.Point {
-	var points []report.Point
+func Fig11IC3(s Scale) []Point {
+	var points []Point
 	for _, modified := range []bool{false, true} {
 		variant := "original"
 		if modified {
@@ -555,7 +541,7 @@ func Fig11IC3(s Scale) []report.Point {
 
 // DeltaSweep measures the effect of Optimization 2's delta parameter
 // (§5.1 reports <13% spread and settles on 0.15).
-func DeltaSweep(s Scale) []report.Point {
+func DeltaSweep(s Scale) []Point {
 	cfg := synth.Config{Rows: s.Rows, TxnLen: 16, HotspotPos: []float64{0, 1}}
 	var builders []engineBuilder
 	for _, delta := range []float64{0, 0.05, 0.15, 0.3, 0.5, 1.0} {
@@ -570,7 +556,7 @@ func DeltaSweep(s Scale) []report.Point {
 
 // Ablation toggles each Bamboo optimization off in turn on
 // high-contention YCSB, quantifying the design choices of §3.5.
-func Ablation(s Scale) []report.Point {
+func Ablation(s Scale) []Point {
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
 	cfg.Theta = 0.9
@@ -589,7 +575,8 @@ func Ablation(s Scale) []report.Point {
 		mk("-O2 delta", func(c *core.Config) { c.Delta = 0 }),
 		mk("-O3 nowound", func(c *core.Config) { c.NoWoundRead = false }),
 		mk("-O4 dynts", func(c *core.Config) { c.DynamicTS = false }),
-		mk("-retire(=WW)", func(c *core.Config) { c.RetireWrites = false; c.RetireReads = false; c.NoWoundRead = false }),
+		// A Bamboo that retires nothing is Wound-Wait (§3.4); O4 stays on.
+		mk("-retire(=WW)", func(c *core.Config) { *c = core.WoundWait(); c.DynamicTS = true }),
 	}
 	return runSeries(s, fmt.Sprintf("ycsb theta=0.9 threads=%d", threads), builders, false, ycsbLoader(s, cfg), threads)
 }
@@ -608,7 +595,7 @@ func Ablation(s Scale) []report.Point {
 // ladder while Wound-Wait flattens at ~1/(TxnLen×RTT); the group-commit
 // variant should track plain Bamboo (batching must not cost throughput
 // at this commit rate).
-func ScalingSweep(s Scale) []report.Point {
+func ScalingSweep(s Scale) []Point {
 	// Contention requires concurrency: fixed-count points degenerate on
 	// small hosts (a worker can finish its whole quota inside one
 	// scheduling quantum, so nothing ever conflicts). Force wall-clock
@@ -628,7 +615,7 @@ func ScalingSweep(s Scale) []report.Point {
 		gcBuilder,
 		lockBuilder(core.WoundWait()),
 	}
-	var points []report.Point
+	var points []Point
 	for _, t := range scalingThreads(s) {
 		x := fmt.Sprintf("threads=%d", t)
 		points = append(points, runSeries(s, x, builders, true, synthLoader(s, cfg), t)...)
@@ -647,14 +634,14 @@ func ScalingSweep(s Scale) []report.Point {
 // upgrade conflicts are symmetric — two readers of the same row both fail
 // their upgrade — and NO_WAIT's default abort backoff
 // (core.DefaultAbortBackoff) is what keeps them from chasing each other.
-func UpgradeSweep(s Scale) []report.Point {
+func UpgradeSweep(s Scale) []Point {
 	threads := maxThreads(s)
 	builders := []engineBuilder{
 		lockBuilder(core.Bamboo()),
 		lockBuilder(core.WoundWait()),
 		lockBuilder(core.NoWait()),
 	}
-	var points []report.Point
+	var points []Point
 	for _, rmw := range []float64{0, 0.5, 1.0} {
 		cfg := ycsb.DefaultConfig()
 		cfg.Rows = s.Rows
@@ -680,7 +667,7 @@ func UpgradeSweep(s Scale) []report.Point {
 // (mirroring how an explicit -threads sweep replaces built-in ladders),
 // so the flag is never silently overridden and the document's scale
 // block stays truthful; the default is the 1→8 ladder.
-func PartitionSweep(s Scale) []report.Point {
+func PartitionSweep(s Scale) []Point {
 	threads := maxThreads(s)
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
@@ -693,7 +680,7 @@ func PartitionSweep(s Scale) []report.Point {
 	if s.Partitions > 0 {
 		ladder = []int{s.Partitions}
 	}
-	var points []report.Point
+	var points []Point
 	for _, parts := range ladder {
 		sc := s
 		sc.Partitions = parts
@@ -728,7 +715,7 @@ func PartitionSweep(s Scale) []report.Point {
 // SSD vs spinning disk — EXPERIMENTS.md records both ends); the shape to
 // reproduce is group commit holding throughput near fsync=none while
 // fsync=commit collapses with real fsync latency.
-func DurabilitySweep(s Scale) []report.Point {
+func DurabilitySweep(s Scale) []Point {
 	threads := maxThreads(s)
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
@@ -777,7 +764,7 @@ func DurabilitySweep(s Scale) []report.Point {
 	if s.Partitions > 0 {
 		ladder = []int{s.Partitions}
 	}
-	var points []report.Point
+	var points []Point
 	for _, parts := range ladder {
 		sc := s
 		sc.Partitions = parts
@@ -805,7 +792,7 @@ func DurabilitySweep(s Scale) []report.Point {
 // versions_pruned / version_chain_max fields in the document confirm
 // the path actually served reads and pruning kept chains bounded. An
 // explicit -readonly-frac pins the ladder to that single fraction.
-func ReadMVCCSweep(s Scale) []report.Point {
+func ReadMVCCSweep(s Scale) []Point {
 	threads := maxThreads(s)
 	mvccCfg := core.Bamboo()
 	mvccCfg.MVCC = true
@@ -819,7 +806,7 @@ func ReadMVCCSweep(s Scale) []report.Point {
 	if s.ReadOnlyFrac > 0 {
 		fracs = []float64{s.ReadOnlyFrac}
 	}
-	var points []report.Point
+	var points []Point
 	for _, theta := range []float64{0.6, 0.9} {
 		for _, frac := range fracs {
 			cfg := ycsb.DefaultConfig()

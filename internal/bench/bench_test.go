@@ -36,7 +36,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				}
 			}
 			var sb strings.Builder
-			bench.Print(&sb, e.Title, rows)
+			bench.WriteTable(&sb, bench.Experiment{Title: e.Title, Points: rows})
 			if !strings.Contains(sb.String(), "txn/s") {
 				t.Error("printed output missing throughput")
 			}

@@ -1,8 +1,7 @@
-package report
+package bench_test
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -12,22 +11,23 @@ import (
 	"testing"
 	"time"
 
+	"bamboo/internal/bench"
 	"bamboo/internal/stats"
 	"bamboo/internal/txn"
 )
 
 // sample builds a two-experiment document with realistic values.
-func sample() *File {
-	f := NewFile(Scale{Threads: []int{4, 8}, TxnsPerWorker: 300, Rows: 20000, RTTNS: 20000})
+func sample() *bench.File {
+	f := bench.NewFile(bench.Scale{Threads: []int{4, 8}, TxnsPerWorker: 300, Rows: 20000, RTT: 20 * time.Microsecond})
 	c := &stats.Collector{}
 	for i := 0; i < 1000; i++ {
 		c.RecordCommit(time.Duration(i)*time.Microsecond, time.Microsecond, 0)
 	}
 	c.RecordAbort(txn.CauseWound, time.Millisecond, 0, 0)
 	rep := stats.Summarize("BAMBOO", time.Second, []*stats.Collector{c}, nil)
-	f.Experiments = append(f.Experiments, Experiment{
+	f.Experiments = append(f.Experiments, bench.Experiment{
 		ID: "fig6", Title: "Fig 6: YCSB vs threads", ElapsedNS: int64(3 * time.Second),
-		Points: []Point{
+		Points: []bench.Point{
 			{X: "threads=4", Report: rep},
 			{X: "threads=8", Report: stats.Report{Protocol: "WOUND_WAIT", Workers: 8,
 				Commits: 900, Aborts: 100, AbortRate: 0.1, ThroughputTPS: 900,
@@ -35,9 +35,9 @@ func sample() *File {
 				LatencyP99: 2500, LatencyP999: 4000, LatencyMax: 9000}},
 		},
 	})
-	f.Experiments = append(f.Experiments, Experiment{
+	f.Experiments = append(f.Experiments, bench.Experiment{
 		ID: "fig9", Title: "Fig 9: TPC-C vs threads",
-		Points: []Point{
+		Points: []bench.Point{
 			{X: "threads=4", Report: stats.Report{Protocol: "BAMBOO", Commits: 5000,
 				ThroughputTPS: 5000, LatencyP50: 700, LatencyP99: 2000}},
 		},
@@ -121,14 +121,17 @@ var documentKeys = []string{
 	"schema_version",
 }
 
-// populate sets every field of the struct v points at to a nonzero
-// value, so no omitempty tag can hide a key and a field added to
+// populate sets every marshalled field of the struct v points at to a
+// nonzero value, so no omitempty tag can hide a key and a field added to
 // stats.Report later appears in the document without this test being
 // told about it.
 func populate(t *testing.T, v any) {
 	t.Helper()
 	rv := reflect.ValueOf(v).Elem()
 	for i := 0; i < rv.NumField(); i++ {
+		if rv.Type().Field(i).Tag.Get("json") == "-" {
+			continue
+		}
 		f := rv.Field(i)
 		switch f.Kind() {
 		case reflect.String:
@@ -174,14 +177,14 @@ func keyPaths(prefix string, v any, into map[string]bool) {
 func TestReportDocumentKeys(t *testing.T) {
 	var rep stats.Report
 	populate(t, &rep)
-	var sc Scale
+	var sc bench.Scale
 	populate(t, &sc)
-	f := NewFile(sc)
-	f.Experiments = []Experiment{{ID: "fig6", Title: "t", ElapsedNS: 1,
-		Points: []Point{{X: "threads=4", Report: rep}}}}
+	f := bench.NewFile(sc)
+	f.Experiments = []bench.Experiment{{ID: "fig6", Title: "t", ElapsedNS: 1,
+		Points: []bench.Point{{X: "threads=4", Report: rep}}}}
 
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := Save(path, f); err != nil {
+	if err := bench.Save(path, f); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -216,29 +219,11 @@ func TestReportDocumentKeys(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 { // header + 3 points
-		t.Fatalf("rows = %d, want 4", len(recs))
-	}
-	if recs[0][0] != "experiment" || len(recs[0]) != len(csvHeader) {
-		t.Fatalf("header = %v", recs[0])
-	}
-	if recs[1][0] != "fig6" || recs[3][0] != "fig9" {
-		t.Fatalf("experiment column wrong: %v / %v", recs[1][0], recs[3][0])
-	}
-}
-
 func TestWriteTable(t *testing.T) {
 	var buf bytes.Buffer
-	WriteTables(&buf, sample())
+	for _, e := range sample().Experiments {
+		bench.WriteTable(&buf, e)
+	}
 	out := buf.String()
 	for _, want := range []string{"== Fig 6", "-- threads=4", "-- threads=8", "BAMBOO", "WOUND_WAIT", "txn/s", "p50=", "p99="} {
 		if !strings.Contains(out, want) {

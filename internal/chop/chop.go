@@ -294,9 +294,10 @@ var _ core.Engine = (*Engine)(nil)
 
 // New wraps db in an IC3 engine. The tables may be loaded after New: the
 // rows present at the first NewSession get their IC3 state then, and rows
-// inserted by IC3 transactions get it at commit.
+// inserted by IC3 transactions get it at commit. It panics if db's Config
+// sets Checkpoint or MVCC, which IC3 cannot honour (core.DB.Claim).
 func New(db *core.DB) *Engine {
-	db.SetProtocolName(name)
+	db.Claim(name)
 	return &Engine{db: db}
 }
 

@@ -1,8 +1,11 @@
 package chop_test
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -377,5 +380,33 @@ func TestEngineNamesItsDB(t *testing.T) {
 			t.Errorf("engine %s: live report protocol %q, want %q", e.Name(), got, want)
 		}
 		db.Close()
+	}
+}
+
+// TestNewRefusesUnsupportedSettings: IC3 takes no checkpoint gate and
+// installs no versions, so New panics, naming the setting, on a DB
+// configured with Checkpoint or MVCC instead of running it wrong.
+func TestNewRefusesUnsupportedSettings(t *testing.T) {
+	for name, mk := range map[string]func(dir string) core.Config{
+		"Checkpoint": func(dir string) core.Config {
+			return core.Config{WALDir: filepath.Join(dir, "wal"),
+				Checkpoint: core.CheckpointConfig{Dir: filepath.Join(dir, "ckpt")}}
+		},
+		"MVCC": func(string) core.Config { return core.Config{MVCC: true} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := core.NewDB(mk(t.TempDir()))
+			defer db.Close()
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("New accepted Config.%s", name)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "Config."+name) {
+					t.Fatalf("panic %q does not name Config.%s", msg, name)
+				}
+			}()
+			chop.New(db)
+		})
 	}
 }

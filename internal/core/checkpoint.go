@@ -20,7 +20,8 @@ import (
 // (Bamboo and the 2PL baselines), whose commit window coordinates with
 // the checkpointer through the DB's checkpoint gate. The Silo and IC3
 // engines log through the same partition logs but their commit windows
-// do not take the gate, so they are still not checkpoint-safe.
+// do not take the gate, and they never write the Entry.Data a snapshot
+// reads, so occ.New and chop.New refuse a DB that enables checkpoints.
 type CheckpointConfig struct {
 	// Dir is where snapshot files live; non-empty enables checkpointing.
 	Dir string

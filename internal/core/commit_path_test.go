@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bamboo/internal/core"
+	"bamboo/internal/occ"
 	"bamboo/internal/stats"
 	"bamboo/internal/storage"
 	"bamboo/internal/verify/verifytest"
@@ -110,25 +111,43 @@ func TestSinglePartitionLogGolden(t *testing.T) {
 	})
 }
 
+// commitPathVariant is one engine of TestCommitPathMatrix: a lock
+// configuration, or Silo.
+type commitPathVariant struct {
+	name string
+	cfg  core.Config
+	silo bool
+}
+
+func (v commitPathVariant) engine(t *testing.T, db *core.DB) core.Engine {
+	if !v.silo {
+		return core.NewLockEngine(db)
+	}
+	e := occ.New(db)
+	t.Cleanup(e.Close)
+	return e
+}
+
 // TestCommitPathMatrix runs the one commit path in every configuration
 // that used to select a path of its own — single vs partitioned log, MVCC
 // install vs plain, checkpoint gate held vs not, per-record vs group
-// commit — for each lock variant, under three oracles: transfers that
-// cross partitions conserve the total (and, with MVCC, every snapshot
-// sums to it), every write in partition log p belongs to partition p,
-// and replaying the logs into a fresh DB reproduces the survivor's rows,
-// committed inserts included. The full run covers the whole product;
-// -short runs one variant per cell, chosen so that every variant still
-// meets both values of every other axis (pairwise coverage).
+// commit — for each lock variant, and for Silo in the cells it accepts
+// (no MVCC, no checkpoints), under four oracles: transfers that cross
+// partitions conserve the total (and, with MVCC, every snapshot sums to
+// it), every write in partition log p belongs to partition p, replaying
+// the logs into a fresh DB reproduces the survivor's rows, committed
+// inserts included, and a second DB of the same configuration runs a
+// serializable history. The full run covers the whole product; -short
+// runs one lock variant per cell, chosen so that every variant still
+// meets both values of every other axis (pairwise coverage), and Silo in
+// all its cells.
 func TestCommitPathMatrix(t *testing.T) {
-	variants := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"BAMBOO", core.Bamboo()},
-		{"WOUND_WAIT", core.WoundWait()},
-		{"WAIT_DIE", core.WaitDie()},
-		{"NO_WAIT", core.NoWait()},
+	variants := []commitPathVariant{
+		{name: "BAMBOO", cfg: core.Bamboo()},
+		{name: "WOUND_WAIT", cfg: core.WoundWait()},
+		{name: "WAIT_DIE", cfg: core.WaitDie()},
+		{name: "NO_WAIT", cfg: core.NoWait()},
+		{name: "SILO", silo: true},
 	}
 	for pi, parts := range []int{1, 2} {
 		for mi, mvcc := range []bool{false, true} {
@@ -138,15 +157,39 @@ func TestCommitPathMatrix(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						for vi, v := range variants {
+							if v.silo && (mvcc || gate) {
+								continue // occ.New refuses both
+							}
 							// Fixing any one axis leaves the other three free,
 							// so pi^gi and mi^ci take all four combinations:
 							// each variant meets every axis value.
-							if testing.Short() && vi != 2*(pi^gi)+(mi^ci) {
+							if testing.Short() && !v.silo && vi != 2*(pi^gi)+(mi^ci) {
 								continue
 							}
 							t.Run(v.name, func(t *testing.T) {
 								t.Parallel()
-								testCommitPath(t, v.cfg, parts, mvcc, gate, gc)
+								cell := func(dir string) core.Config {
+									c := v.cfg
+									c.Partitions = parts
+									c.MVCC = mvcc
+									c.GroupCommit = gc
+									c.WALDir = filepath.Join(dir, "wal")
+									c.WALFsync = wal.FsyncNone
+									if gate {
+										c.Checkpoint = core.CheckpointConfig{
+											Dir: filepath.Join(dir, "ckpt"), Interval: time.Hour, SegmentBytes: 4 << 10,
+										}
+									}
+									return c
+								}
+								testCommitPath(t, v, cell(t.TempDir()))
+
+								h := verifytest.NewHistory()
+								cfg := cell(t.TempDir())
+								cfg.OnCommit = h.Hook
+								db := core.NewDB(cfg)
+								defer db.Close()
+								verifytest.RunSerializability(t, v.engine(t, db), h, verifytest.DefaultOptions())
 							})
 						}
 					})
@@ -156,19 +199,9 @@ func TestCommitPathMatrix(t *testing.T) {
 	}
 }
 
-func testCommitPath(t *testing.T, cfg core.Config, parts int, mvcc, gate, gc bool) {
+func testCommitPath(t *testing.T, v commitPathVariant, cfg core.Config) {
 	const workers, perWorker = 4, 60
-	walDir := filepath.Join(t.TempDir(), "wal")
-	cfg.Partitions = parts
-	cfg.MVCC = mvcc
-	cfg.GroupCommit = gc
-	cfg.WALDir = walDir
-	cfg.WALFsync = wal.FsyncNone
-	if gate {
-		cfg.Checkpoint = core.CheckpointConfig{
-			Dir: filepath.Join(t.TempDir(), "ckpt"), Interval: time.Hour, SegmentBytes: 4 << 10,
-		}
-	}
+	mvcc, gate := cfg.MVCC, cfg.Checkpoint.Enabled()
 	db := core.NewDB(cfg)
 	tbl := loadXfer(t, db)
 	schema := tbl.Schema
@@ -201,7 +234,7 @@ func testCommitPath(t *testing.T, cfg core.Config, parts int, mvcc, gate, gc boo
 		}
 		amount := int64(rng.Intn(50) + 1)
 		// One empty account per transfer: the insert loop and the
-		// PartitionOf routing of inserts run in every cell.
+		// partition routing of inserts run in every cell.
 		fresh := uint64(1000 + worker*perWorker + seq)
 		return func(tx core.Tx) error {
 			tx.DeclareOps(2)
@@ -218,7 +251,7 @@ func testCommitPath(t *testing.T, cfg core.Config, parts int, mvcc, gate, gc boo
 			return tx.Insert(tbl, fresh, schema.NewRowImage())
 		}
 	}
-	eng := core.NewLockEngine(db)
+	eng := v.engine(t, db)
 	for round := 0; round < 2; round++ {
 		res := core.RunN(eng, workers, perWorker/2, func(worker, seq int) core.TxnFunc {
 			return gen(worker, round*perWorker/2+seq)
@@ -240,7 +273,7 @@ func testCommitPath(t *testing.T, cfg core.Config, parts int, mvcc, gate, gc boo
 		if ret, own, wait := r.Entry.Snapshot(); ret+own+wait != 0 {
 			t.Errorf("row %d entry not drained: retired=%d owners=%d waiters=%d", k, ret, own, wait)
 		}
-		total += schema.GetInt64(r.Entry.CurrentData(), 0)
+		total += schema.GetInt64(r.CommittedImage(), 0)
 		return true
 	})
 	if total != want {
@@ -249,10 +282,10 @@ func testCommitPath(t *testing.T, cfg core.Config, parts int, mvcc, gate, gc boo
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rdb := core.NewDB(core.Config{Partitions: parts})
+	rdb := core.NewDB(core.Config{Partitions: cfg.Partitions})
 	defer rdb.Close()
 	loadXfer(t, rdb)
-	verifytest.RequirePartitionLocalLogs(t, walDir, db, rdb)
+	verifytest.RequirePartitionLocalLogs(t, cfg.WALDir, db, rdb)
 }
 
 // failOnceDevice fails its failAt-th Append and accepts every other one.

@@ -7,8 +7,8 @@ import (
 
 // CommitLog is how every engine — the lock engine, Silo, IC3 — logs a
 // commit: the attempt's writes are split by owning partition (an update
-// by its row's partition, an insert by where its table routes the key,
-// as DB.PartitionOf does) and Commit appends one record per touched
+// by its row's partition, an insert by where its table routes the key)
+// and Commit appends one record per touched
 // partition to that partition's log, all under the transaction's id. A
 // single-log DB is the case where every write routes to log 0.
 //

@@ -21,7 +21,7 @@ func protocolConfigs() map[string]core.Config {
 	return map[string]core.Config{
 		"BAMBOO":       core.Bamboo(),
 		"BAMBOO-base":  core.BambooBase(),
-		"BAMBOO-noopt": {Variant: core.Bamboo().Variant, RetireWrites: true}, // no O1–O4
+		"BAMBOO-noopt": {Variant: core.Bamboo().Variant}, // no O1–O4
 		"WOUND_WAIT":   core.WoundWait(),
 		"WAIT_DIE":     core.WaitDie(),
 		"NO_WAIT":      core.NoWait(),

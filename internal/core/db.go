@@ -31,13 +31,12 @@ var ErrUserAbort = errors.New("core: user-initiated abort")
 
 // Config selects the protocol variant and Bamboo's optimization toggles.
 type Config struct {
-	// Variant is the lock-table discipline.
+	// Variant is the lock-table discipline. Variant lock.Bamboo retires
+	// writes early (the paper's LockRetire), and Delta decides which; a
+	// Bamboo that retired none would be Wound-Wait (§3.4), which is
+	// lock.WoundWait.
 	Variant lock.Variant
 
-	// RetireWrites enables early lock retiring for writes (Bamboo's core
-	// mechanism). Disabled, the executor retires no write and Bamboo
-	// degenerates to Wound-Wait (§3.4).
-	RetireWrites bool
 	// RetireReads is Optimization 1 (reads retire at grant).
 	RetireReads bool
 	// NoWoundRead is Optimization 3 (reads never wound).
@@ -96,7 +95,8 @@ type Config struct {
 	// Checkpoint configures the storage lifecycle — fuzzy checkpoints
 	// and WAL truncation (see CheckpointConfig). Requires WALDir; the
 	// log layout is the same with or without it. Its SegmentBytes sizes
-	// every WALDir log's segments, checkpoints on or off.
+	// every WALDir log's segments, checkpoints on or off. Lock engines
+	// only: occ.New and chop.New refuse a DB that enables checkpoints.
 	Checkpoint CheckpointConfig
 
 	// MVCC enables the multi-version read path: commits install their
@@ -106,7 +106,7 @@ type Config struct {
 	// allocations. Versions are volatile — only the newest committed
 	// image is logged and checkpointed, so recovery is unchanged. Off
 	// (the default), rows carry no version chain and commits install
-	// nothing.
+	// nothing. Lock engines only: occ.New and chop.New refuse it.
 	MVCC bool
 
 	// MetricsAddr, when non-empty, serves the live telemetry endpoints
@@ -136,12 +136,11 @@ const DefaultAbortBackoff = 200 * time.Microsecond
 // with δ = 0.15.
 func Bamboo() Config {
 	return Config{
-		Variant:      lock.Bamboo,
-		RetireWrites: true,
-		RetireReads:  true,
-		NoWoundRead:  true,
-		DynamicTS:    true,
-		Delta:        0.15,
+		Variant:     lock.Bamboo,
+		RetireReads: true,
+		NoWoundRead: true,
+		DynamicTS:   true,
+		Delta:       0.15,
 	}
 }
 
@@ -202,7 +201,7 @@ type DB struct {
 	ckpt     *checkpointer
 
 	// protocol is the display name an engine outside this package set
-	// (SetProtocolName); nil means the lock engine's, derived from cfg.
+	// (Claim); nil means the lock engine's, derived from cfg.
 	// Atomic because a metrics scrape may render it while occ.New or
 	// chop.New sets it.
 	protocol atomic.Pointer[string]
@@ -403,16 +402,9 @@ func (db *DB) Partitions() int {
 	return db.cfg.Partitions
 }
 
-// PartitionOf returns the partition id tbl routes key to — the key→
-// partition routing hook a multi-node dispatcher would use to pick an
-// execution site.
-func (db *DB) PartitionOf(tbl *storage.Table, key uint64) int {
-	return tbl.PartitionFor(key)
-}
-
 // ProtocolName returns the display name of the engine that runs on db,
 // matching the paper's legends: the lock configuration's name until an
-// engine outside this package claims the DB with SetProtocolName. It is
+// engine outside this package claims the DB with Claim. It is
 // the protocol LiveReport, /metrics and /debug/vars report.
 func (db *DB) ProtocolName() string {
 	if p := db.protocol.Load(); p != nil {
@@ -427,10 +419,22 @@ func (db *DB) ProtocolName() string {
 	return db.cfg.Variant.String()
 }
 
-// SetProtocolName records the name of the engine that wraps db; occ.New
-// and chop.New call it, so a Silo or IC3 DB built from a zero Config does
-// not report the zero Variant's NO_WAIT.
-func (db *DB) SetProtocolName(name string) { db.protocol.Store(&name) }
+// Claim is how an engine outside this package that publishes its own row
+// images (occ.New's Silo, chop.New's IC3) takes db. It panics, naming the
+// setting, if db's Config sets one such an engine cannot honour:
+// Checkpoint (its commits take no checkpoint gate, and a checkpoint
+// snapshots the Entry.Data it never writes) or MVCC (it installs no
+// versions). Then it records name as db's protocol, so a DB built from a
+// zero Config does not report the zero Variant's NO_WAIT.
+func (db *DB) Claim(name string) {
+	if db.cfg.Checkpoint.Enabled() {
+		panic("core: " + name + " cannot run with Config.Checkpoint: its commits are not checkpoint-safe")
+	}
+	if db.cfg.MVCC {
+		panic("core: " + name + " cannot run with Config.MVCC: it installs no versions")
+	}
+	db.protocol.Store(&name)
+}
 
 // NextTxnID draws a fresh transaction id.
 func (db *DB) NextTxnID() uint64 { return db.txnIDs.Add(1) }

@@ -360,7 +360,7 @@ func (tx *lockTx) retire(a *access) {
 // interactive-mode behavior where each write is treated as the last.
 func (tx *lockTx) shouldRetire() bool {
 	cfg := &tx.db.cfg
-	if cfg.Variant != lock.Bamboo || !cfg.RetireWrites {
+	if cfg.Variant != lock.Bamboo {
 		return false
 	}
 	if cfg.Delta <= 0 || tx.declaredOps == 0 {

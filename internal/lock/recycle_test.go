@@ -213,7 +213,11 @@ func TestImageRecycleStress(t *testing.T) {
 									}
 									Backoff(it)
 								}
-								commit = ok && tx.BeginCommit()
+								// A positioned reader may have commit-ordered
+								// itself before this transaction between the
+								// semaphore check and the CAS: back out, as the
+								// core executor does.
+								commit = ok && tx.BeginCommit() && tx.Sem() == 0
 							}
 							for ri, r := range reqs {
 								// The shared-image property: a granted SH

@@ -112,7 +112,11 @@ func TestPooledReuseStress(t *testing.T) {
 									}
 									Backoff(it)
 								}
-								commit = ok && tx.BeginCommit()
+								// A positioned reader may have commit-ordered
+								// itself before this transaction between the
+								// semaphore check and the CAS: back out, as the
+								// core executor does.
+								commit = ok && tx.BeginCommit() && tx.Sem() == 0
 							}
 							writes := uint64(0)
 							for ri, r := range reqs {
@@ -265,7 +269,11 @@ func TestUpgradePooledReuseStress(t *testing.T) {
 									}
 									Backoff(it)
 								}
-								commit = ok && tx.BeginCommit()
+								// A positioned reader may have commit-ordered
+								// itself before this transaction between the
+								// semaphore check and the CAS: back out, as the
+								// core executor does.
+								commit = ok && tx.BeginCommit() && tx.Sem() == 0
 							}
 							for ri, r := range reqs {
 								m.Release(r, !commit)

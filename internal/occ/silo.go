@@ -41,9 +41,10 @@ type Engine struct {
 
 // New wraps db in a Silo engine and starts the epoch advancer. Call Close
 // when done (tests); leaking the goroutine for process-lifetime engines is
-// also fine.
+// also fine. It panics if db's Config sets Checkpoint or MVCC, which Silo
+// cannot honour (core.DB.Claim).
 func New(db *core.DB) *Engine {
-	db.SetProtocolName(name)
+	db.Claim(name)
 	e := &Engine{db: db, stop: make(chan struct{})}
 	e.epoch.Store(1)
 	go func() {

@@ -2,6 +2,9 @@ package occ_test
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,9 +178,37 @@ func TestSiloLogFailureIsFatal(t *testing.T) {
 	if col.Aborts != 0 {
 		t.Fatalf("%d aborts recorded for a failed append, want 0", col.Aborts)
 	}
-	if got := tbl.Schema.GetInt64(verifytest.RowImage(tbl.Get(0)), 1); got != 0 {
+	if got := tbl.Schema.GetInt64(tbl.Get(0).CommittedImage(), 1); got != 0 {
 		t.Fatalf("unlogged write installed: val = %d", got)
 	}
 }
 
 func newCollector() *stats.Collector { return &stats.Collector{} }
+
+// TestNewRefusesUnsupportedSettings: Silo takes no checkpoint gate and
+// installs no versions, so New panics, naming the setting, on a DB
+// configured with Checkpoint or MVCC instead of running it wrong.
+func TestNewRefusesUnsupportedSettings(t *testing.T) {
+	for name, mk := range map[string]func(dir string) core.Config{
+		"Checkpoint": func(dir string) core.Config {
+			return core.Config{WALDir: filepath.Join(dir, "wal"),
+				Checkpoint: core.CheckpointConfig{Dir: filepath.Join(dir, "ckpt")}}
+		},
+		"MVCC": func(string) core.Config { return core.Config{MVCC: true} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := core.NewDB(mk(t.TempDir()))
+			defer db.Close()
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("New accepted Config.%s", name)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "Config."+name) {
+					t.Fatalf("panic %q does not name Config.%s", msg, name)
+				}
+			}()
+			occ.New(db).Close()
+		})
+	}
+}

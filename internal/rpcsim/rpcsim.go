@@ -30,11 +30,9 @@ import (
 // Config tunes the simulated network.
 type Config struct {
 	// RTT is the round-trip latency charged per database call. The paper
-	// measured gRPC on a LAN; 100µs is in that range.
+	// measured gRPC on a LAN; 100µs is in that range. The begin and the
+	// commit (or abort) call pay it too.
 	RTT time.Duration
-	// CommitRTT is charged for the final commit (or abort) call; defaults
-	// to RTT when zero.
-	CommitRTT time.Duration
 }
 
 // DefaultConfig charges 100µs per operation.
@@ -51,9 +49,6 @@ type Engine struct {
 func New(inner core.Engine, cfg Config) *Engine {
 	if cfg.RTT <= 0 {
 		cfg = DefaultConfig()
-	}
-	if cfg.CommitRTT <= 0 {
-		cfg.CommitRTT = cfg.RTT
 	}
 	return &Engine{inner: inner, cfg: cfg}
 }
@@ -81,7 +76,7 @@ func (s *session) Run(fn core.TxnFunc) error {
 	return s.inner.Run(func(tx core.Tx) error {
 		sleep(s.cfg.RTT) // begin request
 		err := fn(&latencyTx{Tx: tx, rtt: s.cfg.RTT})
-		sleep(s.cfg.CommitRTT) // commit/abort request
+		sleep(s.cfg.RTT) // commit/abort request
 		return err
 	})
 }

@@ -261,9 +261,9 @@ func (c *Collector) Merge(other *Collector) {
 }
 
 // Report is an immutable summary of a run, and — through its JSON tags —
-// the per-point record of the bench result document
-// (internal/bench/report embeds it). Durations marshal as integer
-// nanoseconds, hence the _ns key suffixes.
+// the per-point record of the bench result document (bench.Point embeds
+// it). Durations marshal as integer nanoseconds, hence the _ns key
+// suffixes.
 type Report struct {
 	Protocol string `json:"protocol"`
 	Workers  int    `json:"workers"`

@@ -43,6 +43,18 @@ type Row struct {
 // Schema returns the row's schema.
 func (r *Row) Schema() *Schema { return r.Table.Schema }
 
+// CommittedImage returns the row's image whichever engine wrote it: the
+// image the OCC engines (Silo, IC3) published, if one is set, else the
+// lock entry's. It is the committed image only once no transaction is
+// running — under Bamboo the entry may hold a retired, uncommitted
+// write — so it serves checks of a quiescent database.
+func (r *Row) CommittedImage() []byte {
+	if p := r.OCCImage.Load(); p != nil {
+		return *p
+	}
+	return r.Entry.CurrentData()
+}
+
 // Table is a collection of rows with a schema, stored as a set of
 // Partitions chosen by a Partitioner. Every partition owns its own primary
 // index, row count and insert path; the table is only the router. A

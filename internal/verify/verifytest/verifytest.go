@@ -50,9 +50,12 @@ func DefaultOptions() Options {
 	return Options{Rows: 8, Workers: 8, PerWorker: 150, OpsPerTxn: 4, WriteRatio: 0.5, Seed: 1}
 }
 
-// BuildDB creates the verification table inside db.
+// BuildDB creates the verification table inside db, hash-partitioned
+// over db's partitions so a partitioned DB logs through every partition
+// log.
 func BuildDB(db *core.DB, rows int) *storage.Table {
-	tbl := db.Catalog.MustCreateTable(stampSchema(), rows)
+	tbl := db.Catalog.MustCreateTablePartitioned(stampSchema(), rows,
+		storage.HashPartitioner{N: db.Partitions()})
 	for k := 0; k < rows; k++ {
 		img := tbl.Schema.NewRowImage()
 		// stamp 0 = verify.InitialStamp
@@ -278,7 +281,7 @@ func RunBankConservation(t *testing.T, e core.Engine, accounts, workers, perWork
 	var total int64
 	var counted int
 	tbl.Range(func(_ uint64, row *storage.Row) bool {
-		total += schema.GetInt64(RowImage(row), 0)
+		total += schema.GetInt64(row.CommittedImage(), 0)
 		counted++
 		return true
 	})
@@ -369,22 +372,13 @@ func RunSnapshotConsistency(t *testing.T, e core.Engine, accounts, workers, perW
 	}
 	var total int64
 	tbl.Range(func(_ uint64, row *storage.Row) bool {
-		total += schema.GetInt64(RowImage(row), 0)
+		total += schema.GetInt64(row.CommittedImage(), 0)
 		return true
 	})
 	if total != want {
 		t.Fatalf("%s: final total = %d, want %d (money not conserved)", e.Name(), total, want)
 	}
 	checkEntriesDrained(t, e, tbl, accounts)
-}
-
-// RowImage returns the row's committed image regardless of engine: the
-// OCC-published image when present, else the lock entry's image.
-func RowImage(row *storage.Row) []byte {
-	if p := row.OCCImage.Load(); p != nil {
-		return *p
-	}
-	return row.Entry.CurrentData()
 }
 
 // RequirePartitionLocalLogs is the durability oracle of a partitioned
@@ -450,7 +444,7 @@ func RequirePartitionLocalLogs(t *testing.T, dir string, live, fresh *core.DB) {
 		}
 		tbl.Range(func(k uint64, row *storage.Row) bool {
 			r := rtbl.Get(k)
-			if r == nil || !bytes.Equal(r.Entry.CurrentData(), RowImage(row)) {
+			if r == nil || !bytes.Equal(r.Entry.CurrentData(), row.CommittedImage()) {
 				t.Errorf("table %s key %d: replayed image differs from the committed one", name, k)
 				return false
 			}

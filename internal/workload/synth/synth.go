@@ -176,9 +176,5 @@ func (w *Workload) Generator() core.Generator {
 // HotValue returns hot tuple i's committed counter (total committed
 // increments) for consistency checks.
 func (w *Workload) HotValue(i int) int64 {
-	img := w.hot[i].Entry.CurrentData()
-	if p := w.hot[i].OCCImage.Load(); p != nil {
-		img = *p
-	}
-	return w.schema.GetInt64(img, w.valCol)
+	return w.schema.GetInt64(w.hot[i].CommittedImage(), w.valCol)
 }

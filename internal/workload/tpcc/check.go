@@ -6,14 +6,6 @@ import (
 	"bamboo/internal/storage"
 )
 
-// img returns a row's committed image for either engine family.
-func img(r *storage.Row) []byte {
-	if p := r.OCCImage.Load(); p != nil {
-		return *p
-	}
-	return r.Entry.CurrentData()
-}
-
 // CheckConsistency verifies the TPC-C consistency conditions the workload
 // can violate only through concurrency bugs:
 //
@@ -32,11 +24,11 @@ func (w *Workload) CheckConsistency() error {
 	var totalWDelta int64
 	for wid := int64(0); wid < int64(w.cfg.Warehouses); wid++ {
 		ws := w.Warehouse.Schema
-		wDelta := ws.GetInt64(img(w.Warehouse.Get(uint64(wid))), w.wc.YTD) - initialWYTD
+		wDelta := ws.GetInt64(w.Warehouse.Get(uint64(wid)).CommittedImage(), w.wc.YTD) - initialWYTD
 		var dDelta int64
 		for did := int64(0); did < distPerWarehouse; did++ {
 			ds := w.District.Schema
-			dDelta += ds.GetInt64(img(w.District.Get(districtKey(wid, did))), w.dc.YTD) - initialDYTD
+			dDelta += ds.GetInt64(w.District.Get(districtKey(wid, did)).CommittedImage(), w.dc.YTD) - initialDYTD
 		}
 		if wDelta != dDelta {
 			return fmt.Errorf("tpcc: warehouse %d ΔW_YTD=%d != ΣΔD_YTD=%d", wid, wDelta, dDelta)
@@ -47,7 +39,7 @@ func (w *Workload) CheckConsistency() error {
 	var histRows int64
 	hs := w.HistoryTbl.Schema
 	w.HistoryTbl.Range(func(_ uint64, r *storage.Row) bool {
-		histTotal += hs.GetInt64(img(r), w.hc.Amount)
+		histTotal += hs.GetInt64(r.CommittedImage(), w.hc.Amount)
 		histRows++
 		return true
 	})
@@ -61,7 +53,7 @@ func (w *Workload) CheckConsistency() error {
 	cs := w.Customer.Schema
 	var customers int64
 	w.Customer.Range(func(_ uint64, r *storage.Row) bool {
-		b := img(r)
+		b := r.CommittedImage()
 		cYTD += cs.GetInt64(b, w.cc.YTDPayment)
 		cBal += cs.GetInt64(b, w.cc.Balance)
 		customers++
@@ -78,14 +70,14 @@ func (w *Workload) CheckConsistency() error {
 	orderCount := map[uint64]int64{}
 	os := w.Orders.Schema
 	w.Orders.Range(func(_ uint64, r *storage.Row) bool {
-		b := img(r)
+		b := r.CommittedImage()
 		orderCount[districtKey(os.GetInt64(b, w.oc.WID), os.GetInt64(b, w.oc.DID))]++
 		return true
 	})
 	noCount := map[uint64]int64{}
 	ns := w.NewOrderTbl.Schema
 	w.NewOrderTbl.Range(func(_ uint64, r *storage.Row) bool {
-		b := img(r)
+		b := r.CommittedImage()
 		noCount[districtKey(ns.GetInt64(b, w.noc.WID), ns.GetInt64(b, w.noc.DID))]++
 		return true
 	})
@@ -93,7 +85,7 @@ func (w *Workload) CheckConsistency() error {
 		for did := int64(0); did < distPerWarehouse; did++ {
 			dk := districtKey(wid, did)
 			ds := w.District.Schema
-			next := ds.GetInt64(img(w.District.Get(dk)), w.dc.NextOID)
+			next := ds.GetInt64(w.District.Get(dk).CommittedImage(), w.dc.NextOID)
 			if got := orderCount[dk]; got != next-3001 {
 				return fmt.Errorf("tpcc: district %d/%d has %d orders, D_NEXT_O_ID implies %d",
 					wid, did, got, next-3001)
@@ -110,7 +102,7 @@ func (w *Workload) CheckConsistency() error {
 	ols := w.OrderLine.Schema
 	olCount := map[uint64]int64{}
 	w.OrderLine.Range(func(_ uint64, r *storage.Row) bool {
-		b := img(r)
+		b := r.CommittedImage()
 		olCount[orderKey(ols.GetInt64(b, w.olc.WID), ols.GetInt64(b, w.olc.DID), ols.GetInt64(b, w.olc.OID))]++
 		olQty += ols.GetInt64(b, w.olc.Quantity)
 		olRows++
@@ -118,7 +110,7 @@ func (w *Workload) CheckConsistency() error {
 	})
 	var checkErr error
 	w.Orders.Range(func(key uint64, r *storage.Row) bool {
-		b := img(r)
+		b := r.CommittedImage()
 		want := os.GetInt64(b, w.oc.OLCnt)
 		if got := olCount[key]; got != want {
 			checkErr = fmt.Errorf("tpcc: order %d has %d lines, want %d", key, got, want)
@@ -134,7 +126,7 @@ func (w *Workload) CheckConsistency() error {
 	var sYTD, sOrderCnt int64
 	ss := w.Stock.Schema
 	w.Stock.Range(func(_ uint64, r *storage.Row) bool {
-		b := img(r)
+		b := r.CommittedImage()
 		sYTD += ss.GetInt64(b, w.sc.YTD)
 		sOrderCnt += ss.GetInt64(b, w.sc.OrderCnt)
 		return true

@@ -99,10 +99,10 @@ func TestTPCCPartitionedMix(t *testing.T) {
 	if got := w.Warehouse.NumPartitions(); got != 4 {
 		t.Fatalf("warehouse table has %d partitions, want 4", got)
 	}
-	// The key→partition routing seam: warehouse wid ranges to partition
-	// wid·P/W, and the DB-level router agrees with the table's.
+	// The key→partition routing: warehouse wid ranges to partition
+	// wid·P/W.
 	for wid := uint64(0); wid < 4; wid++ {
-		if got := db.PartitionOf(w.Warehouse, wid); got != int(wid) {
+		if got := w.Warehouse.PartitionFor(wid); got != int(wid) {
 			t.Fatalf("warehouse %d routed to partition %d, want %d", wid, got, wid)
 		}
 	}

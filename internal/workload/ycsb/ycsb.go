@@ -247,12 +247,7 @@ func (w *Workload) Generator() core.Generator {
 func (w *Workload) TotalWrites() int64 {
 	var total int64
 	for k := 0; k < w.cfg.Rows; k++ {
-		row := w.tbl.Get(uint64(k))
-		img := row.Entry.CurrentData()
-		if p := row.OCCImage.Load(); p != nil {
-			img = *p
-		}
-		total += w.schema.GetInt64(img, w.stampCol)
+		total += w.schema.GetInt64(w.tbl.Get(uint64(k)).CommittedImage(), w.stampCol)
 	}
 	return total
 }
