@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"bamboo/internal/storage"
 )
 
 // CheckpointConfig enables the storage lifecycle: a background
@@ -22,8 +20,15 @@ import (
 // engines log through the same partition logs but their commit windows
 // do not take the gate, and they never write the Entry.Data a snapshot
 // reads, so occ.New and chop.New refuse a DB that enables checkpoints.
+//
+// A snapshot is a file of WAL frames holding wal.Records (snapshot.go),
+// so internal/wal alone decides what the bytes on disk mean. Recovery
+// rejects a snapshot that fails any check with wal.ErrCorrupt, the same
+// sentinel as a corrupt log, before applying any of its rows.
 type CheckpointConfig struct {
-	// Dir is where snapshot files live; non-empty enables checkpointing.
+	// Dir is where snapshot files live (ckpt-PPP-SEQ.ckpt, plus the
+	// .tmp a crash mid-write leaves for the next round to prune);
+	// non-empty enables checkpointing.
 	Dir string
 	// Interval is the per-partition time trigger (default 1s).
 	Interval time.Duration
@@ -78,7 +83,7 @@ type checkpointer struct {
 	mu      sync.Mutex // serializes rounds; guards everything below
 	lastSeq []uint64   // newest snapshot seq per partition (0 = none)
 	lastRun []time.Time
-	buf     []byte // snapshot build buffer, reused across rounds
+	snap    snapshotWriter
 	stats   CheckpointStats
 	lastErr error
 
@@ -108,8 +113,8 @@ func (c *checkpointer) start() {
 		// Resume from what is on disk: a restarted process must not
 		// re-snapshot sequences already covered, nor trust in-memory
 		// state it does not have.
-		if snaps, err := storage.ListSnapshots(c.db.cfg.Checkpoint.Dir, p); err == nil && len(snaps) > 0 {
-			c.lastSeq[p] = snaps[0].Seq
+		if snaps, _, err := listSnapshots(c.db.cfg.Checkpoint.Dir, p); err == nil && len(snaps) > 0 {
+			c.lastSeq[p] = snaps[0].seq
 		}
 		c.lastRun[p] = time.Now()
 	}
@@ -195,34 +200,27 @@ func (c *checkpointer) partitionRoundLocked(p int) error {
 		return nil
 	}
 	start := time.Now()
-	var err error
-	c.buf, err = storage.WriteSnapshot(cfg.Dir, c.db.Catalog, p, seq, c.buf)
-	if err != nil {
+	if err := c.snap.write(cfg.Dir, c.db.Catalog, p, seq); err != nil {
 		return fmt.Errorf("core: checkpoint partition %d: %w", p, err)
 	}
 	c.lastSeq[p] = seq
 	c.stats.Checkpoints++
-	if _, err := storage.PruneSnapshots(cfg.Dir, p, keepSnapshots); err != nil {
+	kept, err := pruneSnapshots(cfg.Dir, p, keepSnapshots)
+	if err != nil {
 		return fmt.Errorf("core: prune checkpoints partition %d: %w", p, err)
 	}
 	c.stats.Time += time.Since(start)
-	if cfg.Truncate {
-		snaps, err := storage.ListSnapshots(cfg.Dir, p)
+	if cfg.Truncate && len(kept) >= 2 {
+		// Cut below the second-newest snapshot: both retained recovery
+		// points keep their full log suffix, so a corrupt newest
+		// snapshot still recovers from the previous one.
+		dropped, err := c.db.PLog.TruncateBelow(p, kept[1].seq)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: truncate partition %d: %w", p, err)
 		}
-		if len(snaps) >= 2 {
-			// Cut below the second-newest snapshot: both retained
-			// recovery points keep their full log suffix, so a corrupt
-			// newest snapshot still recovers from the previous one.
-			dropped, err := c.db.PLog.TruncateBelow(p, snaps[1].Seq)
-			if err != nil {
-				return fmt.Errorf("core: truncate partition %d: %w", p, err)
-			}
-			if dropped > 0 {
-				c.stats.Truncations++
-				c.stats.TruncatedBytes += dropped
-			}
+		if dropped > 0 {
+			c.stats.Truncations++
+			c.stats.TruncatedBytes += dropped
 		}
 	}
 	return nil

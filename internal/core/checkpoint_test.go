@@ -143,16 +143,16 @@ func TestCheckpointCorruptNewestFallsBack(t *testing.T) {
 	cfg := lifecycleCfg(walDir, ckptDir, parts, true)
 	final := runXferLifecycle(t, cfg, 4, 30)
 
-	snaps, err := storage.ListSnapshots(ckptDir, 0)
+	snaps, err := core.Snapshots(ckptDir, 0)
 	if err != nil || len(snaps) < 2 {
 		t.Fatalf("want ≥2 retained snapshots for partition 0, have %v (%v)", snaps, err)
 	}
-	data, err := os.ReadFile(snaps[0].Path)
+	data, err := os.ReadFile(snaps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(snaps[0].Path, data, 0o644); err != nil {
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,6 +163,67 @@ func TestCheckpointCorruptNewestFallsBack(t *testing.T) {
 	}
 	if st.Checkpoints != parts {
 		t.Fatalf("restored %d checkpoints, want %d despite the corrupt newest", st.Checkpoints, parts)
+	}
+}
+
+// TestCheckpointMisnamedSnapshotRejected copies partition 1's newest
+// snapshot under a partition-0 name with a higher seq. Recovery tries it
+// first for partition 0 and must reject it before applying a row: its
+// rows belong to partition 1, whose own goroutine replays them at the
+// same time under a parallel ReplayDir.
+func TestCheckpointMisnamedSnapshotRejected(t *testing.T) {
+	const parts = 2
+	walDir := filepath.Join(t.TempDir(), "wal")
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	cfg := lifecycleCfg(walDir, ckptDir, parts, false)
+	final := runXferLifecycle(t, cfg, 2, 30)
+
+	snaps, err := core.Snapshots(ckptDir, 1)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot of partition 1: %v", err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(core.SnapshotPath(ckptDir, 0, 1<<40), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tbl, st := recoverLifecycle(t, cfg)
+	requireImages(t, tbl, final)
+	if st.CheckpointsBad != 1 || st.Checkpoints != parts {
+		t.Fatalf("stats %+v, want the misnamed snapshot rejected and %d restored", st, parts)
+	}
+}
+
+// TestCheckpointPrunesStaleTemp plants the temp file a kill in the middle
+// of a snapshot write leaves behind; the next round's pruning removes it.
+func TestCheckpointPrunesStaleTemp(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	cfg := lifecycleCfg(walDir, ckptDir, 1, false)
+	db := core.NewDB(cfg)
+	defer db.Close()
+	tbl := loadXfer(t, db)
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := core.SnapshotPath(ckptDir, 0, 3) + wal.TempSuffix
+	if err := os.WriteFile(stale, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res := core.RunN(core.NewLockEngine(db), 1, 5, xferGen(tbl, partitionKeys(tbl, 1))); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if err := db.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale temp file survived a checkpoint round: %v", err)
+	}
+	if snaps, err := core.Snapshots(ckptDir, 0); err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots after the round: %v (%v)", snaps, err)
 	}
 }
 

@@ -10,3 +10,17 @@ func SetPruneInterval(db *DB, d time.Duration) {
 	db.pruner.stop()
 	db.pruner = startPruner(db, d)
 }
+
+// SnapshotPath names partition p's checkpoint snapshot at seq in dir.
+var SnapshotPath = snapshotPath
+
+// Snapshots returns the paths of partition p's snapshots in dir, newest
+// first.
+func Snapshots(dir string, p int) ([]string, error) {
+	snaps, _, err := listSnapshots(dir, p)
+	paths := make([]string, len(snaps))
+	for i, sn := range snaps {
+		paths[i] = sn.path
+	}
+	return paths, err
+}

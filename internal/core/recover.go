@@ -130,7 +130,7 @@ func (db *DB) replayLog(dir, ckptDir string, p int) (ReplayStats, error) {
 	var st ReplayStats
 	// Checkpoint-aware start: restore the newest valid snapshot and
 	// replay only the log suffix past its LSN. A corrupt snapshot falls
-	// back to the next-older one (LoadSnapshot verifies the whole file
+	// back to the next-older one (loadSnapshot verifies the whole file
 	// before applying anything, so a rejected snapshot installs
 	// nothing); no usable snapshot at all falls back to a full replay —
 	// which the log can satisfy unless truncation already ran, in which
@@ -138,48 +138,29 @@ func (db *DB) replayLog(dir, ckptDir string, p int) (ReplayStats, error) {
 	// missing committed records.
 	fromSeq := uint64(0)
 	if ckptDir != "" {
-		snaps, err := storage.ListSnapshots(ckptDir, p)
+		snaps, _, err := listSnapshots(ckptDir, p)
 		if err != nil {
 			return st, err
 		}
 		for _, sn := range snaps {
-			sp, seq, rows, err := storage.LoadSnapshot(sn.Path, db.Catalog)
-			if err != nil {
-				if errors.Is(err, storage.ErrSnapshotCorrupt) {
-					st.CheckpointsBad++
-					continue
-				}
-				return st, err
-			}
-			if sp != p || seq != sn.Seq {
-				// The file's self-description disagrees with its name:
-				// treat exactly like a corrupt snapshot. (Rows may have
-				// been applied, but they are committed images of *some*
-				// partition state; the older snapshot plus a longer
-				// replay still converges via idempotent after-images.)
+			rows, err := loadSnapshot(db.Catalog, sn, p)
+			if errors.Is(err, wal.ErrCorrupt) {
 				st.CheckpointsBad++
 				continue
 			}
+			if err != nil {
+				return st, err
+			}
 			st.Checkpoints++
 			st.CheckpointRows += rows
-			fromSeq = seq
+			fromSeq = sn.seq
 			break
 		}
 	}
 	rst, err := wal.ReplayPartition(dir, p, fromSeq, func(rec *wal.Record) error {
 		st.Records++
-		for _, w := range rec.Writes {
-			tbl := db.Catalog.Table(w.Table)
-			if tbl == nil {
-				return fmt.Errorf("log references unknown table %q (txn %d)", w.Table, rec.TxnID)
-			}
-			pid := tbl.PartitionFor(w.Key)
-			if _, err := tbl.Partition(pid).ApplyRecord(tbl, w.Key, w.Image); err != nil {
-				return err
-			}
-			st.Writes++
-		}
-		return nil
+		st.Writes += len(rec.Writes)
+		return applyWrites(db.Catalog, rec.Writes)
 	})
 	if errors.Is(err, fs.ErrNotExist) {
 		// A partition that never logged; with a checkpoint restored the
@@ -194,6 +175,32 @@ func (db *DB) replayLog(dir, ckptDir string, p int) (ReplayStats, error) {
 		st.Torn++
 	}
 	return st, err
+}
+
+// applyWrites installs logged after-images — a commit record's or a
+// snapshot chunk's — each into the partition its key routes to, through
+// storage.Partition.ApplyRecord's idempotent insert-or-replace.
+func applyWrites(c *storage.Catalog, ws []wal.Write) error {
+	var tbl *storage.Table
+	for _, w := range ws {
+		if tbl = tableOf(c, tbl, w.Table); tbl == nil {
+			return fmt.Errorf("unknown table %q", w.Table)
+		}
+		if _, err := tbl.Partition(tbl.PartitionFor(w.Key)).ApplyRecord(tbl, w.Key, w.Image); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tableOf returns the table called name, reusing last when it is that
+// table: consecutive writes mostly share one, and every partition
+// replaying in parallel would otherwise take the catalog's lock per row.
+func tableOf(c *storage.Catalog, last *storage.Table, name string) *storage.Table {
+	if last != nil && last.Schema.Name == name {
+		return last
+	}
+	return c.Table(name)
 }
 
 // RecoveredTable is a convenience assertion for recovery tests and

@@ -259,13 +259,6 @@ func (t *Txn) Reset() {
 	t.state.Store(int32(StateRunning))
 }
 
-// ResetWithNewTS additionally clears the timestamp. Used by protocols or
-// tests that want fresh priorities per attempt.
-func (t *Txn) ResetWithNewTS() {
-	t.Reset()
-	t.ts.Store(TSUnassigned)
-}
-
 // TS returns the current priority timestamp (TSUnassigned if none).
 func (t *Txn) TS() uint64 { return t.ts.Load() }
 
@@ -314,7 +307,7 @@ func (t *Txn) State() State { return State(t.state.Load()) }
 //
 // SetAbort returns true only when this call performed the
 // Running→Aborting transition, which makes it usable for wound and
-// cascade counting; use WillAbort to test the resulting state.
+// cascade counting; use Aborting to test the resulting state.
 func (t *Txn) SetAbort(cause AbortCause) bool {
 	for {
 		s := State(t.state.Load())
@@ -332,10 +325,6 @@ func (t *Txn) SetAbort(cause AbortCause) bool {
 		}
 	}
 }
-
-// WillAbort reports whether the current attempt is doomed: an abort has
-// been requested or performed.
-func (t *Txn) WillAbort() bool { return t.Aborting() }
 
 // Aborting reports whether an abort has been requested or performed for
 // the current attempt. The lock-wait and commit-semaphore spin loops poll

@@ -39,7 +39,7 @@ func TestLifecycleWound(t *testing.T) {
 	if tx.BeginCommit() {
 		t.Fatal("commit after wound")
 	}
-	if !tx.Aborting() || !tx.WillAbort() {
+	if !tx.Aborting() {
 		t.Fatal("not aborting")
 	}
 	tx.FinishAbort()
@@ -77,10 +77,6 @@ func TestResetKeepsTimestamp(t *testing.T) {
 	}
 	if tx.Cause() != CauseNone {
 		t.Fatal("cause not cleared")
-	}
-	tx.ResetWithNewTS()
-	if tx.HasTS() {
-		t.Fatal("ResetWithNewTS kept timestamp")
 	}
 }
 

@@ -155,7 +155,7 @@ func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, segMax int64) (*
 		if err != nil {
 			return nil, fmt.Errorf("wal: create segment: %w", err)
 		}
-		if err := syncDir(dir); err != nil {
+		if err := SyncDir(dir); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -323,7 +323,7 @@ func (d *FileDevice) maybeRotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: rotate segment: %w", err)
 	}
-	if err := syncDir(d.dir); err != nil {
+	if err := SyncDir(d.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -379,7 +379,7 @@ func (d *FileDevice) TruncateBelow(seq uint64) (int64, error) {
 		d.segs = d.segs[1:]
 	}
 	if dropped > 0 {
-		if err := syncDir(d.dir); err != nil {
+		if err := SyncDir(d.dir); err != nil {
 			return dropped, err
 		}
 	}
@@ -415,17 +415,44 @@ func (d *FileDevice) Close() error {
 	return syncErr
 }
 
-// syncDir fsyncs a directory so renames, creations and unlinks inside it
+// TempSuffix ends the name of the file WriteFileAtomic writes before it
+// renames it into place; a crash mid-write can leave one behind.
+const TempSuffix = ".tmp"
+
+// WriteFileAtomic makes data the content of path so that a crash leaves
+// either the old state or the whole new file: data goes to
+// path+TempSuffix, which is fsynced and renamed over path, and then the
+// directory is fsynced.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + TempSuffix
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: create %s: %w", tmp, err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("wal: write %s: %w", path, err)
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs a directory so renames, creations and unlinks inside it
 // are durable.
-func syncDir(dir string) error {
+func SyncDir(dir string) error {
 	f, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	serr := f.Sync()
-	cerr := f.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	defer f.Close() // read-only handle: Sync's error is the one that counts
+	return f.Sync()
 }

@@ -14,12 +14,8 @@ type PartitionedLog struct {
 
 // NewPartitioned builds one log per device. With groupCommit set each
 // partition gets its own epoch-based flusher (see NewGroupCommit); Close
-// must then be called to stop them. A nil device becomes an in-memory
-// device exactly as in New.
+// must then be called to stop them.
 func NewPartitioned(devs []Device, groupCommit bool) *PartitionedLog {
-	if len(devs) == 0 {
-		devs = []Device{nil}
-	}
 	pl := &PartitionedLog{logs: make([]*Log, len(devs))}
 	for i, d := range devs {
 		if groupCommit {

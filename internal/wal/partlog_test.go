@@ -121,14 +121,3 @@ func TestTicketPerRecordLog(t *testing.T) {
 		t.Fatalf("wait: lsn=%d err=%v", lsn, err)
 	}
 }
-
-func TestNewPartitionedNilDevices(t *testing.T) {
-	pl := NewPartitioned(nil, false)
-	if pl.Partitions() != 1 {
-		t.Fatalf("partitions = %d", pl.Partitions())
-	}
-	if _, err := pl.Log(0).NewAppender().Commit(sample()); err != nil {
-		t.Fatal(err)
-	}
-	pl.Close()
-}

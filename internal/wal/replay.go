@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -59,12 +57,6 @@ func (st *ReplayStats) add(next ReplayStats) {
 	}
 }
 
-// MaxFrameBytes caps the frame length Replay accepts. A prefix above it
-// is length-prefix garbage (a flipped bit, not a plausible record):
-// treating it as a torn tail would silently discard every committed
-// record after the corruption — and allocate up to 4 GiB first.
-const MaxFrameBytes = 1 << 28 // 256 MiB
-
 // Replay streams framed records (the FileDevice framing, see frame.go)
 // from r, invoking fn on each in log order. Equivalent to
 // ReplayFrom(r, 1, 0, fn): frames are numbered from 1 and none are
@@ -82,78 +74,49 @@ func Replay(r io.Reader, fn func(*Record) error) (ReplayStats, error) {
 // A truncated frame at the tail is tolerated — it is what a crash
 // mid-append leaves — and reported through ReplayStats.Torn. Everything
 // else that is malformed is real corruption and fails the replay with
-// ErrCorrupt: a header whose length words disagree, a frame length past
-// MaxFrameBytes, a payload CRC mismatch, or a complete frame whose
-// record decodes short. The single-Write append discipline guarantees a
-// process crash only ever leaves a prefix, so "short at the tail" is the
-// one shape a crash can explain; the checksums make every in-place flip
-// detectable rather than a silent misparse or silent truncation.
+// ErrCorrupt: a frame scanFrames rejects (length words that disagree, a
+// length past MaxFrameBytes, a payload CRC mismatch), or a complete
+// frame whose record decodes short. The single-Write append discipline
+// guarantees a process crash only ever leaves a prefix, so "short at the
+// tail" is the one shape a crash can explain; the checksums make every
+// in-place flip detectable rather than a silent misparse or silent
+// truncation.
 func ReplayFrom(r io.Reader, firstSeq, fromSeq uint64, fn func(*Record) error) (ReplayStats, error) {
 	var st ReplayStats
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [frameHeaderSize]byte
 	seq := firstSeq - 1 // sequence of the previously read frame
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return st, nil // clean end on a frame boundary
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				st.Torn = true // torn inside the header
-				return st, nil
-			}
-			return st, err
-		}
-		frameLen, wantCRC, ok := parseFrameHeader(hdr[:])
-		if !ok {
-			return st, fmt.Errorf("wal: replay at offset %d (seq %d): %w: frame length %#x contradicts its complement",
-				st.Offset, seq+1, ErrCorrupt, frameLen)
-		}
-		if frameLen > MaxFrameBytes {
-			return st, fmt.Errorf("wal: replay at offset %d (seq %d): %w: frame length %d overflows the %d cap",
-				st.Offset, seq+1, ErrCorrupt, frameLen, MaxFrameBytes)
-		}
-		buf := make([]byte, frameLen)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				st.Torn = true // torn inside the frame body
-				return st, nil
-			}
-			return st, err
-		}
-		if crc32.Checksum(buf, castagnoli) != wantCRC {
-			return st, fmt.Errorf("wal: replay at offset %d (seq %d): %w: payload CRC mismatch",
-				st.Offset, seq+1, ErrCorrupt)
-		}
+	torn, err := scanFrames(r, func(off int64, payload []byte) error {
 		seq++
 		st.LastSeq = seq
-		st.Offset += frameSize(len(buf))
+		st.Offset = off + frameSize(len(payload))
 		if seq <= fromSeq {
 			st.Skipped++
-			continue
+			return nil
 		}
 		// The frame arrived whole and CRC-clean, so a decode failure here
 		// — torn-shaped or not — is corruption (a writer bug), not a
 		// crash artifact. Re-type Decode's truncation errors accordingly
 		// so errors.Is(err, ErrTornRecord) never holds for mid-log
 		// damage.
-		rec, err := Decode(buf)
+		rec, err := Decode(payload)
 		if err != nil {
 			if errors.Is(err, ErrTornRecord) {
-				return st, fmt.Errorf("wal: replay at seq %d: %w: complete frame decodes short (%v)",
+				return fmt.Errorf("wal: replay at seq %d: %w: complete frame decodes short (%v)",
 					seq, ErrCorrupt, err)
 			}
-			return st, fmt.Errorf("wal: replay at seq %d: %w", seq, err)
+			return fmt.Errorf("wal: replay at seq %d: %w", seq, err)
 		}
 		if err := fn(rec); err != nil {
-			return st, err
+			return err
 		}
 		st.Records++
 		if st.FirstApplied == 0 {
 			st.FirstApplied = seq
 		}
-		st.Bytes += frameSize(len(buf))
-	}
+		st.Bytes += frameSize(len(payload))
+		return nil
+	})
+	st.Torn = torn
+	return st, err
 }
 
 // ReplayPartition replays partition p's segment chain in dir, invoking fn

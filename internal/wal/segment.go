@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -75,35 +74,15 @@ func ListSegments(dir string, p int) ([]SegmentInfo, error) {
 // rot. Used by segmented-device open (torn-tail repair), crash-test
 // tooling and corruption-injection tests.
 func FrameBounds(path string) ([][2]int64, bool, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, err
 	}
+	defer f.Close()
 	var bounds [][2]int64
-	off := int64(0)
-	n := int64(len(data))
-	for off < n {
-		if n-off < frameHeaderSize {
-			return bounds, true, nil // torn inside the header
-		}
-		length, wantCRC, ok := parseFrameHeader(data[off:])
-		if !ok {
-			return bounds, false, fmt.Errorf("wal: frame at offset %d: %w: length %#x contradicts its complement",
-				off, ErrCorrupt, length)
-		}
-		if length > MaxFrameBytes {
-			return bounds, false, fmt.Errorf("wal: frame at offset %d: %w: length %d overflows the %d cap",
-				off, ErrCorrupt, length, MaxFrameBytes)
-		}
-		end := off + frameSize(int(length))
-		if end > n {
-			return bounds, true, nil // torn inside the payload
-		}
-		if crc32.Checksum(data[off+frameHeaderSize:end], castagnoli) != wantCRC {
-			return bounds, false, fmt.Errorf("wal: frame at offset %d: %w: payload CRC mismatch", off, ErrCorrupt)
-		}
-		bounds = append(bounds, [2]int64{off, end})
-		off = end
-	}
-	return bounds, false, nil
+	torn, err := scanFrames(f, func(off int64, payload []byte) error {
+		bounds = append(bounds, [2]int64{off, off + frameSize(len(payload))})
+		return nil
+	})
+	return bounds, torn, err
 }

@@ -21,6 +21,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -98,23 +99,14 @@ type Log struct {
 	gc  *groupCommitter // nil = per-record commits
 }
 
-// New returns a per-record log over the given device; a nil device means
-// an in-memory device with recording enabled.
-func New(dev Device) *Log {
-	if dev == nil {
-		dev = NewMemDevice(true)
-	}
-	return &Log{dev: dev}
-}
+// New returns a per-record log over the given device.
+func New(dev Device) *Log { return &Log{dev: dev} }
 
 // NewGroupCommit returns a log whose commits are batched by a background
 // flusher: an epoch closes once the flusher has seen pending records and
 // yielded the processor once, and records arriving while a flush is in
 // progress form the next batch. Close must be called to stop the flusher.
 func NewGroupCommit(dev Device) *Log {
-	if dev == nil {
-		dev = NewMemDevice(true)
-	}
 	l := &Log{dev: dev, gc: newGroupCommitter(dev)}
 	go l.gc.loop()
 	return l
@@ -386,6 +378,8 @@ func Decode(buf []byte) (*Record, error) {
 	if nw > MaxRecordWrites {
 		return nil, fmt.Errorf("%w: write count %d overflows the %d cap", ErrCorrupt, nw, MaxRecordWrites)
 	}
+	own := bytes.Clone(buf) // one copy for every image, not one per write
+	var table string        // the previous write's, reused while it repeats
 	off := uint64(12)
 	for i := uint32(0); i < nw; i++ {
 		if 2 > n-off {
@@ -396,7 +390,9 @@ func Decode(buf []byte) (*Record, error) {
 		if tl > n-off || 12 > n-off-tl {
 			return nil, fmt.Errorf("%w: write %d of %d truncated", ErrTornRecord, i, nw)
 		}
-		table := string(buf[off : off+tl])
+		if string(buf[off:off+tl]) != table {
+			table = string(buf[off : off+tl])
+		}
 		off += tl
 		key := binary.LittleEndian.Uint64(buf[off:])
 		off += 8
@@ -407,8 +403,7 @@ func Decode(buf []byte) (*Record, error) {
 		}
 		var img []byte
 		if il > 0 {
-			img = make([]byte, il)
-			copy(img, buf[off:off+il])
+			img = own[off : off+il : off+il]
 		}
 		off += il
 		rec.Writes = append(rec.Writes, Write{Table: table, Key: key, Image: img})

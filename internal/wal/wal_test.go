@@ -93,12 +93,6 @@ func TestMemDevice(t *testing.T) {
 	}
 }
 
-func TestNilDeviceDefaults(t *testing.T) {
-	if _, err := New(nil).NewAppender().Commit(sample()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAppenderReusesBuffer(t *testing.T) {
 	dev := NewMemDevice(true)
 	l := New(dev)
