@@ -30,8 +30,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -270,13 +268,10 @@ func conflict(a, b *access) bool {
 	return a.mask&b.mask != 0 && (a.write || b.write)
 }
 
-// errTimeout triggers a defensive retry when a piece waits implausibly
-// long (a liveness valve; chopping guarantees should prevent it).
-var errTimeout = errors.New("chop: piece wait timeout")
-
 // waitTimeout is how long a piece may wait for conflicting pieces or
-// dependencies before it aborts and retries; commitWait allows ten times
-// as long.
+// dependencies before it aborts and retries — a liveness valve the
+// chopping guarantees should never need; commitWait allows ten times as
+// long.
 const waitTimeout = 50 * time.Millisecond
 
 // name is the protocol display name, the paper's legend.
@@ -317,13 +312,21 @@ func prepareRow(r *storage.Row) {
 	}
 }
 
-// session executes chopped transactions for one worker.
+// session executes chopped transactions for one worker. It implements
+// core.Attempt: Run resolves the Call and hands execute to the attempt
+// loop as the body.
 type session struct {
 	e      *Engine
 	worker int
 	col    *stats.Collector
-	rng    *rand.Rand
 	log    core.CommitLog
+	body   core.TxnFunc // execute, bound once
+
+	// The running transaction: its template and environment, and the
+	// state of its current attempt.
+	tmpl *Template
+	env  any
+	tx   *Tx
 }
 
 // NewSession implements core.Engine. The first call prepares every row
@@ -338,9 +341,9 @@ func (e *Engine) NewSession(worker int, col *stats.Collector) core.Session {
 		}
 	})
 	col.AttachLive(e.db.LiveStats())
-	return &session{e: e, worker: worker, col: col,
-		rng: rand.New(rand.NewSource(int64(worker)*6553 + 17)),
-		log: e.db.NewCommitLog()}
+	s := &session{e: e, worker: worker, col: col, log: e.db.NewCommitLog()}
+	s.body = s.execute
+	return s
 }
 
 // Call writes a chopped transaction as a core.TxnFunc: run by an IC3
@@ -390,30 +393,13 @@ func (s *session) Run(fn core.TxnFunc) error {
 	case !c.tmpl.analyzed:
 		return fmt.Errorf("chop: template %q is not analyzed (Registry.Analyze)", c.tmpl.Name)
 	}
-	return s.run(c.tmpl, c.env)
+	s.tmpl, s.env = c.tmpl, c.env
+	return core.RunAttempts(s.e.db, s.col, s, s.body)
 }
 
-// retryBackoff sleeps a jittered, attempt-scaled amount before retrying
-// an aborted transaction. Retrying immediately can livelock on few-core
-// hosts: two transactions that cascade-abort (or timeout) each other
-// restart in lockstep and re-create the same conflict forever — the
-// jitter breaks the symmetry, and the escalation yields the CPU to
-// whichever transaction can actually finish. The cap is the lock
-// engine's abort-only backoff, core.DefaultAbortBackoff (DBx1000's
-// ABORT_PENALTY): for IC3 the jitter is a liveness requirement, not a
-// tuning option.
-func (s *session) retryBackoff(attempt int) {
-	runtime.Gosched()
-	scale := attempt
-	if scale > 8 {
-		scale = 8
-	}
-	if d := core.DefaultAbortBackoff / 8 * time.Duration(scale); d > 0 {
-		time.Sleep(time.Duration(s.rng.Int63n(int64(d))))
-	}
-}
-
-// Tx is the running transaction state shared by its pieces.
+// Tx is the running transaction state shared by its pieces: one attempt.
+// Other transactions keep references to it (dependencies, accesses), so
+// every attempt gets a fresh one.
 type Tx struct {
 	e        *Engine
 	t        *txn.Txn
@@ -423,18 +409,15 @@ type Tx struct {
 	workerID int
 	deps     map[*Tx]struct{}
 	accs     []*access
-	inserts  []insertOp
+	inserts  []core.Insert
 	// progress is the number of pieces completed, read by dependents
 	// enforcing piece order.
 	progress atomic.Int32
-	// timing
+	// waited is the attempt's lock wait: time spent behind conflicting
+	// pieces and dependencies' progress.
 	waited time.Duration
-}
-
-type insertOp struct {
-	tbl *storage.Table
-	key uint64
-	img []byte
+	// pt is the PieceTx the pieces run against, its piece set per piece.
+	pt PieceTx
 }
 
 // PieceTx is the access interface a piece body sees.
@@ -480,7 +463,7 @@ func (pt *PieceTx) Update(row *storage.Row, mutate func(img []byte)) error {
 
 // Insert buffers an insert applied at commit.
 func (pt *PieceTx) Insert(tbl *storage.Table, key uint64, img []byte) error {
-	pt.tx.inserts = append(pt.tx.inserts, insertOp{tbl, key, img})
+	pt.tx.inserts = append(pt.tx.inserts, core.Insert{Table: tbl, Key: key, Image: img})
 	return nil
 }
 
@@ -572,7 +555,7 @@ func (tx *Tx) waitConflicts(rs *rowState, conflicts func(*access) bool) error {
 	for {
 		if tx.t.Aborting() {
 			rs.unlock()
-			return lock.ErrAborting
+			return tx.abort()
 		}
 		var blocker *access
 		for _, a := range rs.accs {
@@ -592,14 +575,14 @@ func (tx *Tx) waitConflicts(rs *rowState, conflicts func(*access) bool) error {
 		for ; ; spin++ {
 			if tx.t.Aborting() {
 				tx.waited += time.Since(waitStart)
-				return lock.ErrAborting
+				return tx.abort()
 			}
 			if blockerResolved(rs, blocker) {
 				break
 			}
 			if time.Now().After(deadline) {
 				tx.waited += time.Since(waitStart)
-				return errTimeout
+				return tx.abort()
 			}
 			lock.Backoff(spin)
 		}
@@ -717,85 +700,68 @@ func (tx *Tx) detach() {
 	}
 }
 
-// run executes one logical chopped transaction, retrying protocol aborts
-// with a jittered backoff between attempts.
-func (s *session) run(t *Template, env any) error {
-	id := s.e.db.NextTxnID()
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			s.retryBackoff(attempt)
-		}
-		tt := txn.New(id)
-		tx := &Tx{e: s.e, t: tt, tmpl: t, env: env, col: s.col, workerID: s.worker}
-		start := time.Now()
-		err := s.execute(tx, t)
-		exec := time.Since(start) - tx.waited
-
-		switch {
-		case err == nil && !tt.Aborting():
-			commitWait, ok := s.commitWait(tx)
-			if ok && tt.BeginCommit() {
-				// An error return must leave nothing of the attempt in the
-				// access lists, or every transaction ordered behind it
-				// times out and retries without end: a failed append rolls
-				// back (a record that reached one partition log of several
-				// stays there, as core.CommitLog describes); a failed
-				// insert follows a durable record and detaches as
-				// committed.
-				for _, a := range tx.accs {
-					if a.write {
-						s.log.Update(a.row, a.local)
-					}
-				}
-				for _, ins := range tx.inserts {
-					s.log.Insert(ins.tbl, ins.key, ins.img)
-				}
-				if _, err := s.log.Commit(id); err != nil {
-					tx.rollback()
-					return err
-				}
-				for _, ins := range tx.inserts {
-					row, err := ins.tbl.InsertRow(ins.key, ins.img)
-					if err != nil {
-						tx.detach()
-						tt.FinishCommit()
-						return fmt.Errorf("chop: insert: %w", err)
-					}
-					img := ins.img
-					prepareRow(row)
-					row.OCCImage.Store(&img)
-				}
-				if h := s.e.db.OnCommit(); h != nil {
-					h(s.worker, id, 0, tx.accessInfo(), len(tx.inserts))
-				}
-				tx.detach()
-				tt.FinishCommit()
-				s.col.RecordCommit(exec, tx.waited, commitWait)
-				return nil
-			}
-			tx.rollback()
-			s.col.RecordAbort(tt.Cause(), exec, tx.waited, commitWait)
-		case errors.Is(err, core.ErrUserAbort):
-			tt.SetCause(txn.CauseUser)
-			tx.rollback()
-			s.col.RecordAbort(txn.CauseUser, exec, tx.waited, 0)
-			return nil
-		case err == nil || errors.Is(err, lock.ErrAborting) || errors.Is(err, errTimeout):
-			cause := tt.Cause()
-			if cause == txn.CauseNone {
-				cause = txn.CauseValidation
-			}
-			tx.rollback()
-			s.col.RecordAbort(cause, exec, tx.waited, 0)
-		default:
-			tx.rollback()
-			return err
-		}
-	}
+// Begin implements core.Attempt.
+func (s *session) Begin(id uint64, _ int) core.Tx {
+	s.tx = &Tx{e: s.e, t: txn.New(id), tmpl: s.tmpl, env: s.env, col: s.col, workerID: s.worker}
+	s.tx.pt.tx = s.tx
+	return &s.tx.pt
 }
 
-func (s *session) execute(tx *Tx, t *Template) error {
-	for _, p := range t.Pieces {
+// LockWait implements core.Attempt.
+func (s *session) LockWait() time.Duration { return s.tx.waited }
+
+// Rollback implements core.Attempt.
+func (s *session) Rollback() { s.tx.rollback() }
+
+// abort is the attempt's core.Abort: the cause a cascade recorded on the
+// transaction, else a self-abort (CauseDie) for a wait that outlived
+// waitTimeout.
+func (tx *Tx) abort() error {
+	if c := tx.t.Cause(); c != txn.CauseNone {
+		return core.Abort(c)
+	}
+	return core.Abort(txn.CauseDie)
+}
+
+// Commit implements core.Attempt: drain the dependencies, then log and
+// apply. A fatal return leaves nothing of the attempt in the access
+// lists, or every transaction ordered behind it times out and retries
+// without end: a failed append rolls back (a record that reached one
+// partition log of several stays there, as core.CommitLog describes); a
+// failed insert follows a durable record and detaches as committed.
+func (s *session) Commit(time.Duration) (time.Duration, error) {
+	tx := s.tx
+	commitWait, ok := s.commitWait(tx)
+	if !ok || !tx.t.BeginCommit() {
+		return commitWait, tx.abort()
+	}
+	for _, a := range tx.accs {
+		if a.write {
+			s.log.Update(a.row, a.local)
+		}
+	}
+	for _, ins := range tx.inserts {
+		s.log.Insert(ins)
+	}
+	if _, err := s.log.Commit(tx.t.ID); err != nil {
+		tx.rollback()
+		return commitWait, err
+	}
+	err := core.ApplyInserts(tx.inserts, 0, prepareRow)
+	if h := s.e.db.OnCommit(); h != nil && err == nil {
+		h(s.worker, tx.t.ID, 0, tx.accessInfo(), len(tx.inserts))
+	}
+	tx.detach()
+	tx.t.FinishCommit()
+	return commitWait, err
+}
+
+// execute is the body of every IC3 attempt: the template's pieces, in
+// order, against the attempt's PieceTx.
+func (s *session) execute(ctx core.Tx) error {
+	pt := ctx.(*PieceTx)
+	tx := pt.tx
+	for _, p := range tx.tmpl.Pieces {
 		// IC3's piece-order enforcement: inherit the dependency order
 		// established by earlier conflicts. Every transaction we depend
 		// on must have finished its pieces that conflict with p before p
@@ -804,14 +770,14 @@ func (s *session) execute(tx *Tx, t *Template) error {
 			return err
 		}
 		from := len(tx.accs)
-		pt := &PieceTx{tx: tx, piece: p}
+		pt.piece = p
 		if err := p.Body(pt); err != nil {
 			return err
 		}
 		tx.finishPiece(from)
 		tx.progress.Add(1)
 		if tx.t.Aborting() {
-			return lock.ErrAborting
+			return tx.abort()
 		}
 	}
 	return nil
@@ -844,11 +810,11 @@ func (tx *Tx) enforcePieceOrder(p *Piece) error {
 			}
 			if tx.t.Aborting() {
 				tx.waited += time.Since(waitStart)
-				return lock.ErrAborting
+				return tx.abort()
 			}
 			if time.Now().After(deadline) {
 				tx.waited += time.Since(waitStart)
-				return errTimeout
+				return tx.abort()
 			}
 			lock.Backoff(spin)
 		}
@@ -881,7 +847,7 @@ func (s *session) commitWait(tx *Tx) (time.Duration, bool) {
 				return time.Since(start), false
 			default:
 				if time.Now().After(deadline) {
-					tx.t.SetAbort(txn.CauseValidation)
+					tx.t.SetAbort(txn.CauseDie)
 					return time.Since(start), false
 				}
 				lock.Backoff(i)

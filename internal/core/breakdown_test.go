@@ -7,46 +7,55 @@ import (
 	"bamboo/internal/core"
 )
 
-// TestLockWaitIsBlockedTime pins what the runtime breakdown's lock-wait
-// share means: the time requests spent blocked, and nothing else. A worker
-// that never meets another reports exactly zero, however many locks it
-// takes — the CPU an acquire costs is execution time; a transaction queued
-// behind a lock holder reports about the time the holder kept it waiting,
-// and that time is not in its execution time.
+// TestLockWaitIsBlockedTime pins what the runtime breakdown's wait
+// shares mean: the time an attempt spent waiting for other transactions,
+// and nothing else. A worker that never meets another reports exactly
+// zero lock wait and zero commit wait on every engine, however many rows
+// it touches — the CPU an acquire or a validation costs is the attempt's
+// own work; a transaction queued behind a lock holder reports about the
+// time the holder kept it waiting, and that time is not in its execution
+// time.
 func TestLockWaitIsBlockedTime(t *testing.T) {
+	// Uncontended: 200 transactions of 16 accesses, reads and writes.
+	for _, c := range engineCases() {
+		db := core.NewDB(c.cfg)
+		tbl := testTable(db, 64)
+		bump := func(img []byte) { tbl.Schema.AddInt64(img, 0, 1) }
+		solo := newCollector()
+		sess := c.engine(t, db).NewSession(0, solo)
+		for n := 0; n < 200; n++ {
+			err := sess.Run(c.txn(func(tx core.Tx) error {
+				for i := 0; i < 16; i++ {
+					row := tbl.Get(uint64((n + i) % 64))
+					if i%2 == 0 {
+						if _, err := tx.Read(row); err != nil {
+							return err
+						}
+					} else if err := tx.Update(row, bump); err != nil {
+						return err
+					}
+				}
+				return nil
+			}))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		if solo.Commits != 200 || solo.LockWait != 0 || solo.CommitWait != 0 {
+			t.Errorf("%s uncontended: %d commits report %v of lock wait and %v of commit wait, want 200 and exactly 0 and 0",
+				c.name, solo.Commits, solo.LockWait, solo.CommitWait)
+		}
+		if solo.UsefulTime <= 0 {
+			t.Errorf("%s uncontended: no execution time recorded", c.name)
+		}
+		db.Close()
+	}
+
 	db := core.NewDB(core.WoundWait())
 	defer db.Close()
 	tbl := testTable(db, 64)
 	eng := core.NewLockEngine(db)
 	bump := func(img []byte) { tbl.Schema.AddInt64(img, 0, 1) }
-
-	// Uncontended: 200 transactions of 16 locks, shared and exclusive.
-	solo := newCollector()
-	sess := eng.NewSession(0, solo)
-	for n := 0; n < 200; n++ {
-		err := sess.Run(func(tx core.Tx) error {
-			for i := 0; i < 16; i++ {
-				row := tbl.Get(uint64((n + i) % 64))
-				if i%2 == 0 {
-					if _, err := tx.Read(row); err != nil {
-						return err
-					}
-				} else if err := tx.Update(row, bump); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if solo.Commits != 200 || solo.LockWait != 0 {
-		t.Fatalf("uncontended: %d commits report %v of lock wait, want 200 and exactly 0", solo.Commits, solo.LockWait)
-	}
-	if solo.UsefulTime <= 0 {
-		t.Fatal("uncontended: no execution time recorded")
-	}
 
 	// Queued: the holder takes the row's exclusive lock and keeps it for
 	// `hold`; the waiter — younger, so under Wound-Wait it queues — asks

@@ -45,10 +45,36 @@ func (l *CommitLog) Update(row *storage.Row, img []byte) {
 	l.add(row.PartitionID, wal.Write{Table: row.Table.Schema.Name, Key: row.Key, Image: img})
 }
 
-// Insert adds the insert of key into tbl, with image img, to the pending
-// commit.
-func (l *CommitLog) Insert(tbl *storage.Table, key uint64, img []byte) {
-	l.add(tbl.PartitionFor(key), wal.Write{Table: tbl.Schema.Name, Key: key, Image: img})
+// Insert is a row insert an attempt buffers until it commits:
+// CommitLog.Insert logs it with the commit record, and ApplyInserts
+// applies it once the record is durable.
+type Insert struct {
+	Table *storage.Table
+	Key   uint64
+	Image []byte
+}
+
+// Insert adds ins to the pending commit.
+func (l *CommitLog) Insert(ins Insert) {
+	l.add(ins.Table.PartitionFor(ins.Key), wal.Write{Table: ins.Table.Schema.Name, Key: ins.Key, Image: ins.Image})
+}
+
+// ApplyInserts applies the inserts of a commit whose record is durable,
+// seeding versioned rows at commit timestamp ts, and hands each new row
+// to each (if non-nil). A failure — a duplicate key — is fatal in every
+// engine: the record is durable, so the attempt can neither retry nor
+// roll back, and its caller releases it as committed.
+func ApplyInserts(ins []Insert, ts uint64, each func(*storage.Row)) error {
+	for _, in := range ins {
+		row, err := in.Table.InsertRowAt(in.Key, in.Image, ts)
+		if err != nil {
+			return fatalf("apply insert: %w", err)
+		}
+		if each != nil {
+			each(row)
+		}
+	}
+	return nil
 }
 
 // add appends w to partition pid's pending record, listing the partition

@@ -122,14 +122,13 @@ type Config struct {
 	MetricsAddr string
 }
 
-// DefaultAbortBackoff bounds the jittered retry backoff after an abort
-// (DBx1000's ABORT_PENALTY) of the executors that cannot do without one:
-// No-Wait and Wait-Die, whose only answer to a conflict is to abort
-// (lockSession.backoff), and the IC3/chop executor (its session's
-// retryBackoff). One that retries at once spins on the conflict it just
-// lost, and on more than one core the holder it is waiting out may never
-// get to finish. Bamboo and Wound-Wait, whose requesters wait in the lock
-// table, retry without backoff.
+// DefaultAbortBackoff bounds the jittered sleep (DBx1000's ABORT_PENALTY)
+// with which the attempt loop's backoff delays the retry of a self-abort
+// (txn.CauseDie: No-Wait, Wait-Die, a Bamboo commit's self-revert, an IC3
+// wait past its timeout) and of an IC3 cascade. One that retries at once
+// spins on the conflict it just lost, and on more than one core the
+// holder it is waiting out may never get to finish. Wounds, lock-engine
+// cascades and Silo validation failures retry at once.
 const DefaultAbortBackoff = 200 * time.Microsecond
 
 // Bamboo returns the paper's full configuration: all four optimizations

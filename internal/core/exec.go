@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"time"
 
 	"bamboo/internal/lock"
@@ -11,9 +10,10 @@ import (
 	"bamboo/internal/txn"
 )
 
-// now is the executor's clock: monotonic time since clockEpoch. Run reads
-// it twice per attempt and semWait only once a commit actually waits; no
-// per-operation path reads it. A variable so tests can count the reads.
+// now is the executor's clock: monotonic time since clockEpoch.
+// RunAttempts reads it twice per attempt and semWait only once a commit
+// actually waits; no per-operation path reads it. A variable so tests can
+// count the reads.
 var now = func() time.Duration { return time.Since(clockEpoch) }
 
 // clockEpoch anchors now; only differences are used.
@@ -42,7 +42,6 @@ func (e *LockEngine) NewSession(worker int, col *stats.Collector) Session {
 		db:     e.db,
 		worker: worker,
 		col:    col,
-		rng:    rand.New(rand.NewSource(int64(worker)*7919 + 1)),
 		t:      txn.New(0),
 		log:    e.db.NewCommitLog(),
 	}
@@ -62,9 +61,8 @@ type lockSession struct {
 	db     *DB
 	worker int
 	col    *stats.Collector
-	rng    *rand.Rand
 
-	// Reused across logical transactions (see Run).
+	// Reused across logical transactions (see Begin).
 	pool  lock.Pool
 	t     *txn.Txn
 	tx    lockTx
@@ -119,7 +117,7 @@ type lockTx struct {
 
 	accesses []access
 	byRow    map[*storage.Row]int
-	inserts  []insertOp
+	inserts  []Insert
 
 	declaredOps int
 	opIndex     int
@@ -138,12 +136,6 @@ type lockTx struct {
 	// (recycleReq) and flushed to the collector at attempt end.
 	imgCopies uint64
 	imgReuses uint64
-}
-
-type insertOp struct {
-	tbl *storage.Table
-	key uint64
-	img []byte
 }
 
 // reset prepares the lockTx for the next attempt, keeping the backing
@@ -205,13 +197,6 @@ func (tx *lockTx) MarkReadOnly() bool {
 	return true
 }
 
-// errSnapshotFallback restarts a snapshot attempt on the locking path: a
-// write inside a transaction marked read-only, or a read of a row with no
-// version visible at the snapshot (e.g. inserted after it). The restart
-// is internal — not an abort, not retried via backoff — and the retry
-// refuses snapshot mode (roFallback).
-var errSnapshotFallback = errors.New("core: snapshot attempt falls back to locking path")
-
 // endSnapshot retires the attempt's snapshot, if any.
 func (tx *lockTx) endSnapshot() {
 	if tx.snap != 0 {
@@ -236,9 +221,23 @@ func (tx *lockTx) acquire(row *storage.Row, mode lock.Mode) (*lock.Request, erro
 	if err != nil {
 		tx.db.Global.RecordPartConflict(row.PartitionID)
 		tx.recycleReq(req)
-		return nil, err
+		return nil, tx.abort(err)
 	}
 	return req, nil
+}
+
+// abort is the attempt's Abort for a refusal by the lock manager: the
+// cause a wound or cascade recorded on the transaction, else the one the
+// refusal names.
+func (tx *lockTx) abort(err error) error {
+	switch {
+	case tx.t.Cause() != txn.CauseNone:
+		return Abort(tx.t.Cause())
+	case errors.Is(err, lock.ErrDie), errors.Is(err, lock.ErrNoWait):
+		return Abort(txn.CauseDie)
+	default:
+		return Abort(txn.CauseWound)
+	}
 }
 
 // recycleReq harvests the request's image-copy telemetry and returns it
@@ -325,7 +324,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 		tx.lockWait += req.TakeWait()
 		if err != nil {
 			tx.db.Global.RecordPartConflict(row.PartitionID)
-			return err
+			return tx.abort(err)
 		}
 		tx.accesses[i].mode = lock.EX
 		tx.s.col.Add(stats.Upgrades, 1)
@@ -402,14 +401,18 @@ func (tx *lockTx) Insert(tbl *storage.Table, key uint64, img []byte) error {
 	if tx.snap != 0 {
 		return errSnapshotFallback
 	}
-	tx.inserts = append(tx.inserts, insertOp{tbl: tbl, key: key, img: img})
+	tx.inserts = append(tx.inserts, Insert{tbl, key, img})
 	return nil
 }
 
 // rollback releases every lock with is_abort, recycles the requests and
-// drops buffered inserts.
+// drops buffered inserts. A snapshot attempt rolls back only to fall
+// back, so the retry takes the locking path.
 func (tx *lockTx) rollback() {
-	tx.endSnapshot()
+	if tx.snap != 0 {
+		tx.roFallback = true
+		tx.endSnapshot()
+	}
 	for i := range tx.accesses {
 		tx.db.Lock.Release(tx.accesses[i].req, true)
 		tx.recycleReq(tx.accesses[i].req)
@@ -465,148 +468,116 @@ type OnCommitHook func(worker int, txnID, ts uint64, accesses []AccessInfo, inse
 // (Silo, IC3) call it at their own commit points.
 func (db *DB) OnCommit() OnCommitHook { return db.cfg.OnCommit }
 
-// Run implements Session: the transaction lifecycle of Algorithm 1.
+// Run implements Session: the transaction lifecycle of Algorithm 1, one
+// attempt at a time through RunAttempts.
 //
 // The session's Txn, lockTx, lock requests and WAL buffers are recycled
 // from one logical transaction to the next; this is safe because by the
 // time Run returns every request has been released, and after release no
 // other goroutine can reach the transaction (the lock.Pool quiescence
 // rule).
-func (s *lockSession) Run(fn TxnFunc) error {
-	t := s.t
-	t.Renew(s.db.NextTxnID())
-	cfg := &s.db.cfg
-	tx := &s.tx
-	tx.roFallback = false
-	for {
-		if !cfg.DynamicTS && !t.HasTS() {
-			s.db.Lock.AssignTS(t)
-		}
-		tx.reset()
-		attemptStart := now()
+func (s *lockSession) Run(fn TxnFunc) error { return RunAttempts(s.db, s.col, s, fn) }
 
-		err := fn(tx)
-
-		// Two clock reads per attempt, however many operations fn made:
-		// the time blocked on locks comes back from the lock manager, and
-		// everything else the body did — acquire and release CPU included
-		// — is execution time.
-		execTime := now() - attemptStart - tx.lockWait
-		switch {
-		case err == nil && !t.Aborting():
-			// Proceed to commit below.
-		case errors.Is(err, ErrUserAbort):
-			t.SetCause(txn.CauseUser)
-			tx.rollback()
-			s.col.RecordAbort(txn.CauseUser, execTime, tx.lockWait, 0)
-			return nil // final: user aborts are not retried
-		case errors.Is(err, errSnapshotFallback):
-			// Internal restart: the snapshot attempt held no locks and
-			// logged nothing, so this is neither a commit nor an abort.
-			// Retry immediately on the locking path.
-			tx.endSnapshot()
-			tx.roFallback = true
-			continue
-		case err == nil || isProtocolAbort(err):
-			cause := t.Cause()
-			if cause == txn.CauseNone {
-				cause = causeOf(err)
-			}
-			tx.rollback()
-			s.col.RecordAbort(cause, execTime, tx.lockWait, 0)
-			s.backoff()
-			t.Reset()
-			continue
-		default:
-			tx.rollback()
-			return err // programming error
-		}
-
-		// A snapshot attempt commits by just retiring its snapshot: it
-		// holds no locks, wrote nothing, and nothing can wound it (zero
-		// lock presence), so the semaphore wait, the commit CAS and the
-		// whole logging window do not apply. Zero allocations.
-		if tx.snap != 0 {
-			tx.endSnapshot()
-			t.FinishCommit()
-			s.col.Add(stats.SnapshotReads, tx.snapReads)
-			s.col.RecordCommit(execTime, 0, 0)
-			return nil
-		}
-
-		// Wait for transactions this one depends on (commit_semaphore),
-		// adaptively retiring held-back writes if the wait exceeds δ of
-		// the execution time (Optimization 2's second half).
-		commitWait, ok := s.semWait(tx, execTime)
-		if !ok || !t.BeginCommit() {
-			cause := t.Cause()
-			tx.rollback()
-			s.col.RecordAbort(cause, execTime, tx.lockWait, commitWait)
-			s.backoff()
-			t.Reset()
-			continue
-		}
-		// Readers using Optimization 3 may have retroactively ordered
-		// themselves before this transaction's uncommitted writes in the
-		// race window between the semaphore check and the commit CAS.
-		// Waiting for such a holder here can deadlock (the holder may be
-		// blocked on one of our other locks), so back out voluntarily —
-		// nothing has been logged yet — and retry. External wounds still
-		// cannot abort a committing transaction; only the transaction
-		// itself may revert its commit decision.
-		if t.Sem() != 0 {
-			t.SetCause(txn.CauseWound)
-			tx.rollback()
-			s.col.RecordAbort(txn.CauseWound, execTime, tx.lockWait, commitWait)
-			// Jittered backoff breaks the symmetry with the reader that
-			// keeps re-taking the hold; without it the pair can chase
-			// each other for many rounds.
-			time.Sleep(time.Duration(s.rng.Int63n(int64(100 * time.Microsecond))))
-			t.Reset()
-			continue
-		}
-
-		// Commit point. With an active checkpointer the whole window holds
-		// the checkpoint gate in shared mode, so a checkpoint LSN is never
-		// captured between "the record is durable at seq" and "its effects
-		// are installed" — the gap in which a fuzzy snapshot stamped ≥ seq
-		// could miss the transaction entirely.
-		g := s.db.ckptGate
-		if g != nil {
-			g.RLock()
-		}
-		err = s.commitPoint(tx)
-		if g != nil {
-			g.RUnlock()
-		}
-		if err != nil {
-			return err
-		}
-		t.FinishCommit()
-		s.col.RecordCommit(execTime, tx.lockWait, commitWait)
-		return nil
+// Begin implements Attempt. A retry keeps the transaction's timestamp
+// (Reset), which is what makes Wound-Wait, and so Bamboo, starvation-free
+// (paper §2.1).
+func (s *lockSession) Begin(id uint64, n int) Tx {
+	t, tx := s.t, &s.tx
+	if n == 0 {
+		t.Renew(id)
+		tx.roFallback = false
+	} else {
+		t.Reset()
 	}
+	if !s.db.cfg.DynamicTS && !t.HasTS() {
+		s.db.Lock.AssignTS(t)
+	}
+	tx.reset()
+	return tx
+}
+
+// Rollback implements Attempt.
+func (s *lockSession) Rollback() { s.tx.rollback() }
+
+// LockWait implements Attempt: the time the lock manager saw the
+// attempt's requests blocked.
+func (s *lockSession) LockWait() time.Duration { return s.tx.lockWait }
+
+// Commit implements Attempt: Algorithm 1 from the commit semaphore on.
+func (s *lockSession) Commit(start time.Duration) (time.Duration, error) {
+	t, tx := s.t, &s.tx
+	// A snapshot attempt commits by just retiring its snapshot: it holds
+	// no locks, wrote nothing, and nothing can wound it (zero lock
+	// presence), so the semaphore wait, the commit CAS and the whole
+	// logging window do not apply. Zero allocations.
+	if tx.snap != 0 {
+		tx.endSnapshot()
+		t.FinishCommit()
+		s.col.Add(stats.SnapshotReads, tx.snapReads)
+		return 0, nil
+	}
+
+	// Wait for transactions this one depends on (commit_semaphore),
+	// adaptively retiring held-back writes if the wait exceeds δ of the
+	// execution time (Optimization 2's second half).
+	commitWait, ok := s.semWait(tx, start)
+	if !ok || !t.BeginCommit() {
+		return commitWait, Abort(t.Cause())
+	}
+	// Readers using Optimization 3 may have retroactively ordered
+	// themselves before this transaction's uncommitted writes in the race
+	// window between the semaphore check and the commit CAS. Waiting for
+	// such a holder here can deadlock (the holder may be blocked on one of
+	// our other locks), so back out voluntarily — nothing has been logged
+	// yet — and retry after a backoff, which breaks the symmetry with the
+	// reader that keeps re-taking the hold. External wounds still cannot
+	// abort a committing transaction; only the transaction itself may
+	// revert its commit decision, a self-abort like Wait-Die's.
+	if t.Sem() != 0 {
+		return commitWait, Abort(txn.CauseDie)
+	}
+
+	// Commit point. With an active checkpointer the whole window holds
+	// the checkpoint gate in shared mode, so a checkpoint LSN is never
+	// captured between "the record is durable at seq" and "its effects
+	// are installed" — the gap in which a fuzzy snapshot stamped ≥ seq
+	// could miss the transaction entirely.
+	g := s.db.ckptGate
+	if g != nil {
+		g.RLock()
+	}
+	err := s.commitPoint(tx)
+	if g != nil {
+		g.RUnlock()
+	}
+	if err != nil {
+		return commitWait, err
+	}
+	t.FinishCommit()
+	return commitWait, nil
 }
 
 // semWait spins until the commit semaphore drains (Algorithm 1 lines
 // 4–5), returning false if the transaction was aborted while waiting.
-func (s *lockSession) semWait(tx *lockTx, execTime time.Duration) (time.Duration, bool) {
+// start is when the attempt began: the body's execution time sets the
+// adaptive-retire threshold.
+func (s *lockSession) semWait(tx *lockTx, start time.Duration) (time.Duration, bool) {
 	t := tx.t
 	if t.Sem() == 0 && !t.Aborting() {
-		return 0, !t.Aborting()
+		return 0, true
 	}
-	start := now()
+	waitStart := now()
 	delta := s.db.cfg.Delta
 	adaptiveDone := delta <= 0
-	threshold := time.Duration(float64(execTime) * delta)
+	threshold := time.Duration(float64(waitStart-start-tx.lockWait) * delta)
 	for i := 0; ; i++ {
 		if t.Aborting() {
-			return now() - start, false
+			return now() - waitStart, false
 		}
 		if t.Sem() == 0 {
-			return now() - start, true
+			return now() - waitStart, true
 		}
-		if !adaptiveDone && now()-start > threshold {
+		if !adaptiveDone && now()-waitStart > threshold {
 			tx.retireRemaining()
 			adaptiveDone = true
 		}
@@ -619,7 +590,7 @@ func (s *lockSession) semWait(tx *lockTx, execTime time.Duration) (time.Duration
 // buffered inserts, fire the commit hook, release every lock. It leaves
 // the attempt holding nothing on every return. A failed append rolls the
 // attempt back: the transaction reverts its own commit decision, as the
-// Sem recheck in Run does, and its dependents cascade. (A record that
+// Sem recheck in Commit does, and its dependents cascade. (A record that
 // reached one partition log of several stays there — the cross-partition
 // tear the CommitLog comment describes.) A failure after the append
 // releases as committed, because the record is durable.
@@ -630,7 +601,7 @@ func (s *lockSession) commitPoint(tx *lockTx) error {
 		}
 	}
 	for _, ins := range tx.inserts {
-		s.log.Insert(ins.tbl, ins.key, ins.img)
+		s.log.Insert(ins)
 	}
 	wrote, err := s.log.Commit(tx.t.ID)
 	if err != nil {
@@ -645,12 +616,7 @@ func (s *lockSession) commitPoint(tx *lockTx) error {
 	if mvcc {
 		cts = s.installVersions(tx)
 	}
-	for _, ins := range tx.inserts {
-		if _, err = ins.tbl.InsertRowAt(ins.key, ins.img, cts); err != nil {
-			err = fatalf("apply insert: %w", err)
-			break
-		}
-	}
+	err = ApplyInserts(tx.inserts, cts, nil)
 	if mvcc {
 		s.db.Snap.EndCommit(s.worker)
 	}
@@ -743,33 +709,4 @@ func (s *lockSession) installVersions(tx *lockTx) uint64 {
 	}
 	s.col.Add(stats.VersionsPruned, uint64(reclaimed))
 	return cts
-}
-
-// backoff sleeps a jittered interval of up to DefaultAbortBackoff before
-// an aborted No-Wait or Wait-Die attempt retries; the other variants
-// retry at once.
-func (s *lockSession) backoff() {
-	if v := s.db.cfg.Variant; v == lock.NoWait || v == lock.WaitDie {
-		time.Sleep(time.Duration(s.rng.Int63n(int64(DefaultAbortBackoff))))
-	}
-}
-
-// isProtocolAbort reports whether err is one of the lock manager's abort
-// requests (retryable).
-func isProtocolAbort(err error) bool {
-	return errors.Is(err, lock.ErrWound) || errors.Is(err, lock.ErrDie) ||
-		errors.Is(err, lock.ErrNoWait) || errors.Is(err, lock.ErrAborting)
-}
-
-func causeOf(err error) txn.AbortCause {
-	switch {
-	case errors.Is(err, lock.ErrDie):
-		return txn.CauseDie
-	case errors.Is(err, lock.ErrNoWait):
-		return txn.CauseDie
-	case errors.Is(err, lock.ErrWound), errors.Is(err, lock.ErrAborting):
-		return txn.CauseWound
-	default:
-		return txn.CauseNone
-	}
 }

@@ -14,7 +14,8 @@ package occ
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -74,15 +75,20 @@ func (e *Engine) Database() *core.DB { return e.db }
 // NewSession implements core.Engine.
 func (e *Engine) NewSession(worker int, col *stats.Collector) core.Session {
 	col.AttachLive(e.db.LiveStats())
-	return &session{e: e, worker: worker, col: col, log: e.db.NewCommitLog()}
+	s := &session{e: e, worker: worker, col: col, log: e.db.NewCommitLog()}
+	s.tx.s = s
+	return s
 }
 
+// session implements core.Attempt over one siloTx, reset between
+// attempts instead of reallocated.
 type session struct {
 	e       *Engine
 	worker  int
 	col     *stats.Collector
 	lastTID uint64
 	log     core.CommitLog
+	tx      siloTx
 }
 
 type readEnt struct {
@@ -103,15 +109,11 @@ type siloTx struct {
 	id     uint64
 	reads  []readEnt
 	writes []writeEnt
-	byRow  map[*storage.Row]int // index+1 into writes; negative-1 none
-	rbyRow map[*storage.Row]int
-	insrts []insertEnt
-}
-
-type insertEnt struct {
-	tbl *storage.Table
-	key uint64
-	img []byte
+	byRow  map[*storage.Row]int // index into writes
+	rbyRow map[*storage.Row]int // index into reads
+	insrts []core.Insert
+	// locked is how many writes, in commit order, hold their TID lock.
+	locked int
 }
 
 // image returns the row's current OCC image pointer, lazily adopting the
@@ -209,63 +211,63 @@ func (tx *siloTx) Update(row *storage.Row, mutate func(img []byte)) error {
 
 // Insert implements core.Tx.
 func (tx *siloTx) Insert(tbl *storage.Table, key uint64, img []byte) error {
-	tx.insrts = append(tx.insrts, insertEnt{tbl: tbl, key: key, img: img})
+	tx.insrts = append(tx.insrts, core.Insert{Table: tbl, Key: key, Image: img})
 	return nil
 }
 
 // Run implements core.Session.
-func (s *session) Run(fn core.TxnFunc) error {
-	id := s.e.db.NextTxnID()
-	for {
-		tx := &siloTx{s: s, id: id}
-		start := time.Now()
-		err := fn(tx)
-		exec := time.Since(start)
-		switch {
-		case err == nil:
-			// fall through to commit
-		case err == core.ErrUserAbort:
-			s.col.RecordAbort(txn.CauseUser, exec, 0, 0)
-			return nil
-		default:
-			return err
-		}
+func (s *session) Run(fn core.TxnFunc) error { return core.RunAttempts(s.e.db, s.col, s, fn) }
 
-		vStart := time.Now()
-		ok, err := s.commit(tx)
-		vTime := time.Since(vStart)
-		if err != nil {
-			return err
-		}
-		if ok {
-			s.col.RecordCommit(exec, 0, vTime)
-			return nil
-		}
-		s.col.RecordAbort(txn.CauseValidation, exec, 0, vTime)
-	}
+// Begin implements core.Attempt.
+func (s *session) Begin(id uint64, _ int) core.Tx {
+	tx := &s.tx
+	tx.id = id
+	clear(tx.reads)
+	clear(tx.writes)
+	clear(tx.insrts)
+	tx.reads, tx.writes, tx.insrts = tx.reads[:0], tx.writes[:0], tx.insrts[:0]
+	clear(tx.byRow)
+	clear(tx.rbyRow)
+	return tx
 }
 
-// commit runs Silo's commit protocol, returning false on validation
-// failure (the attempt aborts and the caller retries). A failed log append
-// is not a validation failure — a retry cannot fix the device — and comes
-// back as the error, with the write set unlocked and nothing installed.
-func (s *session) commit(tx *siloTx) (bool, error) {
+// LockWait implements core.Attempt: a Silo attempt never waits for
+// another transaction's locks.
+func (s *session) LockWait() time.Duration { return 0 }
+
+// Rollback implements core.Attempt: the write-set locks a failed
+// validation left held are all there is to undo.
+func (s *session) Rollback() {
+	unlockAll(s.tx.writes[:s.tx.locked])
+	s.tx.locked = 0
+}
+
+// errValidation aborts an attempt whose write set could not be locked or
+// whose read or write set changed since the body read it.
+var errValidation = core.Abort(txn.CauseValidation)
+
+// Commit implements core.Attempt: Silo's commit protocol, which waits for
+// no other transaction. A validation failure returns errValidation with
+// the write-set locks taken so far still held, for Rollback. A failed log
+// append is not a validation failure — a retry cannot fix the device — and
+// comes back as the error, with the write set unlocked and nothing
+// installed. A failed insert follows the durable record: it is fatal too,
+// but the writes are installed and unlocked as committed.
+func (s *session) Commit(time.Duration) (time.Duration, error) {
+	tx := &s.tx
 	// Phase 1: lock the write set in a global order.
-	sort.Slice(tx.writes, func(i, j int) bool {
-		return rowAddr(tx.writes[i].row) < rowAddr(tx.writes[j].row)
+	slices.SortFunc(tx.writes, func(a, b writeEnt) int {
+		return cmp.Compare(rowAddr(a.row), rowAddr(b.row))
 	})
-	locked := 0
 	for i := range tx.writes {
 		row := tx.writes[i].row
 		if !lockTID(row) {
-			unlockAll(tx.writes[:locked])
-			return false, nil
+			return 0, errValidation
 		}
-		locked++
+		tx.locked++
 		// Write-write validation: the row changed since we took our base.
 		if row.TID.Load()&^lockBit != tx.writes[i].tid {
-			unlockAll(tx.writes[:locked])
-			return false, nil
+			return 0, errValidation
 		}
 	}
 
@@ -274,13 +276,11 @@ func (s *session) commit(tx *siloTx) (bool, error) {
 		r := &tx.reads[i]
 		cur := r.row.TID.Load()
 		if cur&^lockBit != r.tid {
-			unlockAll(tx.writes[:locked])
-			return false, nil
+			return 0, errValidation
 		}
 		if cur&lockBit != 0 {
 			if _, mine := tx.byRow[r.row]; !mine {
-				unlockAll(tx.writes[:locked])
-				return false, nil
+				return 0, errValidation
 			}
 		}
 	}
@@ -307,26 +307,17 @@ func (s *session) commit(tx *siloTx) (bool, error) {
 		s.log.Update(tx.writes[i].row, tx.writes[i].img)
 	}
 	for _, ins := range tx.insrts {
-		s.log.Insert(ins.tbl, ins.key, ins.img)
+		s.log.Insert(ins)
 	}
 	if _, err := s.log.Commit(tx.id); err != nil {
-		unlockAll(tx.writes[:locked])
-		return false, err
+		s.Rollback()
+		return 0, err
 	}
-	for _, ins := range tx.insrts {
-		row, err := ins.tbl.InsertRow(ins.key, ins.img)
-		if err != nil {
-			// Duplicate key from a concurrent insert: treat as a
-			// validation failure (the paper's workloads use unique keys
-			// drawn from locked counters, so this is defensive).
-			unlockAll(tx.writes[:locked])
-			return false, nil
-		}
-		img := ins.img
-		row.OCCImage.Store(&img)
+	err := core.ApplyInserts(tx.insrts, 0, func(row *storage.Row) {
+		image(row) // publishes the inserted image as the row's OCC image
 		row.TID.Store(tid)
-	}
-	if h := s.e.db.OnCommit(); h != nil {
+	})
+	if h := s.e.db.OnCommit(); h != nil && err == nil {
 		h(s.worker, tx.id, tid, tx.accessInfo(), len(tx.insrts))
 	}
 	for i := range tx.writes {
@@ -335,7 +326,8 @@ func (s *session) commit(tx *siloTx) (bool, error) {
 		w.row.OCCImage.Store(&img)
 		w.row.TID.Store(tid) // clears the lock bit
 	}
-	return true, nil
+	tx.locked = 0
+	return 0, err
 }
 
 func (tx *siloTx) accessInfo() []core.AccessInfo {

@@ -53,7 +53,7 @@ var families = []family{
 	{name: "bamboo_image_pool_recycled_total", typ: "counter", help: "Write copies served from recycled spare image buffers.", value: func(v *vars) float64 { return float64(v.ImagePoolRecycled) }},
 	{name: "bamboo_txn_lock_wait_seconds_total", typ: "counter", help: "Time attempts spent blocked on locks.", value: func(v *vars) float64 { return total(v, v.PerTxnLockWait) }},
 	{name: "bamboo_txn_abort_seconds_total", typ: "counter", help: "Execution time of aborted attempts.", value: func(v *vars) float64 { return total(v, v.PerTxnAbort) }},
-	{name: "bamboo_txn_commit_wait_seconds_total", typ: "counter", help: "Time finished attempts waited on commit dependencies or validation.", value: func(v *vars) float64 { return total(v, v.PerTxnCommitWait) }},
+	{name: "bamboo_txn_commit_wait_seconds_total", typ: "counter", help: "Time finished attempts waited for other transactions to commit.", value: func(v *vars) float64 { return total(v, v.PerTxnCommitWait) }},
 	{name: "bamboo_txn_useful_seconds_total", typ: "counter", help: "Execution time of committed attempts.", value: func(v *vars) float64 { return total(v, v.PerTxnUseful) }},
 	{name: "bamboo_txn_latency_seconds", typ: "summary", help: "Committed-transaction latency (lock wait + execution + commit wait).", samples: latency},
 }

@@ -92,13 +92,14 @@ const (
 	// CauseCascade: aborted because a transaction whose dirty data this
 	// transaction read aborted (paper §4.1 case 2).
 	CauseCascade
-	// CauseDie: self-abort on conflict under Wait-Die or No-Wait.
+	// CauseDie: self-abort rather than wait out a conflict: Wait-Die,
+	// No-Wait, a Bamboo commit reverting itself for a reader that
+	// ordered itself before it, or an IC3 wait past its timeout.
 	CauseDie
 	// CauseUser: user/logic-initiated abort, e.g. the 1% of TPC-C
 	// new-order transactions with an invalid item (paper §4.1 case 3).
 	CauseUser
-	// CauseValidation: OCC (Silo) read-set validation failure, or IC3
-	// optimistic piece validation failure.
+	// CauseValidation: OCC (Silo) read- or write-set validation failure.
 	CauseValidation
 )
 
@@ -348,10 +349,6 @@ func (t *Txn) FinishAbort() { t.state.Store(int32(StateAborted)) }
 
 // Cause returns why the current attempt aborted (CauseNone if it did not).
 func (t *Txn) Cause() AbortCause { return AbortCause(t.cause.Load()) }
-
-// SetCause overrides the abort cause; used for self-aborts where the
-// worker, not a remote wound, decides the cause.
-func (t *Txn) SetCause(c AbortCause) { t.cause.Store(int32(c)) }
 
 // Commit semaphore operations (paper §3.2.1). The semaphore is incremented
 // when the transaction acquires a lock that conflicts with a retired
