@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -271,7 +272,8 @@ func conflict(a, b *access) bool {
 // waitTimeout is how long a piece may wait for conflicting pieces or
 // dependencies before it aborts and retries — a liveness valve the
 // chopping guarantees should never need; commitWait allows ten times as
-// long.
+// long. Waits park and are woken by the transaction they wait on
+// (Tx.watchers); the valve is their deadline.
 const waitTimeout = 50 * time.Millisecond
 
 // name is the protocol display name, the paper's legend.
@@ -327,6 +329,7 @@ type session struct {
 	tmpl *Template
 	env  any
 	tx   *Tx
+	w    txn.Waiter // every attempt's transaction parks on it
 }
 
 // NewSession implements core.Engine. The first call prepares every row
@@ -418,6 +421,10 @@ type Tx struct {
 	waited time.Duration
 	// pt is the PieceTx the pieces run against, its piece set per piece.
 	pt PieceTx
+	// watchers are the transactions waiting on this one's progress
+	// (waitOn), woken when a piece finishes and when the attempt ends,
+	// after its rollback or detach.
+	watchers txn.Watchers
 }
 
 // PieceTx is the access interface a piece body sees.
@@ -541,16 +548,7 @@ func (tx *Tx) promote(a *access) (*access, error) {
 // latched, or unlatched with an error when the transaction is aborting
 // or the wait exceeds waitTimeout.
 func (tx *Tx) waitConflicts(rs *rowState, conflicts func(*access) bool) error {
-	// The deadline runs from the first moment the wait blocks: an access
-	// that finds no blocker reads no clock.
 	var deadline time.Time
-	// One escalating backoff counter for the whole wait: resetting it
-	// per blocker keeps the loop in the busy-yield phase forever when
-	// blockers keep trading places, which on a 1-CPU host (worse under
-	// -race, which serializes goroutines further) can starve the very
-	// goroutine that would resolve the conflict. Carrying the counter
-	// across blockers escalates to real sleeps and lets it run.
-	spin := 0
 	rs.lock()
 	for {
 		if tx.t.Aborting() {
@@ -567,26 +565,15 @@ func (tx *Tx) waitConflicts(rs *rowState, conflicts func(*access) bool) error {
 		if blocker == nil {
 			break
 		}
+		// The blocker's piece is running, so its owner's progress, read
+		// under the latch finishPiece needs, counts the pieces before it:
+		// the blocker is done once the progress passes that count, and
+		// gone once its owner ended.
+		d, past := blocker.owner, blocker.owner.progress.Load()
 		rs.unlock()
-		waitStart := time.Now()
-		if deadline.IsZero() {
-			deadline = waitStart.Add(waitTimeout)
+		if !tx.waitOn(d, past, &deadline, &tx.waited) {
+			return tx.abort()
 		}
-		for ; ; spin++ {
-			if tx.t.Aborting() {
-				tx.waited += time.Since(waitStart)
-				return tx.abort()
-			}
-			if blockerResolved(rs, blocker) {
-				break
-			}
-			if time.Now().After(deadline) {
-				tx.waited += time.Since(waitStart)
-				return tx.abort()
-			}
-			lock.Backoff(spin)
-		}
-		tx.waited += time.Since(waitStart)
 		rs.lock()
 	}
 	for _, a := range rs.accs {
@@ -600,19 +587,26 @@ func (tx *Tx) waitConflicts(rs *rowState, conflicts func(*access) bool) error {
 	return nil
 }
 
-// blockerResolved reports whether the blocking access finished or left.
-func blockerResolved(rs *rowState, b *access) bool {
-	rs.lock()
-	defer rs.unlock()
-	if b.done || b.unwound {
+// waitOn waits until d has finished more than past pieces or ended, and
+// reports whether it did: false means tx is aborting or *deadline
+// passed. A wait that blocks parks as one of d's watchers, adds
+// the time to *blocked, and sets a zero *deadline to waitTimeout from
+// now, so a transaction that never blocks reads no clock.
+func (tx *Tx) waitOn(d *Tx, past int32, deadline *time.Time, blocked *time.Duration) bool {
+	moved := func() bool {
+		s := d.t.State()
+		return d.progress.Load() > past || s == txn.StateCommitted || s == txn.StateAborted
+	}
+	if moved() {
 		return true
 	}
-	for _, a := range rs.accs {
-		if a == b {
-			return false
-		}
+	start := time.Now()
+	if deadline.IsZero() {
+		*deadline = start.Add(waitTimeout)
 	}
-	return true // removed (its transaction terminated)
+	ok := d.watchers.Wait(tx.t, moved, *deadline)
+	*blocked += time.Since(start)
+	return ok
 }
 
 // finishPiece publishes the piece's writes and marks its accesses done.
@@ -684,6 +678,7 @@ func (tx *Tx) rollback() {
 	}
 	tx.accs = nil
 	tx.t.FinishAbort()
+	tx.watchers.WakeAll()
 }
 
 // detach removes a committed transaction's accesses.
@@ -703,6 +698,7 @@ func (tx *Tx) detach() {
 // Begin implements core.Attempt.
 func (s *session) Begin(id uint64, _ int) core.Tx {
 	s.tx = &Tx{e: s.e, t: txn.New(id), tmpl: s.tmpl, env: s.env, col: s.col, workerID: s.worker}
+	s.tx.t.SetWaiter(&s.w)
 	s.tx.pt.tx = s.tx
 	return &s.tx.pt
 }
@@ -753,6 +749,7 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 	}
 	tx.detach()
 	tx.t.FinishCommit()
+	tx.watchers.WakeAll()
 	return commitWait, err
 }
 
@@ -765,9 +762,13 @@ func (s *session) execute(ctx core.Tx) error {
 		// IC3's piece-order enforcement: inherit the dependency order
 		// established by earlier conflicts. Every transaction we depend
 		// on must have finished its pieces that conflict with p before p
-		// executes; this keeps the commit-dependency graph acyclic.
-		if err := tx.enforcePieceOrder(p); err != nil {
-			return err
+		// executes; this keeps the commit-dependency graph acyclic. One
+		// deadline for the piece, from the first dependency it waits for.
+		var deadline time.Time
+		for d := range tx.deps {
+			if need, ok := p.lastConflict[d.tmpl]; ok && need >= 0 && !tx.waitOn(d, int32(need), &deadline, &tx.waited) {
+				return tx.abort()
+			}
 		}
 		from := len(tx.accs)
 		pt.piece = p
@@ -776,6 +777,7 @@ func (s *session) execute(ctx core.Tx) error {
 		}
 		tx.finishPiece(from)
 		tx.progress.Add(1)
+		tx.watchers.WakeAll()
 		if tx.t.Aborting() {
 			return tx.abort()
 		}
@@ -783,80 +785,28 @@ func (s *session) execute(ctx core.Tx) error {
 	return nil
 }
 
-func (tx *Tx) enforcePieceOrder(p *Piece) error {
-	if len(tx.deps) == 0 {
-		return nil
-	}
-	// As in waitConflicts: the deadline runs from the first dependency
-	// that makes the piece wait (a piece whose dependencies are all far
-	// enough along reads no clock), and one escalating counter spans all
-	// dependencies, so a transaction polling several slow ones reaches
-	// the sleeping phase instead of busy-yielding against them
-	// round-robin.
-	var waitStart, deadline time.Time
-	spin := 0
-	for d := range tx.deps {
-		need, ok := p.lastConflict[d.tmpl]
-		if !ok || need < 0 {
-			continue
-		}
-		for ; int(d.progress.Load()) <= need; spin++ {
-			if s := d.t.State(); s == txn.StateCommitted || s == txn.StateAborted {
-				break
-			}
-			if waitStart.IsZero() {
-				waitStart = time.Now()
-				deadline = waitStart.Add(waitTimeout)
-			}
-			if tx.t.Aborting() {
-				tx.waited += time.Since(waitStart)
-				return tx.abort()
-			}
-			if time.Now().After(deadline) {
-				tx.waited += time.Since(waitStart)
-				return tx.abort()
-			}
-			lock.Backoff(spin)
-		}
-	}
-	if !waitStart.IsZero() {
-		tx.waited += time.Since(waitStart)
-	}
-	return nil
-}
-
 // commitWait blocks until every dependency reached a terminal state,
 // failing if any aborted (or this transaction was cascade-aborted). A
 // defensive timeout converts any residual ordering anomaly into an abort
-// and retry rather than a hang.
+// and retry rather than a hang. It returns the time it blocked.
 func (s *session) commitWait(tx *Tx) (time.Duration, bool) {
 	if len(tx.deps) == 0 {
 		return 0, !tx.t.Aborting()
 	}
-	start := time.Now()
-	deadline := start.Add(10 * waitTimeout)
+	var wait time.Duration
+	deadline := time.Now().Add(10 * waitTimeout)
 	for dep := range tx.deps {
-		for i := 0; ; i++ {
-			if tx.t.Aborting() {
-				return time.Since(start), false
-			}
-			switch dep.t.State() {
-			case txn.StateCommitted:
-			case txn.StateAborted:
-				tx.t.SetAbort(txn.CauseCascade)
-				return time.Since(start), false
-			default:
-				if time.Now().After(deadline) {
-					tx.t.SetAbort(txn.CauseDie)
-					return time.Since(start), false
-				}
-				lock.Backoff(i)
-				continue
-			}
-			break
+		// No dependency finishes more pieces than MaxInt32: wait for its end.
+		if !tx.waitOn(dep, math.MaxInt32, &deadline, &wait) {
+			tx.t.SetAbort(txn.CauseDie) // past the deadline, unless aborting already
+			return wait, false
+		}
+		if dep.t.State() != txn.StateCommitted {
+			tx.t.SetAbort(txn.CauseCascade)
+			return wait, false
 		}
 	}
-	return time.Since(start), !tx.t.Aborting()
+	return wait, !tx.t.Aborting()
 }
 
 func (tx *Tx) accessInfo() []core.AccessInfo {

@@ -8,6 +8,7 @@ import (
 	"bamboo/internal/core"
 	"bamboo/internal/stats"
 	"bamboo/internal/storage"
+	"bamboo/internal/txn"
 	"bamboo/internal/workload/ycsb"
 )
 
@@ -229,6 +230,15 @@ func TestAllocBudgetMVCCWrites(t *testing.T) {
 func TestRowSizePinned(t *testing.T) {
 	if got := unsafe.Sizeof(storage.Row{}); got != 216 {
 		t.Fatalf("storage.Row is %d bytes, want 216", got)
+	}
+}
+
+// TestTxnSizePinned makes the transaction's size a decision too: a
+// txn.Txn is what other workers read and write at every conflict, and its
+// park token lives in the padding that fills it to one 64-byte line.
+func TestTxnSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(txn.Txn{}); got != 64 {
+		t.Fatalf("txn.Txn is %d bytes, want 64", got)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // now is the executor's clock: monotonic time since clockEpoch.
-// RunAttempts reads it twice per attempt and semWait only once a commit
+// RunAttempts reads it twice per attempt and Commit only once a commit
 // actually waits; no per-operation path reads it. A variable so tests can
 // count the reads.
 var now = func() time.Duration { return time.Since(clockEpoch) }
@@ -517,24 +517,24 @@ func (s *lockSession) Commit(start time.Duration) (time.Duration, error) {
 		return 0, nil
 	}
 
-	// Wait for transactions this one depends on (commit_semaphore),
-	// adaptively retiring held-back writes if the wait exceeds δ of the
-	// execution time (Optimization 2's second half).
-	commitWait, ok := s.semWait(tx, start)
-	if !ok || !t.BeginCommit() {
-		return commitWait, Abort(t.Cause())
+	// Wait for the transactions this one depends on (commit_semaphore)
+	// and take the commit point, adaptively retiring held-back writes if
+	// the wait passes δ of the execution time (Optimization 2's second
+	// half). A commit that need not wait reads no clock.
+	waitStart := time.Duration(-1)
+	cause := t.CommitPoint(func() time.Time {
+		waitStart = now()
+		if d := s.db.cfg.Delta; d > 0 {
+			return clockEpoch.Add(waitStart + time.Duration(float64(waitStart-start-tx.lockWait)*d))
+		}
+		return time.Time{}
+	}, tx.retireRemaining)
+	var commitWait time.Duration
+	if waitStart >= 0 {
+		commitWait = now() - waitStart
 	}
-	// Readers using Optimization 3 may have retroactively ordered
-	// themselves before this transaction's uncommitted writes in the race
-	// window between the semaphore check and the commit CAS. Waiting for
-	// such a holder here can deadlock (the holder may be blocked on one of
-	// our other locks), so back out voluntarily — nothing has been logged
-	// yet — and retry after a backoff, which breaks the symmetry with the
-	// reader that keeps re-taking the hold. External wounds still cannot
-	// abort a committing transaction; only the transaction itself may
-	// revert its commit decision, a self-abort like Wait-Die's.
-	if t.Sem() != 0 {
-		return commitWait, Abort(txn.CauseDie)
+	if cause != txn.CauseNone {
+		return commitWait, Abort(cause)
 	}
 
 	// Commit point. With an active checkpointer the whole window holds
@@ -555,34 +555,6 @@ func (s *lockSession) Commit(start time.Duration) (time.Duration, error) {
 	}
 	t.FinishCommit()
 	return commitWait, nil
-}
-
-// semWait spins until the commit semaphore drains (Algorithm 1 lines
-// 4–5), returning false if the transaction was aborted while waiting.
-// start is when the attempt began: the body's execution time sets the
-// adaptive-retire threshold.
-func (s *lockSession) semWait(tx *lockTx, start time.Duration) (time.Duration, bool) {
-	t := tx.t
-	if t.Sem() == 0 && !t.Aborting() {
-		return 0, true
-	}
-	waitStart := now()
-	delta := s.db.cfg.Delta
-	adaptiveDone := delta <= 0
-	threshold := time.Duration(float64(waitStart-start-tx.lockWait) * delta)
-	for i := 0; ; i++ {
-		if t.Aborting() {
-			return now() - waitStart, false
-		}
-		if t.Sem() == 0 {
-			return now() - waitStart, true
-		}
-		if !adaptiveDone && now()-waitStart > threshold {
-			tx.retireRemaining()
-			adaptiveDone = true
-		}
-		lock.Backoff(i)
-	}
 }
 
 // commitPoint is the commit path of every layout — Algorithm 1 past the

@@ -164,7 +164,7 @@ type Request struct {
 	imgReuses uint32
 
 	// wait accumulates the time this request spent blocked — queued in
-	// waitGranted or polling in an upgrade — until the holder collects it
+	// waitGranted or waiting in an upgrade — until the holder collects it
 	// (TakeWait). An uncontended request never adds to it.
 	wait time.Duration
 
@@ -178,7 +178,7 @@ type Request struct {
 }
 
 // State snapshot helpers (the canonical state lives behind the entry latch;
-// these atomics let waiters poll without the latch).
+// these atomics let waiters check without the latch).
 
 func (r *Request) stateLoad() reqState { return reqState(r.state.Load()) }
 

@@ -1,7 +1,9 @@
 package lock
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"bamboo/internal/txn"
 )
@@ -169,17 +171,22 @@ func TestWaitDieDiesOnOlderWaiter(t *testing.T) {
 	}
 }
 
+// eventually polls cond until it holds, failing the test if it does not
+// within 10 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
 func waitForWaiters(t *testing.T, e *Entry, n int) {
 	t.Helper()
-	for i := 0; ; i++ {
-		if _, _, w := e.Snapshot(); w >= n {
-			return
-		}
-		if i > 1e7 {
-			t.Fatal("timed out waiting for waiter to enqueue")
-		}
-		Backoff(i)
-	}
+	eventually(t, "a waiter is queued", func() bool { _, _, w := e.Snapshot(); return w >= n })
 }
 
 func TestWoundWaitWoundsYounger(t *testing.T) {
@@ -198,12 +205,7 @@ func TestWoundWaitWoundsYounger(t *testing.T) {
 		granted <- r
 	}()
 	// The younger owner must be wounded.
-	for i := 0; !young.Aborting(); i++ {
-		if i > 1e7 {
-			t.Fatal("younger owner was never wounded")
-		}
-		Backoff(i)
-	}
+	eventually(t, "the younger owner is wounded", young.Aborting)
 	if young.Cause() != txn.CauseWound {
 		t.Fatalf("cause = %v, want wound", young.Cause())
 	}
@@ -473,12 +475,7 @@ func TestBaseReaderWoundsYoungerWriter(t *testing.T) {
 		}
 		got <- r
 	}()
-	for i := 0; !w.Aborting(); i++ {
-		if i > 1e7 {
-			t.Fatal("younger writer never wounded")
-		}
-		Backoff(i)
-	}
+	eventually(t, "the younger writer is wounded", w.Aborting)
 	m.Release(rw, true) // wounded writer rolls back
 	rr := <-got
 	if rr.Data[0] != 7 {
@@ -605,12 +602,7 @@ func TestDynamicTSAssignment(t *testing.T) {
 		}
 		got <- err
 	}()
-	for i := 0; !t3.HasTS(); i++ {
-		if i > 1e7 {
-			t.Fatal("requester never got a timestamp")
-		}
-		Backoff(i)
-	}
+	eventually(t, "the requester has a timestamp", t3.HasTS)
 	if !t1.HasTS() {
 		t.Fatal("holder must be assigned a timestamp on first conflict")
 	}

@@ -1,7 +1,6 @@
 package lock
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -251,11 +250,12 @@ func (m *Manager) Upgrade(r *Request) error {
 		return err
 	}
 	// Blocked behind other holders: from here to the outcome is lock wait,
-	// handed back on the request like an acquire's (waitGranted).
+	// handed back on the request like an acquire's (waitGranted). Every
+	// change to the entry wakes the pending upgrade (promoteWaiters), and
+	// a wound wakes its transaction, after which tryUpgrade gives up.
 	start := now()
-	for i := 0; !done; i++ {
-		Backoff(i)
-		done, err = m.tryUpgrade(r)
+	if !r.Txn.Wait(func() bool { done, err = m.tryUpgrade(r); return done }, time.Time{}) {
+		_, err = m.tryUpgrade(r)
 	}
 	r.wait += now() - start
 	return err
@@ -280,7 +280,7 @@ func (m *Manager) tryUpgrade(r *Request) (done bool, err error) {
 	// assign nothing (no other request exists), and the pending-upgrade
 	// slot never needs claiming because there is no grant race to fence
 	// off: the promotion completes in place.
-	if e.waiters.head != nil || (e.upgrading != nil && e.upgrading != r) || otherHolder(e, r) {
+	if e.waiters.head != nil || (e.upgrading != nil && e.upgrading != r) || otherHolder(e, r, false) {
 		// The promotion to exclusive conflicts with every other request
 		// on the entry, and one exists here: under DynamicTS all parties
 		// receive timestamps, and Wound-Wait/Bamboo wound every younger
@@ -292,12 +292,12 @@ func (m *Manager) tryUpgrade(r *Request) (done bool, err error) {
 		claimUpgradeLocked(e, r)
 		switch m.cfg.Variant {
 		case NoWait:
-			if otherHolder(e, r) {
+			if otherHolder(e, r, false) {
 				dropUpgradeLocked(e, r)
 				return true, ErrNoWait
 			}
 		case WaitDie:
-			if olderOtherHolder(e, r) {
+			if otherHolder(e, r, true) {
 				dropUpgradeLocked(e, r)
 				return true, ErrDie
 			}
@@ -330,34 +330,16 @@ func dropUpgradeLocked(e *Entry, r *Request) {
 	}
 }
 
-// otherHolder reports whether any granted request besides r exists on the
-// entry. An upgrade conflicts with every other holder regardless of mode.
-func otherHolder(e *Entry, r *Request) bool {
-	for x := e.owners.head; x != nil; x = x.next {
-		if x != r {
-			return true
-		}
-	}
-	for x := e.retired.head; x != nil; x = x.next {
-		if x != r {
-			return true
-		}
-	}
-	return false
-}
-
-// olderOtherHolder reports whether a holder besides r with a strictly
-// smaller timestamp exists (the Wait-Die upgrade self-abort condition).
-func olderOtherHolder(e *Entry, r *Request) bool {
-	ts := r.Txn.TS()
-	for x := e.owners.head; x != nil; x = x.next {
-		if x != r && x.Txn.TS() < ts {
-			return true
-		}
-	}
-	for x := e.retired.head; x != nil; x = x.next {
-		if x != r && x.Txn.TS() < ts {
-			return true
+// otherHolder reports whether a granted request besides r exists on the
+// entry — with older set, one with a strictly smaller timestamp (the
+// Wait-Die upgrade self-abort condition). An upgrade conflicts with every
+// other holder regardless of mode.
+func otherHolder(e *Entry, r *Request, older bool) bool {
+	for _, l := range [...]*reqList{&e.owners, &e.retired} {
+		for x := l.head; x != nil; x = x.next {
+			if x != r && (!older || x.Txn.TS() < r.Txn.TS()) {
+				return true
+			}
 		}
 	}
 	return false
@@ -642,7 +624,14 @@ func conflictsWithOwners(e *Entry, mode Mode) bool {
 // ascending timestamp order, granting each that does not conflict with the
 // current owners, stopping at the first conflict. Waiters whose
 // transactions are already aborting are dropped.
+//
+// Its callers — an enqueue, a retire, a release — have changed the entry,
+// which may unblock a pending upgrade, so it wakes the upgrader to check
+// again under the latch; and it wakes each waiter it grants.
 func (m *Manager) promoteWaiters(e *Entry) {
+	if u := e.upgrading; u != nil {
+		u.Txn.Wake()
+	}
 	for {
 		w := e.waiters.head
 		if w == nil {
@@ -693,6 +682,7 @@ func (m *Manager) promoteWaiters(e *Entry) {
 			e.waiters.pushFront(w)
 			return
 		}
+		w.Txn.Wake()
 	}
 }
 
@@ -959,10 +949,8 @@ func (m *Manager) assignOnConflictLocked(t *txn.Txn, mode Mode, e *Entry) {
 	t.AssignTSIfUnassigned(&m.tsCounter)
 }
 
-// waitGranted spins until the request is granted, the request is dropped,
-// or the transaction is marked aborting. It mirrors DBx1000's pause loop:
-// a short Gosched phase followed by escalating sleeps so oversubscribed
-// hosts do not burn cores.
+// waitGranted parks until the request is granted (promoteWaiters wakes
+// it) or the transaction is marked aborting.
 //
 // This is where an acquire blocks, so this is where lock wait is measured:
 // the time from entry to return is added to the request (TakeWait). An
@@ -971,30 +959,17 @@ func (m *Manager) assignOnConflictLocked(t *txn.Txn, mode Mode, e *Entry) {
 func (m *Manager) waitGranted(r *Request) error {
 	start := now()
 	defer func() { r.wait += now() - start }()
-	for i := 0; ; i++ {
-		switch r.stateLoad() {
-		case reqOwner, reqRetired:
-			return nil
-		case reqDropped:
-			return ErrWound
-		}
-		if r.Txn.Aborting() {
-			e := r.entry
-			e.latch.Lock()
-			switch r.stateLoad() {
-			case reqWaiting:
-				e.waiters.remove(r)
-				r.state.Store(int32(reqDropped))
-			case reqOwner, reqRetired:
-				// Granted concurrently with the wound: give the lock
-				// straight back so the caller sees a clean abort.
-				m.releaseLocked(e, r, true)
-			}
-			e.latch.Unlock()
-			return ErrWound
-		}
-		Backoff(i)
+	if r.Txn.Wait(r.Granted, time.Time{}) {
+		return nil
 	}
+	// Aborting: leave the queue (unless promoteWaiters dropped the request
+	// already), or give back a grant that raced the wound, so the caller
+	// sees a clean abort.
+	e := r.entry
+	e.latch.Lock()
+	m.releaseLocked(e, r, true)
+	e.latch.Unlock()
+	return ErrWound
 }
 
 // now is the manager's clock, read only where a request blocks
@@ -1003,17 +978,3 @@ var now = func() time.Duration { return time.Since(clockEpoch) }
 
 // clockEpoch anchors now; only differences are used.
 var clockEpoch = time.Now()
-
-// Backoff yields the processor, escalating from busy yields to short
-// sleeps. Exported for use by the executor's commit-semaphore wait loop.
-func Backoff(i int) {
-	if i < 64 {
-		runtime.Gosched()
-		return
-	}
-	shift := (i - 64) / 64
-	if shift > 5 {
-		shift = 5
-	}
-	time.Sleep(time.Microsecond << uint(shift))
-}

@@ -51,17 +51,8 @@ func TestPropertyRandomSchedules(t *testing.T) {
 			return nextID
 		}
 
-		stall := make(chan struct{})
-		go func() {
-			select {
-			case <-stall:
-			case <-time.After(20 * time.Second):
-				for ei, e := range entries {
-					t.Logf("STALL seed %d entry %d:\n%s", seed, ei, e.DebugString())
-				}
-			}
-		}()
-		defer close(stall)
+		wd := startWatchdog(t, entries, workers)
+		defer wd.stop()
 
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -70,6 +61,7 @@ func TestPropertyRandomSchedules(t *testing.T) {
 				wrng := rand.New(rand.NewSource(seed ^ int64(w)*7919))
 				for i := 0; i < perWorker; i++ {
 					tx := txn.New(newID())
+					wd.track(w, tx)
 					// Plan: 1-3 distinct entries, random modes, random
 					// retire decisions, occasional self-wound mid-flight.
 					n := wrng.Intn(nEntries) + 1
@@ -104,30 +96,7 @@ func TestPropertyRandomSchedules(t *testing.T) {
 						if !aborted && wrng.Intn(20) == 0 {
 							tx.SetAbort(txn.CauseUser) // simulated user abort
 						}
-						if !aborted {
-							// Commit protocol: drain semaphore, CAS, re-check.
-							for it := 0; ; it++ {
-								if tx.Aborting() {
-									aborted = true
-									break
-								}
-								if tx.Sem() == 0 {
-									break
-								}
-								Backoff(it)
-							}
-						}
-						if !aborted && tx.BeginCommit() {
-							if tx.Sem() != 0 {
-								// A retroactive hold raced our commit CAS:
-								// back out and retry (see core executor).
-								for _, r := range reqs {
-									m.Release(r, true)
-								}
-								tx.FinishAbort()
-								tx.Reset()
-								continue
-							}
+						if !aborted && committed(tx) {
 							logMu.Lock()
 							for ei, v := range values {
 								lastCommitted[ei] = v

@@ -3,8 +3,6 @@ package lock
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
-	"sync"
 	"testing"
 
 	"bamboo/internal/txn"
@@ -131,145 +129,13 @@ func TestImageRecycleStress(t *testing.T) {
 		{"waitdie", Config{Variant: WaitDie, RecycleImages: true}},
 	}
 	for _, v := range variants {
-		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
-			m := NewManager(v.cfg)
-			const nEntries = 3
-			entries := make([]*Entry, nEntries)
-			for i := range entries {
-				entries[i] = &Entry{}
-				entries[i].Init(make([]byte, 8))
-			}
-
-			const workers = 8
 			perWorker := 300
 			if testing.Short() {
 				perWorker = 120
 			}
-			var committedWrites [workers]uint64
-			var reused [workers]uint64
-			var wg sync.WaitGroup
-			retire := v.cfg.Variant == Bamboo
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var pool Pool
-					alloc := m.NewTSAlloc(w)
-					rng := rand.New(rand.NewSource(int64(w)*733 + 11))
-					tx := txn.New(0)
-					tx.SetTSAlloc(alloc)
-					reqs := make([]*Request, 0, nEntries)
-					gens := make([]uint64, 0, nEntries)
-					seen := make([]uint64, 0, nEntries)
-					for i := 0; i < perWorker; i++ {
-						tx.Renew(uint64(w*perWorker+i) + 1)
-						n := 1 + rng.Intn(nEntries)
-						for {
-							if !v.cfg.DynamicTS && !tx.HasTS() {
-								m.AssignTS(tx)
-							}
-							reqs, gens, seen = reqs[:0], gens[:0], seen[:0]
-							aborted := false
-							writes := uint64(0)
-							for ei := 0; ei < n && !aborted; ei++ {
-								r := pool.Get()
-								gens = append(gens, r.Gen())
-								if err := m.AcquireInto(r, tx, SH, entries[ei]); err != nil {
-									if r.Gen() != gens[len(gens)-1] {
-										t.Errorf("request recycled while held (gen %d -> %d)", gens[len(gens)-1], r.Gen())
-									}
-									pool.Put(r)
-									gens = gens[:len(gens)-1]
-									aborted = true
-									break
-								}
-								reqs = append(reqs, r)
-								val := binary.LittleEndian.Uint64(r.Data)
-								seen = append(seen, val)
-								if rng.Intn(2) == 0 { // read-modify-write: upgrade in place
-									if err := m.Upgrade(r); err != nil {
-										aborted = true
-										break
-									}
-									binary.LittleEndian.PutUint64(r.Data, val+1)
-									writes++
-									if retire && rng.Intn(2) == 0 {
-										m.Retire(r)
-									}
-								}
-							}
-							commit := false
-							if !aborted {
-								ok := true
-								for it := 0; ; it++ {
-									if tx.Aborting() {
-										ok = false
-										break
-									}
-									if tx.Sem() == 0 {
-										break
-									}
-									Backoff(it)
-								}
-								// A positioned reader may have commit-ordered
-								// itself before this transaction between the
-								// semaphore check and the CAS: back out, as the
-								// core executor does.
-								commit = ok && tx.BeginCommit() && tx.Sem() == 0
-							}
-							for ri, r := range reqs {
-								// The shared-image property: a granted SH
-								// holder's image is immutable until its
-								// release. A wrongful recycle overwrites it.
-								if r.Mode == SH {
-									if got := binary.LittleEndian.Uint64(r.Data); got != seen[ri] {
-										t.Errorf("held shared image mutated: read %d at grant, %d at release (buffer recycled while reachable)", seen[ri], got)
-									}
-								}
-								m.Release(r, !commit)
-								if r.Gen() != gens[ri] {
-									t.Errorf("request recycled while held (gen %d -> %d)", gens[ri], r.Gen())
-								}
-								_, u := r.ImageStats()
-								reused[w] += uint64(u)
-								pool.Put(r)
-							}
-							if commit {
-								tx.FinishCommit()
-								committedWrites[w] += writes
-								break
-							}
-							tx.FinishAbort()
-							tx.Reset()
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-
-			var want, got, totalReused uint64
-			for w := range committedWrites {
-				want += committedWrites[w]
-				totalReused += reused[w]
-			}
-			for _, e := range entries {
-				got += binary.LittleEndian.Uint64(e.CurrentData())
-				if ret, own, wait := e.Snapshot(); ret+own+wait != 0 {
-					t.Fatalf("entry not drained: %d/%d/%d\n%s", ret, own, wait, e.DebugString())
-				}
-				if err := e.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got != want {
-				t.Fatalf("summed counters = %d, committed increments = %d (lost/phantom updates through recycled images)", got, want)
-			}
-			if want == 0 {
-				t.Fatal("no committed upgraded writes observed")
-			}
-			if totalReused == 0 {
+			if pooledStress(t, v.cfg, 3, 1, perWorker, 11, shared, upgradeAccess) == 0 {
 				t.Fatal("no write copies served from recycled buffers — the property run was vacuous")
 			}
 		})

@@ -72,13 +72,7 @@ func TestUpgradeFastPathNotTakenWithWaiter(t *testing.T) {
 		}
 		done <- err
 	}()
-	// Wait until the younger EX request is actually queued.
-	for i := 0; ; i++ {
-		if _, _, waiting := e.Snapshot(); waiting == 1 {
-			break
-		}
-		Backoff(i)
-	}
+	waitForWaiters(t, e, 1)
 	if err := m.Upgrade(r); err != nil {
 		t.Fatalf("upgrade with queued younger waiter: %v", err)
 	}

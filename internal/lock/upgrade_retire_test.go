@@ -151,10 +151,8 @@ func TestUpgradeRetireGrantsQueuedReader(t *testing.T) {
 
 	upDone := make(chan error, 1)
 	go func() { upDone <- upgradeRetire(m, ur, 42) }()
-	// The upgrade wounds the younger holder and spins until it drains.
-	for i := 0; !blocker.Aborting(); i++ {
-		Backoff(i)
-	}
+	// The upgrade wounds the younger holder and waits until it drains.
+	eventually(t, "the younger holder is wounded", blocker.Aborting)
 
 	// A younger reader arriving now queues behind the pending upgrade.
 	reader := newTxnTS(3, 3)
@@ -167,12 +165,7 @@ func TestUpgradeRetireGrantsQueuedReader(t *testing.T) {
 		r, err := m.Acquire(reader, SH, e)
 		readDone <- got{r, err}
 	}()
-	for i := 0; ; i++ {
-		if _, _, waiting := e.Snapshot(); waiting == 1 {
-			break
-		}
-		Backoff(i)
-	}
+	waitForWaiters(t, e, 1)
 
 	// Draining the wounded holder unblocks the upgrade; the retire after
 	// it must install the write AND grant the queued reader.

@@ -144,12 +144,7 @@ func TestUpgradeWoundsYoungerReader(t *testing.T) {
 
 			// The upgrade must wound the younger reader and then wait for
 			// it to drain.
-			for i := 0; !younger.Aborting(); i++ {
-				if i > 1e7 {
-					t.Fatal("younger reader never wounded")
-				}
-				Backoff(i)
-			}
+			eventually(t, "the younger reader is wounded", younger.Aborting)
 			m.Release(r2, true)
 			younger.FinishAbort()
 
@@ -295,12 +290,7 @@ func TestUpgradeUpgradeConflictYoungerAborts(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			} else {
 				// The older upgrade wounds the younger holder.
-				for i := 0; !younger.Aborting(); i++ {
-					if i > 1e7 {
-						t.Fatal("younger holder never wounded by the older upgrader")
-					}
-					Backoff(i)
-				}
+				eventually(t, "the older upgrader wounds the younger holder", younger.Aborting)
 			}
 			if err := m.Upgrade(r2); err == nil {
 				t.Fatal("younger upgrade succeeded against an older upgrader")
@@ -529,6 +519,8 @@ func TestPropertyUpgradeNeverDeadlocks(t *testing.T) {
 		const perWorker = 60
 		var commits [workers]uint64
 		var wg sync.WaitGroup
+		wd := startWatchdog(t, []*Entry{e}, workers)
+		defer wd.stop()
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
@@ -538,6 +530,7 @@ func TestPropertyUpgradeNeverDeadlocks(t *testing.T) {
 				for i := 0; i < perWorker; i++ {
 					tx := txn.New(uint64(w*perWorker+i) + 1)
 					tx.SetTSAlloc(alloc)
+					wd.track(w, tx)
 					for {
 						if !cfg.DynamicTS && !tx.HasTS() {
 							m.AssignTS(tx)
@@ -560,18 +553,7 @@ func TestPropertyUpgradeNeverDeadlocks(t *testing.T) {
 						if cfg.Variant == Bamboo {
 							m.Retire(r)
 						}
-						ok := true
-						for it := 0; ; it++ {
-							if tx.Aborting() {
-								ok = false
-								break
-							}
-							if tx.Sem() == 0 {
-								break
-							}
-							Backoff(it)
-						}
-						if ok && tx.BeginCommit() {
+						if committed(tx) {
 							m.Release(r, false)
 							tx.FinishCommit()
 							commits[w]++
@@ -644,12 +626,7 @@ func TestQueuedReaderPassesYoungerOwner(t *testing.T) {
 		}
 		granted <- r
 	}()
-	for i := 0; ; i++ {
-		if _, _, waiting := e.Snapshot(); waiting == 1 {
-			break
-		}
-		Backoff(i)
-	}
+	waitForWaiters(t, e, 1)
 
 	younger := newTxnTS(4, 4)
 	yr := mustAcquire(t, m, younger, SH, e)

@@ -38,6 +38,9 @@ type Engine struct {
 	db    *core.DB
 	epoch atomic.Uint64
 	stop  chan struct{}
+	// waiters are the sessions waiting for a TID word to unlock
+	// (awaitUnlock), woken after every unlock.
+	waiters txn.Watchers
 }
 
 // New wraps db in a Silo engine and starts the epoch advancer. Call Close
@@ -89,6 +92,9 @@ type session struct {
 	lastTID uint64
 	log     core.CommitLog
 	tx      siloTx
+	// t exists only to park on: it is always Running, so its waits end
+	// when their condition holds.
+	t txn.Txn
 }
 
 type readEnt struct {
@@ -135,17 +141,21 @@ func image(row *storage.Row) *[]byte {
 // opts out of the lock engine's image-recycling protocol — its commit
 // path publishes freshly cloned images (below) and never recycles a
 // superseded one, so a reference sampled here stays immutable forever.
-func readStable(row *storage.Row) (uint64, []byte) {
-	for i := 0; ; i++ {
-		t1 := row.TID.Load()
-		if t1&lockBit == 0 {
-			img := *image(row)
-			if row.TID.Load() == t1 {
-				return t1, img
-			}
+func (s *session) readStable(row *storage.Row) (uint64, []byte) {
+	for {
+		if t1 := row.TID.Load(); t1&lockBit != 0 {
+			s.awaitUnlock(row)
+		} else if img := *image(row); row.TID.Load() == t1 {
+			return t1, img
 		}
-		lock.Backoff(i)
 	}
+}
+
+// awaitUnlock waits until row's TID word is unlocked. Its committer holds
+// it across the log append, which may wait for a group-commit fsync, so
+// the wait parks once its yield phase is over, and every unlock wakes it.
+func (s *session) awaitUnlock(row *storage.Row) {
+	s.e.waiters.Wait(&s.t, func() bool { return row.TID.Load()&lockBit == 0 }, time.Time{})
 }
 
 // ID implements core.Tx.
@@ -165,7 +175,7 @@ func (tx *siloTx) Read(row *storage.Row) ([]byte, error) {
 	if i, ok := tx.rbyRow[row]; ok {
 		return tx.reads[i].img, nil
 	}
-	tid, img := readStable(row)
+	tid, img := tx.s.readStable(row)
 	if tx.rbyRow == nil {
 		tx.rbyRow = make(map[*storage.Row]int, 16)
 	}
@@ -198,7 +208,7 @@ func (tx *siloTx) Update(row *storage.Row, mutate func(img []byte)) error {
 		mutate(tx.writes[len(tx.writes)-1].img)
 		return nil
 	}
-	tid, img := readStable(row)
+	tid, img := tx.s.readStable(row)
 	w := writeEnt{row: row, tid: tid, base: img, img: bytes.Clone(img)}
 	if tx.byRow == nil {
 		tx.byRow = make(map[*storage.Row]int, 8)
@@ -231,28 +241,33 @@ func (s *session) Begin(id uint64, _ int) core.Tx {
 	return tx
 }
 
-// LockWait implements core.Attempt: a Silo attempt never waits for
-// another transaction's locks.
+// LockWait implements core.Attempt. Silo reports none: its waits for a
+// TID word (awaitUnlock) count as the attempt's own time.
 func (s *session) LockWait() time.Duration { return 0 }
 
 // Rollback implements core.Attempt: the write-set locks a failed
 // validation left held are all there is to undo.
 func (s *session) Rollback() {
-	unlockAll(s.tx.writes[:s.tx.locked])
+	for _, w := range s.tx.writes[:s.tx.locked] {
+		w.row.TID.Store(w.row.TID.Load() &^ lockBit)
+	}
 	s.tx.locked = 0
+	s.e.waiters.WakeAll()
 }
 
-// errValidation aborts an attempt whose write set could not be locked or
-// whose read or write set changed since the body read it.
+// errValidation aborts an attempt whose read or write set changed since
+// the body read it.
 var errValidation = core.Abort(txn.CauseValidation)
 
 // Commit implements core.Attempt: Silo's commit protocol, which waits for
-// no other transaction. A validation failure returns errValidation with
-// the write-set locks taken so far still held, for Rollback. A failed log
-// append is not a validation failure — a retry cannot fix the device — and
-// comes back as the error, with the write set unlocked and nothing
-// installed. A failed insert follows the durable record: it is fatal too,
-// but the writes are installed and unlocked as committed.
+// no other transaction's commit decision, only for TID locks that other
+// committers hold through their log append and install (awaitUnlock). A
+// validation failure returns errValidation with the write-set locks taken
+// so far still held, for Rollback. A failed log append is not a
+// validation failure — a retry cannot fix the device — and comes back as
+// the error, with the write set unlocked and nothing installed. A failed
+// insert follows the durable record: it is fatal too, but the writes are
+// installed and unlocked as committed.
 func (s *session) Commit(time.Duration) (time.Duration, error) {
 	tx := &s.tx
 	// Phase 1: lock the write set in a global order.
@@ -261,9 +276,7 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 	})
 	for i := range tx.writes {
 		row := tx.writes[i].row
-		if !lockTID(row) {
-			return 0, errValidation
-		}
+		s.lockTID(row)
 		tx.locked++
 		// Write-write validation: the row changed since we took our base.
 		if row.TID.Load()&^lockBit != tx.writes[i].tid {
@@ -327,6 +340,7 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 		w.row.TID.Store(tid) // clears the lock bit
 	}
 	tx.locked = 0
+	s.e.waiters.WakeAll()
 	return 0, err
 }
 
@@ -353,24 +367,16 @@ func (tx *siloTx) accessInfo() []core.AccessInfo {
 // pointer addresses, as in the original Silo.
 func rowAddr(r *storage.Row) uintptr { return uintptr(unsafe.Pointer(r)) }
 
-func lockTID(row *storage.Row) bool {
-	for i := 0; ; i++ {
+// lockTID takes row's TID lock. Write sets lock in address order, and
+// otherwise a holder waits only for its log and commit hook, so the wait
+// always ends.
+func (s *session) lockTID(row *storage.Row) {
+	for {
 		cur := row.TID.Load()
-		if cur&lockBit == 0 {
-			if row.TID.CompareAndSwap(cur, cur|lockBit) {
-				return true
-			}
+		if cur&lockBit != 0 {
+			s.awaitUnlock(row)
+		} else if row.TID.CompareAndSwap(cur, cur|lockBit) {
+			return
 		}
-		if i > 1<<20 {
-			return false // safety valve; Silo never deadlocks here
-		}
-		lock.Backoff(i)
-	}
-}
-
-func unlockAll(ws []writeEnt) {
-	for i := range ws {
-		row := ws[i].row
-		row.TID.Store(row.TID.Load() &^ lockBit)
 	}
 }

@@ -6,15 +6,15 @@
 // The breakdown's four shares, as the executors feed them:
 //
 //   - lock wait: time a request spent blocked — queued behind a
-//     conflicting holder, or polling for an upgrade to clear. It is
+//     conflicting holder, or waiting for an upgrade to clear. It is
 //     measured where the request blocks (lock.Manager hands it back on
-//     the Request; IC3 times its own wait loops), so a transaction that
+//     the Request; IC3 times its own waits), so a transaction that
 //     meets nobody reports exactly zero. The CPU an uncontended acquire
 //     or release costs is not waiting; it is part of the execution time
 //     below.
 //   - commit wait: time between the end of the body and the commit point
 //     spent waiting for dependencies (Bamboo's commit semaphore, IC3's
-//     dependency drain) or validating (Silo).
+//     dependency drain); Silo's validation is the attempt's own work.
 //   - abort: execution time of attempts that aborted.
 //   - useful: execution time of attempts that committed — everything the
 //     body did that was not blocked, lock-table work included.

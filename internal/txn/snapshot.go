@@ -46,6 +46,20 @@ import (
 // longer sees; see snapshot_test.go for the adversarial interleavings.
 const snapPending = ^uint64(0)
 
+// settled loads slot once it is not snapPending. Its writer is running
+// and a few instructions from the store, so the wait does not park: it is
+// busy for 64 rounds, then yields the processor.
+func settled(slot *atomic.Uint64) uint64 {
+	for spin := 0; ; spin++ {
+		if v := slot.Load(); v != snapPending {
+			return v
+		}
+		if spin > 64 {
+			runtime.Gosched()
+		}
+	}
+}
+
 // snapSlot is one worker's published snapshot state, padded so
 // neighbouring workers' slots do not false-share a cacheline.
 type snapSlot struct {
@@ -120,14 +134,7 @@ func (st *SnapshotTable) AcquireSnapshot(worker int, alloc *TSAlloc) uint64 {
 	cand := alloc.Next()
 	n := int(st.maxSlot.Load())
 	for i := 0; i < n; i++ {
-		c := st.slots[i].commit.Load()
-		for spin := 0; c == snapPending; spin++ {
-			if spin > 64 {
-				runtime.Gosched()
-			}
-			c = st.slots[i].commit.Load()
-		}
-		if c != 0 && c <= cand {
+		if c := settled(&st.slots[i].commit); c != 0 && c <= cand {
 			cand = c - 1
 		}
 	}
@@ -175,28 +182,12 @@ func (st *SnapshotTable) AdvanceReclaim(alloc *TSAlloc) uint64 {
 	cand := (raw >> tsWorkerBits << tsWorkerBits) - 1
 	n := int(st.maxSlot.Load())
 	for i := 0; i < n; i++ {
-		s := &st.slots[i]
-		c := s.commit.Load()
-		for spin := 0; c == snapPending; spin++ {
-			if spin > 64 {
-				runtime.Gosched()
-			}
-			c = s.commit.Load()
-		}
-		if c != 0 && c-1 < cand {
+		if c := settled(&st.slots[i].commit); c != 0 && c-1 < cand {
 			cand = c - 1
 		}
 	}
 	for i := 0; i < n; i++ {
-		s := &st.slots[i]
-		sn := s.snap.Load()
-		for spin := 0; sn == snapPending; spin++ {
-			if spin > 64 {
-				runtime.Gosched()
-			}
-			sn = s.snap.Load()
-		}
-		if sn != 0 && sn < cand {
+		if sn := settled(&st.slots[i].snap); sn != 0 && sn < cand {
 			cand = sn
 		}
 	}

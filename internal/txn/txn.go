@@ -160,7 +160,7 @@ var tsEpoch = time.Now()
 // calls: under dynamic timestamp assignment (Algorithm 3) the lock
 // manager assigns timestamps to *other* workers' transactions inside its
 // critical sections, through each transaction's attached allocator. A
-// mutex (virtually uncontended — the owner is spinning or running user
+// mutex (virtually uncontended — the owner is waiting or running user
 // code at that point, not allocating) keeps that safe.
 type TSAlloc struct {
 	mu   sync.Mutex
@@ -213,13 +213,16 @@ type Txn struct {
 	state atomic.Int32  // State
 	cause atomic.Int32  // AbortCause of the current attempt
 
-	// Pads the struct to one 64-byte cache line. A Txn is the one object
-	// other workers poll (sem and state in the commit-wait spin, ts at
-	// every conflict); at 48 bytes it shares its allocator size class,
-	// and so its cache lines, with whatever else sessions allocate at that
-	// size — the next session's Txn, a one-ticket commit scratch written
-	// at every commit — and every such write stalls the pollers.
-	_ [16]byte
+	// parked is 1 while the owner is parked in Wait, on w (wait.go).
+	// Together they fill the struct to one 64-byte cache line. Other
+	// workers read a Txn at every conflict (ts, state) and write it to
+	// wound it or move its semaphore; at 48 bytes it shared its allocator
+	// size class, and so its cache lines, with whatever else sessions
+	// allocate at that size — the next session's Txn, a one-ticket commit
+	// scratch written at every commit — and every such write stalled the
+	// transactions that read it.
+	parked atomic.Int32
+	w      *Waiter
 }
 
 // New returns a transaction with the given ID in StateRunning and an
@@ -319,6 +322,7 @@ func (t *Txn) SetAbort(cause AbortCause) bool {
 			// nobody reads; Reset and Renew clear it.
 			t.cause.CompareAndSwap(int32(CauseNone), int32(cause))
 			if t.state.CompareAndSwap(int32(StateRunning), int32(StateAborting)) {
+				t.Wake()
 				return true
 			}
 		case StateAborting, StateAborted, StateCommitting, StateCommitted:
@@ -328,8 +332,8 @@ func (t *Txn) SetAbort(cause AbortCause) bool {
 }
 
 // Aborting reports whether an abort has been requested or performed for
-// the current attempt. The lock-wait and commit-semaphore spin loops poll
-// this so that wounds interrupt any wait.
+// the current attempt. Every Wait checks it, and SetAbort wakes a parked
+// owner, so that wounds and cascades interrupt any wait.
 func (t *Txn) Aborting() bool {
 	s := State(t.state.Load())
 	return s == StateAborting || s == StateAborted
@@ -358,14 +362,19 @@ func (t *Txn) Cause() AbortCause { return AbortCause(t.cause.Load()) }
 // SemIncr increments the commit semaphore.
 func (t *Txn) SemIncr() { t.sem.Add(1) }
 
-// SemDecr decrements the commit semaphore.
-func (t *Txn) SemDecr() { t.sem.Add(-1) }
+// SemDecr decrements the commit semaphore, waking the owner's commit
+// wait when it reaches zero.
+func (t *Txn) SemDecr() {
+	if t.sem.Add(-1) == 0 {
+		t.Wake()
+	}
+}
 
 // Sem returns the current commit semaphore value.
 func (t *Txn) Sem() int64 { return t.sem.Load() }
 
 // String implements fmt.Stringer for diagnostics.
 func (t *Txn) String() string {
-	return fmt.Sprintf("txn{id=%d attempt=%d ts=%d state=%s sem=%d}",
-		t.ID, t.Attempt, t.TS(), t.State(), t.Sem())
+	return fmt.Sprintf("txn{id=%d attempt=%d ts=%d state=%s sem=%d parked=%v}",
+		t.ID, t.Attempt, t.TS(), t.State(), t.Sem(), t.Parked())
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestLifecycleCommit(t *testing.T) {
@@ -255,4 +256,54 @@ func TestRenewClearsEverything(t *testing.T) {
 		t.Fatalf("renew left state behind: %+v ts=%d sem=%d cause=%s state=%s",
 			tx, tx.TS(), tx.Sem(), tx.Cause(), tx.State())
 	}
+}
+
+// TestWaitDeadline: a wait whose condition never holds parks and returns
+// false at its deadline, and its waiter's timer serves the next one.
+func TestWaitDeadline(t *testing.T) {
+	tx := New(1)
+	never := func() bool { return false }
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		if tx.Wait(never, start.Add(5*time.Millisecond)) {
+			t.Fatal("Wait reported a condition that never held")
+		}
+		if waited := time.Since(start); waited < 5*time.Millisecond {
+			t.Fatalf("Wait returned after %v, before its 5ms deadline", waited)
+		}
+		if tx.Parked() {
+			t.Fatal("still marked parked after Wait returned")
+		}
+	}
+}
+
+// TestCommitPoint: a drain that need not wait asks for no deadline; one
+// that waits asks once, runs late once the deadline passes, and ends at
+// the SemDecr to zero; an abort ends it with the abort's cause.
+func TestCommitPoint(t *testing.T) {
+	t.Run("drained", func(t *testing.T) {
+		tx := New(1)
+		asked := 0
+		if got := tx.CommitPoint(func() time.Time { asked++; return time.Time{} }, nil); got != CauseNone || asked != 0 {
+			t.Fatalf("CommitPoint = %v after %d deadline requests, want CauseNone after none", got, asked)
+		}
+	})
+	t.Run("late", func(t *testing.T) {
+		tx := New(1)
+		tx.SemIncr()
+		asked, lates := 0, 0
+		go func() { time.Sleep(5 * time.Millisecond); tx.SemDecr() }()
+		got := tx.CommitPoint(func() time.Time { asked++; return time.Now() }, func() { lates++ })
+		if got != CauseNone || asked != 1 || lates != 1 {
+			t.Fatalf("CommitPoint = %v after %d deadline requests and %d late calls, want CauseNone after one each", got, asked, lates)
+		}
+	})
+	t.Run("wounded", func(t *testing.T) {
+		tx := New(1)
+		tx.SemIncr()
+		go func() { time.Sleep(5 * time.Millisecond); tx.SetAbort(CauseWound) }()
+		if got := tx.CommitPoint(nil, nil); got != CauseWound {
+			t.Fatalf("CommitPoint = %v, want %v", got, CauseWound)
+		}
+	})
 }

@@ -1,0 +1,169 @@
+package txn
+
+import (
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// Waiting. Every blocking wait of a transaction — a queued lock request,
+// a pending upgrade, the commit semaphore, an IC3 piece or dependency, a
+// locked Silo TID word — is one call of Wait, and every event that can
+// end a wait calls Wake on the transaction it affects: SetAbort's
+// Running→Aborting transition, the SemDecr that reaches zero, a lock
+// grant, a change to an entry with a pending upgrade, an IC3 piece
+// finishing or transaction ending, a Silo TID unlock. A wait yields
+// first, so that a short hold ends without a park, and then parks on the
+// transaction's Waiter until one of those wakes arrives.
+
+// spinRounds is how often Wait yields the processor before it parks:
+// ~10 µs on a 2-vCPU host when the holder is running.
+const spinRounds = 64
+
+// Waiter is the token a waiting transaction parks on, owned by the
+// session whose goroutine runs the transaction. The zero value is ready.
+type Waiter struct {
+	ch    chan struct{} // one buffered wake: a wake before the park is kept
+	timer *time.Timer   // a deadline's timer, made at the first one and reused
+}
+
+// SetWaiter makes w the token t parks on. A session whose transactions
+// are not reused (IC3 makes one per attempt) attaches its own; otherwise
+// t's first park makes one. Owner only, before t can be woken.
+func (t *Txn) SetWaiter(w *Waiter) { t.w = w }
+
+// Wait blocks t's owner until cond holds, t is aborting, or deadline
+// passes (the zero Time: never), and reports whether cond held. cond
+// must become true only through an event whose author calls t.Wake after
+// it, or under a latch that cond takes too.
+func (t *Txn) Wait(cond func() bool, deadline time.Time) bool {
+	for i := 0; ; i++ {
+		park := i >= spinRounds
+		if park {
+			if t.w == nil {
+				t.w = &Waiter{}
+			}
+			if t.w.ch == nil {
+				t.w.ch = make(chan struct{}, 1)
+			}
+			// Announced before the checks: a waker changes the state and
+			// then reads parked, so either the checks below see the change
+			// or the waker sees the announcement and sends.
+			t.parked.Store(1)
+		}
+		held := cond()
+		if held || t.Aborting() || !deadline.IsZero() && !time.Now().Before(deadline) {
+			t.parked.Store(0)
+			return held
+		}
+		if park {
+			t.w.park(deadline)
+		} else {
+			runtime.Gosched()
+		}
+	}
+}
+
+// park blocks until a wake or the deadline. A wake left over from an
+// earlier wait ends it early; Wait then checks again and parks again.
+func (w *Waiter) park(deadline time.Time) {
+	if deadline.IsZero() {
+		<-w.ch
+		return
+	}
+	if w.timer == nil {
+		w.timer = time.NewTimer(time.Hour)
+	}
+	w.timer.Reset(time.Until(deadline)) // drops a stale fire (Go 1.23 timers)
+	select {
+	case <-w.ch:
+	case <-w.timer.C:
+	}
+	w.timer.Stop()
+}
+
+// Wake wakes t's owner if it is parked in Wait. Call it after the change
+// that may end the wait; when nobody is parked it is one atomic load.
+func (t *Txn) Wake() {
+	if t.parked.Load() != 0 {
+		select {
+		case t.w.ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Parked reports whether t's owner is parked in Wait.
+func (t *Txn) Parked() bool { return t.parked.Load() != 0 }
+
+// Watchers is the set of transactions waiting on one object that does
+// not know its waiters — an IC3 attempt's progress, Silo's TID words. A
+// waiter joins it for the length of its wait (Wait), and whoever changes
+// the object wakes them all (WakeAll); each checks its own condition
+// again. The zero value is empty.
+type Watchers struct {
+	n   atomic.Int32 // len(all), read without mu by WakeAll
+	mu  sync.Mutex
+	all []*Txn
+}
+
+// Wait is t.Wait(cond, deadline) with t one of ws.
+func (ws *Watchers) Wait(t *Txn, cond func() bool, deadline time.Time) bool {
+	ws.mu.Lock()
+	ws.all = append(ws.all, t)
+	ws.n.Add(1)
+	ws.mu.Unlock()
+	held := t.Wait(cond, deadline)
+	ws.mu.Lock()
+	ws.all = slices.DeleteFunc(ws.all, func(w *Txn) bool { return w == t })
+	ws.n.Add(-1)
+	ws.mu.Unlock()
+	return held
+}
+
+// WakeAll wakes every watcher. Call it after the change; with nobody
+// watching it is one atomic load.
+func (ws *Watchers) WakeAll() {
+	if ws.n.Load() == 0 {
+		return
+	}
+	ws.mu.Lock()
+	for _, t := range ws.all {
+		t.Wake()
+	}
+	ws.mu.Unlock()
+}
+
+// CommitPoint is the commit decision of Algorithm 1 for every lock-based
+// commit: wait for the commit semaphore to drain, take the commit CAS
+// (BeginCommit), then check the semaphore again. An Optimization-3
+// reader may have commit-ordered itself before t between the drain and
+// the CAS, and waiting for it there can deadlock (it may be blocked on
+// another of t's locks), so t reverts its own decision instead: a
+// self-abort, CauseDie. A drain that has to wait first calls waiting,
+// when it is not nil, for the wait's deadline (the zero Time: none); if
+// the drain outlasts it, late runs once and the wait goes on
+// (Optimization 2's adaptive retire). CommitPoint returns CauseNone once
+// t is past its commit point, else the cause of its abort.
+func (t *Txn) CommitPoint(waiting func() time.Time, late func()) AbortCause {
+	drained := func() bool { return t.Sem() == 0 }
+	if !drained() {
+		var deadline time.Time
+		if waiting != nil {
+			deadline = waiting()
+		}
+		if !t.Wait(drained, deadline) && !t.Aborting() {
+			late()
+			t.Wait(drained, time.Time{})
+		}
+	}
+	switch {
+	case !t.BeginCommit():
+		return t.Cause()
+	case t.Sem() != 0:
+		return CauseDie
+	}
+	return CauseNone
+}
