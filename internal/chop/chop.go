@@ -17,13 +17,12 @@
 // conflicting predecessors to finish. The column-level analysis — the
 // mechanism responsible for Figure 11's shape — is implemented in full.
 //
-// Extension beyond the original: access modes are optional. A piece
-// whose declarations carry no Write flag is analyzed conservatively
-// (every declared access a potential write) and discovers its modes at
-// runtime — an Update after a Read of the same row promotes the access
-// SH→EX in place, the same upgrade semantics the lock engines expose —
-// so a workload's un-annotated read-then-update bodies run under IC3
-// without per-piece write-set declarations.
+// The declarations are the whole truth at run time too: a piece touches
+// a row of a table it declares Write on exclusively from the first touch,
+// Read or Update, and an Update of a table it does not declare Write on
+// is an error. The run-time conflict test and the static C-edges thus
+// read the same declaration, and an Update after a Read of the same row
+// never waits.
 package chop
 
 import (
@@ -47,14 +46,10 @@ type AccessDecl struct {
 	Table string
 	// Cols are the column indexes touched (≤64 columns per table).
 	Cols []int
-	// Write marks the access as an update. The mode is optional: a piece
-	// none of whose accesses declares Write is un-annotated — the
-	// analysis treats every one of its accesses as a potential write
-	// (conservative C-edges), and the actual mode is discovered at
-	// runtime, where an Update after a Read of the same row promotes the
-	// access SH→EX in place (see Tx.promote). Declaring modes buys the
-	// precise column-level analysis; omitting them buys not having to
-	// know the write set per piece.
+	// Write lets the piece Update rows of Table. The piece then holds
+	// every row of Table it touches, read or updated, exclusively on its
+	// declared columns until it finishes; without Write, PieceTx.Update
+	// of a row of Table returns an error.
 	Write bool
 }
 
@@ -73,10 +68,11 @@ func (d AccessDecl) mask() uint64 {
 type Piece struct {
 	Accesses []AccessDecl
 	// Body executes the piece. Returning core.ErrUserAbort aborts the
-	// whole transaction finally; other errors abort and retry.
+	// whole transaction finally, a core.Abort retries it, and any other
+	// error rolls it back and ends the Run with that error.
 	Body func(pt *PieceTx) error
 
-	masks map[string]uint64 // table → column mask, from Analyze
+	tables map[string]tableDecl // from Analyze
 	// lastConflict[t] is the highest piece index of template t that
 	// conflicts with this piece (-1 if none), from Analyze. Used to
 	// inherit dependency order across pieces: a transaction must not
@@ -86,32 +82,33 @@ type Piece struct {
 	lastConflict map[*Template]int
 }
 
-// annotated reports whether the piece declares any access mode. An
-// un-annotated piece's accesses must be analyzed as potential writes:
-// the runtime may promote any of them to a write in place.
-func (p *Piece) annotated() bool {
+// tableDecl is a piece's declaration on one table: the union of its
+// declared columns, and whether any of its accesses declares Write.
+type tableDecl struct {
+	mask  uint64
+	write bool
+}
+
+// declared folds the piece's access declarations by table.
+func (p *Piece) declared() map[string]tableDecl {
+	m := make(map[string]tableDecl, len(p.Accesses))
 	for _, a := range p.Accesses {
-		if a.Write {
-			return true
-		}
+		d := m[a.Table]
+		d.mask |= a.mask()
+		d.write = d.write || a.Write
+		m[a.Table] = d
 	}
-	return false
+	return m
 }
 
 // conflictsWith reports whether two piece templates have a column-level
-// conflict: same table, overlapping columns, at least one side writing —
-// where an access of an un-annotated piece counts as writing, since
-// nothing rules the write out statically.
+// conflict: a table both declare, overlapping columns, and Write declared
+// by at least one side — the test conflict makes at run time.
 func (p *Piece) conflictsWith(q *Piece) bool {
-	pAnn, qAnn := p.annotated(), q.annotated()
-	for _, a := range p.Accesses {
-		for _, b := range q.Accesses {
-			if a.Table != b.Table || !(a.Write || !pAnn || b.Write || !qAnn) {
-				continue
-			}
-			if a.mask()&b.mask() != 0 {
-				return true
-			}
+	qd := q.declared()
+	for t, a := range p.declared() {
+		if b, ok := qd[t]; ok && a.mask&b.mask != 0 && (a.write || b.write) {
+			return true
 		}
 	}
 	return false
@@ -159,14 +156,7 @@ func (r *Registry) Analyze() {
 	}
 	for _, t := range r.templates {
 		for _, p := range t.Pieces {
-			p.masks = make(map[string]uint64, len(p.Accesses))
-			for _, a := range p.Accesses {
-				p.masks[a.Table] |= a.mask()
-			}
-		}
-	}
-	for _, t := range r.templates {
-		for _, p := range t.Pieces {
+			p.tables = p.declared()
 			p.lastConflict = make(map[*Template]int, len(r.templates))
 			for _, u := range r.templates {
 				last := -1
@@ -234,25 +224,18 @@ func mergeRange(t *Template, i, j int) {
 
 // rowState is the per-row accessor list hung on Row.Aux.
 type rowState struct {
-	mu   chan struct{} // 1-buffered channel used as a latch
+	mu   sync.Mutex
 	accs []*access
 	seq  uint64 // never-reused install counter (see internal/lock)
 }
-
-func newRowState() *rowState {
-	rs := &rowState{mu: make(chan struct{}, 1)}
-	return rs
-}
-
-func (rs *rowState) lock()   { rs.mu <- struct{}{} }
-func (rs *rowState) unlock() { <-rs.mu }
 
 // access is one transaction-piece's access to one row.
 type access struct {
 	t     *txn.Txn
 	owner *Tx
 	mask  uint64
-	write bool
+	excl  bool // the piece declares Write on the row's table
+	write bool // the piece updated the row
 	done  bool // the owning piece finished
 
 	// write bookkeeping
@@ -266,7 +249,7 @@ type access struct {
 }
 
 func conflict(a, b *access) bool {
-	return a.mask&b.mask != 0 && (a.write || b.write)
+	return a.mask&b.mask != 0 && (a.excl || b.excl)
 }
 
 // waitTimeout is how long a piece may wait for conflicting pieces or
@@ -306,7 +289,7 @@ func (e *Engine) Database() *core.DB { return e.db }
 
 func prepareRow(r *storage.Row) {
 	if r.Aux == nil {
-		r.Aux = newRowState()
+		r.Aux = &rowState{}
 	}
 	if r.OCCImage.Load() == nil {
 		d := r.Entry.CurrentData()
@@ -475,89 +458,72 @@ func (pt *PieceTx) Insert(tbl *storage.Table, key uint64, img []byte) error {
 }
 
 // attach waits for conflicting unfinished accesses, records dependencies,
-// and registers this transaction's access.
-func (tx *Tx) attach(row *storage.Row, piece *Piece, write bool) (*access, error) {
+// and registers this transaction's access. The access is exclusive if
+// the piece declares Write on the row's table, whether its first touch
+// is a Read or an Update.
+func (tx *Tx) attach(row *storage.Row, piece *Piece, update bool) (*access, error) {
 	rs, _ := row.Aux.(*rowState)
+	name := row.Table.Schema.Name
 	if rs == nil {
-		return nil, fmt.Errorf("chop: row of table %s not prepared", row.Table.Schema.Name)
+		return nil, fmt.Errorf("chop: row of table %s not prepared", name)
 	}
-	mask := piece.masks[row.Table.Schema.Name]
-	if mask == 0 {
-		return nil, fmt.Errorf("chop: piece accesses undeclared table %s", row.Table.Schema.Name)
+	decl := piece.tables[name]
+	switch {
+	case decl.mask == 0:
+		return nil, fmt.Errorf("chop: piece accesses undeclared table %s", name)
+	case update && !decl.write:
+		return nil, fmt.Errorf("chop: piece updates table %s, on which it does not declare Write", name)
 	}
-	// Re-access within the running piece: reuse the existing access so
-	// earlier mutations are not lost. A write after a read of the same
-	// row promotes the read access in place rather than stacking a
-	// second access next to it — the chop-side analogue of the lock
-	// manager's SH→EX upgrade, and what lets un-annotated piece bodies
-	// run read-then-update without pre-declaring their write set.
+	// Re-access within the running piece reuses the piece's access, so
+	// earlier mutations are not lost. An Update after a Read has nothing
+	// to wait for, since the access is exclusive already; it takes a
+	// private copy of the image the Read aliased.
 	for i := len(tx.accs) - 1; i >= 0; i-- {
 		if a := tx.accs[i]; a.row == row && !a.done {
-			if !write || a.write {
-				return a, nil
+			if update && !a.write {
+				a.write = true
+				a.local = bytes.Clone(a.local)
+				if tx.col != nil {
+					tx.col.Add(stats.Upgrades, 1)
+				}
 			}
-			return tx.promote(a)
+			return a, nil
 		}
 	}
-	mine := &access{t: tx.t, owner: tx, mask: mask, write: write, row: row, rs: rs}
-	if err := tx.waitConflicts(rs, func(a *access) bool { return conflict(a, mine) }); err != nil {
+	mine := &access{t: tx.t, owner: tx, mask: decl.mask, excl: decl.write, write: update, row: row, rs: rs}
+	if err := tx.waitConflicts(mine); err != nil {
 		return nil, err
 	}
 	cur := *row.OCCImage.Load()
-	if write {
+	if update {
 		mine.local = bytes.Clone(cur)
 	} else {
 		mine.local = cur
 	}
 	rs.accs = append(rs.accs, mine)
 	tx.accs = append(tx.accs, mine)
-	rs.unlock()
+	rs.mu.Unlock()
 	return mine, nil
 }
 
-// promote upgrades a same-piece read access to a write in place,
-// mirroring the lock manager's SH→EX upgrade semantics: the read hold is
-// never given up, so an upgraded read-modify-write cannot lose an
-// update. Becoming a writer creates conflicts with the plain readers the
-// access previously commuted with, so promote first waits for every
-// unfinished overlapping access of other transactions to finish its
-// piece, then records commit dependencies on all overlapping accessors
-// and re-clones the row image — the read path aliases the published
-// image, which a writer must never mutate in place. Two running pieces
-// promoting against each other on the same row are a symmetric upgrade
-// deadlock; the wait deadline converts it into an abort-and-retry, the
-// same resolution the lock engine reaches by wounding.
-func (tx *Tx) promote(a *access) (*access, error) {
-	rs := a.rs
-	if err := tx.waitConflicts(rs, func(b *access) bool { return b.mask&a.mask != 0 }); err != nil {
-		return nil, err
-	}
-	a.write = true
-	a.local = bytes.Clone(*a.row.OCCImage.Load())
-	rs.unlock()
-	if tx.col != nil {
-		tx.col.Add(stats.Upgrades, 1)
-	}
-	return a, nil
-}
-
 // waitConflicts waits until no unfinished access of another transaction
-// on rs conflicts (per conflicts) with the one being placed, then records
-// commit-order dependencies on every conflicting accessor still present
-// (their pieces finished; they have not committed). It returns with rs
-// latched, or unlatched with an error when the transaction is aborting
-// or the wait exceeds waitTimeout.
-func (tx *Tx) waitConflicts(rs *rowState, conflicts func(*access) bool) error {
+// on mine's row conflicts with mine, then records commit-order
+// dependencies on every conflicting accessor still present (their pieces
+// finished; they have not committed). It returns with the row latched,
+// or unlatched with an error when the transaction is aborting or the
+// wait exceeds waitTimeout.
+func (tx *Tx) waitConflicts(mine *access) error {
+	rs := mine.rs
 	var deadline time.Time
-	rs.lock()
+	rs.mu.Lock()
 	for {
 		if tx.t.Aborting() {
-			rs.unlock()
+			rs.mu.Unlock()
 			return tx.abort()
 		}
 		var blocker *access
 		for _, a := range rs.accs {
-			if a.t != tx.t && !a.done && !a.unwound && conflicts(a) {
+			if a.t != tx.t && !a.done && !a.unwound && conflict(a, mine) {
 				blocker = a
 				break
 			}
@@ -570,14 +536,14 @@ func (tx *Tx) waitConflicts(rs *rowState, conflicts func(*access) bool) error {
 		// the blocker is done once the progress passes that count, and
 		// gone once its owner ended.
 		d, past := blocker.owner, blocker.owner.progress.Load()
-		rs.unlock()
+		rs.mu.Unlock()
 		if !tx.waitOn(d, past, &deadline, &tx.waited) {
 			return tx.abort()
 		}
-		rs.lock()
+		rs.mu.Lock()
 	}
 	for _, a := range rs.accs {
-		if a.t != tx.t && !a.unwound && conflicts(a) {
+		if a.t != tx.t && !a.unwound && conflict(a, mine) {
 			if tx.deps == nil {
 				tx.deps = make(map[*Tx]struct{}, 8)
 			}
@@ -616,7 +582,7 @@ func (tx *Tx) waitOn(d *Tx, past int32, deadline *time.Time, blocked *time.Durat
 // each other.
 func (tx *Tx) finishPiece(from int) {
 	for _, a := range tx.accs[from:] {
-		a.rs.lock()
+		a.rs.mu.Lock()
 		if a.write && !a.unwound {
 			a.rs.seq++
 			a.installSeq = a.rs.seq
@@ -628,7 +594,7 @@ func (tx *Tx) finishPiece(from int) {
 			a.installed = true
 		}
 		a.done = true
-		a.rs.unlock()
+		a.rs.mu.Unlock()
 	}
 }
 
@@ -638,7 +604,7 @@ func (tx *Tx) rollback() {
 	for i := len(tx.accs) - 1; i >= 0; i-- {
 		a := tx.accs[i]
 		rs := a.rs
-		rs.lock()
+		rs.mu.Lock()
 		pos := -1
 		for j, x := range rs.accs {
 			if x == a {
@@ -665,8 +631,7 @@ func (tx *Tx) rollback() {
 			a.row.Table.Schema.CopyCols(merged, *a.prev, a.mask)
 			a.row.OCCImage.Store(&merged)
 			for _, x := range rs.accs {
-				if x != a && x.installed && x.installSeq > a.installSeq &&
-					x.mask&a.mask != 0 && x.write {
+				if x != a && x.installed && x.installSeq > a.installSeq && x.mask&a.mask != 0 {
 					x.unwound = true
 				}
 			}
@@ -674,7 +639,7 @@ func (tx *Tx) rollback() {
 		if pos >= 0 {
 			rs.accs = append(rs.accs[:pos], rs.accs[pos+1:]...)
 		}
-		rs.unlock()
+		rs.mu.Unlock()
 	}
 	tx.accs = nil
 	tx.t.FinishAbort()
@@ -684,14 +649,14 @@ func (tx *Tx) rollback() {
 // detach removes a committed transaction's accesses.
 func (tx *Tx) detach() {
 	for _, a := range tx.accs {
-		a.rs.lock()
+		a.rs.mu.Lock()
 		for j, x := range a.rs.accs {
 			if x == a {
 				a.rs.accs = append(a.rs.accs[:j], a.rs.accs[j+1:]...)
 				break
 			}
 		}
-		a.rs.unlock()
+		a.rs.mu.Unlock()
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"bamboo/internal/occ"
 	"bamboo/internal/stats"
 	"bamboo/internal/storage"
+	"bamboo/internal/txn"
 	"bamboo/internal/verify"
 )
 
@@ -114,38 +115,11 @@ func TestAnalyzeKeepsDisjointColumns(t *testing.T) {
 	}
 }
 
-// TestAnalyzeUnannotatedConservative: pieces declaring no access modes
-// must be analyzed as potential writers — two mode-less templates whose
-// table orders cross merge exactly as annotated writers would, where a
-// read-only reading of the same declarations would see no C-edge at all.
-func TestAnalyzeUnannotatedConservative(t *testing.T) {
-	mk := func(tables ...string) *chop.Template {
-		tt := &chop.Template{Name: tables[0] + "-first"}
-		for _, tb := range tables {
-			tt.Pieces = append(tt.Pieces, &chop.Piece{
-				Accesses: []chop.AccessDecl{{Table: tb, Cols: []int{0}}},
-				Body:     func(*chop.PieceTx) error { return nil },
-			})
-		}
-		return tt
-	}
-	a := mk("X", "Y")
-	b := mk("Y", "X")
-	var reg chop.Registry
-	reg.Register(a)
-	reg.Register(b)
-	reg.Analyze()
-	if reg.Merges() == 0 {
-		t.Fatal("un-annotated crossing templates not merged; analysis trusted absent mode declarations")
-	}
-	if len(a.Pieces) != 1 || len(b.Pieces) != 1 {
-		t.Fatalf("pieces after merge: %d and %d, want 1 and 1", len(a.Pieces), len(b.Pieces))
-	}
-}
-
-// TestInPlacePromotion: an un-annotated read-then-update piece promotes
-// its read access SH→EX in place — one access per row, counted as an
-// upgrade, and the concurrent increments it performs conserve.
+// TestInPlacePromotion: a read-then-update piece that declares Write
+// holds the row exclusively from its Read, so its Update turns the same
+// access into a write without waiting — one access per row, counted as an
+// upgrade, no piece dying at the wait valve, and the concurrent
+// increments it performs conserve.
 func TestInPlacePromotion(t *testing.T) {
 	var maxAccs atomic.Int64
 	db := core.NewDB(core.Config{OnCommit: func(_ int, _, _ uint64, accesses []core.AccessInfo, _ int) {
@@ -154,7 +128,7 @@ func TestInPlacePromotion(t *testing.T) {
 		}
 		for _, a := range accesses {
 			if a.Mode != lock.EX {
-				panic("promoted access committed as SH")
+				panic("read-then-update access committed as SH")
 			}
 		}
 	}})
@@ -162,7 +136,7 @@ func TestInPlacePromotion(t *testing.T) {
 	valCol := tbl.Schema.ColIndex("val")
 
 	tmpl := &chop.Template{Name: "rmw", Pieces: []*chop.Piece{{
-		Accesses: []chop.AccessDecl{{Table: "kv", Cols: []int{valCol}}}, // no mode declared
+		Accesses: []chop.AccessDecl{{Table: "kv", Cols: []int{valCol}, Write: true}},
 		Body: func(pt *chop.PieceTx) error {
 			k := pt.Env().(uint64)
 			row := tbl.Get(k)
@@ -185,10 +159,50 @@ func TestInPlacePromotion(t *testing.T) {
 		t.Fatalf("total = %d, want %d (lost or doubled updates through promotion)", total, workers*per)
 	}
 	if got := maxAccs.Load(); got != 1 {
-		t.Fatalf("%d accesses recorded for a single-row read-then-update, want 1 promoted access", got)
+		t.Fatalf("%d accesses recorded for a single-row read-then-update, want 1 access", got)
 	}
 	if res.Report.Upgrades == 0 {
 		t.Fatal("no upgrades recorded; promotion path not taken")
+	}
+	if n := res.Report.AbortsBy[txn.CauseDie.String()]; n != 0 {
+		t.Fatalf("%d attempts died at the wait valve; a declared writer's Update must not wait", n)
+	}
+}
+
+// TestUpdateUndeclaredWrite: an Update of a table the piece declares
+// without Write is an error naming the table, not a write the analysis
+// never saw; the transaction commits nothing and leaves the row free.
+func TestUpdateUndeclaredWrite(t *testing.T) {
+	db := core.NewDB(core.Config{})
+	tbl := buildKV(db, 1)
+	valCol := tbl.Schema.ColIndex("val")
+	incr := func(pt *chop.PieceTx) error {
+		return pt.Update(tbl.Get(0), func(img []byte) { tbl.Schema.AddInt64(img, valCol, 1) })
+	}
+	piece := func(write bool) *chop.Piece {
+		return &chop.Piece{Accesses: []chop.AccessDecl{{Table: "kv", Cols: []int{valCol}, Write: write}}, Body: incr}
+	}
+	reader := &chop.Template{Name: "reader", Pieces: []*chop.Piece{piece(false)}}
+	writer := &chop.Template{Name: "writer", Pieces: []*chop.Piece{piece(true)}}
+	var reg chop.Registry
+	reg.Register(reader)
+	reg.Register(writer)
+	reg.Analyze()
+
+	col := &stats.Collector{}
+	sess := chop.New(db).NewSession(0, col)
+	err := sess.Run(chop.Call(reader, nil))
+	if err == nil || !strings.Contains(err.Error(), "kv") {
+		t.Fatalf("Update of a table declared read-only: err = %v, want an error naming table kv", err)
+	}
+	if col.Commits != 0 {
+		t.Fatalf("%d commits from the rejected transaction", col.Commits)
+	}
+	if got := tbl.Schema.GetInt64(*tbl.Get(0).OCCImage.Load(), valCol); got != 0 {
+		t.Fatalf("value = %d after the rejected Update, want 0", got)
+	}
+	if err := sess.Run(chop.Call(writer, nil)); err != nil || col.Commits != 1 || col.LockWait != 0 {
+		t.Fatalf("declared writer after the rejection: err=%v commits=%d lock wait=%v", err, col.Commits, col.LockWait)
 	}
 }
 

@@ -30,7 +30,8 @@ type CheckpointConfig struct {
 	// .tmp a crash mid-write leaves for the next round to prune);
 	// non-empty enables checkpointing.
 	Dir string
-	// Interval is the per-partition time trigger (default 1s).
+	// Interval is the period of the background rounds (default 1s); each
+	// round visits every partition.
 	Interval time.Duration
 	// SegmentBytes is the segment rotation threshold of every WALDir
 	// log, checkpoints on or off (0 = the wal.DefaultSegmentBytes
@@ -82,7 +83,6 @@ type checkpointer struct {
 
 	mu      sync.Mutex // serializes rounds; guards everything below
 	lastSeq []uint64   // newest snapshot seq per partition (0 = none)
-	lastRun []time.Time
 	snap    snapshotWriter
 	stats   CheckpointStats
 	lastErr error
@@ -94,8 +94,7 @@ type checkpointer struct {
 }
 
 func newCheckpointer(db *DB) *checkpointer {
-	n := db.Partitions()
-	return &checkpointer{db: db, lastSeq: make([]uint64, n), lastRun: make([]time.Time, n)}
+	return &checkpointer{db: db, lastSeq: make([]uint64, db.Partitions())}
 }
 
 // start launches the loop. Idempotent. Called via DB.StartCheckpointer —
@@ -116,7 +115,6 @@ func (c *checkpointer) start() {
 		if snaps, _, err := listSnapshots(c.db.cfg.Checkpoint.Dir, p); err == nil && len(snaps) > 0 {
 			c.lastSeq[p] = snaps[0].seq
 		}
-		c.lastRun[p] = time.Now()
 	}
 	c.mu.Unlock()
 	c.stopCh = make(chan struct{})
@@ -151,9 +149,6 @@ func (c *checkpointer) loop(stopCh, doneCh chan struct{}) {
 		case <-tick.C:
 			c.mu.Lock()
 			for p := 0; p < c.db.Partitions(); p++ {
-				if time.Since(c.lastRun[p]) < interval {
-					continue
-				}
 				if err := c.partitionRoundLocked(p); err != nil {
 					c.stats.Errors++
 					c.lastErr = err
@@ -194,7 +189,6 @@ func (c *checkpointer) partitionRoundLocked(p int) error {
 	c.db.ckptGate.Lock()
 	seq := c.db.PLog.Seq(p)
 	c.db.ckptGate.Unlock()
-	c.lastRun[p] = time.Now()
 	if seq == c.lastSeq[p] {
 		c.stats.SkippedRounds++
 		return nil

@@ -357,6 +357,38 @@ func TestCheckpointConcurrentWithWriters(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundEveryTick: the background checkpointer takes a round
+// at every tick of its interval — a snapshot while writers commit, a
+// counted skip when nothing new is durable — even when the previous round
+// ended a few µs short of one interval before the tick.
+func TestCheckpointRoundEveryTick(t *testing.T) {
+	const interval, length = 20 * time.Millisecond, time.Second
+	cfg := lifecycleCfg(filepath.Join(t.TempDir(), "wal"), filepath.Join(t.TempDir(), "ckpt"), 1, false)
+	cfg.Checkpoint.Interval = interval
+
+	db := core.NewDB(cfg)
+	tbl := loadXfer(t, db)
+	per := partitionKeys(tbl, 1)
+	db.StartCheckpointer()
+	start := time.Now()
+	if res := core.RunFor(core.NewLockEngine(db), 2, length, xferGen(tbl, per)); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	cst := db.CheckpointStats()
+	ticks := uint64(time.Since(start) / interval)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rounds := cst.Checkpoints + cst.SkippedRounds
+	t.Logf("%d rounds (%d snapshots, %d skips) in %d ticks", rounds, cst.Checkpoints, cst.SkippedRounds, ticks)
+	if rounds < ticks*4/5 {
+		t.Fatalf("%d rounds in %d ticks, want at least %d", rounds, ticks, ticks*4/5)
+	}
+	if cst.Errors != 0 {
+		t.Fatalf("background rounds failed: %+v", cst)
+	}
+}
+
 // TestCheckpointRequiresWALDir pins the guard: a checkpoint config with
 // no file-backed WAL is a programming error, not a silent no-op.
 func TestCheckpointRequiresWALDir(t *testing.T) {

@@ -45,7 +45,7 @@ func engineCases() []engineCase {
 // may read and write table t.
 func onePiece(fn core.TxnFunc) core.TxnFunc {
 	tmpl := &chop.Template{Name: "body", Pieces: []*chop.Piece{{
-		Accesses: []chop.AccessDecl{{Table: "t", Cols: []int{0}}},
+		Accesses: []chop.AccessDecl{{Table: "t", Cols: []int{0}, Write: true}},
 		Body:     func(pt *chop.PieceTx) error { return fn(pt) },
 	}}}
 	var reg chop.Registry

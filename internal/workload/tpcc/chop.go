@@ -16,12 +16,10 @@ import (
 // waiting. With ModifiedNewOrder, NewOrder also reads w_ytd, creating the
 // "true" conflict that collapses IC3's advantage (Figure 11c/d).
 //
-// Under Config.Unannotated the Write flags are stripped: pieces declare
-// tables and columns but no modes, the analysis goes conservative, and
-// the bodies' read-then-update accesses (see Workload.update) promote
-// SH→EX in place inside the chop engine at runtime. The NewOrder+Payment
-// C-edge set is unchanged by the stripping — every overlapping column
-// pair already had a writer — so the mix still analyzes to zero merges.
+// The declarations do not depend on Config.Unannotated: IC3 needs every
+// piece's write set up front, so under it the bodies' read-then-update
+// accesses (see Workload.update) run as declared writes, each row held
+// exclusively from its Read.
 func (w *Workload) ChopRegistry() (*chop.Registry, *chop.Template, *chop.Template) {
 	wc, dc, cc, ic, sc := w.wc, w.dc, w.cc, w.ic, w.sc
 
@@ -102,16 +100,6 @@ func (w *Workload) ChopRegistry() (*chop.Registry, *chop.Template, *chop.Templat
 			},
 		},
 	}}
-
-	if w.cfg.Unannotated {
-		for _, t := range []*chop.Template{payment, neworder} {
-			for _, p := range t.Pieces {
-				for i := range p.Accesses {
-					p.Accesses[i].Write = false
-				}
-			}
-		}
-	}
 
 	reg := &chop.Registry{}
 	reg.Register(payment)

@@ -229,9 +229,11 @@ type Config struct {
 	StockLevelFraction float64
 	// Unannotated runs the transaction bodies without read/write
 	// pre-declaration: every update first Reads the row and then Updates
-	// it, so the executor upgrades SH→EX in place (interactive clients
+	// it, so the lock engines upgrade SH→EX in place (interactive clients
 	// that do not declare their write sets up front). Access declarations
-	// (DeclareOps) are also withheld.
+	// (DeclareOps) are also withheld. IC3's pieces keep their declared
+	// modes (ChopRegistry), so there the same bodies run as declared
+	// writes.
 	Unannotated bool
 	// Seed seeds the loader and generators.
 	Seed int64

@@ -300,12 +300,11 @@ func TestTPCCConsistencyIC3(t *testing.T) {
 	}
 }
 
-// TestTPCCConsistencyIC3Unannotated runs the IC3 mix with the access
-// modes stripped from the templates: the bodies' read-then-update
-// accesses promote SH→EX in place inside the chop engine, the
-// conservative analysis still finds zero merges (every overlapping
-// column pair already had a writer), and the spec's consistency
-// conditions must survive.
+// TestTPCCConsistencyIC3Unannotated runs the IC3 mix with the bodies'
+// read-then-update accesses: each Update turns the piece's declared-write
+// access its Read made into a write without waiting, the templates still
+// analyze to zero merges, and the spec's consistency conditions must
+// survive.
 func TestTPCCConsistencyIC3Unannotated(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.Unannotated = true
@@ -315,10 +314,10 @@ func TestTPCCConsistencyIC3Unannotated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reg, _, _ := w.ChopRegistry(); reg.Merges() != 0 {
-		t.Fatalf("un-annotated TPC-C templates merged %d times; conservative C-edge set should be unchanged", reg.Merges())
+		t.Fatalf("TPC-C templates merged %d times under Unannotated; table orders agree, expected none", reg.Merges())
 	}
 	if res := runMix(t, chop.New(db), w, w.IC3Generator(), 8, 80); res.Report.Upgrades == 0 {
-		t.Fatal("no in-place promotions recorded; un-annotated bodies did not drive the upgrade path")
+		t.Fatal("no upgrades recorded; the bodies' read-then-update accesses did not turn into writes")
 	}
 }
 
