@@ -115,10 +115,9 @@ func NewSchema(name string, cols ...Column) *Schema { return storage.NewSchema(n
 var ErrUserAbort = core.ErrUserAbort
 
 // Config is the engine configuration Options embeds: storage partitions,
-// MVCC, group commit, the WAL directory and fsync policy, checkpoints,
-// the metrics endpoint. Its five protocol fields (Variant, RetireReads,
-// NoWoundRead, DynamicTS, Delta) belong to Options.Protocol and must stay
-// unset.
+// MVCC, the WAL directory and fsync policy, checkpoints, the metrics
+// endpoint. Its five protocol fields (Variant, RetireReads, NoWoundRead,
+// DynamicTS, Delta) belong to Options.Protocol and must stay unset.
 type Config = core.Config
 
 // Options configures Open.
@@ -143,8 +142,8 @@ type FsyncPolicy = wal.FsyncPolicy
 const (
 	// FsyncNone never syncs (page-cache durability only).
 	FsyncNone = wal.FsyncNone
-	// FsyncBatch syncs once per device write (per record, or per group-
-	// commit epoch when GroupCommit is on).
+	// FsyncBatch returns a commit only once an fsync covers its record;
+	// each log device's syncer shares one fsync among concurrent commits.
 	FsyncBatch = wal.FsyncBatch
 	// FsyncInterval syncs at most once per wal.DefaultFsyncInterval (1 ms).
 	FsyncInterval = wal.FsyncInterval
@@ -197,8 +196,9 @@ func Open(opts Options) *DB {
 	return db
 }
 
-// Close releases background resources (the Silo epoch advancer and the
-// group-commit flusher).
+// Close releases background resources (the Silo epoch advancer, the
+// checkpointer, the MVCC pruner and the WAL devices' syncers) and syncs
+// and closes a WALDir log.
 func (db *DB) Close() {
 	if db.silo != nil {
 		db.silo.Close()

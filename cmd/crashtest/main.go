@@ -62,7 +62,6 @@ func main() {
 		rows       = flag.Int("rows", 1024, "accounts in the transfer table")
 		threads    = flag.Int("threads", 4, "workers (run mode)")
 		duration   = flag.Duration("duration", time.Hour, "maximum run time before a clean exit (run mode)")
-		groupC     = flag.Bool("group-commit", true, "use per-partition group commit (run mode)")
 		fsync      = flag.String("fsync", "batch", "fsync policy: none | batch | interval (run mode)")
 		minRecords = flag.Int("min-records", 1, "fail recovery if fewer commit records replay")
 
@@ -86,7 +85,7 @@ func main() {
 	case "run":
 		runMode(runConfig{
 			dir: *walDir, parts: *partitions, rows: *rows, threads: *threads,
-			duration: *duration, gc: *groupC, fsync: *fsync,
+			duration: *duration, fsync: *fsync,
 			ckptDir: *ckptDir, ckptInterval: *ckptInterval, segBytes: *segBytes,
 			truncate: *truncate, metricsAddr: *metricsAddr,
 		})
@@ -148,7 +147,6 @@ type runConfig struct {
 	parts, rows  int
 	threads      int
 	duration     time.Duration
-	gc           bool
 	fsync        string
 	ckptDir      string
 	ckptInterval time.Duration
@@ -166,7 +164,6 @@ func runMode(rc runConfig) {
 	cfg.Partitions = rc.parts
 	cfg.WALDir = rc.dir
 	cfg.WALFsync = policy
-	cfg.GroupCommit = rc.gc
 	cfg.MetricsAddr = rc.metricsAddr
 	cfg.Checkpoint.SegmentBytes = rc.segBytes
 	if rc.ckptDir != "" {

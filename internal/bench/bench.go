@@ -291,7 +291,7 @@ func runPointOnce(s Scale, b engineBuilder, interactive bool,
 	}
 	// The series is the engine's protocol (not the interactive wrapper's
 	// "/interactive" name) unless the builder names a variant (BAMBOO
-	// d=0.15, -O1 reads, BAMBOO+gc, …), which must stay distinguishable in
+	// d=0.15, -O1 reads, BAMBOO+mvcc, …), which must stay distinguishable in
 	// tables and in the JSON document.
 	res.Report.Protocol = e.Name()
 	if b.name != "" {
@@ -585,16 +585,14 @@ func Ablation(s Scale) []Point {
 // thread ladder on the one-hotspot workload — every transaction
 // read-modify-writes one hot tuple at its start, then does independent
 // work — in interactive mode (one RTT per operation), comparing Bamboo
-// (with and without group-commit logging) against Wound-Wait. This is
+// against Wound-Wait. This is
 // the setting of the paper's §5.2/Figure 8 story chosen for a reason:
 // with per-operation stalls, 2PL holds the hotspot for the whole
 // transaction (TxnLen × RTT) while Bamboo retires it after the first
 // operation, so the winner is decided by the protocol rather than by
 // scheduler luck and the series is stable enough to gate on regardless
 // of the host's core count. Expect Bamboo to scale near-linearly up the
-// ladder while Wound-Wait flattens at ~1/(TxnLen×RTT); the group-commit
-// variant should track plain Bamboo (batching must not cost throughput
-// at this commit rate).
+// ladder while Wound-Wait flattens at ~1/(TxnLen×RTT).
 func ScalingSweep(s Scale) []Point {
 	// Contention requires concurrency: fixed-count points degenerate on
 	// small hosts (a worker can finish its whole quota inside one
@@ -604,17 +602,7 @@ func ScalingSweep(s Scale) []Point {
 		s.Duration = 150 * time.Millisecond
 	}
 	cfg := synth.Config{Rows: s.Rows, TxnLen: 32, HotspotPos: []float64{0}}
-
-	gc := core.Bamboo()
-	gc.GroupCommit = true
-	gcBuilder := lockBuilder(gc)
-	gcBuilder.name = "BAMBOO+gc"
-
-	builders := []engineBuilder{
-		lockBuilder(core.Bamboo()),
-		gcBuilder,
-		lockBuilder(core.WoundWait()),
-	}
+	builders := []engineBuilder{lockBuilder(core.Bamboo()), lockBuilder(core.WoundWait())}
 	var points []Point
 	for _, t := range scalingThreads(s) {
 		x := fmt.Sprintf("threads=%d", t)
@@ -696,32 +684,30 @@ func PartitionSweep(s Scale) []Point {
 // the fsync policy at 1, 2 and 4 partitions. The series isolate what each
 // mechanism buys:
 //
-//   - fsync=commit   one fsync per commit record — the naive durable
-//     baseline group commit exists to beat;
-//   - fsync=group    per-partition group commit, one fsync per epoch
-//     batch: fsyncs/txn is WALSyncs/Commits and must drop well below 1;
-//   - fsync=interval at most one fsync per millisecond (bounded loss at
-//     bounded sync rate), no batching of the writes themselves;
+//   - fsync=batch    every commit durable before it returns; each
+//     device's syncer shares one fsync among the commits it covers, so
+//     fsyncs/txn (WALSyncs/Commits) must stay well below 1;
+//   - fsync=interval at most one fsync per millisecond per device and no
+//     commit waits for it (bounded loss at a bounded sync rate);
 //   - fsync=none     page-cache writes only — the write-path cost floor.
 //
-// Partitions multiply the independent logs: at P partitions the
-// per-commit-fsync configuration spreads its syncs over P files (devices
-// sync concurrently from different workers), while group commit gets P
-// independent flushers. Each point's wal_appends/wal_batches/wal_syncs/
-// fsync_ns land in the JSON document. An explicit -partitions pins the
-// ladder to that single count, as in the partition sweep.
+// Partitions multiply the independent logs: at P partitions there are P
+// devices and P syncers, and a commit that spans partitions waits for
+// their syncs in parallel. Each point's wal_appends/wal_syncs/fsync_ns
+// land in the JSON document. An explicit -partitions pins the ladder to
+// that single count, as in the partition sweep.
 //
 // Absolute numbers depend on the device behind the temp dir (tmpfs vs
 // SSD vs spinning disk — EXPERIMENTS.md records both ends); the shape to
-// reproduce is group commit holding throughput near fsync=none while
-// fsync=commit collapses with real fsync latency.
+// reproduce is fsync=batch staying within a small factor of fsync=none
+// on a device whose fsync is slow.
 func DurabilitySweep(s Scale) []Point {
 	threads := maxThreads(s)
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = s.Rows
 	cfg.Theta = 0.6
 
-	mk := func(name string, gc bool, policy wal.FsyncPolicy, ckpt bool) engineBuilder {
+	mk := func(name string, policy wal.FsyncPolicy, ckpt bool) engineBuilder {
 		return engineBuilder{name: name, make: func(partitions int) (core.Engine, *core.DB, func()) {
 			dir, err := os.MkdirTemp("", "bamboo-durability-")
 			if err != nil {
@@ -729,7 +715,6 @@ func DurabilitySweep(s Scale) []Point {
 			}
 			c := core.Bamboo()
 			c.Partitions = partitions
-			c.GroupCommit = gc
 			c.WALDir = dir
 			c.WALFsync = policy
 			if ckpt {
@@ -738,7 +723,7 @@ func DurabilitySweep(s Scale) []Point {
 				// segments so truncation has boundaries to cut at, and
 				// truncation on — this point's checkpoint_ns and
 				// log_bytes_live quantify what keeping the log bounded
-				// costs over plain fsync=group.
+				// costs over plain fsync=batch.
 				c.Checkpoint = core.CheckpointConfig{
 					Dir:          filepath.Join(dir, "ckpt"),
 					Interval:     100 * time.Millisecond,
@@ -754,11 +739,10 @@ func DurabilitySweep(s Scale) []Point {
 		}}
 	}
 	builders := []engineBuilder{
-		mk("fsync=commit", false, wal.FsyncBatch, false),
-		mk("fsync=group", true, wal.FsyncBatch, false),
-		mk("fsync=group+ckpt", true, wal.FsyncBatch, true),
-		mk("fsync=interval", false, wal.FsyncInterval, false),
-		mk("fsync=none", false, wal.FsyncNone, false),
+		mk("fsync=batch", wal.FsyncBatch, false),
+		mk("fsync=batch+ckpt", wal.FsyncBatch, true),
+		mk("fsync=interval", wal.FsyncInterval, false),
+		mk("fsync=none", wal.FsyncNone, false),
 	}
 	ladder := []int{1, 2, 4}
 	if s.Partitions > 0 {

@@ -96,7 +96,6 @@ var documentKeys = []string{
 	"experiments.points.version_chain_max",
 	"experiments.points.versions_pruned",
 	"experiments.points.wal_appends",
-	"experiments.points.wal_batches",
 	"experiments.points.wal_bytes",
 	"experiments.points.wal_syncs",
 	"experiments.points.workers",

@@ -9,6 +9,7 @@ import (
 	"bamboo/internal/stats"
 	"bamboo/internal/storage"
 	"bamboo/internal/txn"
+	"bamboo/internal/wal"
 	"bamboo/internal/workload/ycsb"
 )
 
@@ -264,8 +265,9 @@ func TestAllocBudgetPartitioned(t *testing.T) {
 // adds zero steady-state allocations: splitting each commit record by
 // owning partition and submitting to per-partition logs reuses
 // session-owned records, appenders, ticket and touched-partition scratch.
-// Measured both on the in-memory partition devices and on real file
-// devices (FsyncNone so the measurement is not fsync-bound).
+// Measured on the in-memory partition devices and on real file devices,
+// both without fsyncs (FsyncNone, so the measurement is not fsync-bound)
+// and with every commit waiting for its device's syncer (FsyncBatch).
 func TestAllocBudgetPartitionedWAL(t *testing.T) {
 	flat := measureAllocsPerTxn(t, core.Bamboo())
 	mem := core.Bamboo()
@@ -275,27 +277,17 @@ func TestAllocBudgetPartitionedWAL(t *testing.T) {
 	file.Partitions = 4
 	file.WALDir = t.TempDir()
 	fileAllocs := measureAllocsPerTxn(t, file)
-	t.Logf("flat %.1f, 4-partition mem-WAL %.1f, 4-partition file-WAL %.1f allocs/txn (budget %.0f)",
-		flat, memAllocs, fileAllocs, allocBudget)
-	for name, got := range map[string]float64{"mem": memAllocs, "file": fileAllocs} {
+	file.WALDir, file.WALFsync = t.TempDir(), wal.FsyncBatch
+	batchAllocs := measureAllocsPerTxn(t, file)
+	t.Logf("flat %.1f, 4-partition mem-WAL %.1f, file-WAL %.1f, file-WAL fsync=batch %.1f allocs/txn (budget %.0f)",
+		flat, memAllocs, fileAllocs, batchAllocs, allocBudget)
+	for name, got := range map[string]float64{"mem": memAllocs, "file": fileAllocs, "file-batch": batchAllocs} {
 		if got > allocBudget {
 			t.Fatalf("%s-WAL allocs/txn = %.1f exceeds budget %.1f", name, got, allocBudget)
 		}
 		if got > flat+0.5 {
 			t.Fatalf("%s-WAL partition-routed commit allocates: %.1f vs %.1f allocs/txn flat", name, got, flat)
 		}
-	}
-}
-
-// TestAllocBudgetGroupCommit keeps the group-commit commit path inside
-// the same budget: batching must not reintroduce per-commit allocation.
-func TestAllocBudgetGroupCommit(t *testing.T) {
-	cfg := core.Bamboo()
-	cfg.GroupCommit = true
-	got := measureAllocsPerTxn(t, cfg)
-	t.Logf("bamboo+gc: %.1f allocs/txn (budget %.0f)", got, allocBudget)
-	if got > allocBudget {
-		t.Fatalf("group-commit allocs/txn = %.1f exceeds budget %.1f", got, allocBudget)
 	}
 }
 

@@ -130,8 +130,11 @@ func (v commitPathVariant) engine(t *testing.T, db *core.DB) core.Engine {
 
 // TestCommitPathMatrix runs the one commit path in every configuration
 // that used to select a path of its own — single vs partitioned log, MVCC
-// install vs plain, checkpoint gate held vs not, per-record vs group
-// commit — for each lock variant, and for Silo in the cells it accepts
+// install vs plain, checkpoint gate held vs not — and in both commit
+// waits: gc=false logs with WALFsync=none, where a commit is done when
+// its append returns, and gc=true with WALFsync=batch, where it waits for
+// its device's syncer to group its fsync with its neighbours'. It runs
+// each lock variant, and Silo in the cells it accepts
 // (no MVCC, no checkpoints), under four oracles: transfers that cross
 // partitions conserve the total (and, with MVCC, every snapshot sums to
 // it), every write in partition log p belongs to partition p, replaying
@@ -152,7 +155,8 @@ func TestCommitPathMatrix(t *testing.T) {
 	for pi, parts := range []int{1, 2} {
 		for mi, mvcc := range []bool{false, true} {
 			for gi, gate := range []bool{false, true} {
-				for ci, gc := range []bool{false, true} {
+				for ci, policy := range []wal.FsyncPolicy{wal.FsyncNone, wal.FsyncBatch} {
+					gc := policy == wal.FsyncBatch
 					name := fmt.Sprintf("P%d/mvcc=%t/gate=%t/gc=%t", parts, mvcc, gate, gc)
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
@@ -160,9 +164,10 @@ func TestCommitPathMatrix(t *testing.T) {
 							if v.silo && (mvcc || gate) {
 								continue // occ.New refuses both
 							}
-							// Fixing any one axis leaves the other three free,
-							// so pi^gi and mi^ci take all four combinations:
-							// each variant meets every axis value.
+							// Four binary axes, four lock variants: fixing any
+							// one axis leaves the other three free, so pi^gi
+							// and mi^ci take all four combinations, and each
+							// variant meets every value of every axis.
 							if testing.Short() && !v.silo && vi != 2*(pi^gi)+(mi^ci) {
 								continue
 							}
@@ -172,9 +177,8 @@ func TestCommitPathMatrix(t *testing.T) {
 									c := v.cfg
 									c.Partitions = parts
 									c.MVCC = mvcc
-									c.GroupCommit = gc
 									c.WALDir = filepath.Join(dir, "wal")
-									c.WALFsync = wal.FsyncNone
+									c.WALFsync = policy
 									if gate {
 										c.Checkpoint = core.CheckpointConfig{
 											Dir: filepath.Join(dir, "ckpt"), Interval: time.Hour, SegmentBytes: 4 << 10,

@@ -90,8 +90,8 @@ func (l *CommitLog) add(pid int, w wal.Write) {
 // Commit appends the pending writes, one record per touched partition log
 // under txnID, and returns once every record is durable; it reports
 // whether there was anything to log. Records are submitted to every
-// touched log before waiting on any, so the partition group commits (and
-// their fsyncs) overlap instead of stacking. A failed append comes back
+// touched log before waiting on any, so the partition devices' syncers
+// overlap their fsyncs instead of stacking them. A failed append comes back
 // as a fatal error wrapping the device's; either way the log is empty
 // for the next commit.
 func (l *CommitLog) Commit(txnID uint64) (wrote bool, err error) {

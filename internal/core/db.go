@@ -71,14 +71,6 @@ type Config struct {
 	// fail loudly.
 	LogDevice wal.Device
 
-	// GroupCommit batches commit-record device writes through the WAL's
-	// epoch-based group committer: committing workers block until the
-	// epoch containing their record is durable, and one device write
-	// covers the whole batch. Off (the default) keeps the paper's
-	// per-transaction append. With Partitions > 1 every partition log
-	// gets its own flusher.
-	GroupCommit bool
-
 	// WALDir, when set, puts the commit log on real files: one segment
 	// chain per storage partition under this directory
 	// (wal.OpenSegmentedDevice, wal-PPP-<seq>.seg, rotated at
@@ -87,9 +79,11 @@ type Config struct {
 	// files; DB.ReplayDir rebuilds state from such a directory after a
 	// crash.
 	WALDir string
-	// WALFsync selects when the file devices fsync (per batch, at most
-	// once per wal.DefaultFsyncInterval, or never); only meaningful with
-	// WALDir set.
+	// WALFsync selects when the file devices fsync: before each commit
+	// returns, with one syncer per device sharing each fsync among the
+	// commits it covers (batch); at most once per
+	// wal.DefaultFsyncInterval (interval); or never (none). Only
+	// meaningful with WALDir set.
 	WALFsync wal.FsyncPolicy
 
 	// Checkpoint configures the storage lifecycle — fuzzy checkpoints
@@ -168,8 +162,8 @@ func NoWait() Config { return Config{Variant: lock.NoWait} }
 type DB struct {
 	Catalog *storage.Catalog
 	Lock    *lock.Manager
-	// PLog is the partition-routed durability pipeline: one group
-	// committer + device per storage partition. Every engine logs through
+	// PLog is the partition-routed durability pipeline: one log and
+	// device per storage partition. Every engine logs through
 	// a CommitLog, which routes each write to its owning partition's log.
 	PLog   *wal.PartitionedLog
 	Global *stats.Global
@@ -235,7 +229,7 @@ func NewDB(cfg Config) *DB {
 		RecycleImages: !cfg.MVCC,
 	}
 	db.Lock = lock.NewManager(lockCfg)
-	db.PLog = wal.NewPartitioned(db.walDevices(), cfg.GroupCommit)
+	db.PLog = wal.NewPartitioned(db.walDevices())
 	if cfg.Checkpoint.Enabled() {
 		db.ckptGate = &sync.RWMutex{}
 		db.ckpt = newCheckpointer(db)
@@ -303,7 +297,7 @@ func (db *DB) LiveReport() stats.Report {
 // fields from the DB's log devices and checkpointer.
 func (db *DB) FillStorage(r *stats.Report) {
 	ws := db.WALStats()
-	r.WALAppends, r.WALBatches, r.WALBytes = ws.Appends, ws.Batches, ws.Bytes
+	r.WALAppends, r.WALBytes = ws.Appends, ws.Bytes
 	r.WALSyncs, r.WALSyncTime = ws.Syncs, ws.SyncTime
 	cs := db.CheckpointStats()
 	r.CheckpointCount, r.CheckpointTime = cs.Checkpoints, cs.Time
@@ -363,10 +357,9 @@ func (db *DB) walDevices() []wal.Device {
 	return devs
 }
 
-// Close stops the checkpointer (if started), drains and stops every
-// partition's group-commit flusher and syncs+closes file-backed log
-// devices. Safe to call on any DB; required when GroupCommit, WALDir or
-// checkpointing is enabled.
+// Close stops the checkpointer (if started) and the MVCC pruner, and
+// syncs and closes file-backed log devices, stopping their syncers. Safe
+// to call on any DB; required when WALDir or checkpointing is enabled.
 func (db *DB) Close() error {
 	if db.ckpt != nil {
 		db.ckpt.stop()
@@ -388,8 +381,8 @@ func (db *DB) Close() error {
 }
 
 // WALStats sums the durability telemetry of every partition log device:
-// records and bytes appended, device write operations (what group commit
-// amortizes) and fsync count/time (what a real device charges).
+// records and bytes appended and fsync count/time (what a real device
+// charges, and what a syncer amortizes).
 func (db *DB) WALStats() wal.DeviceStats { return db.PLog.Stats() }
 
 // Config returns the DB's protocol configuration.

@@ -454,17 +454,16 @@ func TestWALDirSinglePartition(t *testing.T) {
 	})
 }
 
-// TestGroupCommitPartitionedWAL drives the per-partition group committers
-// over file devices: concurrent committers on every partition, one
-// flusher per log, and the batch amortization visible in the stats.
-func TestGroupCommitPartitionedWAL(t *testing.T) {
+// TestPartitionedWALBatchSync drives the per-device syncers over
+// partitioned file logs: concurrent committers on every partition, one
+// syncer per log, and the shared fsyncs visible in the stats.
+func TestPartitionedWALBatchSync(t *testing.T) {
 	const parts = 2
 	dir := filepath.Join(t.TempDir(), "wal")
 	cfg := core.Bamboo()
 	cfg.Partitions = parts
 	cfg.WALDir = dir
 	cfg.WALFsync = wal.FsyncBatch
-	cfg.GroupCommit = true
 	db := core.NewDB(cfg)
 	tbl := loadXfer(t, db)
 	per := partitionKeys(tbl, parts)
@@ -474,8 +473,8 @@ func TestGroupCommitPartitionedWAL(t *testing.T) {
 	}
 	// Stats before Close: commits block until durable, so all appends are
 	// visible, while Close would add its per-device shutdown fsync (on a
-	// few-core host piggyback epochs can be single-record, making
-	// post-Close syncs exceed appends and the bound meaningless).
+	// few-core host a sync can cover a single record, making post-Close
+	// syncs exceed appends and the bound meaningless).
 	st := db.WALStats()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

@@ -152,7 +152,7 @@ func (s *session) readStable(row *storage.Row) (uint64, []byte) {
 }
 
 // awaitUnlock waits until row's TID word is unlocked. Its committer holds
-// it across the log append, which may wait for a group-commit fsync, so
+// it across the log append, which may wait for its device's fsync, so
 // the wait parks once its yield phase is over, and every unlock wakes it.
 func (s *session) awaitUnlock(row *storage.Row) {
 	s.e.waiters.Wait(&s.t, func() bool { return row.TID.Load()&lockBit == 0 }, time.Time{})

@@ -321,11 +321,10 @@ type Report struct {
 	LoadTime time.Duration `json:"load_ns,omitempty"`
 
 	// WAL durability telemetry for the run's DB, set by the bench
-	// harness from the log devices (zero when not measured): records and
-	// device write operations (what group commit amortizes), payload
-	// bytes, and fsync count/time (what a real device charges).
+	// harness from the log devices (zero when not measured): records,
+	// payload bytes, and fsync count/time (what a real device charges,
+	// and what a syncer amortizes).
 	WALAppends  uint64        `json:"wal_appends,omitempty"`
-	WALBatches  uint64        `json:"wal_batches,omitempty"`
 	WALBytes    uint64        `json:"wal_bytes,omitempty"`
 	WALSyncs    uint64        `json:"wal_syncs,omitempty"`
 	WALSyncTime time.Duration `json:"fsync_ns,omitempty"`

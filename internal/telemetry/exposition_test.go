@@ -34,7 +34,7 @@ var fixture = stats.Report{
 	ImageCopies: 12, ImagePoolRecycled: 880,
 	PartitionAccesses: []uint64{30, 10}, PartitionConflicts: []uint64{7, 0}, PartitionSkew: 1.5,
 	LoadTime:   2 * time.Second,
-	WALAppends: 900, WALBatches: 120, WALBytes: 65536, WALSyncs: 118, WALSyncTime: 250 * time.Millisecond,
+	WALAppends: 900, WALBytes: 65536, WALSyncs: 118, WALSyncTime: 250 * time.Millisecond,
 	CheckpointCount: 6, CheckpointTime: 30 * time.Millisecond, Truncations: 2, TruncatedBytes: 4096, LogBytesLive: 1024,
 	LatencyMean: 8000, LatencyP50: 7000, LatencyP90: 9000, LatencyP95: 11000, LatencyP99: 20000, LatencyP999: 50000,
 	LatencyMax: 120000,

@@ -38,7 +38,6 @@ var families = []family{
 	{name: "bamboo_partition_skew", typ: "gauge", help: "Hottest partition's access share relative to a balanced spread (1 = balanced).", value: func(v *vars) float64 { return v.PartitionSkew }},
 	{name: "bamboo_version_chain_max", typ: "gauge", help: "Longest MVCC version chain observed.", value: func(v *vars) float64 { return float64(v.VersionChainMax) }},
 	{name: "bamboo_wal_appends_total", typ: "counter", help: "Commit records appended to the WAL.", value: func(v *vars) float64 { return float64(v.WALAppends) }},
-	{name: "bamboo_wal_batches_total", typ: "counter", help: "WAL device write operations (group commit amortizes these).", value: func(v *vars) float64 { return float64(v.WALBatches) }},
 	{name: "bamboo_wal_bytes_total", typ: "counter", help: "WAL payload bytes appended.", value: func(v *vars) float64 { return float64(v.WALBytes) }},
 	{name: "bamboo_wal_syncs_total", typ: "counter", help: "WAL device fsyncs.", value: func(v *vars) float64 { return float64(v.WALSyncs) }},
 	{name: "bamboo_wal_fsync_seconds_total", typ: "counter", help: "Cumulative time spent in WAL fsync.", value: func(v *vars) float64 { return v.WALSyncTime.Seconds() }},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -17,13 +18,13 @@ const (
 	// data survives a process crash (the kernel has it) but not a power
 	// loss; the policy isolates the cost of the write path itself.
 	FsyncNone FsyncPolicy = iota
-	// FsyncBatch syncs once per device write operation — per record
-	// without group commit, per epoch batch with it. This is the durable
-	// configuration whose cost group commit exists to amortize.
+	// FsyncBatch makes every commit durable before it returns: the
+	// device's syncer fsyncs everything written so far and wakes the
+	// commits that sync covers, so concurrent commits share one fsync.
 	FsyncBatch
-	// FsyncInterval syncs at most once per Interval, piggybacked on the
-	// next append after the interval elapses: bounded data loss at a
-	// bounded sync rate.
+	// FsyncInterval lets the syncer fsync at most once per interval and
+	// commits do not wait for it: bounded data loss at a bounded sync
+	// rate.
 	FsyncInterval
 )
 
@@ -56,9 +57,17 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 }
 
 // FileDevice is a log device over append-only files, framing records as
-// frame.go describes, which is what Replay reads. Each record (or batch)
-// is written with a single Write call, which means a crash leaves at most
-// one torn frame — and only at the tail.
+// frame.go describes, which is what Replay reads. Each record is written
+// with a single Write call, which means a crash leaves at most one torn
+// frame — and only at the tail.
+//
+// Under FsyncBatch and FsyncInterval the device owns one syncer goroutine,
+// started when it opens and stopped by Close. While appends run, the
+// syncer is the only code that fsyncs the active segment; rotation's seal
+// sync and Close's final sync are the exceptions. The first write, sync or
+// rotate failure sticks: every later Append, durability wait and Close
+// returns it, and no sync after it reports a frame durable, so a frame
+// whose commit failed cannot become durable behind the engine's back.
 //
 // The device runs in one of two layouts:
 //
@@ -86,7 +95,7 @@ type FileDevice struct {
 
 	mu        sync.Mutex
 	f         *os.File
-	scratch   []byte // frame assembly buffer, one Write syscall per batch
+	scratch   []byte // frame assembly buffer, one Write syscall per record
 	lsn       uint64
 	segStart  uint64       // sequence of the active segment's first frame
 	segBytes  int64        // bytes in the active segment
@@ -95,6 +104,14 @@ type FileDevice struct {
 	stats     DeviceStats
 	lastSync  time.Time
 	closed    bool
+	err       error // first write, sync or rotate failure; sticks
+
+	synced  uint64        // last frame a completed sync covers
+	syncing *os.File      // the file the syncer is syncing outside mu
+	work    sync.Cond     // wakes the syncer: frames written, or Close
+	durable sync.Cond     // broadcast when synced advances or err is set
+	quit    chan struct{} // closed by Close; ends the syncer's interval wait
+	stopped chan struct{} // closed when the syncer exits; nil without one
 }
 
 type segmentRef struct {
@@ -128,7 +145,7 @@ func OpenFileDevice(path string, policy FsyncPolicy, interval time.Duration) (*F
 	if policy == FsyncInterval && interval <= 0 {
 		interval = DefaultFsyncInterval
 	}
-	return &FileDevice{f: f, policy: policy, interval: interval, lastSync: time.Now()}, nil
+	return (&FileDevice{f: f, policy: policy, interval: interval}).start(), nil
 }
 
 // OpenSegmentedDevice opens partition p's segmented log in dir, creating
@@ -145,7 +162,7 @@ func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, segMax int64) (*
 	if segMax <= 0 {
 		segMax = DefaultSegmentBytes
 	}
-	d := &FileDevice{policy: policy, interval: DefaultFsyncInterval, dir: dir, part: p, segMax: segMax, lastSync: time.Now()}
+	d := &FileDevice{policy: policy, interval: DefaultFsyncInterval, dir: dir, part: p, segMax: segMax}
 	segs, err := ListSegments(dir, p)
 	if err != nil {
 		return nil, err
@@ -160,7 +177,7 @@ func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, segMax int64) (*
 			return nil, err
 		}
 		d.f, d.segStart = f, 1
-		return d, nil
+		return d.start(), nil
 	}
 	newest := segs[len(segs)-1]
 	bounds, torn, err := FrameBounds(newest.Path)
@@ -189,7 +206,19 @@ func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, segMax int64) (*
 		d.liveBytes += sg.Bytes
 	}
 	d.liveBytes += valid
-	return d, nil
+	return d.start(), nil
+}
+
+// start starts the syncer of a device whose policy syncs; the frames
+// already on disk count as synced.
+func (d *FileDevice) start() *FileDevice {
+	d.work.L, d.durable.L = &d.mu, &d.mu
+	d.synced, d.lastSync = d.lsn, time.Now()
+	if d.policy != FsyncNone {
+		d.quit, d.stopped = make(chan struct{}), make(chan struct{})
+		go d.syncLoop()
+	}
+	return d
 }
 
 // PartitionLogPath returns a single-file name for partition p's log inside
@@ -220,102 +249,152 @@ func OpenPartitionSegmentedDevices(dir string, n int, policy FsyncPolicy, segMax
 // Path returns the file the device currently appends to.
 func (d *FileDevice) Path() string { return d.f.Name() }
 
-// Append implements Device.
+// Append implements Device. A frame written before a rotation fails is
+// still returned: whether it is durable is the sync's verdict, and the
+// failure stops every later append.
 func (d *FileDevice) Append(rec []byte) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.err != nil {
+		return 0, d.err
+	}
 	if d.closed {
 		return 0, ErrClosed
 	}
 	d.scratch = appendFrame(d.scratch[:0], rec)
 	if _, err := d.f.Write(d.scratch); err != nil {
-		return 0, err
+		return 0, d.fail(err)
 	}
 	d.lsn++
 	d.segBytes += int64(len(d.scratch))
 	d.liveBytes += int64(len(d.scratch))
 	d.stats.Appends++
-	d.stats.Batches++
 	d.stats.Bytes += uint64(len(rec))
-	if err := d.maybeSyncLocked(); err != nil {
-		return 0, err
-	}
 	if err := d.maybeRotateLocked(); err != nil {
-		return 0, err
+		d.fail(err)
+	}
+	if d.stopped != nil {
+		d.work.Signal()
 	}
 	return d.lsn, nil
 }
 
-// AppendBatch implements BatchDevice: every frame of the batch goes out
-// in one Write call and — under FsyncBatch — one fsync, which is the
-// whole point of group commit on a real device.
-func (d *FileDevice) AppendBatch(recs [][]byte) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return 0, ErrClosed
+// fail makes err the device's failure unless one came first, wakes every
+// durability wait, and returns the failure that sticks.
+func (d *FileDevice) fail(err error) error {
+	if d.err == nil {
+		d.err = err
 	}
-	d.scratch = d.scratch[:0]
-	for _, rec := range recs {
-		d.scratch = appendFrame(d.scratch, rec)
-		d.stats.Bytes += uint64(len(rec))
-	}
-	if _, err := d.f.Write(d.scratch); err != nil {
-		return 0, err
-	}
-	d.lsn += uint64(len(recs))
-	d.segBytes += int64(len(d.scratch))
-	d.liveBytes += int64(len(d.scratch))
-	d.stats.Appends += uint64(len(recs))
-	d.stats.Batches++
-	if err := d.maybeSyncLocked(); err != nil {
-		return 0, err
-	}
-	if err := d.maybeRotateLocked(); err != nil {
-		return 0, err
-	}
-	return d.lsn, nil
+	d.durable.Broadcast()
+	return d.err
 }
 
-func (d *FileDevice) maybeSyncLocked() error {
-	switch d.policy {
-	case FsyncBatch:
-	case FsyncInterval:
-		if time.Since(d.lastSync) < d.interval {
-			return nil
-		}
-	default:
-		return nil
-	}
+// noteSync charges one fsync that took took.
+func (d *FileDevice) noteSync(took time.Duration) {
+	d.stats.Syncs++
+	d.stats.SyncTime += took
+	d.lastSync = time.Now()
+}
+
+// syncLocked fsyncs the active segment under the lock; the sync covers
+// every frame written so far.
+func (d *FileDevice) syncLocked() error {
 	start := time.Now()
 	err := d.f.Sync()
-	d.stats.Syncs++
-	d.stats.SyncTime += time.Since(start)
-	d.lastSync = time.Now()
-	return err
+	d.noteSync(time.Since(start))
+	if err != nil {
+		return d.fail(err)
+	}
+	d.synced = d.lsn
+	d.durable.Broadcast()
+	return nil
+}
+
+// syncLoop is the syncer. Woken by an append, it yields once, so that
+// every committer already runnable writes its frame first, then fsyncs
+// everything written so far outside the lock and wakes the commits that
+// sync covers. Under FsyncInterval it first waits out the interval since
+// the last sync. It exits on Close or at the first failure.
+func (d *FileDevice) syncLoop() {
+	defer close(d.stopped)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for {
+		for d.synced == d.lsn && !d.closed && d.err == nil {
+			d.work.Wait()
+		}
+		if d.closed || d.err != nil {
+			return
+		}
+		wait := d.interval - time.Since(d.lastSync)
+		d.mu.Unlock()
+		if d.policy == FsyncInterval && wait > 0 {
+			select {
+			case <-time.After(wait):
+			case <-d.quit:
+			}
+		} else {
+			runtime.Gosched()
+		}
+		d.mu.Lock()
+		if d.closed || d.err != nil {
+			return
+		}
+		f, upto := d.f, d.lsn
+		d.syncing = f
+		d.mu.Unlock()
+		start := time.Now()
+		err := f.Sync()
+		took := time.Since(start)
+		d.mu.Lock()
+		d.syncing = nil
+		d.noteSync(took)
+		if f != d.f {
+			f.Close() // rotated away while syncing: sealed, and left to us
+		}
+		if err != nil {
+			d.fail(err)
+			return
+		}
+		d.synced = max(d.synced, upto)
+		d.durable.Broadcast()
+	}
+}
+
+// waitSynced blocks until a sync covers frame lsn. It returns the
+// device's failure if that came first.
+func (d *FileDevice) waitSynced(lsn uint64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.synced < lsn && d.err == nil {
+		d.durable.Wait()
+	}
+	if d.synced >= lsn {
+		return nil
+	}
+	return d.err
 }
 
 // maybeRotateLocked seals the active segment and starts a fresh one once
-// the size threshold is crossed. Rotation happens between batches, so a
-// frame never spans segment files (a batch larger than the threshold
-// simply overshoots). The sealed segment is synced first — a closed
-// segment is immutable and must be fully durable before truncation
-// decisions are made against it.
+// the size threshold is crossed. Rotation happens between records, so a
+// frame never spans segment files. The sealed segment is synced first —
+// a closed segment is immutable and must be fully durable before
+// truncation decisions are made against it — and that sync covers every
+// frame written so far. Rotation never lets go of the lock; a segment the
+// syncer is syncing meanwhile is closed by the syncer.
 func (d *FileDevice) maybeRotateLocked() error {
 	if d.segMax == 0 || d.segBytes < d.segMax {
 		return nil
 	}
 	if d.policy != FsyncNone {
-		start := time.Now()
-		if err := d.f.Sync(); err != nil {
+		if err := d.syncLocked(); err != nil {
 			return err
 		}
-		d.stats.Syncs++
-		d.stats.SyncTime += time.Since(start)
-		d.lastSync = time.Now()
 	}
-	if err := d.f.Close(); err != nil {
-		return err
+	if d.f != d.syncing {
+		if err := d.f.Close(); err != nil {
+			return err
+		}
 	}
 	d.segs = append(d.segs, segmentRef{path: d.f.Name(), firstSeq: d.segStart, bytes: d.segBytes})
 	next := d.lsn + 1
@@ -393,26 +472,30 @@ func (d *FileDevice) Stats() DeviceStats {
 	return d.stats
 }
 
-// Close syncs (unless the policy is FsyncNone) and closes the file.
-// Appends after Close fail with ErrClosed.
+// Close stops the syncer, syncs (unless the policy is FsyncNone or the
+// device has failed) and closes the file. It returns the device's first
+// failure, if any. Appends after Close fail with ErrClosed.
 func (d *FileDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return nil
+		return d.err
 	}
 	d.closed = true
-	var syncErr error
-	if d.policy != FsyncNone {
-		start := time.Now()
-		syncErr = d.f.Sync()
-		d.stats.Syncs++
-		d.stats.SyncTime += time.Since(start)
+	if d.stopped != nil {
+		close(d.quit)
+		d.work.Signal()
+		d.mu.Unlock()
+		<-d.stopped
+		d.mu.Lock()
 	}
-	if err := d.f.Close(); err != nil {
+	if d.policy != FsyncNone && d.err == nil {
+		d.syncLocked() // a failure sticks in d.err, returned below
+	}
+	if err := d.f.Close(); err != nil && d.err == nil {
 		return err
 	}
-	return syncErr
+	return d.err
 }
 
 // TempSuffix ends the name of the file WriteFileAtomic writes before it

@@ -48,11 +48,11 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 		}
 	}
 	st := dev.Stats()
-	if st.Appends != 3 || st.Batches != 3 || st.Bytes == 0 {
+	if st.Appends != 3 || st.Bytes == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.Syncs != 3 || st.SyncTime <= 0 {
-		t.Fatalf("FsyncBatch must sync per append: %+v", st)
+		t.Fatalf("one commit at a time under FsyncBatch must cost one sync each: %+v", st)
 	}
 	if err := dev.Close(); err != nil {
 		t.Fatal(err)
@@ -115,30 +115,60 @@ func TestFileDeviceFsyncPolicies(t *testing.T) {
 		dev.Close()
 	})
 	t.Run("batch-amortized", func(t *testing.T) {
+		// A sync covers every frame written before it starts: waiting
+		// for the last of three appends finds all three durable, at no
+		// more than one sync each.
 		dev, err := OpenFileDevice(filepath.Join(t.TempDir(), "w.log"), FsyncBatch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch := [][]byte{AppendRecord(nil, sample()), AppendRecord(nil, sample()), AppendRecord(nil, sample())}
-		if _, err := dev.AppendBatch(batch); err != nil {
+		var lsn uint64
+		for i := 0; i < 3; i++ {
+			if lsn, err = dev.Append(AppendRecord(nil, sample())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := dev.waitSynced(lsn); err != nil {
 			t.Fatal(err)
 		}
-		s := dev.Stats()
-		if s.Appends != 3 || s.Batches != 1 || s.Syncs != 1 {
-			t.Fatalf("one batch of three must cost one sync: %+v", s)
+		if got := syncedThrough(dev); got != 3 {
+			t.Fatalf("synced through %d after waiting for frame 3", got)
+		}
+		if s := dev.Stats(); s.Appends != 3 || s.Syncs == 0 || s.Syncs > 3 {
+			t.Fatalf("three appends: %+v", s)
 		}
 		dev.Close()
 	})
+	t.Run("interval-syncs-in-background", func(t *testing.T) {
+		// Under FsyncInterval nothing waits, yet the syncer still makes
+		// an idle device's tail durable within the interval.
+		dev, err := OpenFileDevice(filepath.Join(t.TempDir(), "w.log"), FsyncInterval, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dev.Close()
+		lsn, err := New(dev).NewAppender().Commit(sample())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.waitSynced(lsn); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-func TestFileDeviceGroupCommitConcurrent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	dev, err := OpenFileDevice(path, FsyncBatch, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewGroupCommit(dev)
-	const workers, perWorker = 4, 25
+// syncedThrough returns the last frame a completed sync of d covers.
+func syncedThrough(d *FileDevice) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.synced
+}
+
+// commitConcurrently has workers goroutines commit perWorker records each
+// to dev and checks that no Commit returns before a sync covers its frame.
+func commitConcurrently(t *testing.T, dev *FileDevice, workers, perWorker int) {
+	t.Helper()
+	l := New(dev)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -148,27 +178,26 @@ func TestFileDeviceGroupCommitConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				rec := &Record{TxnID: uint64(w*perWorker + i + 1),
 					Writes: []Write{{Table: "t", Key: uint64(i), Image: []byte{byte(w), byte(i)}}}}
-				if _, err := a.Commit(rec); err != nil {
+				lsn, err := a.Commit(rec)
+				if err != nil {
 					t.Errorf("commit: %v", err)
+					return
+				}
+				if got := syncedThrough(dev); got < lsn {
+					t.Errorf("commit of frame %d returned with frames through %d synced", lsn, got)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, st := replayAll(t, path)
-	if st.Torn || len(recs) != workers*perWorker {
-		t.Fatalf("replayed %d records (torn=%v), want %d", len(recs), st.Torn, workers*perWorker)
-	}
-	s := dev.Stats()
-	if s.Syncs >= uint64(workers*perWorker) {
-		t.Fatalf("group commit did not amortize fsyncs: %d syncs for %d records", s.Syncs, s.Appends)
+}
+
+// checkUnique fails unless recs holds n records with distinct TxnIDs.
+func checkUnique(t *testing.T, recs []*Record, n int) {
+	t.Helper()
+	if len(recs) != n {
+		t.Fatalf("replayed %d records, want %d", len(recs), n)
 	}
 	seen := map[uint64]bool{}
 	for _, r := range recs {
@@ -176,6 +205,164 @@ func TestFileDeviceGroupCommitConcurrent(t *testing.T) {
 			t.Fatalf("duplicate record %d", r.TxnID)
 		}
 		seen[r.TxnID] = true
+	}
+}
+
+// TestBatchSyncDurability has concurrent committers share one FsyncBatch
+// device: every commit returns only once a sync covers its frame, every
+// record replays once, and the syncer shares its fsyncs — fewer syncs
+// than appends.
+func TestBatchSyncDurability(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	dev, err := OpenFileDevice(path, FsyncBatch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 8, 50
+	commitConcurrently(t, dev, workers, perWorker)
+	s := dev.Stats()
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Appends != workers*perWorker || s.Syncs >= s.Appends {
+		t.Fatalf("the syncer did not share fsyncs: %d syncs for %d appends", s.Syncs, s.Appends)
+	}
+	t.Logf("%d records, %d syncs", s.Appends, s.Syncs)
+	recs, st := replayAll(t, path)
+	if st.Torn {
+		t.Fatal("torn tail after a clean close")
+	}
+	checkUnique(t, recs, workers*perWorker)
+}
+
+// TestFileDeviceBatchSyncRotation rotates tiny segments under concurrent
+// FsyncBatch committers, so rotations seal segments the syncer is still
+// syncing: no commit may fail and every record must replay. The race
+// rarely lands between the syncer reading the file and syncing it, so
+// the test first plays the syncer itself: a rotation that seals the file
+// being synced must leave it open for that sync.
+func TestFileDeviceBatchSyncRotation(t *testing.T) {
+	quiet, err := OpenSegmentedDevice(t.TempDir(), 0, FsyncNone, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet.mu.Lock()
+	syncing := quiet.f
+	quiet.syncing = syncing
+	quiet.mu.Unlock()
+	for quiet.Path() == syncing.Name() {
+		if _, err := quiet.Append(AppendRecord(nil, sample())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := syncing.Sync(); err != nil {
+		t.Fatalf("rotation closed the segment being synced: %v", err)
+	}
+	syncing.Close()
+	quiet.Close()
+
+	dir := t.TempDir()
+	dev, err := OpenSegmentedDevice(dir, 0, FsyncBatch, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 4, 100
+	commitConcurrently(t, dev, workers, perWorker)
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := segments(t, dir); n < 10 {
+		t.Fatalf("only %d segments: the test did not rotate", n)
+	}
+	var recs []*Record
+	if _, err := ReplayPartition(dir, 0, 0, func(r *Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	checkUnique(t, recs, workers*perWorker)
+}
+
+// TestFileDeviceFailureSticks injects a failed sync and a failed write.
+// Each time, the first failure is what every commit waiting on an
+// uncovered frame, every later append and Close return, and no frame
+// follows the failure on disk, even once the good file is back.
+func TestFileDeviceFailureSticks(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bad  func(t *testing.T, path string) *os.File
+	}{
+		// Writes to a pipe succeed; fsyncing one fails.
+		{"sync", func(t *testing.T, _ string) *os.File {
+			r, w, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { r.Close(); w.Close() })
+			return w
+		}},
+		// Writes to a read-only handle fail.
+		{"write", func(t *testing.T, path string) *os.File {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			dev, err := OpenFileDevice(path, FsyncBatch, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := New(dev)
+			if _, err := l.NewAppender().Commit(sample()); err != nil {
+				t.Fatal(err)
+			}
+			bad := c.bad(t, path)
+			dev.mu.Lock()
+			good := dev.f
+			dev.f = bad
+			dev.mu.Unlock()
+
+			const committers = 4
+			tickets := make([]Ticket, committers)
+			for i := range tickets {
+				tickets[i] = l.NewAppender().Submit(&Record{TxnID: uint64(100 + i)})
+			}
+			var first error
+			for i, tk := range tickets {
+				_, err := tk.Wait()
+				if err == nil {
+					t.Fatalf("commit %d succeeded on a failed device", i)
+				}
+				if first == nil {
+					first = err
+				} else if !errors.Is(err, first) {
+					t.Fatalf("commit %d: %v, want the first failure %v", i, err, first)
+				}
+			}
+
+			dev.mu.Lock()
+			dev.f = good
+			dev.mu.Unlock()
+			if _, err := dev.Append(AppendRecord(nil, sample())); !errors.Is(err, first) {
+				t.Fatalf("append after the failure: %v, want %v", err, first)
+			}
+			if err := dev.Close(); !errors.Is(err, first) {
+				t.Fatalf("close: %v, want %v", err, first)
+			}
+			if got := syncedThrough(dev); got != 1 {
+				t.Fatalf("frames through %d reported durable, want only the first", got)
+			}
+			recs, _ := replayAll(t, path)
+			if len(recs) != 1 || !reflect.DeepEqual(recs[0], sample()) {
+				t.Fatalf("the log holds %d records, want only the one before the failure", len(recs))
+			}
+		})
 	}
 }
 

@@ -3,7 +3,7 @@ package wal
 import "fmt"
 
 // PartitionedLog is the durability side of a partitioned store: one Log —
-// its own group committer and device — per storage partition. Commit
+// and its own device — per storage partition. Commit
 // records are routed to the partition that owns their writes, so the
 // commit path shares no structure across partitions and recovery can
 // replay logs in parallel. A single-partition PartitionedLog is exactly
@@ -12,17 +12,11 @@ type PartitionedLog struct {
 	logs []*Log
 }
 
-// NewPartitioned builds one log per device. With groupCommit set each
-// partition gets its own epoch-based flusher (see NewGroupCommit); Close
-// must then be called to stop them.
-func NewPartitioned(devs []Device, groupCommit bool) *PartitionedLog {
+// NewPartitioned builds one log per device.
+func NewPartitioned(devs []Device) *PartitionedLog {
 	pl := &PartitionedLog{logs: make([]*Log, len(devs))}
 	for i, d := range devs {
-		if groupCommit {
-			pl.logs[i] = NewGroupCommit(d)
-		} else {
-			pl.logs[i] = New(d)
-		}
+		pl.logs[i] = New(d)
 	}
 	return pl
 }
@@ -33,16 +27,10 @@ func (pl *PartitionedLog) Partitions() int { return len(pl.logs) }
 // Log returns partition p's log; per-worker appenders are drawn from it.
 func (pl *PartitionedLog) Log(p int) *Log { return pl.logs[p] }
 
-// Close drains and stops every partition's group committer and closes
-// every closable device. All partitions are closed even if one errors;
-// the first error wins.
+// Close closes every closable device, which stops its syncer. All
+// partitions are closed even if one errors; the first error wins.
 func (pl *PartitionedLog) Close() error {
 	var first error
-	for _, l := range pl.logs {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	for _, l := range pl.logs {
 		if c, ok := l.dev.(interface{ Close() error }); ok {
 			if err := c.Close(); err != nil && first == nil {

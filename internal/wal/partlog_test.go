@@ -1,10 +1,7 @@
 package wal
 
 import (
-	"errors"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestPartitionedLogRoutesIndependently(t *testing.T) {
@@ -14,7 +11,7 @@ func TestPartitionedLogRoutesIndependently(t *testing.T) {
 		mems[i] = NewMemDevice(true)
 		devs[i] = mems[i]
 	}
-	pl := NewPartitioned(devs, false)
+	pl := NewPartitioned(devs)
 	if pl.Partitions() != 3 {
 		t.Fatalf("partitions = %d", pl.Partitions())
 	}
@@ -44,49 +41,18 @@ func TestPartitionedLogRoutesIndependently(t *testing.T) {
 	}
 }
 
-func TestPartitionedLogGroupCommitCloseDrains(t *testing.T) {
-	devs := []Device{NewMemDevice(false), NewMemDevice(false)}
-	pl := NewPartitioned(devs, true)
-	var wg sync.WaitGroup
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			a := pl.Log(p).NewAppender()
-			for i := 0; i < 50; i++ {
-				if _, err := a.Commit(&Record{TxnID: uint64(i)}); err != nil {
-					t.Errorf("partition %d: %v", p, err)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := pl.Stats(); st.Appends != 100 {
-		t.Fatalf("appends = %d, want 100", st.Appends)
-	}
-	// Every partition's committer must be stopped.
-	for p := 0; p < 2; p++ {
-		if _, err := pl.Log(p).NewAppender().Commit(sample()); !errors.Is(err, ErrClosed) {
-			t.Fatalf("partition %d commit after close: %v", p, err)
-		}
-	}
-}
-
 // TestSubmitWaitOverlapsPartitions drives the split submit/wait path: a
 // committer with records for several partition logs submits to all before
-// waiting, so slow devices flush concurrently rather than serially. The
-// test pins the API contract (ticket per log, wait-all completes, zero
+// waiting, so the devices' syncers sync concurrently rather than serially.
+// The test pins the API contract (ticket per log, wait-all completes, zero
 // tickets are inert); the latency win is visible in -exp durability.
 func TestSubmitWaitOverlapsPartitions(t *testing.T) {
-	devs := []Device{
-		&slowDevice{MemDevice: NewMemDevice(true), delay: time.Millisecond},
-		&slowDevice{MemDevice: NewMemDevice(true), delay: time.Millisecond},
+	files, err := OpenPartitionSegmentedDevices(t.TempDir(), 2, FsyncBatch, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pl := NewPartitioned(devs, true)
+	devs := []Device{files[0], files[1]}
+	pl := NewPartitioned(devs)
 	defer pl.Close()
 	apps := []*Appender{pl.Log(0).NewAppender(), pl.Log(1).NewAppender()}
 	var tickets [3]Ticket // one spare zero ticket: must be inert
@@ -101,7 +67,7 @@ func TestSubmitWaitOverlapsPartitions(t *testing.T) {
 		}
 	}
 	for p := 0; p < 2; p++ {
-		if got := devs[p].(*slowDevice).Stats().Appends; got != 20 {
+		if got := files[p].Stats().Appends; got != 20 {
 			t.Fatalf("partition %d has %d records, want 20", p, got)
 		}
 	}
@@ -112,7 +78,7 @@ func TestTicketPerRecordLog(t *testing.T) {
 	l := New(dev)
 	a := l.NewAppender()
 	tk := a.Submit(sample())
-	// Per-record logs are durable at submit; Wait just reports.
+	// A memory device's record is final at submit; Wait just reports.
 	if dev.Stats().Appends != 1 {
 		t.Fatal("submit on a per-record log did not append")
 	}

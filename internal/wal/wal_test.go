@@ -2,13 +2,9 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
-	"runtime"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func sample() *Record {
@@ -81,7 +77,7 @@ func TestMemDevice(t *testing.T) {
 			t.Fatalf("lsn = %d", lsn)
 		}
 	}
-	if st := dev.Stats(); st.Appends != 3 || st.Batches != 3 || st.Bytes == 0 {
+	if st := dev.Stats(); st.Appends != 3 || st.Bytes == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	recs, err := dev.Records()
@@ -111,122 +107,5 @@ func TestAppenderReusesBuffer(t *testing.T) {
 	}
 	if len(recs) != 2 || !reflect.DeepEqual(recs[0], want[0]) || !reflect.DeepEqual(recs[1], want[1]) {
 		t.Fatalf("records corrupted by buffer reuse: %+v", recs)
-	}
-}
-
-// slowDevice delays every device write, modeling a real fsync; with it,
-// records pile up while a flush is in progress, so group commit must
-// actually form multi-record batches.
-type slowDevice struct {
-	*MemDevice
-	delay time.Duration
-}
-
-func (d *slowDevice) Append(rec []byte) (uint64, error) {
-	time.Sleep(d.delay)
-	return d.MemDevice.Append(rec)
-}
-
-func (d *slowDevice) AppendBatch(recs [][]byte) (uint64, error) {
-	time.Sleep(d.delay)
-	return d.MemDevice.AppendBatch(recs)
-}
-
-// commitConcurrently has workers goroutines commit perWorker records each
-// through l, whose records land on dev, then closes l.
-func commitConcurrently(t *testing.T, l *Log, dev *MemDevice, workers, perWorker int) {
-	t.Helper()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			a := l.NewAppender()
-			for i := 0; i < perWorker; i++ {
-				rec := &Record{TxnID: uint64(w*perWorker + i), Writes: []Write{{Table: "t", Key: uint64(i), Image: []byte{byte(i)}}}}
-				if _, err := a.Commit(rec); err != nil {
-					t.Errorf("commit: %v", err)
-					return
-				}
-				// Commit returning means the record is durable NOW.
-				if dev.Stats().Appends < 1 {
-					t.Errorf("commit returned before anything was durable")
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGroupCommitDurability(t *testing.T) {
-	dev := NewMemDevice(true)
-	l := NewGroupCommit(&slowDevice{MemDevice: dev, delay: 200 * time.Microsecond})
-	const workers, perWorker = 8, 50
-	commitConcurrently(t, l, dev, workers, perWorker)
-	if got := dev.Stats().Appends; got != workers*perWorker {
-		t.Fatalf("%d records durable, want %d", got, workers*perWorker)
-	}
-	// Group commit must have batched device writes: fewer flush
-	// operations than records proves multi-record epochs. The slow
-	// device guarantees records pile up during each flush, so a
-	// one-record-per-flush run means batching is broken.
-	if b := dev.Stats().Batches; b >= workers*perWorker {
-		t.Fatalf("batches = %d for %d records: group commit degenerated to per-record writes",
-			b, workers*perWorker)
-	}
-	// Every record must decode and be unique.
-	recs, err := dev.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint64]bool{}
-	for _, r := range recs {
-		if seen[r.TxnID] {
-			t.Fatalf("duplicate record %d", r.TxnID)
-		}
-		seen[r.TxnID] = true
-	}
-}
-
-// TestGroupCommitBatchesOnOneCore pins what the flusher's yield is for:
-// on one processor, with a device that returns at once, the flusher
-// woken by an epoch's first record would otherwise close the epoch before
-// any other committer ran, and every commit would cost a device write of
-// its own.
-func TestGroupCommitBatchesOnOneCore(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	dev := NewMemDevice(false)
-	const workers, perWorker = 4, 200
-	commitConcurrently(t, NewGroupCommit(dev), dev, workers, perWorker)
-	s := dev.Stats()
-	if s.Appends != workers*perWorker {
-		t.Fatalf("%d records durable, want %d", s.Appends, workers*perWorker)
-	}
-	if s.Batches > s.Appends/2 {
-		t.Fatalf("%d device writes for %d records on one processor: epochs hold too few records",
-			s.Batches, s.Appends)
-	}
-	t.Logf("%d records in %d device writes", s.Appends, s.Batches)
-}
-
-func TestGroupCommitClose(t *testing.T) {
-	l := NewGroupCommit(NewMemDevice(false))
-	a := l.NewAppender()
-	if _, err := a.Commit(sample()); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Commit(sample()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("commit after close: %v, want ErrClosed", err)
-	}
-	// Close is idempotent.
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
