@@ -304,6 +304,7 @@ type session struct {
 	e      *Engine
 	worker int
 	col    *stats.Collector
+	ids    core.TxnIDs
 	log    core.CommitLog
 	body   core.TxnFunc // execute, bound once
 
@@ -380,7 +381,7 @@ func (s *session) Run(fn core.TxnFunc) error {
 		return fmt.Errorf("chop: template %q is not analyzed (Registry.Analyze)", c.tmpl.Name)
 	}
 	s.tmpl, s.env = c.tmpl, c.env
-	return core.RunAttempts(s.e.db, s.col, s, s.body)
+	return core.RunAttempts(s.e.db, &s.ids, s.col, s, s.body)
 }
 
 // Tx is the running transaction state shared by its pieces: one attempt.

@@ -10,6 +10,7 @@ import (
 	"bamboo/internal/storage"
 	"bamboo/internal/txn"
 	"bamboo/internal/wal"
+	"bamboo/internal/workload/synth"
 	"bamboo/internal/workload/ycsb"
 )
 
@@ -102,6 +103,58 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatalf("allocs/txn = %.1f exceeds budget %.1f (seed baseline %.0f; "+
 					"the hot path regressed — look for per-attempt or per-acquire allocations)",
 					got, allocBudget, c.baseline)
+			}
+		})
+	}
+}
+
+// TestAllocBudgetSynthHotspot gates the benchmark's hotspot shape: the
+// synthetic workload's 8-operation transactions whose first operation
+// increments the one hot row, on Bamboo (hotspot) and Wound-Wait
+// (hotspot_ww), planned beforehand as in measureAllocsPerTxn. Besides the
+// shared budget it must read 0: the one allocation per transaction that a
+// per-Update mutate closure costs would read 1.0 (AllocsPerRun
+// truncates), inside the budget's one-allocation tolerance.
+func TestAllocBudgetSynthHotspot(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"bamboo", core.Bamboo()},
+		{"woundwait", core.WoundWait()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := core.NewDB(c.cfg)
+			defer db.Close()
+			cfg := synth.DefaultConfig()
+			cfg.Rows, cfg.TxnLen = 10000, 8
+			w, err := synth.Load(db, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := core.NewLockEngine(db).NewSession(0, &stats.Collector{})
+			gen := w.NewGenerator(0)
+			const txns = 200
+			fns := make([]core.TxnFunc, txns)
+			for i := range fns {
+				fns[i] = gen(i)
+			}
+			i := 0
+			got := testing.AllocsPerRun(txns, func() {
+				if err := sess.Run(fns[i%txns]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			t.Logf("%s synth hotspot: %.1f allocs/txn (budget %.0f, want 0)", c.name, got, allocBudget)
+			if got > allocBudget {
+				t.Fatalf("synth hotspot allocs/txn = %.1f exceeds budget %.1f", got, allocBudget)
+			}
+			if got != 0 {
+				t.Fatalf("synth hotspot allocates %.1f per txn, want 0: look for a per-transaction allocation such as a per-Update closure", got)
+			}
+			if v := w.HotValue(0); v != int64(txns+1) {
+				t.Fatalf("hot row holds %d after %d commits", v, txns+1)
 			}
 		})
 	}

@@ -173,7 +173,9 @@ type DB struct {
 	// pointer test on the commit path — when MVCC is off.
 	Snap *txn.SnapshotTable
 
-	cfg    Config
+	cfg Config
+	// txnIDs is the last transaction id reserved; sessions reserve them
+	// a block at a time (TxnIDs).
 	txnIDs atomic.Uint64
 	pruner *pruner
 
@@ -212,7 +214,9 @@ func NewDB(cfg Config) *DB {
 	}
 	// Partition telemetry only for actually-partitioned runs: with the
 	// single-partition layout every worker would hammer one shared counter
-	// cacheline per row access. RecordPartAccess no-ops on the empty slice.
+	// cacheline per row access. Without counters the lock engine does not
+	// even read the row's partition id, which lies on another cache line
+	// of the row than the lock entry it works on.
 	if cfg.Partitions > 1 {
 		db.Global.InitPartitions(db.Partitions())
 	}
@@ -430,9 +434,6 @@ func (db *DB) Claim(name string) {
 	}
 	db.protocol.Store(&name)
 }
-
-// NextTxnID draws a fresh transaction id.
-func (db *DB) NextTxnID() uint64 { return db.txnIDs.Add(1) }
 
 // Engine abstracts a concurrency-control engine so workloads and the
 // bench harness can drive Bamboo, the 2PL baselines, Silo and the

@@ -34,8 +34,9 @@ func (e *LockEngine) Database() *DB { return e.db }
 
 // NewSession implements Engine. A session owns every piece of per-worker
 // state the transaction hot path needs — request freelist, timestamp
-// block allocator, reusable transaction/access storage and the commit
-// log — so steady-state execution does not allocate.
+// allocator, transaction id block, reusable transaction/access storage
+// and the commit log — so steady-state execution does not allocate and
+// touches no DB-wide counter.
 func (e *LockEngine) NewSession(worker int, col *stats.Collector) Session {
 	col.AttachLive(e.db.live)
 	s := &lockSession{
@@ -67,6 +68,7 @@ type lockSession struct {
 	t     *txn.Txn
 	tx    lockTx
 	alloc *txn.TSAlloc
+	ids   TxnIDs
 
 	// free is the session's MVCC recycling state, nil on a DB without
 	// version chains (one pointer, so that a session's size — and with it
@@ -115,8 +117,11 @@ type lockTx struct {
 	t  *txn.Txn
 	db *DB
 
+	// accesses is the attempt's access list, in access order; find looks
+	// a row up in it. index is its position index, built once an attempt
+	// outgrows a walk (walkMax) and nil until one does.
 	accesses []access
-	byRow    map[*storage.Row]int
+	index    *rowIndex
 	inserts  []Insert
 
 	declaredOps int
@@ -139,13 +144,14 @@ type lockTx struct {
 }
 
 // reset prepares the lockTx for the next attempt, keeping the backing
-// storage of the access list, row index and insert buffer.
+// storage of the access list, row index and insert buffer. The index
+// needs no clearing: find consults it only past walkMax accesses, and
+// record rebuilds it when an attempt first gets there.
 func (tx *lockTx) reset() {
 	for i := range tx.accesses {
 		tx.accesses[i] = access{}
 	}
 	tx.accesses = tx.accesses[:0]
-	clear(tx.byRow)
 	tx.inserts = tx.inserts[:0]
 	tx.declaredOps = 0
 	tx.opIndex = 0
@@ -217,9 +223,13 @@ func (tx *lockTx) acquire(row *storage.Row, mode lock.Mode) (*lock.Request, erro
 	}
 	err := tx.db.Lock.AcquireInto(req, tx.t, mode, &row.Entry)
 	tx.lockWait += req.TakeWait()
-	tx.db.Global.RecordPartAccess(row.PartitionID)
+	if g := tx.db.Global; g.NumPartitions() > 0 {
+		g.RecordPartAccess(row.PartitionID)
+		if err != nil {
+			g.RecordPartConflict(row.PartitionID)
+		}
+	}
 	if err != nil {
-		tx.db.Global.RecordPartConflict(row.PartitionID)
 		tx.recycleReq(req)
 		return nil, tx.abort(err)
 	}
@@ -272,14 +282,16 @@ func (tx *lockTx) Read(row *storage.Row) ([]byte, error) {
 		// Snapshot path: resolve the newest version committed at or
 		// before the snapshot with a latch-free chain walk. No lock
 		// manager, no request, no allocation.
-		tx.db.Global.RecordPartAccess(row.PartitionID)
+		if g := tx.db.Global; g.NumPartitions() > 0 {
+			g.RecordPartAccess(row.PartitionID)
+		}
 		if img, ok := row.Versions.ReadAt(tx.snap); ok {
 			tx.snapReads++
 			return img, nil
 		}
 		return nil, errSnapshotFallback
 	}
-	if i, ok := tx.byRow[row]; ok {
+	if i := tx.find(row); i >= 0 {
 		return tx.accesses[i].req.Data, nil
 	}
 	req, err := tx.acquire(row, lock.SH)
@@ -300,8 +312,8 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 		// A write inside a read-only attempt: restart on the locking path.
 		return errSnapshotFallback
 	}
-	i, ok := tx.byRow[row]
-	if ok && tx.accesses[i].mode == lock.EX {
+	i := tx.find(row)
+	if i >= 0 && tx.accesses[i].mode == lock.EX {
 		if tx.accesses[i].retired {
 			return fatalf("second write to a retired row (table %s key %d); "+
 				"declare accesses so the last write is known (§3.3)",
@@ -311,9 +323,9 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 		return nil
 	}
 	var req *lock.Request
-	if ok {
+	if i >= 0 {
 		// SH→EX upgrade: promote the existing request in place. The access
-		// entry, byRow index and (for Bamboo) any dirty-read dependency the
+		// entry, its position and (for Bamboo) any dirty-read dependency the
 		// shared grant took all carry over; only the mode is new, and the
 		// write then retires like a freshly acquired one. On error the
 		// request is still a granted shared lock and the normal rollback
@@ -323,7 +335,9 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 		err := tx.db.Lock.Upgrade(req)
 		tx.lockWait += req.TakeWait()
 		if err != nil {
-			tx.db.Global.RecordPartConflict(row.PartitionID)
+			if g := tx.db.Global; g.NumPartitions() > 0 {
+				g.RecordPartConflict(row.PartitionID)
+			}
 			return tx.abort(err)
 		}
 		tx.accesses[i].mode = lock.EX
@@ -379,13 +393,36 @@ func (tx *lockTx) retireRemaining() {
 	}
 }
 
-func (tx *lockTx) record(row *storage.Row, req *lock.Request, mode lock.Mode) int {
-	if tx.byRow == nil {
-		tx.byRow = make(map[*storage.Row]int, 16)
+// find returns the position of row's access in the running attempt, or
+// -1 if the attempt has not accessed it: a walk of the access list while
+// it is short, its position index past walkMax accesses.
+func (tx *lockTx) find(row *storage.Row) int {
+	if len(tx.accesses) > walkMax {
+		return tx.index.find(row)
 	}
+	for i := range tx.accesses {
+		if tx.accesses[i].row == row {
+			return i
+		}
+	}
+	return -1
+}
+
+// record appends a new access and returns its position. The access that
+// takes the list past walkMax builds the index from the whole list; each
+// later one adds itself.
+func (tx *lockTx) record(row *storage.Row, req *lock.Request, mode lock.Mode) int {
+	i := len(tx.accesses)
 	tx.accesses = append(tx.accesses, access{row: row, req: req, mode: mode})
-	i := len(tx.accesses) - 1
-	tx.byRow[row] = i
+	switch {
+	case i > walkMax:
+		tx.index.add(row, i)
+	case i == walkMax:
+		if tx.index == nil {
+			tx.index = &rowIndex{}
+		}
+		tx.index.rebuild(tx.accesses)
+	}
 	return i
 }
 
@@ -476,7 +513,7 @@ func (db *DB) OnCommit() OnCommitHook { return db.cfg.OnCommit }
 // time Run returns every request has been released, and after release no
 // other goroutine can reach the transaction (the lock.Pool quiescence
 // rule).
-func (s *lockSession) Run(fn TxnFunc) error { return RunAttempts(s.db, s.col, s, fn) }
+func (s *lockSession) Run(fn TxnFunc) error { return RunAttempts(s.db, &s.ids, s.col, s, fn) }
 
 // Begin implements Attempt. A retry keeps the transaction's timestamp
 // (Reset), which is what makes Wound-Wait, and so Bamboo, starvation-free

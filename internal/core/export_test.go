@@ -24,3 +24,13 @@ func Snapshots(dir string, p int) ([]string, error) {
 	}
 	return paths, err
 }
+
+// WalkMax is the longest access list the lock engine walks.
+const WalkMax = walkMax
+
+// TxnIDBlock is how many transaction ids a session reserves at once.
+const TxnIDBlock = txnIDBlock
+
+// TxnIDsReserved returns how many transaction ids db has handed out in
+// blocks.
+func TxnIDsReserved(db *DB) uint64 { return db.txnIDs.Load() }

@@ -50,18 +50,18 @@ func (a Abort) Error() string { return "core: attempt aborted: " + txn.AbortCaus
 // the retry refuses snapshot mode (roFallback).
 var errSnapshotFallback = errors.New("core: snapshot attempt falls back to locking path")
 
-// RunAttempts runs fn as one logical transaction through a's attempts,
-// recording into col, until an attempt commits, the body returns
-// ErrUserAbort (final, not retried) or an error that is no Abort ends
-// the run; only that last case returns an error. It is every engine's
-// Session.Run.
+// RunAttempts runs fn as one logical transaction, under an id drawn from
+// the session's ids, through a's attempts, recording into col, until an
+// attempt commits, the body returns ErrUserAbort (final, not retried) or
+// an error that is no Abort ends the run; only that last case returns an
+// error. It is every engine's Session.Run.
 //
 // Two reads of the clock bracket each attempt, body and commit, however
 // many operations it makes. Lock wait and commit wait are the parts of
 // the attempt spent waiting for other transactions; the rest is the
 // attempt's own work — useful time if it commits, abort time if not.
-func RunAttempts(db *DB, col *stats.Collector, a Attempt, fn TxnFunc) error {
-	id := db.NextTxnID()
+func RunAttempts(db *DB, ids *TxnIDs, col *stats.Collector, a Attempt, fn TxnFunc) error {
+	id := ids.next(db)
 	for n := 0; ; n++ {
 		tx := a.Begin(id, n)
 		start := now()
@@ -98,6 +98,32 @@ func RunAttempts(db *DB, col *stats.Collector, a Attempt, fn TxnFunc) error {
 		}
 		backoff(a, cause)
 	}
+}
+
+// txnIDBlock is how many transaction ids a session reserves from its DB
+// at once. Ids only need to be unique — the WAL keeps at most one record
+// of a transaction per log, the verifier one commit per id — so a session
+// may hand out its block in any order against other sessions', and the
+// DB-wide counter every session would otherwise write on every
+// transaction is written once per block. (Priority timestamps are another
+// matter: they must track arrival order; ARCHITECTURE.md, "Sharded
+// timestamps".)
+const txnIDBlock = 1024
+
+// TxnIDs is a session's supply of transaction ids: the last id it drew,
+// from the block that id belongs to. The zero value is an exhausted
+// supply, so the first draw reserves a block.
+type TxnIDs struct{ last uint64 }
+
+// next draws the session's next transaction id, reserving a new block of
+// db's ids when the current one is used up. Blocks are aligned to
+// txnIDBlock, so the last id of a block is a multiple of it.
+func (ids *TxnIDs) next(db *DB) uint64 {
+	if ids.last%txnIDBlock == 0 {
+		ids.last = db.txnIDs.Add(txnIDBlock) - txnIDBlock
+	}
+	ids.last++
+	return ids.last
 }
 
 // abortCause is the cause of the Abort err is or wraps. (errors.As would

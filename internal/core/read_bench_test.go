@@ -10,11 +10,22 @@ import (
 
 // BenchmarkUncontendedRead16 is the per-operation fast path in isolation:
 // one session, one transaction of 16 shared reads of distinct rows nobody
-// else touches, committed. Rows are resolved beforehand, so the index is
+// else touches, committed. Rows are resolved beforehand, so the table index is
 // not measured; what is left is Run's fixed cost plus 16 × (Tx.Read →
 // acquire → release).
-func BenchmarkUncontendedRead16(b *testing.B) {
-	const ops = 16
+func BenchmarkUncontendedRead16(b *testing.B) { benchmarkDistinctReads(b, 16) }
+
+// BenchmarkLongRead1000 is fig7's long reader alone: one session, one
+// transaction of 1 000 shared reads of distinct rows. Each read first
+// looks its row up among the attempt's earlier accesses, so a lookup
+// whose cost grows with the attempt shows here as a per-transaction time
+// that grows with the square of its length.
+func BenchmarkLongRead1000(b *testing.B) { benchmarkDistinctReads(b, 1000) }
+
+// benchmarkDistinctReads commits transactions of ops shared reads of
+// distinct uncontended rows on one session, each transaction starting
+// where the previous one ended in a table of 4 096 rows.
+func benchmarkDistinctReads(b *testing.B, ops int) {
 	db := core.NewDB(core.Bamboo())
 	defer db.Close()
 	tbl := testTable(db, 4096)
@@ -31,6 +42,11 @@ func BenchmarkUncontendedRead16(b *testing.B) {
 			}
 		}
 		return nil
+	}
+	// One transaction first grows the session's access list (and, past
+	// the walk, its row index) to size, so B/op is the steady state's.
+	if err := sess.Run(fn); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -90,6 +90,7 @@ type session struct {
 	worker  int
 	col     *stats.Collector
 	lastTID uint64
+	ids     core.TxnIDs
 	log     core.CommitLog
 	tx      siloTx
 	// t exists only to park on: it is always Running, so its waits end
@@ -226,7 +227,7 @@ func (tx *siloTx) Insert(tbl *storage.Table, key uint64, img []byte) error {
 }
 
 // Run implements core.Session.
-func (s *session) Run(fn core.TxnFunc) error { return core.RunAttempts(s.e.db, s.col, s, fn) }
+func (s *session) Run(fn core.TxnFunc) error { return core.RunAttempts(s.e.db, &s.ids, s.col, s, fn) }
 
 // Begin implements core.Attempt.
 func (s *session) Begin(id uint64, _ int) core.Tx {

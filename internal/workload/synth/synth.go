@@ -118,6 +118,12 @@ func (w *Workload) HotRows() []*storage.Row { return w.hot }
 func (w *Workload) NewGenerator(worker int) func(seq int) core.TxnFunc {
 	rng := rand.New(rand.NewSource(w.cfg.Seed + int64(worker)*2654435761 + 99))
 	nHot := len(w.cfg.HotspotPos)
+	// One shared hot-row mutate closure, as ycsb's: built inside the op
+	// loop it escapes through the Tx interface and allocates once per
+	// hot-row update.
+	bump := func(img []byte) {
+		w.schema.AddInt64(img, w.valCol, 1)
+	}
 	return func(seq int) core.TxnFunc {
 		// Pre-draw the random read keys (distinct, outside the hot set).
 		keys := make([]uint64, 0, w.cfg.TxnLen-nHot)
@@ -137,10 +143,7 @@ func (w *Workload) NewGenerator(worker int) func(seq int) core.TxnFunc {
 				if hi < len(w.hotOps) && w.hotOps[hi] == op {
 					row := w.hot[hi]
 					hi++
-					err := tx.Update(row, func(img []byte) {
-						w.schema.AddInt64(img, w.valCol, 1)
-					})
-					if err != nil {
+					if err := tx.Update(row, bump); err != nil {
 						return err
 					}
 					continue
