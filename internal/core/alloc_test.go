@@ -14,11 +14,11 @@ import (
 	"bamboo/internal/workload/ycsb"
 )
 
-// Pre-refactor baselines, measured at the PR-1 tree (slice-based entry
-// lists, per-acquire Request allocation, per-attempt lockTx/byRow/accesses
-// allocation, per-commit WAL encode buffer) with the exact harness below,
-// kept for the log line's sake. The gate itself is the absolute
-// allocBudget ratchet below.
+// Pre-refactor baselines, measured at the original tree (slice-based
+// entry lists, per-acquire Request allocation, per-attempt transaction,
+// row map and access list allocation, per-commit WAL encode buffer) with
+// the exact harness below, kept for the log line's sake. The gate itself
+// is the absolute allocBudget ratchet below.
 const (
 	seedAllocsBamboo    = 76.0
 	seedAllocsWoundWait = 78.0

@@ -87,9 +87,9 @@ type versionFree struct {
 	imgs  [][]byte
 }
 
-// access is one row access of the running attempt.
+// access is one row access of the running attempt; its row is at the
+// same position in the attempt's RowSet.
 type access struct {
-	row     *storage.Row
 	req     *lock.Request
 	mode    lock.Mode
 	retired bool
@@ -117,44 +117,38 @@ type lockTx struct {
 	t  *txn.Txn
 	db *DB
 
-	// accesses is the attempt's access list, in access order; find looks
-	// a row up in it. index is its position index, built once an attempt
-	// outgrows a walk (walkMax) and nil until one does.
+	// rows are the attempt's rows in access order, and accesses what it
+	// holds of each, at the same positions.
+	rows     RowSet
 	accesses []access
-	index    *rowIndex
 	inserts  []Insert
 
-	declaredOps int
-	opIndex     int
-	lockWait    time.Duration
+	lockWait time.Duration
 
 	// MVCC snapshot-read state. snap is the attempt's snapshot timestamp
 	// (nonzero iff the attempt runs on the lock-free snapshot path);
 	// roFallback records that a snapshot attempt of this logical
 	// transaction needed the locking path (it wrote, or read a row with
 	// no visible version), so retries stop re-entering snapshot mode.
-	snap       uint64
-	roFallback bool
-	snapReads  uint64
+	snap        uint64
+	snapReads   uint64
+	roFallback  bool
+	declaredOps int32
 
 	// Image-copy telemetry accumulated from released requests
 	// (recycleReq) and flushed to the collector at attempt end.
-	imgCopies uint64
-	imgReuses uint64
+	imgCopies uint32
+	imgReuses uint32
 }
 
 // reset prepares the lockTx for the next attempt, keeping the backing
-// storage of the access list, row index and insert buffer. The index
-// needs no clearing: find consults it only past walkMax accesses, and
-// record rebuilds it when an attempt first gets there.
+// storage of the row set, access list and insert buffer.
 func (tx *lockTx) reset() {
-	for i := range tx.accesses {
-		tx.accesses[i] = access{}
-	}
+	tx.rows.Reset()
+	clear(tx.accesses)
 	tx.accesses = tx.accesses[:0]
 	tx.inserts = tx.inserts[:0]
 	tx.declaredOps = 0
-	tx.opIndex = 0
 	tx.lockWait = 0
 	tx.snapReads = 0
 }
@@ -166,7 +160,7 @@ func (tx *lockTx) Worker() int { return tx.s.worker }
 func (tx *lockTx) ID() uint64 { return tx.t.ID }
 
 // DeclareOps implements Tx.
-func (tx *lockTx) DeclareOps(n int) { tx.declaredOps = n }
+func (tx *lockTx) DeclareOps(n int) { tx.declaredOps = int32(n) }
 
 // ReadOnly is implemented by transactions that support the MVCC snapshot
 // read mode. Use the MarkReadOnly helper rather than asserting directly.
@@ -256,19 +250,19 @@ func (tx *lockTx) abort(err error) error {
 // release seeds the next write grant's private copy.
 func (tx *lockTx) recycleReq(req *lock.Request) {
 	c, ru := req.ImageStats()
-	tx.imgCopies += uint64(c)
-	tx.imgReuses += uint64(ru)
+	tx.imgCopies += c
+	tx.imgReuses += ru
 	tx.s.pool.Put(req)
 }
 
 // flushImageStats records the attempt's accumulated image-copy counters.
 func (tx *lockTx) flushImageStats() {
 	if tx.imgCopies > 0 {
-		tx.s.col.Add(stats.ImageCopies, tx.imgCopies)
+		tx.s.col.Add(stats.ImageCopies, uint64(tx.imgCopies))
 		tx.imgCopies = 0
 	}
 	if tx.imgReuses > 0 {
-		tx.s.col.Add(stats.ImagePoolRecycled, tx.imgReuses)
+		tx.s.col.Add(stats.ImagePoolRecycled, uint64(tx.imgReuses))
 		tx.imgReuses = 0
 	}
 }
@@ -291,14 +285,13 @@ func (tx *lockTx) Read(row *storage.Row) ([]byte, error) {
 		}
 		return nil, errSnapshotFallback
 	}
-	if i := tx.find(row); i >= 0 {
+	if i := tx.rows.Find(row); i >= 0 {
 		return tx.accesses[i].req.Data, nil
 	}
 	req, err := tx.acquire(row, lock.SH)
 	if err != nil {
 		return nil, err
 	}
-	tx.opIndex++
 	tx.record(row, req, lock.SH)
 	return req.Data, nil
 }
@@ -312,7 +305,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 		// A write inside a read-only attempt: restart on the locking path.
 		return errSnapshotFallback
 	}
-	i := tx.find(row)
+	i := tx.rows.Find(row)
 	if i >= 0 && tx.accesses[i].mode == lock.EX {
 		if tx.accesses[i].retired {
 			return fatalf("second write to a retired row (table %s key %d); "+
@@ -342,15 +335,11 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 		}
 		tx.accesses[i].mode = lock.EX
 		tx.s.col.Add(stats.Upgrades, 1)
-		// No opIndex increment: the row was already counted at its Read,
-		// and workloads declare an RMW row as one access — a second count
-		// would skew the δ-retire cutoff.
 	} else {
 		var err error
 		if req, err = tx.acquire(row, lock.EX); err != nil {
 			return err
 		}
-		tx.opIndex++
 		i = tx.record(row, req, lock.EX)
 	}
 	mutate(req.Data)
@@ -370,7 +359,10 @@ func (tx *lockTx) retire(a *access) {
 // shouldRetire applies Optimization 2 (paper §3.5): retire unless the
 // write falls in the last δ fraction of the transaction's declared
 // accesses. With no declaration every write retires — the paper's
-// interactive-mode behavior where each write is treated as the last.
+// interactive-mode behavior where each write is treated as the last. The
+// write's place is the number of distinct rows accessed so far: an
+// upgrade's row was counted at its Read, as workloads declare an RMW row
+// as one access.
 func (tx *lockTx) shouldRetire() bool {
 	cfg := &tx.db.cfg
 	if cfg.Variant != lock.Bamboo {
@@ -380,7 +372,7 @@ func (tx *lockTx) shouldRetire() bool {
 		return true
 	}
 	cutoff := float64(tx.declaredOps) * (1 - cfg.Delta)
-	return float64(tx.opIndex) <= cutoff
+	return float64(tx.rows.Len()) <= cutoff
 }
 
 // retireRemaining retires every unretired write; the adaptive part of
@@ -393,37 +385,10 @@ func (tx *lockTx) retireRemaining() {
 	}
 }
 
-// find returns the position of row's access in the running attempt, or
-// -1 if the attempt has not accessed it: a walk of the access list while
-// it is short, its position index past walkMax accesses.
-func (tx *lockTx) find(row *storage.Row) int {
-	if len(tx.accesses) > walkMax {
-		return tx.index.find(row)
-	}
-	for i := range tx.accesses {
-		if tx.accesses[i].row == row {
-			return i
-		}
-	}
-	return -1
-}
-
-// record appends a new access and returns its position. The access that
-// takes the list past walkMax builds the index from the whole list; each
-// later one adds itself.
+// record appends a new access and returns its position.
 func (tx *lockTx) record(row *storage.Row, req *lock.Request, mode lock.Mode) int {
-	i := len(tx.accesses)
-	tx.accesses = append(tx.accesses, access{row: row, req: req, mode: mode})
-	switch {
-	case i > walkMax:
-		tx.index.add(row, i)
-	case i == walkMax:
-		if tx.index == nil {
-			tx.index = &rowIndex{}
-		}
-		tx.index.rebuild(tx.accesses)
-	}
-	return i
+	tx.accesses = append(tx.accesses, access{req: req, mode: mode})
+	return tx.rows.Add(row)
 }
 
 // Insert implements Tx: inserts are buffered and applied at the commit
@@ -475,10 +440,10 @@ func (tx *lockTx) releaseCommitted() {
 func (tx *lockTx) Accesses() []AccessInfo {
 	out := make([]AccessInfo, 0, len(tx.accesses))
 	for i := range tx.accesses {
-		a := &tx.accesses[i]
+		a, row := &tx.accesses[i], tx.rows.Row(i)
 		info := AccessInfo{
-			Table: a.row.Table.Schema.Name,
-			Key:   a.row.Key,
+			Table: row.Table.Schema.Name,
+			Key:   row.Key,
 			Mode:  a.mode,
 			Dirty: a.req.Dirty,
 		}
@@ -606,7 +571,7 @@ func (s *lockSession) Commit(start time.Duration) (time.Duration, error) {
 func (s *lockSession) commitPoint(tx *lockTx) error {
 	for i := range tx.accesses {
 		if a := &tx.accesses[i]; a.mode == lock.EX {
-			s.log.Update(a.row, a.req.Data)
+			s.log.Update(tx.rows.Row(i), a.req.Data)
 		}
 	}
 	for _, ins := range tx.inserts {
@@ -703,7 +668,7 @@ func (s *lockSession) installVersions(tx *lockTx) uint64 {
 		}
 		// The chain adopts the committed image by reference — chain and
 		// lock entry share one buffer per committed version.
-		tail := a.row.Versions.InstallNode(node, a.req.Data, cts, rts)
+		tail := tx.rows.Row(i).Versions.InstallNode(node, a.req.Data, cts, rts)
 		for tail != nil {
 			next, img := tail.Recycle()
 			reclaimed++

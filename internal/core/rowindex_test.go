@@ -11,17 +11,17 @@ import (
 // rows, through growth and through a wrap of the generation counter.
 func TestRowIndexGenerations(t *testing.T) {
 	rows := make([]storage.Row, 600)
-	list := func(from, to int) []access {
-		var as []access
+	list := func(from, to int) []*storage.Row {
+		var rs []*storage.Row
 		for i := from; i < to; i++ {
-			as = append(as, access{row: &rows[i]})
+			rs = append(rs, &rows[i])
 		}
-		return as
+		return rs
 	}
-	check := func(x *rowIndex, as []access, from, to int) {
+	check := func(x *rowIndex, rs []*storage.Row, from, to int) {
 		t.Helper()
-		for i := range as {
-			if got := x.find(as[i].row); got != i {
+		for i, row := range rs {
+			if got := x.find(row); got != i {
 				t.Fatalf("gen %d: row %d at %d, want %d", x.gen, from+i, got, i)
 			}
 		}
@@ -35,7 +35,7 @@ func TestRowIndexGenerations(t *testing.T) {
 	first := list(0, 300) // grows the table from 128 slots to 1 024
 	x.rebuild(first[:walkMax+1])
 	for i := walkMax + 1; i < len(first); i++ {
-		x.add(first[i].row, i)
+		x.add(first[i], i)
 	}
 	check(&x, first, 0, 300)
 
@@ -50,7 +50,7 @@ func TestRowIndexGenerations(t *testing.T) {
 	third := list(340, 600)
 	x.rebuild(third[:walkMax+1])
 	for i := walkMax + 1; i < len(third); i++ {
-		x.add(third[i].row, i)
+		x.add(third[i], i)
 	}
 	check(&x, third, 340, 600)
 }

@@ -98,28 +98,27 @@ type session struct {
 	t txn.Txn
 }
 
-type readEnt struct {
-	row *storage.Row
-	tid uint64
-	img []byte
-}
-
-type writeEnt struct {
-	row  *storage.Row
-	tid  uint64 // tid observed when the base image was taken
-	base []byte
-	img  []byte
+// entry is what an attempt knows of one row it accessed; its row is at
+// the same position in the attempt's RowSet.
+type entry struct {
+	tid  uint64 // tid observed when base was read
+	base []byte // the image read
+	img  []byte // what the attempt sees: base, or a write's private copy
+	// write marks an updated row, locked and installed at commit; a row
+	// read first and updated later is one entry whose read tid is checked
+	// under the write lock.
+	write bool
 }
 
 type siloTx struct {
 	s      *session
 	id     uint64
-	reads  []readEnt
-	writes []writeEnt
-	byRow  map[*storage.Row]int // index into writes
-	rbyRow map[*storage.Row]int // index into reads
+	rows   core.RowSet
+	ents   []entry
 	insrts []core.Insert
-	// locked is how many writes, in commit order, hold their TID lock.
+	// order holds the positions of the write entries, sorted by row
+	// address at commit; locked is how many of them hold their TID lock.
+	order  []int
 	locked int
 }
 
@@ -170,54 +169,39 @@ func (tx *siloTx) DeclareOps(int) {}
 
 // Read implements core.Tx.
 func (tx *siloTx) Read(row *storage.Row) ([]byte, error) {
-	if i, ok := tx.byRow[row]; ok {
-		return tx.writes[i].img, nil
+	if i := tx.rows.Find(row); i >= 0 {
+		return tx.ents[i].img, nil
 	}
-	if i, ok := tx.rbyRow[row]; ok {
-		return tx.reads[i].img, nil
-	}
-	tid, img := tx.s.readStable(row)
-	if tx.rbyRow == nil {
-		tx.rbyRow = make(map[*storage.Row]int, 16)
-	}
-	tx.rbyRow[row] = len(tx.reads)
-	tx.reads = append(tx.reads, readEnt{row: row, tid: tid, img: img})
-	return img, nil
+	return tx.add(row).img, nil
 }
 
-// Update implements core.Tx.
+// Update implements core.Tx. Updating a row the attempt read turns its
+// entry into a write, so the read and the write are one access, as on
+// the lock engine.
 func (tx *siloTx) Update(row *storage.Row, mutate func(img []byte)) error {
-	if i, ok := tx.byRow[row]; ok {
-		mutate(tx.writes[i].img)
-		return nil
+	var ent *entry
+	if i := tx.rows.Find(row); i >= 0 {
+		ent = &tx.ents[i]
+	} else {
+		ent = tx.add(row)
 	}
-	if _, ok := tx.rbyRow[row]; ok {
-		// Upgrade is trivially safe under OCC (the read stays in the read
-		// set and is validated), but keep parity with the lock engine's
-		// declared-mode discipline: promote the read entry to a write.
-		i := tx.rbyRow[row]
-		ent := tx.reads[i]
+	if !ent.write {
 		// Private clones, deliberately not the lock engine's pooled
 		// takeBuf copies: latch-free readers (readStable) may still hold
 		// the base image, so no buffer here is ever provably unreferenced.
-		w := writeEnt{row: row, tid: ent.tid, base: ent.img, img: bytes.Clone(ent.img)}
-		if tx.byRow == nil {
-			tx.byRow = make(map[*storage.Row]int, 8)
-		}
-		tx.byRow[row] = len(tx.writes)
-		tx.writes = append(tx.writes, w)
-		mutate(tx.writes[len(tx.writes)-1].img)
-		return nil
+		ent.img = bytes.Clone(ent.base)
+		ent.write = true
 	}
-	tid, img := tx.s.readStable(row)
-	w := writeEnt{row: row, tid: tid, base: img, img: bytes.Clone(img)}
-	if tx.byRow == nil {
-		tx.byRow = make(map[*storage.Row]int, 8)
-	}
-	tx.byRow[row] = len(tx.writes)
-	tx.writes = append(tx.writes, w)
-	mutate(tx.writes[len(tx.writes)-1].img)
+	mutate(ent.img)
 	return nil
+}
+
+// add reads row into a new entry.
+func (tx *siloTx) add(row *storage.Row) *entry {
+	tid, img := tx.s.readStable(row)
+	tx.rows.Add(row)
+	tx.ents = append(tx.ents, entry{tid: tid, base: img, img: img})
+	return &tx.ents[len(tx.ents)-1]
 }
 
 // Insert implements core.Tx.
@@ -233,12 +217,10 @@ func (s *session) Run(fn core.TxnFunc) error { return core.RunAttempts(s.e.db, &
 func (s *session) Begin(id uint64, _ int) core.Tx {
 	tx := &s.tx
 	tx.id = id
-	clear(tx.reads)
-	clear(tx.writes)
+	tx.rows.Reset()
+	clear(tx.ents)
 	clear(tx.insrts)
-	tx.reads, tx.writes, tx.insrts = tx.reads[:0], tx.writes[:0], tx.insrts[:0]
-	clear(tx.byRow)
-	clear(tx.rbyRow)
+	tx.ents, tx.insrts = tx.ents[:0], tx.insrts[:0]
 	return tx
 }
 
@@ -249,8 +231,9 @@ func (s *session) LockWait() time.Duration { return 0 }
 // Rollback implements core.Attempt: the write-set locks a failed
 // validation left held are all there is to undo.
 func (s *session) Rollback() {
-	for _, w := range s.tx.writes[:s.tx.locked] {
-		w.row.TID.Store(w.row.TID.Load() &^ lockBit)
+	for _, i := range s.tx.order[:s.tx.locked] {
+		row := s.tx.rows.Row(i)
+		row.TID.Store(row.TID.Load() &^ lockBit)
 	}
 	s.tx.locked = 0
 	s.e.waiters.WakeAll()
@@ -272,44 +255,37 @@ var errValidation = core.Abort(txn.CauseValidation)
 func (s *session) Commit(time.Duration) (time.Duration, error) {
 	tx := &s.tx
 	// Phase 1: lock the write set in a global order.
-	slices.SortFunc(tx.writes, func(a, b writeEnt) int {
-		return cmp.Compare(rowAddr(a.row), rowAddr(b.row))
+	tx.order = tx.order[:0]
+	for i := range tx.ents {
+		if tx.ents[i].write {
+			tx.order = append(tx.order, i)
+		}
+	}
+	slices.SortFunc(tx.order, func(a, b int) int {
+		return cmp.Compare(rowAddr(tx.rows.Row(a)), rowAddr(tx.rows.Row(b)))
 	})
-	for i := range tx.writes {
-		row := tx.writes[i].row
+	for _, i := range tx.order {
+		row := tx.rows.Row(i)
 		s.lockTID(row)
 		tx.locked++
 		// Write-write validation: the row changed since we took our base.
-		if row.TID.Load()&^lockBit != tx.writes[i].tid {
+		if row.TID.Load()&^lockBit != tx.ents[i].tid {
 			return 0, errValidation
 		}
 	}
 
-	// Phase 2: validate the read set.
-	for i := range tx.reads {
-		r := &tx.reads[i]
-		cur := r.row.TID.Load()
-		if cur&^lockBit != r.tid {
+	// Phase 2: validate the reads. A read's row is never one this attempt
+	// locked, so a lock bit, like a new version, fails it.
+	for i := range tx.ents {
+		if e := &tx.ents[i]; !e.write && tx.rows.Row(i).TID.Load() != e.tid {
 			return 0, errValidation
-		}
-		if cur&lockBit != 0 {
-			if _, mine := tx.byRow[r.row]; !mine {
-				return 0, errValidation
-			}
 		}
 	}
 
 	// Phase 3: pick the commit TID and install.
 	tid := s.lastTID
-	for i := range tx.reads {
-		if tx.reads[i].tid > tid {
-			tid = tx.reads[i].tid
-		}
-	}
-	for i := range tx.writes {
-		if tx.writes[i].tid > tid {
-			tid = tx.writes[i].tid
-		}
+	for i := range tx.ents {
+		tid = max(tid, tx.ents[i].tid)
 	}
 	tid++
 	if e := s.e.epoch.Load() << epochShift; tid < e {
@@ -317,8 +293,8 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 	}
 	s.lastTID = tid
 
-	for i := range tx.writes {
-		s.log.Update(tx.writes[i].row, tx.writes[i].img)
+	for _, i := range tx.order {
+		s.log.Update(tx.rows.Row(i), tx.ents[i].img)
 	}
 	for _, ins := range tx.insrts {
 		s.log.Insert(ins)
@@ -334,11 +310,10 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 	if h := s.e.db.OnCommit(); h != nil && err == nil {
 		h(s.worker, tx.id, tid, tx.accessInfo(), len(tx.insrts))
 	}
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		img := w.img
-		w.row.OCCImage.Store(&img)
-		w.row.TID.Store(tid) // clears the lock bit
+	for _, i := range tx.order {
+		row, img := tx.rows.Row(i), tx.ents[i].img
+		row.OCCImage.Store(&img)
+		row.TID.Store(tid) // clears the lock bit
 	}
 	tx.locked = 0
 	s.e.waiters.WakeAll()
@@ -346,20 +321,13 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 }
 
 func (tx *siloTx) accessInfo() []core.AccessInfo {
-	out := make([]core.AccessInfo, 0, len(tx.reads)+len(tx.writes))
-	for i := range tx.reads {
-		r := &tx.reads[i]
-		out = append(out, core.AccessInfo{
-			Table: r.row.Table.Schema.Name, Key: r.row.Key,
-			Mode: lock.SH, Read: r.img,
-		})
-	}
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		out = append(out, core.AccessInfo{
-			Table: w.row.Table.Schema.Name, Key: w.row.Key,
-			Mode: lock.EX, Read: w.base, Wrote: w.img,
-		})
+	out := make([]core.AccessInfo, len(tx.ents))
+	for i := range tx.ents {
+		e, row := &tx.ents[i], tx.rows.Row(i)
+		out[i] = core.AccessInfo{Table: row.Table.Schema.Name, Key: row.Key, Mode: lock.SH, Read: e.base}
+		if e.write {
+			out[i].Mode, out[i].Wrote = lock.EX, e.img
+		}
 	}
 	return out
 }

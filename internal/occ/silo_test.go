@@ -122,8 +122,9 @@ func TestSiloInsert(t *testing.T) {
 }
 
 func TestSiloUpgradeReadToWrite(t *testing.T) {
-	// Unlike the lock engine, Silo supports read-then-update of the same
-	// row: the read stays in the read set and is validated.
+	// Read-then-update of the same row is one access: the update turns
+	// the read's entry into a write, whose read tid is validated under
+	// the write lock.
 	e := newEngine(t, core.Config{})
 	tbl := verifytest.BuildDB(e.Database(), 1)
 	sess := e.NewSession(0, newCollector())

@@ -73,7 +73,8 @@ func TestWakeOnTIDUnlock(t *testing.T) {
 		a := e.NewSession(0, &stats.Collector{}).(*session)
 		b := e.NewSession(1, &stats.Collector{}).(*session)
 		a.lockTID(row)
-		a.tx.writes = append(a.tx.writes, writeEnt{row: row})
+		a.tx.rows.Add(row)
+		a.tx.order = append(a.tx.order, 0)
 		a.tx.locked = 1
 		readAfter(t, b, row, a.Rollback)
 	})
