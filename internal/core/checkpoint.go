@@ -86,6 +86,9 @@ type checkpointer struct {
 	snap    snapshotWriter
 	stats   CheckpointStats
 	lastErr error
+	// ticks counts the ticks the loop has received; each runs one round
+	// per partition under mu.
+	ticks uint64
 
 	runMu   sync.Mutex
 	stopCh  chan struct{}
@@ -148,6 +151,7 @@ func (c *checkpointer) loop(stopCh, doneCh chan struct{}) {
 			return
 		case <-tick.C:
 			c.mu.Lock()
+			c.ticks++
 			for p := 0; p < c.db.Partitions(); p++ {
 				if err := c.partitionRoundLocked(p); err != nil {
 					c.stats.Errors++

@@ -11,6 +11,14 @@ func SetPruneInterval(db *DB, d time.Duration) {
 	db.pruner = startPruner(db, d)
 }
 
+// CheckpointTicks returns how many ticks db's checkpointer loop has
+// received.
+func CheckpointTicks(db *DB) uint64 {
+	db.ckpt.mu.Lock()
+	defer db.ckpt.mu.Unlock()
+	return db.ckpt.ticks
+}
+
 // SnapshotPath names partition p's checkpoint snapshot at seq in dir.
 var SnapshotPath = snapshotPath
 

@@ -13,12 +13,16 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
-	"sync"
 
 	"bamboo/internal/core"
 	"bamboo/internal/storage"
+	"bamboo/internal/workload"
 )
+
+// planChunk is the number of plans whose keys one allocation holds.
+const planChunk = 256
 
 // Config parametrizes the workload.
 type Config struct {
@@ -124,15 +128,19 @@ func (w *Workload) NewGenerator(worker int) func(seq int) core.TxnFunc {
 	bump := func(img []byte) {
 		w.schema.AddInt64(img, w.valCol, 1)
 	}
+	// A plan keeps its keys for as long as its TxnFunc lives, so they are
+	// carved from chunks of planChunk plans, never reused.
+	nKeys := w.cfg.TxnLen - nHot
+	keyChunk := workload.Chunk[uint64]{Size: planChunk * nKeys}
 	return func(seq int) core.TxnFunc {
-		// Pre-draw the random read keys (distinct, outside the hot set).
-		keys := make([]uint64, 0, w.cfg.TxnLen-nHot)
-		used := make(map[uint64]bool, w.cfg.TxnLen)
-		for len(keys) < w.cfg.TxnLen-nHot {
+		// Pre-draw the random read keys (distinct, outside the hot set); a
+		// repeat is found by scanning the keys already drawn.
+		keys := keyChunk.Take(nKeys)
+		for i := 0; i < nKeys; {
 			k := uint64(rng.Intn(w.cfg.Rows-nHot) + nHot)
-			if !used[k] {
-				used[k] = true
-				keys = append(keys, k)
+			if !slices.Contains(keys[:i], k) {
+				keys[i] = k
+				i++
 			}
 		}
 		return func(tx core.Tx) error {
@@ -158,21 +166,12 @@ func (w *Workload) NewGenerator(worker int) func(seq int) core.TxnFunc {
 	}
 }
 
-// Generator adapts the workload to core.Generator. The per-worker
-// sub-generators are created under a mutex; each is then used only by its
-// own worker goroutine.
+// Generator adapts the workload to core.Generator: each worker draws
+// from its own NewGenerator stream.
 func (w *Workload) Generator() core.Generator {
-	var mu sync.Mutex
-	gens := map[int]func(int) core.TxnFunc{}
+	gens := &workload.PerWorker[func(int) core.TxnFunc]{New: w.NewGenerator}
 	return func(worker, seq int) core.TxnFunc {
-		mu.Lock()
-		g, ok := gens[worker]
-		if !ok {
-			g = w.NewGenerator(worker)
-			gens[worker] = g
-		}
-		mu.Unlock()
-		return g(seq)
+		return gens.Get(worker)(seq)
 	}
 }
 

@@ -1,8 +1,6 @@
 package tpcc
 
 import (
-	"math/rand"
-
 	"bamboo/internal/chop"
 	"bamboo/internal/core"
 )
@@ -114,12 +112,12 @@ func (w *Workload) ChopRegistry() (*chop.Registry, *chop.Template, *chop.Templat
 // per-worker streams as Generator.
 func (w *Workload) IC3Generator() core.Generator {
 	_, payment, neworder := w.ChopRegistry()
-	return w.mix(func(rng *rand.Rand, draw float64) core.TxnFunc {
+	return w.mix(func(s *stream, draw float64) core.TxnFunc {
 		if draw < w.cfg.PaymentFraction {
-			a := w.GenPayment(rng)
+			a := w.GenPayment(s.rng)
 			return chop.Call(payment, &a)
 		}
-		return chop.Call(neworder, &NewOrderState{Args: w.GenNewOrder(rng)})
+		return chop.Call(neworder, &NewOrderState{Args: w.genNewOrder(s.rng, &s.items)})
 	})
 }
 

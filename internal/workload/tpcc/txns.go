@@ -3,11 +3,11 @@ package tpcc
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"bamboo/internal/core"
 	"bamboo/internal/storage"
+	"bamboo/internal/workload"
 )
 
 // PaymentArgs are the inputs of one Payment transaction.
@@ -67,6 +67,21 @@ func (w *Workload) GenPayment(rng *rand.Rand) PaymentArgs {
 // de-duplicated within an order (DBx1000 does the same) so each stock row
 // is written once, which lets Bamboo retire it at the last write.
 func (w *Workload) GenNewOrder(rng *rand.Rand) NewOrderArgs {
+	return w.genNewOrder(rng, &workload.Chunk[OrderItem]{})
+}
+
+// maxOrderLines is the most items a NewOrder draws, and planChunk the
+// number of maximal orders whose items one allocation of a worker's
+// stream holds.
+const (
+	maxOrderLines = 15
+	planChunk     = 256
+)
+
+// genNewOrder is GenNewOrder with the order's items carved from items. A
+// repeated item id is found by scanning the ids already drawn: an order
+// has at most maxOrderLines of them, too few for a map to pay.
+func (w *Workload) genNewOrder(rng *rand.Rand, items *workload.Chunk[OrderItem]) NewOrderArgs {
 	wid := int64(rng.Intn(w.cfg.Warehouses))
 	a := NewOrderArgs{
 		WID:      wid,
@@ -74,14 +89,12 @@ func (w *Workload) GenNewOrder(rng *rand.Rand) NewOrderArgs {
 		CID:      int64(nuRand(rng, 1023, 259, 0, w.cfg.CustomersPerDistrict-1)),
 		AllLocal: true,
 	}
-	n := rng.Intn(11) + 5 // 5–15 lines
-	used := make(map[int64]bool, n)
-	for len(a.Items) < n {
+	a.Items = items.Take(rng.Intn(maxOrderLines-4) + 5) // 5–15 lines
+	for i := 0; i < len(a.Items); {
 		iid := int64(nuRand(rng, 8191, 7911, 0, w.cfg.Items-1))
-		if used[iid] {
+		if ordered(a.Items[:i], iid) {
 			continue
 		}
-		used[iid] = true
 		it := OrderItem{IID: iid, SupplyW: wid, Quantity: int64(rng.Intn(10) + 1)}
 		if w.cfg.Warehouses > 1 && rng.Intn(100) < w.cfg.RemoteStockPct {
 			it.SupplyW = int64(rng.Intn(w.cfg.Warehouses - 1))
@@ -90,12 +103,23 @@ func (w *Workload) GenNewOrder(rng *rand.Rand) NewOrderArgs {
 			}
 			a.AllLocal = false
 		}
-		a.Items = append(a.Items, it)
+		a.Items[i] = it
+		i++
 	}
 	if w.cfg.UserAbortPct > 0 && rng.Intn(100) < w.cfg.UserAbortPct {
 		a.Rollback = true
 	}
 	return a
+}
+
+// ordered reports whether items already holds item id iid.
+func ordered(items []OrderItem, iid int64) bool {
+	for _, it := range items {
+		if it.IID == iid {
+			return true
+		}
+	}
+	return false
 }
 
 // Payment's per-step helpers are shared by the row-engine transaction
@@ -426,31 +450,37 @@ func (w *Workload) StockLevel(a StockLevelArgs) core.TxnFunc {
 // with PaymentFraction, StockLevel with StockLevelFraction, NewOrder
 // with the remainder.
 func (w *Workload) Generator() core.Generator {
-	return w.mix(func(rng *rand.Rand, draw float64) core.TxnFunc {
+	return w.mix(func(s *stream, draw float64) core.TxnFunc {
 		if draw < w.cfg.PaymentFraction {
-			return w.Payment(w.GenPayment(rng))
+			return w.Payment(w.GenPayment(s.rng))
 		}
 		if draw < w.cfg.PaymentFraction+w.cfg.StockLevelFraction {
-			return w.StockLevel(w.GenStockLevel(rng))
+			return w.StockLevel(w.GenStockLevel(s.rng))
 		}
-		return w.NewOrder(w.GenNewOrder(rng))
+		return w.NewOrder(w.genNewOrder(s.rng, &s.items))
 	})
 }
 
+// stream is one worker's input stream: its random source, and the chunk
+// its NewOrders' items are carved from. An order keeps its items for as
+// long as its TxnFunc lives, so they are never reused.
+type stream struct {
+	rng   *rand.Rand
+	items workload.Chunk[OrderItem]
+}
+
 // mix is the per-worker draw every generator shares: each worker owns a
-// random stream seeded from Config.Seed, and pick turns one uniform draw
-// from it (plus the stream, for the arguments) into a transaction.
-func (w *Workload) mix(pick func(rng *rand.Rand, draw float64) core.TxnFunc) core.Generator {
-	var mu sync.Mutex
-	rngs := map[int]*rand.Rand{}
-	return func(worker, seq int) core.TxnFunc {
-		mu.Lock()
-		rng, ok := rngs[worker]
-		if !ok {
-			rng = rand.New(rand.NewSource(w.cfg.Seed + int64(worker)*6364136223846793005 + 1442695040888963407))
-			rngs[worker] = rng
+// stream seeded from Config.Seed, and pick turns one uniform draw from it
+// (plus the stream, for the arguments) into a transaction.
+func (w *Workload) mix(pick func(s *stream, draw float64) core.TxnFunc) core.Generator {
+	streams := &workload.PerWorker[*stream]{New: func(worker int) *stream {
+		return &stream{
+			rng:   rand.New(rand.NewSource(w.cfg.Seed + int64(worker)*6364136223846793005 + 1442695040888963407)),
+			items: workload.Chunk[OrderItem]{Size: planChunk * maxOrderLines},
 		}
-		mu.Unlock()
-		return pick(rng, rng.Float64())
+	}}
+	return func(worker, seq int) core.TxnFunc {
+		s := streams.Get(worker)
+		return pick(s, s.rng.Float64())
 	}
 }

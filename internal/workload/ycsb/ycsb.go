@@ -16,7 +16,17 @@ import (
 
 	"bamboo/internal/core"
 	"bamboo/internal/storage"
+	"bamboo/internal/workload"
 	"bamboo/internal/zipfian"
+)
+
+// loadSlabRows is the number of loaded row images one allocation holds,
+// each aligned to cacheLine bytes, and planChunk the number of plans
+// whose ops one allocation holds.
+const (
+	loadSlabRows = 256
+	planChunk    = 256
+	cacheLine    = 64
 )
 
 // Config parametrizes the workload.
@@ -98,11 +108,19 @@ func Load(db *core.DB, cfg Config) (*Workload, error) {
 	}
 	loadRange := func(rng *rand.Rand, want int) {
 		buf := make([]byte, cfg.ColumnBytes)
+		// Images come from slabs of loadSlabRows rows, one allocation per
+		// slab instead of one per row. Each starts on a cache line of its
+		// own, as a separately allocated image does, so no two rows share
+		// a line; each capacity is clamped, so no write to one image
+		// reaches its neighbour's.
+		size := schema.RowSize()
+		stride := (size + cacheLine - 1) &^ (cacheLine - 1)
+		slab := workload.Chunk[byte]{Size: loadSlabRows * stride}
 		for k := 0; k < cfg.Rows; k++ {
 			if want >= 0 && part.Partition(uint64(k)) != want {
 				continue
 			}
-			img := schema.NewRowImage()
+			img := slab.Take(stride)[:size:size]
 			for c := 1; c < cfg.Columns; c++ {
 				rng.Read(buf)
 				schema.SetBytes(img, c, buf)
@@ -138,28 +156,37 @@ type op struct {
 	rmw bool
 }
 
-// planTxn draws a transaction's access plan: distinct keys (DBx1000
-// de-duplicates repeated Zipfian draws within a transaction) with the
-// configured write ratio. Keys are sorted hottest-first in draw order —
-// Zipfian rank 0 is the hottest tuple, matching DBx1000's loader.
-func (w *Workload) planTxn(z *zipfian.Zipfian, rng *rand.Rand) []op {
-	n := w.cfg.OpsPerTxn
-	ops := make([]op, 0, n)
-	used := make(map[uint64]bool, n)
-	for len(ops) < n {
+// planTxn draws a transaction's access plan into ops: distinct keys
+// (DBx1000 de-duplicates repeated Zipfian draws within a transaction) with
+// the configured write ratio. Keys are sorted hottest-first in draw order —
+// Zipfian rank 0 is the hottest tuple, matching DBx1000's loader. A
+// repeated key is found by scanning the keys already drawn: a plan holds
+// OpsPerTxn (16) of them, too few for a map to pay.
+func (w *Workload) planTxn(z *zipfian.Zipfian, rng *rand.Rand, ops []op) []op {
+	for i := 0; i < len(ops); {
 		k := z.Next()
-		if used[k] {
+		if drawn(ops[:i], k) {
 			continue
 		}
-		used[k] = true
 		write := rng.Float64() >= w.cfg.ReadRatio
-		ops = append(ops, op{
+		ops[i] = op{
 			key:   k,
 			write: write,
 			rmw:   write && rng.Float64() < w.cfg.RMWFrac,
-		})
+		}
+		i++
 	}
 	return ops
+}
+
+// drawn reports whether ops already holds key k.
+func drawn(ops []op, k uint64) bool {
+	for _, o := range ops {
+		if o.key == k {
+			return true
+		}
+	}
+	return false
 }
 
 // NewGenerator returns a per-worker generator.
@@ -174,6 +201,10 @@ func (w *Workload) NewGenerator(worker int) func(seq int) core.TxnFunc {
 	stamp := func(img []byte) {
 		w.schema.AddInt64(img, w.stampCol, 1)
 	}
+	// Plans keep their ops for as long as their TxnFunc lives (a
+	// benchmark's ring holds 65 536 of them), so ops are carved, never
+	// reused.
+	opChunk := workload.Chunk[op]{Size: planChunk * w.cfg.OpsPerTxn}
 	return func(seq int) core.TxnFunc {
 		if w.cfg.LongReadFrac > 0 && rng.Float64() < w.cfg.LongReadFrac {
 			start := uint64(rng.Intn(w.cfg.Rows - w.cfg.LongReadOps))
@@ -189,7 +220,7 @@ func (w *Workload) NewGenerator(worker int) func(seq int) core.TxnFunc {
 			}
 		}
 		if w.cfg.ReadOnlyFrac > 0 && rng.Float64() < w.cfg.ReadOnlyFrac {
-			ops := w.planTxn(z, rng)
+			ops := w.planTxn(z, rng, opChunk.Take(w.cfg.OpsPerTxn))
 			return func(tx core.Tx) error {
 				core.MarkReadOnly(tx)
 				tx.DeclareOps(len(ops))
@@ -201,7 +232,7 @@ func (w *Workload) NewGenerator(worker int) func(seq int) core.TxnFunc {
 				return nil
 			}
 		}
-		ops := w.planTxn(z, rng)
+		ops := w.planTxn(z, rng, opChunk.Take(w.cfg.OpsPerTxn))
 		return func(tx core.Tx) error {
 			tx.DeclareOps(len(ops))
 			for _, o := range ops {
@@ -226,19 +257,12 @@ func (w *Workload) NewGenerator(worker int) func(seq int) core.TxnFunc {
 	}
 }
 
-// Generator adapts the workload to core.Generator.
+// Generator adapts the workload to core.Generator: each worker draws
+// from its own NewGenerator stream.
 func (w *Workload) Generator() core.Generator {
-	var mu sync.Mutex
-	gens := map[int]func(int) core.TxnFunc{}
+	gens := &workload.PerWorker[func(int) core.TxnFunc]{New: w.NewGenerator}
 	return func(worker, seq int) core.TxnFunc {
-		mu.Lock()
-		g, ok := gens[worker]
-		if !ok {
-			g = w.NewGenerator(worker)
-			gens[worker] = g
-		}
-		mu.Unlock()
-		return g(seq)
+		return gens.Get(worker)(seq)
 	}
 }
 
