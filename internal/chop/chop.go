@@ -16,6 +16,8 @@
 // (validate instead of wait) is not implemented; pieces always wait for
 // conflicting predecessors to finish. The column-level analysis — the
 // mechanism responsible for Figure 11's shape — is implemented in full.
+// No wait has a deadline: a wait that would close a cycle of waits
+// aborts one attempt of the cycle at once instead (Tx.waitOn).
 //
 // The declarations are the whole truth at run time too: a piece touches
 // a row of a table it declares Write on exclusively from the first touch,
@@ -30,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,10 +151,7 @@ func (r *Registry) Merges() int { return r.merges }
 // remains, exactly as transaction chopping requires to stay
 // deadlock-free.
 func (r *Registry) Analyze() {
-	for {
-		if !r.mergeOneCrossing() {
-			break
-		}
+	for r.mergeOneCrossing() {
 		r.merges++
 	}
 	for _, t := range r.templates {
@@ -252,13 +252,6 @@ func conflict(a, b *access) bool {
 	return a.mask&b.mask != 0 && (a.excl || b.excl)
 }
 
-// waitTimeout is how long a piece may wait for conflicting pieces or
-// dependencies before it aborts and retries — a liveness valve the
-// chopping guarantees should never need; commitWait allows ten times as
-// long. Waits park and are woken by the transaction they wait on
-// (Tx.watchers); the valve is their deadline.
-const waitTimeout = 50 * time.Millisecond
-
 // name is the protocol display name, the paper's legend.
 const name = "IC3"
 
@@ -268,6 +261,9 @@ const name = "IC3"
 type Engine struct {
 	db      *core.DB
 	prepare sync.Once
+	// sessions counts NewSession calls: no more attempts than that run at
+	// once, so it bounds a chain of waits (Tx.cycleVictim).
+	sessions atomic.Int32
 }
 
 var _ core.Engine = (*Engine)(nil)
@@ -328,6 +324,7 @@ func (e *Engine) NewSession(worker int, col *stats.Collector) core.Session {
 		}
 	})
 	col.AttachLive(e.db.LiveStats())
+	e.sessions.Add(1)
 	s := &session{e: e, worker: worker, col: col, log: e.db.NewCommitLog()}
 	s.body = s.execute
 	return s
@@ -394,9 +391,11 @@ type Tx struct {
 	env      any
 	col      *stats.Collector
 	workerID int
-	deps     map[*Tx]struct{}
-	accs     []*access
-	inserts  []core.Insert
+	// deps are the attempts this one must commit after, each once, in the
+	// order found.
+	deps    []*Tx
+	accs    []*access
+	inserts []core.Insert
 	// progress is the number of pieces completed, read by dependents
 	// enforcing piece order.
 	progress atomic.Int32
@@ -409,6 +408,11 @@ type Tx struct {
 	// (waitOn), woken when a piece finishes and when the attempt ends,
 	// after its rollback or detach.
 	watchers txn.Watchers
+	// waitsFor is the attempt this one is blocked on in waitOn (nil when
+	// it is not), and waitPast the progress it waits for that attempt to
+	// pass: the one edge it has in the wait-for graph (cycleVictim).
+	waitsFor atomic.Pointer[Tx]
+	waitPast atomic.Int32
 }
 
 // PieceTx is the access interface a piece body sees.
@@ -484,9 +488,7 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, update bool) (*access, erro
 			if update && !a.write {
 				a.write = true
 				a.local = bytes.Clone(a.local)
-				if tx.col != nil {
-					tx.col.Add(stats.Upgrades, 1)
-				}
+				tx.col.Add(stats.Upgrades, 1)
 			}
 			return a, nil
 		}
@@ -511,11 +513,10 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, update bool) (*access, erro
 // on mine's row conflicts with mine, then records commit-order
 // dependencies on every conflicting accessor still present (their pieces
 // finished; they have not committed). It returns with the row latched,
-// or unlatched with an error when the transaction is aborting or the
-// wait exceeds waitTimeout.
+// or unlatched with an error when the transaction is aborting, a cycle's
+// victim included (waitOn).
 func (tx *Tx) waitConflicts(mine *access) error {
 	rs := mine.rs
-	var deadline time.Time
 	rs.mu.Lock()
 	for {
 		if tx.t.Aborting() {
@@ -538,42 +539,71 @@ func (tx *Tx) waitConflicts(mine *access) error {
 		// gone once its owner ended.
 		d, past := blocker.owner, blocker.owner.progress.Load()
 		rs.mu.Unlock()
-		if !tx.waitOn(d, past, &deadline, &tx.waited) {
+		if !tx.waitOn(d, past, &tx.waited) {
 			return tx.abort()
 		}
 		rs.mu.Lock()
 	}
 	for _, a := range rs.accs {
-		if a.t != tx.t && !a.unwound && conflict(a, mine) {
-			if tx.deps == nil {
-				tx.deps = make(map[*Tx]struct{}, 8)
-			}
-			tx.deps[a.owner] = struct{}{}
+		if a.t != tx.t && !a.unwound && conflict(a, mine) && !slices.Contains(tx.deps, a.owner) {
+			tx.deps = append(tx.deps, a.owner)
 		}
 	}
 	return nil
 }
 
 // waitOn waits until d has finished more than past pieces or ended, and
-// reports whether it did: false means tx is aborting or *deadline
-// passed. A wait that blocks parks as one of d's watchers, adds
-// the time to *blocked, and sets a zero *deadline to waitTimeout from
-// now, so a transaction that never blocks reads no clock.
-func (tx *Tx) waitOn(d *Tx, past int32, deadline *time.Time, blocked *time.Duration) bool {
-	moved := func() bool {
-		s := d.t.State()
-		return d.progress.Load() > past || s == txn.StateCommitted || s == txn.StateAborted
-	}
-	if moved() {
+// reports whether it did: false means tx is aborting. A wait that blocks
+// publishes its edge (waitsFor) for as long as it lasts, parks as one of
+// d's watchers, and adds the time to *blocked. If the edge closes a cycle
+// of waits, which no wake could end, it first aborts the cycle's victim
+// (CauseDie), which may be tx itself.
+func (tx *Tx) waitOn(d *Tx, past int32, blocked *time.Duration) bool {
+	if d.moved(past) {
 		return true
 	}
-	start := time.Now()
-	if deadline.IsZero() {
-		*deadline = start.Add(waitTimeout)
+	tx.waitPast.Store(past)
+	tx.waitsFor.Store(d)
+	defer tx.waitsFor.Store(nil)
+	if v := tx.cycleVictim(); v != nil {
+		v.t.SetAbort(txn.CauseDie)
 	}
-	ok := d.watchers.Wait(tx.t, moved, *deadline)
+	start := time.Now()
+	ok := d.watchers.Wait(tx.t, func() bool { return d.moved(past) })
 	*blocked += time.Since(start)
 	return ok
+}
+
+// moved reports whether d has finished more than past pieces or ended.
+func (d *Tx) moved(past int32) bool {
+	s := d.t.State()
+	return d.progress.Load() > past || s == txn.StateCommitted || s == txn.StateAborted
+}
+
+// cycleVictim returns the attempt with the largest id on the cycle that
+// tx's published wait closes, or nil if it closes none. A cycle is a
+// chain of waits from tx, each still unmet and its waiter not aborting,
+// that leads back to tx, so none of them can end. Every IC3 wait is on
+// one other attempt, so the chain has one way on, and a cycle visits each
+// session at most once. The attempt whose edge closes a cycle always sees
+// it, since it publishes that edge last and an edge is cleared only when
+// its wait ends; two that see it at once pick the same victim.
+func (tx *Tx) cycleVictim() *Tx {
+	x, v := tx, tx
+	for n := tx.e.sessions.Load(); n > 0; n-- {
+		y := x.waitsFor.Load()
+		if y == nil || x.t.Aborting() || y.moved(x.waitPast.Load()) {
+			return nil
+		}
+		if y == tx {
+			return v
+		}
+		if y.t.ID > v.t.ID {
+			v = y
+		}
+		x = y
+	}
+	return nil
 }
 
 // finishPiece publishes the piece's writes and marks its accesses done.
@@ -606,13 +636,7 @@ func (tx *Tx) rollback() {
 		a := tx.accs[i]
 		rs := a.rs
 		rs.mu.Lock()
-		pos := -1
-		for j, x := range rs.accs {
-			if x == a {
-				pos = j
-				break
-			}
-		}
+		pos := slices.Index(rs.accs, a)
 		if a.write && pos >= 0 {
 			// Cascade: conflicting accessors after this write observed it.
 			for _, x := range rs.accs[pos+1:] {
@@ -638,7 +662,7 @@ func (tx *Tx) rollback() {
 			}
 		}
 		if pos >= 0 {
-			rs.accs = append(rs.accs[:pos], rs.accs[pos+1:]...)
+			rs.accs = slices.Delete(rs.accs, pos, pos+1)
 		}
 		rs.mu.Unlock()
 	}
@@ -651,11 +675,8 @@ func (tx *Tx) rollback() {
 func (tx *Tx) detach() {
 	for _, a := range tx.accs {
 		a.rs.mu.Lock()
-		for j, x := range a.rs.accs {
-			if x == a {
-				a.rs.accs = append(a.rs.accs[:j], a.rs.accs[j+1:]...)
-				break
-			}
+		if j := slices.Index(a.rs.accs, a); j >= 0 {
+			a.rs.accs = slices.Delete(a.rs.accs, j, j+1)
 		}
 		a.rs.mu.Unlock()
 	}
@@ -675,20 +696,14 @@ func (s *session) LockWait() time.Duration { return s.tx.waited }
 // Rollback implements core.Attempt.
 func (s *session) Rollback() { s.tx.rollback() }
 
-// abort is the attempt's core.Abort: the cause a cascade recorded on the
-// transaction, else a self-abort (CauseDie) for a wait that outlived
-// waitTimeout.
-func (tx *Tx) abort() error {
-	if c := tx.t.Cause(); c != txn.CauseNone {
-		return core.Abort(c)
-	}
-	return core.Abort(txn.CauseDie)
-}
+// abort is the attempt's core.Abort with the cause recorded on the
+// transaction: a cascade, or CauseDie for a deadlock victim (waitOn).
+func (tx *Tx) abort() error { return core.Abort(tx.t.Cause()) }
 
 // Commit implements core.Attempt: drain the dependencies, then log and
 // apply. A fatal return leaves nothing of the attempt in the access
-// lists, or every transaction ordered behind it times out and retries
-// without end: a failed append rolls back (a record that reached one
+// lists, or every transaction ordered behind it waits on an attempt that
+// never ends: a failed append rolls back (a record that reached one
 // partition log of several stays there, as core.CommitLog describes); a
 // failed insert follows a durable record and detaches as committed.
 func (s *session) Commit(time.Duration) (time.Duration, error) {
@@ -728,11 +743,16 @@ func (s *session) execute(ctx core.Tx) error {
 		// IC3's piece-order enforcement: inherit the dependency order
 		// established by earlier conflicts. Every transaction we depend
 		// on must have finished its pieces that conflict with p before p
-		// executes; this keeps the commit-dependency graph acyclic. One
-		// deadline for the piece, from the first dependency it waits for.
-		var deadline time.Time
-		for d := range tx.deps {
-			if need, ok := p.lastConflict[d.tmpl]; ok && need >= 0 && !tx.waitOn(d, int32(need), &deadline, &tx.waited) {
+		// executes. The rule covers only the dependencies known when p
+		// starts: one that p's own accesses find (waitConflicts) is never
+		// waited on before p finishes, where IC3's run-time rule also makes
+		// a piece wait, before it finishes, for the pieces of such a
+		// dependency that conflict with it. So p can follow a finished
+		// piece of d while a later piece of d that conflicts with p has not
+		// run; once it runs, d depends on tx too, and the two commit waits
+		// form a cycle, which waitOn ends (TestCommitDependencyCycle).
+		for _, d := range tx.deps {
+			if need, ok := p.lastConflict[d.tmpl]; ok && need >= 0 && !tx.waitOn(d, int32(need), &tx.waited) {
 				return tx.abort()
 			}
 		}
@@ -752,19 +772,14 @@ func (s *session) execute(ctx core.Tx) error {
 }
 
 // commitWait blocks until every dependency reached a terminal state,
-// failing if any aborted (or this transaction was cascade-aborted). A
-// defensive timeout converts any residual ordering anomaly into an abort
-// and retry rather than a hang. It returns the time it blocked.
+// in the order they were found, failing if any aborted or if this
+// transaction is aborting: cascaded, or a cycle's victim (waitOn). It
+// returns the time it blocked.
 func (s *session) commitWait(tx *Tx) (time.Duration, bool) {
-	if len(tx.deps) == 0 {
-		return 0, !tx.t.Aborting()
-	}
 	var wait time.Duration
-	deadline := time.Now().Add(10 * waitTimeout)
-	for dep := range tx.deps {
+	for _, dep := range tx.deps {
 		// No dependency finishes more pieces than MaxInt32: wait for its end.
-		if !tx.waitOn(dep, math.MaxInt32, &deadline, &wait) {
-			tx.t.SetAbort(txn.CauseDie) // past the deadline, unless aborting already
+		if !tx.waitOn(dep, math.MaxInt32, &wait) {
 			return wait, false
 		}
 		if dep.t.State() != txn.StateCommitted {

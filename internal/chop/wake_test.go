@@ -10,17 +10,13 @@ import (
 )
 
 // IC3's wake sites: a piece finishing, and a transaction ending after
-// its rollback or detach. Unlike a lock wait, an IC3 wait has a deadline,
-// its liveness valve (chop's waitTimeout, 50 ms for a piece's waits and
-// 500 ms for the commit wait), so without a wake the waiter sleeps until
-// the valve instead of forever, and then finds the change it slept
-// through. Each test therefore holds the waited-on transaction for at
-// least parkHold and then requires of the waiter that it commits at its
-// first attempt having waited, for locks and for its commit, less than
-// the shorter valve.
+// its rollback or detach. Each test holds the waited-on transaction for
+// at least parkHold, so that the waiter parks, and requires the waiter
+// to return within wakeBound of the event that ends its wait, committed
+// at its first attempt. An IC3 wait has no deadline: without the wake it
+// would never return.
 const (
 	parkHold  = 5 * time.Millisecond
-	pieceWait = 50 * time.Millisecond
 	wakeBound = 2 * time.Second
 )
 
@@ -112,8 +108,8 @@ func within[T any](t *testing.T, ch chan T, what string) T {
 	}
 }
 
-// finish waits for both transactions and checks that B was woken, not
-// released by a valve.
+// finish waits for both transactions and checks that B committed at its
+// first attempt.
 func (r *wakeRig) finish(t *testing.T) {
 	t.Helper()
 	for _, ch := range []chan error{r.aDone, r.bDone} {
@@ -121,9 +117,8 @@ func (r *wakeRig) finish(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := r.bStats; c.Commits != 1 || c.Aborts != 0 || c.LockWait >= pieceWait || c.CommitWait >= pieceWait {
-		t.Fatalf("B: %d commits, %d aborts, %v lock wait, %v commit wait; want one commit at its first attempt, woken before the %v valve",
-			c.Commits, c.Aborts, c.LockWait, c.CommitWait, pieceWait)
+	if c := r.bStats; c.Commits != 1 || c.Aborts != 0 {
+		t.Fatalf("B: %d commits, %d aborts; want one commit at its first attempt", c.Commits, c.Aborts)
 	}
 }
 

@@ -119,7 +119,7 @@ type Config struct {
 // DefaultAbortBackoff bounds the jittered sleep (DBx1000's ABORT_PENALTY)
 // with which the attempt loop's backoff delays the retry of a self-abort
 // (txn.CauseDie: No-Wait, Wait-Die, a Bamboo commit's self-revert, an IC3
-// wait past its timeout) and of an IC3 cascade. One that retries at once
+// deadlock victim) and of an IC3 cascade. One that retries at once
 // spins on the conflict it just lost, and on more than one core the
 // holder it is waiting out may never get to finish. Wounds, lock-engine
 // cascades and Silo validation failures retry at once. The sleep asks for

@@ -141,8 +141,8 @@ func abortCause(err error) (txn.AbortCause, bool) {
 // a jittered interval below DefaultAbortBackoff, flat (an attempt-scaled
 // cap measured no better; EXPERIMENTS.md, 2026-10-17). It sleeps after an
 // attempt gave up on a conflict still in place (CauseDie: a No-Wait or
-// Wait-Die self-abort, a Bamboo commit's self-revert, an IC3 wait past
-// its timeout), so that the holder it lost to gets to finish, and after
+// Wait-Die self-abort, a Bamboo commit's self-revert, an IC3 deadlock
+// victim), so that the holder it lost to gets to finish, and after
 // an IC3 cascade, whose immediate retries cascade again (fig11's
 // modified NewOrder went from under 1 % to over 50 % aborts). The rest
 // retry at once: a wounded or cascaded lock-engine retry keeps its

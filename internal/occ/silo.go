@@ -155,7 +155,7 @@ func (s *session) readStable(row *storage.Row) (uint64, []byte) {
 // it across the log append, which may wait for its device's fsync, so
 // the wait parks once its yield phase is over, and every unlock wakes it.
 func (s *session) awaitUnlock(row *storage.Row) {
-	s.e.waiters.Wait(&s.t, func() bool { return row.TID.Load()&lockBit == 0 }, time.Time{})
+	s.e.waiters.Wait(&s.t, func() bool { return row.TID.Load()&lockBit == 0 })
 }
 
 // ID implements core.Tx.

@@ -94,7 +94,8 @@ const (
 	CauseCascade
 	// CauseDie: self-abort rather than wait out a conflict: Wait-Die,
 	// No-Wait, a Bamboo commit reverting itself for a reader that
-	// ordered itself before it, or an IC3 wait past its timeout.
+	// ordered itself before it, or an IC3 deadlock victim (one attempt of
+	// a cycle of waits).
 	CauseDie
 	// CauseUser: user/logic-initiated abort, e.g. the 1% of TPC-C
 	// new-order transactions with an invalid item (paper §4.1 case 3).

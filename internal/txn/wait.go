@@ -109,13 +109,13 @@ type Watchers struct {
 	all []*Txn
 }
 
-// Wait is t.Wait(cond, deadline) with t one of ws.
-func (ws *Watchers) Wait(t *Txn, cond func() bool, deadline time.Time) bool {
+// Wait is t.Wait(cond, time.Time{}) with t one of ws: no deadline.
+func (ws *Watchers) Wait(t *Txn, cond func() bool) bool {
 	ws.mu.Lock()
 	ws.all = append(ws.all, t)
 	ws.n.Add(1)
 	ws.mu.Unlock()
-	held := t.Wait(cond, deadline)
+	held := t.Wait(cond, time.Time{})
 	ws.mu.Lock()
 	ws.all = slices.DeleteFunc(ws.all, func(w *Txn) bool { return w == t })
 	ws.n.Add(-1)

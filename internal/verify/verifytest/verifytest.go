@@ -222,17 +222,26 @@ func RunSerializability(t *testing.T, e core.Engine, h *History, opts Options) {
 	if res.Report.Commits != want {
 		t.Fatalf("%s: commits = %d, want %d", e.Name(), res.Report.Commits, want)
 	}
-	if h.hist.Commits() != int(want) {
+	h.Check(t, e.Name(), int(want))
+	checkEntriesDrained(t, e, tbl, opts.Rows)
+}
+
+// Check fails t unless the history holds want commits and they are
+// serializable, dumping the transactions a violation names; engine names
+// the engine in the failure. A test that drives its own transactions
+// through h.Hook calls it after the run.
+func (h *History) Check(t *testing.T, engine string, want int) {
+	t.Helper()
+	if h.hist.Commits() != want {
 		t.Fatalf("%s: history has %d commits, want %d (is h.Hook the DB's Config.OnCommit?)",
-			e.Name(), h.hist.Commits(), want)
+			engine, h.hist.Commits(), want)
 	}
 	if err := h.hist.Check(); err != nil {
 		for _, id := range extractIDs(err.Error()) {
 			h.dumpTxn(t, id)
 		}
-		t.Fatalf("%s: %v", e.Name(), err)
+		t.Fatalf("%s: %v", engine, err)
 	}
-	checkEntriesDrained(t, e, tbl, opts.Rows)
 }
 
 // RunBankConservation transfers money between accounts concurrently and
