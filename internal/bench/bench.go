@@ -116,7 +116,7 @@ type Experiment struct {
 	Points    []Point               `json:"points"`
 }
 
-// All returns every experiment keyed in DESIGN.md's experiment index.
+// All returns every experiment by id; EXPERIMENTS.md describes each one.
 func All() []Experiment {
 	return []Experiment{
 		{ID: "fig1", Title: "Fig 1: schedule makespan with one hotspot (2PL vs OCC vs Bamboo)", Run: Fig1Schedules},

@@ -222,9 +222,10 @@ func mergeRange(t *Template, i, j int) {
 	t.Pieces = append(t.Pieces[:i], append([]*Piece{merged}, t.Pieces[j+1:]...)...)
 }
 
-// rowState is the per-row accessor list hung on Row.Aux.
+// rowState is the per-row accessor list hung on Row.Aux. It and the row's
+// image, Entry.Data, which installs replace and never write into, are
+// guarded by the row's entry latch (Entry.Lock).
 type rowState struct {
-	mu   sync.Mutex
 	accs []*access
 	seq  uint64 // never-reused install counter (see internal/lock)
 }
@@ -243,7 +244,7 @@ type access struct {
 	installed  bool
 	installSeq uint64
 	unwound    bool
-	prev       *[]byte
+	prev       []byte
 	row        *storage.Row
 	rs         *rowState
 }
@@ -286,10 +287,6 @@ func (e *Engine) Database() *core.DB { return e.db }
 func prepareRow(r *storage.Row) {
 	if r.Aux == nil {
 		r.Aux = &rowState{}
-	}
-	if r.OCCImage.Load() == nil {
-		d := r.Entry.CurrentData()
-		r.OCCImage.Store(&d)
 	}
 }
 
@@ -497,15 +494,13 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, update bool) (*access, erro
 	if err := tx.waitConflicts(mine); err != nil {
 		return nil, err
 	}
-	cur := *row.OCCImage.Load()
+	mine.local = row.Entry.Data
 	if update {
-		mine.local = bytes.Clone(cur)
-	} else {
-		mine.local = cur
+		mine.local = bytes.Clone(mine.local)
 	}
 	rs.accs = append(rs.accs, mine)
 	tx.accs = append(tx.accs, mine)
-	rs.mu.Unlock()
+	row.Entry.Unlock()
 	return mine, nil
 }
 
@@ -516,11 +511,11 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, update bool) (*access, erro
 // or unlatched with an error when the transaction is aborting, a cycle's
 // victim included (waitOn).
 func (tx *Tx) waitConflicts(mine *access) error {
-	rs := mine.rs
-	rs.mu.Lock()
+	rs, latch := mine.rs, &mine.row.Entry
+	latch.Lock()
 	for {
 		if tx.t.Aborting() {
-			rs.mu.Unlock()
+			latch.Unlock()
 			return tx.abort()
 		}
 		var blocker *access
@@ -538,11 +533,11 @@ func (tx *Tx) waitConflicts(mine *access) error {
 		// the blocker is done once the progress passes that count, and
 		// gone once its owner ended.
 		d, past := blocker.owner, blocker.owner.progress.Load()
-		rs.mu.Unlock()
+		latch.Unlock()
 		if !tx.waitOn(d, past, &tx.waited) {
 			return tx.abort()
 		}
-		rs.mu.Lock()
+		latch.Lock()
 	}
 	for _, a := range rs.accs {
 		if a.t != tx.t && !a.unwound && conflict(a, mine) && !slices.Contains(tx.deps, a.owner) {
@@ -613,19 +608,18 @@ func (tx *Tx) cycleVictim() *Tx {
 // each other.
 func (tx *Tx) finishPiece(from int) {
 	for _, a := range tx.accs[from:] {
-		a.rs.mu.Lock()
+		a.row.Entry.Lock()
 		if a.write && !a.unwound {
 			a.rs.seq++
 			a.installSeq = a.rs.seq
-			cur := a.row.OCCImage.Load()
-			a.prev = cur
-			merged := bytes.Clone(*cur)
+			a.prev = a.row.Entry.Data
+			merged := bytes.Clone(a.prev)
 			a.row.Table.Schema.CopyCols(merged, a.local, a.mask)
-			a.row.OCCImage.Store(&merged)
+			a.row.Entry.Data = merged
 			a.installed = true
 		}
 		a.done = true
-		a.rs.mu.Unlock()
+		a.row.Entry.Unlock()
 	}
 }
 
@@ -635,7 +629,7 @@ func (tx *Tx) rollback() {
 	for i := len(tx.accs) - 1; i >= 0; i-- {
 		a := tx.accs[i]
 		rs := a.rs
-		rs.mu.Lock()
+		a.row.Entry.Lock()
 		pos := slices.Index(rs.accs, a)
 		if a.write && pos >= 0 {
 			// Cascade: conflicting accessors after this write observed it.
@@ -651,10 +645,9 @@ func (tx *Tx) rollback() {
 			// intact. Later *conflicting* installs are marked unwound so
 			// an out-of-order cascade never resurrects a dirty column
 			// (they form a suffix of the same-column chain).
-			cur := a.row.OCCImage.Load()
-			merged := bytes.Clone(*cur)
-			a.row.Table.Schema.CopyCols(merged, *a.prev, a.mask)
-			a.row.OCCImage.Store(&merged)
+			merged := bytes.Clone(a.row.Entry.Data)
+			a.row.Table.Schema.CopyCols(merged, a.prev, a.mask)
+			a.row.Entry.Data = merged
 			for _, x := range rs.accs {
 				if x != a && x.installed && x.installSeq > a.installSeq && x.mask&a.mask != 0 {
 					x.unwound = true
@@ -664,7 +657,7 @@ func (tx *Tx) rollback() {
 		if pos >= 0 {
 			rs.accs = slices.Delete(rs.accs, pos, pos+1)
 		}
-		rs.mu.Unlock()
+		a.row.Entry.Unlock()
 	}
 	tx.accs = nil
 	tx.t.FinishAbort()
@@ -674,11 +667,11 @@ func (tx *Tx) rollback() {
 // detach removes a committed transaction's accesses.
 func (tx *Tx) detach() {
 	for _, a := range tx.accs {
-		a.rs.mu.Lock()
+		a.row.Entry.Lock()
 		if j := slices.Index(a.rs.accs, a); j >= 0 {
 			a.rs.accs = slices.Delete(a.rs.accs, j, j+1)
 		}
-		a.rs.mu.Unlock()
+		a.row.Entry.Unlock()
 	}
 }
 

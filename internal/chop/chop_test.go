@@ -155,7 +155,7 @@ func TestInPlacePromotion(t *testing.T) {
 
 	var total int64
 	for k := uint64(0); k < 4; k++ {
-		total += tbl.Schema.GetInt64(*tbl.Get(k).OCCImage.Load(), valCol)
+		total += tbl.Schema.GetInt64(tbl.Get(k).CommittedImage(), valCol)
 	}
 	if total != workers*per {
 		t.Fatalf("total = %d, want %d (lost or doubled updates through promotion)", total, workers*per)
@@ -200,7 +200,7 @@ func TestUpdateUndeclaredWrite(t *testing.T) {
 	if col.Commits != 0 {
 		t.Fatalf("%d commits from the rejected transaction", col.Commits)
 	}
-	if got := tbl.Schema.GetInt64(*tbl.Get(0).OCCImage.Load(), valCol); got != 0 {
+	if got := tbl.Schema.GetInt64(tbl.Get(0).CommittedImage(), valCol); got != 0 {
 		t.Fatalf("value = %d after the rejected Update, want 0", got)
 	}
 	if err := sess.Run(chop.Call(writer, nil)); err != nil || col.Commits != 1 || col.LockWait != 0 {
@@ -232,7 +232,7 @@ func TestIC3CounterConservation(t *testing.T) {
 
 	var total int64
 	for k := uint64(0); k < 4; k++ {
-		total += tbl.Schema.GetInt64(*tbl.Get(k).OCCImage.Load(), valCol)
+		total += tbl.Schema.GetInt64(tbl.Get(k).CommittedImage(), valCol)
 	}
 	if total != workers*per {
 		t.Fatalf("total = %d, want %d", total, workers*per)
@@ -431,7 +431,7 @@ func TestIC3UserAbortRollsBack(t *testing.T) {
 	if col.Commits != 0 || col.Aborts != 1 {
 		t.Fatalf("commits=%d aborts=%d", col.Commits, col.Aborts)
 	}
-	if got := tbl.Schema.GetInt64(*tbl.Get(0).OCCImage.Load(), valCol); got != 0 {
+	if got := tbl.Schema.GetInt64(tbl.Get(0).CommittedImage(), valCol); got != 0 {
 		t.Fatalf("value = %d after user abort, want 0", got)
 	}
 }
@@ -491,9 +491,10 @@ func TestEngineNamesItsDB(t *testing.T) {
 	}
 }
 
-// TestNewRefusesUnsupportedSettings: IC3 takes no checkpoint gate and
-// installs no versions, so New panics, naming the setting, on a DB
-// configured with Checkpoint or MVCC instead of running it wrong.
+// TestNewRefusesUnsupportedSettings: IC3 takes no checkpoint gate, its
+// piece installs are uncommitted, and it installs no versions, so New
+// panics, naming the setting, on a DB configured with Checkpoint or MVCC
+// instead of running it wrong.
 func TestNewRefusesUnsupportedSettings(t *testing.T) {
 	for name, mk := range map[string]func(dir string) core.Config{
 		"Checkpoint": func(dir string) core.Config {

@@ -110,7 +110,7 @@ func TestCommitDependencyCycle(t *testing.T) {
 		t.Fatalf("the cycle took %v to break, want under 250ms", elapsed)
 	}
 	for k := uint64(0); k < 2; k++ {
-		if got := tbl.Schema.GetInt64(*tbl.Get(k).OCCImage.Load(), stamp); got != 1 {
+		if got := tbl.Schema.GetInt64(tbl.Get(k).CommittedImage(), stamp); got != 1 {
 			t.Fatalf("row %d stamp = %d, want W's one committed increment", k, got)
 		}
 	}
@@ -168,7 +168,7 @@ func TestPieceDeadlock(t *testing.T) {
 			n, ac.Aborts+bc.Aborts, ac.Commits, bc.Commits)
 	}
 	for k := uint64(0); k < 2; k++ {
-		if got := tbl.Schema.GetInt64(*tbl.Get(k).OCCImage.Load(), stamp); got != 2 {
+		if got := tbl.Schema.GetInt64(tbl.Get(k).CommittedImage(), stamp); got != 2 {
 			t.Fatalf("row %d stamp = %d, want 2 committed increments", k, got)
 		}
 	}

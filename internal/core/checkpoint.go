@@ -17,9 +17,10 @@ import (
 // chains with or without them. They cover the lock-engine commit path
 // (Bamboo and the 2PL baselines), whose commit window coordinates with
 // the checkpointer through the DB's checkpoint gate. The Silo and IC3
-// engines log through the same partition logs but their commit windows
-// do not take the gate, and they never write the Entry.Data a snapshot
-// reads, so occ.New and chop.New refuse a DB that enables checkpoints.
+// engines' commits do not take the gate; Silo publishes on the version
+// chain, which a snapshot does not read, and IC3's piece installs are
+// uncommitted images in the Entry.Data it does; so occ.New and chop.New
+// refuse a DB that enables checkpoints.
 //
 // A snapshot is a file of WAL frames holding wal.Records (snapshot.go),
 // so internal/wal alone decides what the bytes on disk mean. Recovery

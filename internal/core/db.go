@@ -421,16 +421,16 @@ func (db *DB) ProtocolName() string {
 // Claim is how an engine outside this package that publishes its own row
 // images (occ.New's Silo, chop.New's IC3) takes db. It panics, naming the
 // setting, if db's Config sets one such an engine cannot honour:
-// Checkpoint (its commits take no checkpoint gate, and a checkpoint
-// snapshots the Entry.Data it never writes) or MVCC (it installs no
-// versions). Then it records name as db's protocol, so a DB built from a
-// zero Config does not report the zero Variant's NO_WAIT.
+// Checkpoint (see CheckpointConfig) or MVCC (Silo stamps its versions
+// with TIDs, not snapshot timestamps; IC3 installs none). Then it records
+// name as db's protocol, so a DB built from a zero Config does not report
+// the zero Variant's NO_WAIT.
 func (db *DB) Claim(name string) {
 	if db.cfg.Checkpoint.Enabled() {
 		panic("core: " + name + " cannot run with Config.Checkpoint: its commits are not checkpoint-safe")
 	}
 	if db.cfg.MVCC {
-		panic("core: " + name + " cannot run with Config.MVCC: it installs no versions")
+		panic("core: " + name + " cannot run with Config.MVCC: it installs no snapshot versions")
 	}
 	db.protocol.Store(&name)
 }

@@ -413,8 +413,8 @@ func (l *reqList) remove(r *Request) {
 type Entry struct {
 	latch sync.Mutex
 
-	// Data is the newest installed image (possibly dirty under Bamboo).
-	// Guarded by latch for the lock-based protocols.
+	// Data is the newest installed image (possibly uncommitted under
+	// Bamboo and IC3). Guarded by latch, which IC3 takes through Lock.
 	Data []byte
 
 	// seq hands out never-reused install sequence numbers; cur is the
@@ -443,6 +443,11 @@ type Entry struct {
 
 // Init sets the initial committed image.
 func (e *Entry) Init(data []byte) { e.Data = data }
+
+// Lock and Unlock take and release the entry latch, for engines that never
+// call the Manager on this entry (IC3) and guard Data with it themselves.
+func (e *Entry) Lock()   { e.latch.Lock() }
+func (e *Entry) Unlock() { e.latch.Unlock() }
 
 // Snapshot returns the sizes of the three lists; used by tests and stats.
 func (e *Entry) Snapshot() (retired, owners, waiters int) {

@@ -44,9 +44,9 @@ func benchmarkDistinctReads(b *testing.B, ops int) {
 		return nil
 	}
 	// Warm-up transactions read every row once, so that each row has
-	// adopted its loader image as its OCC image (24 B once per row, which
-	// reads as 1 B/op at 1 000 reads), and grow the session's row set and,
-	// past the walk, its index to size, so B/op is the steady state's.
+	// seeded its version chain with its loader image (a 48 B version once
+	// per row), and grow the session's row set and, past the walk, its
+	// index to size, so B/op is the steady state's.
 	for ; base < len(rows); base += ops {
 		if err := sess.Run(fn); err != nil {
 			b.Fatal(err)

@@ -4,12 +4,13 @@
 // §5.1).
 //
 // Each row carries a TID word (lock bit + version). Reads are latch-free:
-// a reader samples the TID, grabs the atomically-published image pointer,
-// and re-samples the TID. Writes are buffered. At commit the write set is
-// locked in a global (address) order, the read set is validated, a commit
-// TID greater than every observed TID is chosen, and the new images are
-// published with the TID store that also releases the locks. Epochs
-// advance on a timer and form the TID high bits, as in the original.
+// a reader samples the TID, takes the image at the head of the row's
+// version chain, and re-samples the TID. Writes are buffered. At commit
+// the write set is locked in a global (address) order, the read set is
+// validated, a commit TID greater than every observed TID is chosen, and
+// each new image is published on its row's version chain, followed by the
+// TID store that releases the row's lock. Epochs advance on a timer and
+// form the TID high bits, as in the original.
 package occ
 
 import (
@@ -122,18 +123,8 @@ type siloTx struct {
 	locked int
 }
 
-// image returns the row's current OCC image pointer, lazily adopting the
-// loader-installed Entry image on first access.
-func image(row *storage.Row) *[]byte {
-	if p := row.OCCImage.Load(); p != nil {
-		return p
-	}
-	d := row.Entry.CurrentData()
-	row.OCCImage.CompareAndSwap(nil, &d)
-	return row.OCCImage.Load()
-}
-
-// readStable samples a consistent (tid, image) pair.
+// readStable samples a consistent (tid, image) pair, the image at the head
+// of the row's version chain, which a row's first read seeds from Entry.
 //
 // The sampled image reference outlives the seqlock window: read-set
 // entries hold it until validation and write-set entries clone from it,
@@ -143,10 +134,17 @@ func image(row *storage.Row) *[]byte {
 // superseded one, so a reference sampled here stays immutable forever.
 func (s *session) readStable(row *storage.Row) (uint64, []byte) {
 	for {
-		if t1 := row.TID.Load(); t1&lockBit != 0 {
+		t1 := row.TID.Load()
+		if t1&lockBit != 0 {
 			s.awaitUnlock(row)
-		} else if img := *image(row); row.TID.Load() == t1 {
-			return t1, img
+			continue
+		}
+		v := row.Versions.Head()
+		if v == nil {
+			v = row.Versions.SeedOnce(t1, row.Entry.CurrentData())
+		}
+		if row.TID.Load() == t1 {
+			return t1, v.Image()
 		}
 	}
 }
@@ -303,16 +301,15 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 		s.Rollback()
 		return 0, err
 	}
-	err := core.ApplyInserts(tx.insrts, 0, func(row *storage.Row) {
-		image(row) // publishes the inserted image as the row's OCC image
-		row.TID.Store(tid)
-	})
+	err := core.ApplyInserts(tx.insrts, 0, func(row *storage.Row) { row.TID.Store(tid) })
 	if h := s.e.db.OnCommit(); h != nil && err == nil {
 		h(s.worker, tx.id, tid, tx.accessInfo(), len(tx.insrts))
 	}
 	for _, i := range tx.order {
-		row, img := tx.rows.Row(i), tx.ents[i].img
-		row.OCCImage.Store(&img)
+		// A fresh node, as a reader may still hold the one detached below
+		// the replaced head; so the chain stays two versions long.
+		row := tx.rows.Row(i)
+		row.Versions.InstallNode(nil, tx.ents[i].img, tid, tid)
 		row.TID.Store(tid) // clears the lock bit
 	}
 	tx.locked = 0

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -139,11 +140,63 @@ func TestSiloUpgradeReadToWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := tbl.Schema.GetInt64(tbl.Get(0).Entry.CurrentData(), 1); got != 0 {
-		// OCC images are published via OCCImage, not Entry.Data.
+		// Silo publishes on the version chain, not in Entry.Data.
 		t.Fatalf("entry image unexpectedly mutated: %d", got)
 	}
-	if p := tbl.Get(0).OCCImage.Load(); p == nil || tbl.Schema.GetInt64(*p, 1) != 5 {
-		t.Fatal("OCC image not installed")
+	if v := tbl.Get(0).Versions.Head(); v == nil || tbl.Schema.GetInt64(v.Image(), 1) != 5 {
+		t.Fatal("Silo image not installed on the version chain")
+	}
+}
+
+// TestSiloPublishesOnVersionChain pins where Silo publishes: concurrent
+// writers of one hot row install on its version chain, which never grows
+// past two versions (readers read only the head), and once they stop the
+// head carries the row's TID word as its timestamp and is the row's
+// committed image.
+func TestSiloPublishesOnVersionChain(t *testing.T) {
+	const workers, perWorker = 4, 200
+	e := newEngine(t, core.Config{})
+	tbl := verifytest.BuildDB(e.Database(), 1)
+	row := tbl.Get(0)
+	stop := make(chan struct{})
+	longest := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				longest <- n
+				return
+			default:
+				n = max(n, row.Versions.Len())
+				runtime.Gosched()
+			}
+		}
+	}()
+	res := core.RunN(e, workers, perWorker, func(_, _ int) core.TxnFunc {
+		return func(tx core.Tx) error {
+			return tx.Update(row, func(img []byte) { tbl.Schema.AddInt64(img, 1, 1) })
+		}
+	})
+	close(stop)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if n := <-longest; n > 2 {
+		t.Fatalf("version chain reached %d versions under concurrent writers, want at most 2", n)
+	}
+	if n := row.Versions.Len(); n < 1 || n > 2 {
+		t.Fatalf("version chain holds %d versions, want 1 or 2", n)
+	}
+	head := row.Versions.Head()
+	if tid := row.TID.Load(); head.TS() != tid {
+		t.Fatalf("head timestamp %d, TID word %d", head.TS(), tid)
+	}
+	if img := row.CommittedImage(); &img[0] != &head.Image()[0] {
+		t.Fatal("CommittedImage is not the version chain's head image")
+	}
+	if got := tbl.Schema.GetInt64(head.Image(), 1); got != workers*perWorker {
+		t.Fatalf("hot row holds %d after %d commits", got, workers*perWorker)
 	}
 }
 
@@ -187,8 +240,9 @@ func TestSiloLogFailureIsFatal(t *testing.T) {
 func newCollector() *stats.Collector { return &stats.Collector{} }
 
 // TestNewRefusesUnsupportedSettings: Silo takes no checkpoint gate and
-// installs no versions, so New panics, naming the setting, on a DB
-// configured with Checkpoint or MVCC instead of running it wrong.
+// stamps its versions with TIDs, not snapshot timestamps, so New panics,
+// naming the setting, on a DB configured with Checkpoint or MVCC instead
+// of running it wrong.
 func TestNewRefusesUnsupportedSettings(t *testing.T) {
 	for name, mk := range map[string]func(dir string) core.Config{
 		"Checkpoint": func(dir string) core.Config {

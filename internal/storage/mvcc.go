@@ -2,18 +2,18 @@ package storage
 
 import "sync/atomic"
 
-// MVCC version chains. Each row optionally carries a small, newest-first
+// Version chains. Each row optionally carries a small, newest-first
 // chain of committed images stamped with their commit timestamp, so
-// snapshot readers resolve a row image with a latch-free pointer walk —
-// the snapshot read path never touches the lock manager.
+// latch-free readers resolve a row image with a pointer walk: MVCC
+// snapshots, and Silo, whose readers read only the head.
 //
 // Concurrency contract:
 //
-//   - Installs on one row are serialized by the lock protocol itself (a
+//   - Installs on one row are serialized by the protocol itself (a
 //     committing writer holds the row's write authority: under 2PL the
 //     exclusive lock, under Bamboo the retire/semaphore ordering that
-//     admits writers to their commit points in dependency order), so
-//     Install needs no latch of its own.
+//     admits writers to their commit points in dependency order, under
+//     Silo the TID lock), so Install needs no latch of its own.
 //   - Readers traverse concurrently with installs and pruning. A node's
 //     ts/img are written only while the node is unreachable (before its
 //     publishing store, or after a detach proved no reader can reach it);
@@ -111,6 +111,13 @@ func (c *VersionChain) Len() int {
 func (c *VersionChain) Seed(ts uint64, img []byte) {
 	v := &Version{ts: ts, img: img}
 	c.head.Store(v)
+}
+
+// SeedOnce seeds an empty chain with (ts, img), concurrently with readers
+// and installs, and returns the head, whichever call published it.
+func (c *VersionChain) SeedOnce(ts uint64, img []byte) *Version {
+	c.head.CompareAndSwap(nil, &Version{ts: ts, img: img})
+	return c.head.Load()
 }
 
 // InstallNode publishes img as the newest version with commit timestamp

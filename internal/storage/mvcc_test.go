@@ -66,6 +66,33 @@ func TestVersionChainUnseeded(t *testing.T) {
 	}
 }
 
+// TestVersionChainSeedOnceRace: two concurrent SeedOnce calls on an empty
+// chain leave one head, and both callers get that head back.
+func TestVersionChainSeedOnceRace(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		var c VersionChain
+		var got [2]*Version
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for j := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[j] = c.SeedOnce(uint64(j), img64(uint64(j)))
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got[0] == nil || got[0] != got[1] || got[0] != c.Head() {
+			t.Fatalf("round %d: callers got heads %p and %p, chain head %p", i, got[0], got[1], c.Head())
+		}
+		if n := c.Len(); n != 1 {
+			t.Fatalf("round %d: chain length %d after two seeds, want 1", i, n)
+		}
+	}
+}
+
 // TestVersionChainInstallReclaims covers both ways an install reclaims.
 // Install: with the watermark caught up, every install detaches the
 // superseded tail and the chain stays at two versions (the new one plus

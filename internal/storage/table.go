@@ -9,26 +9,23 @@ import (
 )
 
 // Row is one tuple. It embeds the protocol state every concurrency-control
-// scheme in this repository needs:
+// scheme in this repository needs, and keeps its image in one of two
+// homes, chosen by whether the engine's readers take the entry latch:
 //
-//   - Entry: the 2PL/Bamboo lock entry (which also owns the data image);
-//   - TID:   the Silo timestamp/lock word;
-//   - Aux:   per-protocol extension state (IC3 hangs its per-column
-//     accessor lists here).
+//   - Entry: the lock entry, whose Data is the image of latched readers:
+//     the lock engines, the loader and recovery, and IC3;
+//   - TID: the Silo timestamp/lock word;
+//   - Aux: per-protocol extension state (IC3's per-column accessor lists);
+//   - Versions: the image of latch-free readers, MVCC snapshots and Silo.
 type Row struct {
 	Entry lock.Entry
 	TID   atomic.Uint64
 	Aux   any
 
-	// OCCImage is the row image used by the OCC (Silo) engine, swapped
-	// atomically at commit install so readers never need a latch. The
-	// lock-based engines use Entry.Data instead.
-	OCCImage atomic.Pointer[[]byte]
-
-	// Versions is the MVCC version chain: committed images stamped with
-	// their commit timestamp, newest first, resolved latch-free by
-	// snapshot readers. Maintained only on tables with versioning enabled
-	// (Catalog.SetMVCC); otherwise stays the empty zero value.
+	// Versions is the version chain: committed images stamped with their
+	// commit timestamp (Silo's: its TID), newest first, resolved
+	// latch-free. Kept on MVCC tables (Catalog.SetMVCC) and by Silo;
+	// otherwise it stays the empty zero value.
 	Versions VersionChain
 
 	// Key is the primary key the row was inserted under.
@@ -44,13 +41,13 @@ type Row struct {
 func (r *Row) Schema() *Schema { return r.Table.Schema }
 
 // CommittedImage returns the row's image whichever engine wrote it: the
-// image the OCC engines (Silo, IC3) published, if one is set, else the
-// lock entry's. It is the committed image only once no transaction is
-// running — under Bamboo the entry may hold a retired, uncommitted
-// write — so it serves checks of a quiescent database.
+// version chain's head if the row has one, else the lock entry's image.
+// It is the committed image only once no transaction is running — under
+// Bamboo the entry may hold a retired, uncommitted write, and under IC3 a
+// finished piece's — so it serves checks of a quiescent database.
 func (r *Row) CommittedImage() []byte {
-	if p := r.OCCImage.Load(); p != nil {
-		return *p
+	if v := r.Versions.Head(); v != nil {
+		return v.Image()
 	}
 	return r.Entry.CurrentData()
 }
