@@ -123,9 +123,9 @@ type Config = core.Config
 // Options configures Open.
 type Options struct {
 	// Protocol selects the concurrency control scheme (default Bamboo).
-	// Silo ignores Config.MVCC: only the lock engines keep version chains.
-	// Silo refuses Config.Checkpoint (Open panics): its commits are not
-	// checkpoint-safe.
+	// Silo refuses Config.MVCC and Config.Checkpoint (Open panics): its
+	// version chains hold TID-stamped images, not snapshot versions, and
+	// its commits are not checkpoint-safe.
 	Protocol Protocol
 	// InteractiveRTT, when positive, wraps the engine in the
 	// interactive-mode transport charging this round trip per operation.
@@ -153,7 +153,6 @@ const (
 type DB struct {
 	inner  *core.DB
 	engine core.Engine
-	silo   *occ.Engine
 }
 
 // Open creates a database. It panics if opts.Config sets one of the
@@ -177,16 +176,13 @@ func Open(opts Options) *DB {
 		p = core.WaitDie()
 	case NoWait:
 		p = core.NoWait()
-	case Silo:
-		cfg.MVCC = false
 	}
 	cfg.Variant, cfg.RetireReads = p.Variant, p.RetireReads
 	cfg.NoWoundRead, cfg.DynamicTS, cfg.Delta = p.NoWoundRead, p.DynamicTS, p.Delta
 
 	db := &DB{inner: core.NewDB(cfg)}
 	if opts.Protocol == Silo {
-		db.silo = occ.New(db.inner)
-		db.engine = db.silo
+		db.engine = occ.New(db.inner)
 	} else {
 		db.engine = core.NewLockEngine(db.inner)
 	}
@@ -196,15 +192,9 @@ func Open(opts Options) *DB {
 	return db
 }
 
-// Close releases background resources (the Silo epoch advancer, the
-// checkpointer, the MVCC pruner and the WAL devices' syncers) and syncs
-// and closes a WALDir log.
-func (db *DB) Close() {
-	if db.silo != nil {
-		db.silo.Close()
-	}
-	db.inner.Close()
-}
+// Close releases background resources (the checkpointer, the MVCC pruner
+// and the WAL devices' syncers) and syncs and closes a WALDir log.
+func (db *DB) Close() { db.inner.Close() }
 
 // Protocol returns the display name of the configured protocol.
 func (db *DB) Protocol() string { return db.engine.Name() }

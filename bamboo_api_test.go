@@ -1,6 +1,8 @@
 package bamboo_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,4 +148,23 @@ func TestOpenRejectsProtocolFields(t *testing.T) {
 			bamboo.Open(opts).Close()
 		})
 	}
+}
+
+// TestOpenSiloRefusesMVCC: Silo's version chains hold TID-stamped images,
+// not snapshot versions, so Open panics on Silo with MVCC, naming the
+// setting, as it does on Silo with Checkpoint, instead of silently
+// running Silo without it.
+func TestOpenSiloRefusesMVCC(t *testing.T) {
+	opts := bamboo.Options{Protocol: bamboo.Silo}
+	opts.MVCC = true
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Open accepted Silo with Config.MVCC")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "Config.MVCC") {
+			t.Fatalf("panic %q does not name Config.MVCC", msg)
+		}
+	}()
+	bamboo.Open(opts).Close()
 }

@@ -173,8 +173,7 @@ func lockBuilder(cfg core.Config) engineBuilder {
 func siloBuilder() engineBuilder {
 	return engineBuilder{make: func(partitions int) (core.Engine, *core.DB, func()) {
 		db := core.NewDB(core.Config{Partitions: partitions})
-		e := occ.New(db)
-		return e, db, e.Close
+		return occ.New(db), db, func() { db.Close() }
 	}}
 }
 

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -222,9 +221,11 @@ func mergeRange(t *Template, i, j int) {
 	t.Pieces = append(t.Pieces[:i], append([]*Piece{merged}, t.Pieces[j+1:]...)...)
 }
 
-// rowState is the per-row accessor list hung on Row.Aux. It and the row's
-// image, Entry.Data, which installs replace and never write into, are
-// guarded by the row's entry latch (Entry.Lock).
+// rowState is the per-row accessor list hung on Row.Aux at the row's
+// first IC3 access (waitConflicts), so a row loaded, recovered or inserted
+// at any time needs no preparation. It and the row's image, Entry.Data,
+// which installs replace and never write into, are guarded by the row's
+// entry latch (Entry.Lock).
 type rowState struct {
 	accs []*access
 	seq  uint64 // never-reused install counter (see internal/lock)
@@ -260,8 +261,7 @@ const name = "IC3"
 // log and commit hook. It implements core.Engine; its sessions run
 // transactions written as Call(tmpl, env).
 type Engine struct {
-	db      *core.DB
-	prepare sync.Once
+	db *core.DB
 	// sessions counts NewSession calls: no more attempts than that run at
 	// once, so it bounds a chain of waits (Tx.cycleVictim).
 	sessions atomic.Int32
@@ -269,10 +269,10 @@ type Engine struct {
 
 var _ core.Engine = (*Engine)(nil)
 
-// New wraps db in an IC3 engine. The tables may be loaded after New: the
-// rows present at the first NewSession get their IC3 state then, and rows
-// inserted by IC3 transactions get it at commit. It panics if db's Config
-// sets Checkpoint or MVCC, which IC3 cannot honour (core.DB.Claim).
+// New wraps db in an IC3 engine. Rows may be loaded or inserted at any
+// time: a row gets its IC3 state at its first access. It panics if db's
+// Config sets Checkpoint or MVCC, which IC3 cannot honour
+// (core.DB.Claim).
 func New(db *core.DB) *Engine {
 	db.Claim(name)
 	return &Engine{db: db}
@@ -283,12 +283,6 @@ func (e *Engine) Name() string { return name }
 
 // Database implements core.Engine.
 func (e *Engine) Database() *core.DB { return e.db }
-
-func prepareRow(r *storage.Row) {
-	if r.Aux == nil {
-		r.Aux = &rowState{}
-	}
-}
 
 // session executes chopped transactions for one worker. It implements
 // core.Attempt: Run resolves the Call and hands execute to the attempt
@@ -309,17 +303,8 @@ type session struct {
 	w    txn.Waiter // every attempt's transaction parks on it
 }
 
-// NewSession implements core.Engine. The first call prepares every row
-// loaded so far.
+// NewSession implements core.Engine.
 func (e *Engine) NewSession(worker int, col *stats.Collector) core.Session {
-	e.prepare.Do(func() {
-		for _, name := range e.db.Catalog.Tables() {
-			e.db.Catalog.Table(name).Range(func(_ uint64, r *storage.Row) bool {
-				prepareRow(r)
-				return true
-			})
-		}
-	})
 	col.AttachLive(e.db.LiveStats())
 	e.sessions.Add(1)
 	s := &session{e: e, worker: worker, col: col, log: e.db.NewCommitLog()}
@@ -464,11 +449,7 @@ func (pt *PieceTx) Insert(tbl *storage.Table, key uint64, img []byte) error {
 // the piece declares Write on the row's table, whether its first touch
 // is a Read or an Update.
 func (tx *Tx) attach(row *storage.Row, piece *Piece, update bool) (*access, error) {
-	rs, _ := row.Aux.(*rowState)
 	name := row.Table.Schema.Name
-	if rs == nil {
-		return nil, fmt.Errorf("chop: row of table %s not prepared", name)
-	}
 	decl := piece.tables[name]
 	switch {
 	case decl.mask == 0:
@@ -490,7 +471,7 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, update bool) (*access, erro
 			return a, nil
 		}
 	}
-	mine := &access{t: tx.t, owner: tx, mask: decl.mask, excl: decl.write, write: update, row: row, rs: rs}
+	mine := &access{t: tx.t, owner: tx, mask: decl.mask, excl: decl.write, write: update, row: row}
 	if err := tx.waitConflicts(mine); err != nil {
 		return nil, err
 	}
@@ -498,7 +479,7 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, update bool) (*access, erro
 	if update {
 		mine.local = bytes.Clone(mine.local)
 	}
-	rs.accs = append(rs.accs, mine)
+	mine.rs.accs = append(mine.rs.accs, mine)
 	tx.accs = append(tx.accs, mine)
 	row.Entry.Unlock()
 	return mine, nil
@@ -507,12 +488,19 @@ func (tx *Tx) attach(row *storage.Row, piece *Piece, update bool) (*access, erro
 // waitConflicts waits until no unfinished access of another transaction
 // on mine's row conflicts with mine, then records commit-order
 // dependencies on every conflicting accessor still present (their pieces
-// finished; they have not committed). It returns with the row latched,
-// or unlatched with an error when the transaction is aborting, a cycle's
-// victim included (waitOn).
+// finished; they have not committed). Under the latch it first sets
+// mine.rs, hanging a new rowState on the row at its first access. It
+// returns with the row latched, or unlatched with an error when the
+// transaction is aborting, a cycle's victim included (waitOn).
 func (tx *Tx) waitConflicts(mine *access) error {
-	rs, latch := mine.rs, &mine.row.Entry
+	row, latch := mine.row, &mine.row.Entry
 	latch.Lock()
+	rs, _ := row.Aux.(*rowState)
+	if rs == nil {
+		rs = &rowState{}
+		row.Aux = rs
+	}
+	mine.rs = rs
 	for {
 		if tx.t.Aborting() {
 			latch.Unlock()
@@ -717,7 +705,7 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 		tx.rollback()
 		return commitWait, err
 	}
-	err := core.ApplyInserts(tx.inserts, 0, prepareRow)
+	err := core.ApplyInserts(tx.inserts, 0)
 	if h := s.e.db.OnCommit(); h != nil && err == nil {
 		h(s.worker, tx.t.ID, 0, tx.accessInfo(), len(tx.inserts))
 	}

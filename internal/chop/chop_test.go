@@ -208,6 +208,34 @@ func TestUpdateUndeclaredWrite(t *testing.T) {
 	}
 }
 
+// TestTableLoadedAfterFirstSession: a row gets its IC3 state at its first
+// access, so rows loaded after the engine's first session, as a table
+// created then or a row inserted outside IC3 later, run like any other.
+func TestTableLoadedAfterFirstSession(t *testing.T) {
+	db := core.NewDB(core.Config{})
+	sess := chop.New(db).NewSession(0, &stats.Collector{})
+	tbl := buildKV(db, 1)
+	valCol := tbl.Schema.ColIndex("val")
+	incr := analyzed(&chop.Template{Name: "incr", Pieces: []*chop.Piece{{
+		Accesses: []chop.AccessDecl{{Table: "kv", Cols: []int{valCol}, Write: true}},
+		Body: func(pt *chop.PieceTx) error {
+			return pt.Update(tbl.Get(pt.Env().(uint64)), func(img []byte) { tbl.Schema.AddInt64(img, valCol, 1) })
+		},
+	}}})
+	if err := sess.Run(chop.Call(incr, uint64(0))); err != nil {
+		t.Fatalf("row of a table loaded after the first session: %v", err)
+	}
+	tbl.MustInsertRow(1, nil)
+	if err := sess.Run(chop.Call(incr, uint64(1))); err != nil {
+		t.Fatalf("row inserted outside IC3: %v", err)
+	}
+	for k := uint64(0); k < 2; k++ {
+		if got := tbl.Schema.GetInt64(tbl.Get(k).CommittedImage(), valCol); got != 1 {
+			t.Fatalf("row %d: val = %d, want 1", k, got)
+		}
+	}
+}
+
 func TestIC3CounterConservation(t *testing.T) {
 	db := core.NewDB(core.Config{})
 	tbl := buildKV(db, 4)
@@ -480,7 +508,7 @@ func TestCallRunsOnlyOnIC3(t *testing.T) {
 func TestEngineNamesItsDB(t *testing.T) {
 	for want, wrap := range map[string]func(*core.DB) core.Engine{
 		"IC3":  func(db *core.DB) core.Engine { return chop.New(db) },
-		"SILO": func(db *core.DB) core.Engine { e := occ.New(db); e.Close(); return e },
+		"SILO": func(db *core.DB) core.Engine { return occ.New(db) },
 	} {
 		db := core.NewDB(core.Config{MetricsAddr: "127.0.0.1:0"})
 		e := wrap(db)

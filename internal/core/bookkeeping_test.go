@@ -263,7 +263,7 @@ func TestTxnIDsUniqueAcrossSessions(t *testing.T) {
 			db := core.NewDB(cfg)
 			defer db.Close()
 			tbl := testTable(db, 64)
-			eng := c.engine(t, db)
+			eng := c.engine(db)
 			var wg sync.WaitGroup
 			errs := make(chan error, sessions)
 			for w := 0; w < sessions; w++ {

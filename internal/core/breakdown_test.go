@@ -22,7 +22,7 @@ func TestLockWaitIsBlockedTime(t *testing.T) {
 		tbl := testTable(db, 64)
 		bump := func(img []byte) { tbl.Schema.AddInt64(img, 0, 1) }
 		solo := newCollector()
-		sess := c.engine(t, db).NewSession(0, solo)
+		sess := c.engine(db).NewSession(0, solo)
 		for n := 0; n < 200; n++ {
 			err := sess.Run(c.txn(func(tx core.Tx) error {
 				for i := 0; i < 16; i++ {

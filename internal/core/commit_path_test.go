@@ -119,13 +119,11 @@ type commitPathVariant struct {
 	silo bool
 }
 
-func (v commitPathVariant) engine(t *testing.T, db *core.DB) core.Engine {
+func (v commitPathVariant) engine(db *core.DB) core.Engine {
 	if !v.silo {
 		return core.NewLockEngine(db)
 	}
-	e := occ.New(db)
-	t.Cleanup(e.Close)
-	return e
+	return occ.New(db)
 }
 
 // TestCommitPathMatrix runs the one commit path in every configuration
@@ -193,7 +191,7 @@ func TestCommitPathMatrix(t *testing.T) {
 								cfg.OnCommit = h.Hook
 								db := core.NewDB(cfg)
 								defer db.Close()
-								verifytest.RunSerializability(t, v.engine(t, db), h, verifytest.DefaultOptions())
+								verifytest.RunSerializability(t, v.engine(db), h, verifytest.DefaultOptions())
 							})
 						}
 					})
@@ -255,7 +253,7 @@ func testCommitPath(t *testing.T, v commitPathVariant, cfg core.Config) {
 			return tx.Insert(tbl, fresh, schema.NewRowImage())
 		}
 	}
-	eng := v.engine(t, db)
+	eng := v.engine(db)
 	for round := 0; round < 2; round++ {
 		res := core.RunN(eng, workers, perWorker/2, func(worker, seq int) core.TxnFunc {
 			return gen(worker, round*perWorker/2+seq)

@@ -60,18 +60,14 @@ func (l *CommitLog) Insert(ins Insert) {
 }
 
 // ApplyInserts applies the inserts of a commit whose record is durable,
-// seeding versioned rows at commit timestamp ts, and hands each new row
-// to each (if non-nil). A failure — a duplicate key — is fatal in every
-// engine: the record is durable, so the attempt can neither retry nor
-// roll back, and its caller releases it as committed.
-func ApplyInserts(ins []Insert, ts uint64, each func(*storage.Row)) error {
+// seeding versioned rows at commit timestamp ts. A failure — a duplicate
+// key — is fatal in every engine: the record is durable, so the attempt
+// can neither retry nor roll back, and its caller releases it as
+// committed.
+func ApplyInserts(ins []Insert, ts uint64) error {
 	for _, in := range ins {
-		row, err := in.Table.InsertRowAt(in.Key, in.Image, ts)
-		if err != nil {
+		if _, err := in.Table.InsertRowAt(in.Key, in.Image, ts); err != nil {
 			return fatalf("apply insert: %w", err)
-		}
-		if each != nil {
-			each(row)
 		}
 	}
 	return nil

@@ -33,8 +33,7 @@ func RunFor(e Engine, workers int, d time.Duration, gen Generator) RunResult {
 }
 
 // run creates every session before it starts the clock, so the elapsed
-// time covers transactions only — not session setup, which for IC3
-// includes preparing every loaded row.
+// time covers transactions only, not session setup.
 func run(e Engine, workers int, gen Generator, more func(seq int, start time.Time) bool) RunResult {
 	cols := make([]*stats.Collector, workers)
 	sessions := make([]Session, workers)

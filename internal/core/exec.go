@@ -590,7 +590,7 @@ func (s *lockSession) commitPoint(tx *lockTx) error {
 	if mvcc {
 		cts = s.installVersions(tx)
 	}
-	err = ApplyInserts(tx.inserts, cts, nil)
+	err = ApplyInserts(tx.inserts, cts)
 	if mvcc {
 		s.db.Snap.EndCommit(s.worker)
 	}

@@ -18,7 +18,7 @@ import (
 type engineCase struct {
 	name   string
 	cfg    core.Config
-	engine func(t *testing.T, db *core.DB) core.Engine
+	engine func(db *core.DB) core.Engine
 	// txn turns a body over testTable's "t" into the engine's
 	// transaction: itself, or on IC3 the only piece of a template.
 	txn func(core.TxnFunc) core.TxnFunc
@@ -27,17 +27,11 @@ type engineCase struct {
 func engineCases() []engineCase {
 	same := func(fn core.TxnFunc) core.TxnFunc { return fn }
 	return []engineCase{
-		{"WOUND_WAIT", core.WoundWait(), func(_ *testing.T, db *core.DB) core.Engine {
+		{"WOUND_WAIT", core.WoundWait(), func(db *core.DB) core.Engine {
 			return core.NewLockEngine(db)
 		}, same},
-		{"SILO", core.Config{}, func(t *testing.T, db *core.DB) core.Engine {
-			e := occ.New(db)
-			t.Cleanup(e.Close)
-			return e
-		}, same},
-		{"IC3", core.Config{}, func(_ *testing.T, db *core.DB) core.Engine {
-			return chop.New(db)
-		}, onePiece},
+		{"SILO", core.Config{}, func(db *core.DB) core.Engine { return occ.New(db) }, same},
+		{"IC3", core.Config{}, func(db *core.DB) core.Engine { return chop.New(db) }, onePiece},
 	}
 }
 
@@ -76,7 +70,7 @@ func TestWrappedUserAbortIsFinal(t *testing.T) {
 		db := core.NewDB(c.cfg)
 		tbl := testTable(db, 1)
 		col := newCollector()
-		sess := c.engine(t, db).NewSession(0, col)
+		sess := c.engine(db).NewSession(0, col)
 		calls := 0
 		err := sess.Run(c.txn(func(tx core.Tx) error {
 			calls++
@@ -112,7 +106,7 @@ func TestFailedInsertAfterAppendIsFatal(t *testing.T) {
 		cfg.LogDevice = dev
 		db := core.NewDB(cfg)
 		tbl := testTable(db, 2)
-		sess := c.engine(t, db).NewSession(0, newCollector())
+		sess := c.engine(db).NewSession(0, newCollector())
 		var id uint64
 		done := make(chan error, 1)
 		go func() {

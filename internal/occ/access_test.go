@@ -18,7 +18,6 @@ import (
 func newSiloDB(t *testing.T, cfg core.Config, rows int) (*Engine, *storage.Table) {
 	t.Helper()
 	e := New(core.NewDB(cfg))
-	t.Cleanup(e.Close)
 	return e, verifytest.BuildDB(e.Database(), rows)
 }
 

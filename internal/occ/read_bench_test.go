@@ -27,7 +27,6 @@ func BenchmarkSiloLongRead1000(b *testing.B) { benchmarkDistinctReads(b, 1000) }
 // the previous one ended in a table of 4 096 rows.
 func benchmarkDistinctReads(b *testing.B, ops int) {
 	e := occ.New(core.NewDB(core.Config{}))
-	defer e.Close()
 	tbl := verifytest.BuildDB(e.Database(), 4096)
 	rows := make([]*storage.Row, 4096)
 	for k := range rows {

@@ -7,17 +7,19 @@
 // a reader samples the TID, takes the image at the head of the row's
 // version chain, and re-samples the TID. Writes are buffered. At commit
 // the write set is locked in a global (address) order, the read set is
-// validated, a commit TID greater than every observed TID is chosen, and
-// each new image is published on its row's version chain, followed by the
-// TID store that releases the row's lock. Epochs advance on a timer and
-// form the TID high bits, as in the original.
+// validated, the commit TID is chosen one past the newest TID the attempt
+// observed, and each new image is published on its row's version chain,
+// followed by the TID store that releases the row's lock. The original's
+// epochs serve group commit and recovery; here core.CommitLog does both,
+// ordering records by log position and reading no TID, so the TID has no
+// epoch bits. Validation only compares TID words for equality, and each
+// commit raises the TID of every row it writes.
 package occ
 
 import (
 	"bytes"
 	"cmp"
 	"slices"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -29,46 +31,25 @@ import (
 )
 
 const (
-	lockBit    = uint64(1) << 63
-	epochShift = 40
-	name       = "SILO"
+	lockBit = uint64(1) << 63
+	name    = "SILO"
 )
 
 // Engine is the Silo engine. It implements core.Engine.
 type Engine struct {
-	db    *core.DB
-	epoch atomic.Uint64
-	stop  chan struct{}
+	db *core.DB
 	// waiters are the sessions waiting for a TID word to unlock
 	// (awaitUnlock), woken after every unlock.
 	waiters txn.Watchers
 }
 
-// New wraps db in a Silo engine and starts the epoch advancer. Call Close
-// when done (tests); leaking the goroutine for process-lifetime engines is
-// also fine. It panics if db's Config sets Checkpoint or MVCC, which Silo
-// cannot honour (core.DB.Claim).
+// New wraps db in a Silo engine. It starts nothing, so there is nothing
+// to close but db. It panics if db's Config sets Checkpoint or MVCC,
+// which Silo cannot honour (core.DB.Claim).
 func New(db *core.DB) *Engine {
 	db.Claim(name)
-	e := &Engine{db: db, stop: make(chan struct{})}
-	e.epoch.Store(1)
-	go func() {
-		t := time.NewTicker(10 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				e.epoch.Add(1)
-			case <-e.stop:
-				return
-			}
-		}
-	}()
-	return e
+	return &Engine{db: db}
 }
-
-// Close stops the epoch advancer.
-func (e *Engine) Close() { close(e.stop) }
 
 // Name implements core.Engine.
 func (e *Engine) Name() string { return name }
@@ -87,13 +68,12 @@ func (e *Engine) NewSession(worker int, col *stats.Collector) core.Session {
 // session implements core.Attempt over one siloTx, reset between
 // attempts instead of reallocated.
 type session struct {
-	e       *Engine
-	worker  int
-	col     *stats.Collector
-	lastTID uint64
-	ids     core.TxnIDs
-	log     core.CommitLog
-	tx      siloTx
+	e      *Engine
+	worker int
+	col    *stats.Collector
+	ids    core.TxnIDs
+	log    core.CommitLog
+	tx     siloTx
 	// t exists only to park on: it is always Running, so its waits end
 	// when their condition holds.
 	t txn.Txn
@@ -280,16 +260,14 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 		}
 	}
 
-	// Phase 3: pick the commit TID and install.
-	tid := s.lastTID
+	// Phase 3: pick the commit TID, one past the newest the attempt saw,
+	// and install. Phase 1 found every written row still at the TID the
+	// attempt saw, so the new TID is new on each of them.
+	var tid uint64
 	for i := range tx.ents {
 		tid = max(tid, tx.ents[i].tid)
 	}
 	tid++
-	if e := s.e.epoch.Load() << epochShift; tid < e {
-		tid = e
-	}
-	s.lastTID = tid
 
 	for _, i := range tx.order {
 		s.log.Update(tx.rows.Row(i), tx.ents[i].img)
@@ -301,7 +279,7 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 		s.Rollback()
 		return 0, err
 	}
-	err := core.ApplyInserts(tx.insrts, 0, func(row *storage.Row) { row.TID.Store(tid) })
+	err := core.ApplyInserts(tx.insrts, 0)
 	if h := s.e.db.OnCommit(); h != nil && err == nil {
 		h(s.worker, tx.id, tid, tx.accessInfo(), len(tx.insrts))
 	}

@@ -17,9 +17,7 @@ import (
 
 func newEngine(t *testing.T, cfg core.Config) *occ.Engine {
 	t.Helper()
-	e := occ.New(core.NewDB(cfg))
-	t.Cleanup(e.Close)
-	return e
+	return occ.New(core.NewDB(cfg))
 }
 
 // newVerifiedEngine is an engine whose commits, reads captured, are
@@ -148,6 +146,42 @@ func TestSiloUpgradeReadToWrite(t *testing.T) {
 	}
 }
 
+// TestSiloTIDFollowsObserved: a commit's TID is one past the newest TID
+// its entries saw, so a fresh row's first write stamps 1 and its second
+// 2, and a row a commit inserts keeps TID 0 until its own first write.
+func TestSiloTIDFollowsObserved(t *testing.T) {
+	e := newEngine(t, core.Config{})
+	tbl := verifytest.BuildDB(e.Database(), 1)
+	sess := e.NewSession(0, newCollector())
+	bump := func(k uint64) core.TxnFunc {
+		return func(tx core.Tx) error {
+			return tx.Update(tbl.Get(k), func(img []byte) { tbl.Schema.AddInt64(img, 1, 1) })
+		}
+	}
+	for want := uint64(1); want <= 2; want++ {
+		if err := sess.Run(bump(0)); err != nil {
+			t.Fatal(err)
+		}
+		if got := tbl.Get(0).TID.Load(); got != want {
+			t.Fatalf("TID after write %d of a fresh row: %d", want, got)
+		}
+	}
+	if err := sess.Run(func(tx core.Tx) error {
+		return tx.Insert(tbl, 1, tbl.Schema.NewRowImage())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Get(1).TID.Load(); got != 0 {
+		t.Fatalf("inserted row's TID: %d, want 0", got)
+	}
+	if err := sess.Run(bump(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Get(1).TID.Load(); got != 1 {
+		t.Fatalf("TID after the inserted row's first write: %d, want 1", got)
+	}
+}
+
 // TestSiloPublishesOnVersionChain pins where Silo publishes: concurrent
 // writers of one hot row install on its version chain, which never grows
 // past two versions (readers read only the head), and once they stop the
@@ -263,7 +297,7 @@ func TestNewRefusesUnsupportedSettings(t *testing.T) {
 					t.Fatalf("panic %q does not name Config.%s", msg, name)
 				}
 			}()
-			occ.New(db).Close()
+			occ.New(db)
 		})
 	}
 }

@@ -51,7 +51,6 @@ func TestWakeOnTIDUnlock(t *testing.T) {
 			<-release
 		}})
 		e := New(db)
-		t.Cleanup(e.Close)
 		row := verifytest.BuildDB(db, 1).Get(0)
 		a := e.NewSession(0, &stats.Collector{})
 		b := e.NewSession(1, &stats.Collector{}).(*session)
@@ -68,7 +67,6 @@ func TestWakeOnTIDUnlock(t *testing.T) {
 	t.Run("rollback", func(t *testing.T) {
 		db := core.NewDB(core.Config{})
 		e := New(db)
-		t.Cleanup(e.Close)
 		row := verifytest.BuildDB(db, 1).Get(0)
 		a := e.NewSession(0, &stats.Collector{}).(*session)
 		b := e.NewSession(1, &stats.Collector{}).(*session)

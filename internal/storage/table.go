@@ -15,7 +15,8 @@ import (
 //   - Entry: the lock entry, whose Data is the image of latched readers:
 //     the lock engines, the loader and recovery, and IC3;
 //   - TID: the Silo timestamp/lock word;
-//   - Aux: per-protocol extension state (IC3's per-column accessor lists);
+//   - Aux: per-protocol extension state (IC3's accessor list, hung on the
+//     row at its first IC3 access under the entry latch);
 //   - Versions: the image of latch-free readers, MVCC snapshots and Silo.
 type Row struct {
 	Entry lock.Entry

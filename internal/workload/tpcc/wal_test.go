@@ -51,9 +51,7 @@ func TestLogPartitionLocalBamboo(t *testing.T) {
 
 func TestLogPartitionLocalSilo(t *testing.T) {
 	runLogged(t, core.Config{}, testConfig(4), func(db *core.DB, w *tpcc.Workload) error {
-		e := occ.New(db)
-		defer e.Close()
-		return core.RunN(e, 4, 100, w.Generator()).Err
+		return core.RunN(occ.New(db), 4, 100, w.Generator()).Err
 	})
 }
 
