@@ -176,6 +176,11 @@ func Open(opts Options) *DB {
 		p = core.WaitDie()
 	case NoWait:
 		p = core.NoWait()
+	case Silo:
+		// Refused here, before NewDB starts what occ.New's refusal
+		// would leave running: the pruner, the WAL syncers, the metrics
+		// server.
+		core.CheckClaim(cfg, opts.Protocol.String())
 	}
 	cfg.Variant, cfg.RetireReads = p.Variant, p.RetireReads
 	cfg.NoWoundRead, cfg.DynamicTS, cfg.Delta = p.NoWoundRead, p.DynamicTS, p.Delta

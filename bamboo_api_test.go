@@ -2,6 +2,7 @@ package bamboo_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +89,34 @@ func TestExecuteAndSession(t *testing.T) {
 	}
 }
 
+// TestExecuteKeepsPollGate: Execute opens a session per call, each for
+// the caller's worker, and calls on one worker leave the DB's waits
+// polling (core.DB.NewWaiter), on the lock engine and on Silo; a session
+// for a worker past GOMAXPROCS stops them.
+func TestExecuteKeepsPollGate(t *testing.T) {
+	for _, p := range []bamboo.Protocol{bamboo.Bamboo, bamboo.Silo} {
+		t.Run(p.String(), func(t *testing.T) {
+			db, tbl := openWithTable(t, bamboo.Options{Protocol: p})
+			polls := func() bool { return db.Internal().NewWaiter(0).Polls() }
+			for range 100 {
+				if err := db.Execute(0, func(tx bamboo.Tx) error {
+					_, err := tx.Read(tbl.Get(0))
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !polls() {
+				t.Fatal("100 Execute calls on worker 0 stopped the waits polling")
+			}
+			db.NewSession(runtime.GOMAXPROCS(0))
+			if polls() {
+				t.Fatalf("waits still poll with a session for worker %d", runtime.GOMAXPROCS(0))
+			}
+		})
+	}
+}
+
 func TestUserAbortPublicAPI(t *testing.T) {
 	db, tbl := openWithTable(t, bamboo.Options{Protocol: bamboo.Bamboo})
 	if err := db.Execute(0, func(tx bamboo.Tx) error {
@@ -152,19 +181,48 @@ func TestOpenRejectsProtocolFields(t *testing.T) {
 
 // TestOpenSiloRefusesMVCC: Silo's version chains hold TID-stamped images,
 // not snapshot versions, so Open panics on Silo with MVCC, naming the
-// setting, as it does on Silo with Checkpoint, instead of silently
-// running Silo without it.
+// setting, instead of silently running Silo without it.
 func TestOpenSiloRefusesMVCC(t *testing.T) {
 	opts := bamboo.Options{Protocol: bamboo.Silo}
 	opts.MVCC = true
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Open accepted Silo with Config.MVCC")
-		}
-		if msg := fmt.Sprint(r); !strings.Contains(msg, "Config.MVCC") {
-			t.Fatalf("panic %q does not name Config.MVCC", msg)
-		}
+	openRefused(t, opts, "Config.MVCC")
+}
+
+// TestOpenSiloRefusesCheckpoint: Silo's commits are not checkpoint-safe,
+// so Open panics on Silo with Checkpoint, naming the setting. Under
+// FsyncBatch each WAL device runs a syncer goroutine, so a DB built
+// before the refusal would show.
+func TestOpenSiloRefusesCheckpoint(t *testing.T) {
+	opts := bamboo.Options{Protocol: bamboo.Silo}
+	opts.WALDir = t.TempDir()
+	opts.WALFsync = bamboo.FsyncBatch
+	opts.Checkpoint.Dir = t.TempDir()
+	openRefused(t, opts, "Config.Checkpoint")
+}
+
+// openRefused asserts that Open(opts) panics naming setting, and that the
+// refusal leaves nothing running: Open has no DB to return, so nobody
+// could close what it started (an MVCC pruner, a WAL syncer).
+func openRefused(t *testing.T, opts bamboo.Options, setting string) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("Open accepted Silo with %s", setting)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, setting) {
+				t.Fatalf("panic %q does not name %s", msg, setting)
+			}
+		}()
+		bamboo.Open(opts).Close()
 	}()
-	bamboo.Open(opts).Close()
+	// Goroutines of earlier tests may still be ending; the count must
+	// come back to where it was, not merely stop growing.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the refused Open, %d before", runtime.NumGoroutine(), before)
+		}
+	}
 }

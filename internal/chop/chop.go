@@ -300,14 +300,14 @@ type session struct {
 	tmpl *Template
 	env  any
 	tx   *Tx
-	w    txn.Waiter // every attempt's transaction parks on it
+	w    *txn.Waiter // every attempt's transaction parks on it
 }
 
 // NewSession implements core.Engine.
 func (e *Engine) NewSession(worker int, col *stats.Collector) core.Session {
 	col.AttachLive(e.db.LiveStats())
 	e.sessions.Add(1)
-	s := &session{e: e, worker: worker, col: col, log: e.db.NewCommitLog()}
+	s := &session{e: e, worker: worker, col: col, log: e.db.NewCommitLog(), w: e.db.NewWaiter(worker)}
 	s.body = s.execute
 	return s
 }
@@ -666,7 +666,7 @@ func (tx *Tx) detach() {
 // Begin implements core.Attempt.
 func (s *session) Begin(id uint64, _ int) core.Tx {
 	s.tx = &Tx{e: s.e, t: txn.New(id), tmpl: s.tmpl, env: s.env, col: s.col, workerID: s.worker}
-	s.tx.t.SetWaiter(&s.w)
+	s.tx.t.SetWaiter(s.w)
 	s.tx.pt.tx = s.tx
 	return &s.tx.pt
 }

@@ -519,6 +519,30 @@ func TestEngineNamesItsDB(t *testing.T) {
 	}
 }
 
+// TestSessionsGatePolling: IC3's and Silo's sessions count towards the
+// poll gate of their DB's waits as the lock engine's do
+// (core.DB.NewWaiter): a session for a worker past GOMAXPROCS stops the
+// waits polling.
+func TestSessionsGatePolling(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for name, wrap := range map[string]func(*core.DB) core.Engine{
+		"IC3":  func(db *core.DB) core.Engine { return chop.New(db) },
+		"SILO": func(db *core.DB) core.Engine { return occ.New(db) },
+	} {
+		db := core.NewDB(core.Config{})
+		e := wrap(db)
+		e.NewSession(procs-1, &stats.Collector{})
+		if !db.NewWaiter(0).Polls() {
+			t.Errorf("%s: waits do not poll with sessions for %d workers at GOMAXPROCS %d", name, procs, procs)
+		}
+		e.NewSession(procs, &stats.Collector{})
+		if db.NewWaiter(0).Polls() {
+			t.Errorf("%s: waits poll with a session for worker %d at GOMAXPROCS %d", name, procs, procs)
+		}
+		db.Close()
+	}
+}
+
 // TestNewRefusesUnsupportedSettings: IC3 takes no checkpoint gate, its
 // piece installs are uncommitted, and it installs no versions, so New
 // panics, naming the setting, on a DB configured with Checkpoint or MVCC

@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,6 +204,13 @@ type DB struct {
 	// Atomic because a metrics scrape may render it while occ.New or
 	// chop.New sets it.
 	protocol atomic.Pointer[string]
+
+	// poll is the gate of every session's waits (NewWaiter): true while
+	// workers, the highest worker index that opened a session plus one,
+	// is at most GOMAXPROCS. gateMu orders the updates.
+	poll    atomic.Bool
+	gateMu  sync.Mutex
+	workers int
 }
 
 // NewDB creates a database with the given protocol configuration.
@@ -307,6 +315,22 @@ func (db *DB) FillStorage(r *stats.Report) {
 	r.CheckpointCount, r.CheckpointTime = cs.Checkpoints, cs.Time
 	r.Truncations, r.TruncatedBytes = cs.Truncations, cs.TruncatedBytes
 	r.LogBytesLive = db.LogLiveBytes()
+}
+
+// NewWaiter returns the txn.Waiter a session for worker parks on, and
+// lets the session's worker count towards the poll gate it shares with
+// every other session of db. A waiter polls before it yields only while
+// every worker can have a processor: one whose holder has none would
+// spin on the holder's time. The gate is set here, at session open, and
+// never per wait, since runtime.GOMAXPROCS takes the scheduler's lock. A
+// worker index is a goroutine, so sessions opened again for the same
+// worker (bamboo's Execute opens one per call) do not close the gate.
+func (db *DB) NewWaiter(worker int) *txn.Waiter {
+	db.gateMu.Lock()
+	db.workers = max(db.workers, worker+1)
+	db.poll.Store(db.workers <= runtime.GOMAXPROCS(0))
+	db.gateMu.Unlock()
+	return txn.NewWaiter(&db.poll)
 }
 
 // LiveStats returns the atomic telemetry mirror sessions record into, or
@@ -419,20 +443,29 @@ func (db *DB) ProtocolName() string {
 }
 
 // Claim is how an engine outside this package that publishes its own row
-// images (occ.New's Silo, chop.New's IC3) takes db. It panics, naming the
-// setting, if db's Config sets one such an engine cannot honour:
-// Checkpoint (see CheckpointConfig) or MVCC (Silo stamps its versions
-// with TIDs, not snapshot timestamps; IC3 installs none). Then it records
-// name as db's protocol, so a DB built from a zero Config does not report
-// the zero Variant's NO_WAIT.
+// images (occ.New's Silo, chop.New's IC3) takes db. It panics as
+// CheckClaim does if db's Config sets what such an engine cannot honour.
+// Then it records name as db's protocol, so a DB built from a zero Config
+// does not report the zero Variant's NO_WAIT.
 func (db *DB) Claim(name string) {
-	if db.cfg.Checkpoint.Enabled() {
+	CheckClaim(db.cfg, name)
+	db.protocol.Store(&name)
+}
+
+// CheckClaim panics, naming the setting, if cfg sets one that the engine
+// name, which publishes its own row images, cannot honour: Checkpoint
+// (see CheckpointConfig) or MVCC (Silo stamps its versions with TIDs,
+// not snapshot timestamps; IC3 installs none). A caller that builds the
+// DB for such an engine calls it before NewDB, which would otherwise
+// start the MVCC pruner, the WAL devices' syncers or the metrics server
+// before Claim refuses the DB.
+func CheckClaim(cfg Config, name string) {
+	if cfg.Checkpoint.Enabled() {
 		panic("core: " + name + " cannot run with Config.Checkpoint: its commits are not checkpoint-safe")
 	}
-	if db.cfg.MVCC {
+	if cfg.MVCC {
 		panic("core: " + name + " cannot run with Config.MVCC: it installs no snapshot versions")
 	}
-	db.protocol.Store(&name)
 }
 
 // Engine abstracts a concurrency-control engine so workloads and the

@@ -48,6 +48,7 @@ func (e *LockEngine) NewSession(worker int, col *stats.Collector) Session {
 	}
 	s.alloc = e.db.Lock.NewTSAlloc(worker)
 	s.t.SetTSAlloc(s.alloc)
+	s.t.SetWaiter(e.db.NewWaiter(worker))
 	if e.db.Snap != nil {
 		e.db.Snap.Register(worker)
 		s.free = &versionFree{}

@@ -61,6 +61,7 @@ func (e *Engine) Database() *core.DB { return e.db }
 func (e *Engine) NewSession(worker int, col *stats.Collector) core.Session {
 	col.AttachLive(e.db.LiveStats())
 	s := &session{e: e, worker: worker, col: col, log: e.db.NewCommitLog()}
+	s.t.SetWaiter(e.db.NewWaiter(worker))
 	s.tx.s = s
 	return s
 }

@@ -14,24 +14,65 @@ import (
 // end a wait calls Wake on the transaction it affects: SetAbort's
 // Running→Aborting transition, the SemDecr that reaches zero, a lock
 // grant, a change to an entry with a pending upgrade, an IC3 piece
-// finishing or transaction ending, a Silo TID unlock. A wait yields
-// first, so that a short hold ends without a park, and then parks on the
+// finishing or transaction ending, a Silo TID unlock. A wait has three
+// phases. It polls first, re-checking its condition in a tight loop, so
+// that a hand-off from a holder running on another processor costs no
+// trip through the scheduler; it then yields, so that a holder sharing
+// the waiter's processor can run; and it finally parks on the
 // transaction's Waiter until one of those wakes arrives.
+//
+// The poll phase runs only while the waiter's gate (NewWaiter) is open:
+// a spinning waiter whose holder has no processor of its own keeps that
+// holder from running, so the database opens the gate only while every
+// worker that opened a session can have a processor (core.DB.NewWaiter).
+
+// pollRounds is how often Wait re-checks its condition before it yields,
+// when its gate is open: ~12 µs on a 2-vCPU host, about how long a
+// Wound-Wait transaction holds a hot row. On hotspot_ww 500 polls read
+// no better than none, and 8 000 no better than 2 000 (EXPERIMENTS.md,
+// "Poll before yielding").
+const pollRounds = 2000
+
+// clockEvery is how many polls pass between two clock reads of a wait
+// with a deadline, so that the deadline still ends the poll phase on
+// time, within ~0.5 µs (Optimization 2's δ in CommitPoint is the only
+// deadline).
+const clockEvery = 64
 
 // spinRounds is how often Wait yields the processor before it parks:
-// ~10 µs on a 2-vCPU host when the holder is running.
+// ~10 µs on a 2-vCPU host when the holder is running. A yield finds a
+// holder that shares the waiter's processor, which the poll phase cannot.
 const spinRounds = 64
 
+// now and yield are the wait's clock and its yield, variables so that
+// tests can drive the one and count the other.
+var (
+	now   = time.Now
+	yield = runtime.Gosched
+)
+
 // Waiter is the token a waiting transaction parks on, owned by the
-// session whose goroutine runs the transaction. The zero value is ready.
+// session whose goroutine runs the transaction. The zero value is ready
+// and never polls.
 type Waiter struct {
 	ch    chan struct{} // one buffered wake: a wake before the park is kept
 	timer *time.Timer   // a deadline's timer, made at the first one and reused
+	// gate, when set and true, lets a wait poll before it yields. It is
+	// the database's, shared by every session's Waiter.
+	gate *atomic.Bool
 }
 
-// SetWaiter makes w the token t parks on. A session whose transactions
-// are not reused (IC3 makes one per attempt) attaches its own; otherwise
-// t's first park makes one. Owner only, before t can be woken.
+// NewWaiter returns a Waiter whose waits poll before they yield while
+// gate is true.
+func NewWaiter(gate *atomic.Bool) *Waiter { return &Waiter{gate: gate} }
+
+// Polls reports whether a wait on w polls before it yields: whether its
+// gate is set and open.
+func (w *Waiter) Polls() bool { return w.gate != nil && w.gate.Load() }
+
+// SetWaiter makes w the token t parks on. Every engine's session attaches
+// its own (core.DB.NewWaiter); a transaction without one makes one, which
+// never polls, at its first park. Owner only, before t can be woken.
 func (t *Txn) SetWaiter(w *Waiter) { t.w = w }
 
 // Wait blocks t's owner until cond holds, t is aborting, or deadline
@@ -39,6 +80,16 @@ func (t *Txn) SetWaiter(w *Waiter) { t.w = w }
 // must become true only through an event whose author calls t.Wake after
 // it, or under a latch that cond takes too.
 func (t *Txn) Wait(cond func() bool, deadline time.Time) bool {
+	if t.w != nil && t.w.Polls() {
+		for i := 0; i < pollRounds; i++ {
+			if cond() {
+				return true
+			}
+			if t.Aborting() || i%clockEvery == 0 && !deadline.IsZero() && !now().Before(deadline) {
+				return false
+			}
+		}
+	}
 	for i := 0; ; i++ {
 		park := i >= spinRounds
 		if park {
@@ -54,14 +105,14 @@ func (t *Txn) Wait(cond func() bool, deadline time.Time) bool {
 			t.parked.Store(1)
 		}
 		held := cond()
-		if held || t.Aborting() || !deadline.IsZero() && !time.Now().Before(deadline) {
+		if held || t.Aborting() || !deadline.IsZero() && !now().Before(deadline) {
 			t.parked.Store(0)
 			return held
 		}
 		if park {
 			t.w.park(deadline)
 		} else {
-			runtime.Gosched()
+			yield()
 		}
 	}
 }
@@ -76,7 +127,7 @@ func (w *Waiter) park(deadline time.Time) {
 	if w.timer == nil {
 		w.timer = time.NewTimer(time.Hour)
 	}
-	w.timer.Reset(time.Until(deadline)) // drops a stale fire (Go 1.23 timers)
+	w.timer.Reset(deadline.Sub(now())) // drops a stale fire (Go 1.23 timers)
 	select {
 	case <-w.ch:
 	case <-w.timer.C:
