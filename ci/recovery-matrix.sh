@@ -2,8 +2,8 @@
 # Crash-recovery matrix cell: SIGKILL a crashtest run at one
 # storage-lifecycle phase and verify replay. The CI matrix supplies PHASE
 # (no-checkpoint | before-checkpoint | during-checkpoint | after-checkpoint
-# | after-truncation) and FSYNC (batch | interval); run it locally the same
-# way:
+# | after-truncation) and FSYNC (batch | interval | none); run it locally
+# the same way:
 #
 #   go build -o crashtest ./cmd/crashtest
 #   PHASE=after-truncation FSYNC=batch ci/recovery-matrix.sh
@@ -43,14 +43,20 @@ applied_bytes() {
 case "$PHASE" in
 no-checkpoint)
   # Checkpoints off: the log is the same segment chain, rotated at
-  # -segment-bytes, and recovery is a full replay of it.
+  # -segment-bytes, and recovery is a full replay of it. Every commit
+  # the runner acknowledged before the kill (its last "acked N" line)
+  # must replay: the kill spares the page cache, so this holds under
+  # every fsync policy.
   run_kill 2 -segment-bytes 65536
   if compgen -G "$WAL/wal-*.log" > /dev/null; then
     echo "a WAL directory without checkpoints holds a single-file log:"
     ls "$WAL"
     exit 1
   fi
-  "$CT" -mode recover -wal "$WAL" -partitions 4 -min-records 100
+  acked=$(grep -o '^acked [0-9]*' "$BASE/run.log" | tail -1 | cut -d' ' -f2)
+  [ -n "$acked" ] || { echo "the runner printed no acknowledged-commit count"; cat "$BASE/run.log"; exit 1; }
+  echo "the runner acknowledged $acked commits before the kill"
+  "$CT" -mode recover -wal "$WAL" -partitions 4 -min-records 100 -acked "$acked"
   ;;
 before-checkpoint)
   # Interval far beyond the run: the kill lands before any snapshot

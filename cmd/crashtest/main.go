@@ -22,6 +22,11 @@
 //   - the row count and partition routing are intact;
 //   - at least -min-records commit records were replayed (a kill that
 //     landed before any commit means the harness misfired);
+//   - at least -acked records were replayed: run mode prints "acked N",
+//     the commits acknowledged so far, every 50 ms, and each one's record
+//     is in the log by then (synced under -fsync batch, written
+//     otherwise, which a SIGKILL does not undo), so a supervisor passes
+//     the last N it saw;
 //   - every lock entry is drained (replay bypasses the lock table).
 //
 // Storage lifecycle: the WAL is a segment chain per partition, rotated at
@@ -47,6 +52,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"bamboo/internal/core"
@@ -64,6 +70,7 @@ func main() {
 		duration   = flag.Duration("duration", time.Hour, "maximum run time before a clean exit (run mode)")
 		fsync      = flag.String("fsync", "batch", "fsync policy: none | batch | interval (run mode)")
 		minRecords = flag.Int("min-records", 1, "fail recovery if fewer commit records replay")
+		acked      = flag.Int("acked", 0, "commits the run acknowledged (its last \"acked N\" line): fail recovery if fewer records replay")
 
 		ckptDir      = flag.String("checkpoint-dir", "", "snapshot directory; non-empty enables checkpoints (the WAL layout is the same either way)")
 		ckptInterval = flag.Duration("checkpoint-interval", 250*time.Millisecond, "background checkpoint interval (run mode)")
@@ -90,7 +97,7 @@ func main() {
 			truncate: *truncate, metricsAddr: *metricsAddr,
 		})
 	case "recover":
-		recoverMode(*walDir, *ckptDir, *partitions, *rows, *minRecords, *minCkpts,
+		recoverMode(*walDir, *ckptDir, *partitions, *rows, *minRecords, *acked, *minCkpts,
 			*expectCorrupt, *maxReplayBytes, *maxWALBytes)
 	case "flip":
 		flipMode(*walDir)
@@ -218,6 +225,31 @@ func runMode(rc runConfig) {
 		}
 	}
 
+	// A worker draws transaction seq only once its Run of seq-1 has
+	// returned, so every draw past a worker's first counts one
+	// acknowledged commit. The count is printed every 50 ms; the last
+	// line before a kill is a lower bound on the records the log holds.
+	var acked atomic.Int64
+	counted := func(worker, seq int) core.TxnFunc {
+		if seq > 0 {
+			acked.Add(1)
+		}
+		return gen(worker, seq)
+	}
+	stop := make(chan struct{})
+	go func() {
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				fmt.Printf("acked %d\n", acked.Load())
+			case <-stop:
+				return
+			}
+		}
+	}()
+
 	if addr := db.MetricsAddr(); addr != "" {
 		fmt.Printf("metrics: http://%s/metrics\n", addr)
 	}
@@ -225,7 +257,8 @@ func runMode(rc runConfig) {
 	// the SIGKILL always lands inside transaction processing.
 	fmt.Println("READY")
 	os.Stdout.Sync()
-	res := core.RunFor(core.NewLockEngine(db), rc.threads, rc.duration, gen)
+	res := core.RunFor(core.NewLockEngine(db), rc.threads, rc.duration, counted)
+	close(stop)
 	if res.Err != nil {
 		fatal("run: %v", res.Err)
 	}
@@ -290,7 +323,7 @@ func walDirBytes(dir string) int64 {
 	return total
 }
 
-func recoverMode(dir, ckptDir string, parts, rows, minRecords, minCkpts int,
+func recoverMode(dir, ckptDir string, parts, rows, minRecords, acked, minCkpts int,
 	expectCorrupt bool, maxReplayBytes, maxWALBytes int64) {
 	if maxWALBytes > 0 {
 		if got := walDirBytes(dir); got > maxWALBytes {
@@ -330,6 +363,10 @@ func recoverMode(dir, ckptDir string, parts, rows, minRecords, minCkpts int,
 	if st.Records < minRecords {
 		fatal("only %d commit records replayed (want ≥ %d); the kill landed before the workload committed",
 			st.Records, minRecords)
+	}
+	if st.Records < acked {
+		fatal("only %d commit records replayed, but the run acknowledged %d commits: an acknowledged commit was lost",
+			st.Records, acked)
 	}
 	if maxReplayBytes > 0 && st.Bytes > maxReplayBytes {
 		fatal("replay applied %d log bytes, budget %d — checkpoints are not bounding recovery", st.Bytes, maxReplayBytes)

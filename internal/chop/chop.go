@@ -681,12 +681,13 @@ func (s *session) Rollback() { s.tx.rollback() }
 // transaction: a cascade, or CauseDie for a deadlock victim (waitOn).
 func (tx *Tx) abort() error { return core.Abort(tx.t.Cause()) }
 
-// Commit implements core.Attempt: drain the dependencies, then log and
-// apply. A fatal return leaves nothing of the attempt in the access
-// lists, or every transaction ordered behind it waits on an attempt that
-// never ends: a failed append rolls back (a record that reached one
+// Commit implements core.Attempt: drain the dependencies, then sequence
+// the record, apply, detach, and write the record (core.CommitLog). A
+// fatal return leaves nothing of the attempt in the access lists, or
+// every transaction ordered behind it waits on an attempt that never
+// ends: a failed sequencing rolls back (a record that reached one
 // partition log of several stays there, as core.CommitLog describes); a
-// failed insert follows a durable record and detaches as committed.
+// failed insert follows a sequenced record and detaches as committed.
 func (s *session) Commit(time.Duration) (time.Duration, error) {
 	tx := s.tx
 	commitWait, ok := s.commitWait(tx)
@@ -701,7 +702,7 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 	for _, ins := range tx.inserts {
 		s.log.Insert(ins)
 	}
-	if _, err := s.log.Commit(tx.t.ID); err != nil {
+	if _, err := s.log.Submit(tx.t.ID); err != nil {
 		tx.rollback()
 		return commitWait, err
 	}
@@ -712,6 +713,9 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 	tx.detach()
 	tx.t.FinishCommit()
 	tx.watchers.WakeAll()
+	if err == nil {
+		err = s.log.Wait(tx.t)
+	}
 	return commitWait, err
 }
 

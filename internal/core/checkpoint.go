@@ -62,7 +62,7 @@ type CheckpointStats struct {
 	// Checkpoints is the number of snapshot files written.
 	Checkpoints uint64
 	// SkippedRounds counts rounds skipped because the partition's
-	// durable sequence had not advanced since its last snapshot.
+	// sequence had not advanced since its last snapshot.
 	SkippedRounds uint64
 	// Time is cumulative capture+write+prune time.
 	Time time.Duration
@@ -76,7 +76,8 @@ type CheckpointStats struct {
 }
 
 // checkpointer is the background storage-lifecycle loop: per partition,
-// capture a fuzzy snapshot stamped with the durable WAL sequence, prune
+// capture a fuzzy snapshot stamped with the WAL sequence, written through
+// it first, prune
 // old snapshots, and truncate the log below the second-newest retained
 // snapshot.
 type checkpointer struct {
@@ -184,7 +185,7 @@ func (c *checkpointer) runAll() error {
 func (c *checkpointer) partitionRoundLocked(p int) error {
 	cfg := &c.db.cfg.Checkpoint
 	// Capture the checkpoint sequence under the gate's write lock: every
-	// in-flight commit window (record durable at some seq … effects
+	// in-flight commit window (record sequenced at some seq … effects
 	// installed) drains first, so all records ≤ seq have their writes
 	// installed and a snapshot taken from here on cannot miss them. The
 	// snapshot itself runs after the gate is released — writers proceed
@@ -199,6 +200,14 @@ func (c *checkpointer) partitionRoundLocked(p int) error {
 		return nil
 	}
 	start := time.Now()
+	// Records through seq may be sequenced but not yet written (their
+	// committers write after they release). Write them, and sync them
+	// under FsyncBatch, before the snapshot claims to cover them: a
+	// restart from a log that lacks them would give their sequence
+	// numbers to new records, which replay would skip as covered.
+	if _, err := c.db.PLog.Log(p).Through(seq).Wait(nil); err != nil {
+		return fmt.Errorf("core: checkpoint partition %d: write log through %d: %w", p, seq, err)
+	}
 	if err := c.snap.write(cfg.Dir, c.db.Catalog, p, seq); err != nil {
 		return fmt.Errorf("core: checkpoint partition %d: %w", p, err)
 	}

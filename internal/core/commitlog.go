@@ -2,15 +2,34 @@ package core
 
 import (
 	"bamboo/internal/storage"
+	"bamboo/internal/txn"
 	"bamboo/internal/wal"
 )
 
 // CommitLog is how every engine — the lock engine, Silo, IC3 — logs a
 // commit: the attempt's writes are split by owning partition (an update
 // by its row's partition, an insert by where its table routes the key)
-// and Commit appends one record per touched
-// partition to that partition's log, all under the transaction's id. A
-// single-log DB is the case where every write routes to log 0.
+// and Submit sequences one record per touched partition in that
+// partition's log, all under the transaction's id. A single-log DB is
+// the case where every write routes to log 0.
+//
+// A commit is two calls. Submit, at the commit point while the
+// transaction still holds its locks, sequences the records; Wait, after
+// the locks are released, returns once they are written (synced under
+// FsyncBatch). A transaction that reads or overwrites this one's writes
+// after the release therefore sequences its own record later, and the
+// log, a prefix of the sequence, never holds a record without the
+// records it depends on. A commit with nothing to log still waits, on a
+// file-logged DB: for every record sequenced when it committed, which
+// covers every write it can have read. (The in-memory logs append at
+// Submit, so there nothing is left to wait for.)
+//
+// A Submit failure is the device's sticky error: the caller rolls the
+// attempt back, as for any failure before the commit point. A Wait
+// failure comes after the release, so the attempt's effects stay in
+// memory, visible to later transactions, as they would after a crash
+// before the write; the log, whose records recovery trusts, lacks them,
+// and the error sticks, so every later commit on that log fails.
 //
 // A transaction whose writes span partitions commits one record per
 // partition with the same TxnID; each partition's log remains a
@@ -47,7 +66,7 @@ func (l *CommitLog) Update(row *storage.Row, img []byte) {
 
 // Insert is a row insert an attempt buffers until it commits:
 // CommitLog.Insert logs it with the commit record, and ApplyInserts
-// applies it once the record is durable.
+// applies it once the record is sequenced.
 type Insert struct {
 	Table *storage.Table
 	Key   uint64
@@ -59,11 +78,11 @@ func (l *CommitLog) Insert(ins Insert) {
 	l.add(ins.Table.PartitionFor(ins.Key), wal.Write{Table: ins.Table.Schema.Name, Key: ins.Key, Image: ins.Image})
 }
 
-// ApplyInserts applies the inserts of a commit whose record is durable,
-// seeding versioned rows at commit timestamp ts. A failure — a duplicate
-// key — is fatal in every engine: the record is durable, so the attempt
-// can neither retry nor roll back, and its caller releases it as
-// committed.
+// ApplyInserts applies the inserts of a commit whose record is
+// sequenced, seeding versioned rows at commit timestamp ts. A failure — a
+// duplicate key — is fatal in every engine: the record is in the log's
+// sequence, so the attempt can neither retry nor roll back, and its
+// caller releases it as committed.
 func ApplyInserts(ins []Insert, ts uint64) error {
 	for _, in := range ins {
 		if _, err := in.Table.InsertRowAt(in.Key, in.Image, ts); err != nil {
@@ -83,31 +102,54 @@ func (l *CommitLog) add(pid int, w wal.Write) {
 	rec.Writes = append(rec.Writes, w)
 }
 
-// Commit appends the pending writes, one record per touched partition log
-// under txnID, and returns once every record is durable; it reports
-// whether there was anything to log. Records are submitted to every
-// touched log before waiting on any, so the partition devices' syncers
-// overlap their fsyncs instead of stacking them. A failed append comes back
-// as a fatal error wrapping the device's; either way the log is empty
-// for the next commit.
-func (l *CommitLog) Commit(txnID uint64) (wrote bool, err error) {
+// Submit sequences the pending writes, one record per touched partition
+// log under txnID, and reports whether there was anything to log; a
+// commit with nothing to log marks instead what it waits for (see
+// CommitLog). Records are submitted to every touched log before Wait
+// waits on any, so the partition devices' syncers overlap their fsyncs
+// instead of stacking them. A failure comes back as a fatal error
+// wrapping the device's, and leaves Wait nothing to wait for; either way
+// the log is empty for the next commit.
+func (l *CommitLog) Submit(txnID uint64) (wrote bool, err error) {
+	tickets := l.tickets[:0]
 	if len(l.touched) == 0 {
+		for _, a := range l.apps {
+			if tk, ok := a.Log().Mark(); ok {
+				tickets = append(tickets, tk)
+			}
+		}
+		l.tickets = tickets
 		return false, nil
 	}
-	tickets := l.tickets[:0]
 	for _, pid := range l.touched {
 		l.recs[pid].TxnID = txnID
-		tickets = append(tickets, l.apps[pid].Submit(&l.recs[pid]))
-	}
-	l.tickets = tickets
-	for _, tk := range tickets {
-		if _, werr := tk.Wait(); werr != nil && err == nil {
-			err = fatalf("wal append: %w", werr)
+		tk := l.apps[pid].Submit(&l.recs[pid])
+		if serr := tk.Err(); serr != nil && err == nil {
+			err = fatalf("wal append: %w", serr)
 		}
-	}
-	for _, pid := range l.touched {
+		tickets = append(tickets, tk)
 		l.recs[pid].Writes = l.recs[pid].Writes[:0]
 	}
 	l.touched = l.touched[:0]
+	if err != nil {
+		tickets = tickets[:0]
+	}
+	l.tickets = tickets
 	return true, err
+}
+
+// Wait returns once every record the last Submit sequenced is written,
+// and synced under FsyncBatch; for a commit with nothing to log, once
+// every record sequenced when it submitted is. Call it after the release.
+// t is the committing transaction: it waits for another committer's
+// write of its records as txn.Txn.Wait waits. A failure comes back as a
+// fatal error wrapping the device's.
+func (l *CommitLog) Wait(t *txn.Txn) (err error) {
+	for _, tk := range l.tickets {
+		if _, werr := tk.Wait(t); werr != nil && err == nil {
+			err = fatalf("wal write: %w", werr)
+		}
+	}
+	l.tickets = l.tickets[:0]
+	return err
 }

@@ -191,11 +191,11 @@ type DB struct {
 	metricsAddr string
 
 	// ckptGate closes the fuzzy-checkpoint race: commit windows hold it
-	// shared from log append through lock release, and the checkpointer
-	// takes it exclusively — only for the instant it reads the partition
-	// sequence — so a checkpoint LSN never lands between "record durable
-	// at seq" and "effects installed". Nil (a single pointer test on the
-	// commit path) when checkpoints are disabled.
+	// shared from log sequencing through lock release, and the
+	// checkpointer takes it exclusively — only for the instant it reads
+	// the partition sequence — so a checkpoint LSN never lands between
+	// "record sequenced at seq" and "effects installed". Nil (a single
+	// pointer test on the commit path) when checkpoints are disabled.
 	ckptGate *sync.RWMutex
 	ckpt     *checkpointer
 

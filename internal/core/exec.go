@@ -512,12 +512,15 @@ func (s *lockSession) Commit(start time.Duration) (time.Duration, error) {
 	// A snapshot attempt commits by just retiring its snapshot: it holds
 	// no locks, wrote nothing, and nothing can wound it (zero lock
 	// presence), so the semaphore wait, the commit CAS and the whole
-	// logging window do not apply. Zero allocations.
+	// logging window do not apply. On a file-logged DB it still waits
+	// for the records of the versions it may have read (CommitLog).
+	// Zero allocations.
 	if tx.snap != 0 {
+		s.log.Submit(t.ID) // nothing to log: marks what it waits for
 		tx.endSnapshot()
 		t.FinishCommit()
 		s.col.Add(stats.SnapshotReads, tx.snapReads)
-		return 0, nil
+		return 0, s.log.Wait(t)
 	}
 
 	// Wait for the transactions this one depends on (commit_semaphore)
@@ -542,7 +545,7 @@ func (s *lockSession) Commit(start time.Duration) (time.Duration, error) {
 
 	// Commit point. With an active checkpointer the whole window holds
 	// the checkpoint gate in shared mode, so a checkpoint LSN is never
-	// captured between "the record is durable at seq" and "its effects
+	// captured between "the record is sequenced at seq" and "its effects
 	// are installed" — the gap in which a fuzzy snapshot stamped ≥ seq
 	// could miss the transaction entirely.
 	g := s.db.ckptGate
@@ -557,18 +560,20 @@ func (s *lockSession) Commit(start time.Duration) (time.Duration, error) {
 		return commitWait, err
 	}
 	t.FinishCommit()
-	return commitWait, nil
+	// Released: now write the record, or wait for the committer writing it.
+	return commitWait, s.log.Wait(t)
 }
 
 // commitPoint is the commit path of every layout — Algorithm 1 past the
-// semaphore: append the commit record(s), publish versions, apply the
-// buffered inserts, fire the commit hook, release every lock. It leaves
-// the attempt holding nothing on every return. A failed append rolls the
-// attempt back: the transaction reverts its own commit decision, as the
-// Sem recheck in Commit does, and its dependents cascade. (A record that
+// semaphore: sequence the commit record(s), publish versions, apply the
+// buffered inserts, fire the commit hook, release every lock. The record
+// is written after it returns (CommitLog.Wait). It leaves the attempt
+// holding nothing on every return. A failed sequencing rolls the attempt
+// back: the transaction reverts its own commit decision, as the Sem
+// recheck in Commit does, and its dependents cascade. (A record that
 // reached one partition log of several stays there — the cross-partition
-// tear the CommitLog comment describes.) A failure after the append
-// releases as committed, because the record is durable.
+// tear the CommitLog comment describes.) A failure after it releases as
+// committed, because the record is in the log's sequence.
 func (s *lockSession) commitPoint(tx *lockTx) error {
 	for i := range tx.accesses {
 		if a := &tx.accesses[i]; a.mode == lock.EX {
@@ -578,7 +583,7 @@ func (s *lockSession) commitPoint(tx *lockTx) error {
 	for _, ins := range tx.inserts {
 		s.log.Insert(ins)
 	}
-	wrote, err := s.log.Commit(tx.t.ID)
+	wrote, err := s.log.Submit(tx.t.ID)
 	if err != nil {
 		tx.rollback()
 		return err

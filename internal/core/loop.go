@@ -25,8 +25,8 @@ type Attempt interface {
 	// semaphore, IC3's dependency drain — and nil once the attempt
 	// committed, an Abort to have the loop roll it back and retry, or
 	// any other error, which is fatal and after which the attempt holds
-	// nothing: a failure before the durable append rolls back, one after
-	// it releases as committed.
+	// nothing: a failure before the commit record is sequenced rolls
+	// back, one after it releases as committed.
 	Commit(start time.Duration) (commitWait time.Duration, err error)
 	// Rollback undoes the attempt and releases everything it holds.
 	Rollback()

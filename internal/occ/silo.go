@@ -224,13 +224,14 @@ var errValidation = core.Abort(txn.CauseValidation)
 
 // Commit implements core.Attempt: Silo's commit protocol, which waits for
 // no other transaction's commit decision, only for TID locks that other
-// committers hold through their log append and install (awaitUnlock). A
-// validation failure returns errValidation with the write-set locks taken
-// so far still held, for Rollback. A failed log append is not a
-// validation failure — a retry cannot fix the device — and comes back as
-// the error, with the write set unlocked and nothing installed. A failed
-// insert follows the durable record: it is fatal too, but the writes are
-// installed and unlocked as committed.
+// committers hold through their log sequencing and install
+// (awaitUnlock); the record is written after the unlock
+// (core.CommitLog). A validation failure returns errValidation with the
+// write-set locks taken so far still held, for Rollback. A failed log
+// sequencing is not a validation failure — a retry cannot fix the device
+// — and comes back as the error, with the write set unlocked and nothing
+// installed. A failed insert follows the sequenced record: it is fatal
+// too, but the writes are installed and unlocked as committed.
 func (s *session) Commit(time.Duration) (time.Duration, error) {
 	tx := &s.tx
 	// Phase 1: lock the write set in a global order.
@@ -276,7 +277,7 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 	for _, ins := range tx.insrts {
 		s.log.Insert(ins)
 	}
-	if _, err := s.log.Commit(tx.id); err != nil {
+	if _, err := s.log.Submit(tx.id); err != nil {
 		s.Rollback()
 		return 0, err
 	}
@@ -293,6 +294,9 @@ func (s *session) Commit(time.Duration) (time.Duration, error) {
 	}
 	tx.locked = 0
 	s.e.waiters.WakeAll()
+	if err == nil {
+		err = s.log.Wait(&s.t)
+	}
 	return 0, err
 }
 

@@ -6,7 +6,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"bamboo/internal/txn"
 )
 
 // FsyncPolicy selects when a FileDevice forces its appends to stable
@@ -57,17 +60,27 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 }
 
 // FileDevice is a log device over append-only files, framing records as
-// frame.go describes, which is what Replay reads. Each record is written
-// with a single Write call, which means a crash leaves at most one torn
-// frame — and only at the tail.
+// frame.go describes, which is what Replay reads.
+//
+// An append is two steps. Sequencing copies the frame into the device's
+// pending buffer and gives it the next LSN, under the device latch and
+// without a syscall. Writing puts every pending frame into the file with
+// one Write call, in LSN order, by whichever committer gets there first;
+// a committer whose frame another one is writing waits for that write
+// (txn.Txn.Wait: poll, yield, park) and then writes what is left, if
+// anything. The file is therefore always a prefix of the sequence, and a
+// crash leaves at most one torn frame — and only at the tail. Log's
+// Submit only sequences, so that a commit can release its locks before
+// it writes (Ticket.Wait); Append does both.
 //
 // Under FsyncBatch and FsyncInterval the device owns one syncer goroutine,
-// started when it opens and stopped by Close. While appends run, the
-// syncer is the only code that fsyncs the active segment; rotation's seal
-// sync and Close's final sync are the exceptions. The first write, sync or
-// rotate failure sticks: every later Append, durability wait and Close
-// returns it, and no sync after it reports a frame durable, so a frame
-// whose commit failed cannot become durable behind the engine's back.
+// started when it opens and stopped by Close, which syncs what has been
+// written. While appends run, the syncer is the only code that fsyncs the
+// active segment; rotation's seal sync and Close's final sync are the
+// exceptions. The first write, sync or rotate failure sticks: every later
+// sequencing, write, durability wait and Close returns it, and no sync
+// after it reports a frame durable, so a frame whose commit failed cannot
+// become durable behind the engine's back.
 //
 // The device runs in one of two layouts:
 //
@@ -78,7 +91,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 //     reads such a file; ReplayPartition does not.
 //
 //   - Segments (OpenSegmentedDevice): the log is a chain of files named
-//     by the sequence number of their first frame. Appends roll to a
+//     by the sequence number of their first frame. A write rolls to a
 //     fresh segment once the active one crosses the size threshold, and
 //     TruncateBelow drops whole prefix segments by unlinking them — log
 //     truncation never rewrites bytes. Opening scans only the newest
@@ -95,12 +108,16 @@ type FileDevice struct {
 
 	mu        sync.Mutex
 	f         *os.File
-	scratch   []byte // frame assembly buffer, one Write syscall per record
-	lsn       uint64
-	segStart  uint64       // sequence of the active segment's first frame
-	segBytes  int64        // bytes in the active segment
-	liveBytes int64        // bytes across all live segments
-	segs      []segmentRef // closed (sealed) segments, oldest first
+	pending   []byte        // frames sequenced but not yet written, in LSN order
+	spare     []byte        // the buffer the last write emptied: pending's next
+	lsn       atomic.Uint64 // last frame sequenced; stored under mu
+	written   atomic.Uint64 // last frame in the file; stored under mu
+	writing   atomic.Bool   // a committer is writing pending frames outside mu
+	writers   txn.Watchers  // committers waiting for that write to end
+	segStart  uint64        // sequence of the active segment's first frame
+	segBytes  int64         // bytes in the active segment
+	liveBytes int64         // bytes across all live segments
+	segs      []segmentRef  // closed (sealed) segments, oldest first
 	stats     DeviceStats
 	lastSync  time.Time
 	closed    bool
@@ -200,7 +217,7 @@ func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, segMax int64) (*
 	d.f = f
 	d.segStart = newest.FirstSeq
 	d.segBytes = valid
-	d.lsn = newest.FirstSeq - 1 + uint64(len(bounds))
+	d.lsn.Store(newest.FirstSeq - 1 + uint64(len(bounds)))
 	for _, sg := range segs[:len(segs)-1] {
 		d.segs = append(d.segs, segmentRef{path: sg.Path, firstSeq: sg.FirstSeq, bytes: sg.Bytes})
 		d.liveBytes += sg.Bytes
@@ -210,10 +227,11 @@ func OpenSegmentedDevice(dir string, p int, policy FsyncPolicy, segMax int64) (*
 }
 
 // start starts the syncer of a device whose policy syncs; the frames
-// already on disk count as synced.
+// already on disk count as written and synced.
 func (d *FileDevice) start() *FileDevice {
 	d.work.L, d.durable.L = &d.mu, &d.mu
-	d.synced, d.lastSync = d.lsn, time.Now()
+	d.written.Store(d.lsn.Load())
+	d.synced, d.lastSync = d.lsn.Load(), time.Now()
 	if d.policy != FsyncNone {
 		d.quit, d.stopped = make(chan struct{}), make(chan struct{})
 		go d.syncLoop()
@@ -249,10 +267,28 @@ func OpenPartitionSegmentedDevices(dir string, n int, policy FsyncPolicy, segMax
 // Path returns the file the device currently appends to.
 func (d *FileDevice) Path() string { return d.f.Name() }
 
-// Append implements Device. A frame written before a rotation fails is
-// still returned: whether it is durable is the sync's verdict, and the
-// failure stops every later append.
+// WriteHook is how a FileDevice writes its pending frames:
+// (*os.File).Write. It is a variable, like txn's clock and yield, so
+// that tests can stall or fail the write a commit makes after it has
+// released its locks; nothing else sets it.
+var WriteHook = (*os.File).Write
+
+// Append implements Device: it sequences rec and writes it (writeThrough).
+// A frame written before a rotation fails is still returned: whether it
+// is durable is the sync's verdict, and the failure stops every later
+// append.
 func (d *FileDevice) Append(rec []byte) (uint64, error) {
+	lsn, err := d.sequence(rec)
+	if err != nil {
+		return 0, err
+	}
+	return lsn, d.writeThrough(lsn, nil)
+}
+
+// sequence copies rec's frame into the pending buffer and gives it the
+// next LSN; it makes no syscall. It fails only with the device's sticky
+// error or ErrClosed.
+func (d *FileDevice) sequence(rec []byte) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.err != nil {
@@ -261,22 +297,72 @@ func (d *FileDevice) Append(rec []byte) (uint64, error) {
 	if d.closed {
 		return 0, ErrClosed
 	}
-	d.scratch = appendFrame(d.scratch[:0], rec)
-	if _, err := d.f.Write(d.scratch); err != nil {
-		return 0, d.fail(err)
-	}
-	d.lsn++
-	d.segBytes += int64(len(d.scratch))
-	d.liveBytes += int64(len(d.scratch))
+	d.pending = appendFrame(d.pending, rec)
 	d.stats.Appends++
 	d.stats.Bytes += uint64(len(rec))
-	if err := d.maybeRotateLocked(); err != nil {
+	lsn := d.lsn.Load() + 1
+	d.lsn.Store(lsn)
+	return lsn, nil
+}
+
+// writeThrough returns once frame lsn is in the file, or with the
+// device's failure if that came first. When no committer is writing it
+// writes every pending frame itself; when one is, w waits for that write
+// to end — polling, yielding, then parking, as txn.Txn.Wait does — and
+// looks again. A nil w waits as a fresh transaction, which never polls.
+func (d *FileDevice) writeThrough(lsn uint64, w *txn.Txn) error {
+	for d.written.Load() < lsn {
+		d.mu.Lock()
+		switch {
+		case d.written.Load() >= lsn:
+		case d.err != nil:
+			d.mu.Unlock()
+			return d.err
+		case !d.writing.Load():
+			d.writeLocked()
+		default:
+			d.mu.Unlock()
+			if w == nil {
+				w = new(txn.Txn)
+			}
+			d.writers.Wait(w, func() bool { return !d.writing.Load() || d.written.Load() >= lsn })
+			continue
+		}
+		d.mu.Unlock()
+	}
+	return nil
+}
+
+// writeLocked writes every pending frame with one Write, made outside mu,
+// which it holds on entry and on return. While it writes, the device is
+// marked writing: other committers wait instead of writing, and nothing
+// else touches the file, so frames land in LSN order. It then rotates the
+// segment if it is full, wakes the syncer and every committer waiting for
+// the write.
+func (d *FileDevice) writeLocked() {
+	buf, upto, f := d.pending, d.lsn.Load(), d.f
+	d.pending = d.spare[:0]
+	d.writing.Store(true)
+	d.mu.Unlock()
+	_, err := WriteHook(f, buf)
+	d.mu.Lock()
+	d.spare = buf[:0]
+	if err != nil {
 		d.fail(err)
+	} else {
+		d.written.Store(upto)
+		d.segBytes += int64(len(buf))
+		d.liveBytes += int64(len(buf))
+		d.stats.Writes++
+		if err := d.maybeRotateLocked(); err != nil {
+			d.fail(err)
+		}
+		if d.stopped != nil {
+			d.work.Signal()
+		}
 	}
-	if d.stopped != nil {
-		d.work.Signal()
-	}
-	return d.lsn, nil
+	d.writing.Store(false)
+	d.writers.WakeAll()
 }
 
 // fail makes err the device's failure unless one came first, wakes every
@@ -305,12 +391,12 @@ func (d *FileDevice) syncLocked() error {
 	if err != nil {
 		return d.fail(err)
 	}
-	d.synced = d.lsn
+	d.synced = d.written.Load()
 	d.durable.Broadcast()
 	return nil
 }
 
-// syncLoop is the syncer. Woken by an append, it yields once, so that
+// syncLoop is the syncer. Woken by a write, it yields once, so that
 // every committer already runnable writes its frame first, then fsyncs
 // everything written so far outside the lock and wakes the commits that
 // sync covers. Under FsyncInterval it first waits out the interval since
@@ -320,7 +406,7 @@ func (d *FileDevice) syncLoop() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
-		for d.synced == d.lsn && !d.closed && d.err == nil {
+		for d.synced == d.written.Load() && !d.closed && d.err == nil {
 			d.work.Wait()
 		}
 		if d.closed || d.err != nil {
@@ -340,7 +426,7 @@ func (d *FileDevice) syncLoop() {
 		if d.closed || d.err != nil {
 			return
 		}
-		f, upto := d.f, d.lsn
+		f, upto := d.f, d.written.Load()
 		d.syncing = f
 		d.mu.Unlock()
 		start := time.Now()
@@ -376,7 +462,7 @@ func (d *FileDevice) waitSynced(lsn uint64) error {
 }
 
 // maybeRotateLocked seals the active segment and starts a fresh one once
-// the size threshold is crossed. Rotation happens between records, so a
+// the size threshold is crossed. Rotation happens between writes, so a
 // frame never spans segment files. The sealed segment is synced first —
 // a closed segment is immutable and must be fully durable before
 // truncation decisions are made against it — and that sync covers every
@@ -397,7 +483,7 @@ func (d *FileDevice) maybeRotateLocked() error {
 		}
 	}
 	d.segs = append(d.segs, segmentRef{path: d.f.Name(), firstSeq: d.segStart, bytes: d.segBytes})
-	next := d.lsn + 1
+	next := d.written.Load() + 1
 	f, err := os.OpenFile(SegmentPath(d.dir, d.part, next), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: rotate segment: %w", err)
@@ -412,14 +498,11 @@ func (d *FileDevice) maybeRotateLocked() error {
 	return nil
 }
 
-// Seq returns the sequence number of the last appended frame (the
-// partition-local LSN). On a freshly opened segmented device it reflects
-// the durable chain on disk, not just this process's appends.
-func (d *FileDevice) Seq() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lsn
-}
+// Seq returns the sequence number of the last sequenced frame (the
+// partition-local LSN), written or not. On a freshly opened segmented
+// device it reflects the durable chain on disk, not just this process's
+// appends.
+func (d *FileDevice) Seq() uint64 { return d.lsn.Load() }
 
 // LiveBytes returns the bytes held by all live (not yet truncated)
 // segments, the quantity a size-triggered checkpoint policy watches. On
@@ -472,16 +555,22 @@ func (d *FileDevice) Stats() DeviceStats {
 	return d.stats
 }
 
-// Close stops the syncer, syncs (unless the policy is FsyncNone or the
+// Close writes every frame sequenced before it (a commit that has not
+// waited yet, or the record a failed multi-partition commit left on this
+// log), stops the syncer, syncs (unless the policy is FsyncNone or the
 // device has failed) and closes the file. It returns the device's first
 // failure, if any. Appends after Close fail with ErrClosed.
 func (d *FileDevice) Close() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
+		defer d.mu.Unlock()
 		return d.err
 	}
 	d.closed = true
+	d.mu.Unlock()
+	d.writeThrough(d.lsn.Load(), nil) // a failure sticks in d.err, returned below
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.stopped != nil {
 		close(d.quit)
 		d.work.Signal()

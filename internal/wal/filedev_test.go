@@ -335,7 +335,7 @@ func TestFileDeviceFailureSticks(t *testing.T) {
 			}
 			var first error
 			for i, tk := range tickets {
-				_, err := tk.Wait()
+				_, err := tk.Wait(nil)
 				if err == nil {
 					t.Fatalf("commit %d succeeded on a failed device", i)
 				}

@@ -43,7 +43,7 @@ func (pl *PartitionedLog) Close() error {
 
 // LifecycleDevice is the interface a device must satisfy for the
 // storage lifecycle (checkpointing and log truncation) to manage it:
-// expose the partition-local durable sequence, the live log footprint,
+// expose the partition-local sequence, the live log footprint,
 // and unlink-based truncation. FileDevice in segmented mode implements
 // it.
 type LifecycleDevice interface {
@@ -52,8 +52,8 @@ type LifecycleDevice interface {
 	TruncateBelow(seq uint64) (int64, error)
 }
 
-// Seq returns partition p's last appended sequence number, or 0 if its
-// device does not track one.
+// Seq returns partition p's last sequenced (not necessarily written)
+// sequence number, or 0 if its device does not track one.
 func (pl *PartitionedLog) Seq(p int) uint64 {
 	if ld, ok := pl.logs[p].dev.(LifecycleDevice); ok {
 		return ld.Seq()

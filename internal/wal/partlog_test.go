@@ -61,7 +61,7 @@ func TestSubmitWaitOverlapsPartitions(t *testing.T) {
 			tickets[p] = a.Submit(&Record{TxnID: uint64(2*i + p + 1)})
 		}
 		for _, tk := range tickets {
-			if _, err := tk.Wait(); err != nil {
+			if _, err := tk.Wait(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -82,7 +82,7 @@ func TestTicketPerRecordLog(t *testing.T) {
 	if dev.Stats().Appends != 1 {
 		t.Fatal("submit on a per-record log did not append")
 	}
-	lsn, err := tk.Wait()
+	lsn, err := tk.Wait(nil)
 	if err != nil || lsn != 1 {
 		t.Fatalf("wait: lsn=%d err=%v", lsn, err)
 	}

@@ -4,15 +4,22 @@
 // in-memory buffer with the same serialization cost a real device would
 // see, and FileDevice puts the log on real files.
 //
-// Bamboo requires no special logging treatment (paper §3.4): a transaction
-// writes its commit record only after the concurrency-control protocol is
-// satisfied (commit_semaphore drained), exactly like conventional 2PL.
-//
-// Every commit appends its record straight to the device. Where records
-// become durable later than the append — a FileDevice under FsyncBatch,
-// whose syncer batches the fsyncs of concurrent commits — the commit waits
-// for the sync that covers its record; everywhere else it is done when
-// the append returns.
+// A commit writes its record only after the concurrency-control protocol
+// is satisfied (commit_semaphore drained), as under conventional 2PL
+// (paper §3.4), and then releases its locks as early as it can: before
+// its record reaches the file. Submit sequences the record — on a
+// FileDevice, an LSN and a copy in the device's pending buffer, no
+// syscall — while the transaction still holds its locks, so a
+// transaction that reads or overwrites its writes after the release
+// sequences its own record later. The commit then releases and waits on
+// its Ticket, which writes the pending frames (one Write for all of
+// them, by whichever committer gets there first) and, under FsyncBatch,
+// waits for the sync that covers them. This is early lock release
+// (Johnson et al., "Aether", VLDB 2010): the file is always a prefix of
+// the sequence, and a commit is acknowledged only once its record is
+// written (or synced), so no acknowledged commit depends on a record the
+// log lacks. On any other device, Submit appends the record there and
+// then; the Ticket has nothing left to wait for.
 //
 // For the zero-allocation hot path, workers encode records into reusable
 // per-worker buffers through Appender handles; Device implementations must
@@ -26,6 +33,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"bamboo/internal/txn"
 )
 
 // Record is one commit record: the transaction id and its after-images.
@@ -54,11 +63,12 @@ type Device interface {
 var ErrClosed = errors.New("wal: log closed")
 
 // DeviceStats is the durability telemetry a device accumulates: how many
-// records landed, how many payload bytes, and how many fsyncs (the cost a
-// syncer amortizes) at what wall time.
+// records landed, how many payload bytes, in how many writes, and how
+// many fsyncs (the cost a syncer amortizes) at what wall time.
 type DeviceStats struct {
 	Appends  uint64        // records appended
 	Bytes    uint64        // payload bytes appended (excluding framing)
+	Writes   uint64        // write calls that put them in a file
 	Syncs    uint64        // fsync operations issued
 	SyncTime time.Duration // total wall time spent inside fsync
 }
@@ -68,6 +78,7 @@ func (s DeviceStats) Add(o DeviceStats) DeviceStats {
 	return DeviceStats{
 		Appends:  s.Appends + o.Appends,
 		Bytes:    s.Bytes + o.Bytes,
+		Writes:   s.Writes + o.Writes,
 		Syncs:    s.Syncs + o.Syncs,
 		SyncTime: s.SyncTime + o.SyncTime,
 	}
@@ -82,20 +93,33 @@ type StatsDevice interface {
 // Log serializes commit records and appends them to a device. It is safe
 // for concurrent use; serialization happens outside the device lock.
 type Log struct {
-	dev    Device
-	syncer *FileDevice // non-nil: records are durable once its syncer says so
+	dev  Device
+	file *FileDevice // non-nil: Submit only sequences; Ticket.Wait writes
 }
 
-// New returns a log over the given device. Commits to a FileDevice under
-// FsyncBatch wait for the device's syncer; on any other device a record is
-// as durable as it will be once Append returns.
+// New returns a log over the given device. Records submitted to a
+// FileDevice are written by Ticket.Wait, and under FsyncBatch synced
+// before it returns; on any other device a record is as durable as it
+// will be once Submit returns.
 func New(dev Device) *Log {
 	l := &Log{dev: dev}
-	if fd, ok := dev.(*FileDevice); ok && fd.policy == FsyncBatch {
-		l.syncer = fd
-	}
+	l.file, _ = dev.(*FileDevice)
 	return l
 }
+
+// Mark returns a Ticket for every record sequenced on l so far, whose
+// Wait returns once they are all written (and synced under FsyncBatch),
+// and true; on a log whose device is no FileDevice, where every record
+// is appended by the time Submit returns, the zero Ticket and false.
+func (l *Log) Mark() (Ticket, bool) {
+	if l.file == nil {
+		return Ticket{}, false
+	}
+	return l.Through(l.file.lsn.Load()), true
+}
+
+// Through returns a Ticket for every record sequenced on l through lsn.
+func (l *Log) Through(lsn uint64) Ticket { return Ticket{dev: l.file, lsn: lsn} }
 
 // Appender is a per-worker commit handle owning a reusable encode buffer,
 // so steady-state commits allocate nothing. Not safe for concurrent use;
@@ -108,8 +132,12 @@ type Appender struct {
 // NewAppender returns a commit handle for one worker.
 func (l *Log) NewAppender() *Appender { return &Appender{l: l} }
 
+// Log returns the log a appends to.
+func (a *Appender) Log() *Log { return a.l }
+
 // Commit encodes rec into the appender's buffer and commits it, returning
-// its LSN once it is durable: a Submit whose Ticket it waits on.
+// its LSN once it is written (and synced under FsyncBatch): a Submit
+// whose Ticket it waits on.
 //
 // The encode copies rec's payloads — including row images — into the
 // appender's own buffer before anything crosses the device boundary, so
@@ -119,18 +147,24 @@ func (l *Log) NewAppender() *Appender { return &Appender{l: l} }
 // the version chain and the WAL, and recycle it at release without
 // consulting the log.
 func (a *Appender) Commit(rec *Record) (uint64, error) {
-	return a.Submit(rec).Wait()
+	return a.Submit(rec).Wait(nil)
 }
 
-// Submit encodes rec and appends it without waiting for durability; the
-// returned Ticket's Wait blocks until the record is. It exists so a
-// transaction whose writes span several partition logs can append to all
-// of them and overlap their devices' syncs instead of waiting out one
-// sync per log. The encode buffer is free again once Submit returns.
+// Submit encodes rec and sequences it, without writing it to a
+// FileDevice or waiting for durability; the returned Ticket's Wait does
+// both. A commit submits while it holds its locks and waits after it
+// releases them. A transaction whose writes span several partition logs
+// submits to all of them before it waits on any, so their devices' syncs
+// overlap instead of stacking. On any other device Submit appends rec.
+// The encode buffer is free again once Submit returns.
 func (a *Appender) Submit(rec *Record) Ticket {
 	a.buf = AppendRecord(a.buf[:0], rec)
+	if d := a.l.file; d != nil {
+		lsn, err := d.sequence(a.buf)
+		return Ticket{dev: d, lsn: lsn, err: err}
+	}
 	lsn, err := a.l.dev.Append(a.buf)
-	return Ticket{dev: a.l.syncer, lsn: lsn, err: err}
+	return Ticket{lsn: lsn, err: err}
 }
 
 // Ticket is a pending submission. The zero value Waits as an immediate
@@ -142,12 +176,26 @@ type Ticket struct {
 	err error
 }
 
-// Wait blocks until the submitted record is durable, returning its LSN.
-func (t Ticket) Wait() (uint64, error) {
+// Err is the submission's failure — on a FileDevice, its sticky error
+// or ErrClosed. A ticket that carries one has nothing to wait for.
+func (t Ticket) Err() error { return t.err }
+
+// Wait returns the record's LSN once it is written — and synced, under
+// FsyncBatch — or the device's failure. w is the waiting transaction:
+// when another committer is writing the record, w waits for that write
+// the way txn.Txn.Wait waits, polling first if its Waiter's gate is open.
+// A nil w waits as a fresh transaction, which never polls.
+func (t Ticket) Wait(w *txn.Txn) (uint64, error) {
 	if t.dev == nil || t.err != nil {
 		return t.lsn, t.err
 	}
-	return t.lsn, t.dev.waitSynced(t.lsn)
+	if err := t.dev.writeThrough(t.lsn, w); err != nil {
+		return t.lsn, err
+	}
+	if t.dev.policy == FsyncBatch {
+		return t.lsn, t.dev.waitSynced(t.lsn)
+	}
+	return t.lsn, nil
 }
 
 // AppendRecord serializes rec onto buf and returns the extended slice;
