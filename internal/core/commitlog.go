@@ -19,17 +19,20 @@ import (
 // FsyncBatch). A transaction that reads or overwrites this one's writes
 // after the release therefore sequences its own record later, and the
 // log, a prefix of the sequence, never holds a record without the
-// records it depends on. A commit with nothing to log still waits, on a
-// file-logged DB: for every record sequenced when it committed, which
-// covers every write it can have read. (The in-memory logs append at
-// Submit, so there nothing is left to wait for.)
+// records it depends on. That holds across logs too: what a commit read
+// may sit in a log it does not write, so Wait also waits for every log
+// it does not write — a commit with nothing to log, for all of them —
+// to be written through the record sequenced last when it submitted,
+// which covers every write it can have read. (The in-memory logs append
+// at Submit, so there nothing is left to wait for.)
 //
 // A Submit failure is the device's sticky error: the caller rolls the
 // attempt back, as for any failure before the commit point. A Wait
 // failure comes after the release, so the attempt's effects stay in
 // memory, visible to later transactions, as they would after a crash
 // before the write; the log, whose records recovery trusts, lacks them,
-// and the error sticks, so every later commit on that log fails.
+// and the error sticks, so every later commit fails: at Submit if it
+// writes that log, at Wait if not.
 //
 // A transaction whose writes span partitions commits one record per
 // partition with the same TxnID; each partition's log remains a
@@ -103,23 +106,19 @@ func (l *CommitLog) add(pid int, w wal.Write) {
 }
 
 // Submit sequences the pending writes, one record per touched partition
-// log under txnID, and reports whether there was anything to log; a
-// commit with nothing to log marks instead what it waits for (see
-// CommitLog). Records are submitted to every touched log before Wait
-// waits on any, so the partition devices' syncers overlap their fsyncs
-// instead of stacking them. A failure comes back as a fatal error
-// wrapping the device's, and leaves Wait nothing to wait for; either way
-// the log is empty for the next commit.
+// log under txnID, and marks every other log through its last sequenced
+// record (see CommitLog); it reports whether there was anything to log.
+// Records are submitted to every touched log before Wait waits on any,
+// so the partition devices' syncers overlap their fsyncs instead of
+// stacking them. A failure comes back as a fatal error wrapping the
+// device's, and leaves Wait nothing to wait for; either way the log is
+// empty for the next commit.
 func (l *CommitLog) Submit(txnID uint64) (wrote bool, err error) {
 	tickets := l.tickets[:0]
-	if len(l.touched) == 0 {
-		for _, a := range l.apps {
-			if tk, ok := a.Log().Mark(); ok {
-				tickets = append(tickets, tk)
-			}
+	for pid, a := range l.apps {
+		if len(l.recs[pid].Writes) == 0 {
+			tickets = append(tickets, a.Mark())
 		}
-		l.tickets = tickets
-		return false, nil
 	}
 	for _, pid := range l.touched {
 		l.recs[pid].TxnID = txnID
@@ -130,17 +129,18 @@ func (l *CommitLog) Submit(txnID uint64) (wrote bool, err error) {
 		tickets = append(tickets, tk)
 		l.recs[pid].Writes = l.recs[pid].Writes[:0]
 	}
+	wrote = len(l.touched) > 0
 	l.touched = l.touched[:0]
 	if err != nil {
 		tickets = tickets[:0]
 	}
 	l.tickets = tickets
-	return true, err
+	return wrote, err
 }
 
 // Wait returns once every record the last Submit sequenced is written,
-// and synced under FsyncBatch; for a commit with nothing to log, once
-// every record sequenced when it submitted is. Call it after the release.
+// and synced under FsyncBatch, and so is every record sequenced when it
+// submitted on the logs it did not write. Call it after the release.
 // t is the committing transaction: it waits for another committer's
 // write of its records as txn.Txn.Wait waits. A failure comes back as a
 // fatal error wrapping the device's.

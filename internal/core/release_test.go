@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,15 +24,23 @@ import (
 // stallNextWrite makes the next file-device write wait until release is
 // called; stalled is closed once it waits. Later writes go through.
 func stallNextWrite(t *testing.T) (stalled <-chan struct{}, release func()) {
+	return stallNextWriteTo(t, -1)
+}
+
+// stallNextWriteTo is stallNextWrite for the next write to partition
+// p's log, or to any log if p is negative.
+func stallNextWriteTo(t *testing.T, p int) (stalled <-chan struct{}, release func()) {
 	t.Helper()
 	ch, gate := make(chan struct{}), make(chan struct{})
 	var first, rel sync.Once
 	orig := wal.WriteHook
 	wal.WriteHook = func(f *os.File, b []byte) (int, error) {
-		first.Do(func() {
-			close(ch)
-			<-gate
-		})
+		if p < 0 || logPartition(f) == p {
+			first.Do(func() {
+				close(ch)
+				<-gate
+			})
+		}
 		return orig(f, b)
 	}
 	release = func() { rel.Do(func() { close(gate) }) }
@@ -41,7 +51,14 @@ func stallNextWrite(t *testing.T) (stalled <-chan struct{}, release func()) {
 	return ch, release
 }
 
-// walDB opens a one-partition DB on cfg whose log is a segment chain in
+// logPartition is the partition whose log segment f is.
+func logPartition(f *os.File) int {
+	var p int
+	fmt.Sscanf(filepath.Base(f.Name()), "wal-%03d-", &p)
+	return p
+}
+
+// walDB opens a DB on cfg whose logs are segment chains in
 // a fresh directory, returned with it. The DB closes at cleanup, after
 // a stalled write opened later is released.
 func walDB(t *testing.T, cfg core.Config, policy wal.FsyncPolicy) (*core.DB, string) {
@@ -53,12 +70,12 @@ func walDB(t *testing.T, cfg core.Config, policy wal.FsyncPolicy) (*core.DB, str
 	return db, dir
 }
 
-// loggedValues replays partition 0's log in dir and returns the value
+// loggedValues replays partition p's log in dir and returns the value
 // column of every write, in log order.
-func loggedValues(t *testing.T, dir string, schema *storage.Schema) []int64 {
+func loggedValues(t *testing.T, dir string, p int, schema *storage.Schema) []int64 {
 	t.Helper()
 	var vals []int64
-	if _, err := wal.ReplayPartition(dir, 0, 0, func(r *wal.Record) error {
+	if _, err := wal.ReplayPartition(dir, p, 0, func(r *wal.Record) error {
 		for _, w := range r.Writes {
 			vals = append(vals, schema.GetInt64(w.Image, 0))
 		}
@@ -161,7 +178,7 @@ func TestDependentFollowsStalledWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := loggedValues(t, dir, tbl.Schema); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := loggedValues(t, dir, 0, tbl.Schema); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("the log holds %v, want the writer's 1 then the dependent's 2", got)
 	}
 }
@@ -220,7 +237,7 @@ func TestReadOnlyCommitsWaitForWrite(t *testing.T) {
 	if locked.Load() != 5 || snapped.Load() != 5 {
 		t.Fatalf("the readers read %d and %d, want the writer's 5", locked.Load(), snapped.Load())
 	}
-	if got := loggedValues(t, dir, tbl.Schema); len(got) != 1 || got[0] != 5 {
+	if got := loggedValues(t, dir, 0, tbl.Schema); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("the log holds %v, want the writer's 5", got)
 	}
 }
@@ -268,7 +285,7 @@ func TestWriteFailureAfterRelease(t *testing.T) {
 	if err := db.Close(); !errors.Is(err, errDisk) {
 		t.Fatalf("close: %v, want the device error", err)
 	}
-	if got := loggedValues(t, dir, tbl.Schema); len(got) != 1 || got[0] != 1 {
+	if got := loggedValues(t, dir, 0, tbl.Schema); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("the log holds %v, want only the first commit's 1", got)
 	}
 }
@@ -306,7 +323,123 @@ func TestCheckpointWaitsForWrite(t *testing.T) {
 	if _, err := os.Stat(core.SnapshotPath(cfg.Checkpoint.Dir, 0, 1)); err != nil {
 		t.Fatalf("no snapshot at sequence 1: %v", err)
 	}
-	if got := loggedValues(t, dir, tbl.Schema); len(got) != 1 || got[0] != 9 {
+	if got := loggedValues(t, dir, 0, tbl.Schema); len(got) != 1 || got[0] != 9 {
 		t.Fatalf("the log holds %v, want the stalled commit's 9", got)
+	}
+}
+
+// twoPartitionTable is a table of two rows on a two-partition DB: row k
+// lives in partition k.
+func twoPartitionTable(t *testing.T, db *core.DB) *storage.Table {
+	t.Helper()
+	schema := storage.NewSchema("t", storage.Column{Name: "v", Type: storage.ColInt64})
+	tbl, err := db.Catalog.CreateTablePartitioned(schema, 2,
+		storage.FuncPartitioner{N: 2, Fn: func(k uint64) int { return int(k) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.MustInsertRow(0, nil)
+	tbl.MustInsertRow(1, nil)
+	return tbl
+}
+
+// writeBoth sets rows 0 and 1 to v: one record in each partition's log.
+func writeBoth(tbl *storage.Table, v int64) core.TxnFunc {
+	return func(tx core.Tx) error {
+		for k := uint64(0); k < 2; k++ {
+			if err := tx.Update(tbl.Get(k), func(img []byte) { tbl.Schema.SetInt64(img, 0, v) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// readOneWriteZero reads row 1 into seen and writes row 0 to 10 plus what
+// it read: it depends on partition 1's log but writes only partition 0's.
+func readOneWriteZero(tbl *storage.Table, seen *atomic.Int64) core.TxnFunc {
+	return func(tx core.Tx) error {
+		img, err := tx.Read(tbl.Get(1))
+		if err != nil {
+			return err
+		}
+		v := tbl.Schema.GetInt64(img, 0)
+		seen.Store(v)
+		return tx.Update(tbl.Get(0), func(img []byte) { tbl.Schema.SetInt64(img, 0, 10+v) })
+	}
+}
+
+// TestCrossPartitionReadWaitsForWrite: a transaction that reads a row a
+// stalled writer committed in partition 1, and writes only partition 0,
+// does not return before the writer's partition-1 record is in the file.
+// Its own log does not hold what it read, so its Wait must cover the
+// log it does not write.
+func TestCrossPartitionReadWaitsForWrite(t *testing.T) {
+	cfg := core.Bamboo()
+	cfg.Partitions = 2
+	db, dir := walDB(t, cfg, wal.FsyncNone)
+	tbl := twoPartitionTable(t, db)
+	e := core.NewLockEngine(db)
+	writer, reader := e.NewSession(0, newCollector()), e.NewSession(1, newCollector())
+	stalled, release := stallNextWriteTo(t, 1)
+
+	wDone := make(chan error, 1)
+	go func() { wDone <- writer.Run(writeBoth(tbl, 1)) }()
+	await(t, stalled, "the writer's partition-1 write")
+	var seen atomic.Int64
+	rDone := make(chan error, 1)
+	go func() { rDone <- reader.Run(readOneWriteZero(tbl, &seen)) }()
+	seqReaches(t, db, 2) // the reader sequenced its partition-0 record
+	stillWaiting(t, "the cross-partition reader", rDone)
+	release()
+	for _, ch := range []chan error{wDone, rDone} {
+		if err := await(t, ch, "a commit"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen.Load() != 1 {
+		t.Fatalf("the reader read %d, want the writer's 1", seen.Load())
+	}
+	if got := loggedValues(t, dir, 0, tbl.Schema); len(got) != 2 || got[0] != 1 || got[1] != 11 {
+		t.Fatalf("partition 0's log holds %v, want the writer's 1 then the reader's 11", got)
+	}
+	if got := loggedValues(t, dir, 1, tbl.Schema); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("partition 1's log holds %v, want the writer's 1", got)
+	}
+}
+
+// TestCrossPartitionReadSeesWriteFailure: when a writer's partition-1
+// write fails after its release, a transaction that read that write and
+// writes only partition 0 fails with the device error too: it depends on
+// a record the log lacks, so it must not be acknowledged.
+func TestCrossPartitionReadSeesWriteFailure(t *testing.T) {
+	cfg := core.Bamboo()
+	cfg.Partitions = 2
+	db, dir := walDB(t, cfg, wal.FsyncNone)
+	tbl := twoPartitionTable(t, db)
+	e := core.NewLockEngine(db)
+	writer, reader := e.NewSession(0, newCollector()), e.NewSession(1, newCollector())
+
+	errDisk := errors.New("disk gone")
+	orig := wal.WriteHook
+	wal.WriteHook = func(f *os.File, b []byte) (int, error) {
+		if logPartition(f) == 1 {
+			return 0, errDisk
+		}
+		return orig(f, b)
+	}
+	defer func() { wal.WriteHook = orig }()
+	if err := writer.Run(writeBoth(tbl, 1)); !errors.Is(err, errDisk) {
+		t.Fatalf("commit with a failed partition-1 write: %v, want the device error", err)
+	}
+	var seen atomic.Int64
+	if err := reader.Run(readOneWriteZero(tbl, &seen)); !errors.Is(err, errDisk) {
+		t.Fatalf("commit that read the failed write (%d): %v, want the device error", seen.Load(), err)
+	}
+	if err := db.Close(); !errors.Is(err, errDisk) {
+		t.Fatalf("close: %v, want the device error", err)
+	}
+	if got := loggedValues(t, dir, 1, tbl.Schema); len(got) != 0 {
+		t.Fatalf("partition 1's log holds %v, want nothing", got)
 	}
 }

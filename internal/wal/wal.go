@@ -107,17 +107,6 @@ func New(dev Device) *Log {
 	return l
 }
 
-// Mark returns a Ticket for every record sequenced on l so far, whose
-// Wait returns once they are all written (and synced under FsyncBatch),
-// and true; on a log whose device is no FileDevice, where every record
-// is appended by the time Submit returns, the zero Ticket and false.
-func (l *Log) Mark() (Ticket, bool) {
-	if l.file == nil {
-		return Ticket{}, false
-	}
-	return l.Through(l.file.lsn.Load()), true
-}
-
 // Through returns a Ticket for every record sequenced on l through lsn.
 func (l *Log) Through(lsn uint64) Ticket { return Ticket{dev: l.file, lsn: lsn} }
 
@@ -132,8 +121,16 @@ type Appender struct {
 // NewAppender returns a commit handle for one worker.
 func (l *Log) NewAppender() *Appender { return &Appender{l: l} }
 
-// Log returns the log a appends to.
-func (a *Appender) Log() *Log { return a.l }
+// Mark returns a Ticket for every record sequenced on a's log so far:
+// its Wait returns once they are all written, and synced under
+// FsyncBatch. On a log whose device is no FileDevice every record is
+// appended by the time Submit returns, and the Ticket waits for nothing.
+func (a *Appender) Mark() Ticket {
+	if d := a.l.file; d != nil {
+		return a.l.Through(d.lsn.Load())
+	}
+	return Ticket{}
+}
 
 // Commit encodes rec into the appender's buffer and commits it, returning
 // its LSN once it is written (and synced under FsyncBatch): a Submit
