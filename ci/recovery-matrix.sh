@@ -78,12 +78,14 @@ during-checkpoint)
     -min-records 1 -min-checkpoints 1
   ;;
 after-checkpoint)
+  # Truncation is off in this phase, so a checkpoint-blind full replay
+  # still works: the checkpointed recovery must end with the same rows
+  # (-compare-full; a snapshot must not hold a commit the log lacks) and
+  # apply strictly fewer log bytes (the bounded-recovery claim,
+  # device-independent).
   run_kill 4 -checkpoint-dir "$CKPT" -checkpoint-interval 150ms
   "$CT" -mode recover -wal "$WAL" -checkpoint-dir "$CKPT" -partitions 4 \
-    -min-records 1 -min-checkpoints 4 | tee "$BASE/suffix.log"
-  # Truncation is off in this phase, so a checkpoint-blind full replay
-  # still works — and the checkpointed one must apply strictly fewer
-  # log bytes (the bounded-recovery claim, device-independent).
+    -min-records 1 -min-checkpoints 4 -compare-full | tee "$BASE/suffix.log"
   "$CT" -mode recover -wal "$WAL" -partitions 4 -min-records 100 \
     | tee "$BASE/full.log"
   suffix=$(applied_bytes "$BASE/suffix.log")

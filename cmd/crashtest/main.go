@@ -27,7 +27,10 @@
 //     is in the log by then (synced under -fsync batch, written
 //     otherwise, which a SIGKILL does not undo), so a supervisor passes
 //     the last N it saw;
-//   - every lock entry is drained (replay bypasses the lock table).
+//   - every lock entry is drained (replay bypasses the lock table);
+//   - with -compare-full, every row equals what a checkpoint-blind
+//     replay of the whole log recovers: a snapshot must never hold a
+//     commit whose record the log lacks.
 //
 // Storage lifecycle: the WAL is a segment chain per partition, rotated at
 // -segment-bytes, with or without checkpoints; -checkpoint-dir enables
@@ -83,6 +86,7 @@ func main() {
 		maxReplayBytes = flag.Int64("max-replay-bytes", 0, "fail recovery if more applied log bytes replay")
 		maxWALBytes    = flag.Int64("max-wal-bytes", 0, "fail recovery if the WAL directory holds more bytes")
 		minCkpts       = flag.Int("min-checkpoints", 0, "fail recovery if fewer snapshots restore (proof a checkpoint was taken)")
+		compareFull    = flag.Bool("compare-full", false, "fail recovery if any row differs from a checkpoint-blind replay of the whole log (needs an untruncated log)")
 	)
 	flag.Parse()
 	if *walDir == "" {
@@ -98,7 +102,7 @@ func main() {
 		})
 	case "recover":
 		recoverMode(*walDir, *ckptDir, *partitions, *rows, *minRecords, *acked, *minCkpts,
-			*expectCorrupt, *maxReplayBytes, *maxWALBytes)
+			*expectCorrupt, *compareFull, *maxReplayBytes, *maxWALBytes)
 	case "flip":
 		flipMode(*walDir)
 	default:
@@ -324,7 +328,7 @@ func walDirBytes(dir string) int64 {
 }
 
 func recoverMode(dir, ckptDir string, parts, rows, minRecords, acked, minCkpts int,
-	expectCorrupt bool, maxReplayBytes, maxWALBytes int64) {
+	expectCorrupt, compareFull bool, maxReplayBytes, maxWALBytes int64) {
 	if maxWALBytes > 0 {
 		if got := walDirBytes(dir); got > maxWALBytes {
 			fatal("WAL directory holds %d bytes, budget %d — truncation is not keeping up", got, maxWALBytes)
@@ -333,14 +337,8 @@ func recoverMode(dir, ckptDir string, parts, rows, minRecords, acked, minCkpts i
 		}
 	}
 
-	cfg := core.Bamboo()
-	cfg.Partitions = parts
-	db := core.NewDB(cfg)
-	defer db.Close()
-	tbl := load(db, rows)
-
 	start := time.Now()
-	st, err := db.ReplayDirCheckpointed(dir, ckptDir, true)
+	tbl, st, err := replay(dir, ckptDir, parts, rows)
 	if expectCorrupt {
 		if err == nil {
 			fatal("replay of a bit-flipped log succeeded (stats %+v); corruption went undetected", st)
@@ -409,5 +407,31 @@ func recoverMode(dir, ckptDir string, parts, rows, minRecords, acked, minCkpts i
 	if failed {
 		fatal("invariants violated after replay")
 	}
+	if compareFull {
+		full, _, err := replay(dir, "", parts, rows)
+		if err != nil {
+			fatal("full replay: %v", err)
+		}
+		for k := uint64(0); k < uint64(rows); k++ {
+			got := schema.GetInt64(tbl.Get(k).Entry.CurrentData(), 0)
+			if want := schema.GetInt64(full.Get(k).Entry.CurrentData(), 0); got != want {
+				fatal("row %d: %d recovered, %d in a checkpoint-blind replay: a snapshot holds a commit the log lacks", k, got, want)
+			}
+		}
+		fmt.Printf("full replay: all %d rows equal\n", rows)
+	}
 	fmt.Println("RECOVERY OK")
+}
+
+// replay loads the base snapshot into a fresh store and replays the logs
+// in dir over it, from the newest valid snapshots in ckptDir if that is
+// not empty.
+func replay(dir, ckptDir string, parts, rows int) (*storage.Table, core.ReplayStats, error) {
+	cfg := core.Bamboo()
+	cfg.Partitions = parts
+	db := core.NewDB(cfg)
+	defer db.Close()
+	tbl := load(db, rows)
+	st, err := db.ReplayDirCheckpointed(dir, ckptDir, true)
+	return tbl, st, err
 }

@@ -379,7 +379,7 @@ func TestAllocBudgetPartitioned(t *testing.T) {
 // TestAllocBudgetPartitionedWAL asserts the partition-routed commit path
 // adds zero steady-state allocations: splitting each commit record by
 // owning partition and submitting to per-partition logs reuses
-// session-owned records, appenders, ticket and touched-partition scratch.
+// the session-owned records, appenders and mark.
 // Measured on the in-memory partition devices and on real file devices,
 // both without fsyncs (FsyncNone, so the measurement is not fsync-bound)
 // and with every commit waiting for its device's syncer (FsyncBatch).

@@ -76,10 +76,10 @@ type CheckpointStats struct {
 }
 
 // checkpointer is the background storage-lifecycle loop: per partition,
-// capture a fuzzy snapshot stamped with the WAL sequence, written through
-// it first, prune
-// old snapshots, and truncate the log below the second-newest retained
-// snapshot.
+// capture a fuzzy snapshot stamped with the WAL sequence, publish it once
+// every log is written through what was sequenced when the scan ended,
+// prune old snapshots, and truncate the log below the second-newest
+// retained snapshot.
 type checkpointer struct {
 	db *DB
 
@@ -91,6 +91,9 @@ type checkpointer struct {
 	// ticks counts the ticks the loop has received; each runs one round
 	// per partition under mu.
 	ticks uint64
+	// afterStamp, if set, runs between a round's stamp and its scan;
+	// tests set it (export_test.go) to order a commit between the two.
+	afterStamp func()
 
 	runMu   sync.Mutex
 	stopCh  chan struct{}
@@ -200,15 +203,25 @@ func (c *checkpointer) partitionRoundLocked(p int) error {
 		return nil
 	}
 	start := time.Now()
-	// Records through seq may be sequenced but not yet written (their
-	// committers write after they release). Write them, and sync them
-	// under FsyncBatch, before the snapshot claims to cover them: a
-	// restart from a log that lacks them would give their sequence
-	// numbers to new records, which replay would skip as covered.
-	if _, err := c.db.PLog.Log(p).Through(seq).Wait(nil); err != nil {
-		return fmt.Errorf("core: checkpoint partition %d: write log through %d: %w", p, seq, err)
+	if c.afterStamp != nil {
+		c.afterStamp()
 	}
-	if err := c.snap.write(cfg.Dir, c.db.Catalog, p, seq); err != nil {
+	if err := c.snap.capture(c.db.Catalog, p, seq); err != nil {
+		return fmt.Errorf("core: checkpoint partition %d: %w", p, err)
+	}
+	// Every image the scan read was sequenced before it was installed,
+	// but its committer may not have written it yet (committers write
+	// after they release). Write, and under FsyncBatch sync, every log
+	// through a mark taken now before the snapshot claims those images: a
+	// snapshot ahead of its log would recover a commit the log lacks, and
+	// a restart would give its sequence number to a new record, which
+	// replay would skip as covered.
+	mark := make([]uint64, c.db.Partitions())
+	c.db.PLog.Mark(mark)
+	if err := c.db.PLog.Wait(mark, nil); err != nil {
+		return fmt.Errorf("core: checkpoint partition %d: write the log through its scan: %w", p, err)
+	}
+	if err := c.snap.publish(cfg.Dir, p, seq); err != nil {
 		return fmt.Errorf("core: checkpoint partition %d: %w", p, err)
 	}
 	c.lastSeq[p] = seq
@@ -222,7 +235,7 @@ func (c *checkpointer) partitionRoundLocked(p int) error {
 		// Cut below the second-newest snapshot: both retained recovery
 		// points keep their full log suffix, so a corrupt newest
 		// snapshot still recovers from the previous one.
-		dropped, err := c.db.PLog.TruncateBelow(p, kept[1].seq)
+		dropped, err := c.db.PLog.File(p).TruncateBelow(kept[1].seq)
 		if err != nil {
 			return fmt.Errorf("core: truncate partition %d: %w", p, err)
 		}
@@ -276,7 +289,9 @@ func (db *DB) CheckpointStats() CheckpointStats {
 func (db *DB) LogLiveBytes() int64 {
 	var total int64
 	for p := 0; p < db.Partitions(); p++ {
-		total += db.PLog.LiveBytes(p)
+		if d := db.PLog.File(p); d != nil {
+			total += d.LiveBytes()
+		}
 	}
 	return total
 }

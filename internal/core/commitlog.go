@@ -14,17 +14,20 @@ import (
 // the case where every write routes to log 0.
 //
 // A commit is two calls. Submit, at the commit point while the
-// transaction still holds its locks, sequences the records; Wait, after
-// the locks are released, returns once they are written (synced under
-// FsyncBatch). A transaction that reads or overwrites this one's writes
-// after the release therefore sequences its own record later, and the
-// log, a prefix of the sequence, never holds a record without the
-// records it depends on. That holds across logs too: what a commit read
-// may sit in a log it does not write, so Wait also waits for every log
-// it does not write — a commit with nothing to log, for all of them —
-// to be written through the record sequenced last when it submitted,
-// which covers every write it can have read. (The in-memory logs append
-// at Submit, so there nothing is left to wait for.)
+// transaction still holds its locks, sequences the records and then
+// takes a mark of every partition log, each log's last sequenced LSN
+// (wal.PartitionedLog.Mark); Wait, after the locks are released, returns
+// once every log is written through the mark, and synced through it
+// under FsyncBatch. A transaction that reads or overwrites this one's
+// writes after the release therefore sequences its own record later,
+// and the log, a prefix of the sequence, never holds a record without
+// the records it depends on. That holds across logs too: what a commit
+// read may sit in a log it does not write, and the mark covers it, since
+// every write it can have read was sequenced before it was installed. A
+// commit with nothing to log, an MVCC snapshot commit too, only marks.
+// The checkpointer follows the same rule with a mark taken after its
+// scan. (The in-memory logs append at Submit; their entries in a mark
+// are 0, and there nothing is left to wait for.)
 //
 // A Submit failure is the device's sticky error: the caller rolls the
 // attempt back, as for any failure before the commit point. A Wait
@@ -41,23 +44,29 @@ import (
 // partition atomicity at the log level is the distributed follow-on's
 // problem (path-sensitive atomic commit), not this layer's.
 //
-// Its buffers — one appender and one record per partition log, the
-// touched-partition and ticket lists — are created once and reused, so
-// steady-state commits allocate nothing. A CommitLog is not safe for
-// concurrent use: each session owns one, by value.
+// Its buffers — one appender and one record per partition log, and the
+// mark — are created once and reused, so steady-state commits allocate
+// nothing. A CommitLog is not safe for concurrent use: each session owns
+// one, by value.
 type CommitLog struct {
-	apps    []*wal.Appender
-	recs    []wal.Record
-	touched []int
-	tickets []wal.Ticket
+	plog  *wal.PartitionedLog
+	parts []commitPart
+	mark  []uint64
+}
+
+// commitPart is a CommitLog's share of one partition log: its appender
+// and the record pending there.
+type commitPart struct {
+	app wal.Appender
+	rec wal.Record
 }
 
 // NewCommitLog returns a commit log over the DB's partition logs.
 func (db *DB) NewCommitLog() CommitLog {
 	n := db.PLog.Partitions()
-	l := CommitLog{apps: make([]*wal.Appender, n), recs: make([]wal.Record, n)}
-	for p := range l.apps {
-		l.apps[p] = db.PLog.Log(p).NewAppender()
+	l := CommitLog{plog: db.PLog, parts: make([]commitPart, n), mark: make([]uint64, n)}
+	for p := range l.parts {
+		l.parts[p].app = *db.PLog.Log(p).NewAppender()
 	}
 	return l
 }
@@ -95,61 +104,41 @@ func ApplyInserts(ins []Insert, ts uint64) error {
 	return nil
 }
 
-// add appends w to partition pid's pending record, listing the partition
-// as touched on its first write.
+// add appends w to partition pid's pending record.
 func (l *CommitLog) add(pid int, w wal.Write) {
-	rec := &l.recs[pid]
-	if len(rec.Writes) == 0 {
-		l.touched = append(l.touched, pid)
-	}
-	rec.Writes = append(rec.Writes, w)
+	l.parts[pid].rec.Writes = append(l.parts[pid].rec.Writes, w)
 }
 
 // Submit sequences the pending writes, one record per touched partition
-// log under txnID, and marks every other log through its last sequenced
-// record (see CommitLog); it reports whether there was anything to log.
-// Records are submitted to every touched log before Wait waits on any,
-// so the partition devices' syncers overlap their fsyncs instead of
-// stacking them. A failure comes back as a fatal error wrapping the
-// device's, and leaves Wait nothing to wait for; either way the log is
-// empty for the next commit.
+// log under txnID, and then marks every log (see CommitLog); it reports
+// whether there was anything to log. A failure comes back as a fatal
+// error wrapping the device's; the caller rolls back and does not Wait.
+// Either way the log is empty for the next commit.
 func (l *CommitLog) Submit(txnID uint64) (wrote bool, err error) {
-	tickets := l.tickets[:0]
-	for pid, a := range l.apps {
-		if len(l.recs[pid].Writes) == 0 {
-			tickets = append(tickets, a.Mark())
+	for i := range l.parts {
+		part := &l.parts[i]
+		if len(part.rec.Writes) == 0 {
+			continue
 		}
-	}
-	for _, pid := range l.touched {
-		l.recs[pid].TxnID = txnID
-		tk := l.apps[pid].Submit(&l.recs[pid])
-		if serr := tk.Err(); serr != nil && err == nil {
+		part.rec.TxnID = txnID
+		if _, serr := part.app.Submit(&part.rec); serr != nil && err == nil {
 			err = fatalf("wal append: %w", serr)
 		}
-		tickets = append(tickets, tk)
-		l.recs[pid].Writes = l.recs[pid].Writes[:0]
+		part.rec.Writes = part.rec.Writes[:0]
+		wrote = true
 	}
-	wrote = len(l.touched) > 0
-	l.touched = l.touched[:0]
-	if err != nil {
-		tickets = tickets[:0]
-	}
-	l.tickets = tickets
+	l.plog.Mark(l.mark)
 	return wrote, err
 }
 
-// Wait returns once every record the last Submit sequenced is written,
-// and synced under FsyncBatch, and so is every record sequenced when it
-// submitted on the logs it did not write. Call it after the release.
-// t is the committing transaction: it waits for another committer's
-// write of its records as txn.Txn.Wait waits. A failure comes back as a
-// fatal error wrapping the device's.
-func (l *CommitLog) Wait(t *txn.Txn) (err error) {
-	for _, tk := range l.tickets {
-		if _, werr := tk.Wait(t); werr != nil && err == nil {
-			err = fatalf("wal write: %w", werr)
-		}
+// Wait returns once every log is written through the last Submit's mark,
+// and synced through it under FsyncBatch. Call it after the release. t
+// is the committing transaction: it waits for another committer's write
+// as txn.Txn.Wait waits. A failure comes back as a fatal error wrapping
+// the device's.
+func (l *CommitLog) Wait(t *txn.Txn) error {
+	if err := l.plog.Wait(l.mark, t); err != nil {
+		return fatalf("wal write: %w", err)
 	}
-	l.tickets = l.tickets[:0]
-	return err
+	return nil
 }

@@ -42,3 +42,11 @@ const TxnIDBlock = txnIDBlock
 // TxnIDsReserved returns how many transaction ids db has handed out in
 // blocks.
 func TxnIDsReserved(db *DB) uint64 { return db.txnIDs.Load() }
+
+// SetCheckpointAfterStamp makes every checkpoint round of db call f
+// between its stamp and its scan.
+func SetCheckpointAfterStamp(db *DB, f func()) {
+	db.ckpt.mu.Lock()
+	defer db.ckpt.mu.Unlock()
+	db.ckpt.afterStamp = f
+}

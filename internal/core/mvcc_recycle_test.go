@@ -225,8 +225,9 @@ func TestMVCCRecycledImagesStayImmutable(t *testing.T) {
 	}
 }
 
-// TestSessionSizeClass pins lockSession to the 320-byte allocation size
-// class. With the MVCC free lists inline it was 360 bytes, the allocator
+// TestSessionSizeClass keeps lockSession within the 320-byte allocation
+// size class (at 280 bytes it is in the 288-byte one). With the MVCC
+// free lists inline it was 360 bytes, the allocator
 // moved every session to the 384-byte class, and hotspot — MVCC off, two
 // sessions polling each other's transactions — lost 4 % on where its
 // sessions landed; behind one pointer it reads as before.

@@ -328,6 +328,145 @@ func TestCheckpointWaitsForWrite(t *testing.T) {
 	}
 }
 
+// stallWrites makes each of the next n file-device writes wait until its
+// release is called: write i closes stalled[i] once it waits. Later
+// writes go through.
+func stallWrites(t *testing.T, n int) (stalled []chan struct{}, release []func()) {
+	t.Helper()
+	gates := make([]chan struct{}, n)
+	stalled, release = make([]chan struct{}, n), make([]func(), n)
+	for i := range gates {
+		gates[i], stalled[i] = make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		gate := gates[i]
+		release[i] = func() { once.Do(func() { close(gate) }) }
+	}
+	var writes atomic.Int32
+	orig := wal.WriteHook
+	wal.WriteHook = func(f *os.File, b []byte) (int, error) {
+		if i := int(writes.Add(1)) - 1; i < n {
+			close(stalled[i])
+			<-gates[i]
+		}
+		return orig(f, b)
+	}
+	t.Cleanup(func() {
+		for _, r := range release {
+			r()
+		}
+		wal.WriteHook = orig
+	})
+	return stalled, release
+}
+
+// copyDir copies the files of dir into a fresh directory: what a SIGKILL
+// leaves of them, since the kill spares what the process has written.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(out, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// recoveredValues recovers a fresh DB of one n-row table from walDir and
+// the snapshots in ckptDir ("" for a checkpoint-blind replay), and
+// returns the table's values.
+func recoveredValues(t *testing.T, walDir, ckptDir string, n int) []int64 {
+	t.Helper()
+	db := core.NewDB(core.Bamboo())
+	defer db.Close()
+	tbl := testTable(db, n)
+	if _, err := db.ReplayDirCheckpointed(walDir, ckptDir, false); err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]int64, n)
+	for k := range vals {
+		vals[k] = tbl.Schema.GetInt64(tbl.Get(uint64(k)).Entry.CurrentData(), 0)
+	}
+	return vals
+}
+
+// TestCheckpointNotAheadOfLog: a checkpoint whose scan reads a commit
+// sequenced after its stamp does not publish the snapshot before that
+// commit's record is written. T1's write stalls; the checkpoint stamps
+// seq 1; T2 commits at seq 2 and its write stalls too, after T1's goes
+// through; only then does the checkpoint scan. A crash copy taken while
+// T2's write is stalled must recover what a checkpoint-blind replay of
+// its log recovers: a published snapshot holding T2's row would recover
+// a commit the log lacks.
+func TestCheckpointNotAheadOfLog(t *testing.T) {
+	cfg := core.Bamboo()
+	cfg.Checkpoint.Dir = t.TempDir()
+	db, dir := walDB(t, cfg, wal.FsyncNone)
+	tbl := testTable(db, 2)
+	e := core.NewLockEngine(db)
+	s1, s2 := e.NewSession(0, newCollector()), e.NewSession(1, newCollector())
+	set := func(k uint64, v int64) core.TxnFunc {
+		return func(tx core.Tx) error {
+			return tx.Update(tbl.Get(k), func(img []byte) { tbl.Schema.SetInt64(img, 0, v) })
+		}
+	}
+	stalled, release := stallWrites(t, 2)
+
+	t1Done := make(chan error, 1)
+	go func() { t1Done <- s1.Run(set(0, 1)) }()
+	await(t, stalled[0], "T1's write")
+
+	stamped, scan := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	core.SetCheckpointAfterStamp(db, func() {
+		once.Do(func() { close(stamped) })
+		<-scan
+	})
+	cDone := make(chan error, 1)
+	go func() { cDone <- db.CheckpointNow() }()
+	await(t, stamped, "the checkpoint's stamp")
+	if got := db.PLog.Seq(0); got != 1 {
+		t.Fatalf("the checkpoint stamped with the log at %d, want 1", got)
+	}
+
+	t2Done := make(chan error, 1)
+	go func() { t2Done <- s2.Run(set(1, 2)) }()
+	seqReaches(t, db, 2)
+	release[0]()
+	if err := await(t, t1Done, "T1's commit"); err != nil {
+		t.Fatal(err)
+	}
+	await(t, stalled[1], "T2's write") // T2 released before it writes
+	close(scan)
+	stillWaiting(t, "the checkpoint", cDone)
+	walCopy, ckptCopy := copyDir(t, dir), copyDir(t, cfg.Checkpoint.Dir)
+
+	release[1]()
+	for _, ch := range []chan error{t2Done, cDone} {
+		if err := await(t, ch, "T2's commit or the checkpoint"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := loggedValues(t, walCopy, 0, tbl.Schema); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("the crash copy's log holds %v, want T1's 1", got)
+	}
+	blind := recoveredValues(t, walCopy, "", 2)
+	if got := recoveredValues(t, walCopy, ckptCopy, 2); got[0] != blind[0] || got[1] != blind[1] {
+		t.Fatalf("the crash copy recovers %v from its snapshot, %v from its log alone", got, blind)
+	}
+	if _, err := os.Stat(core.SnapshotPath(cfg.Checkpoint.Dir, 0, 1)); err != nil {
+		t.Fatalf("no snapshot at sequence 1 once T2's write went through: %v", err)
+	}
+}
+
 // twoPartitionTable is a table of two rows on a two-partition DB: row k
 // lives in partition k.
 func twoPartitionTable(t *testing.T, db *core.DB) *storage.Table {

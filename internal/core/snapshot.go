@@ -21,12 +21,15 @@ import (
 //	rows   {Writes: [{Table, Key, Image}, …]}, each ≈ snapshotChunkBytes of images
 //	end    {TxnID: number of row writes}
 //
-// The seq stamp is the partition's durable WAL sequence at capture: the
-// snapshot plus the log suffix strictly above seq reconstructs the
-// partition. Rows are captured through lock.Entry.AppendCommittedData, so
-// a fuzzy snapshot taken while writers run never contains a dirty
-// (retired-but-uncommitted) image; images committed after seq may slip
-// in, which is harmless because replay reapplies idempotent after-images.
+// The seq stamp is the partition's WAL sequence before the scan, every
+// record through it installed: the snapshot plus the log suffix strictly
+// above seq reconstructs the partition. Rows are captured through
+// lock.Entry.AppendCommittedData, so a fuzzy snapshot taken while
+// writers run never contains a dirty (retired-but-uncommitted) image;
+// images committed after seq may slip in, which is harmless because the
+// file is published only once the log is written through a mark taken
+// after the scan (checkpointer), so their records are in the suffix, and
+// replay reapplies idempotent after-images.
 
 // snapshotChunkBytes bounds the image bytes of one row record, so no
 // frame of a large partition approaches wal.MaxFrameBytes.
@@ -109,14 +112,11 @@ type snapshotWriter struct {
 	imgs  []byte     // the images chunk.Writes point into
 }
 
-// write captures partition p of every table in c, stamped with WAL
-// sequence seq, and publishes it atomically as snapshotPath(dir, p, seq).
-// Tables with fewer partitions than p contribute nothing: their rows
-// belong to lower-numbered partitions' snapshots.
-func (w *snapshotWriter) write(dir string, c *storage.Catalog, p int, seq uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: create checkpoint dir: %w", err)
-	}
+// capture frames partition p of every table in c, stamped with WAL
+// sequence seq, into the writer's buffer; publish writes it out. Tables
+// with fewer partitions than p contribute nothing: their rows belong to
+// lower-numbered partitions' snapshots.
+func (w *snapshotWriter) capture(c *storage.Catalog, p int, seq uint64) error {
 	w.buf = wal.AppendFramedRecord(w.buf[:0], snapshotStamp(p, seq))
 	w.chunk.Writes, w.imgs = w.chunk.Writes[:0], w.imgs[:0]
 	names := c.Tables()
@@ -152,6 +152,15 @@ func (w *snapshotWriter) write(dir string, c *storage.Catalog, p int, seq uint64
 	}
 	w.flush()
 	w.buf = wal.AppendFramedRecord(w.buf, &wal.Record{TxnID: rows})
+	return nil
+}
+
+// publish makes the last capture, of partition p at seq, the snapshot
+// file snapshotPath(dir, p, seq), atomically.
+func (w *snapshotWriter) publish(dir string, p int, seq uint64) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("core: create checkpoint dir: %w", err)
+	}
 	return wal.WriteFileAtomic(snapshotPath(dir, p, seq), w.buf)
 }
 

@@ -53,7 +53,10 @@ func catalogRows(c *storage.Catalog, p int) map[uint64]uint64 {
 func writeSnapshot(t testing.TB, dir string, c *storage.Catalog, p int, seq uint64) snapshotFile {
 	t.Helper()
 	var w snapshotWriter
-	if err := w.write(dir, c, p, seq); err != nil {
+	if err := w.capture(c, p, seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.publish(dir, p, seq); err != nil {
 		t.Fatal(err)
 	}
 	return snapshotFile{path: snapshotPath(dir, p, seq), seq: seq}
@@ -65,7 +68,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	src := snapCatalog(parts)
 	var w snapshotWriter // one writer: its buffers are reused across rounds
 	for p := 0; p < parts; p++ {
-		if err := w.write(dir, src, p, uint64(100+p)); err != nil {
+		if err := w.capture(src, p, uint64(100+p)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.publish(dir, p, uint64(100+p)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -71,7 +71,13 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // anything. The file is therefore always a prefix of the sequence, and a
 // crash leaves at most one torn frame — and only at the tail. Log's
 // Submit only sequences, so that a commit can release its locks before
-// it writes (Ticket.Wait); Append does both.
+// it writes; Append does both and waits for the sync. Every wait for the
+// log is one rule: a commit or a checkpoint takes a mark, each log's
+// last LSN (PartitionedLog.Mark), and waits until every log is written
+// through it, and under FsyncBatch synced through it
+// (PartitionedLog.Wait). The sync wait is a sync.Cond on the device
+// latch (waitSynced), not txn.Txn.Wait: the syncer wakes every commit
+// its fsync covers at once.
 //
 // Under FsyncBatch and FsyncInterval the device owns one syncer goroutine,
 // started when it opens and stopped by Close, which syncs what has been
@@ -273,16 +279,20 @@ func (d *FileDevice) Path() string { return d.f.Name() }
 // released its locks; nothing else sets it.
 var WriteHook = (*os.File).Write
 
-// Append implements Device: it sequences rec and writes it (writeThrough).
-// A frame written before a rotation fails is still returned: whether it
-// is durable is the sync's verdict, and the failure stops every later
+// Append implements Device: it sequences rec, writes it (writeThrough)
+// and, under FsyncBatch, waits for a sync that covers it. A frame
+// written before a rotation fails is still returned: whether it is
+// durable is the sync's verdict, and the failure stops every later
 // append.
 func (d *FileDevice) Append(rec []byte) (uint64, error) {
 	lsn, err := d.sequence(rec)
-	if err != nil {
-		return 0, err
+	if err == nil {
+		err = d.writeThrough(lsn, nil)
 	}
-	return lsn, d.writeThrough(lsn, nil)
+	if err == nil && d.policy == FsyncBatch {
+		err = d.waitSynced(lsn)
+	}
+	return lsn, err
 }
 
 // sequence copies rec's frame into the pending buffer and gives it the

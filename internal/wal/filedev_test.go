@@ -318,7 +318,8 @@ func TestFileDeviceFailureSticks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := New(dev)
+			pl := NewPartitioned([]Device{dev})
+			l := pl.Log(0)
 			if _, err := l.NewAppender().Commit(sample()); err != nil {
 				t.Fatal(err)
 			}
@@ -329,13 +330,17 @@ func TestFileDeviceFailureSticks(t *testing.T) {
 			dev.mu.Unlock()
 
 			const committers = 4
-			tickets := make([]Ticket, committers)
-			for i := range tickets {
-				tickets[i] = l.NewAppender().Submit(&Record{TxnID: uint64(100 + i)})
+			marks := make([][]uint64, committers)
+			for i := range marks {
+				if _, err := l.NewAppender().Submit(&Record{TxnID: uint64(100 + i)}); err != nil {
+					t.Fatal(err)
+				}
+				marks[i] = make([]uint64, 1)
+				pl.Mark(marks[i])
 			}
 			var first error
-			for i, tk := range tickets {
-				_, err := tk.Wait(nil)
+			for i, m := range marks {
+				err := pl.Wait(m, nil)
 				if err == nil {
 					t.Fatalf("commit %d succeeded on a failed device", i)
 				}

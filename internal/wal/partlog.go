@@ -1,6 +1,6 @@
 package wal
 
-import "fmt"
+import "bamboo/internal/txn"
 
 // PartitionedLog is the durability side of a partitioned store: one Log —
 // and its own device — per storage partition. Commit
@@ -19,6 +19,46 @@ func NewPartitioned(devs []Device) *PartitionedLog {
 		pl.logs[i] = New(d)
 	}
 	return pl
+}
+
+// Mark sets m[p], for every partition log p, to log p's Seq: the LSN it
+// has sequenced so far, written or not, or 0 for a log whose device is
+// no FileDevice, which appended every record at Submit; len(m) is
+// Partitions(). A commit marks after it submits and a checkpoint after
+// its scan; either then Waits on its mark, so neither is acknowledged
+// before every record it can have seen is in its log.
+func (pl *PartitionedLog) Mark(m []uint64) {
+	for p := range m {
+		m[p] = pl.Seq(p)
+	}
+}
+
+// Wait returns once every partition log is written through its entry of
+// mark, and under FsyncBatch synced through it, or with the first
+// failure of a device it waited on. It writes every log before it waits
+// for any sync, so the devices' syncers overlap their fsyncs instead of
+// stacking them. An entry of 0 waits for nothing, and so does an empty
+// mark. w is the waiting transaction: when another committer is writing
+// a log, w waits for that write as txn.Txn.Wait waits, polling first if
+// its Waiter's gate is open; a nil w waits as a fresh transaction, which
+// never polls.
+func (pl *PartitionedLog) Wait(mark []uint64, w *txn.Txn) error {
+	var first error
+	for p, lsn := range mark {
+		if lsn > 0 {
+			if err := pl.logs[p].file.writeThrough(lsn, w); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	for p, lsn := range mark {
+		if d := pl.logs[p].file; lsn > 0 && d.policy == FsyncBatch {
+			if err := d.waitSynced(lsn); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }
 
 // Partitions returns the number of partition logs.
@@ -41,45 +81,17 @@ func (pl *PartitionedLog) Close() error {
 	return first
 }
 
-// LifecycleDevice is the interface a device must satisfy for the
-// storage lifecycle (checkpointing and log truncation) to manage it:
-// expose the partition-local sequence, the live log footprint,
-// and unlink-based truncation. FileDevice in segmented mode implements
-// it.
-type LifecycleDevice interface {
-	Seq() uint64
-	LiveBytes() int64
-	TruncateBelow(seq uint64) (int64, error)
-}
-
 // Seq returns partition p's last sequenced (not necessarily written)
-// sequence number, or 0 if its device does not track one.
+// sequence number, or 0 if its device is no FileDevice.
 func (pl *PartitionedLog) Seq(p int) uint64 {
-	if ld, ok := pl.logs[p].dev.(LifecycleDevice); ok {
-		return ld.Seq()
+	if d := pl.logs[p].file; d != nil {
+		return d.Seq()
 	}
 	return 0
 }
 
-// LiveBytes returns the live log footprint of partition p's device, or 0
-// if it does not report one.
-func (pl *PartitionedLog) LiveBytes(p int) int64 {
-	if ld, ok := pl.logs[p].dev.(LifecycleDevice); ok {
-		return ld.LiveBytes()
-	}
-	return 0
-}
-
-// TruncateBelow drops partition p's log frames with sequence ≤ seq (to
-// whole-segment granularity), returning the bytes reclaimed. It errors
-// if the partition's device cannot truncate.
-func (pl *PartitionedLog) TruncateBelow(p int, seq uint64) (int64, error) {
-	ld, ok := pl.logs[p].dev.(LifecycleDevice)
-	if !ok {
-		return 0, fmt.Errorf("wal: partition %d device cannot truncate", p)
-	}
-	return ld.TruncateBelow(seq)
-}
+// File returns partition p's device if it is a FileDevice, or nil.
+func (pl *PartitionedLog) File(p int) *FileDevice { return pl.logs[p].file }
 
 // Stats sums the DeviceStats of every partition device that reports them.
 func (pl *PartitionedLog) Stats() DeviceStats {

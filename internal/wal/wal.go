@@ -11,15 +11,17 @@
 // FileDevice, an LSN and a copy in the device's pending buffer, no
 // syscall — while the transaction still holds its locks, so a
 // transaction that reads or overwrites its writes after the release
-// sequences its own record later. The commit then releases and waits on
-// its Ticket, which writes the pending frames (one Write for all of
-// them, by whichever committer gets there first) and, under FsyncBatch,
-// waits for the sync that covers them. This is early lock release
-// (Johnson et al., "Aether", VLDB 2010): the file is always a prefix of
-// the sequence, and a commit is acknowledged only once its record is
-// written (or synced), so no acknowledged commit depends on a record the
-// log lacks. On any other device, Submit appends the record there and
-// then; the Ticket has nothing left to wait for.
+// sequences its own record later. The commit then takes a Mark of every
+// partition log, releases, and Waits on the mark: every log is written
+// through it (one Write of all pending frames, by whichever committer
+// gets there first) and, under FsyncBatch, synced through it. A
+// checkpoint waits the same way on a mark it takes after its scan,
+// before it publishes the snapshot. This is early lock release (Johnson
+// et al., "Aether", VLDB 2010): the file is always a prefix of the
+// sequence, and nothing — a commit or a snapshot — is acknowledged
+// before the records of everything it saw are written (or synced). On
+// any other device, Submit appends the record there and then, and its
+// log's entry in a mark is 0: nothing to wait for.
 //
 // For the zero-allocation hot path, workers encode records into reusable
 // per-worker buffers through Appender handles; Device implementations must
@@ -33,8 +35,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"bamboo/internal/txn"
 )
 
 // Record is one commit record: the transaction id and its after-images.
@@ -94,21 +94,18 @@ type StatsDevice interface {
 // for concurrent use; serialization happens outside the device lock.
 type Log struct {
 	dev  Device
-	file *FileDevice // non-nil: Submit only sequences; Ticket.Wait writes
+	file *FileDevice // non-nil: Submit only sequences; a wait writes
 }
 
 // New returns a log over the given device. Records submitted to a
-// FileDevice are written by Ticket.Wait, and under FsyncBatch synced
-// before it returns; on any other device a record is as durable as it
-// will be once Submit returns.
+// FileDevice are written by a wait on a mark (PartitionedLog.Wait), and
+// under FsyncBatch synced before it returns; on any other device a
+// record is as durable as it will be once Submit returns.
 func New(dev Device) *Log {
 	l := &Log{dev: dev}
 	l.file, _ = dev.(*FileDevice)
 	return l
 }
-
-// Through returns a Ticket for every record sequenced on l through lsn.
-func (l *Log) Through(lsn uint64) Ticket { return Ticket{dev: l.file, lsn: lsn} }
 
 // Appender is a per-worker commit handle owning a reusable encode buffer,
 // so steady-state commits allocate nothing. Not safe for concurrent use;
@@ -121,20 +118,9 @@ type Appender struct {
 // NewAppender returns a commit handle for one worker.
 func (l *Log) NewAppender() *Appender { return &Appender{l: l} }
 
-// Mark returns a Ticket for every record sequenced on a's log so far:
-// its Wait returns once they are all written, and synced under
-// FsyncBatch. On a log whose device is no FileDevice every record is
-// appended by the time Submit returns, and the Ticket waits for nothing.
-func (a *Appender) Mark() Ticket {
-	if d := a.l.file; d != nil {
-		return a.l.Through(d.lsn.Load())
-	}
-	return Ticket{}
-}
-
-// Commit encodes rec into the appender's buffer and commits it, returning
-// its LSN once it is written (and synced under FsyncBatch): a Submit
-// whose Ticket it waits on.
+// Commit encodes rec into the appender's buffer and appends it to the
+// device, returning its LSN once it is written (and synced under
+// FsyncBatch).
 //
 // The encode copies rec's payloads — including row images — into the
 // appender's own buffer before anything crosses the device boundary, so
@@ -144,55 +130,23 @@ func (a *Appender) Mark() Ticket {
 // the version chain and the WAL, and recycle it at release without
 // consulting the log.
 func (a *Appender) Commit(rec *Record) (uint64, error) {
-	return a.Submit(rec).Wait(nil)
+	a.buf = AppendRecord(a.buf[:0], rec)
+	return a.l.dev.Append(a.buf)
 }
 
-// Submit encodes rec and sequences it, without writing it to a
-// FileDevice or waiting for durability; the returned Ticket's Wait does
-// both. A commit submits while it holds its locks and waits after it
-// releases them. A transaction whose writes span several partition logs
-// submits to all of them before it waits on any, so their devices' syncs
-// overlap instead of stacking. On any other device Submit appends rec.
-// The encode buffer is free again once Submit returns.
-func (a *Appender) Submit(rec *Record) Ticket {
+// Submit encodes rec and sequences it, returning its LSN, without writing
+// it to a FileDevice or waiting for durability: a wait on a mark taken
+// after it (PartitionedLog.Wait) does both. A commit submits while it
+// holds its locks and waits after it releases them. On a FileDevice the
+// only failure is the device's sticky error or ErrClosed; on any other
+// device Submit appends rec. The encode buffer is free again once Submit
+// returns.
+func (a *Appender) Submit(rec *Record) (uint64, error) {
 	a.buf = AppendRecord(a.buf[:0], rec)
 	if d := a.l.file; d != nil {
-		lsn, err := d.sequence(a.buf)
-		return Ticket{dev: d, lsn: lsn, err: err}
+		return d.sequence(a.buf)
 	}
-	lsn, err := a.l.dev.Append(a.buf)
-	return Ticket{lsn: lsn, err: err}
-}
-
-// Ticket is a pending submission. The zero value Waits as an immediate
-// (lsn 0, nil) result, so a fixed-size ticket scratch array can be waited
-// on wholesale.
-type Ticket struct {
-	dev *FileDevice // nil: the record is as durable as it gets
-	lsn uint64
-	err error
-}
-
-// Err is the submission's failure — on a FileDevice, its sticky error
-// or ErrClosed. A ticket that carries one has nothing to wait for.
-func (t Ticket) Err() error { return t.err }
-
-// Wait returns the record's LSN once it is written — and synced, under
-// FsyncBatch — or the device's failure. w is the waiting transaction:
-// when another committer is writing the record, w waits for that write
-// the way txn.Txn.Wait waits, polling first if its Waiter's gate is open.
-// A nil w waits as a fresh transaction, which never polls.
-func (t Ticket) Wait(w *txn.Txn) (uint64, error) {
-	if t.dev == nil || t.err != nil {
-		return t.lsn, t.err
-	}
-	if err := t.dev.writeThrough(t.lsn, w); err != nil {
-		return t.lsn, err
-	}
-	if t.dev.policy == FsyncBatch {
-		return t.lsn, t.dev.waitSynced(t.lsn)
-	}
-	return t.lsn, nil
+	return a.l.dev.Append(a.buf)
 }
 
 // AppendRecord serializes rec onto buf and returns the extended slice;

@@ -19,9 +19,10 @@ func committer(gate *atomic.Bool) *txn.Txn {
 	return t
 }
 
-// TestWaitReturnsWrittenFrame has concurrent committers submit and wait:
-// once a Wait returns, its frame is in the file under FsyncNone, and a
-// sync covers it under FsyncBatch. Submit alone writes nothing.
+// TestWaitReturnsWrittenFrame has concurrent committers submit, mark and
+// wait: once a Wait returns, the frame submitted before the mark is in
+// the file under FsyncNone, and a sync covers it under FsyncBatch.
+// Submit alone writes nothing.
 func TestWaitReturnsWrittenFrame(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncNone, FsyncBatch} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -30,14 +31,19 @@ func TestWaitReturnsWrittenFrame(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := New(dev)
-			tk := l.NewAppender().Submit(sample())
+			pl := NewPartitioned([]Device{dev})
+			l := pl.Log(0)
+			if _, err := l.NewAppender().Submit(sample()); err != nil {
+				t.Fatal(err)
+			}
 			if info, err := os.Stat(path); err != nil {
 				t.Fatal(err)
 			} else if info.Size() != 0 {
 				t.Fatalf("a submitted record reached the file before its wait: %d bytes", info.Size())
 			}
-			if _, err := tk.Wait(nil); err != nil {
+			mark := make([]uint64, 1)
+			pl.Mark(mark)
+			if err := pl.Wait(mark, nil); err != nil {
 				t.Fatal(err)
 			}
 
@@ -50,8 +56,13 @@ func TestWaitReturnsWrittenFrame(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					a, me := l.NewAppender(), committer(&gate)
+					mark := make([]uint64, 1)
 					for i := 0; i < perWorker; i++ {
-						lsn, err := a.Submit(&Record{TxnID: uint64(1000 + w*perWorker + i)}).Wait(me)
+						lsn, err := a.Submit(&Record{TxnID: uint64(1000 + w*perWorker + i)})
+						if err == nil {
+							pl.Mark(mark)
+							err = pl.Wait(mark, me)
+						}
 						if err != nil {
 							t.Errorf("wait: %v", err)
 							return
@@ -105,7 +116,7 @@ func TestCloseWritesSequencedFrames(t *testing.T) {
 }
 
 // BenchmarkLogCommit is the log's line in the layer ledger: two
-// committers Submit and Wait 256-byte images on one FsyncNone
+// committers Submit, Mark and Wait 256-byte images on one FsyncNone
 // FileDevice. It reports ns per commit and the device's
 // writes per commit: below 1 when one committer's write carries the
 // other's frame too. Their waits poll while GOMAXPROCS gives each a
@@ -116,7 +127,7 @@ func BenchmarkLogCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer dev.Close()
-	l := New(dev)
+	pl := NewPartitioned([]Device{dev})
 	var gate atomic.Bool
 	gate.Store(runtime.GOMAXPROCS(0) >= 2)
 	rec := &Record{TxnID: 1, Writes: []Write{{Table: "t", Key: 1, Image: make([]byte, 256)}}}
@@ -127,9 +138,15 @@ func BenchmarkLogCommit(b *testing.B) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			a, me := l.NewAppender(), committer(&gate)
+			a, me := pl.Log(0).NewAppender(), committer(&gate)
+			mark := make([]uint64, 1)
 			for i := 0; i < n; i++ {
-				if _, err := a.Submit(rec).Wait(me); err != nil {
+				_, err := a.Submit(rec)
+				if err == nil {
+					pl.Mark(mark)
+					err = pl.Wait(mark, me)
+				}
+				if err != nil {
 					b.Error(err)
 					return
 				}

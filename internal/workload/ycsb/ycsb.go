@@ -83,12 +83,11 @@ type Workload struct {
 	stampCol int
 }
 
-// Load creates and populates the YCSB table. With db.Partitions() > 1 the
-// table is hash-partitioned and loaded partition-parallel: one goroutine
-// per partition inserts exactly the keys that route to it, touching no
-// structure any other loader touches. A single-partition load keeps the
-// original serial path (and its exact rng stream) so Partitions=1 is
-// bit-for-bit the pre-partitioning behavior.
+// Load creates and populates the YCSB table, hash-partitioned and loaded
+// partition-parallel: one goroutine per partition inserts exactly the
+// keys that route to it, touching no structure any other loader touches.
+// Partition 0's rng stream is the one the serial load drew (Seed+7), so
+// a single-partition load is bit-for-bit the pre-partitioning behavior.
 func Load(db *core.DB, cfg Config) (*Workload, error) {
 	if cfg.Rows <= cfg.OpsPerTxn {
 		return nil, fmt.Errorf("ycsb: %d rows too small", cfg.Rows)
@@ -117,7 +116,7 @@ func Load(db *core.DB, cfg Config) (*Workload, error) {
 		stride := (size + cacheLine - 1) &^ (cacheLine - 1)
 		slab := workload.Chunk[byte]{Size: loadSlabRows * stride}
 		for k := 0; k < cfg.Rows; k++ {
-			if want >= 0 && part.Partition(uint64(k)) != want {
+			if part.Partition(uint64(k)) != want {
 				continue
 			}
 			img := slab.Take(stride)[:size:size]
@@ -128,19 +127,15 @@ func Load(db *core.DB, cfg Config) (*Workload, error) {
 			tbl.MustInsertRow(uint64(k), img)
 		}
 	}
-	if parts == 1 {
-		loadRange(rand.New(rand.NewSource(cfg.Seed+7)), -1)
-	} else {
-		var wg sync.WaitGroup
-		for p := 0; p < parts; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				loadRange(rand.New(rand.NewSource(cfg.Seed+7+int64(p)*65537)), p)
-			}(p)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			loadRange(rand.New(rand.NewSource(cfg.Seed+7+int64(p)*65537)), p)
+		}(p)
 	}
+	wg.Wait()
 	return &Workload{cfg: cfg, tbl: tbl, schema: schema, stampCol: 0}, nil
 }
 
